@@ -9,6 +9,10 @@ cd "$(dirname "$0")"
 export PROPTEST_SEED="${PROPTEST_SEED:-6840025361058438157}"
 
 cargo build --release
+# the benchmark (specbench/) is a workspace of its own, so the workspace
+# commands never compile it: check it here, so an API change that breaks
+# the benchmark fails CI instead of the next benchmark run
+cargo check --offline --manifest-path specbench/Cargo.toml --all-targets
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check

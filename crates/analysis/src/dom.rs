@@ -2,18 +2,23 @@
 
 use crate::cfg::reverse_postorder;
 use specframe_ir::{BlockId, Function};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Process-wide count of [`DomTree::compute`] invocations.
-///
-/// Observability hook for the pipeline's analysis cache: the driver samples
-/// this before and after an `optimize` call to assert dominators are built
-/// at most once per function on the no-CFG-edit path.
-static DOM_COMPUTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of [`DomTree::compute`] invocations.
+    ///
+    /// Observability hook for the pipeline's analysis cache: the driver
+    /// samples this before and after an `optimize` call to assert
+    /// dominators are built at most once per function on the no-CFG-edit
+    /// path. Per-thread, so concurrent compiles on other threads never
+    /// show up in the delta; the driver builds every function's analyses
+    /// on the calling thread, before its worker fan-out.
+    static DOM_COMPUTES: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The current value of the process-wide [`DomTree::compute`] counter.
+/// The current value of this thread's [`DomTree::compute`] counter.
 pub fn dom_compute_count() -> u64 {
-    DOM_COMPUTES.load(Ordering::Relaxed)
+    DOM_COMPUTES.with(Cell::get)
 }
 
 /// The dominator tree of one function.
@@ -39,7 +44,7 @@ pub struct DomTree {
 impl DomTree {
     /// Computes the dominator tree of `f`.
     pub fn compute(f: &Function) -> DomTree {
-        DOM_COMPUTES.fetch_add(1, Ordering::Relaxed);
+        DOM_COMPUTES.with(|c| c.set(c.get() + 1));
         let n = f.blocks.len();
         let rpo = reverse_postorder(f);
         let mut rpo_num = vec![usize::MAX; n];

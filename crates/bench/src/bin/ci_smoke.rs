@@ -4,7 +4,8 @@
 //! (heuristic data speculation + static control speculation + strength
 //! reduction) per test-scale workload and writes `BENCH_ci.json` in the
 //! current directory. This is a trend indicator, not a benchmark — the
-//! Criterion suite in `benches/compile_time.rs` is the real measurement.
+//! real measurement is `specbench` (`bash specbench/run.sh`), which times
+//! `specc` end to end and per layer against the bounds in `BENCHMARK.json`.
 //!
 //! It also runs a deterministic smoke of the ddmin module reducer (a
 //! known-failing program must shrink by at least 80% while preserving

@@ -66,24 +66,6 @@ pub fn lower_module_for(m: &Module, target: &dyn SpecTarget) -> MProgram {
     }
 }
 
-/// Lowers a whole module and then fences every statically-detected
-/// speculative leak ([`specframe_machine::leaks`]): a speculation barrier
-/// is inserted immediately before each sink an unchecked `ld.a`/`ld.sa`
-/// value can reach, so the lowered program leak-audits clean. Returns the
-/// program and the number of fences inserted. The fence is a machine-level
-/// transform — the IR module is untouched, so cached artifacts and the
-/// reference interpreter see identical code.
-pub fn lower_module_fenced(m: &Module) -> (MProgram, u64) {
-    lower_module_fenced_for(m, TargetId::Epic.spec())
-}
-
-/// Like [`lower_module_fenced`], but for an explicit target.
-pub fn lower_module_fenced_for(m: &Module, target: &dyn SpecTarget) -> (MProgram, u64) {
-    let mut p = lower_module_for(m, target);
-    let fences = specframe_machine::leaks::fence_program(&mut p);
-    (p, fences)
-}
-
 fn operand(o: Operand, layout: &[i64]) -> MOperand {
     match o {
         Operand::Var(v) => MOperand::R(Reg(v.0)),
@@ -95,19 +77,13 @@ fn operand(o: Operand, layout: &[i64]) -> MOperand {
 }
 
 /// Lowers one function against a precomputed global address layout
-/// (`Module::global_layout`) for the default (`epic`) target. Public so
-/// the driver's `--audit-spec` hook can machine-lower a single function
-/// inside a per-function worker, without the (partially moved-out) module
-/// in hand.
-pub fn lower_function_machine(f: &Function, layout: &[i64]) -> MFunc {
-    lower_function_machine_for(f, layout, TargetId::Epic.spec())
-}
-
-/// Like [`lower_function_machine`], but for an explicit target. Each IR
-/// instruction lowers to one target-chosen instruction sequence; block
-/// starts and branch labels are derived from the concatenated sequence
-/// lengths, and sequence-relative branches emitted by lowering hooks are
-/// rebased onto the flat stream.
+/// (`Module::global_layout`) for `target`. Public so the driver's
+/// `--audit-spec` hook can machine-lower a single function inside a
+/// per-function worker, without the (partially moved-out) module in hand.
+/// Each IR instruction lowers to one target-chosen instruction sequence;
+/// block starts and branch labels are derived from the concatenated
+/// sequence lengths, and sequence-relative branches emitted by lowering
+/// hooks are rebased onto the flat stream.
 pub fn lower_function_machine_for(f: &Function, layout: &[i64], target: &dyn SpecTarget) -> MFunc {
     // software speculation bookkeeping (epoch + shadow registers) is only
     // threaded through functions that actually speculate
@@ -441,7 +417,8 @@ entry:
             !specframe_machine::leaks::leak_audit_program(&plain).is_empty(),
             "the windowed address use must be flagged"
         );
-        let (fenced, fences) = lower_module_fenced(&m);
+        let mut fenced = lower_module(&m);
+        let fences = specframe_machine::leaks::fence_program(&mut fenced);
         assert!(fences > 0);
         assert!(specframe_machine::leaks::leak_audit_program(&fenced).is_empty());
         let (want, _) = run_machine(&plain, "f", &[], 10_000).unwrap();
@@ -548,7 +525,8 @@ entry:
             !specframe_machine::leaks::leak_audit_program(&plain).is_empty(),
             "the windowed address use must be flagged on swr too"
         );
-        let (fenced, fences) = lower_module_fenced_for(&m, swr);
+        let mut fenced = lower_module_for(&m, swr);
+        let fences = specframe_machine::leaks::fence_program(&mut fenced);
         assert!(fences > 0);
         assert!(specframe_machine::leaks::leak_audit_program(&fenced).is_empty());
         let (want, _) = run_machine_on(&plain, swr, "f", &[], 10_000).unwrap();

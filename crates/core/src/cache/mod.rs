@@ -33,50 +33,42 @@ pub use fault::{
 pub use key::{CacheKey, KeyContext, StableHasher, CACHE_FORMAT_VERSION};
 pub use store::{EntryMeta, FileStore, MemStore, Storage};
 
+use crate::stats::counter_block;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Hit/miss/stale/evict counters for one `optimize` run (or one service
-/// lifetime — they sum).
-///
-/// Kept out of [`crate::OptStats`] on purpose: `OptStats` is `Eq`-compared
-/// between cached and uncached runs by the parity tests, and a warm run
-/// *must* report identical transformation counters while reporting
-/// different cache counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Functions replayed from the cache.
-    pub hits: u64,
-    /// Functions compiled because no entry existed.
-    pub misses: u64,
-    /// Functions compiled because their entry was corrupt or version-skewed
-    /// (each also carries a `CompileDiag` on the report).
-    pub stale: u64,
-    /// Entries removed by the capacity policy during write-back.
-    pub evicts: u64,
-    /// Storage operations re-attempted after a transient I/O error.
-    pub retries: u64,
-    /// Storage operations that returned an I/O error (before retry).
-    pub io_errors: u64,
-    /// Times the circuit breaker opened this run (0 or 1 per run; a run
-    /// that starts with the session breaker already open reports 0).
-    pub breaker_trips: u64,
+counter_block! {
+    /// Hit/miss/stale/evict counters for one `optimize` run (or one service
+    /// lifetime — they sum).
+    ///
+    /// Kept out of [`crate::OptStats`] on purpose: `OptStats` is `Eq`-compared
+    /// between cached and uncached runs by the parity tests, and a warm run
+    /// *must* report identical transformation counters while reporting
+    /// different cache counters.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Functions replayed from the cache.
+        pub hits: u64,
+        /// Functions compiled because no entry existed.
+        pub misses: u64,
+        /// Functions compiled because their entry was corrupt or version-skewed
+        /// (each also carries a `CompileDiag` on the report).
+        pub stale: u64,
+        /// Entries removed by the capacity policy during write-back.
+        pub evicts: u64,
+        /// Storage operations re-attempted after a transient I/O error.
+        pub retries: u64,
+        /// Storage operations that returned an I/O error (before retry).
+        pub io_errors: u64,
+        /// Times the circuit breaker opened this run (0 or 1 per run; a run
+        /// that starts with the session breaker already open reports 0).
+        pub breaker_trips: u64,
+    }
 }
 
 impl CacheStats {
-    /// Merges another counter block into this one.
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.stale += other.stale;
-        self.evicts += other.evicts;
-        self.retries += other.retries;
-        self.io_errors += other.io_errors;
-        self.breaker_trips += other.breaker_trips;
-    }
-
     /// Total probes this block describes.
     pub fn probes(&self) -> u64 {
         self.hits + self.misses + self.stale

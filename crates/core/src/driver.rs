@@ -24,7 +24,7 @@ use crate::error::{panic_message, with_quiet_panics, CompileDiag, CompileError};
 use crate::passes::{Pass, PassDump, PassSet, PipelineHooks};
 use crate::ssapre::{ssapre_function, SpecPolicy};
 use crate::stats::{OptStats, PassTimings};
-use crate::strength::strength_reduce_hssa;
+use crate::strength::{strength_reduce_hssa, SrTemp};
 use specframe_alias::AliasAnalysis;
 use specframe_analysis::{
     dom_compute_count, estimate_function_with, split_critical_edges, EdgeProfile, FuncAnalyses,
@@ -38,8 +38,9 @@ use specframe_ir::{layout_globals, CalleeSig, FuncId, Function, Global, MemSiteI
 use specframe_profile::AliasProfile;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Where data-speculation likeliness comes from (Figure 3's "alias profile
 /// / heuristic rules" box).
@@ -54,6 +55,19 @@ pub enum SpecSource<'a> {
     Heuristic,
     /// Ignore all may-aliases — the §5.3 upper-bound estimator.
     Aggressive,
+}
+
+impl<'a> SpecSource<'a> {
+    /// The speculative-SSA mode this source drives: the one mapping from
+    /// the driver's option to the likeliness oracle's input.
+    pub fn mode(self) -> SpecMode<'a> {
+        match self {
+            SpecSource::None => SpecMode::NoSpeculation,
+            SpecSource::Profile(p) => SpecMode::Profile(p),
+            SpecSource::Heuristic => SpecMode::Heuristic,
+            SpecSource::Aggressive => SpecMode::Aggressive,
+        }
+    }
 }
 
 /// Where control-speculation likeliness comes from (Figure 3's "edge/path
@@ -184,7 +198,19 @@ pub fn optimize(m: &mut Module, opts: &OptOptions<'_>) -> OptStats {
 }
 
 /// [`optimize`] with an explicit execution configuration, reporting per-pass
-/// timings.
+/// timings: [`try_optimize_cached`] without hooks or a cache.
+///
+/// # Panics
+/// Panics where [`try_optimize_cached`] would return an error.
+pub fn optimize_with(m: &mut Module, opts: &OptOptions<'_>, cfg: &PipelineConfig) -> OptReport {
+    match try_optimize_cached(m, opts, cfg, &PipelineHooks::default(), None) {
+        Ok((report, _)) => report,
+        Err(e) => panic!("optimize failed: {e}"),
+    }
+}
+
+/// The pipeline's one entry point: optimizes `m`, optionally through a
+/// persistent per-function compile cache, with the pass-manager hooks.
 ///
 /// The per-function stages — refine → build HSSA → SSAPRE → strength
 /// reduction / store sinking → verify → lower — are embarrassingly
@@ -195,70 +221,33 @@ pub fn optimize(m: &mut Module, opts: &OptOptions<'_>) -> OptStats {
 /// and the join (lowered functions spliced back in index order, with
 /// optimizer-synthesized memory sites renumbered serially there). Output is
 /// therefore bit-identical for every job count, including 1.
-pub fn optimize_with(m: &mut Module, opts: &OptOptions<'_>, cfg: &PipelineConfig) -> OptReport {
-    optimize_with_hooks(m, opts, cfg, &PipelineHooks::default()).0
-}
-
-/// [`optimize_with`] plus the pass-manager seam: snapshot the textual form
-/// of any function after any named stage ([`PipelineHooks::dump_after`]),
-/// or run the pipeline only through a stage
-/// ([`PipelineHooks::stop_after`]).
 ///
-/// Snapshots are taken inside the per-function workers (each one depends
-/// only on that worker's function) and assembled at the deterministic
-/// join, functions in module order and stages in pipeline order, so the
-/// returned dump list — like the module itself — is bit-identical for
-/// every job count. `lower` snapshots are taken at the join, after fresh
+/// Hooks snapshot the textual form of any function after any named stage
+/// ([`PipelineHooks::dump_after`]) or run the pipeline only through a stage
+/// ([`PipelineHooks::stop_after`]). Snapshots are taken inside the workers
+/// and assembled at the join, functions in module order and stages in
+/// pipeline order; `lower` snapshots are taken at the join, after fresh
 /// memory sites have been renumbered to their module-unique ids.
-pub fn optimize_with_hooks(
-    m: &mut Module,
-    opts: &OptOptions<'_>,
-    cfg: &PipelineConfig,
-    hooks: &PipelineHooks,
-) -> (OptReport, Vec<PassDump>) {
-    match try_optimize_with_hooks(m, opts, cfg, hooks) {
-        Ok(out) => out,
-        Err(e) => panic!("optimize failed: {e}"),
-    }
-}
-
-/// [`optimize_with_hooks`] with structured failure instead of panics.
+///
+/// With a cache, every function's content hash (body + config +
+/// alias-analysis slice + profile slices — see [`crate::cache::key`]) is
+/// probed before the fan-out. Hits replay their stored lowering, stats, and
+/// dumps and never occupy a worker slot; only misses (and stale entries,
+/// which degrade with a `"cache"` diagnostic on the report) are compiled.
+/// Clean misses are written back at the join, *before* fresh-site
+/// renumbering, so an entry replays identically into any module. Cache
+/// counters land on [`OptReport::cache`], never on [`OptStats`].
 ///
 /// A function whose speculative compilation fails (verifier rejection or a
 /// worker panic) is recompiled with speculation disabled; the degradation
 /// is recorded as an [`OptReport`] warning and counted in
-/// [`OptStats::spec_fallbacks`]. An error is returned only when that
-/// fallback fails too, or when final whole-module verification rejects the
-/// result.
+/// [`OptStats::spec_fallbacks`].
 ///
 /// # Errors
-/// A [`CompileError`] naming the function and stage that failed.
-pub fn try_optimize_with_hooks(
-    m: &mut Module,
-    opts: &OptOptions<'_>,
-    cfg: &PipelineConfig,
-    hooks: &PipelineHooks,
-) -> Result<(OptReport, Vec<PassDump>), CompileError> {
-    try_optimize_cached(m, opts, cfg, hooks, None)
-}
-
-/// [`try_optimize_with_hooks`] over a persistent per-function compile
-/// cache.
-///
-/// Before the fan-out, every function's content hash (body + config +
-/// alias-analysis slice + profile slices — see [`crate::cache::key`]) is
-/// probed serially. Hits replay their stored lowering, stats, and dumps
-/// and never occupy a worker slot; only misses (and stale entries, which
-/// degrade with a `"cache"` diagnostic on the report) enter the chunked
-/// claim loop. Clean misses are written back at the deterministic join,
-/// *before* fresh-site renumbering, so an entry replays identically into
-/// any module. Cached and uncached compiles are byte-identical at every
-/// job count; cache counters land on [`OptReport::cache`], never on
-/// [`OptStats`].
-///
-/// # Errors
-/// A [`CompileError`] naming the function and stage that failed. Cache
-/// I/O failures are never errors — they degrade to fresh compiles.
+/// A [`CompileError`] naming the function and stage that failed: when the
+/// non-speculative fallback fails too, when the deadline expires, or when
+/// final whole-module verification rejects the result. Cache I/O failures
+/// are never errors — they degrade to fresh compiles.
 pub fn try_optimize_cached(
     m: &mut Module,
     opts: &OptOptions<'_>,
@@ -282,112 +271,147 @@ pub fn try_optimize_cached(
     // and its recovery must actually happen); replaying such a result —
     // or caching it — would defeat the test hooks, so they turn the cache
     // off wholesale.
-    let fcache = fcache.filter(|_| {
+    let cache = fcache.filter(|_| {
         hooks.inject_spec_fail.is_none()
             && hooks.inject_fallback_fail.is_none()
             && hooks.inject_corrupt.is_none()
     });
+    let cx = Ctx {
+        opts,
+        hooks,
+        aa: &aa,
+        cache,
+        jobs: cfg.resolved_jobs(),
+    };
 
-    let nfuncs = m.funcs.len();
-    let mut cache_stats = CacheStats::default();
-    let mut cache_outcomes: Vec<CacheOutcome> = Vec::new();
-    // stale-entry diagnostics are module-level (the *recompile* itself is
-    // clean and write-back eligible), so they are collected apart from the
-    // per-function fallback warnings and prepended to the report
-    let mut cache_warnings: Vec<CompileDiag> = Vec::new();
-    let mut keys: Vec<cache::CacheKey> = Vec::new();
-    let mut cached: Vec<Option<Box<CachedFunc>>> = Vec::new();
-    cached.resize_with(nfuncs, || None);
-    if let Some(c) = fcache {
-        let t0 = Instant::now();
-        let ctx = cache::KeyContext::new(m, &aa, opts, hooks);
-        // key derivation and entry decode are independent per function, so
-        // probing fans out over the worker pool like compilation does; the
-        // outcomes are folded back in index order below, keeping counters,
-        // warnings and write-back decisions deterministic.
-        let pjobs = cfg.resolved_jobs().min(nfuncs.max(1));
-        let mut probes: Vec<Option<(cache::CacheKey, Probe)>> = Vec::new();
-        probes.resize_with(nfuncs, || None);
-        if pjobs <= 1 {
-            for (fi, slot) in probes.iter_mut().enumerate() {
-                let key = ctx.function_key(fi);
-                let probe = c.probe(&key);
-                *slot = Some((key, probe));
-            }
-        } else {
-            let chunk = (nfuncs / (pjobs * 8)).clamp(1, 32);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let out: Mutex<Vec<Option<(cache::CacheKey, Probe)>>> =
-                Mutex::new(std::mem::take(&mut probes));
-            let ctx = &ctx;
-            let worker = || {
-                let mut local: Vec<(usize, cache::CacheKey, Probe)> = Vec::new();
-                loop {
-                    let lo = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                    if lo >= nfuncs {
-                        break;
-                    }
-                    for fi in lo..(lo + chunk).min(nfuncs) {
-                        let key = ctx.function_key(fi);
-                        let probe = c.probe(&key);
-                        local.push((fi, key, probe));
-                    }
-                }
-                let mut out = out.lock().unwrap();
-                for (fi, key, probe) in local {
-                    out[fi] = Some((key, probe));
-                }
-            };
-            std::thread::scope(|s| {
-                for _ in 1..pjobs {
-                    s.spawn(worker);
-                }
-                worker();
-            });
-            probes = out.into_inner().unwrap();
-        }
-        for (fi, slot) in probes.into_iter().enumerate() {
-            let (key, probe) = slot.expect("every function probed");
-            match probe {
-                Probe::Hit(cf) => {
-                    cache_stats.hits += 1;
-                    cache_outcomes.push(CacheOutcome::Hit);
-                    cached[fi] = Some(cf);
-                }
-                Probe::Miss => {
-                    cache_stats.misses += 1;
-                    cache_outcomes.push(CacheOutcome::Miss);
-                }
-                Probe::Stale(why) => {
-                    cache_stats.stale += 1;
-                    cache_outcomes.push(CacheOutcome::Stale);
-                    cache_warnings.push(CompileDiag {
-                        function: m.funcs[fi].name.clone(),
-                        pass: "cache".into(),
-                        message: format!("stale cache entry ({why}); recompiled from source"),
-                    });
-                }
-            }
-            keys.push(key);
-        }
-        timings.cache += t0.elapsed();
+    let mut probed = probe_stage(&cx, m, &mut timings);
+    let func_names = func_name_table(m);
+    let results = compile_stage(&cx, m, &func_names, &mut probed.cached, &mut timings);
+    let (stats, mut warnings, dumps) =
+        join_stage(&cx, m, results, &func_names, &mut probed, &mut timings)?;
+    if let Some(c) = cache {
+        fold_fault_counters(c, &mut probed.stats, &mut warnings);
     }
 
-    // CFG analyses once per function, up front: every later pass only
-    // rewrites instructions (never the CFG — critical edges were split
-    // above), so the cache stays valid through the whole fan-out. Cache
-    // hits skip the pipeline entirely and need no analyses.
+    let t0 = Instant::now();
+    specframe_ir::verify_module(m).map_err(|e| CompileError {
+        function: String::new(),
+        pass: "module-verify".into(),
+        message: e.to_string(),
+        fallback_exhausted: false,
+    })?;
+    timings.module_verify = t0.elapsed();
+    timings.total = total0.elapsed();
+    timings.dom_computes = dom_compute_count() - dom0;
+    Ok((
+        OptReport {
+            stats,
+            timings,
+            warnings,
+            cache: probed.stats,
+            cache_outcomes: probed.outcomes,
+        },
+        dumps,
+    ))
+}
+
+/// The per-call inputs every stage of [`try_optimize_cached`] reads.
+struct Ctx<'a, 'p> {
+    opts: &'a OptOptions<'p>,
+    hooks: &'a PipelineHooks,
+    aa: &'a AliasAnalysis,
+    /// The cache, unless absent or switched off by fault injection.
+    cache: Option<&'a FuncCache>,
+    /// Resolved worker count (≥ 1).
+    jobs: usize,
+}
+
+/// What the probe stage found, per function in index order. Without a
+/// cache, `cached` is all `None` (every function compiles) and the rest
+/// stays empty.
+#[derive(Default)]
+struct Probed {
+    keys: Vec<cache::CacheKey>,
+    /// Replayable entries; `None` for every function that must compile.
+    cached: Vec<Option<Box<CachedFunc>>>,
+    outcomes: Vec<CacheOutcome>,
+    stats: CacheStats,
+    /// Stale-entry diagnostics. They are module-level (the *recompile*
+    /// itself is clean and write-back eligible), so they are kept apart
+    /// from the per-function fallback warnings and lead the report's list.
+    warnings: Vec<CompileDiag>,
+}
+
+/// Probe stage: derives every function's cache key and probes the store.
+/// Both are independent per function, so they fan out over the worker
+/// pool; the outcomes are folded back in index order, keeping counters,
+/// warnings and write-back decisions deterministic.
+fn probe_stage(cx: &Ctx<'_, '_>, m: &Module, timings: &mut PassTimings) -> Probed {
+    let nfuncs = m.funcs.len();
+    let mut p = Probed::default();
+    p.cached.resize_with(nfuncs, || None);
+    let Some(c) = cx.cache else {
+        return p;
+    };
+    let t0 = Instant::now();
+    let ctx = cache::KeyContext::new(m, cx.aa, cx.opts, cx.hooks);
+    let probes = fan_out(cx.jobs, (0..nfuncs).collect(), |fi| {
+        let key = ctx.function_key(fi);
+        let probe = c.probe(&key);
+        (key, probe)
+    });
+    for (fi, (key, probe)) in probes.into_iter().enumerate() {
+        match probe {
+            Probe::Hit(cf) => {
+                p.stats.hits += 1;
+                p.outcomes.push(CacheOutcome::Hit);
+                p.cached[fi] = Some(cf);
+            }
+            Probe::Miss => {
+                p.stats.misses += 1;
+                p.outcomes.push(CacheOutcome::Miss);
+            }
+            Probe::Stale(why) => {
+                p.stats.stale += 1;
+                p.outcomes.push(CacheOutcome::Stale);
+                p.warnings.push(CompileDiag {
+                    function: m.funcs[fi].name.clone(),
+                    pass: "cache".into(),
+                    message: format!("stale cache entry ({why}); recompiled from source"),
+                });
+            }
+        }
+        p.keys.push(key);
+    }
+    timings.cache += t0.elapsed();
+    p
+}
+
+/// Compile stage: moves every function out of `m`, runs the per-function
+/// pipeline over the misses on the worker pool, and slots each hit's
+/// replayed result in beside them — one result per function, index order.
+fn compile_stage(
+    cx: &Ctx<'_, '_>,
+    m: &mut Module,
+    func_names: &[String],
+    cached: &mut [Option<Box<CachedFunc>>],
+    timings: &mut PassTimings,
+) -> Vec<Result<FuncResult, CompileError>> {
+    // CFG analyses once per function, up front and on this thread: every
+    // later pass only rewrites instructions (never the CFG — critical
+    // edges were split above), so the cache stays valid through the whole
+    // fan-out. Cache hits skip the pipeline entirely and need no analyses.
     let t0 = Instant::now();
     let fas: Vec<Option<FuncAnalyses>> = m
         .funcs
         .iter()
-        .enumerate()
-        .map(|(fi, f)| cached[fi].is_none().then(|| FuncAnalyses::compute(f)))
+        .zip(cached.iter())
+        .map(|(f, hit)| hit.is_none().then(|| FuncAnalyses::compute(f)))
         .collect();
     timings.analyses = t0.elapsed();
 
     let estimated;
-    let control_profile: Option<&EdgeProfile> = match opts.control {
+    let control_profile: Option<&EdgeProfile> = match cx.opts.control {
         ControlSpec::Off => None,
         ControlSpec::Profile(p) => Some(p),
         ControlSpec::Static => {
@@ -404,7 +428,6 @@ pub fn try_optimize_cached(
         }
     };
 
-    let func_names = func_name_table(m);
     // callee signatures and the global address layout, frozen before the
     // fan-out so per-worker verification/audit can run without the
     // (moved-out) module
@@ -414,118 +437,77 @@ pub fn try_optimize_cached(
         .map(|f| (f.params, f.ret_ty.is_some()))
         .collect();
     let layout = layout_globals(&m.globals);
-    // only misses occupy worker slots; hits are spliced in at the join
-    let miss: Vec<usize> = (0..nfuncs).filter(|&fi| cached[fi].is_none()).collect();
-    let jobs = cfg.resolved_jobs().min(miss.len().max(1));
     let funcs = std::mem::take(&mut m.funcs);
     let shared = Shared {
         globals: &m.globals,
-        func_names: &func_names,
+        func_names,
         sigs: &sigs,
         layout: &layout,
-        aa: &aa,
-        opts,
+        aa: cx.aa,
+        opts: cx.opts,
         control_profile,
-        hooks,
+        hooks: cx.hooks,
     };
-    let fa_of = |fi: usize| fas[fi].as_ref().expect("analyses computed for every miss");
+    // only misses occupy worker slots; worker panics are caught inside
+    // process_function, so failures arrive as CompileErrors in order
+    let misses: Vec<(usize, Function)> = funcs
+        .into_iter()
+        .enumerate()
+        .filter(|(fi, _)| cached[*fi].is_none())
+        .collect();
+    let mut compiled = fan_out(cx.jobs, misses, |(fi, f)| {
+        let fa = fas[fi].as_ref().expect("analyses computed for every miss");
+        process_function(&shared, f, fi, fa)
+    })
+    .into_iter();
+    cached
+        .iter_mut()
+        .map(|hit| match hit.take() {
+            Some(cf) => Ok(FuncResult::from_cached(*cf)),
+            None => compiled.next().expect("one result per miss"),
+        })
+        .collect()
+}
 
-    let mut results: Vec<Option<Result<FuncResult, CompileError>>> = if jobs <= 1 {
-        funcs
-            .into_iter()
-            .enumerate()
-            .map(|(fi, f)| match cached[fi].take() {
-                Some(cf) => Some(Ok(FuncResult::from_cached(*cf))),
-                None => Some(process_function(&shared, f, fi, fa_of(fi))),
-            })
-            .collect()
-    } else {
-        // chunked work claiming: workers grab CHUNK *miss-list* positions
-        // per atomic fetch_add instead of popping one job from a global
-        // locked queue, and each input slot has its own (uncontended)
-        // mutex — the per-function synchronization cost is one futex fast
-        // path, not a fight over one queue lock. Results accumulate
-        // worker-locally and merge under the output lock once per worker.
-        let nmiss = miss.len();
-        let chunk = (nmiss / (jobs * 8)).clamp(1, 32);
-        let slots: Vec<Mutex<Option<Function>>> =
-            funcs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let out: Mutex<Vec<Option<Result<FuncResult, CompileError>>>> = {
-            let mut v = Vec::new();
-            v.resize_with(nfuncs, || None);
-            Mutex::new(v)
-        };
-        let miss = &miss;
-        let worker = || {
-            let mut local: Vec<(usize, Result<FuncResult, CompileError>)> = Vec::new();
-            loop {
-                let lo = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                if lo >= nmiss {
-                    break;
-                }
-                for &fi in &miss[lo..(lo + chunk).min(nmiss)] {
-                    let f = slots[fi].lock().unwrap().take().expect("slot claimed once");
-                    local.push((fi, process_function(&shared, f, fi, fa_of(fi))));
-                }
-            }
-            let mut out = out.lock().unwrap();
-            for (fi, r) in local {
-                out[fi] = Some(r);
-            }
-        };
-        // worker panics are caught inside process_function, so the scope
-        // join never unwinds; failures arrive as CompileErrors in order.
-        // The calling thread is worker zero — only jobs-1 spawns.
-        std::thread::scope(|s| {
-            for _ in 1..jobs {
-                s.spawn(worker);
-            }
-            worker();
-        });
-        let mut results = out.into_inner().unwrap();
-        for (fi, slot) in cached.iter_mut().enumerate() {
-            if let Some(cf) = slot.take() {
-                results[fi] = Some(Ok(FuncResult::from_cached(*cf)));
-            }
-        }
-        results
-    };
-
-    // deterministic join: splice lowered functions back in index order and
-    // renumber fresh memory sites serially, reproducing serial numbering;
-    // per-function dumps and warnings are concatenated in the same order.
-    // An unrecoverable per-function failure surfaces here — the lowest
-    // function index wins, independent of worker scheduling. Clean misses
-    // are written back here, encoded *before* renumbering so the stored
-    // placeholders replay into any module.
+/// Join stage: splices the results back into `m` in index order and
+/// renumbers fresh memory sites serially, reproducing serial numbering;
+/// per-function dumps and warnings are concatenated in the same order. An
+/// unrecoverable per-function failure surfaces here — the lowest function
+/// index wins, independent of worker scheduling. Clean misses are written
+/// back here, encoded *before* renumbering so the stored placeholders
+/// replay into any module.
+fn join_stage(
+    cx: &Ctx<'_, '_>,
+    m: &mut Module,
+    results: Vec<Result<FuncResult, CompileError>>,
+    func_names: &[String],
+    probed: &mut Probed,
+    timings: &mut PassTimings,
+) -> Result<(OptStats, Vec<CompileDiag>, Vec<PassDump>), CompileError> {
     let mut stats = OptStats::default();
-    let mut warnings: Vec<CompileDiag> = cache_warnings;
+    let mut warnings = std::mem::take(&mut probed.warnings);
     let mut dumps: Vec<PassDump> = Vec::new();
     m.funcs = Vec::with_capacity(results.len());
-    for (fi, slot) in results.iter_mut().enumerate() {
-        let mut r = slot.take().expect("every function processed")?;
-        let write_back = match fcache {
-            // a cancelled request stops writing entries: the join may still
-            // splice results compiled before the deadline, but none of them
-            // reach the store (the deadline error surfaces from `?` above)
-            Some(_)
-                if matches!(
-                    cache_outcomes.get(fi),
-                    Some(CacheOutcome::Miss | CacheOutcome::Stale)
-                ) && r.warnings.is_empty()
-                    && !hooks.cancel.cancelled() =>
-            {
-                // a function that needed the degradation ladder is not
-                // cached: its result encodes a recovery, not the plain
-                // compile the key describes
-                let t0 = Instant::now();
-                let bytes = cache::encode_entry(&r.f, r.fresh_sites, &r.stats, &r.dumps);
-                timings.cache += t0.elapsed();
-                Some(bytes)
-            }
-            _ => None,
-        };
+    for (fi, r) in results.into_iter().enumerate() {
+        let mut r = r?;
+        // a function that needed the degradation ladder is not cached: its
+        // result encodes a recovery, not the plain compile the key
+        // describes. A cancelled request stops writing entries: the join
+        // may still splice results compiled before the deadline, but none
+        // of them reach the store.
+        let write_back = cx.cache.filter(|_| {
+            matches!(
+                probed.outcomes.get(fi),
+                Some(CacheOutcome::Miss | CacheOutcome::Stale)
+            ) && r.warnings.is_empty()
+                && !cx.hooks.cancel.cancelled()
+        });
+        let bytes = write_back.map(|_| {
+            let t0 = Instant::now();
+            let bytes = cache::encode_entry(&r.f, r.fresh_sites, &r.stats, &r.dumps);
+            timings.cache += t0.elapsed();
+            bytes
+        });
         let first = MemSiteId(m.next_mem_site);
         m.next_mem_site += r.fresh_sites;
         resolve_fresh_sites(&mut r.f, first);
@@ -533,19 +515,19 @@ pub fn try_optimize_cached(
         timings.absorb(&r.timings);
         warnings.append(&mut r.warnings);
         dumps.append(&mut r.dumps);
-        if hooks.dump_after.contains(Pass::Lower) {
+        if cx.hooks.dump_after.contains(Pass::Lower) {
             let mut text = String::new();
-            print_function_in(&mut text, &m.globals, &func_names, &r.f);
+            print_function_in(&mut text, &m.globals, func_names, &r.f);
             dumps.push(PassDump {
                 pass: Pass::Lower,
                 func: r.f.name.clone(),
                 text,
             });
         }
-        if let (Some(c), Some(bytes)) = (fcache, write_back) {
+        if let (Some(c), Some(bytes)) = (write_back, bytes) {
             let t0 = Instant::now();
-            match c.insert(&keys[fi], &bytes) {
-                Ok(evicted) => cache_stats.evicts += evicted,
+            match c.insert(&probed.keys[fi], &bytes) {
+                Ok(evicted) => probed.stats.evicts += evicted,
                 Err(e) => warnings.push(CompileDiag {
                     function: r.f.name.clone(),
                     pass: "cache".into(),
@@ -556,50 +538,81 @@ pub fn try_optimize_cached(
         }
         m.funcs.push(r.f);
     }
-
-    // fold the storage-fault counters in and surface the circuit breaker
-    // (once per session: only the cache instance that tripped it reports)
-    if let Some(c) = fcache {
-        let (retries, io_errors, breaker_trips) = c.fault_counters();
-        cache_stats.retries = retries;
-        cache_stats.io_errors = io_errors;
-        cache_stats.breaker_trips = breaker_trips;
-        if let Some(reason) = c.breaker_diag() {
-            warnings.push(CompileDiag {
-                function: String::new(),
-                pass: "cache".into(),
-                message: format!(
-                    "cache circuit breaker tripped ({reason}); compiling without the cache"
-                ),
-            });
-        }
-    }
-
-    let t0 = Instant::now();
-    if let Err(e) = specframe_ir::verify_module(m) {
-        return Err(CompileError {
-            function: String::new(),
-            pass: "module-verify".into(),
-            message: e.to_string(),
-            fallback_exhausted: false,
-        });
-    }
-    timings.module_verify = t0.elapsed();
-    timings.total = total0.elapsed();
-    timings.dom_computes = dom_compute_count() - dom0;
-    Ok((
-        OptReport {
-            stats,
-            timings,
-            warnings,
-            cache: cache_stats,
-            cache_outcomes,
-        },
-        dumps,
-    ))
+    Ok((stats, warnings, dumps))
 }
 
-/// One worker's output for one function.
+/// Folds the storage-fault counters into `stats` and surfaces the circuit
+/// breaker (once per session: only the cache instance that tripped it
+/// reports).
+fn fold_fault_counters(c: &FuncCache, stats: &mut CacheStats, warnings: &mut Vec<CompileDiag>) {
+    (stats.retries, stats.io_errors, stats.breaker_trips) = c.fault_counters();
+    if let Some(reason) = c.breaker_diag() {
+        warnings.push(CompileDiag {
+            function: String::new(),
+            pass: "cache".into(),
+            message: format!(
+                "cache circuit breaker tripped ({reason}); compiling without the cache"
+            ),
+        });
+    }
+}
+
+/// Runs `work` over `items` on up to `jobs` threads and returns the results
+/// in item order. The calling thread is worker zero — only `jobs - 1`
+/// spawn. Workers claim chunks of positions with one atomic `fetch_add`
+/// each instead of popping from a locked queue, and each item has its own
+/// (uncontended) slot mutex, so the per-item synchronization cost is one
+/// futex fast path; results accumulate worker-locally and merge under the
+/// output lock once per worker. At `jobs <= 1` it is a plain in-order loop.
+fn fan_out<T: Send, R: Send>(jobs: usize, items: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let n = items.len();
+    let jobs = jobs.min(n);
+    if jobs <= 1 {
+        return items.into_iter().map(work).collect();
+    }
+    let chunk = (n / (jobs * 8)).clamp(1, 32);
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let out: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let worker = || {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let lo = next.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= n {
+                break;
+            }
+            let hi = (lo + chunk).min(n);
+            for (i, slot) in (lo..hi).zip(&slots[lo..hi]) {
+                let item = slot
+                    .lock()
+                    .expect("a slot lock is never held across a panic")
+                    .take()
+                    .expect("each item is claimed once");
+                local.push((i, work(item)));
+            }
+        }
+        let mut out = out
+            .lock()
+            .expect("the output lock is never held across a panic");
+        for (i, r) in local {
+            out[i] = Some(r);
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..jobs {
+            s.spawn(worker);
+        }
+        worker();
+    });
+    out.into_inner()
+        .expect("every worker has joined")
+        .into_iter()
+        .map(|r| r.expect("every item processed"))
+        .collect()
+}
+
+/// One function's compiled output: a worker's result, or a cache entry
+/// replayed at the join.
 struct FuncResult {
     /// The lowered function (fresh sites still local placeholders).
     f: Function,
@@ -607,9 +620,10 @@ struct FuncResult {
     timings: PassTimings,
     /// Placeholder count for [`resolve_fresh_sites`] at the join.
     fresh_sites: u32,
-    /// Snapshots this worker took, in pipeline order.
+    /// Snapshots taken, in pipeline order.
     dumps: Vec<PassDump>,
-    /// Degradation diagnostics (non-speculative fallback taken).
+    /// Degradation diagnostics (non-speculative fallback taken) and
+    /// reports from repairing stages (`--fence-leaks` site reports).
     warnings: Vec<CompileDiag>,
 }
 
@@ -643,26 +657,12 @@ struct Shared<'a, 'p> {
     hooks: &'a PipelineHooks,
 }
 
-/// Output of one (speculative or fallback) run of the post-refine stages.
-struct StageOutput {
-    f: Function,
-    stats: OptStats,
-    timings: PassTimings,
-    fresh_sites: u32,
-    dumps: Vec<PassDump>,
-    /// Diagnostics from repairing stages (`--fence-leaks` site reports).
-    warnings: Vec<CompileDiag>,
-}
-
 /// The per-function pipeline. Owns `f`; everything else is shared
 /// read-only.
 ///
 /// Refinement runs once up front (it is not speculation-dependent), then
-/// the speculative stage group — HSSA build, SSAPRE, strength reduction,
-/// store promotion, verify, lower — runs under `catch_unwind`. If it fails
-/// (verifier rejection or panic), the same group is re-run with
-/// speculation fully disabled; only a failure of that fallback, too, is an
-/// error.
+/// the speculative stage group runs under the degradation ladder
+/// ([`run_ladder`]).
 fn process_function(
     sh: &Shared<'_, '_>,
     mut f: Function,
@@ -673,7 +673,7 @@ fn process_function(
     let hooks = sh.hooks;
     // between-functions deadline gate: a request past its deadline stops
     // claiming work; functions already in flight stop at their next pass
-    // boundary (see `check_deadline` in `run_spec_stages`)
+    // boundary (see `Attempt::enter`)
     if hooks.cancel.cancelled() {
         return Err(CompileError::deadline(&f.name));
     }
@@ -682,7 +682,7 @@ fn process_function(
     // flow-sensitive refinement (Figure 4's last box): fold pointer bases
     // that provably hold one static address into direct references, then
     // build the SSA form the optimizer sees
-    let mut refine_time = std::time::Duration::ZERO;
+    let mut refine_time = Duration::ZERO;
     let refined = with_quiet_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let t0 = Instant::now();
@@ -700,7 +700,7 @@ fn process_function(
             fallback_exhausted: false,
         });
     }
-    let mut pre_verify_time = std::time::Duration::ZERO;
+    let mut pre_verify_time = Duration::ZERO;
     if hooks.verify_each {
         // pass-boundary check on the refined IR (refine is shared by every
         // later attempt, so a rejection here is unrecoverable, like a
@@ -726,139 +726,108 @@ fn process_function(
             text,
         });
     }
-    if !hooks.runs(Pass::Hssa) {
+    let mut out = if hooks.runs(Pass::Hssa) {
+        run_ladder(sh, &f, fid, fa)?
+    } else {
         // stopped after refine: the function is already executable IR
-        return Ok(FuncResult {
+        FuncResult {
             f,
             stats: OptStats::default(),
-            timings: PassTimings {
-                refine: refine_time,
-                verify_each: pre_verify_time,
-                ..Default::default()
-            },
+            timings: PassTimings::default(),
             fresh_sites: 0,
-            dumps,
+            dumps: Vec::new(),
             warnings: Vec::new(),
-        });
-    }
+        }
+    };
+    out.timings.refine = refine_time;
+    out.timings.verify_each += pre_verify_time;
+    dumps.append(&mut out.dumps);
+    out.dumps = dumps;
+    Ok(out)
+}
 
-    // the degradation ladder: full speculative attempt, then per-pass
-    // rollback (skip just the offending pass, keep speculating), then the
-    // whole-function non-speculative fallback
+/// The degradation ladder over the speculative stage group: the full
+/// speculative attempt, then per-pass rollback (skip just the offending
+/// pass, keep speculating), then the whole-function non-speculative
+/// fallback. A rescued result carries the diagnostic of the rung that
+/// saved it ahead of its own warnings; only a failure of the fallback, too,
+/// is an error. A deadline bypasses every rung.
+fn run_ladder(
+    sh: &Shared<'_, '_>,
+    f: &Function,
+    fid: FuncId,
+    fa: &FuncAnalyses,
+) -> Result<FuncResult, CompileError> {
     let current = Cell::new("hssa");
+    // an attempt is `Err` only on a deadline; its inner result collapses a
+    // caught panic into the `(pass, message)` shape of a clean verifier
+    // rejection
     let attempt = |speculative: bool, skip: PassSet| {
         current.set("hssa");
         let r = with_quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                run_spec_stages(sh, &f, fid, fa, speculative, skip, &current)
+                run_spec_stages(sh, f, fid, fa, speculative, skip, &current)
             }))
+        })
+        .unwrap_or_else(|payload| {
+            Err((current.get().to_string(), panic_message(payload.as_ref())))
         });
-        flatten_attempt(r, &current)
-    };
-    let (out, warnings) = match attempt(true, PassSet::EMPTY) {
-        Ok(out) => (out, Vec::new()),
-        // a deadline is not a compile failure the ladder can recover from —
-        // retrying without speculation cannot buy time back — so it
-        // bypasses every rung and surfaces as its own error shape
-        Err((pass, _)) if pass == CompileError::DEADLINE_PASS => {
-            return Err(CompileError::deadline(&f.name))
-        }
-        Err((pass, message)) => {
-            // rung 1: roll back just the offending pass and re-run the
-            // remaining pipeline. An attributed failure names its pass; an
-            // unattributed one (final verify, audit, lower) is bisected by
-            // trying single-pass skips from the back of the pipeline.
-            let candidates: Vec<Pass> = match pass.parse::<Pass>() {
-                Ok(p) if SKIPPABLE.contains(&p) => vec![p],
-                _ => SKIPPABLE.iter().rev().copied().collect(),
-            };
-            let mut rescued = None;
-            for p in candidates {
-                if !pass_enabled(sh, p) {
-                    continue;
-                }
-                match attempt(true, PassSet::from_iter([p])) {
-                    Ok(mut out) => {
-                        out.stats.pass_rollbacks = 1;
-                        let diag = CompileDiag {
-                            function: f.name.clone(),
-                            pass: pass.clone(),
-                            message: format!(
-                                "speculative compilation failed ({message}); rolled back \
-                                 pass `{p}` for this function and re-ran the remaining \
-                                 pipeline"
-                            ),
-                        };
-                        rescued = Some((out, vec![diag]));
-                        break;
-                    }
-                    Err((p2, _)) if p2 == CompileError::DEADLINE_PASS => {
-                        return Err(CompileError::deadline(&f.name))
-                    }
-                    Err(_) => {}
-                }
+        match r {
+            // a deadline is not a compile failure the ladder can recover
+            // from — retrying without speculation cannot buy time back — so
+            // it bypasses every rung and surfaces as its own error shape
+            Err((pass, _)) if pass == CompileError::DEADLINE_PASS => {
+                Err(CompileError::deadline(&f.name))
             }
-            if let Some(r) = rescued {
-                r
-            } else {
-                // rung 2: non-speculative fallback — same function,
-                // speculation off
-                match attempt(false, PassSet::EMPTY) {
-                    Ok(mut out) => {
-                        out.stats.spec_fallbacks = 1;
-                        let diag = CompileDiag {
-                            function: f.name.clone(),
-                            pass,
-                            message: format!(
-                                "speculative compilation failed ({message}); \
-                                 recompiled without speculation"
-                            ),
-                        };
-                        (out, vec![diag])
-                    }
-                    Err((fpass, _)) if fpass == CompileError::DEADLINE_PASS => {
-                        return Err(CompileError::deadline(&f.name))
-                    }
-                    Err((fpass, fmessage)) => {
-                        return Err(CompileError {
-                            function: f.name.clone(),
-                            pass: fpass,
-                            message: fmessage,
-                            fallback_exhausted: true,
-                        })
-                    }
-                }
-            }
+            r => Ok(r),
         }
     };
-
-    let mut out = out;
-    let mut warnings = warnings;
-    warnings.append(&mut out.warnings);
-    let mut timings = out.timings;
-    timings.refine = refine_time;
-    timings.verify_each += pre_verify_time;
-    dumps.extend(out.dumps);
-    Ok(FuncResult {
-        f: out.f,
-        stats: out.stats,
-        timings,
-        fresh_sites: out.fresh_sites,
-        dumps,
-        warnings,
-    })
-}
-
-/// Collapses the two failure shapes of a stage-group attempt — a clean
-/// verifier rejection and a caught panic — into one `(pass, message)`.
-fn flatten_attempt(
-    attempt: std::thread::Result<Result<StageOutput, (String, String)>>,
-    current: &Cell<&'static str>,
-) -> Result<StageOutput, (String, String)> {
-    match attempt {
-        Ok(Ok(out)) => Ok(out),
-        Ok(Err(e)) => Err(e),
-        Err(payload) => Err((current.get().to_string(), panic_message(payload.as_ref()))),
+    let rescued = |mut out: FuncResult, pass: String, message: String| {
+        let diag = CompileDiag {
+            function: f.name.clone(),
+            pass,
+            message,
+        };
+        out.warnings.insert(0, diag);
+        Ok(out)
+    };
+    let (pass, message) = match attempt(true, PassSet::EMPTY)? {
+        Ok(out) => return Ok(out),
+        Err(e) => e,
+    };
+    // rung 1: roll back just the offending pass and re-run the remaining
+    // pipeline. An attributed failure names its pass; an unattributed one
+    // (final verify, audit, lower) is bisected by trying single-pass skips
+    // from the back of the pipeline.
+    let candidates: Vec<Pass> = match pass.parse::<Pass>() {
+        Ok(p) if SKIPPABLE.contains(&p) => vec![p],
+        _ => SKIPPABLE.iter().rev().copied().collect(),
+    };
+    for p in candidates.into_iter().filter(|&p| pass_enabled(sh, p)) {
+        if let Ok(mut out) = attempt(true, PassSet::from_iter([p]))? {
+            out.stats.pass_rollbacks = 1;
+            let why = format!(
+                "speculative compilation failed ({message}); rolled back pass `{p}` for this \
+                 function and re-ran the remaining pipeline"
+            );
+            return rescued(out, pass, why);
+        }
+    }
+    // rung 2: non-speculative fallback — same function, speculation off
+    match attempt(false, PassSet::EMPTY)? {
+        Ok(mut out) => {
+            out.stats.spec_fallbacks = 1;
+            let why = format!(
+                "speculative compilation failed ({message}); recompiled without speculation"
+            );
+            rescued(out, pass, why)
+        }
+        Err((fpass, fmessage)) => Err(CompileError {
+            function: f.name.clone(),
+            pass: fpass,
+            message: fmessage,
+            fallback_exhausted: true,
+        }),
     }
 }
 
@@ -878,6 +847,35 @@ fn pass_enabled(sh: &Shared<'_, '_>, p: Pass) -> bool {
             _ => true,
         }
 }
+
+/// One optional HSSA rewrite after SSAPRE: a row of [`OPTIONAL_PASSES`].
+struct OptionalPass {
+    pass: Pass,
+    /// The rewrite; returns how many sites it changed (counted in `stats`).
+    run: fn(&mut HssaFunc, &FuncAnalyses, &mut Vec<SrTemp>, &mut OptStats) -> usize,
+    time: fn(&mut PassTimings) -> &mut Duration,
+}
+
+/// The optional rewrites in pipeline order, each gated by
+/// [`pass_enabled`]. LFTR consumes the temporaries strength reduction
+/// records.
+const OPTIONAL_PASSES: [OptionalPass; 3] = [
+    OptionalPass {
+        pass: Pass::Strength,
+        run: |hf, fa, sr, st| strength_reduce_hssa(hf, st, fa, sr),
+        time: |t| &mut t.strength,
+    },
+    OptionalPass {
+        pass: Pass::Lftr,
+        run: |hf, _, sr, st| crate::lftr::lftr_hssa(hf, sr, st),
+        time: |t| &mut t.lftr,
+    },
+    OptionalPass {
+        pass: Pass::Storeprom,
+        run: |hf, fa, _, st| crate::storeprom::sink_stores_hssa(hf, st, fa),
+        time: |t| &mut t.storeprom,
+    },
+];
 
 /// The `pass=<p> fn=<f> bb=<n>` attribution suffix of verify-each and
 /// audit diagnostics.
@@ -920,7 +918,7 @@ fn hssa_verify_each(
     f: &Function,
     hf: &HssaFunc,
     p: Pass,
-    sr_temps: &[crate::strength::SrTemp],
+    sr_temps: &[SrTemp],
     t: &mut PassTimings,
 ) -> Result<(), (String, String)> {
     let t0 = Instant::now();
@@ -961,11 +959,71 @@ fn corrupt_hssa(hf: &mut HssaFunc) {
     }
 }
 
+/// One run of the speculative stage group: the context every stage
+/// boundary reads, plus what the stages have produced so far.
+struct Attempt<'s, 'a, 'p> {
+    sh: &'s Shared<'a, 'p>,
+    f: &'s Function,
+    /// `false` on the ladder's non-speculative fallback rung.
+    speculative: bool,
+    /// The running stage, so a caught panic can be attributed.
+    current: &'s Cell<&'static str>,
+    stats: OptStats,
+    t: PassTimings,
+    dumps: Vec<PassDump>,
+}
+
+impl Attempt<'_, '_, '_> {
+    /// Enters stage `p`: marks it current and polls the deadline.
+    /// Cancellation is only observed at stage boundaries, where no
+    /// function is half-rewritten, so a cancelled compile never commits
+    /// (or caches) a partial transformation.
+    fn enter(&self, p: &'static str) -> StageResult {
+        self.current.set(p);
+        if self.sh.hooks.cancel.cancelled() {
+            return Err((
+                CompileError::DEADLINE_PASS.into(),
+                "deadline exceeded".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Leaves HSSA-level stage `p`: the `--dump-after` snapshot, the
+    /// `--inject-corrupt` sabotage of the speculative attempt (the fallback
+    /// stays clean, like the other injection knobs, so the ladder always
+    /// has a sound rung to land on) and the `--verify-each` check.
+    fn leave(&mut self, hf: &mut HssaFunc, p: Pass, sr_temps: &[SrTemp]) -> StageResult {
+        let (sh, f) = (self.sh, self.f);
+        if sh.hooks.dump_after.contains(p) {
+            self.dumps.push(PassDump {
+                pass: p,
+                func: f.name.clone(),
+                text: print_hssa_in(sh.globals, sh.func_names, f, hf),
+            });
+        }
+        if let Some((func, pass)) = &sh.hooks.inject_corrupt {
+            if self.speculative && *pass == p && func == f.name.as_str() {
+                corrupt_hssa(hf);
+            }
+        }
+        if sh.hooks.verify_each {
+            hssa_verify_each(f, hf, p, sr_temps, &mut self.t)?;
+        }
+        Ok(())
+    }
+}
+
+/// A stage's verdict: `Err((pass, message))` in the shape the degradation
+/// ladder consumes.
+type StageResult = Result<(), (String, String)>;
+
 /// The speculation-dependent stage group: HSSA build → SSAPRE → strength
-/// reduction → store promotion → verify → lower. When `speculative` is
-/// false, every speculation source is forced off (the degradation target).
-/// Passes in `skip` are left out (the ladder's per-pass rollback rung).
-/// `current` tracks the running stage so a panic can be attributed.
+/// reduction → LFTR → store promotion → verify → lower → post-lowering
+/// audits. When `speculative` is false, every speculation source is forced
+/// off (the degradation target). Passes in `skip` are left out (the
+/// ladder's per-pass rollback rung). `current` tracks the running stage so
+/// a panic can be attributed.
 fn run_spec_stages(
     sh: &Shared<'_, '_>,
     f: &Function,
@@ -974,89 +1032,43 @@ fn run_spec_stages(
     speculative: bool,
     skip: PassSet,
     current: &Cell<&'static str>,
-) -> Result<StageOutput, (String, String)> {
+) -> Result<FuncResult, (String, String)> {
     let hooks = sh.hooks;
-    let mut stats = OptStats::default();
-    let mut t = PassTimings::default();
-    let mut dumps: Vec<PassDump> = Vec::new();
-    let dump_hssa = |dumps: &mut Vec<PassDump>, pass: Pass, hf: &HssaFunc| {
-        dumps.push(PassDump {
-            pass,
-            func: f.name.clone(),
-            text: print_hssa_in(sh.globals, sh.func_names, f, hf),
-        });
-    };
-    let inject = if speculative {
-        &hooks.inject_spec_fail
-    } else {
-        &hooks.inject_fallback_fail
+    let mut a = Attempt {
+        sh,
+        f,
+        speculative,
+        current,
+        stats: OptStats::default(),
+        t: PassTimings::default(),
+        dumps: Vec::new(),
     };
     // the driver owns the likeliness oracle; HSSA construction and the
     // SSAPRE kernel query the same instance, so their verdicts agree
-    let mode = if !speculative {
-        SpecMode::NoSpeculation
+    let mode = if speculative {
+        sh.opts.data.mode()
     } else {
-        match sh.opts.data {
-            SpecSource::None => SpecMode::NoSpeculation,
-            SpecSource::Profile(p) => SpecMode::Profile(p),
-            SpecSource::Heuristic => SpecMode::Heuristic,
-            SpecSource::Aggressive => SpecMode::Aggressive,
-        }
+        SpecMode::NoSpeculation
     };
     let oracle = Likeliness::with_costs(mode, sh.opts.spec_costs());
 
-    // deadline poll, one per stage gate: cancellation is only observed at
-    // pass boundaries, where no function is half-rewritten, so a cancelled
-    // compile never commits (or caches) a partial transformation
-    let check_deadline = || -> Result<(), (String, String)> {
-        if hooks.cancel.cancelled() {
-            Err((
-                CompileError::DEADLINE_PASS.into(),
-                "deadline exceeded".into(),
-            ))
-        } else {
-            Ok(())
-        }
-    };
-
-    // `--inject-corrupt` sabotages the speculative attempt right after the
-    // named pass; the fallback attempt stays clean, like the other
-    // injection knobs, so the ladder always has a sound rung to land on
-    let maybe_corrupt = |hf: &mut HssaFunc, p: Pass| {
-        if let Some((func, pass)) = &hooks.inject_corrupt {
-            if speculative && *pass == p && func == f.name.as_str() {
-                corrupt_hssa(hf);
-            }
-        }
-    };
-
-    current.set("hssa");
-    check_deadline()?;
+    a.enter("hssa")?;
     let t0 = Instant::now();
     let mut hf = build_hssa_with(sh.globals, f, fid, sh.aa, &oracle, fa);
-    t.hssa_build = t0.elapsed();
-    if hooks.dump_after.contains(Pass::Hssa) {
-        dump_hssa(&mut dumps, Pass::Hssa, &hf);
-    }
-    maybe_corrupt(&mut hf, Pass::Hssa);
-    if hooks.verify_each {
-        hssa_verify_each(f, &hf, Pass::Hssa, &[], &mut t)?;
-    }
+    a.t.hssa_build = t0.elapsed();
+    a.leave(&mut hf, Pass::Hssa, &[])?;
 
     if hooks.runs(Pass::Ssapre) {
-        current.set("ssapre");
-        check_deadline()?;
+        a.enter("ssapre")?;
         // injection fires on every attempt that reaches this stage — also
         // the rollback retry — so recovery degrades past rung 1
+        let (inject, what) = if speculative {
+            (&hooks.inject_spec_fail, "speculative-compilation")
+        } else {
+            (&hooks.inject_fallback_fail, "fallback-compilation")
+        };
         if inject.as_deref() == Some(f.name.as_str()) {
-            panic!(
-                "injected {} failure",
-                if speculative {
-                    "speculative-compilation"
-                } else {
-                    "fallback-compilation"
-                }
-            );
+            panic!("injected {what} failure");
         }
         if !skip.contains(Pass::Ssapre) {
             let policy = if speculative {
@@ -1068,178 +1080,116 @@ fn run_spec_stages(
                 SpecPolicy::none()
             };
             let t0 = Instant::now();
-            ssapre_function(f, &mut hf, &policy, &mut stats, fa);
-            t.ssapre = t0.elapsed();
-            if hooks.dump_after.contains(Pass::Ssapre) {
-                dump_hssa(&mut dumps, Pass::Ssapre, &hf);
-            }
-            maybe_corrupt(&mut hf, Pass::Ssapre);
-            if hooks.verify_each {
-                hssa_verify_each(f, &hf, Pass::Ssapre, &[], &mut t)?;
-            }
+            ssapre_function(f, &mut hf, &policy, &mut a.stats, fa);
+            a.t.ssapre = t0.elapsed();
+            a.leave(&mut hf, Pass::Ssapre, &[])?;
         }
     }
 
-    let mut sr_temps: Vec<crate::strength::SrTemp> = Vec::new();
-    if sh.opts.strength_reduction && hooks.runs(Pass::Strength) && !skip.contains(Pass::Strength) {
-        current.set("strength");
-        check_deadline()?;
+    let mut sr_temps: Vec<SrTemp> = Vec::new();
+    for op in &OPTIONAL_PASSES {
+        if !pass_enabled(sh, op.pass) || skip.contains(op.pass) {
+            continue;
+        }
+        a.enter(op.pass.name())?;
         let t0 = Instant::now();
-        strength_reduce_hssa(&mut hf, &mut stats, fa, &mut sr_temps);
+        (op.run)(&mut hf, fa, &mut sr_temps, &mut a.stats);
         crate::ssapre::cleanup_hssa(&mut hf);
-        t.strength = t0.elapsed();
-        if hooks.dump_after.contains(Pass::Strength) {
-            dump_hssa(&mut dumps, Pass::Strength, &hf);
-        }
-        maybe_corrupt(&mut hf, Pass::Strength);
-        if hooks.verify_each {
-            hssa_verify_each(f, &hf, Pass::Strength, &sr_temps, &mut t)?;
-        }
-    }
-    if sh.opts.lftr && hooks.runs(Pass::Lftr) && !skip.contains(Pass::Lftr) {
-        current.set("lftr");
-        check_deadline()?;
-        let t0 = Instant::now();
-        crate::lftr::lftr_hssa(&mut hf, &sr_temps, &mut stats);
-        crate::ssapre::cleanup_hssa(&mut hf);
-        t.lftr = t0.elapsed();
-        if hooks.dump_after.contains(Pass::Lftr) {
-            dump_hssa(&mut dumps, Pass::Lftr, &hf);
-        }
-        maybe_corrupt(&mut hf, Pass::Lftr);
-        if hooks.verify_each {
-            hssa_verify_each(f, &hf, Pass::Lftr, &sr_temps, &mut t)?;
-        }
-    }
-    if sh.opts.store_sinking && hooks.runs(Pass::Storeprom) && !skip.contains(Pass::Storeprom) {
-        current.set("storeprom");
-        check_deadline()?;
-        let t0 = Instant::now();
-        crate::storeprom::sink_stores_hssa(&mut hf, &mut stats, fa);
-        crate::ssapre::cleanup_hssa(&mut hf);
-        t.storeprom = t0.elapsed();
-        if hooks.dump_after.contains(Pass::Storeprom) {
-            dump_hssa(&mut dumps, Pass::Storeprom, &hf);
-        }
-        maybe_corrupt(&mut hf, Pass::Storeprom);
-        if hooks.verify_each {
-            hssa_verify_each(f, &hf, Pass::Storeprom, &sr_temps, &mut t)?;
-        }
+        *(op.time)(&mut a.t) = t0.elapsed();
+        a.leave(&mut hf, op.pass, &sr_temps)?;
     }
 
-    current.set("verify");
-    check_deadline()?;
+    a.enter("verify")?;
     let t0 = Instant::now();
-    if let Err(e) = verify_hssa_detailed(&hf) {
-        return Err(("verify".into(), e.msg));
-    }
-    t.verify = t0.elapsed();
+    verify_hssa_detailed(&hf).map_err(|e| ("verify".to_string(), e.msg))?;
+    a.t.verify = t0.elapsed();
 
-    current.set("lower");
-    check_deadline()?;
+    a.enter("lower")?;
     let t0 = Instant::now();
     let (lowered, fresh_sites) = lower_function(f, &hf);
-    t.lower = t0.elapsed();
+    a.t.lower = t0.elapsed();
     if hooks.verify_each {
         let t0 = Instant::now();
         let checked = verify_ir_function(sh, Pass::Lower, &lowered);
-        t.verify_each += t0.elapsed();
-        if let Err(message) = checked {
-            return Err((Pass::Lower.name().into(), message));
-        }
+        a.t.verify_each += t0.elapsed();
+        checked.map_err(|message| (Pass::Lower.name().to_string(), message))?;
     }
 
-    if hooks.audit_spec {
-        // machine-lower this one function against the frozen global layout
-        // and prove the ld.a/ld.c pairing contract on the result
-        current.set("audit");
-        let t0 = Instant::now();
-        let mf = specframe_codegen::lower_function_machine_for(
-            &lowered,
-            sh.layout,
-            sh.opts.target.spec(),
-        );
-        let audited = specframe_machine::audit_func(&mf);
-        t.audit = t0.elapsed();
-        if let Err(e) = audited {
-            return Err((
-                "audit".into(),
-                format!("{e} [{}]", attribution("audit", &f.name, None)),
-            ));
-        }
-    }
-
-    let mut warnings: Vec<CompileDiag> = Vec::new();
-    if hooks.audit_leaks || hooks.fence_leaks {
-        // speculative-leak audit: no advanced-load value may reach an
-        // address or branch sink before its check. Audit mode rejects the
-        // function (the degradation ladder then rolls speculation back);
-        // fence mode records the repair the machine lowering will apply
-        // (the IR artifact is untouched — fences are a deterministic
-        // machine-level transform, so sim/bench lowerings re-derive them).
-        current.set("audit-leaks");
-        let t0 = Instant::now();
-        let mut mf = specframe_codegen::lower_function_machine_for(
-            &lowered,
-            sh.layout,
-            sh.opts.target.spec(),
-        );
-        let sites = specframe_machine::leak_audit_func(&mf);
-        if !sites.is_empty() {
-            stats.leak_sites_flagged = sites.len() as u64;
-            if hooks.fence_leaks {
-                let fences = specframe_machine::fence_func(&mut mf);
-                stats.leak_fences_inserted = fences;
-                let clean = specframe_machine::leak_audit_func(&mf).is_empty();
-                for s in &sites {
-                    warnings.push(CompileDiag {
-                        function: f.name.clone(),
-                        pass: "audit-leaks".into(),
-                        message: format!("{s} [{}]", attribution("audit-leaks", &f.name, None)),
-                    });
-                }
-                warnings.push(CompileDiag {
-                    function: f.name.clone(),
-                    pass: "audit-leaks".into(),
-                    message: format!(
-                        "fenced `{}`: inserted {} speculation barrier(s); re-audit {}",
-                        f.name,
-                        fences,
-                        if clean { "clean" } else { "STILL DIRTY" }
-                    ),
-                });
-                if !clean {
-                    return Err((
-                        "audit-leaks".into(),
-                        format!(
-                            "fencing failed to close every speculation window [{}]",
-                            attribution("audit-leaks", &f.name, None)
-                        ),
-                    ));
-                }
-            } else {
-                let report: Vec<String> = sites.iter().map(|s| s.to_string()).collect();
-                return Err((
-                    "audit-leaks".into(),
-                    format!(
-                        "{} [{}]",
-                        report.join("; "),
-                        attribution("audit-leaks", &f.name, None)
-                    ),
-                ));
-            }
-        }
-        t.audit_leaks = t0.elapsed();
-    }
-
-    Ok(StageOutput {
+    let warnings = audit_lowered(&mut a, &lowered)?;
+    Ok(FuncResult {
         f: lowered,
-        stats,
-        timings: t,
+        stats: a.stats,
+        timings: a.t,
         fresh_sites,
-        dumps,
+        dumps: a.dumps,
         warnings,
     })
+}
+
+/// The post-lowering audits over one function's machine lowering (against
+/// the frozen global layout). `--audit-spec` proves the ld.a/ld.c pairing
+/// contract. `--audit-leaks` rejects any advanced-load value that reaches
+/// an address or branch sink before its check (the degradation ladder then
+/// rolls speculation back); `--fence-leaks` instead records the repair the
+/// machine lowering will apply and returns its site reports — the IR is
+/// untouched, since fences are a deterministic machine-level transform that
+/// sim/bench lowerings re-derive.
+fn audit_lowered(
+    a: &mut Attempt<'_, '_, '_>,
+    lowered: &Function,
+) -> Result<Vec<CompileDiag>, (String, String)> {
+    let (hooks, func) = (a.sh.hooks, a.f.name.as_str());
+    let lower = || {
+        specframe_codegen::lower_function_machine_for(lowered, a.sh.layout, a.sh.opts.target.spec())
+    };
+    if hooks.audit_spec {
+        a.current.set("audit");
+        let t0 = Instant::now();
+        let audited = specframe_machine::audit_func(&lower());
+        a.t.audit = t0.elapsed();
+        audited.map_err(|e| {
+            let why = format!("{e} [{}]", attribution("audit", func, None));
+            ("audit".to_string(), why)
+        })?;
+    }
+    let mut warnings: Vec<CompileDiag> = Vec::new();
+    if !(hooks.audit_leaks || hooks.fence_leaks) {
+        return Ok(warnings);
+    }
+    a.current.set("audit-leaks");
+    let t0 = Instant::now();
+    let mut mf = lower();
+    let sites = specframe_machine::leak_audit_func(&mf);
+    let at = attribution("audit-leaks", func, None);
+    let diag = |message: String| CompileDiag {
+        function: func.to_string(),
+        pass: "audit-leaks".into(),
+        message,
+    };
+    if !sites.is_empty() {
+        a.stats.leak_sites_flagged = sites.len() as u64;
+        if !hooks.fence_leaks {
+            let report: Vec<String> = sites.iter().map(|s| s.to_string()).collect();
+            return Err((
+                "audit-leaks".into(),
+                format!("{} [{at}]", report.join("; ")),
+            ));
+        }
+        let fences = specframe_machine::fence_func(&mut mf);
+        a.stats.leak_fences_inserted = fences;
+        let clean = specframe_machine::leak_audit_func(&mf).is_empty();
+        warnings.extend(sites.iter().map(|s| diag(format!("{s} [{at}]"))));
+        warnings.push(diag(format!(
+            "fenced `{func}`: inserted {fences} speculation barrier(s); re-audit {}",
+            if clean { "clean" } else { "STILL DIRTY" }
+        )));
+        if !clean {
+            let why = format!("fencing failed to close every speculation window [{at}]");
+            return Err(("audit-leaks".into(), why));
+        }
+    }
+    a.t.audit_leaks = t0.elapsed();
+    Ok(warnings)
 }
 
 #[cfg(test)]
@@ -1559,7 +1509,7 @@ entry:
                 target: Default::default(),
             };
             let (report, _) =
-                try_optimize_with_hooks(&mut m, &opts, &PipelineConfig { jobs }, &hooks)
+                try_optimize_cached(&mut m, &opts, &PipelineConfig { jobs }, &hooks, None)
                     .expect("fallback must rescue the module");
             assert_eq!(report.stats.spec_fallbacks, 1, "jobs={jobs}");
             assert_eq!(report.warnings.len(), 1, "jobs={jobs}");
@@ -1632,7 +1582,7 @@ entry:
                 target: Default::default(),
             };
             let (report, _) =
-                try_optimize_with_hooks(&mut m, &opts, &PipelineConfig { jobs }, &hooks)
+                try_optimize_cached(&mut m, &opts, &PipelineConfig { jobs }, &hooks, None)
                     .expect("rollback must rescue the module");
             assert_eq!(report.stats.pass_rollbacks, 1, "jobs={jobs}");
             assert_eq!(report.stats.spec_fallbacks, 0, "jobs={jobs}");
@@ -1685,7 +1635,7 @@ exit:
             inject_corrupt: Some(("kern".into(), Pass::Hssa)),
             ..Default::default()
         };
-        let (report, _) = try_optimize_with_hooks(
+        let (report, _) = try_optimize_cached(
             &mut m,
             &OptOptions {
                 data: SpecSource::Heuristic,
@@ -1697,6 +1647,7 @@ exit:
             },
             &PipelineConfig { jobs: 1 },
             &hooks,
+            None,
         )
         .expect("fallback must rescue the module");
         assert_eq!(report.stats.pass_rollbacks, 0);
@@ -1763,7 +1714,7 @@ go:
             audit_spec: true,
             ..Default::default()
         };
-        let (report, _) = try_optimize_with_hooks(
+        let (report, _) = try_optimize_cached(
             &mut m,
             &OptOptions {
                 data: SpecSource::Heuristic,
@@ -1775,6 +1726,7 @@ go:
             },
             &PipelineConfig { jobs: 1 },
             &hooks,
+            None,
         )
         .expect("clean speculative output must pass the audit");
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
@@ -1806,11 +1758,12 @@ entry:
             inject_fallback_fail: Some("f".into()),
             ..Default::default()
         };
-        let e = try_optimize_with_hooks(
+        let e = try_optimize_cached(
             &mut m,
             &OptOptions::default(),
             &PipelineConfig { jobs: 1 },
             &hooks,
+            None,
         )
         .expect_err("both attempts sabotaged");
         assert_eq!(e.function, "f");
@@ -1832,11 +1785,12 @@ entry:
 }
 "#;
         let mut m = parse_module(src).unwrap();
-        let (report, _) = try_optimize_with_hooks(
+        let (report, _) = try_optimize_cached(
             &mut m,
             &OptOptions::default(),
             &PipelineConfig { jobs: 1 },
             &PipelineHooks::default(),
+            None,
         )
         .unwrap();
         assert_eq!(report.stats.spec_fallbacks, 0);

@@ -47,9 +47,8 @@ pub use cache::{
 };
 pub use cancel::{CancelToken, Watchdog};
 pub use driver::{
-    optimize, optimize_with, optimize_with_hooks, prepare_module, target_spec_costs,
-    try_optimize_cached, try_optimize_with_hooks, ControlSpec, OptOptions, OptReport,
-    PipelineConfig, SpecSource,
+    optimize, optimize_with, prepare_module, target_spec_costs, try_optimize_cached, ControlSpec,
+    OptOptions, OptReport, PipelineConfig, SpecSource,
 };
 pub use error::{CompileDiag, CompileError};
 pub use expr::ExprKey;

@@ -153,7 +153,7 @@ impl FromIterator<Pass> for PassSet {
 }
 
 /// Snapshot/stop requests threaded through
-/// [`crate::driver::optimize_with_hooks`], plus the fault-injection knobs
+/// [`crate::driver::try_optimize_cached`], plus the fault-injection knobs
 /// the robustness tests use to exercise the non-speculative fallback
 /// deterministically.
 #[derive(Debug, Clone, Default)]

@@ -1,186 +1,169 @@
 //! Optimization statistics.
 
-/// Counters reported by one [`crate::driver::optimize`] run.
-///
-/// These are *static* counts (program text); the dynamic effect — retired
-/// loads, check ratio, cycles — is measured by `specframe-machine` after
-/// code generation, matching the paper's split between compile-time
-/// transformation and `pfmon` run-time measurement.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct OptStats {
-    /// Candidate expressions scanned.
-    pub candidates: u64,
-    /// Expressions that changed the program.
-    pub transformed: u64,
-    /// PRE temporaries introduced.
-    pub temps: u64,
-    /// Defining occurrences saved into a temporary.
-    pub saves: u64,
-    /// Redundant occurrences replaced by reloads.
-    pub reloads: u64,
-    /// Static loads eliminated (reloads of load expressions).
-    pub loads_removed: u64,
-    /// Check instructions (ld.c / NaT checks) emitted.
-    pub checks: u64,
-    /// Reloads that required an ALAT check (data speculation).
-    pub data_spec_reloads: u64,
-    /// Loads flagged as advanced loads (`ld.a`).
-    pub advanced_loads: u64,
-    /// Computations inserted on incoming paths.
-    pub insertions: u64,
-    /// Inserted loads that are control-speculative (`ld.s`).
-    pub control_spec_loads: u64,
-    /// Expressions where data speculation fired.
-    pub data_speculated_exprs: u64,
-    /// Expressions where control speculation fired.
-    pub control_speculated_exprs: u64,
-    /// Strength-reduction rewrites applied.
-    pub strength_reduced: u64,
-    /// Linear-function test replacements applied.
-    pub lftr_applied: u64,
-    /// Loop stores sunk to loop exits (store promotion).
-    pub stores_sunk: u64,
-    /// Functions whose speculative compilation failed and were recompiled
-    /// non-speculatively (each one also carries an `OptReport` warning).
-    pub spec_fallbacks: u64,
-    /// Functions rescued by the per-pass rollback rung of the degradation
-    /// ladder: one offending pass was rolled back and the remaining
-    /// pipeline re-run, keeping speculation for everything else.
-    pub pass_rollbacks: u64,
-    /// Speculative-leak sites the `--audit-leaks`/`--fence-leaks` auditor
-    /// flagged (advanced-load values reaching an address or branch sink
-    /// before their check).
-    pub leak_sites_flagged: u64,
-    /// Speculation barriers inserted by `--fence-leaks`.
-    pub leak_fences_inserted: u64,
-}
+use std::time::Duration;
 
-impl OptStats {
-    /// Merges another stats block into this one.
-    pub fn absorb(&mut self, other: &OptStats) {
-        self.candidates += other.candidates;
-        self.transformed += other.transformed;
-        self.temps += other.temps;
-        self.saves += other.saves;
-        self.reloads += other.reloads;
-        self.loads_removed += other.loads_removed;
-        self.checks += other.checks;
-        self.data_spec_reloads += other.data_spec_reloads;
-        self.advanced_loads += other.advanced_loads;
-        self.insertions += other.insertions;
-        self.control_spec_loads += other.control_spec_loads;
-        self.data_speculated_exprs += other.data_speculated_exprs;
-        self.control_speculated_exprs += other.control_speculated_exprs;
-        self.strength_reduced += other.strength_reduced;
-        self.lftr_applied += other.lftr_applied;
-        self.stores_sunk += other.stores_sunk;
-        self.spec_fallbacks += other.spec_fallbacks;
-        self.pass_rollbacks += other.pass_rollbacks;
-        self.leak_sites_flagged += other.leak_sites_flagged;
-        self.leak_fences_inserted += other.leak_fences_inserted;
+/// Declares a counter block from one field list: the struct, an `absorb`
+/// that sums every counter field and lets each label field (after the `;`)
+/// keep its first non-default value, and — for the fields of an optional
+/// leading `rows TYPE { .. }` group — `rows()`, their `(name, value)`
+/// pairs in declaration order.
+macro_rules! counter_block {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( rows $rty:ty { $( $(#[$rmeta:meta])* pub $rfield:ident => $row:literal, )* } )?
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )*
+            $( ; $( $(#[$lmeta:meta])* pub $label:ident: $lty:ty, )* )?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($( $(#[$rmeta])* pub $rfield: $rty, )*)?
+            $( $(#[$fmeta])* pub $field: $ty, )*
+            $($( $(#[$lmeta])* pub $label: $lty, )*)?
+        }
+
+        impl $name {
+            /// Merges another block into this one: sums every counter, and
+            /// fills each label this block has not set yet.
+            pub fn absorb(&mut self, other: &$name) {
+                $($( self.$rfield += other.$rfield; )*)?
+                $( self.$field += other.$field; )*
+                $($(
+                    if self.$label == <$lty>::default() {
+                        self.$label = other.$label;
+                    }
+                )*)?
+            }
+
+            $(
+                /// The per-row fields in declaration order, as `(name, value)`.
+                pub fn rows(&self) -> [(&'static str, $rty); [$($row),*].len()] {
+                    [$( ($row, self.$rfield) ),*]
+                }
+            )?
+        }
+    };
+}
+pub(crate) use counter_block;
+
+counter_block! {
+    /// Counters reported by one [`crate::driver::optimize`] run.
+    ///
+    /// These are *static* counts (program text); the dynamic effect — retired
+    /// loads, check ratio, cycles — is measured by `specframe-machine` after
+    /// code generation, matching the paper's split between compile-time
+    /// transformation and `pfmon` run-time measurement.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct OptStats {
+        /// Candidate expressions scanned.
+        pub candidates: u64,
+        /// Expressions that changed the program.
+        pub transformed: u64,
+        /// PRE temporaries introduced.
+        pub temps: u64,
+        /// Defining occurrences saved into a temporary.
+        pub saves: u64,
+        /// Redundant occurrences replaced by reloads.
+        pub reloads: u64,
+        /// Static loads eliminated (reloads of load expressions).
+        pub loads_removed: u64,
+        /// Check instructions (ld.c / NaT checks) emitted.
+        pub checks: u64,
+        /// Reloads that required an ALAT check (data speculation).
+        pub data_spec_reloads: u64,
+        /// Loads flagged as advanced loads (`ld.a`).
+        pub advanced_loads: u64,
+        /// Computations inserted on incoming paths.
+        pub insertions: u64,
+        /// Inserted loads that are control-speculative (`ld.s`).
+        pub control_spec_loads: u64,
+        /// Expressions where data speculation fired.
+        pub data_speculated_exprs: u64,
+        /// Expressions where control speculation fired.
+        pub control_speculated_exprs: u64,
+        /// Strength-reduction rewrites applied.
+        pub strength_reduced: u64,
+        /// Linear-function test replacements applied.
+        pub lftr_applied: u64,
+        /// Loop stores sunk to loop exits (store promotion).
+        pub stores_sunk: u64,
+        /// Functions whose speculative compilation failed and were recompiled
+        /// non-speculatively (each one also carries an `OptReport` warning).
+        pub spec_fallbacks: u64,
+        /// Functions rescued by the per-pass rollback rung of the degradation
+        /// ladder: one offending pass was rolled back and the remaining
+        /// pipeline re-run, keeping speculation for everything else.
+        pub pass_rollbacks: u64,
+        /// Speculative-leak sites the `--audit-leaks`/`--fence-leaks` auditor
+        /// flagged (advanced-load values reaching an address or branch sink
+        /// before their check).
+        pub leak_sites_flagged: u64,
+        /// Speculation barriers inserted by `--fence-leaks`.
+        pub leak_fences_inserted: u64,
     }
 }
 
-/// Per-pass wall-clock time of one [`crate::driver::optimize`] run, plus
-/// the dominator-build counter backing the analysis-cache invariant.
-///
-/// Kept separate from [`OptStats`] on purpose: `OptStats` is `Eq`-compared
-/// across serial and parallel runs by the determinism tests, while wall
-/// times necessarily differ from run to run. Per-function timings are
-/// merged (summed) at the driver's join point in function-index order, so
-/// the *set* of samples is deterministic even though the values are not.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PassTimings {
-    /// Module-level Steensgaard alias analysis.
-    pub alias: std::time::Duration,
-    /// FuncAnalyses construction (dominators, frontiers, loops) — all
-    /// functions.
-    pub analyses: std::time::Duration,
-    /// Flow-sensitive refinement (`refine_function`).
-    pub refine: std::time::Duration,
-    /// Speculative SSA construction (`build_hssa`).
-    pub hssa_build: std::time::Duration,
-    /// The SSAPRE engine.
-    pub ssapre: std::time::Duration,
-    /// Strength reduction.
-    pub strength: std::time::Duration,
-    /// Linear-function test replacement.
-    pub lftr: std::time::Duration,
-    /// Store sinking.
-    pub storeprom: std::time::Duration,
-    /// HSSA verification.
-    pub verify: std::time::Duration,
-    /// Pass-boundary verification (`--verify-each`): every structural
-    /// re-check between stages, summed.
-    pub verify_each: std::time::Duration,
-    /// Post-lowering speculation-safety audit (`--audit-spec`).
-    pub audit: std::time::Duration,
-    /// Post-lowering speculative-leak audit and fencing
-    /// (`--audit-leaks` / `--fence-leaks`).
-    pub audit_leaks: std::time::Duration,
-    /// Out-of-SSA lowering.
-    pub lower: std::time::Duration,
-    /// Final whole-module IR verification.
-    pub module_verify: std::time::Duration,
-    /// Compile-cache overhead: key derivation, entry probes/decodes and
-    /// write-back encodes. Zero when no cache is attached.
-    pub cache: std::time::Duration,
-    /// Whole `optimize` call, wall clock.
-    pub total: std::time::Duration,
-    /// `DomTree::compute` invocations attributed to this run.
-    pub dom_computes: u64,
-    /// Name of the execution target the run lowered for (`""` until a
-    /// driver stamps it). Shown in the report header and the lower row so
-    /// `--time-passes` output says which cost model was active.
-    pub target: &'static str,
+counter_block! {
+    /// Per-pass wall-clock time of one [`crate::driver::optimize`] run, plus
+    /// the dominator-build counter backing the analysis-cache invariant.
+    ///
+    /// Kept separate from [`OptStats`] on purpose: `OptStats` is `Eq`-compared
+    /// across serial and parallel runs by the determinism tests, while wall
+    /// times necessarily differ from run to run. Per-function timings are
+    /// merged (summed) at the driver's join point in function-index order, so
+    /// the *set* of samples is deterministic even though the values are not.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct PassTimings {
+        rows Duration {
+            /// Module-level Steensgaard alias analysis.
+            pub alias => "alias",
+            /// FuncAnalyses construction (dominators, frontiers, loops) — all
+            /// functions.
+            pub analyses => "analyses",
+            /// Flow-sensitive refinement (`refine_function`).
+            pub refine => "refine",
+            /// Speculative SSA construction (`build_hssa`).
+            pub hssa_build => "hssa-build",
+            /// The SSAPRE engine.
+            pub ssapre => "ssapre",
+            /// Strength reduction.
+            pub strength => "strength",
+            /// Linear-function test replacement.
+            pub lftr => "lftr",
+            /// Store sinking.
+            pub storeprom => "storeprom",
+            /// HSSA verification.
+            pub verify => "verify",
+            /// Pass-boundary verification (`--verify-each`): every structural
+            /// re-check between stages, summed.
+            pub verify_each => "verify-each",
+            /// Post-lowering speculation-safety audit (`--audit-spec`).
+            pub audit => "audit",
+            /// Post-lowering speculative-leak audit and fencing
+            /// (`--audit-leaks` / `--fence-leaks`).
+            pub audit_leaks => "audit-leaks",
+            /// Out-of-SSA lowering.
+            pub lower => "lower",
+            /// Final whole-module IR verification.
+            pub module_verify => "module-verify",
+            /// Compile-cache overhead: key derivation, entry probes/decodes and
+            /// write-back encodes. Zero when no cache is attached.
+            pub cache => "cache",
+        }
+        /// Whole `optimize` call, wall clock.
+        pub total: Duration,
+        /// `DomTree::compute` invocations attributed to this run.
+        pub dom_computes: u64,
+        ;
+        /// Name of the execution target the run lowered for (`""` until a
+        /// driver stamps it). Shown in the report header and the lower row so
+        /// `--time-passes` output says which cost model was active.
+        pub target: &'static str,
+    }
 }
 
 impl PassTimings {
-    /// Merges another timing block into this one (sums every field).
-    pub fn absorb(&mut self, other: &PassTimings) {
-        self.alias += other.alias;
-        self.analyses += other.analyses;
-        self.refine += other.refine;
-        self.hssa_build += other.hssa_build;
-        self.ssapre += other.ssapre;
-        self.strength += other.strength;
-        self.lftr += other.lftr;
-        self.storeprom += other.storeprom;
-        self.verify += other.verify;
-        self.verify_each += other.verify_each;
-        self.audit += other.audit;
-        self.audit_leaks += other.audit_leaks;
-        self.lower += other.lower;
-        self.module_verify += other.module_verify;
-        self.cache += other.cache;
-        self.total += other.total;
-        self.dom_computes += other.dom_computes;
-        if self.target.is_empty() {
-            self.target = other.target;
-        }
-    }
-
-    /// The per-pass rows in pipeline order, as `(name, duration)`.
-    pub fn rows(&self) -> [(&'static str, std::time::Duration); 15] {
-        [
-            ("alias", self.alias),
-            ("analyses", self.analyses),
-            ("refine", self.refine),
-            ("hssa-build", self.hssa_build),
-            ("ssapre", self.ssapre),
-            ("strength", self.strength),
-            ("lftr", self.lftr),
-            ("storeprom", self.storeprom),
-            ("verify", self.verify),
-            ("verify-each", self.verify_each),
-            ("audit", self.audit),
-            ("audit-leaks", self.audit_leaks),
-            ("lower", self.lower),
-            ("module-verify", self.module_verify),
-            ("cache", self.cache),
-        ]
-    }
-
     /// Human-readable aggregate table (the `specc --time-passes` output):
     /// every pass with its total wall time and share of the whole
     /// `optimize` call, sorted most-expensive first (ties keep pipeline
@@ -188,7 +171,7 @@ impl PassTimings {
     /// the total, the process peak RSS when the OS exposes it cheaply, and
     /// the dominator-build counter.
     pub fn report(&self) -> String {
-        fn ms(d: std::time::Duration) -> String {
+        fn ms(d: Duration) -> String {
             format!("{:9.3} ms", d.as_secs_f64() * 1e3)
         }
         let total = self.total.as_secs_f64();

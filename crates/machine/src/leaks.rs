@@ -22,7 +22,7 @@
 //! * [`fence_func`] — inserts an [`MInst::Fence`] immediately before each
 //!   flagged sink (remapping branch targets), which closes every window on
 //!   every path into the sink; a single pass always re-audits clean.
-//! * [`construct_leak_witness`] — turns a static report into a concrete
+//! * [`construct_leak_witness_on`] — turns a static report into a concrete
 //!   run: a probe execution locates the flagged load's dynamic position,
 //!   then an `evict-at` schedule ([`crate::policy::EvictAt`]) drops the
 //!   ALAT entry right after the insert, driving that exact site into
@@ -38,7 +38,7 @@ use crate::audit::block_starts;
 use crate::isa::{LdKind, MFunc, MInst, MOperand, MProgram};
 use crate::policy::{parse_fault_policy, AlatPolicy, Deterministic, EvictAt};
 use crate::sim::{run_machine_taint_on, SinkClass};
-use crate::target::{SpecTarget, TargetId};
+use crate::target::SpecTarget;
 use specframe_ir::Value;
 use std::collections::BTreeSet;
 
@@ -323,7 +323,8 @@ impl LeakWitness {
     }
 }
 
-/// Validates one static leak report with a concrete simulator run.
+/// Validates one static leak report with a concrete simulator run on
+/// `target`.
 ///
 /// A fault-free probe run records the dynamic instruction count at the
 /// flagged load's first execution; an `evict-at` schedule then
@@ -332,21 +333,9 @@ impl LeakWitness {
 /// misspeculation. The witness stands when the run records a taint event
 /// at the flagged sink *and* at least one failed check (`always-miss` is
 /// tried as a fallback schedule). A site the probe never reaches is
-/// refuted for those arguments.
-pub fn construct_leak_witness(
-    prog: &MProgram,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-    site: &LeakSite,
-) -> LeakWitness {
-    construct_leak_witness_on(prog, TargetId::Epic.spec(), entry, args, fuel, site)
-}
-
-/// Like [`construct_leak_witness`], but for an explicit target. On a
-/// no-ALAT target the same constructed schedules poison software check
-/// verdicts instead of dropping ALAT entries — the forced
-/// recovery-branch miss plays the eviction's role.
+/// refuted for those arguments. On a no-ALAT target the same constructed
+/// schedules poison software check verdicts instead of dropping ALAT
+/// entries — the forced recovery-branch miss plays the eviction's role.
 pub fn construct_leak_witness_on(
     prog: &MProgram,
     target: &dyn SpecTarget,
@@ -407,19 +396,9 @@ pub fn construct_leak_witness_on(
     refuted("no constructed eviction produced a misspeculated taint-to-sink run — refuted".into())
 }
 
-/// Witnesses every site of a static leak report (deterministic: probe and
-/// schedules derive only from the program and arguments).
-pub fn witness_leaks(
-    prog: &MProgram,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-    sites: &[LeakSite],
-) -> Vec<LeakWitness> {
-    witness_leaks_on(prog, TargetId::Epic.spec(), entry, args, fuel, sites)
-}
-
-/// Like [`witness_leaks`], but for an explicit target.
+/// Witnesses every site of a static leak report on `target`
+/// (deterministic: probe and schedules derive only from the program and
+/// arguments).
 pub fn witness_leaks_on(
     prog: &MProgram,
     target: &dyn SpecTarget,
@@ -439,7 +418,8 @@ mod tests {
     use super::*;
     use crate::audit;
     use crate::isa::{ChkKind, Reg};
-    use crate::sim::run_machine_taint;
+    use crate::sim::run_machine_taint_on;
+    use crate::target::TargetId;
     use specframe_ir::Ty;
 
     fn mf(regs: u32, code: Vec<MInst>) -> MFunc {
@@ -691,7 +671,7 @@ mod tests {
         };
         let sites = leak_audit_program(&p);
         assert_eq!(sites.len(), 1);
-        let w = construct_leak_witness(&p, "t", &[], 10_000, &sites[0]);
+        let w = construct_leak_witness_on(&p, TargetId::Epic.spec(), "t", &[], 10_000, &sites[0]);
         assert!(w.confirmed(), "witness must confirm: {}", w.note);
         let policy = w.policy.unwrap();
         assert!(
@@ -731,7 +711,7 @@ mod tests {
         };
         let sites = leak_audit_program(&p);
         assert_eq!(sites.len(), 1);
-        let w = construct_leak_witness(&p, "t", &[], 10_000, &sites[0]);
+        let w = construct_leak_witness_on(&p, TargetId::Epic.spec(), "t", &[], 10_000, &sites[0]);
         assert!(!w.confirmed(), "dead site must be refuted: {}", w.note);
     }
 
@@ -758,8 +738,16 @@ mod tests {
             global_image: vec![(16, Value::I(17)), (17, Value::I(5))],
             globals_end: 18,
         };
-        let unfenced =
-            run_machine_taint(&p, "t", &[], 10_000, Box::new(Deterministic::new()), &[16]).unwrap();
+        let unfenced = run_machine_taint_on(
+            &p,
+            TargetId::Epic.spec(),
+            "t",
+            &[],
+            10_000,
+            Box::new(Deterministic::new()),
+            &[16],
+        )
+        .unwrap();
         assert!(unfenced.counters.leak_addr_events > 0);
         assert!(unfenced.counters.taint_loads > 0, "secret address was read");
         assert!(
@@ -768,8 +756,16 @@ mod tests {
         );
         let fences = fence_program(&mut p);
         assert_eq!(fences, 1);
-        let fenced =
-            run_machine_taint(&p, "t", &[], 10_000, Box::new(Deterministic::new()), &[16]).unwrap();
+        let fenced = run_machine_taint_on(
+            &p,
+            TargetId::Epic.spec(),
+            "t",
+            &[],
+            10_000,
+            Box::new(Deterministic::new()),
+            &[16],
+        )
+        .unwrap();
         assert_eq!(fenced.counters.leak_addr_events, 0);
         assert_eq!(fenced.counters.leak_branch_events, 0);
         assert_eq!(fenced.counters.fences_retired, 1);

@@ -40,12 +40,12 @@ pub use costs::CostModel;
 pub use isa::{render_mfunc, render_mprogram, ChkKind, LdKind};
 pub use isa::{Label, MFunc, MInst, MOperand, MProgram, Reg};
 pub use leaks::{
-    construct_leak_witness, construct_leak_witness_on, fence_func, fence_program, leak_audit_func,
-    leak_audit_program, leak_check_pairs, witness_leaks, witness_leaks_on, LeakSite, LeakWitness,
+    construct_leak_witness_on, fence_func, fence_program, leak_audit_func, leak_audit_program,
+    leak_check_pairs, witness_leaks_on, LeakSite, LeakWitness,
 };
 pub use policy::{fault_matrix, parse_fault_policy, AlatGeometry, AlatPolicy, FaultAction};
 pub use sim::{
-    run_machine, run_machine_on, run_machine_taint, run_machine_taint_on, run_machine_with_policy,
-    run_machine_with_policy_on, Counters, LeakEvent, SimError, Simulator, SinkClass, TaintReport,
+    run_machine, run_machine_on, run_machine_taint_on, run_machine_with_policy_on, Counters,
+    LeakEvent, SimError, Simulator, SinkClass, TaintReport,
 };
 pub use target::{EpicTarget, SpecFrame, SpecTarget, SwrTarget, TargetId};

@@ -239,17 +239,12 @@ pub struct Simulator<'p> {
 }
 
 impl<'p> Simulator<'p> {
-    /// Creates a simulator with globals loaded and the default (fault-free
-    /// 32-entry 2-way) ALAT policy.
-    pub fn new(prog: &'p MProgram, costs: CostModel, fuel: u64) -> Simulator<'p> {
-        Simulator::with_policy(prog, costs, fuel, Box::new(Deterministic::new()))
-    }
-
-    /// Creates a simulator whose ALAT geometry and fault behavior are
-    /// supplied by `policy` (see [`crate::policy`]).
-    pub fn with_policy(
+    /// Creates a simulator for `target` with globals loaded: the target's
+    /// cost table and ALAT presence govern execution, and `policy` supplies
+    /// the ALAT geometry and fault behavior (see [`crate::policy`]).
+    pub fn for_target(
         prog: &'p MProgram,
-        costs: CostModel,
+        target: &dyn SpecTarget,
         fuel: u64,
         policy: Box<dyn AlatPolicy>,
     ) -> Simulator<'p> {
@@ -258,7 +253,7 @@ impl<'p> Simulator<'p> {
         let g = policy.geometry();
         let mut s = Simulator {
             prog,
-            costs,
+            costs: target.costs(),
             mem: Vec::new(),
             stack_base,
             stack_top: stack_base,
@@ -269,27 +264,13 @@ impl<'p> Simulator<'p> {
             counters: Counters::default(),
             fuel,
             taint: None,
-            has_alat: true,
+            has_alat: target.has_alat(),
             zero_geom: g.entries == 0,
             poison: 0,
         };
         for &(addr, v) in &prog.global_image {
             s.poke(addr, v);
         }
-        s
-    }
-
-    /// Like [`Simulator::with_policy`], but configured for `target`: its
-    /// cost table and ALAT presence govern execution. `with_policy` is
-    /// exactly `for_target` with the EPIC target.
-    pub fn for_target(
-        prog: &'p MProgram,
-        target: &dyn SpecTarget,
-        fuel: u64,
-        policy: Box<dyn AlatPolicy>,
-    ) -> Simulator<'p> {
-        let mut s = Simulator::with_policy(prog, target.costs(), fuel, policy);
-        s.has_alat = target.has_alat();
         s
     }
 
@@ -892,7 +873,8 @@ fn un(op: UnOp, a: Value) -> Value {
     }
 }
 
-/// Convenience: run `entry` with `args` under the default cost model.
+/// Convenience: run `entry` with `args` on the EPIC target under the
+/// default (fault-free) ALAT policy.
 ///
 /// # Errors
 /// See [`SimError`].
@@ -902,7 +884,7 @@ pub fn run_machine(
     args: &[Value],
     fuel: u64,
 ) -> Result<(Option<Value>, Counters), SimError> {
-    run_machine_with_policy(prog, entry, args, fuel, Box::new(Deterministic::new()))
+    run_machine_on(prog, TargetId::Epic.spec(), entry, args, fuel)
 }
 
 /// Like [`run_machine`], but for an explicit target (cost table and ALAT
@@ -927,22 +909,8 @@ pub fn run_machine_on(
     )
 }
 
-/// Like [`run_machine`], but under an explicit ALAT fault policy (see
+/// Like [`run_machine_on`], but under an explicit ALAT fault policy (see
 /// [`crate::policy::parse_fault_policy`] for the string grammar).
-///
-/// # Errors
-/// See [`SimError`].
-pub fn run_machine_with_policy(
-    prog: &MProgram,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-    policy: Box<dyn AlatPolicy>,
-) -> Result<(Option<Value>, Counters), SimError> {
-    run_machine_with_policy_on(prog, TargetId::Epic.spec(), entry, args, fuel, policy)
-}
-
-/// Like [`run_machine_with_policy`], but for an explicit target.
 ///
 /// # Errors
 /// See [`SimError`].
@@ -962,32 +930,9 @@ pub fn run_machine_with_policy_on(
     Ok((r, sim.counters()))
 }
 
-/// Like [`run_machine_with_policy`], but with taint tracking on: `secret`
-/// word addresses are marked secret, and every flow from an open
+/// Like [`run_machine_with_policy_on`], but with taint tracking on:
+/// `secret` word addresses are marked secret, and every flow from an open
 /// speculation window into an address or branch sink is recorded.
-///
-/// # Errors
-/// See [`SimError`].
-pub fn run_machine_taint(
-    prog: &MProgram,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-    policy: Box<dyn AlatPolicy>,
-    secret: &[i64],
-) -> Result<TaintReport, SimError> {
-    run_machine_taint_on(
-        prog,
-        TargetId::Epic.spec(),
-        entry,
-        args,
-        fuel,
-        policy,
-        secret,
-    )
-}
-
-/// Like [`run_machine_taint`], but for an explicit target.
 ///
 /// # Errors
 /// See [`SimError`].
@@ -1536,7 +1481,9 @@ mod tests {
         let p = prog_one(f);
         for name in crate::policy::fault_matrix() {
             let pol = crate::policy::parse_fault_policy(&name).unwrap();
-            let (r, c) = run_machine_with_policy(&p, "main", &[], 1000, pol).unwrap();
+            let (r, c) =
+                run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 1000, pol)
+                    .unwrap();
             assert_eq!(r, Some(Value::I(42)), "policy {name}");
             assert!(c.failed_checks <= c.check_loads, "policy {name}");
         }
@@ -1570,11 +1517,13 @@ mod tests {
         };
         let p = prog_one(f);
         let pol = crate::policy::parse_fault_policy("always-miss").unwrap();
-        let (r, c) = run_machine_with_policy(&p, "main", &[], 100, pol).unwrap();
+        let (r, c) =
+            run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 100, pol).unwrap();
         assert_eq!(r, Some(Value::I(42)), "recovery reloads the right value");
         assert_eq!(c.failed_checks, 1, "0-entry ALAT must miss");
         let pol = crate::policy::parse_fault_policy("forced-miss").unwrap();
-        let (r, c) = run_machine_with_policy(&p, "main", &[], 100, pol).unwrap();
+        let (r, c) =
+            run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 100, pol).unwrap();
         assert_eq!(r, Some(Value::I(42)));
         assert_eq!(c.failed_checks, 1);
     }
@@ -1623,7 +1572,9 @@ mod tests {
         };
         let p = prog_one(f);
         let pol = crate::policy::parse_fault_policy("flash-clear:10").unwrap();
-        let (r, c) = run_machine_with_policy(&p, "main", &[], 10_000, pol).unwrap();
+        let (r, c) =
+            run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 10_000, pol)
+                .unwrap();
         assert_eq!(r, Some(Value::I(42)));
         assert!(c.alat_flash_clears >= 5, "clears: {}", c.alat_flash_clears);
         assert_eq!(c.alat_fault_kills, 1, "one live entry lost to a clear");
@@ -1641,7 +1592,12 @@ mod tests {
             promoted_regs: vec![],
         };
         let p = prog_one(f);
-        let sim = Simulator::new(&p, CostModel::default(), 100);
+        let sim = Simulator::for_target(
+            &p,
+            TargetId::Epic.spec(),
+            100,
+            Box::new(Deterministic::new()),
+        );
         assert_eq!(sim.peek(16), Some(Value::I(42)), "mapped global");
         assert_eq!(sim.peek(0), None, "null page");
         assert_eq!(sim.peek(15), None, "reserved low words");

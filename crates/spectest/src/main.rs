@@ -27,6 +27,8 @@
 //! Exit status: 0 when every case passes, 1 on any failure, 2 on usage or
 //! discovery errors.
 
+use specframe::machine::TargetId;
+use specframe::pipeline::choose;
 use spectest::runner;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -61,10 +63,15 @@ fn parse_cli() -> Result<Cli, String> {
                 ))
             }
             "--cache-fault-policy" => {
+                let spec = args.next().ok_or("--cache-fault-policy needs a value")?;
                 cli.overrides.cache_fault_policy =
-                    Some(args.next().ok_or("--cache-fault-policy needs a value")?)
+                    Some(specframe::core::parse_store_fault_policy(&spec)?)
             }
-            "--target" => cli.overrides.target = Some(args.next().ok_or("--target needs a value")?),
+            "--target" => {
+                let name = args.next().ok_or("--target needs a value")?;
+                let targets = TargetId::ALL.map(|t| (t.name(), t));
+                cli.overrides.target = Some(choose("--target", &name, &targets)?)
+            }
             "-q" | "--quiet" => cli.quiet = true,
             "--help" | "-h" => {
                 return Err(

@@ -1,22 +1,18 @@
 //! `.spec` file parsing, in-process RUN execution and case discovery.
 
 use crate::matcher::{run_checks, CheckKind, Directive};
+use specframe::core::StoreFaultPolicy;
+use specframe::pipeline::choose;
 use specframe::prelude::*;
 use std::path::{Path, PathBuf};
 
 /// One parsed RUN pipeline: a compile request plus the execution mode
-/// riding on it (`--sim` with its fault policies).
+/// riding on it (`--sim` with its options, or `--emit mach`).
 #[derive(Debug, Clone)]
 pub struct RunSpec {
-    /// The compile half of the RUN line.
-    pub req: CompileRequest,
-    /// Simulate on the EPIC machine and check the counter block instead
-    /// of the optimized module text.
-    pub sim: bool,
-    /// ALAT fault policies for `--sim` (default: `default`).
-    pub fault_policies: Vec<String>,
-    /// Secret locations for taint-mode simulation (`--taint-secret`).
-    pub taint_secret: Vec<String>,
+    /// The compile request and `--sim` options of the RUN line, parsed by
+    /// the same function as `specc`'s flags.
+    pub inv: Invocation,
     /// Run the post-compile leak-fencing contract check (set by
     /// [`RunOverrides::audit_leaks`], not parseable from a RUN line).
     pub leak_contract: bool,
@@ -143,36 +139,11 @@ pub fn parse_spec(text: &str) -> Result<SpecCase, String> {
     })
 }
 
-/// Parses a value list of the `--args 0,100` form.
-fn parse_values(s: &str) -> Result<Vec<Value>, String> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|t| {
-            let t = t.trim();
-            if t.contains('.') {
-                t.parse::<f64>()
-                    .map(Value::F)
-                    .map_err(|e| format!("bad float `{t}`: {e}"))
-            } else {
-                t.parse::<i64>()
-                    .map(Value::I)
-                    .map_err(|e| format!("bad int `{t}`: {e}"))
-            }
-        })
-        .collect()
-}
-
 /// Parses a `specc %s …` command into a [`RunSpec`].
 ///
-/// The vocabulary is the subset of the real `specc` CLI that makes sense
-/// in a hermetic run: `--entry`, `--args`, `--train-args`, `--spec`,
-/// `--control`, `--target`, `--no-sr`, `--store-sinking`, `--jobs`,
-/// `--fuel`, `--dump-after`, `--stop-after`, `--sim`, `--fault-policy`,
-/// `--emit mach`, `--verify-each`, `--audit-spec`, `--audit-leaks`,
-/// `--fence-leaks`, `--taint-secret`, `--inject-spec-fail`,
-/// `--inject-fallback-fail`, `--inject-corrupt`. Anything else (e.g.
+/// The flags are `specc`'s own vocabulary as [`parse_flags`] reads it,
+/// from the RUN-line defaults ([`CompileRequest::default`]: `--spec none
+/// --control off --jobs 1`), plus `--emit ir|mach`. Anything else (e.g.
 /// `-o`) is rejected so a `.spec` file cannot silently diverge from what
 /// the harness actually executes.
 pub fn parse_run_command(cmd: &str) -> Result<RunSpec, String> {
@@ -180,101 +151,26 @@ pub fn parse_run_command(cmd: &str) -> Result<RunSpec, String> {
     if toks.next() != Some("specc") {
         return Err("RUN command must start with `specc`".into());
     }
+    let (inv, rest) = parse_flags(CompileRequest::default(), toks.map(str::to_string))?;
     let mut rs = RunSpec {
-        req: CompileRequest::default(),
-        sim: false,
-        fault_policies: Vec::new(),
-        taint_secret: Vec::new(),
+        inv,
         leak_contract: false,
         emit_mach: false,
     };
-    let req = &mut rs.req;
-    let mut taint_secret: Vec<String> = Vec::new();
     let mut saw_input = false;
-    let next_val = |toks: &mut std::str::SplitWhitespace<'_>, flag: &str| {
-        toks.next()
-            .map(str::to_string)
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(t) = toks.next() {
-        match t {
+    let mut rest = rest.into_iter();
+    while let Some(t) = rest.next() {
+        match t.as_str() {
             "%s" => saw_input = true,
-            "--entry" => req.entry = next_val(&mut toks, t)?,
-            "--args" => req.args = parse_values(&next_val(&mut toks, t)?)?,
-            "--train-args" => req.train_args = Some(parse_values(&next_val(&mut toks, t)?)?),
-            "--spec" => req.spec = next_val(&mut toks, t)?,
-            "--control" => req.control = next_val(&mut toks, t)?,
-            "--target" => req.target = next_val(&mut toks, t)?,
-            "--emit" => match next_val(&mut toks, t)?.as_str() {
-                "mach" => rs.emit_mach = true,
-                "ir" => {}
-                other => return Err(format!("unsupported --emit `{other}` in a RUN line")),
-            },
-            "--no-sr" => req.strength_reduction = false,
-            "--no-lftr" => req.lftr = false,
-            "--store-sinking" => req.store_sinking = true,
-            "--jobs" => {
-                req.jobs = next_val(&mut toks, t)?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?
+            "--emit" => {
+                let v = rest.next().ok_or("--emit needs a value")?;
+                rs.emit_mach = choose("--emit", &v, &[("ir", false), ("mach", true)])?;
             }
-            "--fuel" => {
-                req.fuel = next_val(&mut toks, t)?
-                    .parse()
-                    .map_err(|e| format!("bad --fuel: {e}"))?
-            }
-            "--dump-after" => req.hooks.dump_after = PassSet::parse_list(&next_val(&mut toks, t)?)?,
-            "--stop-after" => req.hooks.stop_after = Some(next_val(&mut toks, t)?.parse()?),
-            "--sim" => rs.sim = true,
-            "--fault-policy" => rs.fault_policies.push(next_val(&mut toks, t)?),
-            "--inject-spec-fail" => req.hooks.inject_spec_fail = Some(next_val(&mut toks, t)?),
-            "--inject-fallback-fail" => {
-                req.hooks.inject_fallback_fail = Some(next_val(&mut toks, t)?)
-            }
-            "--inject-corrupt" => {
-                req.hooks.inject_corrupt = Some(PipelineHooks::parse_inject_corrupt(&next_val(
-                    &mut toks, t,
-                )?)?)
-            }
-            "--verify-each" => req.hooks.verify_each = true,
-            "--audit-spec" => req.hooks.audit_spec = true,
-            "--audit-leaks" => req.hooks.audit_leaks = true,
-            "--fence-leaks" => req.hooks.fence_leaks = true,
-            "--taint-secret" => {
-                taint_secret.extend(next_val(&mut toks, t)?.split(',').map(str::to_string))
-            }
-            other if other.starts_with("--target=") => {
-                req.target = other["--target=".len()..].to_string()
-            }
-            other if other.starts_with("--taint-secret=") => taint_secret.extend(
-                other["--taint-secret=".len()..]
-                    .split(',')
-                    .map(str::to_string),
-            ),
-            other if other.starts_with("--dump-after=") => {
-                req.hooks.dump_after = PassSet::parse_list(&other["--dump-after=".len()..])?
-            }
-            other if other.starts_with("--stop-after=") => {
-                req.hooks.stop_after = Some(other["--stop-after=".len()..].parse()?)
-            }
-            other if other.starts_with("--fault-policy=") => rs
-                .fault_policies
-                .push(other["--fault-policy=".len()..].to_string()),
             other => return Err(format!("unsupported RUN token `{other}`")),
         }
     }
-    rs.taint_secret = taint_secret;
     if !saw_input {
         return Err("RUN command must reference the input as `%s`".into());
-    }
-    if !rs.fault_policies.is_empty() && !rs.sim {
-        return Err("--fault-policy requires --sim".into());
-    }
-    if !rs.taint_secret.is_empty() && !rs.sim {
-        return Err("--taint-secret requires --sim".into());
-    }
-    if rs.sim && rs.fault_policies.is_empty() {
-        rs.fault_policies.push("default".into());
     }
     Ok(rs)
 }
@@ -285,12 +181,10 @@ pub fn parse_run_command(cmd: &str) -> Result<RunSpec, String> {
 /// when `--dump-after` was given, the `--sim` counter block per fault
 /// policy when simulating, and the optimized module otherwise.
 pub fn execute_run(input: &str, rs: &RunSpec) -> Result<String, String> {
-    let req = &rs.req;
-    let target = specframe::machine::TargetId::parse(&req.target)
-        .ok_or_else(|| format!("unknown --target `{}` (expected epic|swr)", req.target))?;
+    let req = &rs.inv.req;
     let out = compile(input, req).map_err(|e| e.to_string())?;
     if rs.leak_contract {
-        check_leak_contract(&out.module, target, &req.entry, &req.args, req.fuel)?;
+        check_leak_contract(&out.module, req)?;
     }
     let mut text = String::new();
     for w in &out.report.warnings {
@@ -299,25 +193,13 @@ pub fn execute_run(input: &str, rs: &RunSpec) -> Result<String, String> {
     if !req.hooks.dump_after.is_empty() {
         text.push_str(&render_dumps(&out.dumps));
     } else if rs.emit_mach {
-        let prog = specframe::codegen::lower_module_for(&out.module, target.spec());
+        let prog = lower_module_for(&out.module, req.target.spec());
         text.push_str(&specframe::machine::render_mprogram(&prog));
-    } else if rs.sim {
-        let sim_opts = specframe::pipeline::SimOptions {
-            taint_secret: rs.taint_secret.clone(),
-            fence_leaks: req.hooks.fence_leaks,
-            target,
-        };
-        for policy in &rs.fault_policies {
-            let (_, sim) = specframe::pipeline::simulate_text_with(
-                &out.module,
-                &req.entry,
-                &req.args,
-                req.fuel,
-                policy,
-                &sim_opts,
-            )
-            .map_err(|e| e.to_string())?;
-            text.push_str(&sim);
+    } else if let Some(sim) = &rs.inv.sim {
+        for policy in &sim.fault_policies {
+            let (_, block) =
+                simulate_text(&out.module, req, sim, policy).map_err(|e| e.to_string())?;
+            text.push_str(&block);
         }
     } else {
         text.push_str(&specframe::ir::display::print_module(&out.module));
@@ -330,20 +212,16 @@ pub fn execute_run(input: &str, rs: &RunSpec) -> Result<String, String> {
 /// transform (re-audit clean), and — when the entry function exists —
 /// fencing must not change the architectural result. Checked at machine
 /// level so pinned golden output is untouched.
-fn check_leak_contract(
-    m: &specframe::ir::Module,
-    target: specframe::machine::TargetId,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-) -> Result<(), String> {
-    use specframe::machine::{leak_audit_program, run_machine_on};
-    let plain = specframe::codegen::lower_module_for(m, target.spec());
-    let sites = specframe::machine::leak_audit_program(&plain);
+fn check_leak_contract(m: &specframe::ir::Module, req: &CompileRequest) -> Result<(), String> {
+    use specframe::machine::{fence_program, leak_audit_program};
+    let target = req.target.spec();
+    let plain = lower_module_for(m, target);
+    let sites = leak_audit_program(&plain);
     if sites.is_empty() {
         return Ok(());
     }
-    let (fenced, fences) = specframe::codegen::lower_module_fenced_for(m, target.spec());
+    let mut fenced = lower_module_for(m, target);
+    let fences = fence_program(&mut fenced);
     let still = leak_audit_program(&fenced);
     if !still.is_empty() {
         return Err(format!(
@@ -354,13 +232,13 @@ fn check_leak_contract(
             still[0]
         ));
     }
-    if m.func_by_name(entry).is_some() {
-        let want = run_machine_on(&plain, target.spec(), entry, args, fuel)
-            .map_err(|e| format!("leak contract: unfenced run failed: {e}"))?
-            .0;
-        let got = run_machine_on(&fenced, target.spec(), entry, args, fuel)
-            .map_err(|e| format!("leak contract: fenced run failed: {e}"))?
-            .0;
+    if m.func_by_name(&req.entry).is_some() {
+        let run = |prog, what| {
+            run_machine_on(prog, target, &req.entry, &req.args, req.fuel)
+                .map(|(result, _)| result)
+                .map_err(|e| format!("leak contract: {what} run failed: {e}"))
+        };
+        let (want, got) = (run(&plain, "unfenced")?, run(&fenced, "fenced")?);
         if got != want {
             return Err(format!(
                 "leak contract: fencing changed the architectural result: {want:?} -> {got:?}"
@@ -411,13 +289,13 @@ pub struct RunOverrides {
     /// (`spectest --cache-fault-policy`, requires `--cache-dir`): the
     /// fault-tolerance parity harness — retries and breaker trips may
     /// happen underneath, but the golden output must not move a byte.
-    pub cache_fault_policy: Option<String>,
+    pub cache_fault_policy: Option<StoreFaultPolicy>,
     /// Force every RUN onto this execution target (`spectest --target`):
     /// the whole golden suite is re-lowered and re-simulated for another
     /// backend. Cases that pin target-specific output (counter blocks,
     /// machine text, `--explain-spec` verdicts) declare
     /// `; UNSUPPORTED: target` and are counted as skipped.
-    pub target: Option<String>,
+    pub target: Option<TargetId>,
 }
 
 /// Runs one golden test file from disk.
@@ -448,17 +326,18 @@ pub fn run_case_with(path: &Path, ov: RunOverrides) -> CaseOutcome {
         }
     }
     for rs in &mut case.runs {
-        rs.req.hooks.verify_each |= ov.verify_each;
-        rs.req.hooks.audit_spec |= ov.audit_spec;
+        let req = &mut rs.inv.req;
+        req.hooks.verify_each |= ov.verify_each;
+        req.hooks.audit_spec |= ov.audit_spec;
         rs.leak_contract |= ov.audit_leaks;
-        if rs.req.cache_dir.is_none() {
-            rs.req.cache_dir = ov.cache_dir.clone();
+        if req.cache_dir.is_none() {
+            req.cache_dir = ov.cache_dir.clone();
         }
-        if rs.req.cache_fault_policy.is_none() {
-            rs.req.cache_fault_policy = ov.cache_fault_policy.clone();
+        if req.cache_fault_policy.is_none() {
+            req.cache_fault_policy = ov.cache_fault_policy;
         }
-        if let Some(t) = &ov.target {
-            rs.req.target = t.clone();
+        if let Some(t) = ov.target {
+            req.target = t;
         }
     }
     if case.directives.is_empty() {
@@ -477,9 +356,7 @@ pub fn run_case_with(path: &Path, ov: RunOverrides) -> CaseOutcome {
 pub fn case_output(case: &SpecCase) -> Result<String, String> {
     let mut output = String::new();
     for (req, cmd) in case.runs.iter().zip(&case.run_lines) {
-        output.push_str(
-            &execute_run(&case.input, req).map_err(|e| format!("RUN `specc {cmd}`: {e}"))?,
-        );
+        output.push_str(&execute_run(&case.input, req).map_err(|e| format!("RUN `{cmd}`: {e}"))?);
     }
     Ok(output)
 }
@@ -565,14 +442,48 @@ merge:
         let rs =
             parse_run_command("specc %s --sim --fault-policy always-miss --fault-policy random:3")
                 .unwrap();
-        assert!(rs.sim);
-        assert_eq!(rs.fault_policies, ["always-miss", "random:3"]);
+        let sim = rs.inv.sim.unwrap();
+        assert_eq!(sim.fault_policies, ["always-miss", "random:3"]);
         // --sim alone defaults to the deterministic policy
         let rs = parse_run_command("specc %s --sim").unwrap();
-        assert_eq!(rs.fault_policies, ["default"]);
+        assert_eq!(rs.inv.sim.unwrap().fault_policies, ["default"]);
         // injection hooks ride on the request
         let rs = parse_run_command("specc %s --inject-spec-fail f").unwrap();
-        assert_eq!(rs.req.hooks.inject_spec_fail.as_deref(), Some("f"));
+        assert_eq!(rs.inv.req.hooks.inject_spec_fail.as_deref(), Some("f"));
+    }
+
+    #[test]
+    fn run_line_taint_secret_drops_empty_locations_like_specc() {
+        let rs = parse_run_command("specc %s --sim --taint-secret @g,").unwrap();
+        assert_eq!(rs.inv.sim.unwrap().taint_secret, ["@g"]);
+        let rs = parse_run_command("specc %s --sim --taint-secret=@a,,16").unwrap();
+        assert_eq!(rs.inv.sim.unwrap().taint_secret, ["@a", "16"]);
+        let e = parse_run_command("specc %s --taint-secret @g").unwrap_err();
+        assert!(e.contains("--taint-secret requires --sim"), "{e}");
+    }
+
+    #[test]
+    fn run_line_rejects_unknown_values_with_the_specc_wording() {
+        for (flag, want) in [
+            (
+                "--spec",
+                "unknown --spec `bogus` (expected none|profile|heuristic|aggressive)",
+            ),
+            (
+                "--control",
+                "unknown --control `bogus` (expected off|profile|static)",
+            ),
+            ("--target", "unknown --target `bogus` (expected epic|swr)"),
+        ] {
+            let e = parse_run_command(&format!("specc %s {flag} bogus")).unwrap_err();
+            assert_eq!(e, want);
+            // the `=value` form goes through the same check
+            let e = parse_run_command(&format!("specc %s {flag}=bogus")).unwrap_err();
+            assert_eq!(e, want);
+        }
+        // a switch given a value is a usage error, not a silent no-op
+        let e = parse_run_command("specc %s --sim=yes").unwrap_err();
+        assert!(e.contains("--sim takes no value"), "{e}");
     }
 
     #[test]
@@ -583,9 +494,12 @@ merge:
              --stop-after ssapre",
         )
         .unwrap()
+        .inv
         .req;
         assert_eq!(req.entry, "f");
-        assert_eq!(req.target, "swr");
+        assert_eq!(req.spec, SpecKind::Profile);
+        assert_eq!(req.control, ControlKind::Profile);
+        assert_eq!(req.target, TargetId::Swr);
         assert_eq!(req.args, vec![Value::I(1), Value::I(2)]);
         assert_eq!(req.train_args, Some(vec![Value::I(3)]));
         assert!(!req.strength_reduction && req.store_sinking);
@@ -598,16 +512,15 @@ merge:
     #[test]
     fn run_line_parses_target_and_emit_mach() {
         let rs = parse_run_command("specc %s --target=swr --emit mach").unwrap();
-        assert_eq!(rs.req.target, "swr");
+        assert_eq!(rs.inv.req.target, TargetId::Swr);
         assert!(rs.emit_mach);
         // `--emit ir` is the default output and parses as a no-op
         let rs = parse_run_command("specc %s --emit ir").unwrap();
         assert!(!rs.emit_mach);
         assert!(parse_run_command("specc %s --emit hssa").is_err());
-        // a bogus target is rejected at execution time, not parse time
-        let rs = parse_run_command("specc %s --target vliw").unwrap();
-        let e = execute_run("func f() -> i64 {\nentry:\n  ret 0\n}\n", &rs).unwrap_err();
-        assert!(e.contains("unknown --target"), "{e}");
+        // a bogus target is rejected where it enters: at parse time
+        let e = parse_run_command("specc %s --target vliw").unwrap_err();
+        assert!(e.contains("unknown --target `vliw`"), "{e}");
     }
 
     #[test]
@@ -621,7 +534,7 @@ merge:
         )
         .unwrap();
         let ov = RunOverrides {
-            target: Some("swr".into()),
+            target: Some(TargetId::Swr),
             ..RunOverrides::default()
         };
         assert!(matches!(

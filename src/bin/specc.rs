@@ -17,7 +17,6 @@
 //!                         weighs, so motion decisions may differ per
 //!                         target on the same input
 //!   --no-sr               disable strength reduction (and with it LFTR)
-//!   --no-lftr             disable linear-function test replacement only
 //!   --store-sinking       enable store promotion
 //!   --explain-spec        print the per-site likeliness-oracle decision
 //!                         table (source, evidence, flagged χ/μ counts)
@@ -94,14 +93,14 @@
 //!                         deterministic fault injector (exercises the
 //!                         retry/circuit-breaker path): enospc:N |
 //!                         eio-read:SEED[:DENOM] | torn-write:N |
-//!                         latency:MS. Module output bytes never change
-//!                         under any policy; only the retry / io-error
-//!                         counters and cache warnings move
-//!   --cache-retries N     transient cache-I/O retry budget per operation
-//!                         (default: 2). Exhaustion — or any permanent
+//!                         latency:MS. Transient errors are retried twice
+//!                         per operation; exhaustion — or any permanent
 //!                         error such as ENOSPC — trips a per-session
 //!                         circuit breaker that degrades the rest of the
-//!                         session to cache-off with a warning
+//!                         session to cache-off with a warning. Module
+//!                         output bytes never change under any policy;
+//!                         only the retry / io-error counters and cache
+//!                         warnings move
 //!   --deadline-ms N       cooperative compile deadline: a watchdog arms a
 //!                         cancellation token checked at pass boundaries
 //!                         and between functions; on expiry the compile
@@ -134,6 +133,15 @@
 //!                                        the stale ones
 //! ```
 //!
+//! The compile and `--sim` flags go through
+//! [`specframe::pipeline::parse_flags`], which golden-test RUN lines
+//! (`; RUN: specc %s …`) share; there a valued flag may also be written
+//! `--flag=value`. RUN lines accept every flag above except
+//! `--explain-spec`, the alias-profile flags, `-o`, `--run`, `--stats`,
+//! `--time-passes`, `--reduce`, the cache, deadline and serve flags and
+//! `--emit hssa`, and they start from their own defaults: `--spec none
+//! --control off --jobs 1`.
+//!
 //! Exit codes: 0 success, 1 usage/IO error, 2 input parse or verification
 //! error, 3 compile/run failure, 4 speculative-compilation recovery
 //! exhausted (even the non-speculative recompile failed), 5 deadline
@@ -146,306 +154,142 @@
 //!       --fault-policy always-miss --fault-policy random:7
 //! ```
 
-use specframe::pipeline::CompileFailure;
+use specframe::pipeline::{choose, render_hssa, witness_leaks_text};
 use specframe::prelude::*;
 use std::process::ExitCode;
+
+/// What the one-shot compile writes (`--emit`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Emit {
+    /// The optimized IR.
+    Ir,
+    /// The speculative SSA of every function before optimization.
+    Hssa,
+    /// The optimized module's machine lowering for the active target.
+    Mach,
+}
 
 struct Cli {
     input: String,
     /// `specc cache <action>` maintenance mode.
     cache_cmd: Option<String>,
     mega: Option<(u64, usize)>,
-    entry: String,
-    args: Vec<Value>,
-    train_args: Vec<Value>,
-    spec: String,
-    control: String,
-    target: String,
-    sr: bool,
-    lftr: bool,
-    store_sinking: bool,
-    explain_spec: bool,
-    alias_profile: Option<String>,
+    /// The compile request and `--sim` options: what the one-shot compile
+    /// runs, and the base of every request a service session serves.
+    inv: Invocation,
     save_alias_profile: Option<String>,
-    emit: String,
+    emit: Emit,
     out: Option<String>,
     run: bool,
-    sim: bool,
-    fault_policies: Vec<String>,
     stats: bool,
-    jobs: usize,
     time_passes: bool,
-    dump_after: PassSet,
-    stop_after: Option<Pass>,
-    inject_spec_fail: Option<String>,
-    inject_fallback_fail: Option<String>,
-    inject_corrupt: Option<(String, Pass)>,
-    verify_each: bool,
-    audit_spec: bool,
-    audit_leaks: bool,
-    fence_leaks: bool,
-    taint_secret: Vec<String>,
     reduce: bool,
-    fuel: u64,
-    cache_dir: Option<std::path::PathBuf>,
-    /// `--cache-fault-policy`: storage fault injection spec (validated at
-    /// parse time, applied when the cache opens).
-    cache_fault_policy: Option<String>,
-    /// `--cache-retries`: transient cache-I/O retry budget per operation.
-    cache_retries: u32,
-    /// `--deadline-ms`: cooperative compile deadline in milliseconds.
-    deadline_ms: Option<u64>,
     serve: bool,
     serve_queue: Option<std::path::PathBuf>,
     verbose: bool,
 }
 
-fn parse_values(s: &str) -> Result<Vec<Value>, String> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|t| {
-            let t = t.trim();
-            if t.contains('.') {
-                t.parse::<f64>()
-                    .map(Value::F)
-                    .map_err(|e| format!("bad float `{t}`: {e}"))
-            } else {
-                t.parse::<i64>()
-                    .map(Value::I)
-                    .map_err(|e| format!("bad int `{t}`: {e}"))
-            }
-        })
-        .collect()
-}
-
-/// Splits a `--taint-secret` argument (`LOC[,LOC...]`) into the CLI's
-/// accumulated secret list; the specs resolve against the module's global
-/// layout at simulation time.
-fn push_taint_secrets(into: &mut Vec<String>, arg: &str) {
-    into.extend(
-        arg.split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string),
-    );
-}
+const USAGE: &str = "usage: specc INPUT.ir [--entry NAME] [--args N,..] \
+                     [--spec none|profile|heuristic|aggressive] \
+                     [--control off|profile|static] [--target epic|swr] [--no-sr] \
+                     [--store-sinking] [--explain-spec] [--alias-profile FILE] \
+                     [--save-alias-profile FILE] [--emit ir|hssa|mach] [-o FILE] \
+                     [--run] [--sim] [--fault-policy SPEC].. [--stats] \
+                     [--jobs N] [--time-passes]\n\
+                     [--dump-after refine|hssa|ssapre|strength|lftr|storeprom|lower[,..]]\n\
+                     [--stop-after PASS] [--verify-each] [--audit-spec] \
+                     [--audit-leaks] [--fence-leaks] \
+                     [--taint-secret LOC,..] [--reduce] \
+                     [--inject-spec-fail FUNC] [--inject-fallback-fail FUNC] \
+                     [--inject-corrupt FUNC:PASS] [--cache-dir DIR] \
+                     [--cache-fault-policy SPEC] [--deadline-ms N] \
+                     [--serve] [--serve-queue DIR] [--verbose]\n\
+                     cache maintenance: specc cache stats|clear|verify \
+                     --cache-dir DIR\n\
+                     --fault-policy: default | geom:E:W | always-miss | \
+                     forced-miss | random:SEED[:DENOM] | flash-clear[:PERIOD] | \
+                     evict-at:N[:N...]\n\
+                     --cache-fault-policy: enospc:N | \
+                     eio-read:SEED[:DENOM] | torn-write:N | latency:MS\n\
+                     --audit-leaks rejects (and --fence-leaks repairs) \
+                     machine code where a speculative load's value \
+                     reaches an address or branch before its check; \
+                     --taint-secret LOC[,LOC..] (with --sim) marks \
+                     `@global` words or bare word addresses secret and \
+                     tracks misspeculated flow to those sinks\n\
+                     --jobs 0 (the default) auto-detects: the \
+                     SPECFRAME_JOBS environment variable if set to a \
+                     positive integer, otherwise all available cores";
 
 fn parse_cli() -> Result<Cli, String> {
-    let mut args = std::env::args().skip(1);
+    // specc's defaults: profile-guided speculation, auto worker count
+    let base = CompileRequest {
+        spec: SpecKind::Profile,
+        control: ControlKind::Profile,
+        jobs: 0,
+        ..Default::default()
+    };
+    let (inv, own) = parse_flags(base, std::env::args().skip(1))?;
     let mut cli = Cli {
         input: String::new(),
         cache_cmd: None,
         mega: None,
-        entry: "main".into(),
-        args: Vec::new(),
-        train_args: Vec::new(),
-        spec: "profile".into(),
-        control: "profile".into(),
-        target: "epic".into(),
-        sr: true,
-        lftr: true,
-        store_sinking: false,
-        explain_spec: false,
-        alias_profile: None,
+        inv,
         save_alias_profile: None,
-        emit: "ir".into(),
+        emit: Emit::Ir,
         out: None,
         run: false,
-        sim: false,
-        fault_policies: Vec::new(),
         stats: false,
-        jobs: 0,
         time_passes: false,
-        dump_after: PassSet::EMPTY,
-        stop_after: None,
-        inject_spec_fail: None,
-        inject_fallback_fail: None,
-        inject_corrupt: None,
-        verify_each: false,
-        audit_spec: false,
-        audit_leaks: false,
-        fence_leaks: false,
-        taint_secret: Vec::new(),
         reduce: false,
-        fuel: 100_000_000,
-        cache_dir: None,
-        cache_fault_policy: None,
-        cache_retries: specframe::core::cache::DEFAULT_RETRY_BUDGET,
-        deadline_ms: None,
         serve: false,
         serve_queue: None,
         verbose: false,
     };
-    let mut train_set = false;
+    let req = &mut cli.inv.req;
+    let mut args = own.into_iter();
     while let Some(a) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--entry" => cli.entry = args.next().ok_or("--entry needs a value")?,
-            "--args" => cli.args = parse_values(&args.next().ok_or("--args needs a value")?)?,
-            "--train-args" => {
-                cli.train_args = parse_values(&args.next().ok_or("--train-args needs a value")?)?;
-                train_set = true;
-            }
             "--mega" => {
-                let v = args.next().ok_or("--mega needs SEED[:FUNCS]")?;
-                let (seed, funcs) = match v.split_once(':') {
-                    Some((s, f)) => (
-                        s.parse().map_err(|e| format!("bad --mega seed: {e}"))?,
-                        f.parse().map_err(|e| format!("bad --mega funcs: {e}"))?,
-                    ),
-                    None => (
-                        v.parse().map_err(|e| format!("bad --mega seed: {e}"))?,
-                        1000,
-                    ),
-                };
-                cli.mega = Some((seed, funcs));
+                let v = value()?;
+                let (seed, funcs) = v.split_once(':').unwrap_or((v.as_str(), "1000"));
+                cli.mega = Some((
+                    seed.parse().map_err(|e| format!("bad --mega seed: {e}"))?,
+                    funcs
+                        .parse()
+                        .map_err(|e| format!("bad --mega funcs: {e}"))?,
+                ));
             }
-            "--spec" => cli.spec = args.next().ok_or("--spec needs a value")?,
-            "--control" => cli.control = args.next().ok_or("--control needs a value")?,
-            "--target" => cli.target = args.next().ok_or("--target needs a value")?,
-            other if other.starts_with("--target=") => {
-                cli.target = other["--target=".len()..].to_string()
-            }
-            "--no-sr" => cli.sr = false,
-            "--no-lftr" => cli.lftr = false,
-            "--store-sinking" => cli.store_sinking = true,
-            "--explain-spec" => cli.explain_spec = true,
+            "--explain-spec" => req.explain_spec = true,
             "--alias-profile" => {
-                cli.alias_profile = Some(args.next().ok_or("--alias-profile needs a value")?)
+                let path = value()?;
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                req.alias_profile = Some(text);
             }
-            "--save-alias-profile" => {
-                cli.save_alias_profile =
-                    Some(args.next().ok_or("--save-alias-profile needs a value")?)
+            "--save-alias-profile" => cli.save_alias_profile = Some(value()?),
+            "--emit" => {
+                let vocabulary = [("ir", Emit::Ir), ("hssa", Emit::Hssa), ("mach", Emit::Mach)];
+                cli.emit = choose("--emit", &value()?, &vocabulary)?;
             }
-            "--emit" => cli.emit = args.next().ok_or("--emit needs a value")?,
-            "-o" => cli.out = Some(args.next().ok_or("-o needs a value")?),
+            "-o" => cli.out = Some(value()?),
             "--run" => cli.run = true,
-            "--sim" => cli.sim = true,
-            "--fault-policy" => cli
-                .fault_policies
-                .push(args.next().ok_or("--fault-policy needs a value")?),
-            other if other.starts_with("--fault-policy=") => cli
-                .fault_policies
-                .push(other["--fault-policy=".len()..].to_string()),
             "--stats" => cli.stats = true,
-            "--jobs" => {
-                cli.jobs = args
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?
-            }
             "--time-passes" => cli.time_passes = true,
-            "--dump-after" => {
-                cli.dump_after =
-                    PassSet::parse_list(&args.next().ok_or("--dump-after needs a value")?)?
-            }
-            other if other.starts_with("--dump-after=") => {
-                cli.dump_after = PassSet::parse_list(&other["--dump-after=".len()..])?
-            }
-            "--stop-after" => {
-                cli.stop_after = Some(args.next().ok_or("--stop-after needs a value")?.parse()?)
-            }
-            other if other.starts_with("--stop-after=") => {
-                cli.stop_after = Some(other["--stop-after=".len()..].parse()?)
-            }
-            "--inject-spec-fail" => {
-                cli.inject_spec_fail = Some(args.next().ok_or("--inject-spec-fail needs a value")?)
-            }
-            "--inject-fallback-fail" => {
-                cli.inject_fallback_fail =
-                    Some(args.next().ok_or("--inject-fallback-fail needs a value")?)
-            }
-            "--inject-corrupt" => {
-                cli.inject_corrupt = Some(PipelineHooks::parse_inject_corrupt(
-                    &args.next().ok_or("--inject-corrupt needs a value")?,
-                )?)
-            }
-            "--verify-each" => cli.verify_each = true,
-            "--audit-spec" => cli.audit_spec = true,
-            "--audit-leaks" => cli.audit_leaks = true,
-            "--fence-leaks" => cli.fence_leaks = true,
-            "--taint-secret" => push_taint_secrets(
-                &mut cli.taint_secret,
-                &args.next().ok_or("--taint-secret needs a value")?,
-            ),
-            other if other.starts_with("--taint-secret=") => {
-                push_taint_secrets(&mut cli.taint_secret, &other["--taint-secret=".len()..])
-            }
             "--reduce" => cli.reduce = true,
-            "--cache-dir" => {
-                cli.cache_dir = Some(args.next().ok_or("--cache-dir needs a value")?.into())
-            }
+            "--cache-dir" => req.cache_dir = Some(value()?.into()),
             "--cache-fault-policy" => {
-                let spec = args.next().ok_or("--cache-fault-policy needs a value")?;
-                // validate eagerly so a typo fails before any work starts
-                specframe::core::parse_store_fault_policy(&spec)?;
-                cli.cache_fault_policy = Some(spec);
-            }
-            "--cache-retries" => {
-                cli.cache_retries = args
-                    .next()
-                    .ok_or("--cache-retries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --cache-retries: {e}"))?
+                req.cache_fault_policy = Some(specframe::core::parse_store_fault_policy(&value()?)?)
             }
             "--deadline-ms" => {
-                cli.deadline_ms = Some(
-                    args.next()
-                        .ok_or("--deadline-ms needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-                )
+                let ms = value()?.parse();
+                req.deadline_ms = Some(ms.map_err(|e| format!("bad --deadline-ms: {e}"))?);
             }
             "--serve" => cli.serve = true,
-            "--serve-queue" => {
-                cli.serve_queue = Some(args.next().ok_or("--serve-queue needs a value")?.into())
-            }
+            "--serve-queue" => cli.serve_queue = Some(value()?.into()),
             "--verbose" => cli.verbose = true,
-            "--fuel" => {
-                cli.fuel = args
-                    .next()
-                    .ok_or("--fuel needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fuel: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err("usage: specc INPUT.ir [--entry NAME] [--args N,..] \
-                            [--spec none|profile|heuristic|aggressive] \
-                            [--control off|profile|static] [--target epic|swr] \
-                            [--no-sr] [--no-lftr] \
-                            [--store-sinking] [--explain-spec] [--alias-profile FILE] \
-                            [--save-alias-profile FILE] [--emit ir|hssa|mach] [-o FILE] \
-                            [--run] [--sim] [--fault-policy SPEC].. [--stats] \
-                            [--jobs N] [--time-passes]\n\
-                            [--dump-after refine|hssa|ssapre|strength|lftr|storeprom|lower[,..]]\n\
-                            [--stop-after PASS] [--verify-each] [--audit-spec] \
-                            [--audit-leaks] [--fence-leaks] \
-                            [--taint-secret LOC,..] [--reduce] \
-                            [--inject-spec-fail FUNC] [--inject-fallback-fail FUNC] \
-                            [--inject-corrupt FUNC:PASS] [--cache-dir DIR] \
-                            [--cache-fault-policy SPEC] [--cache-retries N] \
-                            [--deadline-ms N] \
-                            [--serve] [--serve-queue DIR] [--verbose]\n\
-                            cache maintenance: specc cache stats|clear|verify \
-                            --cache-dir DIR\n\
-                            --fault-policy: default | geom:E:W | always-miss | \
-                            forced-miss | random:SEED[:DENOM] | flash-clear[:PERIOD] | \
-                            evict-at:N[:N...]\n\
-                            --cache-fault-policy: enospc:N | \
-                            eio-read:SEED[:DENOM] | torn-write:N | latency:MS\n\
-                            --audit-leaks rejects (and --fence-leaks repairs) \
-                            machine code where a speculative load's value \
-                            reaches an address or branch before its check; \
-                            --taint-secret LOC[,LOC..] (with --sim) marks \
-                            `@global` words or bare word addresses secret and \
-                            tracks misspeculated flow to those sinks\n\
-                            --jobs 0 (the default) auto-detects: the \
-                            SPECFRAME_JOBS environment variable if set to a \
-                            positive integer, otherwise all available cores"
-                    .into())
-            }
+            "--help" | "-h" => return Err(USAGE.into()),
             other if !other.starts_with('-') && cli.input.is_empty() => {
                 cli.input = other.to_string()
             }
@@ -458,13 +302,14 @@ fn parse_cli() -> Result<Cli, String> {
         }
     }
     // the flag wins over the environment
-    if cli.cache_dir.is_none() {
+    if req.cache_dir.is_none() {
         if let Ok(dir) = std::env::var("SPECFRAME_CACHE_DIR") {
             if !dir.is_empty() {
-                cli.cache_dir = Some(dir.into());
+                req.cache_dir = Some(dir.into());
             }
         }
     }
+    let executes = cli.run || cli.inv.sim.is_some() || cli.reduce;
     if cli.input == "cache" {
         match cli.cache_cmd.as_deref() {
             Some("stats" | "clear" | "verify") => {}
@@ -475,7 +320,7 @@ fn parse_cli() -> Result<Cli, String> {
             }
             None => return Err("`specc cache` needs an action: stats, clear or verify".into()),
         }
-        if cli.cache_dir.is_none() {
+        if req.cache_dir.is_none() {
             return Err("`specc cache` needs --cache-dir DIR (or SPECFRAME_CACHE_DIR)".into());
         }
         return Ok(cli);
@@ -487,8 +332,17 @@ fn parse_cli() -> Result<Cli, String> {
         if !cli.input.is_empty() || cli.mega.is_some() {
             return Err("serve mode reads requests; drop the input file / --mega".into());
         }
-        if cli.run || cli.sim || cli.reduce {
+        if executes {
             return Err("serve mode is compile-only (no --run/--sim/--reduce)".into());
+        }
+        // the service never prints the decision table
+        req.explain_spec = false;
+        // the profile-guided defaults need a training run, which needs entry
+        // arguments; a service session started without --args/--train-args
+        // cannot provide them per request, so degrade to the self-contained
+        // modes (exactly like `--mega` does) instead of failing every compile
+        if req.args.is_empty() && req.train_args.as_ref().is_none_or(Vec::is_empty) {
+            req.degrade_without_training();
         }
         return Ok(cli);
     }
@@ -496,30 +350,14 @@ fn parse_cli() -> Result<Cli, String> {
         if !cli.input.is_empty() {
             return Err("--mega generates the input; drop the input file".into());
         }
-        if cli.run || cli.sim || cli.reduce {
+        if executes {
             return Err("--mega is compile-only (no --run/--sim/--reduce)".into());
         }
         // The synthetic module has no entry to train on; profile-guided
-        // speculation needs a real program. Degrade both defaults.
-        if cli.spec == "profile" {
-            cli.spec = "heuristic".into();
-        }
-        if cli.control == "profile" {
-            cli.control = "static".into();
-        }
+        // speculation needs a real program.
+        req.degrade_without_training();
     } else if cli.input.is_empty() {
         return Err("no input file (try --help)".into());
-    }
-    if !train_set {
-        cli.train_args = cli.args.clone();
-    }
-    if cli.fault_policies.is_empty() {
-        cli.fault_policies.push("default".into());
-    } else if !cli.sim {
-        return Err("--fault-policy requires --sim".into());
-    }
-    if !cli.taint_secret.is_empty() && !cli.sim {
-        return Err("--taint-secret requires --sim".into());
     }
     Ok(cli)
 }
@@ -536,12 +374,7 @@ fn real_main() -> Result<(), CompileFailure> {
     if cli.serve || cli.serve_queue.is_some() {
         return run_serve(&cli);
     }
-    // validate policy specs and the target name before doing any work
-    for p in &cli.fault_policies {
-        specframe::machine::parse_fault_policy(p).map_err(usage)?;
-    }
-    let target = specframe::machine::TargetId::parse(&cli.target)
-        .ok_or_else(|| usage(format!("unknown --target `{}` (epic|swr)", cli.target)))?;
+    let req = &cli.inv.req;
     let mut m = match cli.mega {
         Some((seed, funcs)) => specframe::workloads::mega_module(seed, funcs),
         None => {
@@ -564,102 +397,32 @@ fn real_main() -> Result<(), CompileFailure> {
     let expect = if cli.mega.is_some() {
         None
     } else {
-        if m.func_by_name(&cli.entry).is_none() {
+        if m.func_by_name(&req.entry).is_none() {
             return Err(usage(format!(
                 "no function `{}` in {}",
-                cli.entry, cli.input
+                req.entry, cli.input
             )));
         }
-        let (expect, _) = run(&m, &cli.entry, &cli.args, cli.fuel).map_err(|e| {
-            CompileFailure::Compile(specframe::core::CompileError {
-                function: String::new(),
-                pass: "reference-run".into(),
-                message: format!("reference run failed: {e}"),
-                fallback_exhausted: false,
-            })
+        let (expect, _) = run(&m, &req.entry, &req.args, req.fuel).map_err(|e| {
+            CompileFailure::internal("reference-run", format!("reference run failed: {e}"))
         })?;
         expect
     };
 
-    if cli.emit == "hssa" {
-        let mut aprof = None;
-        if cli.spec == "profile" {
-            let mut ap = AliasProfiler::new();
-            run_with(&m, &cli.entry, &cli.train_args, cli.fuel, &mut ap).map_err(|e| {
-                CompileFailure::Compile(specframe::core::CompileError {
-                    function: String::new(),
-                    pass: "profile".into(),
-                    message: format!("profiling run failed: {e}"),
-                    fallback_exhausted: false,
-                })
-            })?;
-            aprof = Some(ap.finish());
-        }
-        let aa = AliasAnalysis::analyze(&m);
-        let mut out = String::new();
-        for fi in 0..m.funcs.len() {
-            let fid = specframe::ir::FuncId::from_index(fi);
-            let mode = match (cli.spec.as_str(), &aprof) {
-                ("profile", Some(p)) => SpecMode::Profile(p),
-                ("heuristic", _) => SpecMode::Heuristic,
-                ("aggressive", _) => SpecMode::Aggressive,
-                _ => SpecMode::NoSpeculation,
-            };
-            let hf = build_hssa(&m, fid, &aa, mode);
-            out.push_str(&print_hssa(&m, &hf));
-            out.push('\n');
-        }
-        emit(&cli, &out).map_err(usage)?;
-        return Ok(());
+    if cli.emit == Emit::Hssa {
+        return emit(&cli, &render_hssa(&m, req)?).map_err(usage);
     }
 
-    let alias_profile = match &cli.alias_profile {
-        Some(path) => Some(
-            std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read {path}: {e}")))?,
-        ),
-        None => None,
-    };
-    let req = CompileRequest {
-        entry: cli.entry.clone(),
-        args: cli.args.clone(),
-        train_args: Some(cli.train_args.clone()),
-        spec: cli.spec.clone(),
-        control: cli.control.clone(),
-        target: cli.target.clone(),
-        strength_reduction: cli.sr,
-        lftr: cli.lftr,
-        store_sinking: cli.store_sinking,
-        explain_spec: cli.explain_spec,
-        jobs: cli.jobs,
-        hooks: PipelineHooks {
-            dump_after: cli.dump_after,
-            stop_after: cli.stop_after,
-            inject_spec_fail: cli.inject_spec_fail.clone(),
-            inject_fallback_fail: cli.inject_fallback_fail.clone(),
-            verify_each: cli.verify_each,
-            audit_spec: cli.audit_spec,
-            inject_corrupt: cli.inject_corrupt.clone(),
-            audit_leaks: cli.audit_leaks,
-            fence_leaks: cli.fence_leaks,
-            cancel: Default::default(),
-        },
-        fuel: cli.fuel,
-        alias_profile,
-        cache_dir: cli.cache_dir.clone(),
-        cache_fault_policy: cli.cache_fault_policy.clone(),
-        cache_retries: cli.cache_retries,
-        cache_health: Default::default(),
-        deadline_ms: cli.deadline_ms,
-    };
     // keep the input around so a failure can be shrunk to a minimal repro
     // (and so an --audit-leaks rejection can be adversarially witnessed)
     let input_for_reduce = cli.reduce.then(|| m.clone());
     let input_for_witness =
-        ((cli.audit_leaks || cli.fence_leaks) && cli.mega.is_none()).then(|| m.clone());
-    let out = match compile_module(m, &req) {
+        ((req.hooks.audit_leaks || req.hooks.fence_leaks) && cli.mega.is_none()).then(|| m.clone());
+    let out = match compile_module(m, req) {
         Ok(out) => out,
         Err(e @ CompileFailure::Compile(_)) if cli.reduce => {
-            return reduce_and_report(&cli, input_for_reduce.as_ref().unwrap(), &req, &e, false);
+            let input = input_for_reduce.as_ref().expect("--reduce keeps the input");
+            return reduce_and_report(&cli, input, &e, false);
         }
         Err(e) => {
             // close the loop adversarially: re-derive the input lowering's
@@ -669,10 +432,7 @@ fn real_main() -> Result<(), CompileFailure> {
             // policy string replays with `--sim --fault-policy`
             if let (CompileFailure::Compile(ce), Some(orig)) = (&e, &input_for_witness) {
                 if ce.pass == "audit-leaks" {
-                    let text = specframe::pipeline::witness_leaks_text(
-                        orig, target, &cli.entry, &cli.args, cli.fuel,
-                    );
-                    for line in text.lines() {
+                    for line in witness_leaks_text(orig, req).lines() {
                         eprintln!("specc: {line}");
                     }
                 }
@@ -691,17 +451,15 @@ fn real_main() -> Result<(), CompileFailure> {
     // every fenced site is also witnessed against the *unfenced* lowering
     // of the optimized module (the emitted IR carries no fences — they are
     // re-applied at machine level), proving each repaired leak was real
-    if cli.fence_leaks && report.stats.leak_sites_flagged > 0 && cli.mega.is_none() {
-        let text =
-            specframe::pipeline::witness_leaks_text(&m, target, &cli.entry, &cli.args, cli.fuel);
-        for line in text.lines() {
+    if req.hooks.fence_leaks && report.stats.leak_sites_flagged > 0 && cli.mega.is_none() {
+        for line in witness_leaks_text(&m, req).lines() {
             eprintln!("specc: {line}");
         }
     }
     if cli.stats {
         eprintln!("optimizer: {:?}", report.stats);
     }
-    if cli.cache_dir.is_some() && (cli.stats || cli.time_passes) {
+    if req.cache_dir.is_some() && (cli.stats || cli.time_passes) {
         let c = report.cache;
         eprintln!(
             "cache: {} hits, {} misses, {} stale, {} evicts, {} retries, {} io errors, {} breaker trips",
@@ -727,76 +485,45 @@ fn real_main() -> Result<(), CompileFailure> {
         let text = specframe::profile::write_alias_profile(prof);
         std::fs::write(path, text).map_err(|e| usage(format!("cannot write {path}: {e}")))?;
     }
-    if !cli.dump_after.is_empty() {
+    if !req.hooks.dump_after.is_empty() {
         // dump mode: the per-pass snapshots are the product
         emit(&cli, &specframe::core::render_dumps(&out.dumps)).map_err(usage)?;
         return Ok(());
     }
-    if cli.emit == "mach" {
+    if cli.emit == Emit::Mach {
         // machine-code mode: the rendered lowering for the active target
         // is the product (the same lowering --sim executes)
-        let prog = specframe::codegen::lower_module_for(&m, target.spec());
+        let prog = specframe::codegen::lower_module_for(&m, req.target.spec());
         emit(&cli, &specframe::machine::render_mprogram(&prog)).map_err(usage)?;
         return Ok(());
     }
 
-    let miscompile = |what: &str, got: Option<Value>| {
-        CompileFailure::Compile(specframe::core::CompileError {
-            function: String::new(),
-            pass: what.to_string(),
-            message: format!("MISCOMPILE: {what} result {got:?} != reference {expect:?}"),
-            fallback_exhausted: false,
-        })
+    let mismatch = |what: &str, got: Option<Value>| {
+        let fail = CompileFailure::internal(
+            what,
+            format!("MISCOMPILE: {what} result {got:?} != reference {expect:?}"),
+        );
+        match &input_for_reduce {
+            Some(input) => reduce_and_report(&cli, input, &fail, true),
+            None => Err(fail),
+        }
     };
     if cli.run {
-        let (got, rs) = run(&m, &cli.entry, &cli.args, cli.fuel).map_err(|e| {
-            CompileFailure::Compile(specframe::core::CompileError {
-                function: String::new(),
-                pass: "run".into(),
-                message: format!("optimized run failed: {e}"),
-                fallback_exhausted: false,
-            })
-        })?;
+        let (got, rs) = run(&m, &req.entry, &req.args, req.fuel)
+            .map_err(|e| CompileFailure::internal("run", format!("optimized run failed: {e}")))?;
         if got != expect {
-            let fail = miscompile("run", got);
-            if cli.reduce {
-                return reduce_and_report(
-                    &cli,
-                    input_for_reduce.as_ref().unwrap(),
-                    &req,
-                    &fail,
-                    true,
-                );
-            }
-            return Err(fail);
+            return mismatch("run", got);
         }
         eprintln!(
             "result = {:?}  (loads {} checks {} stores {})",
             got, rs.loads, rs.check_loads, rs.stores
         );
     }
-    if cli.sim {
-        let sim_opts = specframe::pipeline::SimOptions {
-            taint_secret: cli.taint_secret.clone(),
-            fence_leaks: cli.fence_leaks,
-            target,
-        };
-        for policy in &cli.fault_policies {
-            let (got, text) = specframe::pipeline::simulate_text_with(
-                &m, &cli.entry, &cli.args, cli.fuel, policy, &sim_opts,
-            )?;
+    if let Some(sim) = &cli.inv.sim {
+        for policy in &sim.fault_policies {
+            let (got, text) = simulate_text(&m, req, sim, policy)?;
             if got != expect {
-                let fail = miscompile("sim", got);
-                if cli.reduce {
-                    return reduce_and_report(
-                        &cli,
-                        input_for_reduce.as_ref().unwrap(),
-                        &req,
-                        &fail,
-                        true,
-                    );
-                }
-                return Err(fail);
+                return mismatch("sim", got);
             }
             eprint!("{text}");
         }
@@ -805,7 +532,7 @@ fn real_main() -> Result<(), CompileFailure> {
     if cli.reduce {
         eprintln!("specc: --reduce: nothing to reduce (no failure reproduced)");
     }
-    if !cli.run && !cli.sim || cli.out.is_some() {
+    if !cli.run && cli.inv.sim.is_none() || cli.out.is_some() {
         emit(&cli, &specframe::ir::display::print_module(&m)).map_err(usage)?;
     }
     Ok(())
@@ -815,7 +542,12 @@ fn real_main() -> Result<(), CompileFailure> {
 /// named by `--cache-dir` / `SPECFRAME_CACHE_DIR`. `verify` exits 2 when
 /// any entry fails to decode — same family as input verification errors.
 fn run_cache_cmd(cli: &Cli) -> Result<(), CompileFailure> {
-    let dir = cli.cache_dir.as_ref().unwrap();
+    let dir = cli
+        .inv
+        .req
+        .cache_dir
+        .as_ref()
+        .expect("checked by parse_cli");
     let cache = specframe::core::FuncCache::open(dir);
     let io_err = |e: std::io::Error| usage(format!("cache dir {}: {e}", dir.display()));
     match cli.cache_cmd.as_deref().unwrap() {
@@ -862,63 +594,12 @@ fn run_cache_cmd(cli: &Cli) -> Result<(), CompileFailure> {
 }
 
 /// `--serve` / `--serve-queue`: run the compile service with this
-/// invocation's flags as the base request for every served compile.
+/// invocation's request as the base of every served compile.
 fn run_serve(cli: &Cli) -> Result<(), CompileFailure> {
-    let alias_profile = match &cli.alias_profile {
-        Some(path) => Some(
-            std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read {path}: {e}")))?,
-        ),
-        None => None,
-    };
-    // the profile-guided defaults need a training run, which needs entry
-    // arguments; a service session started without --args/--train-args
-    // cannot provide them per request, so degrade to the self-contained
-    // modes (exactly like `--mega` does) instead of failing every compile
-    let mut spec = cli.spec.clone();
-    let mut control = cli.control.clone();
-    if cli.args.is_empty() && cli.train_args.is_empty() {
-        if spec == "profile" {
-            spec = "heuristic".into();
-        }
-        if control == "profile" {
-            control = "static".into();
-        }
-    }
     let cfg = ServeConfig {
-        base: CompileRequest {
-            entry: cli.entry.clone(),
-            args: cli.args.clone(),
-            train_args: Some(cli.train_args.clone()),
-            spec,
-            control,
-            target: cli.target.clone(),
-            strength_reduction: cli.sr,
-            lftr: cli.lftr,
-            store_sinking: cli.store_sinking,
-            explain_spec: false,
-            jobs: cli.jobs,
-            hooks: PipelineHooks {
-                dump_after: cli.dump_after,
-                stop_after: cli.stop_after,
-                inject_spec_fail: cli.inject_spec_fail.clone(),
-                inject_fallback_fail: cli.inject_fallback_fail.clone(),
-                verify_each: cli.verify_each,
-                audit_spec: cli.audit_spec,
-                inject_corrupt: cli.inject_corrupt.clone(),
-                audit_leaks: cli.audit_leaks,
-                fence_leaks: cli.fence_leaks,
-                cancel: Default::default(),
-            },
-            fuel: cli.fuel,
-            alias_profile,
-            cache_dir: cli.cache_dir.clone(),
-            cache_fault_policy: cli.cache_fault_policy.clone(),
-            cache_retries: cli.cache_retries,
-            // one health cell for the whole session: every served request
-            // clones the base, sharing the circuit breaker
-            cache_health: Default::default(),
-            deadline_ms: cli.deadline_ms,
-        },
+        // every served request clones the base, sharing its cache-health
+        // cell: one circuit breaker for the whole session
+        base: cli.inv.req.clone(),
         verbose: cli.verbose,
     };
     match &cli.serve_queue {
@@ -947,14 +628,12 @@ fn run_serve(cli: &Cli) -> Result<(), CompileFailure> {
 fn reduce_and_report(
     cli: &Cli,
     input: &specframe::ir::Module,
-    req: &specframe::pipeline::CompileRequest,
     failure: &CompileFailure,
     run_check: bool,
 ) -> Result<(), CompileFailure> {
     eprintln!("specc: {failure}");
     eprintln!("specc: --reduce: shrinking the failing input...");
-    let rc = run_check.then_some((cli.entry.as_str(), cli.args.as_slice(), cli.fuel));
-    let (red, stats) = specframe::pipeline::reduce_failure(input, req, failure, rc);
+    let (red, stats) = reduce_failure(input, &cli.inv.req, failure, run_check);
     let mut text = format!(
         "; reduce: {} probes, {} -> {} instructions\n",
         stats.probes, stats.initial_insts, stats.final_insts

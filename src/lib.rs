@@ -111,23 +111,23 @@ pub mod serve;
 /// The most common imports in one place.
 pub mod prelude {
     pub use crate::pipeline::{
-        compile, compile_module, reduce_failure, simulate_text, CompileFailure, CompileOutput,
-        CompileRequest,
+        compile, compile_module, parse_flags, reduce_failure, simulate_text, CompileFailure,
+        CompileOutput, CompileRequest, ControlKind, Invocation, SimOptions, SpecKind,
     };
     pub use crate::serve::{serve_queue, serve_stdin, ServeConfig};
     pub use specframe_alias::{AliasAnalysis, Loc};
     pub use specframe_codegen::{lower_module, lower_module_for};
     pub use specframe_core::{
-        optimize, optimize_with, optimize_with_hooks, prepare_module, reduce_module, render_dumps,
-        try_optimize_with_hooks, ControlSpec, OptOptions, OptReport, OptStats, Pass, PassDump,
-        PassSet, PassTimings, PipelineConfig, PipelineHooks, ReduceStats, SpecSource,
+        optimize, optimize_with, prepare_module, reduce_module, render_dumps, try_optimize_cached,
+        ControlSpec, OptOptions, OptReport, OptStats, Pass, PassDump, PassSet, PassTimings,
+        PipelineConfig, PipelineHooks, ReduceStats, SpecSource,
     };
     pub use specframe_hssa::{build_hssa, print_hssa, SpecMode};
     pub use specframe_ir::{parse_module, verify_module, Module, ModuleBuilder, Ty, Value};
     pub use specframe_machine::{audit_func, audit_program, AuditError, AuditStats};
     pub use specframe_machine::{
-        fault_matrix, parse_fault_policy, run_machine, run_machine_on, run_machine_with_policy,
-        run_machine_with_policy_on, Counters, SpecTarget, TargetId,
+        fault_matrix, parse_fault_policy, run_machine, run_machine_on, run_machine_with_policy_on,
+        Counters, SpecTarget, TargetId,
     };
     pub use specframe_profile::{run, run_with, AliasProfiler, EdgeProfiler, ReuseSimulator};
     pub use specframe_workloads::{

@@ -2,10 +2,12 @@
 //!
 //! `specc` and the `spectest` golden-test runner both need the same
 //! sequence — parse, verify, prepare, (optionally) profile on a training
-//! input, then run [`specframe_core::try_optimize_with_hooks`] — with the
-//! same flag vocabulary. This module is that shared seam, so a
-//! `; RUN: specc …` line in a golden test exercises exactly the code path
-//! the CLI does, without spawning a subprocess.
+//! input, then run [`specframe_core::try_optimize_cached`] — with the
+//! same flag vocabulary. This module is that shared seam: [`parse_flags`]
+//! reads the flags both front ends accept into a typed [`CompileRequest`]
+//! (plus the [`SimOptions`] of `--sim`), so a `; RUN: specc …` line in a
+//! golden test exercises exactly the code path the CLI does, without
+//! spawning a subprocess.
 //!
 //! Failures are classified by [`CompileFailure`] so the CLI can exit with
 //! a distinct code per family (usage 1, parse 2, compile 3, exhausted
@@ -14,24 +16,79 @@
 //! [`simulate_text`].
 
 use specframe_alias::AliasAnalysis;
-use specframe_codegen::{lower_module_fenced_for, lower_module_for};
+use specframe_codegen::lower_module_for;
 use specframe_core::{
-    cache::DEFAULT_RETRY_BUDGET, cancel::Watchdog, parse_store_fault_policy, prepare_module,
-    target_spec_costs, try_optimize_cached, CacheHealth, CancelToken, CompileDiag, CompileError,
-    ControlSpec, FuncCache, OptOptions, OptReport, PassDump, PipelineConfig, PipelineHooks,
-    SpecSource,
+    cancel::Watchdog, prepare_module, target_spec_costs, try_optimize_cached, CacheHealth,
+    CancelToken, CompileDiag, CompileError, ControlSpec, FuncCache, OptOptions, OptReport,
+    PassDump, PassSet, PipelineConfig, PipelineHooks, SpecSource, StoreFaultPolicy,
 };
-use specframe_hssa::{build_hssa, HOperand, HStmtKind, Likeliness, SiteQuery, SpecMode};
+use specframe_hssa::{
+    build_hssa, print_hssa, HOperand, HStmtKind, Likeliness, SiteQuery, SpecMode,
+};
 use specframe_ir::{parse_module, verify_module, FuncId, Module, Ty, Value};
 use specframe_machine::{
-    leak_audit_program, parse_fault_policy, run_machine_taint_on, run_machine_with_policy_on,
-    witness_leaks_on, Counters, LeakEvent, TargetId,
+    fence_program, leak_audit_program, parse_fault_policy, run_machine_taint_on,
+    run_machine_with_policy_on, witness_leaks_on, Counters, LeakEvent, TargetId,
 };
 use specframe_profile::{parse_alias_profile, run_with, AliasProfile, AliasProfiler, EdgeProfiler};
 
-/// Everything a compile session needs besides the program text. The
-/// string-typed fields (`spec`, `control`) use the `specc` CLI vocabulary
-/// so RUN lines and the driver parse identically.
+/// Where data-speculation likeliness comes from (`--spec`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecKind {
+    /// No data speculation: the O3 baseline.
+    None,
+    /// Alias-profile guided (§3.2.1): a training run, or a saved profile.
+    Profile,
+    /// Heuristic rules (§3.2.2).
+    Heuristic,
+    /// Ignore all may-aliases — the §5.3 upper-bound estimator.
+    Aggressive,
+}
+
+/// The `--spec` vocabulary.
+const SPEC_KINDS: [(&str, SpecKind); 4] = [
+    ("none", SpecKind::None),
+    ("profile", SpecKind::Profile),
+    ("heuristic", SpecKind::Heuristic),
+    ("aggressive", SpecKind::Aggressive),
+];
+
+impl SpecKind {
+    /// The optimizer's data-speculation source for this choice. `profile`
+    /// is the alias profile a [`SpecKind::Profile`] compile collected or
+    /// loaded; the other kinds ignore it.
+    fn source(self, profile: Option<&AliasProfile>) -> SpecSource<'_> {
+        match self {
+            SpecKind::None => SpecSource::None,
+            SpecKind::Profile => {
+                SpecSource::Profile(profile.expect("a profile-guided compile has its profile"))
+            }
+            SpecKind::Heuristic => SpecSource::Heuristic,
+            SpecKind::Aggressive => SpecSource::Aggressive,
+        }
+    }
+}
+
+/// Where control-speculation likeliness comes from (`--control`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ControlKind {
+    /// No control speculation.
+    Off,
+    /// Edge-profile guided: needs a training run.
+    Profile,
+    /// Ball–Larus-style static heuristics.
+    Static,
+}
+
+/// The `--control` vocabulary.
+const CONTROL_KINDS: [(&str, ControlKind); 3] = [
+    ("off", ControlKind::Off),
+    ("profile", ControlKind::Profile),
+    ("static", ControlKind::Static),
+];
+
+/// Everything a compile session needs besides the program text, typed:
+/// the flag values were parsed where they entered ([`parse_flags`]).
 #[derive(Debug, Clone)]
 pub struct CompileRequest {
     /// Entry function for profiling runs (`--entry`).
@@ -41,21 +98,20 @@ pub struct CompileRequest {
     pub args: Vec<Value>,
     /// Training-run arguments (`--train-args`); `None` means use `args`.
     pub train_args: Option<Vec<Value>>,
-    /// Data speculation source: `none|profile|heuristic|aggressive`.
-    pub spec: String,
-    /// Control speculation source: `off|profile|static`.
-    pub control: String,
+    /// Data speculation source (`--spec`).
+    pub spec: SpecKind,
+    /// Control speculation source (`--control`).
+    pub control: ControlKind,
     /// Run strength reduction (off with `--no-sr`, which also disables
     /// LFTR — it consumes strength reduction's temporaries).
     pub strength_reduction: bool,
-    /// Run linear-function test replacement (off with `--no-lftr`).
-    pub lftr: bool,
     /// Run store promotion (`--store-sinking`).
     pub store_sinking: bool,
     /// Worker threads (`--jobs`, 0 = auto).
     pub jobs: usize,
-    /// Snapshot/stop requests (`--dump-after` / `--stop-after`) and fault
-    /// injection (`--inject-spec-fail` / `--inject-fallback-fail`).
+    /// Snapshot/stop requests (`--dump-after` / `--stop-after`), the
+    /// verification and audit switches, and fault injection
+    /// (`--inject-spec-fail` / `--inject-fallback-fail` / `--inject-corrupt`).
     pub hooks: PipelineHooks,
     /// Interpreter fuel for profiling runs.
     pub fuel: u64,
@@ -76,10 +132,7 @@ pub struct CompileRequest {
     /// (`--cache-fault-policy`, e.g. `enospc:3` / `eio-read:7:2` /
     /// `torn-write:2` / `latency:5`). Module output stays byte-identical
     /// under every policy; only the fault counters (and wall time) move.
-    pub cache_fault_policy: Option<String>,
-    /// Transient cache-I/O retry budget per storage operation
-    /// (`--cache-retries`).
-    pub cache_retries: u32,
+    pub cache_fault_policy: Option<StoreFaultPolicy>,
     /// Session-wide cache circuit breaker. Cloning a request shares it,
     /// which is exactly what the serve loop wants: once storage proves
     /// broken, every later request in the session compiles cache-off
@@ -90,22 +143,22 @@ pub struct CompileRequest {
     /// exceeded deadline fails the compile with exit/service code 5 and
     /// writes no cache entries.
     pub deadline_ms: Option<u64>,
-    /// Execution target: `epic|swr` (`--target`). Selects the lowering
-    /// hooks and the cost model the profitability oracle weighs, so the
-    /// same input can motion differently per target.
-    pub target: String,
+    /// Execution target (`--target`). Selects the lowering hooks and the
+    /// cost model the profitability oracle weighs, so the same input can
+    /// motion differently per target.
+    pub target: TargetId,
 }
 
+/// The golden RUN-line defaults: no speculation, one worker thread.
 impl Default for CompileRequest {
     fn default() -> Self {
         CompileRequest {
             entry: "main".into(),
             args: Vec::new(),
             train_args: None,
-            spec: "none".into(),
-            control: "off".into(),
+            spec: SpecKind::None,
+            control: ControlKind::Off,
             strength_reduction: true,
-            lftr: true,
             store_sinking: false,
             jobs: 1,
             hooks: PipelineHooks::default(),
@@ -114,12 +167,203 @@ impl Default for CompileRequest {
             explain_spec: false,
             cache_dir: None,
             cache_fault_policy: None,
-            cache_retries: DEFAULT_RETRY_BUDGET,
             cache_health: std::sync::Arc::new(CacheHealth::default()),
             deadline_ms: None,
-            target: "epic".into(),
+            target: TargetId::Epic,
         }
     }
+}
+
+impl CompileRequest {
+    /// The arguments a training run uses.
+    fn training_args(&self) -> &[Value] {
+        self.train_args.as_deref().unwrap_or(&self.args)
+    }
+
+    /// Degrades the profile-guided modes to their self-contained
+    /// counterparts — heuristic rules for data speculation, static branch
+    /// estimates for control speculation — for inputs that cannot supply a
+    /// training run (the synthetic mega-module, or a service session
+    /// started without arguments).
+    pub fn degrade_without_training(&mut self) {
+        if self.spec == SpecKind::Profile {
+            self.spec = SpecKind::Heuristic;
+        }
+        if self.control == ControlKind::Profile {
+            self.control = ControlKind::Static;
+        }
+    }
+}
+
+/// How `--sim` runs the optimized module; shared by `specc --sim` and
+/// golden RUN lines. Target, entry, arguments, fuel and leak fencing come
+/// from the [`CompileRequest`] beside it.
+#[derive(Debug, Clone)]
+pub struct SimOptions {
+    /// ALAT fault policies (`--fault-policy`, repeatable; `default` when
+    /// none is given), one counter block each. Validated at parse time.
+    pub fault_policies: Vec<String>,
+    /// Secret locations (`--taint-secret LOC[,LOC...]`): each `@name`
+    /// marks every word of that global as secret; a bare integer marks a
+    /// single word address. Non-empty switches the simulator into taint
+    /// mode (leak counters and per-site leak lines appear in the output).
+    pub taint_secret: Vec<String>,
+}
+
+/// A compile request plus the simulation riding on it: what the flag
+/// vocabulary `specc` and golden RUN lines share sets.
+#[derive(Debug, Clone)]
+pub struct Invocation {
+    /// The compile half.
+    pub req: CompileRequest,
+    /// `--sim` with its options; `None` without `--sim`.
+    pub sim: Option<SimOptions>,
+}
+
+/// Looks `value` up in `flag`'s vocabulary; an unknown value is a usage
+/// error that lists the known ones.
+///
+/// # Errors
+/// `unknown FLAG `VALUE` (expected A|B|…)`.
+pub fn choose<T: Copy>(flag: &str, value: &str, vocabulary: &[(&str, T)]) -> Result<T, String> {
+    match vocabulary.iter().find(|(name, _)| *name == value) {
+        Some(&(_, t)) => Ok(t),
+        None => {
+            let names: Vec<&str> = vocabulary.iter().map(|(name, _)| *name).collect();
+            Err(format!(
+                "unknown {flag} `{value}` (expected {})",
+                names.join("|")
+            ))
+        }
+    }
+}
+
+/// Parses a value list of the `--args 0,100` form.
+fn parse_values(s: &str) -> Result<Vec<Value>, String> {
+    if s.is_empty() {
+        return Ok(Vec::new());
+    }
+    s.split(',')
+        .map(|t| {
+            let t = t.trim();
+            if t.contains('.') {
+                t.parse::<f64>()
+                    .map(Value::F)
+                    .map_err(|e| format!("bad float `{t}`: {e}"))
+            } else {
+                t.parse::<i64>()
+                    .map(Value::I)
+                    .map_err(|e| format!("bad int `{t}`: {e}"))
+            }
+        })
+        .collect()
+}
+
+/// Parses a count-valued flag's value.
+fn number<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+    flag: &str,
+    v: String,
+) -> Result<T, String> {
+    v.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// Parses the flag vocabulary `specc` and golden RUN lines share, over
+/// `base` (each front end's defaults): `--entry`, `--args`,
+/// `--train-args`, `--spec`, `--control`, `--target`, `--no-sr`,
+/// `--store-sinking`, `--jobs`, `--fuel`, `--dump-after`, `--stop-after`,
+/// `--verify-each`, `--audit-spec`, `--audit-leaks`, `--fence-leaks`,
+/// `--inject-spec-fail`, `--inject-fallback-fail`, `--inject-corrupt`,
+/// `--sim`, `--fault-policy` and `--taint-secret`. A flag's value is the
+/// next token, or follows `=` in the same token (`--target=swr`). Every
+/// other token is returned, in order, for the front end's own flags.
+///
+/// # Errors
+/// A usage message: an unknown or missing value, a value given to a
+/// switch, or `--fault-policy` / `--taint-secret` without `--sim`.
+pub fn parse_flags(
+    base: CompileRequest,
+    tokens: impl IntoIterator<Item = String>,
+) -> Result<(Invocation, Vec<String>), String> {
+    let mut req = base;
+    let (mut sim, mut fault_policies, mut taint_secret) = (false, Vec::new(), Vec::new());
+    let mut rest = Vec::new();
+    let mut tokens = tokens.into_iter();
+    while let Some(tok) = tokens.next() {
+        let (flag, inline) = match tok.split_once('=') {
+            Some((flag, v)) if flag.starts_with("--") => (flag, Some(v)),
+            _ => (tok.as_str(), None),
+        };
+        let mut value = || -> Result<String, String> {
+            match inline {
+                Some(v) => Ok(v.to_string()),
+                None => tokens.next().ok_or_else(|| format!("{flag} needs a value")),
+            }
+        };
+        let switch = |on: &mut bool, to: bool| match inline {
+            Some(_) => Err(format!("{flag} takes no value")),
+            None => {
+                *on = to;
+                Ok(())
+            }
+        };
+        let hooks = &mut req.hooks;
+        match flag {
+            "--entry" => req.entry = value()?,
+            "--args" => req.args = parse_values(&value()?)?,
+            "--train-args" => req.train_args = Some(parse_values(&value()?)?),
+            "--spec" => req.spec = choose(flag, &value()?, &SPEC_KINDS)?,
+            "--control" => req.control = choose(flag, &value()?, &CONTROL_KINDS)?,
+            "--target" => {
+                req.target = choose(flag, &value()?, &TargetId::ALL.map(|t| (t.name(), t)))?
+            }
+            "--jobs" => req.jobs = number(flag, value()?)?,
+            "--fuel" => req.fuel = number(flag, value()?)?,
+            "--no-sr" => switch(&mut req.strength_reduction, false)?,
+            "--store-sinking" => switch(&mut req.store_sinking, true)?,
+            "--dump-after" => hooks.dump_after = PassSet::parse_list(&value()?)?,
+            "--stop-after" => hooks.stop_after = Some(value()?.parse()?),
+            "--verify-each" => switch(&mut hooks.verify_each, true)?,
+            "--audit-spec" => switch(&mut hooks.audit_spec, true)?,
+            "--audit-leaks" => switch(&mut hooks.audit_leaks, true)?,
+            "--fence-leaks" => switch(&mut hooks.fence_leaks, true)?,
+            "--inject-spec-fail" => hooks.inject_spec_fail = Some(value()?),
+            "--inject-fallback-fail" => hooks.inject_fallback_fail = Some(value()?),
+            "--inject-corrupt" => {
+                hooks.inject_corrupt = Some(PipelineHooks::parse_inject_corrupt(&value()?)?)
+            }
+            "--sim" => switch(&mut sim, true)?,
+            "--fault-policy" => {
+                let policy = value()?;
+                parse_fault_policy(&policy)?;
+                fault_policies.push(policy);
+            }
+            // `LOC[,LOC...]`, resolved against the module at simulation time
+            "--taint-secret" => taint_secret.extend(
+                value()?
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .map(str::to_string),
+            ),
+            _ => rest.push(tok.clone()),
+        }
+    }
+    if !sim {
+        if !fault_policies.is_empty() {
+            return Err("--fault-policy requires --sim".into());
+        }
+        if !taint_secret.is_empty() {
+            return Err("--taint-secret requires --sim".into());
+        }
+    }
+    if fault_policies.is_empty() {
+        fault_policies.push("default".into());
+    }
+    let sim = sim.then_some(SimOptions {
+        fault_policies,
+        taint_secret,
+    });
+    Ok((Invocation { req, sim }, rest))
 }
 
 /// A failed compile session, classified for exit-code purposes.
@@ -150,7 +394,7 @@ impl CompileFailure {
     }
 
     /// Wraps a pipeline-level error that is not tied to one function.
-    fn internal(pass: &str, message: String) -> Self {
+    pub fn internal(pass: &str, message: String) -> Self {
         CompileFailure::Compile(CompileError {
             function: String::new(),
             pass: pass.to_string(),
@@ -208,6 +452,30 @@ pub fn compile(src: &str, req: &CompileRequest) -> Result<CompileOutput, Compile
     compile_module(m, req)
 }
 
+/// The training run of a profile-guided compile: the request's entry on
+/// its training arguments, collecting the alias and the edge profile at
+/// once.
+fn training_run(
+    m: &Module,
+    req: &CompileRequest,
+) -> Result<(AliasProfile, specframe_analysis::EdgeProfile), CompileFailure> {
+    if m.func_by_name(&req.entry).is_none() {
+        return Err(CompileFailure::Usage(format!(
+            "profile-guided compile needs entry function `{}`",
+            req.entry
+        )));
+    }
+    let mut ap = AliasProfiler::new();
+    let mut ep = EdgeProfiler::new();
+    {
+        let mut obs = specframe_profile::observer::Compose(vec![&mut ap, &mut ep]);
+        run_with(m, &req.entry, req.training_args(), req.fuel, &mut obs).map_err(|e| {
+            CompileFailure::internal("profile", format!("profiling run failed: {e}"))
+        })?;
+    }
+    Ok((ap.finish(), ep.finish()))
+}
+
 /// Runs the speculative pipeline over an already-verified module:
 /// critical-edge preparation, alias-profile ingestion or a profiling
 /// interpreter run when a profile-guided mode is requested, then the
@@ -218,96 +486,50 @@ pub fn compile_module(
 ) -> Result<CompileOutput, CompileFailure> {
     prepare_module(&mut m);
 
-    let target = TargetId::parse(&req.target).ok_or_else(|| {
-        CompileFailure::Usage(format!(
-            "unknown --target `{}` (expected epic|swr)",
-            req.target
-        ))
-    })?;
-
     // Degradation diagnostics raised before the optimizer runs; prepended
     // to the report's warning list afterwards.
     let mut pre_warnings: Vec<CompileDiag> = Vec::new();
 
-    let mut spec = req.spec.as_str();
+    let mut spec = req.spec;
     let mut aprof: Option<AliasProfile> = None;
-    if spec == "profile" {
-        if let Some(text) = &req.alias_profile {
-            match parse_alias_profile(text, &m) {
-                Ok(p) => aprof = Some(p),
-                Err(e) => {
-                    // §3.2: without a usable profile the framework falls
-                    // back to the speculative alias heuristics.
-                    pre_warnings.push(CompileDiag {
-                        function: String::new(),
-                        pass: "alias-profile".into(),
-                        message: format!(
-                            "alias profile unusable ({e}); \
-                             falling back to heuristic speculation rules"
-                        ),
-                    });
-                    spec = "heuristic";
-                }
+    if let (SpecKind::Profile, Some(text)) = (spec, &req.alias_profile) {
+        match parse_alias_profile(text, &m) {
+            Ok(p) => aprof = Some(p),
+            Err(e) => {
+                // §3.2: without a usable profile the framework falls
+                // back to the speculative alias heuristics.
+                pre_warnings.push(CompileDiag {
+                    function: String::new(),
+                    pass: "alias-profile".into(),
+                    message: format!(
+                        "alias profile unusable ({e}); \
+                         falling back to heuristic speculation rules"
+                    ),
+                });
+                spec = SpecKind::Heuristic;
             }
         }
     }
 
     // profiling run, when a profile-guided mode still needs one
-    let needs_profile = (spec == "profile" && aprof.is_none()) || req.control == "profile";
     let mut eprof = None;
-    if needs_profile {
-        if m.func_by_name(&req.entry).is_none() {
-            return Err(CompileFailure::Usage(format!(
-                "profile-guided compile needs entry function `{}`",
-                req.entry
-            )));
-        }
-        let train = req.train_args.as_ref().unwrap_or(&req.args);
-        let mut ap = AliasProfiler::new();
-        let mut ep = EdgeProfiler::new();
-        {
-            let mut obs = specframe_profile::observer::Compose(vec![&mut ap, &mut ep]);
-            run_with(&m, &req.entry, train, req.fuel, &mut obs).map_err(|e| {
-                CompileFailure::internal("profile", format!("profiling run failed: {e}"))
-            })?;
-        }
-        if aprof.is_none() {
-            aprof = Some(ap.finish());
-        }
-        eprof = Some(ep.finish());
+    if (spec == SpecKind::Profile && aprof.is_none()) || req.control == ControlKind::Profile {
+        let (ap, ep) = training_run(&m, req)?;
+        aprof = aprof.or(Some(ap));
+        eprof = Some(ep);
     }
-
-    let data = match spec {
-        "none" => SpecSource::None,
-        "profile" => SpecSource::Profile(aprof.as_ref().unwrap()),
-        "heuristic" => SpecSource::Heuristic,
-        "aggressive" => SpecSource::Aggressive,
-        other => return Err(CompileFailure::Usage(format!("unknown --spec `{other}`"))),
-    };
-    let control = match req.control.as_str() {
-        "off" => ControlSpec::Off,
-        "profile" => ControlSpec::Profile(eprof.as_ref().unwrap()),
-        "static" => ControlSpec::Static,
-        other => {
-            return Err(CompileFailure::Usage(format!(
-                "unknown --control `{other}`"
-            )))
-        }
+    let data = spec.source(aprof.as_ref());
+    let control = match req.control {
+        ControlKind::Off => ControlSpec::Off,
+        ControlKind::Profile => ControlSpec::Profile(eprof.as_ref().expect("trained above")),
+        ControlKind::Static => ControlSpec::Static,
     };
 
     // the decision table reflects construction-time verdicts, so render it
     // on the prepared module before the optimizer consumes the flags
-    let explain = if req.explain_spec {
-        let mode = match data {
-            SpecSource::None => SpecMode::NoSpeculation,
-            SpecSource::Profile(p) => SpecMode::Profile(p),
-            SpecSource::Heuristic => SpecMode::Heuristic,
-            SpecSource::Aggressive => SpecMode::Aggressive,
-        };
-        Some(render_explain_spec(&m, mode, target))
-    } else {
-        None
-    };
+    let explain = req
+        .explain_spec
+        .then(|| render_explain_spec(&m, data.mode(), req.target));
 
     // per-request deadline: a cooperative token on the hooks, plus a
     // watchdog thread that trips it the moment the clock runs out (joined
@@ -324,28 +546,22 @@ pub fn compile_module(
         return Err(CompileFailure::Compile(CompileError::deadline("")));
     }
 
-    let fcache = match &req.cache_dir {
-        None => None,
-        Some(dir) => {
-            let mut c = FuncCache::open(dir)
-                .with_retry_budget(req.cache_retries)
-                .with_health(std::sync::Arc::clone(&req.cache_health));
-            if let Some(spec) = &req.cache_fault_policy {
-                let policy = parse_store_fault_policy(spec).map_err(CompileFailure::Usage)?;
-                c = c.with_fault_policy(policy);
-            }
-            Some(c)
+    let fcache = req.cache_dir.as_ref().map(|dir| {
+        let c = FuncCache::open(dir).with_health(std::sync::Arc::clone(&req.cache_health));
+        match req.cache_fault_policy {
+            Some(policy) => c.with_fault_policy(policy),
+            None => c,
         }
-    };
+    });
     let (mut report, dumps) = try_optimize_cached(
         &mut m,
         &OptOptions {
             data,
             control,
             strength_reduction: req.strength_reduction,
-            lftr: req.strength_reduction && req.lftr,
+            lftr: req.strength_reduction,
             store_sinking: req.store_sinking,
-            target,
+            target: req.target,
         },
         &PipelineConfig { jobs: req.jobs },
         &hooks,
@@ -362,6 +578,26 @@ pub fn compile_module(
         alias_profile: aprof,
         explain,
     })
+}
+
+/// Renders the `--emit hssa` dump: the speculative SSA form of every
+/// function of the prepared module `m` before optimization, flagged under
+/// the request's data-speculation source (`profile` collects its alias
+/// profile with a training run).
+pub fn render_hssa(m: &Module, req: &CompileRequest) -> Result<String, CompileFailure> {
+    let aprof = match req.spec {
+        SpecKind::Profile => Some(training_run(m, req)?.0),
+        _ => None,
+    };
+    let mode = req.spec.source(aprof.as_ref()).mode();
+    let aa = AliasAnalysis::analyze(m);
+    let mut out = String::new();
+    for fi in 0..m.funcs.len() {
+        let hf = build_hssa(m, FuncId::from_index(fi), &aa, mode);
+        out.push_str(&print_hssa(m, &hf));
+        out.push('\n');
+    }
+    Ok(out)
 }
 
 /// Renders the `--explain-spec` table: for every χ/μ-carrying site of
@@ -460,14 +696,15 @@ pub fn render_explain_spec(m: &Module, mode: SpecMode<'_>, target: TargetId) -> 
 /// and accepts it only when it fails in the *same class* as `original`
 /// — same exit-code family and same failing pass — so the reducer cannot
 /// drift onto a different bug. For result-mismatch failures (`original`
-/// names the `run`/`sim` pass), pass `run_check`: candidates then must
+/// names the `run`/`sim` pass), set `run_check`: candidates then must
 /// compile cleanly and *diverge* from the reference interpreter on the
-/// given entry/args, the divergence being the preserved failure.
+/// request's entry and arguments, the divergence being the preserved
+/// failure.
 pub fn reduce_failure(
     m: &Module,
     req: &CompileRequest,
     original: &CompileFailure,
-    run_check: Option<(&str, &[Value], u64)>,
+    run_check: bool,
 ) -> (Module, specframe_core::ReduceStats) {
     let code = original.exit_code();
     let (orig_pass, is_miscompile) = match original {
@@ -490,18 +727,13 @@ pub fn reduce_failure(
                     }
             }
             Ok(out) => {
-                let Some((entry, args, fuel)) = run_check else {
-                    return false;
-                };
-                if !is_miscompile {
+                if !(run_check && is_miscompile) {
                     return false;
                 }
                 let mut reference = cand.clone();
                 prepare_module(&mut reference);
-                match (
-                    specframe_profile::run(&reference, entry, args, fuel),
-                    specframe_profile::run(&out.module, entry, args, fuel),
-                ) {
+                let run = |m: &Module| specframe_profile::run(m, &req.entry, &req.args, req.fuel);
+                match (run(&reference), run(&out.module)) {
                     (Ok((want, _)), Ok((got, _))) => want != got,
                     _ => false,
                 }
@@ -511,61 +743,44 @@ pub fn reduce_failure(
     specframe_core::reduce_module(m, &mut pred)
 }
 
-/// Lowers `m` for the default (epic) target, simulates it under the named
-/// ALAT fault policy, and renders the `specc --sim` counter block. Returns
-/// the machine result and the rendered text; `specc` prints it to stderr
-/// and golden tests CHECK it directly, so the two can never drift apart.
+/// Lowers `m` for the request's target — through the machine-level
+/// leak-fencing transform under `--fence-leaks`, so the inserted barriers
+/// and their cycle cost show in the counters — simulates the request's
+/// entry on its arguments under ALAT fault `policy`, and renders the
+/// `--sim` counter block. With `--taint-secret` locations or fencing, the
+/// simulator runs in taint mode and the taint counter rows and per-site
+/// leak lines follow the ordinary block, whose pinned layout never
+/// changes. Returns the machine result and the text; `specc` prints it to
+/// stderr and golden tests CHECK it directly, so the two can never drift
+/// apart.
 pub fn simulate_text(
     m: &Module,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-    fault_policy: &str,
+    req: &CompileRequest,
+    sim: &SimOptions,
+    policy: &str,
 ) -> Result<(Option<Value>, String), CompileFailure> {
-    simulate_text_on(m, TargetId::Epic, entry, args, fuel, fault_policy)
-}
-
-/// [`simulate_text`] for an explicit execution target: the lowering uses
-/// the target's hooks and the simulator its cost table and check
-/// semantics, so `--target=swr --sim` prices software checks honestly.
-pub fn simulate_text_on(
-    m: &Module,
-    target: TargetId,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-    fault_policy: &str,
-) -> Result<(Option<Value>, String), CompileFailure> {
-    let policy = parse_fault_policy(fault_policy).map_err(CompileFailure::Usage)?;
+    let policy = parse_fault_policy(policy).map_err(CompileFailure::Usage)?;
     let name = policy.name();
-    let prog = lower_module_for(m, target.spec());
-    let (got, c) = run_machine_with_policy_on(&prog, target.spec(), entry, args, fuel, policy)
-        .map_err(|e| CompileFailure::internal("simulate", format!("simulation failed: {e}")))?;
-    Ok((got, render_sim_counters(&name, got, &c)))
-}
-
-/// Extra simulator behavior shared by `specc --sim` and golden RUN lines:
-/// taint-mode secret marking and machine-level leak fencing.
-#[derive(Debug, Clone, Default)]
-pub struct SimOptions {
-    /// Secret locations (`--taint-secret LOC[,LOC...]`): each `@name`
-    /// marks every word of that global as secret; a bare integer marks a
-    /// single word address. Non-empty switches the simulator into taint
-    /// mode (leak counters and per-site leak lines appear in the output).
-    pub taint_secret: Vec<String>,
-    /// Apply the machine-level leak-fencing transform to the lowering
-    /// before simulating (`--fence-leaks` + `--sim`), so the inserted
-    /// barriers and their cycle cost are observable in the counters.
-    pub fence_leaks: bool,
-    /// Execution target the simulation lowers for (`--target`).
-    pub target: TargetId,
-}
-
-impl SimOptions {
-    /// Whether these options change anything over plain [`simulate_text`].
-    pub fn is_active(&self) -> bool {
-        !self.taint_secret.is_empty() || self.fence_leaks
+    let target = req.target.spec();
+    let (entry, args) = (req.entry.as_str(), req.args.as_slice());
+    let failed = |e: specframe_machine::SimError| {
+        CompileFailure::internal("simulate", format!("simulation failed: {e}"))
+    };
+    let mut prog = lower_module_for(m, target);
+    if sim.taint_secret.is_empty() && !req.hooks.fence_leaks {
+        let (got, c) = run_machine_with_policy_on(&prog, target, entry, args, req.fuel, policy)
+            .map_err(failed)?;
+        return Ok((got, render_sim_counters(&name, got, &c)));
     }
+    let secrets = resolve_secret_locs(m, &sim.taint_secret)?;
+    if req.hooks.fence_leaks {
+        fence_program(&mut prog);
+    }
+    let rep = run_machine_taint_on(&prog, target, entry, args, req.fuel, policy, &secrets)
+        .map_err(failed)?;
+    let mut text = render_sim_counters(&name, rep.result, &rep.counters);
+    text.push_str(&render_taint_counters(&rep.counters, &rep.events));
+    Ok((rep.result, text))
 }
 
 /// Resolves `--taint-secret` specs against a module's global layout:
@@ -597,46 +812,6 @@ fn resolve_secret_locs(m: &Module, specs: &[String]) -> Result<Vec<i64>, Compile
     Ok(out)
 }
 
-/// [`simulate_text`] with taint tracking and optional leak fencing: lowers
-/// `m` (through the fencing transform when requested), runs the
-/// taint-mode simulator with the resolved secret set, and appends the
-/// taint counter rows and per-site leak lines after the ordinary counter
-/// block. With inactive `opts` this is exactly [`simulate_text`], so the
-/// pinned counter layout of non-taint golden tests never changes.
-pub fn simulate_text_with(
-    m: &Module,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-    fault_policy: &str,
-    opts: &SimOptions,
-) -> Result<(Option<Value>, String), CompileFailure> {
-    if !opts.is_active() {
-        return simulate_text_on(m, opts.target, entry, args, fuel, fault_policy);
-    }
-    let policy = parse_fault_policy(fault_policy).map_err(CompileFailure::Usage)?;
-    let name = policy.name();
-    let secrets = resolve_secret_locs(m, &opts.taint_secret)?;
-    let prog = if opts.fence_leaks {
-        lower_module_fenced_for(m, opts.target.spec()).0
-    } else {
-        lower_module_for(m, opts.target.spec())
-    };
-    let rep = run_machine_taint_on(
-        &prog,
-        opts.target.spec(),
-        entry,
-        args,
-        fuel,
-        policy,
-        &secrets,
-    )
-    .map_err(|e| CompileFailure::internal("simulate", format!("simulation failed: {e}")))?;
-    let mut text = render_sim_counters(&name, rep.result, &rep.counters);
-    text.push_str(&render_taint_counters(&rep.counters, &rep.events));
-    Ok((rep.result, text))
-}
-
 /// The taint-mode extension of the `--sim` counter block: the leak/fence
 /// counters in the same `name = value` layout, then one `leak:` line per
 /// distinct dynamic taint-to-sink site. Kept out of
@@ -666,26 +841,19 @@ pub fn render_taint_counters(c: &Counters, events: &[LeakEvent]) -> String {
 }
 
 /// Renders adversarial-eviction witnesses for every static leak site in
-/// `m`'s (unfenced) lowering: each flagged site is driven into actual
+/// the (unfenced) lowering of `m` for the request's target, run on its
+/// entry and arguments: each flagged site is driven into actual
 /// misspeculation by a seeded forced-eviction schedule constructed from a
 /// probe run, or refuted when no schedule can reach it. The emitted
 /// `evict-at:N` policy string is replayable via `--fault-policy`, so a
 /// leak repro shrinks to a `.spec`-ready case with `specc --reduce` plus
 /// one `--sim` run. Empty string when the lowering audits clean.
-pub fn witness_leaks_text(
-    m: &Module,
-    target: TargetId,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-) -> String {
-    let prog = lower_module_for(m, target.spec());
+pub fn witness_leaks_text(m: &Module, req: &CompileRequest) -> String {
+    let target = req.target.spec();
+    let prog = lower_module_for(m, target);
     let sites = leak_audit_program(&prog);
-    if sites.is_empty() {
-        return String::new();
-    }
     let mut s = String::new();
-    for w in witness_leaks_on(&prog, target.spec(), entry, args, fuel, &sites) {
+    for w in witness_leaks_on(&prog, target, &req.entry, &req.args, req.fuel, &sites) {
         match &w.policy {
             Some(p) => s.push_str(&format!(
                 "leak witness: {} — CONFIRMED under `--fault-policy {p}` ({})\n",
@@ -750,8 +918,8 @@ merge:
     fn compile_without_profiling_needs_no_entry() {
         // `f`, not `main` — heuristic mode never runs the interpreter
         let req = CompileRequest {
-            spec: "heuristic".into(),
-            control: "static".into(),
+            spec: SpecKind::Heuristic,
+            control: ControlKind::Static,
             ..Default::default()
         };
         let out = compile(DIAMOND, &req).unwrap();
@@ -761,8 +929,8 @@ merge:
     #[test]
     fn dump_after_ssapre_shows_pre_insertion() {
         let req = CompileRequest {
-            spec: "heuristic".into(),
-            control: "static".into(),
+            spec: SpecKind::Heuristic,
+            control: ControlKind::Static,
             hooks: PipelineHooks {
                 dump_after: PassSet::from_iter([Pass::Ssapre]),
                 ..Default::default()
@@ -836,8 +1004,8 @@ merge:
     #[test]
     fn corrupt_alias_profile_degrades_to_heuristics_with_warning() {
         let req = CompileRequest {
-            spec: "profile".into(),
-            control: "static".into(),
+            spec: SpecKind::Profile,
+            control: ControlKind::Static,
             alias_profile: Some("not a profile at all".into()),
             ..Default::default()
         };
@@ -883,7 +1051,7 @@ go:
         let text = specframe_profile::write_alias_profile(&ap.finish());
 
         let req = CompileRequest {
-            spec: "profile".into(),
+            spec: SpecKind::Profile,
             entry: "nonexistent".into(),
             alias_profile: Some(text),
             ..Default::default()
@@ -896,13 +1064,19 @@ go:
     #[test]
     fn simulate_text_renders_fault_policy_counters() {
         let req = CompileRequest {
-            spec: "heuristic".into(),
-            control: "static".into(),
+            entry: "f".into(),
+            args: vec![Value::I(3), Value::I(4), Value::I(1)],
+            fuel: 1_000_000,
+            spec: SpecKind::Heuristic,
+            control: ControlKind::Static,
             ..Default::default()
         };
         let out = compile(DIAMOND, &req).unwrap();
-        let args = [Value::I(3), Value::I(4), Value::I(1)];
-        let (got, text) = simulate_text(&out.module, "f", &args, 1_000_000, "always-miss").unwrap();
+        let sim = SimOptions {
+            fault_policies: Vec::new(),
+            taint_secret: Vec::new(),
+        };
+        let (got, text) = simulate_text(&out.module, &req, &sim, "always-miss").unwrap();
         assert_eq!(got, Some(Value::I(14)));
         assert!(
             text.contains("fault policy         = always-miss"),
@@ -910,7 +1084,7 @@ go:
         );
         assert!(text.contains("alat fault kills     = "), "{text}");
         // bad policy name is a usage error (exit 1)
-        let err = simulate_text(&out.module, "f", &args, 1_000, "bogus").unwrap_err();
+        let err = simulate_text(&out.module, &req, &sim, "bogus").unwrap_err();
         assert_eq!(err.exit_code(), 1);
     }
 }

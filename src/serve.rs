@@ -54,7 +54,6 @@
 use crate::pipeline::{compile_module, CompileFailure, CompileOutput, CompileRequest};
 use specframe_core::{crashpoint, FuncCache};
 use specframe_ir::display::print_module;
-use specframe_ir::parse_module;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::time::Instant;
@@ -358,35 +357,22 @@ fn compile_mega(
     };
     let m = specframe_workloads::mega_module(seed, funcs);
     let mut req = with_deadline(cfg, deadline_ms);
-    // the synthetic module has no profiling entry point; degrade the
-    // profile-guided modes exactly like `specc --mega` does
-    if req.spec == "profile" {
-        req.spec = "heuristic".into();
-    }
-    if req.control == "profile" {
-        req.control = "static".into();
-    }
+    // the synthetic module has no profiling entry point
+    req.degrade_without_training();
     compile_module(m, &req)
-}
-
-/// Parses an already-read module source through the service's base
-/// request — the programmatic equivalent of a `compile` request, used by
-/// tests that want the response line *and* the output.
-pub fn compile_source(cfg: &ServeConfig, src: &str) -> Result<CompileOutput, CompileFailure> {
-    let m = parse_module(src).map_err(|e| CompileFailure::Parse(e.to_string()))?;
-    specframe_ir::verify_module(&m).map_err(|e| CompileFailure::Parse(e.to_string()))?;
-    compile_module(m, &cfg.base)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{ControlKind, SpecKind};
+    use specframe_core::parse_store_fault_policy;
 
     fn cfg_with_cache(dir: Option<std::path::PathBuf>) -> ServeConfig {
         ServeConfig {
             base: CompileRequest {
-                spec: "heuristic".into(),
-                control: "static".into(),
+                spec: SpecKind::Heuristic,
+                control: ControlKind::Static,
                 cache_dir: dir,
                 ..Default::default()
             },
@@ -478,7 +464,7 @@ mod tests {
         let want = print_module(&reference.module);
         for policy in ["enospc:2", "eio-read:7:2", "torn-write:2"] {
             let mut cfg = cfg_with_cache(Some(base.join(policy.replace(':', "_"))));
-            cfg.base.cache_fault_policy = Some(policy.into());
+            cfg.base.cache_fault_policy = Some(parse_store_fault_policy(policy).unwrap());
             for round in 0..2 {
                 let out = compile_mega(&cfg, "5:8", None)
                     .unwrap_or_else(|e| panic!("{policy} round {round}: {e}"));

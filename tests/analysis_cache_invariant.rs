@@ -4,9 +4,10 @@
 //! instructions).
 //!
 //! The backing counter (`specframe_analysis::dom_compute_count`) is
-//! process-global, so this file deliberately contains a single `#[test]` —
-//! its own test binary — to keep other tests' dominator builds out of the
-//! delta. `PassTimings::dom_computes` is that delta, measured inside
+//! per-thread, and the driver builds every function's analyses on the
+//! calling thread before its worker fan-out, so dominator builds of tests
+//! running on other threads never reach the delta.
+//! `PassTimings::dom_computes` is that delta, measured inside
 //! `optimize_with` itself.
 
 use specframe::prelude::*;

@@ -14,8 +14,8 @@ fn temp_cache(tag: &str) -> PathBuf {
 
 fn req(cache: Option<&Path>, jobs: usize) -> CompileRequest {
     CompileRequest {
-        spec: "heuristic".into(),
-        control: "static".into(),
+        spec: SpecKind::Heuristic,
+        control: ControlKind::Static,
         jobs,
         cache_dir: cache.map(Path::to_path_buf),
         ..Default::default()

@@ -276,6 +276,30 @@ fn unknown_flag_reports_usage() {
 }
 
 #[test]
+fn unknown_flag_values_are_usage_errors_before_any_work() {
+    let input = write_kernel();
+    for (args, want) in [
+        (&["--emit", "bogus"][..], "unknown --emit `bogus`"),
+        (
+            &["--spec", "bogus", "--emit", "hssa"][..],
+            "unknown --spec `bogus`",
+        ),
+        (&["--control=bogus"][..], "unknown --control `bogus`"),
+        (&["--sim=yes"][..], "--sim takes no value"),
+    ] {
+        let out = specc()
+            .arg(input.as_str())
+            .args(args)
+            .output()
+            .expect("spawn specc");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn fault_policies_report_per_policy_counters() {
     let input = write_kernel();
     let out = specc()

@@ -63,7 +63,14 @@ fn mega_module_dumps_are_bit_identical_across_job_counts() {
     prepare_module(&mut base);
 
     let mut serial = base.clone();
-    let (_, d1) = optimize_with_hooks(&mut serial, &opts(), &PipelineConfig { jobs: 1 }, &hooks);
+    let (_, d1) = try_optimize_cached(
+        &mut serial,
+        &opts(),
+        &PipelineConfig { jobs: 1 },
+        &hooks,
+        None,
+    )
+    .unwrap();
     let r1 = render_dumps(&d1);
     assert!(
         r1.contains("dump-after ssapre"),
@@ -72,7 +79,14 @@ fn mega_module_dumps_are_bit_identical_across_job_counts() {
 
     for jobs in [2, 4] {
         let mut parallel = base.clone();
-        let (_, dj) = optimize_with_hooks(&mut parallel, &opts(), &PipelineConfig { jobs }, &hooks);
+        let (_, dj) = try_optimize_cached(
+            &mut parallel,
+            &opts(),
+            &PipelineConfig { jobs },
+            &hooks,
+            None,
+        )
+        .unwrap();
         assert_eq!(
             r1,
             render_dumps(&dj),

@@ -86,10 +86,22 @@ fn pass_dumps_are_bit_identical_across_job_counts() {
         for (cname, opts) in configs() {
             let mut serial = w.module.clone();
             let mut parallel = w.module.clone();
-            let (_, d1) =
-                optimize_with_hooks(&mut serial, &opts, &PipelineConfig { jobs: 1 }, &hooks);
-            let (_, d8) =
-                optimize_with_hooks(&mut parallel, &opts, &PipelineConfig { jobs: 8 }, &hooks);
+            let (_, d1) = try_optimize_cached(
+                &mut serial,
+                &opts,
+                &PipelineConfig { jobs: 1 },
+                &hooks,
+                None,
+            )
+            .unwrap();
+            let (_, d8) = try_optimize_cached(
+                &mut parallel,
+                &opts,
+                &PipelineConfig { jobs: 8 },
+                &hooks,
+                None,
+            )
+            .unwrap();
             assert_eq!(
                 render_dumps(&d1),
                 render_dumps(&d8),

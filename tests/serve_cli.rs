@@ -122,6 +122,25 @@ fn serve_reports_errors_without_dying() {
 }
 
 #[test]
+fn serve_with_args_trains_profile_guided_compiles_on_them() {
+    // a session started with --args keeps the profile-guided defaults and
+    // trains every served compile on those arguments
+    let cache = TempDir::new("trained");
+    let input = cache.join("kernel.ir");
+    std::fs::write(
+        &input,
+        "func main(n: i64) -> i64 {\n  var x: i64\nentry:\n  x = add n, 1\n  ret x\n}\n",
+    )
+    .unwrap();
+    let out = serve_session(
+        &cache.join("cache"),
+        &format!("compile {}\nquit\n", input.display()),
+        &["--args", "41"],
+    );
+    assert!(out.starts_with("ok in=compile:"), "{out}");
+}
+
+#[test]
 fn serve_queue_drains_requests_to_resp_files() {
     let cache = TempDir::new("queue");
     let queue = TempDir::new("queue_dir");

@@ -76,11 +76,12 @@ fn unreachable_store_does_not_explode_the_kernel() {
         // assert). Whether the compile succeeds or degrades gracefully is
         // the pipeline's business — it must just terminate sanely.
         let mut c = m.clone();
-        let _ = try_optimize_with_hooks(
+        let _ = try_optimize_cached(
             &mut c,
             &opts,
             &PipelineConfig { jobs: 1 },
             &PipelineHooks::default(),
+            None,
         );
     }
     // and the unoptimized module still runs
