@@ -17,7 +17,8 @@ use specframe_core::{
     ControlSpec, FuncCache, OptOptions, PipelineConfig, PipelineHooks, ReduceStats, SpecSource,
 };
 use specframe_ir::display::print_module;
-use specframe_workloads::{all_workloads, inst_count, mega_module, Scale};
+use specframe_ir::parse_module;
+use specframe_workloads::{all_workloads, inst_count, mega_module, mega_source, Scale};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -91,6 +92,8 @@ struct CacheRow {
     evicts: u64,
     cold_ms: f64,
     warm_ms: f64,
+    /// Hits of the warm recompile after one body and one initializer edit.
+    edit_hits: u64,
 }
 
 /// The compile-cache smoke gate: one cold mega-module compile populating
@@ -98,6 +101,8 @@ struct CacheRow {
 /// cache's contract — warm output byte-identical to both the cold run and
 /// an uncached compile, a ≥ 99% warm hit rate, zero stale entries — and
 /// the perf bar: the warm rerun must be at least 10× faster than cold.
+/// Then one body edit and one global-initializer edit to the source must
+/// still hit ≥ 99% through the same cache ([`edit_smoke`]).
 ///
 /// The correctness assertions are hard on every attempt; the *timing* gate
 /// alone retries (the shared CI container's wall clock jitters by tens of
@@ -193,6 +198,7 @@ fn cache_smoke() -> CacheRow {
             evicts: warm.cache.evicts,
             cold_ms,
             warm_ms,
+            edit_hits: edit_smoke(SEED, FUNCS, &opts, &dir),
         });
         break;
     }
@@ -200,14 +206,62 @@ fn cache_smoke() -> CacheRow {
     let row = row.expect("timing gate attempts exhausted");
     println!(
         "cache smoke: cold {:.1} ms -> warm {:.1} ms ({:.1}x), {}/{} hits, \
-         jobs 1/2/4 byte-identical",
+         jobs 1/2/4 byte-identical; {}/{} hits after a body + initializer edit",
         row.cold_ms,
         row.warm_ms,
         row.cold_ms / row.warm_ms,
         row.hits,
+        row.funcs,
+        row.edit_hits,
         row.funcs
     );
     row
+}
+
+/// The warm-edit gate: bumps one literal in one function body and one
+/// global's initializer in the mega source, recompiles through the cache
+/// the warm runs left in `dir`, and asserts ≥ 99% hits, no stale entries,
+/// and output byte-identical to an uncached compile of the edited module.
+/// Returns the hit count.
+fn edit_smoke(seed: u64, funcs: usize, opts: &OptOptions, dir: &std::path::Path) -> u64 {
+    let src = mega_source(seed, funcs);
+    let edited = src
+        .replacen("global g0: i64[1] = [1]\n", "global g0: i64[1] = [2]\n", 1)
+        .replacen(" = add n, 3\n", " = add n, 4\n", 1);
+    assert_eq!(
+        src.lines()
+            .zip(edited.lines())
+            .filter(|(a, b)| a != b)
+            .count(),
+        2,
+        "the edit touches one initializer and one body line"
+    );
+    let mut base = parse_module(&edited).expect("edited mega module parses");
+    prepare_module(&mut base);
+    let cfg = PipelineConfig { jobs: 1 };
+    let mut uncached = base.clone();
+    optimize_with(&mut uncached, opts, &cfg);
+    let mut m = base;
+    let (report, _) = try_optimize_cached(
+        &mut m,
+        opts,
+        &cfg,
+        &PipelineHooks::default(),
+        Some(&FuncCache::open(dir)),
+    )
+    .expect("edited cached compile");
+    assert_eq!(
+        print_module(&m),
+        print_module(&uncached),
+        "edited cached output diverged"
+    );
+    assert!(
+        report.cache.hits as f64 >= 0.99 * funcs as f64,
+        "hit rate after a body + initializer edit below 99%: {:?}",
+        report.cache
+    );
+    assert_eq!(report.cache.stale, 0, "{:?}", report.cache);
+    report.cache.hits
 }
 
 /// Leak-audit and fencing numbers for the CI artifact.
@@ -641,8 +695,14 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"cache\": {{ \"funcs\": {}, \"hits\": {}, \"misses\": {}, \"evicts\": {}, \
-         \"cold_ms\": {:.1}, \"warm_ms\": {:.1} }},",
-        cache.funcs, cache.hits, cache.misses, cache.evicts, cache.cold_ms, cache.warm_ms
+         \"cold_ms\": {:.1}, \"warm_ms\": {:.1}, \"edit_hits\": {} }},",
+        cache.funcs,
+        cache.hits,
+        cache.misses,
+        cache.evicts,
+        cache.cold_ms,
+        cache.warm_ms,
+        cache.edit_hits
     );
     let _ = writeln!(
         json,

@@ -1,7 +1,7 @@
 //! Content-addressed cache keys.
 //!
 //! A function's key must change whenever *anything* that can influence its
-//! lowered output changes, and must be bit-stable across process restarts
+//! cached entry changes, and must be bit-stable across process restarts
 //! (no pointer values, no `HashMap` iteration order). The key covers:
 //!
 //! 1. the cache format version ([`CACHE_FORMAT_VERSION`]);
@@ -9,9 +9,11 @@
 //!    output-shaping [`PipelineHooks`] (`--dump-after`, `--stop-after`,
 //!    `--verify-each`, `--audit-spec`) — the fault-injection hooks disable
 //!    caching entirely, so they never reach a key;
-//! 3. a module-context digest: the global table (name/type/size/init) and
+//! 3. a module-context digest: every global's name, type and size, and
 //!    every function signature, because lowering resolves global addresses
-//!    and call targets against them;
+//!    and call targets against them. Initializers stay out: only the
+//!    whole-module machine lowering reads them, outside the cache, so an
+//!    initializer edit invalidates nothing;
 //! 4. the function itself: the codec's canonical byte encoding of the
 //!    whole body (params, vars, slots, blocks, instructions *including*
 //!    their raw memory/call/alloc site ids — module-global names the
@@ -19,26 +21,32 @@
 //!    different site numbering are still different cache entries). Using
 //!    the same encoder as the entry payload keeps keying a byte walk
 //!    instead of a pretty-print — the dominant cost of a warm probe;
-//! 5. the alias-analysis slice the χ/μ oracle consults for this function:
-//!    the points-to class of every variable and the mod/ref sets of every
-//!    callee, expanded to LOC lists (classes are expanded so a numbering
-//!    shift caused by an edit *elsewhere* degrades to a spurious miss, not
-//!    a wrong hit);
+//! 5. the alias slice the χ/μ construction consults: the value class of
+//!    every variable, the access class of every load, store and check
+//!    ([`AliasAnalysis::access_class`]: the pointee class of a register
+//!    base, the location's own class for `@g`/`&slot`), and each callee's
+//!    mod and ref classes. Classes are numbered by first occurrence in this
+//!    walk, so the key records which accesses share a class without
+//!    depending on Steensgaard's module-wide numbering, and each class
+//!    contributes its LOC list. A caller edit that makes a pointer
+//!    parameter alias a global the function loads therefore moves the
+//!    function's key even though its body did not change. When an
+//!    HSSA-level pass is dumped, the raw class id of each virtual variable
+//!    enters too, because the HSSA printer names them `vv<class id>`;
 //! 6. when speculation is profile-guided, the slice of the alias/edge
 //!    profile this function's sites can observe — a profile change can
-//!    never serve stale speculation decisions (the ISSUE's soundness
-//!    requirement).
+//!    never serve stale speculation decisions.
 
 use crate::driver::{ControlSpec, OptOptions, SpecSource};
 use crate::passes::{Pass, PipelineHooks};
-use specframe_alias::{AliasAnalysis, Loc};
+use specframe_alias::{AliasAnalysis, ClassId, Loc};
 use specframe_analysis::EdgeProfile;
-use specframe_ir::{FuncId, Function, Inst, Module, Ty, Value, VarId};
+use specframe_ir::{FuncId, Function, Inst, Module, Operand, Ty, VarId};
 use specframe_profile::AliasProfile;
 
 /// Bumped whenever the entry payload layout or the key derivation changes;
 /// old entries then decode as version-skewed and degrade to fresh compiles.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+pub const CACHE_FORMAT_VERSION: u32 = 4;
 
 /// A 128-bit content hash naming one cache entry.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -190,20 +198,6 @@ fn hash_ty(h: &mut StableHasher, ty: Ty) {
     });
 }
 
-fn hash_value(h: &mut StableHasher, v: Value) {
-    match v {
-        Value::I(x) => {
-            h.write_u8(0);
-            h.write_i64(x);
-        }
-        Value::F(x) => {
-            h.write_u8(1);
-            h.write_u64(x.to_bits());
-        }
-        Value::Nat => h.write_u8(2),
-    }
-}
-
 fn hash_loc(h: &mut StableHasher, loc: Loc) {
     match loc {
         Loc::Global(g) => {
@@ -226,6 +220,16 @@ fn pass_index(p: Pass) -> u8 {
     Pass::ALL.iter().position(|&q| q == p).expect("pass in ALL") as u8
 }
 
+/// The passes whose `--dump-after` snapshots print HSSA, where virtual
+/// variables are named by raw alias-class id.
+const HSSA_DUMPS: [Pass; 5] = [
+    Pass::Hssa,
+    Pass::Ssapre,
+    Pass::Strength,
+    Pass::Lftr,
+    Pass::Storeprom,
+];
+
 /// Per-module context for deriving per-function cache keys.
 ///
 /// Construction hashes everything function-independent once (config
@@ -238,6 +242,9 @@ pub struct KeyContext<'a> {
     /// Hash state after the version, config fingerprint, and module
     /// context digest — cloned as the seed of every function key.
     seed: StableHasher,
+    /// Whether the raw ids of printed classes enter the key (an HSSA-level
+    /// pass is dumped).
+    raw_class_ids: bool,
 }
 
 impl<'a> KeyContext<'a> {
@@ -288,16 +295,14 @@ impl<'a> KeyContext<'a> {
         h.write_bool(hooks.audit_leaks);
         h.write_bool(hooks.fence_leaks);
 
-        // --- module-context digest: globals + every signature ---
+        // --- module-context digest: the global table and every signature.
+        // Initializers stay out: only the whole-module machine lowering
+        // reads them, outside the cache ---
         h.write_u64(m.globals.len() as u64);
         for g in &m.globals {
             h.write_str(&g.name);
             h.write_u32(g.words);
             hash_ty(&mut h, g.ty);
-            h.write_u64(g.init.len() as u64);
-            for &v in &g.init {
-                hash_value(&mut h, v);
-            }
         }
         h.write_u64(m.funcs.len() as u64);
         for f in &m.funcs {
@@ -314,6 +319,7 @@ impl<'a> KeyContext<'a> {
             aa,
             opts,
             seed: h,
+            raw_class_ids: HSSA_DUMPS.iter().any(|&p| hooks.dump_after.contains(p)),
         }
     }
 
@@ -328,30 +334,33 @@ impl<'a> KeyContext<'a> {
         // declaration, and raw mem/call/alloc site id ---
         h.write(&crate::cache::codec::function_bytes(f));
 
-        // --- alias-analysis slice ---
-        h.write_u64(f.vars.len() as u64);
+        // --- alias slice, classes numbered by first occurrence ---
+        let mut local = Vec::new();
         for v in 0..f.vars.len() {
-            let locs = self
-                .aa
-                .locs_in_class(self.aa.var_class(fid, VarId(v as u32)));
-            h.write_u64(locs.len() as u64);
-            for &loc in locs {
-                hash_loc(&mut h, loc);
-            }
+            let c = self.aa.var_class(fid, VarId(v as u32));
+            self.fold_class(&mut h, &mut local, Some(c), false);
         }
         for b in &f.blocks {
             for inst in &b.insts {
-                if let Inst::Call { callee, .. } = inst {
-                    for set in [self.aa.func_mod(*callee), self.aa.func_ref(*callee)] {
-                        h.write_u64(set.len() as u64);
-                        for &c in set {
-                            let locs = self.aa.locs_in_class(c);
-                            h.write_u64(locs.len() as u64);
-                            for &loc in locs {
-                                hash_loc(&mut h, loc);
+                match inst {
+                    Inst::Load { base, .. }
+                    | Inst::Store { base, .. }
+                    | Inst::CheckLoad { base, .. } => {
+                        // a register base's class becomes an HSSA virtual
+                        // variable, the only place a class id is printed
+                        let printed = matches!(base, Operand::Var(_));
+                        let c = self.aa.access_class(fid, *base);
+                        self.fold_class(&mut h, &mut local, c, printed);
+                    }
+                    Inst::Call { callee, .. } => {
+                        for set in [self.aa.func_mod(*callee), self.aa.func_ref(*callee)] {
+                            h.write_u64(set.len() as u64);
+                            for &c in set {
+                                self.fold_class(&mut h, &mut local, Some(c), false);
                             }
                         }
                     }
+                    _ => {}
                 }
             }
         }
@@ -366,6 +375,41 @@ impl<'a> KeyContext<'a> {
         }
 
         h.finish()
+    }
+
+    /// Folds one class occurrence (`None`: an access with no class) as its
+    /// index in `local`, the function's classes in order of first
+    /// occurrence (a function touches few classes, so a scan beats a
+    /// hash). A first occurrence is followed by the class's LOC list. A
+    /// `printed` occurrence (an HSSA virtual variable) also folds the raw
+    /// class id when HSSA dumps are stored.
+    fn fold_class(
+        &self,
+        h: &mut StableHasher,
+        local: &mut Vec<ClassId>,
+        c: Option<ClassId>,
+        printed: bool,
+    ) {
+        let Some(c) = c else {
+            h.write_u32(u32::MAX);
+            return;
+        };
+        match local.iter().position(|&k| k == c) {
+            Some(n) => h.write_u32(n as u32),
+            None => {
+                let n = local.len() as u32;
+                local.push(c);
+                let locs = self.aa.locs_in_class(c);
+                h.write_u32(n);
+                h.write_u64(locs.len() as u64);
+                for &loc in locs {
+                    hash_loc(h, loc);
+                }
+            }
+        }
+        if printed && self.raw_class_ids {
+            h.write_u32(c.0);
+        }
     }
 }
 

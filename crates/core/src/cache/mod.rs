@@ -13,9 +13,12 @@
 //!    under the same options produce byte-identical output at every
 //!    `--jobs` level (the warm-path analogue of the parallel-determinism
 //!    pin).
-//! 2. **No stale hits** — anything that can change a function's lowering is
-//!    folded into its key (see [`key`]); a profile change, config change, or
-//!    edit anywhere the function can observe changes the key.
+//! 2. **No stale hits** — anything that can change a function's entry
+//!    (lowering, stats, dumps) is folded into its key (see [`key`]); a
+//!    profile change, config change, or edit anywhere the function can
+//!    observe — including a caller edit that changes what its accesses
+//!    alias — changes the key. A global initializer is not observable
+//!    inside the cache, so editing one invalidates nothing.
 //! 3. **Graceful degradation** — a corrupt or version-skewed entry is a
 //!    *miss with a diagnostic* (a new rung on the degradation ladder), never
 //!    an error and never wrong output; the bad entry is removed and

@@ -20,8 +20,18 @@
 //! kills entries cannot *reduce* recoveries below zero) — an eviction
 //! schedule may change *performance* counters but never *results*.
 //!
+//! Two cache oracles ride along on every case: [`storage_fault_case`]
+//! (injected storage faults never move an output byte) and
+//! [`key_soundness_case`] (one-step mutations: an unchanged cache key
+//! means an unchanged stored entry, and a moved key with an unchanged
+//! entry is counted as an over-invalidation).
+//!
 //! The `fuzzdiff` binary wraps this for CI with a seed and time budget.
 
+use specframe::core::cache::codec::CachedFunc;
+use specframe::core::cache::{MemStore, Probe};
+use specframe::core::{CacheKey, FuncCache, KeyContext};
+use specframe::ir::{Global, GlobalId, Inst, Operand};
 use specframe::machine::policy::XorShift64;
 use specframe::prelude::*;
 
@@ -212,6 +222,23 @@ pub struct DiffStats {
     pub cache_io_errors: u64,
     /// Cache circuit-breaker trips (at most one per cache session).
     pub cache_breaker_trips: u64,
+    /// (mutation, hook set, function) entry pairs the key-soundness oracle
+    /// compared.
+    pub key_pairs: u64,
+    /// Of those, pairs whose key moved while the stored entry did not.
+    pub key_over_invalidations: u64,
+}
+
+impl DiffStats {
+    /// Over-invalidated share of the key-soundness oracle's entry pairs,
+    /// in percent (0 when it compared none).
+    pub fn over_invalidation_pct(&self) -> f64 {
+        if self.key_pairs == 0 {
+            0.0
+        } else {
+            100.0 * self.key_over_invalidations as f64 / self.key_pairs as f64
+        }
+    }
 }
 
 /// The outcome of one oracle run over one case, separating *setup*
@@ -516,8 +543,7 @@ pub const STORE_FAULT_MATRIX: &[&str] = &["none", "enospc:2", "eio-read:7:2", "t
 /// # Errors
 /// A human-readable report of the first divergence or counter violation.
 pub fn storage_fault_case(case: &Case, stats: &mut DiffStats) -> Result<(), String> {
-    use specframe::core::cache::MemStore;
-    use specframe::core::{parse_store_fault_policy, try_optimize_cached, FuncCache};
+    use specframe::core::parse_store_fault_policy;
     use specframe::ir::display::print_module;
 
     let target = TargetId::ALL[0];
@@ -590,6 +616,318 @@ pub fn storage_fault_case(case: &Case, stats: &mut DiffStats) -> Result<(), Stri
         stats.cache_retries += retries;
         stats.cache_io_errors += io_errors;
         stats.cache_breaker_trips += trips;
+    }
+    Ok(())
+}
+
+/// One single-step edit the key-soundness oracle ([`key_soundness_case`])
+/// applies to a case. Each one is either something a function's cache key
+/// must see (its output can change) or something it should not (its
+/// output cannot), so together they probe both soundness and width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyMutation {
+    /// Bump the module's first integer literal.
+    BodyLiteral,
+    /// Append an unused variable to the first function, which renumbers
+    /// every later function's alias classes.
+    UnusedVar,
+    /// Point the last `@g` operand that escapes into a value (a call
+    /// argument, copy or stored value; else the last `@g` at all) at the
+    /// next global of the same type — a caller edit that changes what a
+    /// callee's pointer may alias.
+    RetargetGlobalAddr,
+    /// Bump global 0's initializer.
+    GlobalInit,
+    /// Grow global 0 by one word, shifting every later global's address.
+    GlobalResize,
+    /// Rename global 0.
+    GlobalRename,
+    /// Append a global nothing references.
+    AppendGlobal,
+    /// Rename the lowest-index function that has a caller.
+    FunctionRename,
+    /// Drop the alias profile's entry for its lowest memory site; the
+    /// module is unchanged and both sides compile profile-guided.
+    DropProfileEntry,
+}
+
+impl KeyMutation {
+    /// Every mutation, in the order the oracle applies them.
+    const ALL: [KeyMutation; 9] = [
+        KeyMutation::BodyLiteral,
+        KeyMutation::UnusedVar,
+        KeyMutation::RetargetGlobalAddr,
+        KeyMutation::GlobalInit,
+        KeyMutation::GlobalResize,
+        KeyMutation::GlobalRename,
+        KeyMutation::AppendGlobal,
+        KeyMutation::FunctionRename,
+        KeyMutation::DropProfileEntry,
+    ];
+
+    /// Stable name for reports.
+    fn name(self) -> &'static str {
+        match self {
+            KeyMutation::BodyLiteral => "body-literal",
+            KeyMutation::UnusedVar => "unused-var",
+            KeyMutation::RetargetGlobalAddr => "retarget-global-addr",
+            KeyMutation::GlobalInit => "global-init",
+            KeyMutation::GlobalResize => "global-resize",
+            KeyMutation::GlobalRename => "global-rename",
+            KeyMutation::AppendGlobal => "append-global",
+            KeyMutation::FunctionRename => "function-rename",
+            KeyMutation::DropProfileEntry => "drop-profile-entry",
+        }
+    }
+
+    /// The mutated copy of `m`, or `None` when `m` has no site for this
+    /// edit (or the edit would not verify). [`KeyMutation::DropProfileEntry`]
+    /// edits the profile, not the module, and returns `m` unchanged.
+    fn apply(self, m: &Module) -> Option<Module> {
+        let mut m = m.clone();
+        match self {
+            KeyMutation::BodyLiteral => {
+                let mut hit = false;
+                visit_operands(&mut m, &mut |o, _| {
+                    if let (false, Operand::ConstI(c)) = (hit, o) {
+                        *c = c.wrapping_add(1);
+                        hit = true;
+                    }
+                });
+                if !hit {
+                    return None;
+                }
+            }
+            KeyMutation::UnusedVar => {
+                m.funcs.first_mut()?.new_var("key_oracle_unused", Ty::I64);
+            }
+            KeyMutation::RetargetGlobalAddr => {
+                let n = m.globals.len();
+                let sibling: Vec<Option<GlobalId>> = (0..n)
+                    .map(|i| {
+                        (1..n)
+                            .map(|d| (i + d) % n)
+                            .find(|&j| m.globals[j].ty == m.globals[i].ty)
+                            .map(GlobalId::from_index)
+                    })
+                    .collect();
+                let (mut k, mut escaping, mut any) = (0usize, None, None);
+                visit_operands(&mut m, &mut |o, escapes| {
+                    if let Operand::GlobalAddr(g) = *o {
+                        if sibling[g.index()].is_some() {
+                            any = Some(k);
+                            escaping = if escapes { Some(k) } else { escaping };
+                        }
+                    }
+                    k += 1;
+                });
+                let target = escaping.or(any)?;
+                let mut k = 0usize;
+                visit_operands(&mut m, &mut |o, _| {
+                    if let (true, Operand::GlobalAddr(g)) = (k == target, &mut *o) {
+                        *g = sibling[g.index()].expect("candidate has a sibling");
+                    }
+                    k += 1;
+                });
+            }
+            KeyMutation::GlobalInit => {
+                let g = m.globals.first_mut()?;
+                match g.init.first_mut() {
+                    Some(Value::I(x)) => *x = x.wrapping_add(1),
+                    Some(Value::F(x)) => *x += 1.0,
+                    Some(v) => *v = Value::I(1),
+                    None if g.ty == Ty::F64 => g.init.push(Value::F(1.0)),
+                    None => g.init.push(Value::I(1)),
+                }
+            }
+            KeyMutation::GlobalResize => m.globals.first_mut()?.words += 1,
+            KeyMutation::GlobalRename => m.globals.first_mut()?.name.push_str("_renamed"),
+            KeyMutation::AppendGlobal => m.globals.push(Global {
+                name: "key_oracle_extra".into(),
+                words: 4,
+                ty: Ty::I64,
+                init: Vec::new(),
+            }),
+            KeyMutation::FunctionRename => {
+                let callee = m
+                    .funcs
+                    .iter()
+                    .flat_map(|f| f.blocks.iter().flat_map(|b| &b.insts))
+                    .filter_map(|i| match i {
+                        Inst::Call { callee, .. } => Some(callee.index()),
+                        _ => None,
+                    })
+                    .min()
+                    .unwrap_or(0);
+                m.funcs.get_mut(callee)?.name.push_str("_renamed");
+            }
+            KeyMutation::DropProfileEntry => {}
+        }
+        verify_module(&m).ok().map(|()| m)
+    }
+}
+
+/// Visits every operand of `m` in body order; the flag is `false` for a
+/// memory access's base and `true` wherever the operand's value flows on.
+fn visit_operands(m: &mut Module, f: &mut dyn FnMut(&mut Operand, bool)) {
+    for func in &mut m.funcs {
+        for b in &mut func.blocks {
+            for inst in &mut b.insts {
+                match inst {
+                    Inst::Load { base, .. } | Inst::CheckLoad { base, .. } => f(base, false),
+                    Inst::Store { base, val, .. } => {
+                        f(base, false);
+                        f(val, true);
+                    }
+                    other => other.map_uses(|o| f(o, true)),
+                }
+            }
+            b.term.map_uses(|o| f(o, true));
+        }
+    }
+}
+
+/// Every function's cache key and the cache one cold cached compile
+/// wrote its entries to.
+struct StoredEntries {
+    names: Vec<String>,
+    keys: Vec<CacheKey>,
+    cache: FuncCache,
+}
+
+impl StoredEntries {
+    /// Compiles `m` through a fresh in-memory cache and derives its keys
+    /// the way the driver does.
+    fn compile(
+        m: &Module,
+        opts: &OptOptions,
+        hooks: &PipelineHooks,
+        label: &str,
+    ) -> Result<StoredEntries, String> {
+        let cache = FuncCache::with_store(Box::new(MemStore::new()));
+        let cfg = PipelineConfig { jobs: 1 };
+        let mut cm = m.clone();
+        try_optimize_cached(&mut cm, opts, &cfg, hooks, Some(&cache))
+            .map_err(|e| format!("{label}: cached compile failed: {e}"))?;
+        let mut km = m.clone();
+        prepare_module(&mut km);
+        let aa = AliasAnalysis::analyze(&km);
+        let kc = KeyContext::new(&km, &aa, opts, hooks);
+        Ok(StoredEntries {
+            names: km.funcs.iter().map(|f| f.name.clone()).collect(),
+            keys: (0..km.funcs.len()).map(|fi| kc.function_key(fi)).collect(),
+            cache,
+        })
+    }
+
+    /// The decoded entry stored under function `fi`'s key, if any.
+    fn entry(&self, fi: usize) -> Option<Box<CachedFunc>> {
+        match self.cache.probe(&self.keys[fi]) {
+            Probe::Hit(cf) => Some(cf),
+            Probe::Miss | Probe::Stale(_) => None,
+        }
+    }
+}
+
+/// The key-soundness and over-invalidation oracle. For each
+/// [`KeyMutation`] it compiles the case's module and the one-step mutant
+/// through separate caches — once with default hooks, once with
+/// `--dump-after` every pass plus `--audit-spec` — and, for every function
+/// both modules have:
+///
+/// * asserts **key equal ⇒ stored entries equal** (an equal key with a
+///   different entry is exactly a stale hit a warm compile would replay);
+/// * counts an **over-invalidation** when the key moved but the entry did
+///   not (a spurious miss — sound, but wasted work).
+///
+/// # Errors
+/// A report naming the case, mutation, hook set and function of the first
+/// stale key, or a compile/training failure.
+pub fn key_soundness_case(case: &Case, stats: &mut DiffStats) -> Result<(), String> {
+    let mut ap = AliasProfiler::new();
+    run_with(
+        &case.module,
+        &case.entry,
+        &case.train_args,
+        case.fuel,
+        &mut ap,
+    )
+    .map_err(|e| format!("{}: training run failed: {e}", case.name))?;
+    let profile = ap.finish();
+    let mut dropped = profile.clone();
+    if let Some(&site) = dropped.mem.keys().min() {
+        dropped.mem.remove(&site);
+    }
+    let heuristic = OptOptions {
+        data: SpecSource::Heuristic,
+        control: ControlSpec::Static,
+        strength_reduction: true,
+        lftr: true,
+        store_sinking: true,
+        target: TargetId::Epic,
+    };
+    let guided = OptOptions {
+        data: SpecSource::Profile(&profile),
+        ..heuristic
+    };
+    let guided_dropped = OptOptions {
+        data: SpecSource::Profile(&dropped),
+        ..heuristic
+    };
+    let observed = PipelineHooks {
+        dump_after: PassSet::all(),
+        audit_spec: true,
+        ..PipelineHooks::default()
+    };
+    for (hname, hooks) in [
+        ("default", &PipelineHooks::default()),
+        ("dumps+audit", &observed),
+    ] {
+        let label = format!("{}/{hname}", case.name);
+        let plain = StoredEntries::compile(&case.module, &heuristic, hooks, &label)?;
+        let profiled = StoredEntries::compile(&case.module, &guided, hooks, &label)?;
+        for mutation in KeyMutation::ALL {
+            let label = format!("{label}/{}", mutation.name());
+            let (before, after) = if mutation == KeyMutation::DropProfileEntry {
+                if dropped == profile {
+                    continue;
+                }
+                let after = StoredEntries::compile(&case.module, &guided_dropped, hooks, &label)?;
+                (&profiled, after)
+            } else {
+                let Some(mutant) = mutation.apply(&case.module) else {
+                    continue;
+                };
+                let after = StoredEntries::compile(&mutant, &heuristic, hooks, &label)?;
+                (&plain, after)
+            };
+            for fi in 0..before.keys.len().min(after.keys.len()) {
+                let same_key = before.keys[fi] == after.keys[fi];
+                match (before.entry(fi), after.entry(fi)) {
+                    (Some(a), Some(b)) => {
+                        stats.key_pairs += 1;
+                        if same_key && a != b {
+                            return Err(format!(
+                                "{label}: `{}` keeps its cache key but its stored entry \
+                                 changed: a warm compile would replay stale code",
+                                before.names[fi]
+                            ));
+                        }
+                        if !same_key && a == b {
+                            stats.key_over_invalidations += 1;
+                        }
+                    }
+                    (Some(_), None) | (None, Some(_)) if same_key => {
+                        return Err(format!(
+                            "{label}: `{}` keeps its cache key but only one side compiled \
+                             cleanly enough to be cached",
+                            before.names[fi]
+                        ));
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -691,6 +1029,46 @@ mod tests {
         let mut stats = DiffStats::default();
         storage_fault_case(&case, &mut stats).expect("fault matrix must not change output");
         assert_eq!(stats.cache_runs, 8);
+    }
+
+    #[test]
+    fn key_soundness_oracle_is_green_on_a_workload_and_a_random_case() {
+        let mut stats = DiffStats::default();
+        let gzip = workload_cases()
+            .into_iter()
+            .find(|c| c.name == "workload:gzip")
+            .expect("gzip workload");
+        for case in [gzip, random_case(5)] {
+            key_soundness_case(&case, &mut stats).unwrap();
+        }
+        assert!(stats.key_pairs > 0, "{stats:?}");
+    }
+
+    /// A caller edit that retargets a callee's pointer parameter from `@b`
+    /// to `@a`: `f`'s body is unchanged, but its store through `p` now
+    /// aliases its loads of `@a`, so its compiled code must change — and
+    /// so must its key.
+    #[test]
+    fn key_soundness_oracle_sees_a_retargeted_pointer_argument() {
+        let src = include_str!("../../../tests/smoke/retarget-callee.ir");
+        let mut m = parse_module(src).unwrap();
+        prepare_module(&mut m);
+        let mutant = KeyMutation::RetargetGlobalAddr.apply(&m).expect("a site");
+        assert!(
+            specframe::ir::display::print_module(&mutant).contains("call f(@a)"),
+            "the escaping argument is the one retargeted"
+        );
+        let case = Case {
+            name: "retarget".into(),
+            module: m,
+            entry: "main".into(),
+            train_args: vec![],
+            run_args: vec![vec![]],
+            fuel: 100_000,
+        };
+        let mut stats = DiffStats::default();
+        key_soundness_case(&case, &mut stats).unwrap();
+        assert!(stats.key_pairs > 0, "{stats:?}");
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! exhausted, and the skip count is reported so a silently-short run is
 //! visible.
 //!
+//! Every case also runs the storage-fault and key-soundness cache oracles;
+//! the summary line reports the key oracle's over-invalidation rate.
+//!
 //! `--break-checks` deletes one check instruction from every optimized
 //! module before comparing — a deliberate sabotage that MUST make the
 //! oracle fail, proving it has teeth. `--reduce-on-failure` shrinks each
@@ -23,8 +26,8 @@
 
 use specframe::prelude::*;
 use specframe_fuzzdiff::{
-    diff_case_outcome, random_case_sized, reduce_failing_case, storage_fault_case, workload_cases,
-    DiffOutcome, DiffStats,
+    diff_case_outcome, key_soundness_case, random_case_sized, reduce_failing_case,
+    storage_fault_case, workload_cases, DiffOutcome, DiffStats,
 };
 use std::time::{Duration, Instant};
 
@@ -162,11 +165,18 @@ fn main() -> std::process::ExitCode {
         }
         // the storage-fault oracle rides along on every case: the compile
         // cache must survive the injected-fault matrix without moving the
-        // module text a byte (sabotage mode targets the ALAT oracle only)
+        // module text a byte (sabotage mode targets the ALAT oracle only),
+        // and so does the key-soundness oracle: one edit at a time, an
+        // unchanged cache key must mean an unchanged stored entry
         if !o.break_checks {
             if let Err(report) = storage_fault_case(&case, &mut stats) {
                 failures += 1;
                 println!("FAIL {name} (storage-fault oracle)");
+                eprintln!("{report}");
+            }
+            if let Err(report) = key_soundness_case(&case, &mut stats) {
+                failures += 1;
+                println!("FAIL {name} (key-soundness oracle)");
                 eprintln!("{report}");
             }
         }
@@ -176,6 +186,7 @@ fn main() -> std::process::ExitCode {
         "fuzzdiff: {} cases, {} sim runs, {} failed checks recovered, \
          {} leak sites fenced ({} fences), {} cached compiles \
          ({} retries / {} injected errors, {} breaker trips), \
+         {} key pairs ({} over-invalidated, {:.1}%), \
          {} skipped (budget), {} failures in {:.1}s",
         stats.cases,
         stats.sim_runs,
@@ -186,6 +197,9 @@ fn main() -> std::process::ExitCode {
         stats.cache_retries,
         stats.cache_io_errors,
         stats.cache_breaker_trips,
+        stats.key_pairs,
+        stats.key_over_invalidations,
+        stats.over_invalidation_pct(),
         skipped,
         failures,
         start.elapsed().as_secs_f64()

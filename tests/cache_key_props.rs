@@ -2,10 +2,11 @@
 //!
 //! The compile cache replays a stored lowering whenever the key matches,
 //! so the key must change with *everything* the pipeline's output depends
-//! on — function body, optimizer configuration, and the alias-profile
-//! slice feeding the likeliness oracle — while staying bit-stable across
-//! independently constructed modules (no pointer values, no hash-map
-//! iteration order, nothing process-local may reach the hash).
+//! on — function body, optimizer configuration, the alias slice of its
+//! accesses, and the alias-profile slice feeding the likeliness oracle —
+//! while staying bit-stable across independently constructed modules (no
+//! pointer values, no hash-map iteration order, nothing process-local may
+//! reach the hash).
 
 use proptest::prelude::*;
 use specframe::core::{KeyContext, OptOptions, SpecSource};
@@ -226,4 +227,70 @@ fn module_context_changes_key() {
     let base = keys_of(&render_module(&f, &f), &HEURISTIC, &hooks);
     let with_global = format!("global extra: i64[4]\n\n{}", render_module(&f, &f));
     assert_ne!(base[0], keys_of(&with_global, &HEURISTIC, &hooks)[0]);
+}
+
+/// Only the whole-module machine lowering reads a global's initializer,
+/// outside the cache, so an initializer edit moves no key — not even under
+/// `--dump-after` every pass plus `--audit-spec`, which lower to machine
+/// code inside the cached pipeline.
+#[test]
+fn global_initializer_edit_moves_no_key() {
+    let src = include_str!("smoke/retarget-callee.ir");
+    let edited = src
+        .replace("a: i64[1] = [3]", "a: i64[1] = [9]")
+        .replace("b: i64[1] = [5]", "b: i64[1]");
+    assert_ne!(edited, src);
+    let observed = PipelineHooks {
+        dump_after: PassSet::all(),
+        audit_spec: true,
+        ..PipelineHooks::default()
+    };
+    for hooks in [PipelineHooks::default(), observed] {
+        assert_eq!(
+            keys_of(src, &HEURISTIC, &hooks),
+            keys_of(&edited, &HEURISTIC, &hooks)
+        );
+    }
+}
+
+/// Regression: a caller edit that points `f`'s parameter at `@a` makes
+/// the store through `p` alias `f`'s loads of `@a`. `f`'s body did not
+/// change, but its code must (the second load may no longer reuse the
+/// first), so its key must move with the pointee class of its store —
+/// a key over the body and the module's globals alone replayed the stale
+/// `f` and miscompiled (run result 6, reference 7).
+#[test]
+fn caller_retargeting_a_pointer_argument_moves_the_callees_key() {
+    let w1 = include_str!("smoke/retarget-callee.ir");
+    let w2 = w1.replace("call f(@b)", "call f(@a)");
+    let hooks = PipelineHooks::default();
+    for opts in [HEURISTIC, OptOptions::default()] {
+        let (k1, k2) = (keys_of(w1, &opts, &hooks), keys_of(&w2, &opts, &hooks));
+        assert_ne!(k1[0], k2[0], "f must not keep its key");
+    }
+}
+
+/// Regression: HSSA dumps name virtual variables `vv<class id>`, and an
+/// unused variable added to an earlier function renumbers every later
+/// function's classes. With an HSSA dump requested, the later function's
+/// key must move (its stored dump is stale); without one, it must not
+/// (local class numbering keeps lowered code keys independent of it).
+#[test]
+fn class_renumbering_moves_keys_only_when_hssa_is_dumped() {
+    let before = include_str!("smoke/renumber-classes.ir");
+    let edited = before.replace("  var v: i64", "  var w: i64\n  var v: i64");
+    let f = 1;
+    let plain = PipelineHooks::default();
+    let dumped = PipelineHooks {
+        dump_after: PassSet::from_iter([Pass::Hssa]),
+        ..PipelineHooks::default()
+    };
+    assert_eq!(
+        keys_of(before, &HEURISTIC, &plain)[f],
+        keys_of(&edited, &HEURISTIC, &plain)[f]
+    );
+    assert_ne!(
+        keys_of(before, &HEURISTIC, &dumped)[f],
+        keys_of(&edited, &HEURISTIC, &dumped)[f]
+    );
 }

@@ -397,6 +397,86 @@ fn cache_fault_policy_output_is_byte_identical_to_the_faultless_run() {
     assert_eq!(bad.status.code(), Some(1), "{bad:?}");
 }
 
+/// Compiles `src` once with `specc` (no cache unless `extra` names one)
+/// and returns the output bytes.
+fn compile_once(dir: &TempDir, name: &str, src: &str, extra: &[&str]) -> Vec<u8> {
+    let input = dir.join(&format!("{name}.ir"));
+    let out = dir.join(&format!("{name}.out"));
+    std::fs::write(&input, src).unwrap();
+    let r = specc()
+        .arg(&input)
+        .args(["--spec", "none", "--control", "off"])
+        .args(extra)
+        .arg("-o")
+        .arg(&out)
+        .output()
+        .expect("spawn specc");
+    assert!(r.status.success(), "{}", String::from_utf8_lossy(&r.stderr));
+    std::fs::read(&out).unwrap()
+}
+
+/// Regression: the caller edit `f(@b)` → `f(@a)` makes `f`'s store through
+/// `p` alias its loads of `@a` without touching `f`'s body. The service
+/// used to answer with a hit for `f` and replay code that reuses the
+/// first load across the store (run result 6, reference 7); the served
+/// output must equal an uncached compile.
+#[test]
+fn serve_recompiles_a_callee_whose_pointer_argument_was_retargeted() {
+    let cache = TempDir::new("retarget");
+    let dir = TempDir::new("retarget_io");
+    let w1 = include_str!("smoke/retarget-callee.ir");
+    let w2 = w1.replace("call f(@b)", "call f(@a)");
+    std::fs::write(dir.join("w1.ir"), w1).unwrap();
+    std::fs::write(dir.join("w2.ir"), &w2).unwrap();
+    let served = dir.join("served.ir");
+    let out = serve_session(
+        cache.path(),
+        &format!(
+            "compile {} -o {}\ncompile {} -o {}\nquit\n",
+            dir.join("w1.ir").display(),
+            dir.join("first.ir").display(),
+            dir.join("w2.ir").display(),
+            served.display()
+        ),
+        &["--spec", "none", "--control", "off"],
+    );
+    let second = out
+        .lines()
+        .find(|l| l.starts_with("ok in=") && l.contains("w2.ir"))
+        .unwrap_or_else(|| panic!("no response for w2.ir: {out}"));
+    assert!(
+        second.contains("funcs=2 hits=0 misses=2"),
+        "f must miss: {second}"
+    );
+    let uncached = compile_once(&dir, "uncached", &w2, &[]);
+    assert_eq!(std::fs::read(&served).unwrap(), uncached);
+}
+
+/// Regression: HSSA dumps name virtual variables by module-wide alias
+/// class id, and a variable added to an earlier function renumbers them.
+/// A cached `--dump-after hssa` compile must print the new numbering, as
+/// an uncached one does, not replay the old dump.
+#[test]
+fn cached_hssa_dumps_follow_alias_class_renumbering() {
+    let cache = TempDir::new("renumber");
+    let dir = TempDir::new("renumber_io");
+    let before = include_str!("smoke/renumber-classes.ir");
+    let after = before.replace("  var v: i64", "  var w: i64\n  var v: i64");
+    let cached = [
+        "--dump-after",
+        "hssa",
+        "--cache-dir",
+        cache.path().to_str().unwrap(),
+    ];
+    compile_once(&dir, "before", before, &cached);
+    let replayed = compile_once(&dir, "after", &after, &cached);
+    let uncached = compile_once(&dir, "uncached", &after, &["--dump-after", "hssa"]);
+    assert_eq!(
+        String::from_utf8(replayed).unwrap(),
+        String::from_utf8(uncached).unwrap()
+    );
+}
+
 fn walk_entries(dir: &std::path::Path) -> Vec<PathBuf> {
     let mut v = Vec::new();
     for shard in std::fs::read_dir(dir).unwrap() {
