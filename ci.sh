@@ -13,6 +13,14 @@ cargo build --release
 # commands never compile it: check it here, so an API change that breaks
 # the benchmark fails CI instead of the next benchmark run
 cargo check --offline --manifest-path specbench/Cargo.toml --all-targets
+# ...and run its tests, so the benchmark's own correctness checks (no
+# failed request on a --quick run of every workload, exact counts that
+# repeat, per-kernel counters equal to run_benchmark's) run on every
+# change, not only when someone benchmarks. The target directory is shared
+# the way specbench/run.sh shares it, so the tests find the specc built
+# above beside the specbench binary.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+  cargo test --release --offline --manifest-path specbench/Cargo.toml
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check

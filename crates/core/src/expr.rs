@@ -12,12 +12,12 @@
 //!   candidates, where data speculation pays off.
 
 use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarId, HVarKind, HssaFunc, MemBase, MemVar};
-use specframe_ir::InlineVec;
 use specframe_ir::{BinOp, Ty, VarId};
+use specframe_ir::{FxHashSet, InlineVec};
 
 /// A lexical operand of an expression key: the *identity* of the value, not
 /// a version.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Hash, Debug)]
 pub enum LexOperand {
     /// A register by id.
     Reg(VarId),
@@ -54,7 +54,7 @@ impl LexOperand {
 }
 
 /// A lexically identified expression.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ExprKey {
     /// `a ⊕ b` (commutative operators canonicalized).
     Bin(BinOp, LexOperand, LexOperand),
@@ -103,23 +103,33 @@ impl ExprKey {
         }
     }
 
-    /// The registers the expression's value depends on.
-    pub fn tracked_regs(&self) -> Vec<VarId> {
+    /// The registers the expression's value depends on (at most two, so
+    /// never on the heap).
+    pub fn tracked_regs(&self) -> InlineVec<VarId, 2> {
+        let mut v = InlineVec::new();
         match self {
             ExprKey::Bin(_, a, b) => {
-                let mut v = Vec::new();
                 if let Some(r) = a.reg() {
                     v.push(r);
                 }
                 if let Some(r) = b.reg() {
-                    if !v.contains(&r) {
+                    if a.reg() != Some(r) {
                         v.push(r);
                     }
                 }
-                v
             }
-            ExprKey::DirectLoad(..) => Vec::new(),
-            ExprKey::IndirectLoad { base, .. } => vec![*base],
+            ExprKey::DirectLoad(..) => {}
+            ExprKey::IndirectLoad { base, .. } => v.push(*base),
+        }
+        v
+    }
+
+    /// The family the expression belongs to.
+    fn family(&self) -> Family {
+        match self {
+            ExprKey::Bin(..) => Family::Arith,
+            ExprKey::DirectLoad(..) => Family::DirectLoad,
+            ExprKey::IndirectLoad { .. } => Family::IndirectLoad,
         }
     }
 
@@ -162,7 +172,7 @@ pub fn occurrence_versions(stmt: &HStmt, key: &ExprKey) -> Option<OccVersions> {
             };
             let (a, b) = matched?;
             let mut regs = InlineVec::new();
-            for r in key.tracked_regs() {
+            for &r in key.tracked_regs().iter() {
                 // find the version of r among the (possibly swapped) operands
                 let ver = [a, b]
                     .iter()
@@ -251,24 +261,43 @@ pub struct OccVersions {
     pub mem: Option<u32>,
 }
 
-/// Scans a function for all SSAPRE candidates, in a deterministic order:
-/// arithmetic first, then direct loads, then indirect loads (so promoted
-/// address arithmetic feeds load candidates within one pass ordering).
-/// Expressions with speculative loads or checks already in place are not
-/// re-collected.
-pub fn collect_candidates(hf: &HssaFunc) -> Vec<ExprKey> {
-    let mut bins: Vec<ExprKey> = Vec::new();
-    let mut directs: Vec<ExprKey> = Vec::new();
-    let mut indirects: Vec<ExprKey> = Vec::new();
-    let push_unique = |list: &mut Vec<ExprKey>, k: ExprKey| {
-        if !list.contains(&k) {
-            list.push(k);
+/// The three candidate families, in the order [`collect_candidates`] lists
+/// them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Family {
+    /// Arithmetic expressions `a ⊕ b`.
+    Arith,
+    /// Direct loads of a real variable.
+    DirectLoad,
+    /// Indirect loads `*(base + off)`.
+    IndirectLoad,
+}
+
+impl Family {
+    /// Every family.
+    pub const ALL: [Family; 3] = [Family::Arith, Family::DirectLoad, Family::IndirectLoad];
+}
+
+/// Scans a function for the SSAPRE candidates of `families`, in a
+/// deterministic order: arithmetic first, then direct loads, then indirect
+/// loads (so promoted address arithmetic feeds load candidates within one
+/// pass ordering), each family in order of first occurrence. Expressions
+/// with speculative loads or checks already in place are not re-collected.
+pub fn collect_candidates(hf: &HssaFunc, families: &[Family]) -> Vec<ExprKey> {
+    let arith = families.contains(&Family::Arith);
+    let direct = families.contains(&Family::DirectLoad);
+    let indirect = families.contains(&Family::IndirectLoad);
+    let mut seen: FxHashSet<ExprKey> = FxHashSet::default();
+    let mut lists: [Vec<ExprKey>; 3] = Default::default();
+    let mut push = |k: ExprKey| {
+        if seen.insert(k) {
+            lists[k.family() as usize].push(k);
         }
     };
     for b in hf.block_ids() {
         for stmt in &hf.blocks[b.index()].stmts {
             match &stmt.kind {
-                HStmtKind::Bin { op, a, b, .. } => {
+                HStmtKind::Bin { op, a, b, .. } if arith => {
                     let (la, lb) = (LexOperand::of(a), LexOperand::of(b));
                     // skip all-constant expressions (constant folding's job)
                     if la.reg().is_none() && lb.reg().is_none() {
@@ -279,7 +308,7 @@ pub fn collect_candidates(hf: &HssaFunc) -> Vec<ExprKey> {
                     } else {
                         (la, lb)
                     };
-                    push_unique(&mut bins, ExprKey::Bin(*op, ka, kb));
+                    push(ExprKey::Bin(*op, ka, kb));
                 }
                 HStmtKind::Load {
                     base,
@@ -289,42 +318,31 @@ pub fn collect_candidates(hf: &HssaFunc) -> Vec<ExprKey> {
                     dvar,
                     ..
                 } => match base {
-                    HOperand::GlobalAddr(g) if dvar.is_some() => {
-                        push_unique(
-                            &mut directs,
-                            ExprKey::DirectLoad(
-                                MemVar {
-                                    base: MemBase::Global(*g),
-                                    off: *offset,
-                                },
-                                *ty,
-                            ),
-                        );
+                    HOperand::GlobalAddr(g) if direct && dvar.is_some() => {
+                        push(ExprKey::DirectLoad(
+                            MemVar {
+                                base: MemBase::Global(*g),
+                                off: *offset,
+                            },
+                            *ty,
+                        ))
                     }
-                    HOperand::SlotAddr(s) if dvar.is_some() => {
-                        push_unique(
-                            &mut directs,
-                            ExprKey::DirectLoad(
-                                MemVar {
-                                    base: MemBase::Slot(*s),
-                                    off: *offset,
-                                },
-                                *ty,
-                            ),
-                        );
-                    }
-                    HOperand::Reg(r, _) => {
+                    HOperand::SlotAddr(s) if direct && dvar.is_some() => push(ExprKey::DirectLoad(
+                        MemVar {
+                            base: MemBase::Slot(*s),
+                            off: *offset,
+                        },
+                        *ty,
+                    )),
+                    HOperand::Reg(r, _) if indirect => {
                         if let Some(mu) = stmt.mu.first() {
                             // the first mu is always the vvar (build order)
-                            push_unique(
-                                &mut indirects,
-                                ExprKey::IndirectLoad {
-                                    base: *r,
-                                    off: *offset,
-                                    ty: *ty,
-                                    vvar: mu.var,
-                                },
-                            );
+                            push(ExprKey::IndirectLoad {
+                                base: *r,
+                                off: *offset,
+                                ty: *ty,
+                                vvar: mu.var,
+                            });
                         }
                     }
                     _ => {}
@@ -333,38 +351,27 @@ pub fn collect_candidates(hf: &HssaFunc) -> Vec<ExprKey> {
             }
         }
     }
-    bins.extend(directs);
-    bins.extend(indirects);
-    bins
+    lists.concat()
 }
 
 fn lex_gt(a: &LexOperand, b: &LexOperand) -> bool {
     format!("{a:?}") > format!("{b:?}")
 }
 
-/// Statements killed/defined view used by the anticipation dataflow: does
-/// `stmt` redefine any value `key` depends on? `speculative` controls
-/// whether weak updates kill (they do **not** when data speculation is on —
-/// that is the paper's enhancement); `heuristic` additionally makes a store
-/// with the same syntax as an indirect-load candidate kill it (rule 1 of
-/// §3.2.2 read in the contrapositive).
-pub fn kills(
-    stmt: &HStmt,
-    key: &ExprKey,
-    mem_var: Option<HVarId>,
-    speculative: bool,
-    heuristic: bool,
-) -> bool {
-    // register redefinitions always kill
+/// The non-speculative kill query: does `stmt` redefine any value `key`
+/// depends on? Register redefinitions, strong stores to the memory
+/// variable and every χ over it kill. Under data speculation the client
+/// asks the likeliness oracle about each χ instead (`ssapre`'s
+/// `kills_with_policy`).
+pub fn kills(stmt: &HStmt, key: &ExprKey, mem_var: Option<HVarId>) -> bool {
     if let Some((v, _)) = stmt.def_reg() {
-        if key.tracked_regs().contains(&v) {
+        if key.tracked_regs().iter().any(|&r| r == v) {
             return true;
         }
     }
     let Some(mv) = mem_var else {
         return false;
     };
-    // strong (direct) def of the memory variable
     if let HStmtKind::Store {
         dvar_def: Some((id, _)),
         ..
@@ -374,34 +381,7 @@ pub fn kills(
             return true;
         }
     }
-    // chi over the memory variable
-    if let Some(chi) = stmt.chi_of(mv) {
-        if !speculative {
-            return true;
-        }
-        if heuristic {
-            if let HStmtKind::Store {
-                base: HOperand::Reg(sb, _),
-                offset,
-                ..
-            } = &stmt.kind
-            {
-                // for indirect stores the per-candidate same-syntax
-                // comparison is authoritative: identical address
-                // expressions are highly likely to hold the same value ->
-                // the store's new value IS the expression's new value (not
-                // redundant with older loads), while a different-syntax
-                // store is a skippable weak update even when the build-time
-                // flag answered rule 1 for some *other* load's syntax
-                return matches!(key.syntax(), Some((eb, eoff)) if *sb == eb && *offset == eoff);
-            }
-            // calls kill in heuristic mode (rule 3) via their likely flag
-        }
-        if chi.likely {
-            return true;
-        }
-    }
-    false
+    stmt.chi_of(mv).is_some()
 }
 
 #[cfg(test)]
@@ -440,7 +420,7 @@ entry:
 "#,
             "f",
         );
-        let cands = collect_candidates(&hf);
+        let cands = collect_candidates(&hf, &Family::ALL);
         assert!(cands
             .iter()
             .any(|k| matches!(k, ExprKey::Bin(BinOp::Add, ..))));
@@ -466,7 +446,7 @@ entry:
 "#,
             "f",
         );
-        let cands = collect_candidates(&hf);
+        let cands = collect_candidates(&hf, &Family::ALL);
         let adds: Vec<_> = cands
             .iter()
             .filter(|k| {
@@ -496,7 +476,7 @@ entry:
 "#,
             "f",
         );
-        let key = collect_candidates(&hf)
+        let key = collect_candidates(&hf, &Family::ALL)
             .into_iter()
             .find(|k| matches!(k, ExprKey::DirectLoad(..)))
             .unwrap();
@@ -543,14 +523,13 @@ go:
 "#,
             "f",
         );
-        let key = collect_candidates(&hf)
+        let key = collect_candidates(&hf, &Family::ALL)
             .into_iter()
             .find(|k| matches!(k, ExprKey::DirectLoad(..)))
             .unwrap();
         let mv = key.tracked_mem(&hf);
         let store = &hf.blocks[0].stmts[1];
-        // NoSpeculation mode: the chi is flagged likely -> kills regardless
-        assert!(kills(store, &key, mv, true, false));
-        assert!(kills(store, &key, mv, false, false));
+        // without data speculation every chi over the variable kills
+        assert!(kills(store, &key, mv));
     }
 }

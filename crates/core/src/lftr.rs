@@ -81,10 +81,6 @@ impl<'a> LftrClient<'a> {
 }
 
 impl SpecClient for LftrClient<'_> {
-    fn describe(&self) -> String {
-        format!("lftr {:?} -> {:?}*{}", self.sr.iv_var, self.sr.s, self.sr.c)
-    }
-
     /// The single occurrence is the comparison defining the condition.
     fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
         if stmt.def_reg() == Some(self.cond) {
@@ -101,7 +97,7 @@ impl SpecClient for LftrClient<'_> {
     /// kills the replacement: the rewritten comparison computes a scaled
     /// value, valid only as a branch predicate.
     fn kills(&self, stmt: &HStmt) -> bool {
-        stmt.reg_uses().contains(&self.cond) && stmt.def_reg() != Some(self.cond)
+        stmt.reg_uses().any(|u| u == self.cond) && stmt.def_reg() != Some(self.cond)
     }
 
     fn tracked_regs(&self) -> &[VarId] {

@@ -70,9 +70,10 @@ pub fn eliminate_dead_phis(hf: &mut HssaFunc) -> usize {
         }
     }
     let mut removed = 0usize;
-    for b in hf.block_ids() {
-        let catalog = hf.catalog.clone();
-        let blk = &mut hf.blocks[b.index()];
+    let HssaFunc {
+        catalog, blocks, ..
+    } = hf;
+    for blk in blocks.iter_mut() {
         let before = blk.phis.len();
         blk.phis.retain(|phi| match catalog.kind(phi.var) {
             HVarKind::Reg(v) => needed.contains(&(v, phi.dest)),

@@ -72,14 +72,16 @@ impl<C: SpecClient> Kernel<'_, C> {
             p.down_safe = ant_in[p.block.index()];
         }
         // control speculation: profitable non-down-safe Phis become
-        // "down-safe"
+        // "down-safe"; the block frequencies are summed only when such a
+        // Φ exists
         if let Some((ep, fid)) = self.policy.control {
             if self.client.control_speculatable() {
-                let freqs = ep.block_freqs(fid, f_base);
+                let mut freqs: Option<Vec<u64>> = None;
                 for p in self.phis.iter_mut() {
                     if p.down_safe {
                         continue;
                     }
+                    let freqs = freqs.get_or_insert_with(|| ep.block_freqs(fid, f_base));
                     let bfreq = freqs[p.block.index()];
                     if bfreq == 0 {
                         continue;

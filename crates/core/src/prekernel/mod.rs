@@ -97,8 +97,6 @@ impl SpecPolicy<'_> {
 /// speculation policy) lives behind this trait; the six steps themselves
 /// are candidate-agnostic.
 pub trait SpecClient {
-    /// Debug rendering of the candidate (used by `SPECFRAME_DEBUG_SSAPRE`).
-    fn describe(&self) -> String;
     /// Candidate-occurrence harvesting: does `stmt` compute the candidate?
     /// Returns the operand versions it consumes.
     fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions>;
@@ -225,9 +223,9 @@ pub(crate) const NO_PHI: u32 = u32::MAX;
 ///
 /// Everything is index-keyed: occurrences live in one `Vec` sorted by
 /// (block layout index, statement index) — a block's occurrences are the
-/// contiguous slice named by `occ_rng` — and the per-block/per-version
-/// side tables are dense vectors rather than hash maps, so the rename /
-/// downsafety / finalize walks never hash.
+/// contiguous slice named by `occ_rng` — and the per-block side tables are
+/// dense vectors rather than hash maps, so the rename / downsafety /
+/// finalize walks never hash.
 pub(crate) struct Kernel<'k, C: SpecClient> {
     pub(crate) client: &'k C,
     pub(crate) policy: &'k SpecPolicy<'k>,
@@ -238,18 +236,16 @@ pub(crate) struct Kernel<'k, C: SpecClient> {
     /// Per block (by index): `occs[lo..hi]` are its occurrences in
     /// statement order.
     pub(crate) occ_rng: Vec<(u32, u32)>,
-    /// Memory-variable def table, keyed by SSA version.
-    pub(crate) mem_defs: DenseMap<MemDef>,
     pub(crate) phis: Vec<PhiE>,
-    /// Per block (by index): index into `phis`, or [`NO_PHI`].
+    /// Per block (by index): index into `phis`, or [`NO_PHI`] (filled by
+    /// Φ-Insertion).
     pub(crate) phi_at: Vec<u32>,
     /// Number of redundancy classes allocated by rename.
     pub(crate) next_class: u32,
 }
 
 impl<'k, C: SpecClient> Kernel<'k, C> {
-    /// Scans the function for real occurrences of the candidate and builds
-    /// the memory-variable def table the weak-chain walker uses.
+    /// Scans the function for real occurrences of the candidate.
     pub(crate) fn scan(
         hf: &HssaFunc,
         client: &'k C,
@@ -257,7 +253,6 @@ impl<'k, C: SpecClient> Kernel<'k, C> {
         df: &'k DomFrontiers,
         policy: &'k SpecPolicy<'k>,
     ) -> Self {
-        let mem_var = client.tracked_mem();
         let mut occs: Vec<RealOcc> = Vec::new();
         let mut occ_rng: Vec<(u32, u32)> = vec![(0, 0); hf.blocks.len()];
         for b in hf.block_ids() {
@@ -280,67 +275,63 @@ impl<'k, C: SpecClient> Kernel<'k, C> {
             }
             occ_rng[b.index()] = (lo, occs.len() as u32);
         }
-
-        // memory-variable def table: (version) -> MemDef
-        let mut mem_defs: DenseMap<MemDef> = match mem_var {
-            Some(mv) => DenseMap::with_len(hf.next_ver[mv.index()] as usize),
-            None => DenseMap::new(),
-        };
-        if let Some(mv) = mem_var {
-            mem_defs.insert(0, MemDef::Entry);
-            for b in hf.block_ids() {
-                // Unreachable blocks were never visited by HSSA rename, so
-                // their χ/store versions are still the u32::MAX sentinel —
-                // inserting that key would grow the dense table to 2³²
-                // slots. No reachable chain can reference them (versions
-                // are assigned on the dominator walk), so skip, exactly as
-                // the occurrence scan above does.
-                if !dt.is_reachable(b) {
-                    continue;
-                }
-                for phi in &hf.blocks[b.index()].phis {
-                    if phi.var == mv {
-                        mem_defs.insert(phi.dest, MemDef::Phi(b));
-                    }
-                }
-                for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
-                    if let HStmtKind::Store {
-                        dvar_def: Some((id, ver)),
-                        ..
-                    } = &stmt.kind
-                    {
-                        if *id == mv {
-                            mem_defs.insert(*ver, MemDef::Strong);
-                        }
-                    }
-                    if let Some(chi) = stmt.chi_of(mv) {
-                        mem_defs.insert(
-                            chi.new_ver,
-                            MemDef::Chi {
-                                block: b,
-                                stmt: si,
-                                old: chi.old_ver,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-
         Kernel {
             client,
             policy,
             dt,
             df,
-            mem_var,
+            mem_var: client.tracked_mem(),
             occs,
             occ_rng,
-            mem_defs,
             phis: Vec::new(),
-            phi_at: vec![NO_PHI; hf.blocks.len()],
+            phi_at: Vec::new(),
             next_class: 0,
         }
     }
+}
+
+/// The def table of memory variable `mv`, keyed by SSA version, that the
+/// weak-chain walker follows.
+pub(crate) fn mem_def_table(hf: &HssaFunc, dt: &DomTree, mv: HVarId) -> DenseMap<MemDef> {
+    let mut mem_defs = DenseMap::with_len(hf.next_ver[mv.index()] as usize);
+    mem_defs.insert(0, MemDef::Entry);
+    for b in hf.block_ids() {
+        // Unreachable blocks were never visited by HSSA rename, so their
+        // χ/store versions are still the u32::MAX sentinel — inserting that
+        // key would grow the dense table to 2³² slots. No reachable chain
+        // can reference them (versions are assigned on the dominator walk),
+        // so skip, exactly as the occurrence scan does.
+        if !dt.is_reachable(b) {
+            continue;
+        }
+        for phi in &hf.blocks[b.index()].phis {
+            if phi.var == mv {
+                mem_defs.insert(phi.dest, MemDef::Phi(b));
+            }
+        }
+        for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
+            if let HStmtKind::Store {
+                dvar_def: Some((id, ver)),
+                ..
+            } = &stmt.kind
+            {
+                if *id == mv {
+                    mem_defs.insert(*ver, MemDef::Strong);
+                }
+            }
+            if let Some(chi) = stmt.chi_of(mv) {
+                mem_defs.insert(
+                    chi.new_ver,
+                    MemDef::Chi {
+                        block: b,
+                        stmt: si,
+                        old: chi.old_ver,
+                    },
+                );
+            }
+        }
+    }
+    mem_defs
 }
 
 /// Weak-chain query: can memory version `from` reach `to` through
@@ -387,19 +378,28 @@ pub fn run_kernel<C: SpecClient>(
     policy: &SpecPolicy<'_>,
     stats: &mut OptStats,
 ) -> bool {
-    let debug = std::env::var_os("SPECFRAME_DEBUG_SSAPRE").is_some();
-
-    // ---- scan: real occurrences + def tables -----------------------------
+    // ---- scan: real occurrences ------------------------------------------
     let mut k = Kernel::scan(hf, client, dt, df, policy);
     if k.occs.is_empty() {
         return false;
     }
 
-    // ---- steps 1-4 --------------------------------------------------------
+    // ---- step 1 -----------------------------------------------------------
     k.phi_insertion(hf);
+    // The profitability scan below passes only with two occurrences in one
+    // class or a will-be-available Φ, and nothing before it mutates `hf`:
+    // a lone occurrence without a Φ is decided here.
+    if k.phis.is_empty() && k.occs.len() < 2 {
+        return false;
+    }
+
+    // ---- steps 2-4 ----------------------------------------------------------
     k.rename(hf);
-    k.downsafety(f_base, hf);
-    k.willbeavail();
+    // DownSafety and WillBeAvail only set per-Φ flags
+    if !k.phis.is_empty() {
+        k.downsafety(f_base, hf);
+        k.willbeavail();
+    }
 
     // quick profitability scan: is there anything to do at all? Occurrence
     // positions are unique, so a class is redundant iff it has two members;
@@ -421,23 +421,6 @@ pub fn run_kernel<C: SpecClient>(
         }
     }
     let any_wba_phi_use = k.occs.iter().any(|o| wba_class[o.class as usize]);
-    if debug {
-        eprintln!("[ssapre] key={} occs={:?}", client.describe(), k.occs);
-        for p in &k.phis {
-            eprintln!(
-                "[ssapre]   phi@{:?} class={} ds={} cspec={} cba={} later={} wba={} opnds={:?}",
-                p.block,
-                p.class,
-                p.down_safe,
-                p.cspec,
-                p.can_be_avail,
-                p.later,
-                p.will_be_avail,
-                p.opnds
-            );
-        }
-        eprintln!("[ssapre]   any_red={any_redundancy} any_wba={any_wba_phi_use}");
-    }
     if !any_redundancy && !any_wba_phi_use {
         return false;
     }

@@ -7,11 +7,16 @@
 //! *only through speculative weak updates* — checked by the weak-chain
 //! walker over the candidate's χ def chain — they receive the same class
 //! with a speculation flag.
+//!
+//! A real occurrence is matched with the versions it carries itself; the
+//! variable version stacks are read only at Φ entries and Φ operands. A
+//! candidate without Φs therefore skips the per-statement def tracking and
+//! visits just its occurrence slices.
 
-use super::{weak_reaches, Kernel, OpndDef, SpecClient, NO_PHI};
+use super::{mem_def_table, weak_reaches, Kernel, OpndDef, SpecClient, NO_PHI};
 use crate::expr::OccVersions;
 use specframe_hssa::{HStmtKind, HVarKind, HssaFunc};
-use specframe_ir::BlockId;
+use specframe_ir::{BlockId, DenseMap};
 
 #[derive(Clone, Debug)]
 enum Top {
@@ -27,10 +32,10 @@ struct Entry {
 
 enum Walk {
     Visit(BlockId),
+    /// Unwinds to the stack heights at the block's entry.
     Pop {
         exprs: usize,
-        regs: Vec<usize>,
-        mems: usize,
+        defs: usize,
     },
 }
 
@@ -43,7 +48,6 @@ impl<C: SpecClient> Kernel<'_, C> {
             mem_var,
             occs,
             occ_rng,
-            mem_defs,
             phis,
             phi_at,
             ..
@@ -53,203 +57,180 @@ impl<C: SpecClient> Kernel<'_, C> {
         let mem_var = *mem_var;
         let base_collapsed = client.base_collapsed();
         let data = policy.data();
+        let track_defs = !phis.is_empty();
+        // only weak-chain matching reads the memory def table
+        let mem_defs = match mem_var {
+            Some(mv) if data => mem_def_table(hf, dt, mv),
+            _ => DenseMap::new(),
+        };
+
+        // Does a value with operand versions `cur` match the expression on
+        // top of the stack? `Some(spec)` joins its class (`spec` when only
+        // speculatively equal); `None` starts a new one.
+        let matches = |top: &OccVersions, cur: &OccVersions| -> Option<bool> {
+            let regs_exact = top.regs == cur.regs;
+            // a collapsed base's versions are injuring defs, not kills
+            let regs_eq = regs_exact || (base_collapsed && data);
+            if !regs_eq {
+                return None;
+            }
+            if top.mem == cur.mem {
+                return Some(!regs_exact);
+            }
+            match (data, cur.mem, top.mem) {
+                (true, Some(c), Some(a)) => weak_reaches(hf, &mem_defs, client, c, a),
+                _ => None,
+            }
+        };
 
         let mut next_class = 0u32;
         let mut expr_stack: Vec<Entry> = Vec::new();
-        // variable version stacks: regs by position in tracked_regs, mem last
-        let mut reg_stacks: Vec<Vec<u32>> = tracked_regs.iter().map(|_| vec![0]).collect();
-        let mut mem_stack: Vec<u32> = vec![0];
+        // variable version stacks: the tracked regs by position, then mem
+        let mem_slot = tracked_regs.len();
+        let mut var_stacks: Vec<Vec<u32>> = vec![vec![0]; mem_slot + 1];
+        // the var stack of every push, unwound when its block is left
+        let mut pushed: Vec<usize> = Vec::new();
+        let tops = |var_stacks: &[Vec<u32>]| OccVersions {
+            regs: var_stacks[..mem_slot]
+                .iter()
+                .map(|s| *s.last().expect("a stack keeps its entry version"))
+                .collect(),
+            mem: mem_var.map(|_| {
+                *var_stacks[mem_slot]
+                    .last()
+                    .expect("a stack keeps its entry version")
+            }),
+        };
 
         let mut walk = vec![Walk::Visit(dt.rpo()[0])];
         while let Some(w) = walk.pop() {
-            match w {
-                Walk::Pop { exprs, regs, mems } => {
-                    for _ in 0..exprs {
-                        expr_stack.pop();
+            let b = match w {
+                Walk::Pop { exprs, defs } => {
+                    expr_stack.truncate(exprs);
+                    for i in pushed.drain(defs..) {
+                        var_stacks[i].pop();
                     }
-                    for (i, n) in regs.iter().enumerate() {
-                        for _ in 0..*n {
-                            reg_stacks[i].pop();
-                        }
-                    }
-                    for _ in 0..mems {
-                        mem_stack.pop();
+                    continue;
+                }
+                Walk::Visit(b) => b,
+            };
+            // the whole block is handled before its children are popped
+            walk.push(Walk::Pop {
+                exprs: expr_stack.len(),
+                defs: pushed.len(),
+            });
+            walk.extend(dt.children(b).iter().rev().map(|&c| Walk::Visit(c)));
+            let blk = &hf.blocks[b.index()];
+
+            if track_defs {
+                // (a) variable phis at block entry
+                for phi in &blk.phis {
+                    let slot = match hf.catalog.kind(phi.var) {
+                        HVarKind::Reg(v) => tracked_regs.iter().position(|&r| r == v),
+                        _ => (Some(phi.var) == mem_var).then_some(mem_slot),
+                    };
+                    if let Some(i) = slot {
+                        var_stacks[i].push(phi.dest);
+                        pushed.push(i);
                     }
                 }
-                Walk::Visit(b) => {
-                    let mut pushed_exprs = 0usize;
-                    let mut pushed_regs = vec![0usize; tracked_regs.len()];
-                    let mut pushed_mem = 0usize;
-
-                    // (a) variable phis at block entry
-                    for phi in &hf.blocks[b.index()].phis {
-                        match hf.catalog.kind(phi.var) {
-                            HVarKind::Reg(v) => {
-                                if let Some(pos) = tracked_regs.iter().position(|&r| r == v) {
-                                    reg_stacks[pos].push(phi.dest);
-                                    pushed_regs[pos] += 1;
-                                }
-                            }
-                            _ => {
-                                if Some(phi.var) == mem_var {
-                                    mem_stack.push(phi.dest);
-                                    pushed_mem += 1;
-                                }
-                            }
-                        }
-                    }
-
-                    // (b) expression Phi
-                    if phi_at[b.index()] != NO_PHI {
-                        let pi = phi_at[b.index()] as usize;
-                        let vers = OccVersions {
-                            regs: reg_stacks.iter().map(|s| *s.last().unwrap()).collect(),
-                            mem: mem_var.map(|_| *mem_stack.last().unwrap()),
-                        };
-                        let class = next_class;
-                        next_class += 1;
-                        phis[pi].class = class;
-                        expr_stack.push(Entry {
-                            class,
-                            top: Top::Phi(pi),
-                            vers,
-                        });
-                        pushed_exprs += 1;
-                    }
-
-                    // (c) statements — the block's occurrences are the
-                    // contiguous slice occ_rng[b], in statement order, so a
-                    // cursor replaces the per-statement map lookup
-                    let (occ_lo, occ_hi) = occ_rng[b.index()];
-                    let mut occ_cur = occ_lo as usize;
-                    let nstmts = hf.blocks[b.index()].stmts.len();
-                    for si in 0..nstmts {
-                        if occ_cur < occ_hi as usize && occs[occ_cur].stmt == si {
-                            let oi = occ_cur;
-                            occ_cur += 1;
-                            let vers = occs[oi].vers.clone();
-                            let mut assigned = false;
-                            if let Some(top) = expr_stack.last() {
-                                let regs_exact = top.vers.regs == vers.regs;
-                                let regs_eq = regs_exact || (base_collapsed && data);
-                                let reg_spec = regs_eq && !regs_exact;
-                                if regs_eq && top.vers.mem == vers.mem {
-                                    occs[oi].class = top.class;
-                                    occs[oi].spec = reg_spec;
-                                    assigned = true;
-                                } else if regs_eq && data {
-                                    if let (Some(cur), Some(at)) = (vers.mem, top.vers.mem) {
-                                        if let Some(true) =
-                                            weak_reaches(hf, mem_defs, client, cur, at)
-                                        {
-                                            occs[oi].class = top.class;
-                                            occs[oi].spec = true;
-                                            assigned = true;
-                                        }
-                                    }
-                                }
-                            }
-                            if !assigned {
-                                occs[oi].class = next_class;
-                                next_class += 1;
-                            }
-                            let class = occs[oi].class;
-                            expr_stack.push(Entry {
-                                class,
-                                top: Top::Real(oi),
-                                vers,
-                            });
-                            pushed_exprs += 1;
-                        }
-                        // variable defs
-                        let stmt = &hf.blocks[b.index()].stmts[si];
-                        if let Some((v, ver)) = stmt.def_reg() {
-                            if let Some(pos) = tracked_regs.iter().position(|&r| r == v) {
-                                reg_stacks[pos].push(ver);
-                                pushed_regs[pos] += 1;
-                            }
-                        }
-                        if let Some(mv) = mem_var {
-                            if let HStmtKind::Store {
-                                dvar_def: Some((id, ver)),
-                                ..
-                            } = &stmt.kind
-                            {
-                                if *id == mv {
-                                    mem_stack.push(*ver);
-                                    pushed_mem += 1;
-                                }
-                            }
-                            if let Some(chi) = stmt.chi_of(mv) {
-                                mem_stack.push(chi.new_ver);
-                                pushed_mem += 1;
-                            }
-                        }
-                    }
-
-                    // (e) expression-Phi operands in successors
-                    let succs = hf.blocks[b.index()]
-                        .term
-                        .as_ref()
-                        .map(|t| t.successors())
-                        .unwrap_or_default();
-                    for s in succs {
-                        let pi = phi_at[s.index()];
-                        if pi == NO_PHI {
-                            continue;
-                        }
-                        let pi = pi as usize;
-                        let Some(op_idx) = hf.pred_index(s, b) else {
-                            continue;
-                        };
-                        let cur = OccVersions {
-                            regs: reg_stacks.iter().map(|st| *st.last().unwrap()).collect(),
-                            mem: mem_var.map(|_| *mem_stack.last().unwrap()),
-                        };
-                        // decide the operand binding before taking the
-                        // mutable borrow (weak_reaches reads kernel state)
-                        let mut bind: Option<(OpndDef, bool, bool)> = None;
-                        if let Some(top) = expr_stack.last() {
-                            let regs_exact = top.vers.regs == cur.regs;
-                            let regs_eq = regs_exact || (base_collapsed && data);
-                            let reg_spec = regs_eq && !regs_exact;
-                            let mem_match = if top.vers.mem == cur.mem {
-                                Some(reg_spec)
-                            } else if regs_eq && data {
-                                match (cur.mem, top.vers.mem) {
-                                    (Some(c), Some(a)) => weak_reaches(hf, mem_defs, client, c, a),
-                                    _ => None,
-                                }
-                            } else {
-                                None
-                            };
-                            if regs_eq {
-                                if let Some(spec) = mem_match {
-                                    let def = match top.top {
-                                        Top::Real(i) => OpndDef::Real(i),
-                                        Top::Phi(i) => OpndDef::Phi(i),
-                                    };
-                                    bind = Some((def, matches!(top.top, Top::Real(_)), spec));
-                                }
-                            }
-                        }
-                        let opnd = &mut phis[pi].opnds[op_idx];
-                        opnd.vers_at_pred = cur;
-                        if let Some((def, has_real_use, spec)) = bind {
-                            opnd.def = def;
-                            opnd.has_real_use = has_real_use;
-                            opnd.spec = spec;
-                        }
-                    }
-
-                    walk.push(Walk::Pop {
-                        exprs: pushed_exprs,
-                        regs: pushed_regs,
-                        mems: pushed_mem,
+                // (b) expression Phi
+                if phi_at[b.index()] != NO_PHI {
+                    let pi = phi_at[b.index()] as usize;
+                    phis[pi].class = next_class;
+                    expr_stack.push(Entry {
+                        class: next_class,
+                        top: Top::Phi(pi),
+                        vers: tops(&var_stacks),
                     });
-                    for &c in dt.children(b).iter().rev() {
-                        walk.push(Walk::Visit(c));
+                    next_class += 1;
+                }
+            }
+
+            // (c) real occurrences: the block's slice occ_rng[b], in
+            // statement order
+            let (lo, hi) = (occ_rng[b.index()].0 as usize, occ_rng[b.index()].1 as usize);
+            for (oi, occ) in (lo..hi).zip(&mut occs[lo..hi]) {
+                let joined = expr_stack
+                    .last()
+                    .and_then(|top| Some((top.class, matches(&top.vers, &occ.vers)?)));
+                match joined {
+                    Some((class, spec)) => {
+                        occ.class = class;
+                        occ.spec = spec;
                     }
+                    None => {
+                        occ.class = next_class;
+                        next_class += 1;
+                    }
+                }
+                expr_stack.push(Entry {
+                    class: occ.class,
+                    top: Top::Real(oi),
+                    vers: occ.vers.clone(),
+                });
+            }
+
+            if !track_defs {
+                continue;
+            }
+
+            // (d) variable defs, for the Φ operands below and the Φ entries
+            // of dominated blocks (not interleaved with (c): occurrences
+            // never read the stacks)
+            for stmt in &blk.stmts {
+                if let Some((v, ver)) = stmt.def_reg() {
+                    if let Some(i) = tracked_regs.iter().position(|&r| r == v) {
+                        var_stacks[i].push(ver);
+                        pushed.push(i);
+                    }
+                }
+                if let Some(mv) = mem_var {
+                    if let HStmtKind::Store {
+                        dvar_def: Some((id, ver)),
+                        ..
+                    } = &stmt.kind
+                    {
+                        if *id == mv {
+                            var_stacks[mem_slot].push(*ver);
+                            pushed.push(mem_slot);
+                        }
+                    }
+                    if let Some(chi) = stmt.chi_of(mv) {
+                        var_stacks[mem_slot].push(chi.new_ver);
+                        pushed.push(mem_slot);
+                    }
+                }
+            }
+
+            // (e) expression-Phi operands in successors
+            let succs = blk
+                .term
+                .as_ref()
+                .map(|t| t.successors())
+                .unwrap_or_default();
+            for s in succs {
+                let pi = phi_at[s.index()];
+                if pi == NO_PHI {
+                    continue;
+                }
+                let Some(op_idx) = hf.pred_index(s, b) else {
+                    continue;
+                };
+                let cur = tops(&var_stacks);
+                let bind = expr_stack.last().and_then(|top| {
+                    let spec = matches(&top.vers, &cur)?;
+                    Some(match top.top {
+                        Top::Real(i) => (OpndDef::Real(i), true, spec),
+                        Top::Phi(i) => (OpndDef::Phi(i), false, spec),
+                    })
+                });
+                let opnd = &mut phis[pi as usize].opnds[op_idx];
+                opnd.vers_at_pred = cur;
+                if let Some((def, has_real_use, spec)) = bind {
+                    opnd.def = def;
+                    opnd.has_real_use = has_real_use;
+                    opnd.spec = spec;
                 }
             }
         }

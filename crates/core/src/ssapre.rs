@@ -20,7 +20,7 @@
 //! check loads by the same register, and what makes a failed check's
 //! reloaded value visible to every later reload.
 
-use crate::expr::{collect_candidates, kills, occurrence_versions, ExprKey, OccVersions};
+use crate::expr::{collect_candidates, kills, occurrence_versions, ExprKey, Family, OccVersions};
 use crate::prekernel::{run_kernel, SpecClient};
 use crate::stats::OptStats;
 use specframe_analysis::{DomFrontiers, DomTree, FuncAnalyses};
@@ -50,8 +50,9 @@ pub fn ssapre_function(
 ) -> usize {
     let (dt, df) = (&fa.dt, &fa.df);
     let mut changed = 0;
-    // phase 1: arithmetic expressions (address computations among them)
-    let candidates = collect_candidates(hf);
+    // phase 1: arithmetic expressions (address computations among them);
+    // every family is collected so `candidates` counts the loads too
+    let candidates = collect_candidates(hf, &Family::ALL);
     stats.candidates += candidates.len() as u64;
     for key in candidates.iter().filter(|k| !k.is_load()) {
         if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
@@ -65,11 +66,7 @@ pub fn ssapre_function(
     copy_propagate(hf);
     // phase 3a: direct loads (scalar promotion) first — their collapsed
     // temporaries may become the base registers of indirect candidates
-    let candidates = collect_candidates(hf);
-    for key in candidates
-        .iter()
-        .filter(|k| matches!(k, ExprKey::DirectLoad(..)))
-    {
+    for key in &collect_candidates(hf, &[Family::DirectLoad]) {
         if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
             changed += 1;
         }
@@ -79,11 +76,7 @@ pub fn ssapre_function(
     copy_propagate(hf);
     propagate_collapsed_local(hf);
     // phase 3c: indirect loads, re-collected after the rewrite
-    let candidates = collect_candidates(hf);
-    for key in candidates
-        .iter()
-        .filter(|k| matches!(k, ExprKey::IndirectLoad { .. }))
-    {
+    for key in &collect_candidates(hf, &[Family::IndirectLoad]) {
         if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
             changed += 1;
         }
@@ -165,7 +158,7 @@ impl<'a> ExprClient<'a> {
         ExprClient {
             key,
             policy,
-            tracked_regs: key.tracked_regs(),
+            tracked_regs: key.tracked_regs().iter().copied().collect(),
             mem_var: key.tracked_mem(hf),
             base_collapsed,
             expr_locs,
@@ -174,10 +167,6 @@ impl<'a> ExprClient<'a> {
 }
 
 impl SpecClient for ExprClient<'_> {
-    fn describe(&self) -> String {
-        format!("{:?}", self.key)
-    }
-
     fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
         occurrence_versions(stmt, self.key)
     }
@@ -266,34 +255,17 @@ fn kills_with_policy(
     base_collapsed: bool,
 ) -> bool {
     if !policy.data() {
-        return kills(stmt, key, mem_var, false, false);
+        return kills(stmt, key, mem_var);
     }
+    let redefines_reg = stmt
+        .def_reg()
+        .is_some_and(|(v, _)| key.tracked_regs().iter().any(|&r| r == v));
     // a redefinition of a collapsed base register is an injuring def, not a
     // kill: dependent reloads re-validate through their own check
-    if base_collapsed {
-        if let Some((v, _)) = stmt.def_reg() {
-            if key.tracked_regs().contains(&v)
-                && !kills_mem_part(stmt, key, mem_var, policy, expr_locs)
-            {
-                return false;
-            }
-        }
-    }
-    if kills_reg_or_strong(stmt, key, mem_var) {
+    if redefines_reg && !base_collapsed {
         return true;
     }
-    let Some(mv) = mem_var else { return false };
-    let Some(chi) = stmt.chi_of(mv) else {
-        return false;
-    };
-    policy.oracle.chi_kills(&ChiRefine {
-        chi_likely: chi.likely,
-        stmt: refine_stmt(stmt),
-        cand_direct: matches!(key, ExprKey::DirectLoad(..)),
-        cand_syntax: key.syntax(),
-        cand_ty: key.load_ty(),
-        expr_locs,
-    })
+    kills_mem_part(stmt, key, mem_var, policy, expr_locs)
 }
 
 /// The memory component of the kill decision (strong def or effective chi
@@ -326,27 +298,6 @@ fn kills_mem_part(
         cand_ty: key.load_ty(),
         expr_locs,
     })
-}
-
-fn kills_reg_or_strong(stmt: &HStmt, key: &ExprKey, mem_var: Option<HVarId>) -> bool {
-    if let Some((v, _)) = stmt.def_reg() {
-        if key.tracked_regs().contains(&v) {
-            return true;
-        }
-    }
-    if let (
-        Some(mv),
-        HStmtKind::Store {
-            dvar_def: Some((id, _)),
-            ..
-        },
-    ) = (mem_var, &stmt.kind)
-    {
-        if *id == mv {
-            return true;
-        }
-    }
-    false
 }
 
 /// Builds the inserted computation of `key` writing `t`, using the operand

@@ -58,10 +58,6 @@ struct StoreClient {
 }
 
 impl SpecClient for StoreClient {
-    fn describe(&self) -> String {
-        format!("store-promote {:?}", self.mv)
-    }
-
     fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
         match &stmt.kind {
             HStmtKind::Store {

@@ -105,10 +105,6 @@ impl StrengthClient {
 }
 
 impl SpecClient for StrengthClient {
-    fn describe(&self) -> String {
-        format!("strength-reduce {:?} * {:?}", self.iv.var, self.c)
-    }
-
     fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
         self.mul_of_iv(stmt).map(|(ver, _)| OccVersions {
             regs: [ver].into_iter().collect(),

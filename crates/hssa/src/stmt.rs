@@ -168,34 +168,26 @@ impl HStmt {
         }
     }
 
-    /// Register operands read by the payload (not including μ operators).
-    pub fn reg_uses(&self) -> Vec<RegVer> {
-        let mut out = Vec::new();
-        let mut push = |o: &HOperand| {
-            if let HOperand::Reg(v, ver) = o {
-                out.push((*v, *ver));
+    /// Register operands read by the payload (not including μ operators),
+    /// in operand order. Allocates nothing: cleanup and the verifier call
+    /// this for every statement.
+    pub fn reg_uses(&self) -> impl Iterator<Item = RegVer> + '_ {
+        let (fixed, args): ([Option<&HOperand>; 2], &[HOperand]) = match &self.kind {
+            HStmtKind::Bin { a, b, .. } => ([Some(a), Some(b)], &[]),
+            HStmtKind::Un { a, .. } => ([Some(a), None], &[]),
+            HStmtKind::Copy { src, .. } => ([Some(src), None], &[]),
+            HStmtKind::Load { base, .. } | HStmtKind::CheckLoad { base, .. } => {
+                ([Some(base), None], &[])
             }
+            HStmtKind::Store { base, val, .. } => ([Some(base), Some(val)], &[]),
+            HStmtKind::Call { args, .. } => ([None, None], args),
+            HStmtKind::Alloc { words, .. } => ([Some(words), None], &[]),
         };
-        match &self.kind {
-            HStmtKind::Bin { a, b, .. } => {
-                push(a);
-                push(b);
-            }
-            HStmtKind::Un { a, .. } => push(a),
-            HStmtKind::Copy { src, .. } => push(src),
-            HStmtKind::Load { base, .. } | HStmtKind::CheckLoad { base, .. } => push(base),
-            HStmtKind::Store { base, val, .. } => {
-                push(base);
-                push(val);
-            }
-            HStmtKind::Call { args, .. } => {
-                for a in args {
-                    push(a);
-                }
-            }
-            HStmtKind::Alloc { words, .. } => push(words),
-        }
-        out
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(args)
+            .filter_map(|o| o.as_reg())
     }
 
     /// The χ over `var`, if present.
