@@ -17,7 +17,7 @@ use specframe_core::{
     ControlSpec, FuncCache, OptOptions, PipelineConfig, PipelineHooks, ReduceStats, SpecSource,
 };
 use specframe_ir::display::print_module;
-use specframe_ir::parse_module;
+use specframe_ir::{parse_module, verify_module};
 use specframe_workloads::{all_workloads, inst_count, mega_module, mega_source, Scale};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -31,13 +31,33 @@ struct MegaRow {
     funcs_per_sec: f64,
     insts_per_sec: f64,
     peak_rss_kb: u64,
+    /// The text layer: parsing and verifying the input, printing the output.
+    parse_ms: f64,
+    verify_ms: f64,
+    print_ms: f64,
+}
+
+/// The fastest of three runs of `f`, in milliseconds, and its result.
+fn best_of_3<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        out = Some(f());
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    (out.expect("three runs"), best)
 }
 
 /// Compiles the reduced-size synthetic mega-module (1k functions — the CI
 /// time budget; `--mega` scales to 10k for local measurements), records
-/// whole-module throughput and peak RSS, and asserts byte-identical output
-/// across `jobs` 1/2/4 — the parallel driver's safety invariant, checked
-/// here on a workload none of the golden files cover.
+/// whole-module throughput, the text layer's times and peak RSS, and
+/// asserts byte-identical output across `jobs` 1/2/4 — the parallel
+/// driver's safety invariant, checked here on a workload none of the
+/// golden files cover. The optimized module must also survive print →
+/// parse → verify → print byte for byte: it carries the `load.s` and
+/// `chks.*` forms control speculation adds, at a scale the round-trip
+/// property test does not reach.
 fn mega_smoke() -> MegaRow {
     const SEED: u64 = 42;
     const FUNCS: usize = 1000;
@@ -49,7 +69,9 @@ fn mega_smoke() -> MegaRow {
         store_sinking: true,
         target: Default::default(),
     };
-    let mut base = mega_module(SEED, FUNCS);
+    let src = mega_source(SEED, FUNCS);
+    let (mut base, parse_ms) = best_of_3(|| parse_module(&src).expect("mega source parses"));
+    let (_, verify_ms) = best_of_3(|| verify_module(&base).expect("mega module verifies"));
     prepare_module(&mut base);
     let insts = inst_count(&base);
 
@@ -58,7 +80,14 @@ fn mega_smoke() -> MegaRow {
     optimize_with(&mut m1, &opts, &PipelineConfig { jobs: 1 });
     let secs = t0.elapsed().as_secs_f64();
 
-    let text1 = print_module(&m1);
+    let (text1, print_ms) = best_of_3(|| print_module(&m1));
+    let reparsed = parse_module(&text1).expect("optimized mega module re-parses");
+    verify_module(&reparsed).expect("re-parsed optimized mega module verifies");
+    assert_eq!(
+        print_module(&reparsed),
+        text1,
+        "optimized mega module does not print back to the same bytes"
+    );
     for jobs in [2, 4] {
         let mut mj = base.clone();
         optimize_with(&mut mj, &opts, &PipelineConfig { jobs });
@@ -75,11 +104,23 @@ fn mega_smoke() -> MegaRow {
         funcs_per_sec: FUNCS as f64 / secs,
         insts_per_sec: insts as f64 / secs,
         peak_rss_kb: peak_rss_kb().unwrap_or(0),
+        parse_ms,
+        verify_ms,
+        print_ms,
     };
     println!(
         "mega-module: {} funcs / {} insts in {:.3} s ({:.0} funcs/sec, {:.0} insts/sec, \
-         peak rss {} kB), jobs 1/2/4 byte-identical",
-        row.funcs, row.insts, secs, row.funcs_per_sec, row.insts_per_sec, row.peak_rss_kb
+         peak rss {} kB), jobs 1/2/4 byte-identical; parse {:.1} ms, verify {:.1} ms, \
+         print {:.1} ms, output round-trips",
+        row.funcs,
+        row.insts,
+        secs,
+        row.funcs_per_sec,
+        row.insts_per_sec,
+        row.peak_rss_kb,
+        row.parse_ms,
+        row.verify_ms,
+        row.print_ms
     );
     row
 }
@@ -689,8 +730,16 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"mega\": {{ \"funcs\": {}, \"insts\": {}, \"funcs_per_sec\": {:.0}, \
-         \"insts_per_sec\": {:.0}, \"peak_rss_kb\": {} }},",
-        mega.funcs, mega.insts, mega.funcs_per_sec, mega.insts_per_sec, mega.peak_rss_kb
+         \"insts_per_sec\": {:.0}, \"peak_rss_kb\": {}, \"parse_ms\": {:.2}, \
+         \"verify_ms\": {:.2}, \"print_ms\": {:.2} }},",
+        mega.funcs,
+        mega.insts,
+        mega.funcs_per_sec,
+        mega.insts_per_sec,
+        mega.peak_rss_kb,
+        mega.parse_ms,
+        mega.verify_ms,
+        mega.print_ms
     );
     let _ = writeln!(
         json,

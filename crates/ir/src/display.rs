@@ -4,8 +4,9 @@
 //! renumbering: `print(parse(print(m))) == print(m)`.
 
 use crate::function::{Function, Global, Module};
+use crate::ids::VarId;
 use crate::inst::{Inst, Operand, Terminator};
-use crate::types::Value;
+use crate::types::{Ty, Value};
 use core::fmt::Write;
 
 /// Renders a whole module in the textual IR syntax.
@@ -47,14 +48,24 @@ pub fn func_name_table(m: &Module) -> Vec<String> {
 fn print_value(out: &mut String, v: Value) {
     match v {
         Value::I(x) => write!(out, "{x}").unwrap(),
-        Value::F(x) => {
-            if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                write!(out, "{x:.1}").unwrap()
-            } else {
-                write!(out, "{x}").unwrap()
-            }
-        }
+        Value::F(x) => push_f64(out, x),
         Value::Nat => out.push_str("NaT"),
+    }
+}
+
+/// Writes a float so the lexer reads it back as the same float: an
+/// integral value below 1e15 as `3.0`, a larger one in `{:?}` form
+/// (`1000000000000000.0`, `1e16`) because `{}` would print it as an
+/// integer literal, and anything else with `{}`.
+fn push_f64(out: &mut String, x: f64) {
+    if x.fract() == 0.0 && x.is_finite() {
+        if x.abs() < 1e15 {
+            write!(out, "{x:.1}").unwrap()
+        } else {
+            write!(out, "{x:?}").unwrap()
+        }
+    } else {
+        write!(out, "{x}").unwrap()
     }
 }
 
@@ -72,27 +83,34 @@ pub fn print_function_in(
     func_names: &[String],
     f: &Function,
 ) {
-    write!(out, "func {}(", f.name).unwrap();
-    for i in 0..f.params {
+    out.push_str("func ");
+    out.push_str(&f.name);
+    out.push('(');
+    for (i, d) in f.vars[..f.params as usize].iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let d = &f.vars[i as usize];
-        write!(out, "{}: {}", d.name, d.ty).unwrap();
+        push_decl(out, &d.name, d.ty);
     }
     out.push(')');
     if let Some(t) = f.ret_ty {
-        write!(out, " -> {t}").unwrap();
+        out.push_str(" -> ");
+        out.push_str(t.name());
     }
     out.push_str(" {\n");
-    for d in f.vars.iter().skip(f.params as usize) {
-        writeln!(out, "  var {}: {}", d.name, d.ty).unwrap();
+    for d in &f.vars[f.params as usize..] {
+        out.push_str("  var ");
+        push_decl(out, &d.name, d.ty);
+        out.push('\n');
     }
     for s in &f.slots {
-        writeln!(out, "  slot {}: {}[{}]", s.name, s.ty, s.words).unwrap();
+        out.push_str("  slot ");
+        push_decl(out, &s.name, s.ty);
+        writeln!(out, "[{}]", s.words).unwrap();
     }
     for b in &f.blocks {
-        writeln!(out, "{}:", b.name).unwrap();
+        out.push_str(&b.name);
+        out.push_str(":\n");
         for inst in &b.insts {
             out.push_str("  ");
             print_inst(out, globals, func_names, f, inst);
@@ -105,31 +123,45 @@ pub fn print_function_in(
     out.push_str("}\n");
 }
 
-fn opnd(globals: &[Global], f: &Function, o: Operand) -> String {
+/// Writes `name: ty`.
+fn push_decl(out: &mut String, name: &str, ty: Ty) {
+    out.push_str(name);
+    out.push_str(": ");
+    out.push_str(ty.name());
+}
+
+fn push_opnd(out: &mut String, globals: &[Global], f: &Function, o: Operand) {
     match o {
-        Operand::Var(v) => f.vars[v.index()].name.clone(),
-        Operand::ConstI(c) => format!("{c}"),
-        Operand::ConstF(c) => {
-            if c.fract() == 0.0 && c.is_finite() && c.abs() < 1e15 {
-                format!("{c:.1}")
-            } else {
-                format!("{c}")
-            }
+        Operand::Var(v) => out.push_str(&f.vars[v.index()].name),
+        Operand::ConstI(c) => write!(out, "{c}").unwrap(),
+        Operand::ConstF(c) => push_f64(out, c),
+        Operand::GlobalAddr(g) => {
+            out.push('@');
+            out.push_str(&globals[g.index()].name);
         }
-        Operand::GlobalAddr(g) => format!("@{}", globals[g.index()].name),
-        Operand::SlotAddr(s) => format!("&{}", f.slots[s.index()].name),
+        Operand::SlotAddr(s) => {
+            out.push('&');
+            out.push_str(&f.slots[s.index()].name);
+        }
     }
 }
 
-fn addr(globals: &[Global], f: &Function, base: Operand, offset: i64) -> String {
-    let b = opnd(globals, f, base);
-    if offset == 0 {
-        format!("[{b}]")
-    } else if offset > 0 {
-        format!("[{b} + {offset}]")
-    } else {
-        format!("[{b} - {}]", -offset)
+/// Writes ` [base + offset]`, with the leading space.
+fn push_addr(out: &mut String, globals: &[Global], f: &Function, base: Operand, offset: i64) {
+    out.push_str(" [");
+    push_opnd(out, globals, f, base);
+    if offset > 0 {
+        write!(out, " + {offset}").unwrap();
+    } else if offset < 0 {
+        write!(out, " - {}", -offset).unwrap();
     }
+    out.push(']');
+}
+
+/// Writes `dst = `.
+fn push_def(out: &mut String, f: &Function, dst: VarId) {
+    out.push_str(&f.vars[dst.index()].name);
+    out.push_str(" = ");
 }
 
 fn print_inst(
@@ -139,22 +171,24 @@ fn print_inst(
     f: &Function,
     inst: &Inst,
 ) {
-    let vname = |v: crate::ids::VarId| f.vars[v.index()].name.clone();
     match inst {
-        Inst::Bin { dst, op, a, b } => write!(
-            out,
-            "{} = {} {}, {}",
-            vname(*dst),
-            op,
-            opnd(globals, f, *a),
-            opnd(globals, f, *b)
-        )
-        .unwrap(),
+        Inst::Bin { dst, op, a, b } => {
+            push_def(out, f, *dst);
+            out.push_str(op.mnemonic());
+            out.push(' ');
+            push_opnd(out, globals, f, *a);
+            out.push_str(", ");
+            push_opnd(out, globals, f, *b);
+        }
         Inst::Un { dst, op, a } => {
-            write!(out, "{} = {} {}", vname(*dst), op, opnd(globals, f, *a)).unwrap()
+            push_def(out, f, *dst);
+            out.push_str(op.mnemonic());
+            out.push(' ');
+            push_opnd(out, globals, f, *a);
         }
         Inst::Copy { dst, src } => {
-            write!(out, "{} = {}", vname(*dst), opnd(globals, f, *src)).unwrap()
+            push_def(out, f, *dst);
+            push_opnd(out, globals, f, *src);
         }
         Inst::Load {
             dst,
@@ -163,29 +197,27 @@ fn print_inst(
             ty,
             spec,
             ..
-        } => write!(
-            out,
-            "{} = load{}.{} {}",
-            vname(*dst),
-            spec.suffix(),
-            ty,
-            addr(globals, f, *base, *offset)
-        )
-        .unwrap(),
+        } => {
+            push_def(out, f, *dst);
+            out.push_str("load");
+            out.push_str(spec.suffix());
+            out.push('.');
+            out.push_str(ty.name());
+            push_addr(out, globals, f, *base, *offset);
+        }
         Inst::Store {
             base,
             offset,
             val,
             ty,
             ..
-        } => write!(
-            out,
-            "store.{} {}, {}",
-            ty,
-            addr(globals, f, *base, *offset),
-            opnd(globals, f, *val)
-        )
-        .unwrap(),
+        } => {
+            out.push_str("store.");
+            out.push_str(ty.name());
+            push_addr(out, globals, f, *base, *offset);
+            out.push_str(", ");
+            push_opnd(out, globals, f, *val);
+        }
         Inst::CheckLoad {
             dst,
             base,
@@ -193,63 +225,65 @@ fn print_inst(
             ty,
             kind,
             ..
-        } => write!(
-            out,
-            "{} = {}.{} {}",
-            vname(*dst),
-            kind.mnemonic(),
-            ty,
-            addr(globals, f, *base, *offset)
-        )
-        .unwrap(),
+        } => {
+            push_def(out, f, *dst);
+            out.push_str(kind.mnemonic());
+            out.push('.');
+            out.push_str(ty.name());
+            push_addr(out, globals, f, *base, *offset);
+        }
         Inst::Call {
             dst, callee, args, ..
         } => {
             if let Some(d) = dst {
-                write!(out, "{} = ", vname(*d)).unwrap();
+                push_def(out, f, *d);
             }
-            write!(out, "call {}(", func_names[callee.index()]).unwrap();
+            out.push_str("call ");
+            out.push_str(&func_names[callee.index()]);
+            out.push('(');
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&opnd(globals, f, *a));
+                push_opnd(out, globals, f, *a);
             }
             out.push(')');
         }
         Inst::Alloc { dst, words, .. } => {
-            write!(out, "{} = alloc {}", vname(*dst), opnd(globals, f, *words)).unwrap()
+            push_def(out, f, *dst);
+            out.push_str("alloc ");
+            push_opnd(out, globals, f, *words);
         }
     }
 }
 
 fn print_term(out: &mut String, f: &Function, t: &Terminator) {
     match t {
-        Terminator::Jump(b) => write!(out, "jmp {}", f.blocks[b.index()].name).unwrap(),
+        Terminator::Jump(b) => {
+            out.push_str("jmp ");
+            out.push_str(&f.blocks[b.index()].name);
+        }
         Terminator::Br { cond, then_, else_ } => {
-            let c = match cond {
-                Operand::Var(v) => f.vars[v.index()].name.clone(),
-                Operand::ConstI(c) => format!("{c}"),
+            out.push_str("br ");
+            match cond {
+                Operand::Var(v) => out.push_str(&f.vars[v.index()].name),
+                Operand::ConstI(c) => write!(out, "{c}").unwrap(),
                 _ => unreachable!("br condition must be var or int const"),
-            };
-            write!(
-                out,
-                "br {}, {}, {}",
-                c,
-                f.blocks[then_.index()].name,
-                f.blocks[else_.index()].name
-            )
-            .unwrap()
+            }
+            out.push_str(", ");
+            out.push_str(&f.blocks[then_.index()].name);
+            out.push_str(", ");
+            out.push_str(&f.blocks[else_.index()].name);
         }
         Terminator::Ret(None) => out.push_str("ret"),
         Terminator::Ret(Some(v)) => {
-            let s = match v {
-                Operand::Var(x) => f.vars[x.index()].name.clone(),
-                Operand::ConstI(c) => format!("{c}"),
-                Operand::ConstF(c) => format!("{c:?}"),
+            out.push_str("ret ");
+            match v {
+                Operand::Var(x) => out.push_str(&f.vars[x.index()].name),
+                Operand::ConstI(c) => write!(out, "{c}").unwrap(),
+                Operand::ConstF(c) => write!(out, "{c:?}").unwrap(),
                 _ => unreachable!("ret value must be var or const"),
-            };
-            write!(out, "ret {s}").unwrap()
+            }
         }
     }
 }

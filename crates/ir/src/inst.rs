@@ -358,17 +358,19 @@ impl Inst {
         }
     }
 
-    /// Collects every operand read by this instruction.
-    pub fn uses(&self) -> Vec<Operand> {
-        match self {
-            Inst::Bin { a, b, .. } => vec![*a, *b],
-            Inst::Un { a, .. } => vec![*a],
-            Inst::Copy { src, .. } => vec![*src],
-            Inst::Load { base, .. } | Inst::CheckLoad { base, .. } => vec![*base],
-            Inst::Store { base, val, .. } => vec![*base, *val],
-            Inst::Call { args, .. } => args.clone(),
-            Inst::Alloc { words, .. } => vec![*words],
-        }
+    /// Every operand read by this instruction, in operand order. Allocates
+    /// nothing: the verifier calls this for every instruction.
+    pub fn uses(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (fixed, args): ([Option<&Operand>; 2], &[Operand]) = match self {
+            Inst::Bin { a, b, .. } => ([Some(a), Some(b)], &[]),
+            Inst::Un { a, .. } => ([Some(a), None], &[]),
+            Inst::Copy { src, .. } => ([Some(src), None], &[]),
+            Inst::Load { base, .. } | Inst::CheckLoad { base, .. } => ([Some(base), None], &[]),
+            Inst::Store { base, val, .. } => ([Some(base), Some(val)], &[]),
+            Inst::Call { args, .. } => ([None, None], args),
+            Inst::Alloc { words, .. } => ([Some(words), None], &[]),
+        };
+        fixed.into_iter().flatten().chain(args).copied()
     }
 
     /// Applies `f` to every operand in place.
@@ -442,15 +444,6 @@ impl Terminator {
         }
     }
 
-    /// Operands read by the terminator.
-    pub fn uses(&self) -> Vec<Operand> {
-        match self {
-            Terminator::Br { cond, .. } => vec![*cond],
-            Terminator::Ret(Some(v)) => vec![*v],
-            _ => vec![],
-        }
-    }
-
     /// Applies `f` to every operand in place.
     pub fn map_uses(&mut self, mut f: impl FnMut(&mut Operand)) {
         match self {
@@ -486,7 +479,10 @@ mod tests {
             b: Operand::ConstI(3),
         };
         assert_eq!(i.def(), Some(VarId(0)));
-        assert_eq!(i.uses().len(), 2);
+        assert_eq!(
+            i.uses().collect::<Vec<_>>(),
+            vec![Operand::Var(VarId(1)), Operand::ConstI(3)]
+        );
 
         let s = Inst::Store {
             base: Operand::Var(VarId(2)),
@@ -497,6 +493,18 @@ mod tests {
         };
         assert_eq!(s.def(), None);
         assert!(s.is_memory());
+        assert_eq!(s.uses().count(), 2);
+
+        let c = Inst::Call {
+            dst: None,
+            callee: FuncId(0),
+            args: vec![Operand::ConstI(1), Operand::Var(VarId(4))],
+            site: CallSiteId(0),
+        };
+        assert_eq!(
+            c.uses().collect::<Vec<_>>(),
+            vec![Operand::ConstI(1), Operand::Var(VarId(4))]
+        );
     }
 
     #[test]
@@ -513,7 +521,7 @@ mod tests {
             }
         });
         assert_eq!(
-            i.uses(),
+            i.uses().collect::<Vec<_>>(),
             vec![Operand::Var(VarId(11)), Operand::Var(VarId(11))]
         );
     }

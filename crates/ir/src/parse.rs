@@ -20,12 +20,19 @@
 //!
 //! Comments run from `#` to end of line. Site ids are assigned fresh in
 //! textual order.
+//!
+//! The whole source is lexed into one vector of tokens that borrow it
+//! before parsing starts, so a lex error anywhere wins over a parse error
+//! before it. Pass 1 reads every declaration and signature, skipping
+//! bodies by brace depth, so calls and `@g` operands may refer forward;
+//! pass 2 parses each body once. Nothing allocates per token or
+//! instruction beyond the module being built.
 
 use crate::function::{Function, Global, Module, SlotDecl, VarDecl};
-use crate::ids::{BlockId, FuncId, VarId};
+use crate::fx::FxHashMap;
+use crate::ids::{BlockId, FuncId, GlobalId, SlotId, VarId};
 use crate::inst::{BinOp, CheckKind, Inst, LoadSpec, Operand, Terminator, UnOp};
 use crate::types::{Ty, Value};
-use std::collections::HashMap;
 
 /// A parse failure, with a 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,22 +51,26 @@ impl core::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow the source text, so tokens are `Copy` and
+/// the whole stream is one vector that both passes walk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'s> {
+    Ident(&'s str),
     Int(i64),
     Float(f64),
     Punct(char),
     Arrow,
 }
 
-#[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct SpannedTok<'s> {
+    tok: Tok<'s>,
     line: u32,
 }
 
-fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
+/// Lexes the whole source before any parsing, so an illegal character
+/// anywhere in the file is reported ahead of a parse error before it.
+fn lex(src: &str) -> Result<Vec<SpannedTok<'_>>, ParseError> {
     let mut toks = Vec::new();
     let mut line = 1u32;
     let bytes = src.as_bytes();
@@ -141,7 +152,7 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
                     }
                 }
                 toks.push(SpannedTok {
-                    tok: Tok::Ident(src[start..i].to_string()),
+                    tok: Tok::Ident(&src[start..i]),
                     line,
                 });
             }
@@ -156,14 +167,20 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
     Ok(toks)
 }
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'s> {
+    toks: Vec<SpannedTok<'s>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.pos).map(|t| t.tok)
+    }
+
+    /// Whether the token after the next one is `:` — i.e. the next one
+    /// starts a block label.
+    fn label_follows(&self) -> bool {
+        self.toks.get(self.pos + 1).map(|t| t.tok) == Some(Tok::Punct(':'))
     }
 
     fn line(&self) -> u32 {
@@ -179,8 +196,8 @@ impl Parser {
         }
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
+    fn next(&mut self) -> Option<Tok<'s>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -193,7 +210,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
-        if self.peek() == Some(&Tok::Punct(c)) {
+        if self.peek() == Some(Tok::Punct(c)) {
             self.pos += 1;
             true
         } else {
@@ -201,7 +218,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'s str, ParseError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
@@ -210,12 +227,7 @@ impl Parser {
 
     fn ty(&mut self) -> Result<Ty, ParseError> {
         let s = self.ident()?;
-        match s.as_str() {
-            "i64" => Ok(Ty::I64),
-            "f64" => Ok(Ty::F64),
-            "ptr" => Ok(Ty::Ptr),
-            _ => Err(self.err(format!("unknown type `{s}`"))),
-        }
+        ty_by_name(s).ok_or_else(|| self.err(format!("unknown type `{s}`")))
     }
 
     fn int(&mut self) -> Result<i64, ParseError> {
@@ -227,10 +239,44 @@ impl Parser {
     }
 }
 
-struct FuncCtx {
-    vars: HashMap<String, VarId>,
-    slots: HashMap<String, crate::ids::SlotId>,
-    blocks: HashMap<String, BlockId>,
+/// The module-wide name tables pass 1 builds, so pass 2 resolves `@g`
+/// operands and call targets (forward references included) by hash.
+#[derive(Default)]
+struct Names<'s> {
+    globals: FxHashMap<&'s str, GlobalId>,
+    funcs: FxHashMap<&'s str, FuncId>,
+}
+
+/// What pass 1 records about one function for pass 2.
+struct FuncHead<'s> {
+    /// Token index just past the body's `{`.
+    body: usize,
+    /// Parameter names, in order.
+    params: Vec<&'s str>,
+}
+
+/// Per-function name tables, cleared and reused from one body to the next.
+#[derive(Default)]
+struct FuncCtx<'s> {
+    vars: FxHashMap<&'s str, VarId>,
+    slots: FxHashMap<&'s str, SlotId>,
+    blocks: FxHashMap<&'s str, BlockId>,
+    /// Terminators whose targets resolve once every label is known.
+    pending: Vec<(BlockId, PendingTerm<'s>)>,
+}
+
+impl<'s> FuncCtx<'s> {
+    /// Empties the tables for the next function, whose parameters are
+    /// its first vars.
+    fn reset(&mut self, params: &[&'s str]) {
+        self.vars.clear();
+        self.slots.clear();
+        self.blocks.clear();
+        self.pending.clear();
+        for (k, &name) in params.iter().enumerate() {
+            self.vars.insert(name, VarId::from_index(k));
+        }
+    }
 }
 
 /// Parses a whole module from its textual form.
@@ -239,214 +285,184 @@ struct FuncCtx {
 /// Returns a [`ParseError`] with the offending line on malformed input or
 /// unresolved names.
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
-    let toks = lex(src)?;
+    let mut p = Parser {
+        toks: lex(src)?,
+        pos: 0,
+    };
     let mut module = Module::new();
+    let mut names = Names::default();
 
-    // Pass 1: collect global declarations and function signatures so that
-    // forward references (calls, @globals) resolve.
-    {
-        let mut p = Parser {
-            toks: toks.clone(),
-            pos: 0,
-        };
-        while let Some(t) = p.peek() {
-            match t {
-                Tok::Ident(k) if k == "global" => {
-                    p.next();
-                    let name = p.ident()?;
-                    p.expect_punct(':')?;
-                    let ty = p.ty()?;
-                    p.expect_punct('[')?;
-                    let words = p.int()?;
-                    if words < 0 {
-                        return Err(p.err("negative global size"));
-                    }
-                    p.expect_punct(']')?;
-                    let mut init = Vec::new();
-                    if p.eat_punct('=') {
-                        p.expect_punct('[')?;
-                        if !p.eat_punct(']') {
-                            loop {
-                                let neg = p.eat_punct('-');
-                                let v = match p.next() {
-                                    Some(Tok::Int(v)) => {
-                                        if ty == Ty::F64 {
-                                            Value::F(if neg { -(v as f64) } else { v as f64 })
-                                        } else {
-                                            Value::I(if neg { -v } else { v })
-                                        }
-                                    }
-                                    Some(Tok::Float(v)) => Value::F(if neg { -v } else { v }),
-                                    other => {
-                                        return Err(
-                                            p.err(format!("expected value, found {other:?}"))
-                                        )
-                                    }
-                                };
-                                init.push(v);
-                                if !p.eat_punct(',') {
-                                    break;
-                                }
-                            }
-                            p.expect_punct(']')?;
-                        }
-                    }
-                    if init.len() > words as usize {
-                        return Err(p.err("initializer longer than global"));
-                    }
-                    if module.global_by_name(&name).is_some() {
-                        return Err(p.err(format!("duplicate global `{name}`")));
-                    }
-                    module.globals.push(Global {
-                        name,
-                        words: words as u32,
-                        ty,
-                        init,
-                    });
-                }
-                Tok::Ident(k) if k == "func" => {
-                    p.next();
-                    let name = p.ident()?;
-                    p.expect_punct('(')?;
-                    let mut params = Vec::new();
-                    if !p.eat_punct(')') {
-                        loop {
-                            let pn = p.ident()?;
-                            p.expect_punct(':')?;
-                            let pt = p.ty()?;
-                            params.push((pn, pt));
-                            if !p.eat_punct(',') {
-                                break;
-                            }
-                        }
-                        p.expect_punct(')')?;
-                    }
-                    let ret_ty = if p.peek() == Some(&Tok::Arrow) {
-                        p.next();
-                        Some(p.ty()?)
-                    } else {
-                        None
-                    };
-                    p.expect_punct('{')?;
-                    let mut depth = 1;
-                    while depth > 0 {
-                        match p.next() {
-                            Some(Tok::Punct('{')) => depth += 1,
-                            Some(Tok::Punct('}')) => depth -= 1,
-                            Some(_) => {}
-                            None => return Err(p.err("unterminated function body")),
-                        }
-                    }
-                    if module.func_by_name(&name).is_some() {
-                        return Err(p.err(format!("duplicate function `{name}`")));
-                    }
-                    let vars = params
-                        .iter()
-                        .map(|(n, t)| VarDecl {
-                            name: n.clone(),
-                            ty: *t,
-                        })
-                        .collect();
-                    module.funcs.push(Function {
-                        name,
-                        params: params.len() as u32,
-                        ret_ty,
-                        vars,
-                        slots: Vec::new(),
-                        blocks: Vec::new(),
-                    });
-                }
-                _ => return Err(p.err("expected `global` or `func` at top level")),
-            }
-        }
-    }
-
-    // Pass 2: parse function bodies.
-    let mut p = Parser { toks, pos: 0 };
-    let mut fidx = 0usize;
+    // Pass 1: global declarations and function signatures, so that forward
+    // references (calls, @globals) resolve; bodies are skipped by brace
+    // depth and parsed in pass 2.
+    let mut heads = Vec::new();
     while let Some(t) = p.peek() {
-        match t.clone() {
-            Tok::Ident(k) if k == "global" => {
-                skip_global_decl(&mut p)?;
+        match t {
+            Tok::Ident("global") => {
+                p.next();
+                parse_global(&mut p, &mut module, &mut names)?;
             }
-            Tok::Ident(k) if k == "func" => {
-                parse_func_body(&mut p, &mut module, FuncId::from_index(fidx))?;
-                fidx += 1;
+            Tok::Ident("func") => {
+                p.next();
+                heads.push(parse_func_head(&mut p, &mut module, &mut names)?);
             }
             _ => return Err(p.err("expected `global` or `func` at top level")),
         }
     }
 
+    // Pass 2: function bodies, in textual order (site ids are issued here).
+    let mut ctx = FuncCtx::default();
+    for (i, head) in heads.iter().enumerate() {
+        p.pos = head.body;
+        ctx.reset(&head.params);
+        parse_func_body(&mut p, &mut module, &names, &mut ctx, FuncId::from_index(i))?;
+    }
     Ok(module)
 }
 
-/// Skips one `global` declaration (pass 2 re-walk; pass 1 already parsed it).
-fn skip_global_decl(p: &mut Parser) -> Result<(), ParseError> {
-    p.next(); // `global`
-    p.ident()?;
+/// Parses one `global` declaration after its keyword.
+fn parse_global<'s>(
+    p: &mut Parser<'s>,
+    module: &mut Module,
+    names: &mut Names<'s>,
+) -> Result<(), ParseError> {
+    let name = p.ident()?;
     p.expect_punct(':')?;
-    p.ty()?;
+    let ty = p.ty()?;
     p.expect_punct('[')?;
-    p.int()?;
+    let words = p.int()?;
+    if words < 0 {
+        return Err(p.err("negative global size"));
+    }
     p.expect_punct(']')?;
+    let mut init = Vec::new();
     if p.eat_punct('=') {
         p.expect_punct('[')?;
-        while !p.eat_punct(']') {
-            if p.next().is_none() {
-                return Err(p.err("unterminated global initializer"));
+        if !p.eat_punct(']') {
+            loop {
+                let neg = p.eat_punct('-');
+                let v = match p.next() {
+                    Some(Tok::Int(v)) => {
+                        if ty == Ty::F64 {
+                            Value::F(if neg { -(v as f64) } else { v as f64 })
+                        } else {
+                            Value::I(if neg { -v } else { v })
+                        }
+                    }
+                    Some(Tok::Float(v)) => Value::F(if neg { -v } else { v }),
+                    other => return Err(p.err(format!("expected value, found {other:?}"))),
+                };
+                init.push(v);
+                if !p.eat_punct(',') {
+                    break;
+                }
             }
+            p.expect_punct(']')?;
         }
     }
+    if init.len() > words as usize {
+        return Err(p.err("initializer longer than global"));
+    }
+    if names.globals.contains_key(name) {
+        return Err(p.err(format!("duplicate global `{name}`")));
+    }
+    names
+        .globals
+        .insert(name, GlobalId::from_index(module.globals.len()));
+    module.globals.push(Global {
+        name: name.to_string(),
+        words: words as u32,
+        ty,
+        init,
+    });
     Ok(())
 }
 
-fn parse_func_body(p: &mut Parser, module: &mut Module, fid: FuncId) -> Result<(), ParseError> {
-    // re-parse the header quickly
-    let kw = p.ident()?;
-    debug_assert_eq!(kw, "func");
-    let _name = p.ident()?;
+/// Parses one function's signature after `func`, skips its body by brace
+/// depth, and declares the function with its parameters.
+fn parse_func_head<'s>(
+    p: &mut Parser<'s>,
+    module: &mut Module,
+    names: &mut Names<'s>,
+) -> Result<FuncHead<'s>, ParseError> {
+    let name = p.ident()?;
     p.expect_punct('(')?;
+    let mut params = Vec::new();
+    let mut vars = Vec::new();
     if !p.eat_punct(')') {
         loop {
-            p.ident()?;
+            let pn = p.ident()?;
             p.expect_punct(':')?;
-            p.ty()?;
+            let ty = p.ty()?;
+            params.push(pn);
+            vars.push(VarDecl {
+                name: pn.to_string(),
+                ty,
+            });
             if !p.eat_punct(',') {
                 break;
             }
         }
         p.expect_punct(')')?;
     }
-    if p.peek() == Some(&Tok::Arrow) {
+    let ret_ty = if p.peek() == Some(Tok::Arrow) {
         p.next();
-        p.ty()?;
-    }
-    p.expect_punct('{')?;
-
-    let mut ctx = FuncCtx {
-        vars: HashMap::new(),
-        slots: HashMap::new(),
-        blocks: HashMap::new(),
+        Some(p.ty()?)
+    } else {
+        None
     };
-    for (i, d) in module.funcs[fid.index()].vars.iter().enumerate() {
-        ctx.vars.insert(d.name.clone(), VarId::from_index(i));
+    p.expect_punct('{')?;
+    let body = p.pos;
+    let mut depth = 1;
+    while depth > 0 {
+        match p.next() {
+            Some(Tok::Punct('{')) => depth += 1,
+            Some(Tok::Punct('}')) => depth -= 1,
+            Some(_) => {}
+            None => return Err(p.err("unterminated function body")),
+        }
     }
+    if names.funcs.contains_key(name) {
+        return Err(p.err(format!("duplicate function `{name}`")));
+    }
+    names
+        .funcs
+        .insert(name, FuncId::from_index(module.funcs.len()));
+    module.funcs.push(Function {
+        name: name.to_string(),
+        params: vars.len() as u32,
+        ret_ty,
+        vars,
+        slots: Vec::new(),
+        blocks: Vec::new(),
+    });
+    Ok(FuncHead { body, params })
+}
 
+/// Parses one body from just past its `{` through its `}`, with `ctx`
+/// reset to the function's parameters.
+fn parse_func_body<'s>(
+    p: &mut Parser<'s>,
+    module: &mut Module,
+    names: &Names<'s>,
+    ctx: &mut FuncCtx<'s>,
+    fid: FuncId,
+) -> Result<(), ParseError> {
     // declarations
     loop {
         match p.peek() {
-            Some(Tok::Ident(k)) if k == "var" => {
+            Some(Tok::Ident("var")) => {
                 p.next();
                 let name = p.ident()?;
                 p.expect_punct(':')?;
                 let ty = p.ty()?;
-                if ctx.vars.contains_key(&name) {
+                if ctx.vars.contains_key(name) {
                     return Err(p.err(format!("duplicate var `{name}`")));
                 }
-                let id = module.funcs[fid.index()].new_var(name.clone(), ty);
+                let id = module.funcs[fid.index()].new_var(name, ty);
                 ctx.vars.insert(name, id);
             }
-            Some(Tok::Ident(k)) if k == "slot" => {
+            Some(Tok::Ident("slot")) => {
                 p.next();
                 let name = p.ident()?;
                 p.expect_punct(':')?;
@@ -454,48 +470,40 @@ fn parse_func_body(p: &mut Parser, module: &mut Module, fid: FuncId) -> Result<(
                 p.expect_punct('[')?;
                 let words = p.int()?;
                 p.expect_punct(']')?;
-                if ctx.slots.contains_key(&name) {
+                if ctx.slots.contains_key(name) {
                     return Err(p.err(format!("duplicate slot `{name}`")));
                 }
                 let f = &mut module.funcs[fid.index()];
-                let id = crate::ids::SlotId::from_index(f.slots.len());
+                ctx.slots.insert(name, SlotId::from_index(f.slots.len()));
                 f.slots.push(SlotDecl {
-                    name: name.clone(),
+                    name: name.to_string(),
                     words: words as u32,
                     ty,
                 });
-                ctx.slots.insert(name, id);
             }
             _ => break,
         }
     }
 
     // blocks; branch targets resolved afterwards via names
-    let mut pending_terms: Vec<(BlockId, PendingTerm)> = Vec::new();
     let mut cur: Option<BlockId> = None;
     let mut cur_terminated = false;
-
     loop {
-        match p.peek().cloned() {
+        match p.peek() {
             Some(Tok::Punct('}')) => {
                 p.next();
                 break;
             }
-            Some(Tok::Ident(name))
-                if p.toks.get(p.pos + 1).map(|t| &t.tok) == Some(&Tok::Punct(':')) =>
-            {
-                // new block label
-                if let Some(_b) = cur {
-                    if !cur_terminated {
-                        return Err(p.err("block falls through without terminator"));
-                    }
+            Some(Tok::Ident(name)) if p.label_follows() => {
+                if cur.is_some() && !cur_terminated {
+                    return Err(p.err("block falls through without terminator"));
                 }
                 p.next();
                 p.next();
-                if ctx.blocks.contains_key(&name) {
+                if ctx.blocks.contains_key(name) {
                     return Err(p.err(format!("duplicate block `{name}`")));
                 }
-                let b = module.funcs[fid.index()].new_block(name.clone());
+                let b = module.funcs[fid.index()].new_block(name);
                 ctx.blocks.insert(name, b);
                 cur = Some(b);
                 cur_terminated = false;
@@ -505,62 +513,69 @@ fn parse_func_body(p: &mut Parser, module: &mut Module, fid: FuncId) -> Result<(
                 if cur_terminated {
                     return Err(p.err("statement after block terminator"));
                 }
-                if let Some(pending) = parse_stmt(p, module, fid, &mut ctx, b)? {
-                    pending_terms.push((b, pending));
+                if let Some(pending) = parse_stmt(p, module, names, ctx, fid, b)? {
+                    ctx.pending.push((b, pending));
                     cur_terminated = true;
                 }
             }
             None => return Err(p.err("unterminated function body")),
         }
     }
-    if let Some(_b) = cur {
-        if !cur_terminated {
-            return Err(p.err("last block lacks a terminator"));
-        }
+    if cur.is_some() && !cur_terminated {
+        return Err(p.err("last block lacks a terminator"));
     }
-    if module.funcs[fid.index()].blocks.is_empty() {
+    let f = &mut module.funcs[fid.index()];
+    if f.blocks.is_empty() {
         return Err(p.err("function has no blocks"));
     }
 
     // resolve branch targets
-    for (b, pending) in pending_terms {
-        let term = pending.resolve(&ctx, p)?;
-        module.funcs[fid.index()].block_mut(b).term = term;
+    for &(b, pending) in &ctx.pending {
+        f.block_mut(b).term = pending.resolve(&ctx.blocks, p)?;
     }
     Ok(())
 }
 
-enum PendingTerm {
-    Jump(String),
-    Br(Operand, String, String),
+#[derive(Clone, Copy)]
+enum PendingTerm<'s> {
+    Jump(&'s str),
+    Br(Operand, &'s str, &'s str),
     Ret(Option<Operand>),
 }
 
-impl PendingTerm {
-    fn resolve(self, ctx: &FuncCtx, p: &Parser) -> Result<Terminator, ParseError> {
+impl PendingTerm<'_> {
+    fn resolve(
+        self,
+        blocks: &FxHashMap<&str, BlockId>,
+        p: &Parser<'_>,
+    ) -> Result<Terminator, ParseError> {
         let look = |n: &str| {
-            ctx.blocks
+            blocks
                 .get(n)
                 .copied()
                 .ok_or_else(|| p.err(format!("unknown block `{n}`")))
         };
         Ok(match self {
-            PendingTerm::Jump(t) => Terminator::Jump(look(&t)?),
+            PendingTerm::Jump(t) => Terminator::Jump(look(t)?),
             PendingTerm::Br(c, t, e) => Terminator::Br {
                 cond: c,
-                then_: look(&t)?,
-                else_: look(&e)?,
+                then_: look(t)?,
+                else_: look(e)?,
             },
             PendingTerm::Ret(v) => Terminator::Ret(v),
         })
     }
 }
 
-fn parse_operand(p: &mut Parser, module: &Module, ctx: &FuncCtx) -> Result<Operand, ParseError> {
+fn parse_operand(
+    p: &mut Parser<'_>,
+    names: &Names<'_>,
+    ctx: &FuncCtx<'_>,
+) -> Result<Operand, ParseError> {
     match p.next() {
         Some(Tok::Ident(n)) => ctx
             .vars
-            .get(&n)
+            .get(n)
             .copied()
             .map(Operand::Var)
             .ok_or_else(|| p.err(format!("unknown var `{n}`"))),
@@ -573,15 +588,17 @@ fn parse_operand(p: &mut Parser, module: &Module, ctx: &FuncCtx) -> Result<Opera
         },
         Some(Tok::Punct('@')) => {
             let n = p.ident()?;
-            module
-                .global_by_name(&n)
+            names
+                .globals
+                .get(n)
+                .copied()
                 .map(Operand::GlobalAddr)
                 .ok_or_else(|| p.err(format!("unknown global `{n}`")))
         }
         Some(Tok::Punct('&')) => {
             let n = p.ident()?;
             ctx.slots
-                .get(&n)
+                .get(n)
                 .copied()
                 .map(Operand::SlotAddr)
                 .ok_or_else(|| p.err(format!("unknown slot `{n}`")))
@@ -591,12 +608,12 @@ fn parse_operand(p: &mut Parser, module: &Module, ctx: &FuncCtx) -> Result<Opera
 }
 
 fn parse_addr(
-    p: &mut Parser,
-    module: &Module,
-    ctx: &FuncCtx,
+    p: &mut Parser<'_>,
+    names: &Names<'_>,
+    ctx: &FuncCtx<'_>,
 ) -> Result<(Operand, i64), ParseError> {
     p.expect_punct('[')?;
-    let base = parse_operand(p, module, ctx)?;
+    let base = parse_operand(p, names, ctx)?;
     let mut off = 0i64;
     if p.eat_punct('+') {
         off = p.int()?;
@@ -615,23 +632,50 @@ fn unop_by_name(s: &str) -> Option<UnOp> {
     UnOp::ALL.iter().copied().find(|o| o.mnemonic() == s)
 }
 
+/// A right-hand side that reads memory: a load or a check.
+#[derive(Clone, Copy)]
+enum MemRead {
+    Load(LoadSpec),
+    Check(CheckKind),
+}
+
+/// The memory-reading keywords, each followed by its type: the prefix,
+/// the form, and the message for an unknown type. `load.a.` and `load.s.`
+/// come before the `load.` they extend.
+const MEM_READS: [(&str, MemRead, &str); 5] = [
+    (
+        "load.a.",
+        MemRead::Load(LoadSpec::Advanced),
+        "bad load type",
+    ),
+    (
+        "load.s.",
+        MemRead::Load(LoadSpec::Speculative),
+        "bad load type",
+    ),
+    ("load.", MemRead::Load(LoadSpec::Normal), "bad load type"),
+    ("ldc.", MemRead::Check(CheckKind::Alat), "bad check type"),
+    ("chks.", MemRead::Check(CheckKind::Nat), "bad check type"),
+];
+
 /// Parses one statement into block `b`; returns `Some` if it terminated the
 /// block.
-fn parse_stmt(
-    p: &mut Parser,
+fn parse_stmt<'s>(
+    p: &mut Parser<'s>,
     module: &mut Module,
+    names: &Names<'s>,
+    ctx: &FuncCtx<'s>,
     fid: FuncId,
-    ctx: &mut FuncCtx,
     b: BlockId,
-) -> Result<Option<PendingTerm>, ParseError> {
+) -> Result<Option<PendingTerm<'s>>, ParseError> {
     let first = p.ident()?;
-    match first.as_str() {
+    match first {
         "jmp" => {
             let t = p.ident()?;
             return Ok(Some(PendingTerm::Jump(t)));
         }
         "br" => {
-            let c = parse_operand(p, module, ctx)?;
+            let c = parse_operand(p, names, ctx)?;
             p.expect_punct(',')?;
             let t = p.ident()?;
             p.expect_punct(',')?;
@@ -643,17 +687,12 @@ fn parse_stmt(
             // same conceptual line, so peek for something operand-like that
             // is not a label/keyword start.
             let v = match p.peek() {
-                Some(Tok::Int(_)) | Some(Tok::Float(_)) => Some(parse_operand(p, module, ctx)?),
-                Some(Tok::Punct('-')) | Some(Tok::Punct('@')) | Some(Tok::Punct('&')) => {
-                    Some(parse_operand(p, module, ctx)?)
+                Some(Tok::Int(_) | Tok::Float(_) | Tok::Punct('-' | '@' | '&')) => {
+                    Some(parse_operand(p, names, ctx)?)
                 }
-                Some(Tok::Ident(n)) if ctx.vars.contains_key(n.as_str()) => {
-                    // could also be a following label `n:` — disambiguate
-                    if p.toks.get(p.pos + 1).map(|t| &t.tok) == Some(&Tok::Punct(':')) {
-                        None
-                    } else {
-                        Some(parse_operand(p, module, ctx)?)
-                    }
+                // a var name could also be a following label `n:`
+                Some(Tok::Ident(n)) if ctx.vars.contains_key(n) && !p.label_follows() => {
+                    Some(parse_operand(p, names, ctx)?)
                 }
                 _ => None,
             };
@@ -665,171 +704,129 @@ fn parse_stmt(
         _ => {}
     }
 
-    if let Some(rest) = first.strip_prefix("store.") {
+    let inst = if let Some(rest) = first.strip_prefix("store.") {
         let ty = ty_by_name(rest).ok_or_else(|| p.err(format!("bad store type `{rest}`")))?;
-        let (base, offset) = parse_addr(p, module, ctx)?;
+        let (base, offset) = parse_addr(p, names, ctx)?;
         p.expect_punct(',')?;
-        let val = parse_operand(p, module, ctx)?;
-        let site = module.fresh_mem_site();
-        module.funcs[fid.index()]
-            .block_mut(b)
-            .insts
-            .push(Inst::Store {
-                base,
-                offset,
-                val,
-                ty,
-                site,
-            });
-        return Ok(None);
-    }
-
-    if first == "call" {
-        let (callee, args) = parse_call_tail(p, module, ctx)?;
-        let site = module.fresh_call_site();
-        module.funcs[fid.index()]
-            .block_mut(b)
-            .insts
-            .push(Inst::Call {
-                dst: None,
-                callee,
-                args,
-                site,
-            });
-        return Ok(None);
-    }
-
-    // otherwise: `dst = rhs`
-    let dst = ctx
-        .vars
-        .get(&first)
-        .copied()
-        .ok_or_else(|| p.err(format!("unknown var `{first}`")))?;
-    p.expect_punct('=')?;
-
-    let rhs_start = p.peek().cloned();
-    let inst = match rhs_start {
-        Some(Tok::Ident(k)) => {
-            let k2 = k.clone();
-            if let Some(rest) = k2.strip_prefix("load.a.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad load type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::Load {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    spec: LoadSpec::Advanced,
-                    site,
-                }
-            } else if let Some(rest) = k2.strip_prefix("load.s.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad load type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::Load {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    spec: LoadSpec::Speculative,
-                    site,
-                }
-            } else if let Some(rest) = k2.strip_prefix("load.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad load type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::Load {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    spec: LoadSpec::Normal,
-                    site,
-                }
-            } else if let Some(rest) = k2.strip_prefix("ldc.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad check type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::CheckLoad {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    kind: CheckKind::Alat,
-                    site,
-                }
-            } else if let Some(rest) = k2.strip_prefix("chks.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad check type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::CheckLoad {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    kind: CheckKind::Nat,
-                    site,
-                }
-            } else if k2 == "call" {
-                p.next();
-                let (callee, args) = parse_call_tail(p, module, ctx)?;
-                let site = module.fresh_call_site();
-                Inst::Call {
-                    dst: Some(dst),
-                    callee,
-                    args,
-                    site,
-                }
-            } else if k2 == "alloc" {
-                p.next();
-                let words = parse_operand(p, module, ctx)?;
-                let site = module.fresh_alloc_site();
-                Inst::Alloc { dst, words, site }
-            } else if let Some(op) = binop_by_name(&k2) {
-                p.next();
-                let a = parse_operand(p, module, ctx)?;
-                p.expect_punct(',')?;
-                let bb = parse_operand(p, module, ctx)?;
-                Inst::Bin { dst, op, a, b: bb }
-            } else if let Some(op) = unop_by_name(&k2) {
-                p.next();
-                let a = parse_operand(p, module, ctx)?;
-                Inst::Un { dst, op, a }
-            } else {
-                // copy from a var
-                let src = parse_operand(p, module, ctx)?;
-                Inst::Copy { dst, src }
-            }
+        let val = parse_operand(p, names, ctx)?;
+        Inst::Store {
+            base,
+            offset,
+            val,
+            ty,
+            site: module.fresh_mem_site(),
         }
-        _ => {
-            let src = parse_operand(p, module, ctx)?;
-            Inst::Copy { dst, src }
+    } else if first == "call" {
+        let (callee, args) = parse_call_tail(p, names, ctx)?;
+        Inst::Call {
+            dst: None,
+            callee,
+            args,
+            site: module.fresh_call_site(),
         }
+    } else {
+        // otherwise: `dst = rhs`
+        let dst = ctx
+            .vars
+            .get(first)
+            .copied()
+            .ok_or_else(|| p.err(format!("unknown var `{first}`")))?;
+        p.expect_punct('=')?;
+        parse_rhs(p, module, names, ctx, dst)?
     };
     module.funcs[fid.index()].block_mut(b).insts.push(inst);
     Ok(None)
 }
 
+/// Parses the right-hand side of `dst = …`.
+fn parse_rhs(
+    p: &mut Parser<'_>,
+    module: &mut Module,
+    names: &Names<'_>,
+    ctx: &FuncCtx<'_>,
+    dst: VarId,
+) -> Result<Inst, ParseError> {
+    let Some(Tok::Ident(k)) = p.peek() else {
+        let src = parse_operand(p, names, ctx)?;
+        return Ok(Inst::Copy { dst, src });
+    };
+    let mem = MEM_READS
+        .iter()
+        .find_map(|&(pre, form, bad)| k.strip_prefix(pre).map(|rest| (rest, form, bad)));
+    if let Some((rest, form, bad)) = mem {
+        p.next();
+        let ty = ty_by_name(rest).ok_or_else(|| p.err(bad))?;
+        let (base, offset) = parse_addr(p, names, ctx)?;
+        let site = module.fresh_mem_site();
+        return Ok(match form {
+            MemRead::Load(spec) => Inst::Load {
+                dst,
+                base,
+                offset,
+                ty,
+                spec,
+                site,
+            },
+            MemRead::Check(kind) => Inst::CheckLoad {
+                dst,
+                base,
+                offset,
+                ty,
+                kind,
+                site,
+            },
+        });
+    }
+    Ok(if k == "call" {
+        p.next();
+        let (callee, args) = parse_call_tail(p, names, ctx)?;
+        Inst::Call {
+            dst: Some(dst),
+            callee,
+            args,
+            site: module.fresh_call_site(),
+        }
+    } else if k == "alloc" {
+        p.next();
+        let words = parse_operand(p, names, ctx)?;
+        Inst::Alloc {
+            dst,
+            words,
+            site: module.fresh_alloc_site(),
+        }
+    } else if let Some(op) = binop_by_name(k) {
+        p.next();
+        let a = parse_operand(p, names, ctx)?;
+        p.expect_punct(',')?;
+        let b = parse_operand(p, names, ctx)?;
+        Inst::Bin { dst, op, a, b }
+    } else if let Some(op) = unop_by_name(k) {
+        p.next();
+        let a = parse_operand(p, names, ctx)?;
+        Inst::Un { dst, op, a }
+    } else {
+        // copy from a var
+        let src = parse_operand(p, names, ctx)?;
+        Inst::Copy { dst, src }
+    })
+}
+
 fn parse_call_tail(
-    p: &mut Parser,
-    module: &Module,
-    ctx: &FuncCtx,
+    p: &mut Parser<'_>,
+    names: &Names<'_>,
+    ctx: &FuncCtx<'_>,
 ) -> Result<(FuncId, Vec<Operand>), ParseError> {
     let name = p.ident()?;
-    let callee = module
-        .func_by_name(&name)
+    let callee = names
+        .funcs
+        .get(name)
+        .copied()
         .ok_or_else(|| p.err(format!("unknown function `{name}`")))?;
     p.expect_punct('(')?;
     let mut args = Vec::new();
     if !p.eat_punct(')') {
         loop {
-            args.push(parse_operand(p, module, ctx)?);
+            args.push(parse_operand(p, names, ctx)?);
             if !p.eat_punct(',') {
                 break;
             }
@@ -840,12 +837,7 @@ fn parse_call_tail(
 }
 
 fn ty_by_name(s: &str) -> Option<Ty> {
-    match s {
-        "i64" => Some(Ty::I64),
-        "f64" => Some(Ty::F64),
-        "ptr" => Some(Ty::Ptr),
-        _ => None,
-    }
+    Ty::ALL.into_iter().find(|t| t.name() == s)
 }
 
 #[cfg(test)]

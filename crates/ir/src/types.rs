@@ -46,15 +46,23 @@ impl Ty {
     pub fn is_float(self) -> bool {
         matches!(self, Ty::F64)
     }
+
+    /// Textual name (also the parser keyword).
+    pub fn name(self) -> &'static str {
+        match self {
+            Ty::I64 => "i64",
+            Ty::F64 => "f64",
+            Ty::Ptr => "ptr",
+        }
+    }
+
+    /// All types.
+    pub const ALL: [Ty; 3] = [Ty::I64, Ty::F64, Ty::Ptr];
 }
 
 impl fmt::Display for Ty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Ty::I64 => write!(f, "i64"),
-            Ty::F64 => write!(f, "f64"),
-            Ty::Ptr => write!(f, "ptr"),
-        }
+        f.write_str(self.name())
     }
 }
 

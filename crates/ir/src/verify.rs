@@ -9,10 +9,9 @@
 //! that produced the rejected IR — rendered as `pass=<p> fn=<f> bb=<n>`.
 
 use crate::function::{Function, Module};
-use crate::ids::FuncId;
+use crate::fx::FxHashSet;
 use crate::inst::{Inst, Operand, Terminator};
 use crate::types::Ty;
-use std::collections::HashSet;
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,9 +119,9 @@ pub struct CalleeSig<'a> {
 /// # Errors
 /// Returns the first violated invariant.
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
-    let mut names = HashSet::new();
+    let mut names = FxHashSet::with_capacity_and_hasher(m.globals.len(), Default::default());
     for g in &m.globals {
-        if !names.insert(&g.name) {
+        if !names.insert(g.name.as_str()) {
             return Err(VerifyError::new(format!(
                 "duplicate global name `{}`",
                 g.name
@@ -135,19 +134,15 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
             )));
         }
     }
-    let mut fnames = HashSet::new();
-    for f in &m.funcs {
-        if !fnames.insert(&f.name) {
-            return Err(VerifyError::new(format!(
-                "duplicate function name `{}`",
-                f.name
-            )));
-        }
+    if let Some(n) = first_duplicate(m.funcs.iter().map(|f| f.name.as_str())) {
+        return Err(VerifyError::new(format!("duplicate function name `{n}`")));
     }
 
-    let mut mem_sites = HashSet::new();
-    let mut call_sites = HashSet::new();
-    let mut alloc_sites = HashSet::new();
+    // one flag per issued site id: each id is checked against its counter
+    // before its flag is read, so the flags never need to grow
+    let mut mem_seen = vec![false; m.next_mem_site as usize];
+    let mut call_seen = vec![false; m.next_call_site as usize];
+    let mut alloc_seen = vec![false; m.next_alloc_site as usize];
 
     let callee = |i: usize| -> Option<CalleeSig<'_>> {
         m.funcs.get(i).map(|cf| CalleeSig {
@@ -156,8 +151,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
             has_ret: cf.ret_ty.is_some(),
         })
     };
-    for (i, f) in m.funcs.iter().enumerate() {
-        let _ = FuncId::from_index(i);
+    for f in &m.funcs {
         verify_function_in(m.globals.len(), &callee, f)?;
         for b in &f.blocks {
             for inst in &b.insts {
@@ -171,20 +165,22 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
                             ))
                             .in_func(&f.name));
                         }
-                        if !mem_sites.insert(*site) {
+                        if std::mem::replace(&mut mem_seen[site.index()], true) {
                             return Err(VerifyError::new(format!("duplicate mem site {site}"))
                                 .in_func(&f.name));
                         }
                     }
                     Inst::Call { site, .. }
-                        if (site.0 >= m.next_call_site || !call_sites.insert(*site)) =>
+                        if (site.0 >= m.next_call_site
+                            || std::mem::replace(&mut call_seen[site.index()], true)) =>
                     {
                         return Err(
                             VerifyError::new(format!("bad call site {site}")).in_func(&f.name)
                         );
                     }
                     Inst::Alloc { site, .. }
-                        if (site.0 >= m.next_alloc_site || !alloc_sites.insert(*site)) =>
+                        if (site.0 >= m.next_alloc_site
+                            || std::mem::replace(&mut alloc_seen[site.index()], true)) =>
                     {
                         return Err(
                             VerifyError::new(format!("bad alloc site {site}")).in_func(&f.name)
@@ -221,29 +217,26 @@ pub fn verify_function_in<'m>(
         return Err(fail("more params than vars".into()));
     }
 
-    let mut vnames = HashSet::new();
-    for v in &f.vars {
-        if !vnames.insert(&v.name) {
-            return Err(fail(format!("duplicate var name `{}`", v.name)));
-        }
+    if let Some(n) = first_duplicate(f.vars.iter().map(|v| v.name.as_str())) {
+        return Err(fail(format!("duplicate var name `{n}`")));
     }
-    let mut snames = HashSet::new();
-    for s in &f.slots {
-        if !snames.insert(&s.name) {
-            return Err(fail(format!("duplicate slot name `{}`", s.name)));
-        }
+    if let Some(n) = first_duplicate(f.slots.iter().map(|s| s.name.as_str())) {
+        return Err(fail(format!("duplicate slot name `{n}`")));
     }
-    let mut bnames = HashSet::new();
-    for b in &f.blocks {
-        if !bnames.insert(&b.name) {
-            return Err(fail(format!("duplicate block name `{}`", b.name)));
-        }
+    if let Some(n) = first_duplicate(f.blocks.iter().map(|b| b.name.as_str())) {
+        return Err(fail(format!("duplicate block name `{n}`")));
     }
 
     for (bi, b) in f.blocks.iter().enumerate() {
         verify_block(n_globals, callee, f, b).map_err(|msg| fail(msg).at_block(bi as u32))?;
     }
     Ok(())
+}
+
+/// The first name that repeats an earlier one.
+fn first_duplicate<'a>(mut names: impl ExactSizeIterator<Item = &'a str>) -> Option<&'a str> {
+    let mut seen = FxHashSet::with_capacity_and_hasher(names.len(), Default::default());
+    names.find(|n| !seen.insert(*n))
 }
 
 /// The per-block invariants of [`verify_function_in`], with string errors

@@ -196,3 +196,32 @@ fn workload_kernels_roundtrip_to_fixed_point() {
         );
     }
 }
+
+/// Floats of magnitude 1e15 and more print in a form the lexer reads back
+/// as a float — in operands, in copies into `f64` registers (which the
+/// verifier does not type-check) and in `f64` initializers — so they
+/// re-parse to the same module.
+#[test]
+fn large_floats_survive_print_and_parse() {
+    use specframe_ir::Value;
+    let vals = [1e15, -2e15, 1e19, 1e300, f64::MAX];
+    let mut mb = ModuleBuilder::new();
+    mb.global_init("big", Ty::F64, vals.iter().map(|&v| Value::F(v)).collect());
+    let f = mb.declare_func("f", &[("x", Ty::F64)], Some(Ty::F64));
+    {
+        let mut fb = mb.define(f);
+        let mut acc = fb.param(0);
+        for (i, v) in vals.into_iter().enumerate() {
+            acc = fb.bin(BinOp::FAdd, acc.into(), Operand::ConstF(v));
+            let c = fb.var(format!("c{i}"), Ty::F64);
+            fb.copy_to(c, Operand::ConstF(v));
+        }
+        fb.ret(Some(acc.into()));
+    }
+    let m = mb.finish();
+    verify_module(&m).unwrap();
+    let text = print_module(&m);
+    let m2 = parse_module(&text).unwrap_or_else(|e| panic!("re-parse failed: {e}\n{text}"));
+    verify_module(&m2).unwrap_or_else(|e| panic!("re-verify failed: {e}\n{text}"));
+    assert_eq!(format!("{m:?}"), format!("{m2:?}"), "{text}");
+}
