@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint, format, golden suite, bench smoke.
+# Tier-1 gate: build, test, lint, format, golden suite, count gate.
 # Run from the repo root. Hermetic: no network access required.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -159,6 +159,35 @@ echo "$sabotage_out" | grep -q "; reduce: .* probes" \
   || { echo "ci.sh: no reduction stats in sabotage output"; exit 1; }
 echo "fuzzdiff sabotage smoke: oracle failed and reduced as expected"
 
-# compile-time smoke: writes BENCH_ci.json (mean ms per workload, plus
-# the reducer smoke's probe/shrink numbers)
-cargo run --release -q -p specframe-bench --bin ci_smoke
+# count gate: a quick traced specbench run of every workload must
+# reproduce the exact counts in the committed BENCH_counts.jsonl (optimizer
+# stats, dominator builds, cache hits and misses, output and machine
+# instructions, simulator counters; 23 per workload) with no failed
+# request. `specbench compare` exits 0 whatever it finds, so the gate
+# reads its table. A change that moves a count regenerates the record and
+# says why in CHANGES.md (README "Count gate").
+count_gate() { # RECORD FRESH
+  local table exact identical
+  table="$("${CARGO_TARGET_DIR:-target}/release/specbench" compare "$1" "$2")" || return 1
+  exact="$(grep -o '"exact":true' "$1" | wc -l)"
+  identical="$(grep -c ' identical$' <<<"$table" || true)"
+  if grep DIFFERS <<<"$table"; then return 1; fi
+  [ "$identical" -ge "$exact" ] \
+    || { echo "count gate: $identical identical rows, want $exact"; return 1; }
+  [ "$(grep -c '"failed":0,' "$2")" -eq "$(wc -l < "$2")" ] \
+    || { echo "count gate: a fresh record has failed requests"; return 1; }
+}
+counts_dir="$(mktemp -d)"
+bash specbench/run.sh --all --seed 1 --quick --trace "$counts_dir/trace.json" \
+  --out "$counts_dir/fresh.jsonl" > "$counts_dir/run.txt" \
+  || { cat "$counts_dir/run.txt"; exit 1; }
+count_gate BENCH_counts.jsonl "$counts_dir/fresh.jsonl" \
+  || { echo "ci.sh: exact counts moved from BENCH_counts.jsonl"; exit 1; }
+# negative control: one exact value changed in a copy of the record MUST
+# fail the gate
+sed '0,/"core.stats.transformed":{"value":/s//&1/' BENCH_counts.jsonl \
+  > "$counts_dir/perturbed.jsonl"
+count_gate "$counts_dir/perturbed.jsonl" "$counts_dir/fresh.jsonl" > /dev/null \
+  && { echo "ci.sh: count gate passed a perturbed record"; exit 1; }
+rm -rf "$counts_dir"
+echo "count gate: $(grep -o '"exact":true' BENCH_counts.jsonl | wc -l) exact counts identical, perturbed record rejected"

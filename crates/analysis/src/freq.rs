@@ -126,23 +126,12 @@ pub fn estimate_profile(m: &Module) -> EdgeProfile {
     p
 }
 
-/// [`estimate_profile`] over pre-computed per-function analyses (one entry
-/// per function, in index order). Used by the optimization driver so the
-/// static estimator shares the pipeline's analysis cache instead of
-/// rebuilding dominators and loops per function.
-pub fn estimate_profile_with(m: &Module, fas: &[crate::cache::FuncAnalyses]) -> EdgeProfile {
-    assert_eq!(m.funcs.len(), fas.len(), "one FuncAnalyses per function");
-    let mut p = EdgeProfile::new();
-    for (i, (f, fa)) in m.funcs.iter().zip(fas).enumerate() {
-        estimate_function_with(&mut p, FuncId::from_index(i), f, fa);
-    }
-    p
-}
-
-/// Single-function slice of [`estimate_profile_with`], accumulating into
-/// `p`. The optimization driver's incremental-cache path estimates only
-/// the functions it is actually going to recompile — a cache hit replays
-/// its stored lowering and never consults the static profile.
+/// Single-function slice of [`estimate_profile`] over the function's
+/// pre-computed analyses, accumulating into `p`. The optimization driver
+/// estimates only the functions it is actually going to recompile — a
+/// cache hit replays its stored lowering and never consults the static
+/// profile — and shares the pipeline's analysis cache instead of
+/// rebuilding dominators and loops.
 pub fn estimate_function_with(
     p: &mut EdgeProfile,
     fid: FuncId,

@@ -2,8 +2,8 @@
 //!
 //! The evaluation harness: runs every workload through the paper's
 //! configurations and computes the quantities of Figures 10–12 and the
-//! §5.1 smvp table. The `figures` binary pretty-prints them; Criterion
-//! benches measure compile-time cost.
+//! §5.1 smvp table. The `figures` binary pretty-prints them; specbench
+//! (`specbench/`) measures compile time.
 //!
 //! Per workload, the pipeline is exactly the paper's:
 //!

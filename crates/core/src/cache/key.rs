@@ -162,11 +162,6 @@ impl StableHasher {
         self.write(&v.to_le_bytes());
     }
 
-    /// Absorbs an i64 (two's-complement bytes).
-    pub fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Absorbs a bool as one byte.
     pub fn write_bool(&mut self, v: bool) {
         self.write_u8(u8::from(v));

@@ -40,7 +40,7 @@ use crate::expr::OccVersions;
 use crate::prekernel::{apply_edits, reducible_loops, MotionEdit, SpecClient};
 use crate::stats::OptStats;
 use specframe_analysis::FuncAnalyses;
-use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarId, HVarKind, HssaFunc, MemBase};
+use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarId, HssaFunc};
 use specframe_ir::FxHashSet;
 use specframe_ir::{BlockId, InlineVec, LoadSpec, Ty, VarId};
 
@@ -327,17 +327,6 @@ pub fn sink_stores_hssa(hf: &mut HssaFunc, stats: &mut OptStats, fa: &FuncAnalys
         }
     }
     sunk_total
-}
-
-/// Whether `kind` names a direct global/slot cell (used by tests).
-pub fn is_direct_cell(kind: HVarKind) -> bool {
-    matches!(
-        kind,
-        HVarKind::Mem(specframe_hssa::MemVar {
-            base: MemBase::Global(_) | MemBase::Slot(_),
-            ..
-        })
-    )
 }
 
 #[cfg(test)]

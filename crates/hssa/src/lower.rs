@@ -13,9 +13,7 @@
 
 use crate::hvar::HVarKind;
 use crate::stmt::{HOperand, HStmtKind, HTerm, HssaFunc, FRESH_SITE};
-use specframe_ir::{
-    Block, Function, Inst, MemSiteId, Module, Operand, Terminator, Ty, VarDecl, VarId,
-};
+use specframe_ir::{Block, Function, Inst, MemSiteId, Module, Operand, Terminator, VarDecl, VarId};
 use specframe_ir::{FxHashMap, FxHashSet};
 
 /// First placeholder id handed out by [`lower_function`] for statements the
@@ -326,17 +324,12 @@ fn sequentialize(mut pending: Vec<(VarId, VarId)>, vars: &mut Vec<VarDecl>) -> V
     out
 }
 
-/// Convenience used in tests: the declared type of a lowered variable.
-pub fn lowered_var_ty(f: &Function, v: VarId) -> Ty {
-    f.vars[v.index()].ty
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::{build_hssa, SpecMode};
     use specframe_alias::AliasAnalysis;
-    use specframe_ir::{parse_module, Value};
+    use specframe_ir::{parse_module, Ty, Value};
     use specframe_profile::run;
 
     fn round_trip(src: &str, entry: &str, args: &[Value]) {

@@ -323,9 +323,4 @@ impl HssaFunc {
     pub fn pred_index(&self, block: BlockId, pred: BlockId) -> Option<usize> {
         self.preds[block.index()].iter().position(|&p| p == pred)
     }
-
-    /// Total statement count (for size diagnostics).
-    pub fn stmt_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.stmts.len()).sum()
-    }
 }

@@ -138,11 +138,6 @@ impl FuncBuilder<'_> {
         &mut self.mb.module.funcs[self.func.index()]
     }
 
-    /// The id of the function being built.
-    pub fn func_id(&self) -> FuncId {
-        self.func
-    }
-
     /// The `i`-th parameter's register.
     pub fn param(&self, i: u32) -> VarId {
         let f = &self.mb.module.funcs[self.func.index()];

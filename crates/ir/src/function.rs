@@ -90,11 +90,6 @@ impl Function {
         &mut self.blocks[b.index()]
     }
 
-    /// Parameter ids, in order.
-    pub fn param_ids(&self) -> impl Iterator<Item = VarId> {
-        (0..self.params).map(VarId)
-    }
-
     /// The declared type of a register.
     #[inline]
     pub fn var_ty(&self, v: VarId) -> Ty {

@@ -418,7 +418,7 @@ mod tests {
     use super::*;
     use crate::audit;
     use crate::isa::{ChkKind, Reg};
-    use crate::sim::run_machine_taint_on;
+    use crate::sim::{run_machine, run_machine_taint_on};
     use crate::target::TargetId;
     use specframe_ir::Ty;
 
@@ -565,6 +565,22 @@ mod tests {
         assert!(leak_audit_func(&f).is_empty(), "re-audit must be clean");
         // the speculation-safety audit still passes on fenced code
         audit::audit_func(&f).unwrap();
+        // over the leaky kernel's memory (t = [18] at address 16, then
+        // s = [7, 8, 9, 10]) the sink loads s[1]: fencing keeps that
+        // result and cannot make the run cheaper
+        let kernel = |f: MFunc| MProgram {
+            funcs: vec![f],
+            global_image: (16..)
+                .zip([18, 7, 8, 9, 10])
+                .map(|(a, v)| (a, Value::I(v)))
+                .collect(),
+            globals_end: 21,
+        };
+        let (want, c0) = run_machine(&kernel(f0), "t", &[], 100_000).unwrap();
+        let (got, c1) = run_machine(&kernel(f), "t", &[], 100_000).unwrap();
+        assert_eq!(want, Some(Value::I(8)));
+        assert_eq!(got, want, "fencing changed the architectural result");
+        assert!(c1.cycles >= c0.cycles, "a fence cannot be free");
     }
 
     #[test]

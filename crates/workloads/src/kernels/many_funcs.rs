@@ -6,7 +6,7 @@
 //! loop-invariant load may-aliased with a store through a selected
 //! pointer), so every function gives SSAPRE real work and the per-function
 //! fan-out in `specframe_core::optimize` has something to fan out over.
-//! The `compile_time` bench runs `jobs=1` vs `jobs=N` over it.
+//! `tests/parallel_determinism.rs` compiles it at `jobs=1` and `jobs=8`.
 //!
 //! `mode` selects the pointer targets in `main`: 0 routes every store away
 //! from the loaded global (speculation always pays), 1 routes it at the

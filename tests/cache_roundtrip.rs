@@ -3,6 +3,7 @@
 //! level — and damaged entries degrade to a fresh compile, never to
 //! wrong output.
 
+use specframe::ir::display::print_module;
 use specframe::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -24,7 +25,7 @@ fn req(cache: Option<&Path>, jobs: usize) -> CompileRequest {
 
 fn compile_mega(seed: u64, funcs: usize, r: &CompileRequest) -> (String, CompileOutput) {
     let out = compile_module(mega_module(seed, funcs), r).expect("compile");
-    (specframe::ir::display::print_module(&out.module), out)
+    (print_module(&out.module), out)
 }
 
 /// Every `*.spcc` entry file under the cache root, sorted for
@@ -49,26 +50,77 @@ fn entry_files(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn cold_and_warm_match_uncached_at_every_jobs_level() {
-    const FUNCS: usize = 40;
-    let dir = temp_cache("parity");
+    cold_warm_and_edited(11, 40, false);
+    // 1000 functions with every optional pass on, store sinking included
+    cold_warm_and_edited(42, 1000, true);
+}
 
-    let (baseline, base_out) = compile_mega(11, FUNCS, &req(None, 1));
+/// One input through a fresh cache, against uncached jobs-1 compiles:
+/// the cold run compiles every function at jobs 4, the warm runs at jobs
+/// 1/2/4 replay every function and compile nothing, and a body plus
+/// global-initializer edit recompiles only the edited function.
+fn cold_warm_and_edited(seed: u64, funcs: usize, store_sinking: bool) {
+    let dir = temp_cache(&format!("parity{funcs}"));
+    let request = |cache, jobs| CompileRequest {
+        store_sinking,
+        ..req(cache, jobs)
+    };
+    let n = funcs as u64;
+
+    let (baseline, base_out) = compile_mega(seed, funcs, &request(None, 1));
     assert_eq!(base_out.report.cache.probes(), 0, "no cache attached");
+    // the optimized module prints, re-parses, verifies and prints back to
+    // the same bytes
+    let reparsed = parse_module(&baseline).expect("optimized module re-parses");
+    verify_module(&reparsed).expect("re-parsed optimized module verifies");
+    assert_eq!(
+        print_module(&reparsed),
+        baseline,
+        "print round trip moved bytes"
+    );
 
-    let (cold, cold_out) = compile_mega(11, FUNCS, &req(Some(&dir), 1));
-    assert_eq!(cold, baseline, "cold cached compile diverged from uncached");
+    let (cold, cold_out) = compile_mega(seed, funcs, &request(Some(&dir), 4));
+    assert_eq!(
+        cold, baseline,
+        "cold jobs-4 compile diverged from uncached jobs 1"
+    );
     assert_eq!(cold_out.report.cache.hits, 0);
-    assert_eq!(cold_out.report.cache.misses, FUNCS as u64);
+    assert_eq!(cold_out.report.cache.misses, n);
 
     for jobs in [1, 2, 4] {
-        let (warm, warm_out) = compile_mega(11, FUNCS, &req(Some(&dir), jobs));
+        let (warm, warm_out) = compile_mega(seed, funcs, &request(Some(&dir), jobs));
         assert_eq!(warm, baseline, "warm cached compile diverged (jobs {jobs})");
-        assert_eq!(warm_out.report.cache.hits, FUNCS as u64, "jobs {jobs}");
+        assert_eq!(warm_out.report.cache.hits, n, "jobs {jobs}");
         assert_eq!(warm_out.report.cache.misses, 0, "jobs {jobs}");
         assert_eq!(warm_out.report.cache.stale, 0, "jobs {jobs}");
+        // a hit builds no analyses: one dominator tree per compiled function
+        assert_eq!(warm_out.report.timings.dom_computes, 0, "jobs {jobs}");
         // replayed stats are the stored ones: identical to a fresh compile
         assert_eq!(warm_out.report.stats, base_out.report.stats, "jobs {jobs}");
     }
+
+    // an initializer is not in any key, and a literal moves only its
+    // own function's key
+    let src = mega_source(seed, funcs);
+    let edited = src
+        .replacen("global g0: i64[1] = [1]\n", "global g0: i64[1] = [2]\n", 1)
+        .replacen(" = add n, 3\n", " = add n, 4\n", 1);
+    let changed = src.lines().zip(edited.lines()).filter(|(a, b)| a != b);
+    assert_eq!(changed.count(), 2, "one initializer and one body line");
+    let compile_edited = |r: &CompileRequest| {
+        let m = parse_module(&edited).expect("edited module parses");
+        compile_module(m, r).expect("compile")
+    };
+    let uncached = print_module(&compile_edited(&request(None, 1)).module);
+    let out = compile_edited(&request(Some(&dir), 1));
+    assert_eq!(
+        print_module(&out.module),
+        uncached,
+        "edited cached compile diverged"
+    );
+    assert_eq!(out.report.cache.misses, 1, "{:?}", out.report.cache);
+    assert_eq!(out.report.cache.hits, n - 1, "{:?}", out.report.cache);
+    assert_eq!(out.report.cache.stale, 0, "{:?}", out.report.cache);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -146,7 +198,7 @@ fn capped_cache_evicts_and_still_produces_identical_output() {
     prepare_module(&mut plain);
     let (_, _) = specframe::core::try_optimize_cached(&mut plain, &opts, &cfg, &hooks, None)
         .expect("uncached");
-    let baseline = specframe::ir::display::print_module(&plain);
+    let baseline = print_module(&plain);
 
     let cache = FuncCache::open(&dir).with_max_entries(CAP);
     let mut m = mega_module(3, FUNCS);
@@ -154,7 +206,7 @@ fn capped_cache_evicts_and_still_produces_identical_output() {
     let (report, _) =
         specframe::core::try_optimize_cached(&mut m, &opts, &cfg, &hooks, Some(&cache))
             .expect("cached");
-    assert_eq!(specframe::ir::display::print_module(&m), baseline);
+    assert_eq!(print_module(&m), baseline);
     assert_eq!(
         report.cache.evicts,
         (FUNCS - CAP) as u64,
@@ -170,7 +222,7 @@ fn capped_cache_evicts_and_still_produces_identical_output() {
     let (report, _) =
         specframe::core::try_optimize_cached(&mut m, &opts, &cfg, &hooks, Some(&cache))
             .expect("cached rerun");
-    assert_eq!(specframe::ir::display::print_module(&m), baseline);
+    assert_eq!(print_module(&m), baseline);
     assert!(report.cache.hits > 0, "{:?}", report.cache);
     assert_eq!(report.cache.stale, 0);
     std::fs::remove_dir_all(&dir).unwrap();

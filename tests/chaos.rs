@@ -282,28 +282,32 @@ fn unreadable_request_is_quarantined_and_the_drain_continues() {
 
 #[test]
 fn deadline_zero_exits_code_5_and_writes_no_cache_entry() {
-    let cache = TempDir::new("deadline_cache");
-    let out = specc()
-        .args(["--mega", "5:4", "--deadline-ms", "0", "--cache-dir"])
-        .arg(cache.path())
-        .output()
-        .expect("specc --deadline-ms 0");
-    assert_eq!(
-        out.status.code(),
-        Some(5),
-        "deadline abort should exit 5: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // no partial (or complete) cache entries may exist after a cancel
-    let stats = specc()
-        .args(["cache", "stats", "--cache-dir"])
-        .arg(cache.path())
-        .output()
-        .expect("cache stats");
-    let text = String::from_utf8_lossy(&stats.stdout).into_owned();
-    assert!(
-        text.contains("0 entries"),
-        "cache not empty after deadline abort: {text}"
-    );
-    assert!(!cache_has_tmp_debris(cache.path()));
+    // `--deadline-ms 0` has expired before the optimizer starts; one
+    // millisecond usually runs out while it works on 1000 functions
+    for (mega, ms) in [("5:4", "0"), ("42:1000", "1")] {
+        let cache = TempDir::new(&format!("deadline_cache_{ms}"));
+        let out = specc()
+            .args(["--mega", mega, "--deadline-ms", ms, "--cache-dir"])
+            .arg(cache.path())
+            .output()
+            .expect("specc --deadline-ms");
+        assert_eq!(
+            out.status.code(),
+            Some(5),
+            "--deadline-ms {ms} should exit 5: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // no partial (or complete) cache entries may exist after a cancel
+        let stats = specc()
+            .args(["cache", "stats", "--cache-dir"])
+            .arg(cache.path())
+            .output()
+            .expect("cache stats");
+        let text = String::from_utf8_lossy(&stats.stdout).into_owned();
+        assert!(
+            text.contains("0 entries"),
+            "cache not empty after deadline abort ({ms} ms): {text}"
+        );
+        assert!(!cache_has_tmp_debris(cache.path()));
+    }
 }
