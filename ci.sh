@@ -140,7 +140,7 @@ echo "deadline smoke: --deadline-ms 0 exits 5"
 # fault matrix — results must be bit-identical to the unoptimized
 # reference interpreter no matter what the ALAT does
 cargo run --release -q -p specframe-fuzzdiff --bin fuzzdiff -- \
-  --seed "${FUZZDIFF_SEED:-1}" --random 16 --time-budget 240 \
+  --seed "${FUZZDIFF_SEED:-1}" --random 256 --time-budget 240 \
   --policy default --policy always-miss \
   --policy random:1 --policy random:2 --policy random:3 \
   --policy flash-clear

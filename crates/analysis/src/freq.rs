@@ -25,17 +25,7 @@ impl EdgeProfile {
         EdgeProfile::default()
     }
 
-    /// Records one traversal of `from -> to` in function `f`.
-    pub fn record_edge(&mut self, f: FuncId, from: BlockId, to: BlockId) {
-        *self.edges.entry((f, from, to)).or_insert(0) += 1;
-    }
-
-    /// Records one entry into function `f`.
-    pub fn record_entry(&mut self, f: FuncId) {
-        *self.entries.entry(f).or_insert(0) += 1;
-    }
-
-    /// Adds `n` traversals of an edge (used by the static estimator).
+    /// Adds `n` traversals of an edge.
     pub fn add_edge(&mut self, f: FuncId, from: BlockId, to: BlockId, n: u64) {
         *self.edges.entry((f, from, to)).or_insert(0) += n;
     }
@@ -213,10 +203,10 @@ mod tests {
     fn record_and_query() {
         let mut p = EdgeProfile::new();
         let f = FuncId(0);
-        p.record_entry(f);
-        p.record_edge(f, BlockId(0), BlockId(1));
-        p.record_edge(f, BlockId(0), BlockId(1));
-        p.record_edge(f, BlockId(0), BlockId(2));
+        p.set_entry(f, 1);
+        p.add_edge(f, BlockId(0), BlockId(1), 1);
+        p.add_edge(f, BlockId(0), BlockId(1), 1);
+        p.add_edge(f, BlockId(0), BlockId(2), 1);
         assert_eq!(p.edge_count(f, BlockId(0), BlockId(1)), 2);
         assert_eq!(p.entry_count(f), 1);
         assert!(p.covers(f));
@@ -228,10 +218,8 @@ mod tests {
         let m = loop_module();
         let mut p = EdgeProfile::new();
         let f = FuncId(0);
-        for _ in 0..9 {
-            p.record_edge(f, BlockId(1), BlockId(2));
-        }
-        p.record_edge(f, BlockId(1), BlockId(3));
+        p.add_edge(f, BlockId(1), BlockId(2), 9);
+        p.add_edge(f, BlockId(1), BlockId(3), 1);
         let pr = p
             .edge_probability(f, &m.funcs[0], BlockId(1), BlockId(2))
             .unwrap();

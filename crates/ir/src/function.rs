@@ -226,7 +226,8 @@ impl Module {
     /// Static layout of global memory: returns, for each global, its base
     /// word address, laying globals out contiguously from address
     /// [`Module::GLOBAL_BASE`]. Both the interpreter and the machine
-    /// simulator use this layout, so profiled LOCs agree between them.
+    /// simulator use this layout, so profiled LOCs agree between them; the
+    /// rest of their address space is laid out by [`crate::Memory`].
     pub fn global_layout(&self) -> Vec<i64> {
         layout_globals(&self.globals)
     }

@@ -32,6 +32,7 @@
 //! * [`ids`] — index newtypes for every IR entity
 //! * [`inst`] — operands, instructions, terminators, speculation flags
 //! * [`function`] — blocks, functions, globals, modules
+//! * [`memory`] — the word memory and address layout both executors share
 //! * [`builder`] — programmatic construction API
 //! * [`display`] — pretty printer (round-trips through the parser)
 //! * [`parse`] — textual parser
@@ -44,6 +45,7 @@ pub mod function;
 pub mod fx;
 pub mod ids;
 pub mod inst;
+pub mod memory;
 pub mod parse;
 pub mod types;
 pub mod verify;
@@ -54,6 +56,7 @@ pub use function::{layout_globals, Block, FuncSlot, Function, Global, Module, Sl
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{AllocSiteId, BlockId, CallSiteId, FuncId, GlobalId, MemSiteId, SlotId, VarId};
 pub use inst::{BinOp, CheckKind, Inst, LoadSpec, Operand, Terminator, UnOp};
+pub use memory::{Memory, MEM_CAP, STACK_WORDS};
 pub use parse::{parse_module, ParseError};
 pub use types::{Ty, Value};
 pub use verify::{verify_function_in, verify_module, CalleeSig, VerifyError};

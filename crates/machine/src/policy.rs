@@ -65,9 +65,10 @@ pub enum FaultAction {
 /// A pluggable ALAT behavior model.
 ///
 /// The simulator consults the policy once per retired instruction
-/// ([`AlatPolicy::on_inst`]) and once per ALAT check load
-/// ([`AlatPolicy::force_miss`]). Policies mutate only their own state;
-/// the table itself applies the returned [`FaultAction`].
+/// ([`AlatPolicy::on_inst`], unless [`AlatPolicy::injects_faults`] says it
+/// never acts) and once per ALAT check load ([`AlatPolicy::force_miss`]).
+/// Policies mutate only their own state; the table itself applies the
+/// returned [`FaultAction`].
 pub trait AlatPolicy: Send {
     /// The policy string that reproduces this policy (e.g. `random:3:16`).
     fn name(&self) -> String;
@@ -77,9 +78,17 @@ pub trait AlatPolicy: Send {
         AlatGeometry::default()
     }
 
-    /// Called once per retired instruction, before it executes.
+    /// Called once per retired instruction, before it executes, when
+    /// [`AlatPolicy::injects_faults`] says it may act.
     fn on_inst(&mut self) -> FaultAction {
         FaultAction::None
+    }
+
+    /// Whether [`AlatPolicy::on_inst`] can return anything but
+    /// [`FaultAction::None`]. The simulator asks once per run and skips the
+    /// per-instruction call when the answer is `false`.
+    fn injects_faults(&self) -> bool {
+        true
     }
 
     /// Called per ALAT check load; `true` forces the check to miss
@@ -132,6 +141,10 @@ impl AlatPolicy for Deterministic {
     fn geometry(&self) -> AlatGeometry {
         self.geometry
     }
+
+    fn injects_faults(&self) -> bool {
+        false
+    }
 }
 
 /// Default table, but every ALAT check is forced to miss — models an
@@ -148,6 +161,10 @@ impl AlatPolicy for ForcedMiss {
 
     fn force_miss(&mut self) -> bool {
         true
+    }
+
+    fn injects_faults(&self) -> bool {
+        false
     }
 }
 

@@ -1,16 +1,15 @@
 //! The cycle-approximate EPIC simulator with `pfmon`-style counters.
+//!
+//! Memory is a [`Memory`], laid out exactly as the reference interpreter
+//! lays it out (the diagram is on [`Memory`]).
 
 use crate::alat::Alat;
 use crate::costs::CostModel;
 use crate::isa::{ChkKind, LdKind, MFunc, MInst, MOperand, MProgram};
 use crate::policy::{AlatPolicy, Deterministic, FaultAction};
 use crate::target::{SpecTarget, TargetId};
-use specframe_ir::{BinOp, Ty, UnOp, Value};
+use specframe_ir::{BinOp, Memory, Ty, UnOp, Value};
 
-/// Words reserved for the stack region (matches the interpreter layout).
-pub const STACK_WORDS: i64 = 1 << 20;
-/// Hard memory cap (words).
-pub const MEM_CAP: i64 = 1 << 28;
 /// Maximum call depth.
 pub const MAX_DEPTH: usize = 512;
 
@@ -214,13 +213,12 @@ pub struct TaintReport {
 pub struct Simulator<'p> {
     prog: &'p MProgram,
     costs: CostModel,
-    mem: Vec<Value>,
-    stack_base: i64,
-    stack_top: i64,
-    heap_base: i64,
-    heap_top: i64,
+    mem: Memory,
     alat: Alat,
     policy: Box<dyn AlatPolicy>,
+    /// The policy's [`AlatPolicy::injects_faults`], asked once: when it
+    /// cannot inject a fault, [`AlatPolicy::on_inst`] is never called.
+    injects_faults: bool,
     counters: Counters,
     fuel: u64,
     taint: Option<TaintState>,
@@ -248,18 +246,13 @@ impl<'p> Simulator<'p> {
         fuel: u64,
         policy: Box<dyn AlatPolicy>,
     ) -> Simulator<'p> {
-        let stack_base = prog.globals_end;
-        let heap_base = stack_base + STACK_WORDS;
         let g = policy.geometry();
         let mut s = Simulator {
             prog,
             costs: target.costs(),
-            mem: Vec::new(),
-            stack_base,
-            stack_top: stack_base,
-            heap_base,
-            heap_top: heap_base,
+            mem: Memory::new(prog.globals_end),
             alat: Alat::with_geometry(g.entries, g.ways),
+            injects_faults: policy.injects_faults(),
             policy,
             counters: Counters::default(),
             fuel,
@@ -269,7 +262,7 @@ impl<'p> Simulator<'p> {
             poison: 0,
         };
         for &(addr, v) in &prog.global_image {
-            s.poke(addr, v);
+            s.mem.write(addr, v);
         }
         s
     }
@@ -303,27 +296,12 @@ impl<'p> Simulator<'p> {
     /// globals/stack/heap range, so callers can't mistake out-of-range
     /// reads for real zeros.
     pub fn peek(&self, addr: i64) -> Option<Value> {
-        if !self.addr_ok(addr) {
-            return None;
-        }
-        Some(self.mem.get(addr as usize).copied().unwrap_or(Value::I(0)))
-    }
-
-    fn poke(&mut self, addr: i64, v: Value) {
-        let i = addr as usize;
-        if i >= self.mem.len() {
-            self.mem.resize(i + 1, Value::I(0));
-        }
-        self.mem[i] = v;
-    }
-
-    fn addr_ok(&self, addr: i64) -> bool {
-        addr >= 16 && addr < self.heap_top.max(self.heap_base) && addr < MEM_CAP
+        self.mem.mapped(addr).then(|| self.mem.read(addr))
     }
 
     fn load_cell(&self, addr: i64, ty: Ty) -> Value {
-        // callers verify addr_ok first; an unmapped-but-valid cell is 0
-        coerce(self.peek(addr).unwrap_or(Value::I(0)), ty)
+        // callers check the address is mapped first
+        coerce(self.mem.read(addr), ty)
     }
 
     /// Runs function `index` with `args`.
@@ -364,24 +342,42 @@ impl<'p> Simulator<'p> {
         }
 
         // slots
-        let frame_base = self.stack_top;
+        let frame_base = self.mem.stack_top();
         let mut slot_base = Vec::with_capacity(f.slot_words.len());
         for &w in &f.slot_words {
-            let base = self.stack_top;
-            let end = base + i64::from(w);
-            if end > self.stack_base + STACK_WORDS {
-                return Err(SimError::StackExhausted);
-            }
-            for a in base..end {
-                self.poke(a, Value::I(0));
-            }
+            let base = self
+                .mem
+                .push(w, Value::I(0))
+                .ok_or(SimError::StackExhausted)?;
             slot_base.push(base);
-            self.stack_top = end;
         }
 
         let result = self.exec(f, &mut regs, &mut taints, &slot_base, depth);
-        self.stack_top = frame_base;
+        self.mem.pop_to(frame_base);
         result
+    }
+
+    /// Asks the fault policy what the hardware does to the ALAT at this
+    /// instruction boundary, and does it.
+    fn inject_fault(&mut self) {
+        match self.policy.on_inst() {
+            FaultAction::None => {}
+            FaultAction::KillOne(lottery) => {
+                if self.has_alat {
+                    self.alat.kill_one(lottery);
+                } else {
+                    self.poison += 1;
+                }
+            }
+            FaultAction::FlashClear => {
+                if self.has_alat {
+                    self.alat.flash_clear();
+                } else {
+                    self.poison += 1;
+                    self.alat.flash_clears += 1;
+                }
+            }
+        }
     }
 
     /// Consumes one pending fault-policy poisoning (no-ALAT targets); the
@@ -460,23 +456,8 @@ impl<'p> Simulator<'p> {
             // boundary — the architecture explicitly permits this; on a
             // no-ALAT target the same injections poison upcoming software
             // check verdicts instead (a forced recovery-branch miss)
-            match self.policy.on_inst() {
-                FaultAction::None => {}
-                FaultAction::KillOne(lottery) => {
-                    if self.has_alat {
-                        self.alat.kill_one(lottery);
-                    } else {
-                        self.poison += 1;
-                    }
-                }
-                FaultAction::FlashClear => {
-                    if self.has_alat {
-                        self.alat.flash_clear();
-                    } else {
-                        self.poison += 1;
-                        self.alat.flash_clears += 1;
-                    }
-                }
+            if self.injects_faults {
+                self.inject_fault();
             }
             let at = pc;
             let inst = &f.code[pc];
@@ -548,7 +529,7 @@ impl<'p> Simulator<'p> {
                         return Err(SimError::NatConsumed);
                     }
                     let addr = vb.as_i64() + off;
-                    if !self.addr_ok(addr) {
+                    if !self.mem.mapped(addr) {
                         if speculative {
                             // deferred fault: NaT, no ALAT entry
                             regs[d.0 as usize] = Value::Nat;
@@ -610,7 +591,7 @@ impl<'p> Simulator<'p> {
                         return Err(SimError::NatConsumed);
                     }
                     let addr = vb.as_i64() + off;
-                    if !self.addr_ok(addr) {
+                    if !self.mem.mapped(addr) {
                         return Err(SimError::BadAddress(addr));
                     }
                     self.counters.check_loads += 1;
@@ -700,14 +681,14 @@ impl<'p> Simulator<'p> {
                         return Err(SimError::NatConsumed);
                     }
                     let addr = vb.as_i64() + off;
-                    if !self.addr_ok(addr) {
+                    if !self.mem.mapped(addr) {
                         return Err(SimError::BadAddress(addr));
                     }
                     let v = eval(regs, *val);
                     if v.is_nat() {
                         return Err(SimError::NatConsumed);
                     }
-                    self.poke(addr, coerce(v, *ty));
+                    self.mem.write(addr, coerce(v, *ty));
                     if self.has_alat {
                         self.alat.invalidate(addr);
                     }
@@ -750,12 +731,10 @@ impl<'p> Simulator<'p> {
                     }
                 }
                 MInst::Alloc { d, words } => {
-                    let w = eval(regs, *words).as_i64().max(0);
-                    let base = self.heap_top;
-                    if base + w > MEM_CAP {
-                        return Err(SimError::BadAddress(base + w));
-                    }
-                    self.heap_top += w;
+                    let base = self
+                        .mem
+                        .alloc(eval(regs, *words).as_i64())
+                        .map_err(SimError::BadAddress)?;
                     regs[d.0 as usize] = Value::I(base);
                     if taint_on {
                         taints[d.0 as usize] = TaintCell::default();
@@ -966,6 +945,7 @@ pub fn run_machine_taint_on(
 mod tests {
     use super::*;
     use crate::isa::*;
+    use specframe_ir::MEM_CAP;
 
     fn prog_one(f: MFunc) -> MProgram {
         MProgram {

@@ -13,6 +13,7 @@
 //! program execution by an order of magnitude"; recording per-site LOC sets
 //! is the cheaper alternative the authors advocate.
 
+use crate::grown;
 use crate::observer::{MemAccess, Observer};
 use specframe_alias::{Loc, LocSet};
 use specframe_ir::{CallSiteId, FuncId, MemSiteId};
@@ -74,12 +75,46 @@ impl AliasProfile {
 }
 
 /// Observer that builds an [`AliasProfile`].
+///
+/// Counts and LOC sets live in vectors indexed by site number and are
+/// folded into the profile's maps by [`AliasProfiler::finish`]. A site, or
+/// an enclosing call, that touches the LOC it touched last skips the set
+/// insert, so a loop walking one object pays a comparison per access.
 #[derive(Debug, Default)]
 pub struct AliasProfiler {
-    profile: AliasProfile,
-    /// Call sites currently on the dynamic call stack; every access inside
-    /// the callee is charged to each enclosing site's mod/ref set.
-    active_calls: Vec<CallSiteId>,
+    /// Per memory site (by index).
+    mem: Vec<SiteLocs>,
+    /// Per call site (by index): `None` until the site first executes.
+    calls: Vec<Option<CallLocs>>,
+    /// Call sites currently on the dynamic call stack, innermost last;
+    /// every access inside the callee is charged to each enclosing site's
+    /// mod/ref set.
+    active_calls: Vec<ActiveCall>,
+}
+
+/// What one memory site has seen.
+#[derive(Debug, Default)]
+struct SiteLocs {
+    count: u64,
+    locs: LocSet,
+    /// The LOC inserted into `locs` last.
+    last: Option<Loc>,
+}
+
+/// The mod and ref sets of one call site.
+#[derive(Debug, Default)]
+struct CallLocs {
+    mods: LocSet,
+    refs: LocSet,
+}
+
+/// One call on the dynamic call stack, with the LOC it charged last to
+/// its site's mod and ref set.
+#[derive(Debug)]
+struct ActiveCall {
+    site: CallSiteId,
+    last_mod: Option<Loc>,
+    last_ref: Option<Loc>,
 }
 
 impl AliasProfiler {
@@ -90,41 +125,71 @@ impl AliasProfiler {
 
     /// Consumes the profiler and yields the profile.
     pub fn finish(self) -> AliasProfile {
-        self.profile
-    }
-
-    /// Borrow the profile mid-run.
-    pub fn profile(&self) -> &AliasProfile {
-        &self.profile
+        let mut p = AliasProfile::default();
+        for (i, s) in self.mem.into_iter().enumerate() {
+            if s.count > 0 {
+                let site = MemSiteId::from_index(i);
+                p.mem_count.insert(site, s.count);
+                p.mem.insert(site, s.locs);
+            }
+        }
+        for (i, c) in self.calls.into_iter().enumerate() {
+            if let Some(c) = c {
+                let site = CallSiteId::from_index(i);
+                p.call_mod.insert(site, c.mods);
+                p.call_ref.insert(site, c.refs);
+            }
+        }
+        p
     }
 }
 
 impl Observer for AliasProfiler {
-    fn on_mem(&mut self, a: &MemAccess) {
-        *self.profile.mem_count.entry(a.site).or_insert(0) += 1;
-        if let Some(loc) = a.loc {
-            self.profile.mem.entry(a.site).or_default().insert(loc);
-            for &cs in &self.active_calls {
-                if a.is_load {
-                    self.profile.call_ref.entry(cs).or_default().insert(loc);
-                } else {
-                    self.profile.call_mod.entry(cs).or_default().insert(loc);
-                }
+    fn on_mem(&mut self, a: &MemAccess<'_>) {
+        let site = grown(&mut self.mem, a.site.index());
+        site.count += 1;
+        let Some(loc) = a.loc() else {
+            return;
+        };
+        if site.last != Some(loc) {
+            site.last = Some(loc);
+            site.locs.insert(loc);
+        }
+        // innermost call first: a call that charged this LOC last was
+        // entered inside every call around it, which charged it last too
+        for call in self.active_calls.iter_mut().rev() {
+            let last = if a.is_load {
+                &mut call.last_ref
+            } else {
+                &mut call.last_mod
+            };
+            if *last == Some(loc) {
+                break;
             }
-        } else {
-            self.profile.mem.entry(a.site).or_default();
+            *last = Some(loc);
+            let sets = self.calls[call.site.index()]
+                .as_mut()
+                .expect("an active call has executed");
+            if a.is_load {
+                sets.refs.insert(loc);
+            } else {
+                sets.mods.insert(loc);
+            }
         }
     }
 
     fn on_call(&mut self, site: CallSiteId, _caller: FuncId, _callee: FuncId) {
-        self.active_calls.push(site);
-        self.profile.call_mod.entry(site).or_default();
-        self.profile.call_ref.entry(site).or_default();
+        grown(&mut self.calls, site.index()).get_or_insert_with(CallLocs::default);
+        self.active_calls.push(ActiveCall {
+            site,
+            last_mod: None,
+            last_ref: None,
+        });
     }
 
     fn on_return(&mut self, site: CallSiteId) {
         let popped = self.active_calls.pop();
-        debug_assert_eq!(popped, Some(site));
+        debug_assert_eq!(popped.map(|c| c.site), Some(site));
     }
 }
 
@@ -234,6 +299,51 @@ entry:
         let refs: Vec<_> = p.call_ref.values().filter(|s| !s.is_empty()).collect();
         assert_eq!(mods.len(), 1);
         assert_eq!(refs.len(), 1);
+    }
+
+    #[test]
+    fn nested_calls_charge_every_enclosing_site() {
+        let src = r#"
+global g: i64[1]
+global h: i64[1]
+
+func inner() {
+entry:
+  store.i64 [@h], 1
+  store.i64 [@g], 2
+  store.i64 [@g], 3
+  ret
+}
+
+func outer() -> i64 {
+  var v: i64
+entry:
+  store.i64 [@g], 1
+  call inner()
+  call inner()
+  v = load.i64 [@h]
+  ret v
+}
+
+func main() -> i64 {
+  var v: i64
+entry:
+  v = call outer()
+  ret v
+}
+"#;
+        let m = parse_module(src).unwrap();
+        let mut prof = AliasProfiler::new();
+        run_with(&m, "main", &[], 1000, &mut prof).unwrap();
+        let p = prof.finish();
+        let names = |s: &LocSet| s.iter().map(Loc::to_string).collect::<Vec<_>>().join(" ");
+        // call sites number in text order: outer's two calls of inner, then
+        // main's call of outer, which is charged everything inner touches
+        for cs in 0..3 {
+            assert_eq!(names(&p.call_mod[&CallSiteId(cs)]), "G0 G1", "site {cs}");
+        }
+        assert_eq!(names(&p.call_ref[&CallSiteId(0)]), "");
+        assert_eq!(names(&p.call_ref[&CallSiteId(2)]), "G1");
     }
 
     #[test]

@@ -5,14 +5,23 @@
 //! speculation ("the edge profile of the program can be used to select the
 //! appropriate merge points for insertion", §4.1).
 
+use crate::grown;
 use crate::observer::Observer;
 use specframe_analysis::EdgeProfile;
 use specframe_ir::{BlockId, FuncId};
 
 /// Observer that counts CFG edge traversals and function entries.
+///
+/// Counts live in tables indexed by function and block number, so a taken
+/// edge costs a scan of its block's one or two successors, not a hash;
+/// [`EdgeProfiler::finish`] builds the [`EdgeProfile`].
 #[derive(Debug, Default)]
 pub struct EdgeProfiler {
-    profile: EdgeProfile,
+    /// Per function (by index): how often it was entered.
+    entries: Vec<u64>,
+    /// Per function, per block (by index): each successor taken from the
+    /// block, with its count.
+    edges: Vec<Vec<Vec<(BlockId, u64)>>>,
 }
 
 impl EdgeProfiler {
@@ -23,22 +32,34 @@ impl EdgeProfiler {
 
     /// Consumes the profiler and yields the profile.
     pub fn finish(self) -> EdgeProfile {
-        self.profile
-    }
-
-    /// Borrow the profile mid-run.
-    pub fn profile(&self) -> &EdgeProfile {
-        &self.profile
+        let mut p = EdgeProfile::new();
+        for (fi, &n) in self.entries.iter().enumerate() {
+            if n > 0 {
+                p.set_entry(FuncId::from_index(fi), n);
+            }
+        }
+        for (fi, blocks) in self.edges.iter().enumerate() {
+            for (bi, succs) in blocks.iter().enumerate() {
+                for &(to, n) in succs {
+                    p.add_edge(FuncId::from_index(fi), BlockId::from_index(bi), to, n);
+                }
+            }
+        }
+        p
     }
 }
 
 impl Observer for EdgeProfiler {
     fn on_edge(&mut self, func: FuncId, from: BlockId, to: BlockId) {
-        self.profile.record_edge(func, from, to);
+        let succs = grown(grown(&mut self.edges, func.index()), from.index());
+        match succs.iter_mut().find(|(b, _)| *b == to) {
+            Some((_, n)) => *n += 1,
+            None => succs.push((to, 1)),
+        }
     }
 
     fn on_entry(&mut self, func: FuncId, _invocation: u64) {
-        self.profile.record_entry(func);
+        *grown(&mut self.entries, func.index()) += 1;
     }
 }
 

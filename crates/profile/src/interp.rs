@@ -10,31 +10,23 @@
 //!
 //! ## Memory model
 //!
-//! One flat, word-addressed memory of [`Value`] cells:
+//! Word-addressed [`Value`] cells in a [`Memory`], the layout the machine
+//! simulator shares (null page, globals, stack, heap; the diagram is on
+//! [`Memory`]). Every named region (global, live slot, heap object) is
+//! tracked in an interval map so dynamic addresses resolve to the abstract
+//! locations ([`Loc`]) the alias profiler records; the lookup runs only
+//! when an observer asks [`MemAccess::loc`].
 //!
-//! ```text
-//! [0, 16)              unmapped (null page)
-//! [16, G)              globals, laid out by `Module::global_layout`
-//! [G, G + STACK_WORDS) stack; frames push slot storage and pop on return
-//! [G + STACK_WORDS, …) heap; `alloc` bumps, nothing frees
-//! ```
-//!
-//! Every named region (global, live slot, heap object) is tracked in an
-//! interval map so dynamic addresses resolve to the abstract locations
-//! ([`Loc`]) the alias profiler records.
+//! Every executed instruction and terminator spends one unit of fuel, so a
+//! loop of empty blocks runs out of fuel like any other.
 
 use crate::observer::{MemAccess, Observer};
 use specframe_alias::Loc;
 use specframe_ir::{
-    BinOp, FuncId, FuncSlot, Function, Inst, LoadSpec, Module, Operand, Terminator, Ty, UnOp, Value,
+    BinOp, FuncId, FuncSlot, Function, Inst, LoadSpec, Memory, Module, Operand, Terminator, Ty,
+    UnOp, Value,
 };
 use std::collections::BTreeMap;
-
-/// Words reserved for the stack region.
-pub const STACK_WORDS: i64 = 1 << 20;
-
-/// Hard cap on memory (words) to catch wild pointers.
-pub const MEM_CAP: i64 = 1 << 28;
 
 /// Maximum call depth.
 pub const MAX_DEPTH: usize = 512;
@@ -97,16 +89,24 @@ impl core::fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
+/// Interval map of every named live region: start -> (end, loc).
+#[derive(Debug, Default)]
+pub(crate) struct Regions(BTreeMap<i64, (i64, Loc)>);
+
+impl Regions {
+    /// The LOC of the region containing `addr`, if any.
+    pub(crate) fn resolve(&self, addr: i64) -> Option<Loc> {
+        let (&start, &(end, loc)) = self.0.range(..=addr).next_back()?;
+        debug_assert!(start <= addr);
+        (addr < end).then_some(loc)
+    }
+}
+
 /// The interpreter state for one module.
 pub struct Interpreter<'m> {
     m: &'m Module,
-    mem: Vec<Value>,
-    /// Interval map: start -> (end, loc) for every named live region.
-    regions: BTreeMap<i64, (i64, Loc)>,
-    stack_base: i64,
-    stack_top: i64,
-    heap_base: i64,
-    heap_top: i64,
+    mem: Memory,
+    regions: Regions,
     fuel: u64,
     stats: RunStats,
     invocations: u64,
@@ -114,7 +114,7 @@ pub struct Interpreter<'m> {
 
 impl<'m> Interpreter<'m> {
     /// Creates an interpreter with globals initialized and `fuel`
-    /// instruction budget.
+    /// budget (one unit per executed instruction or terminator).
     pub fn new(m: &'m Module, fuel: u64) -> Interpreter<'m> {
         let layout = m.global_layout();
         let global_end = layout
@@ -122,23 +122,17 @@ impl<'m> Interpreter<'m> {
             .zip(m.globals.last())
             .map(|(&base, g)| base + i64::from(g.words))
             .unwrap_or(Module::GLOBAL_BASE);
-        let stack_base = global_end;
-        let heap_base = stack_base + STACK_WORDS;
         let mut it = Interpreter {
             m,
-            mem: Vec::new(),
-            regions: BTreeMap::new(),
-            stack_base,
-            stack_top: stack_base,
-            heap_base,
-            heap_top: heap_base,
+            mem: Memory::new(global_end),
+            regions: Regions::default(),
             fuel,
             stats: RunStats::default(),
             invocations: 0,
         };
         for (gi, g) in m.globals.iter().enumerate() {
             let base = layout[gi];
-            it.regions.insert(
+            it.regions.0.insert(
                 base,
                 (
                     base + i64::from(g.words),
@@ -147,7 +141,7 @@ impl<'m> Interpreter<'m> {
             );
             for w in 0..g.words as usize {
                 let v = g.init.get(w).copied().unwrap_or(Value::zero(g.ty));
-                it.poke(base + w as i64, v);
+                it.mem.write(base + w as i64, v);
             }
         }
         it
@@ -160,38 +154,28 @@ impl<'m> Interpreter<'m> {
 
     /// Reads a memory cell (for post-run inspection in tests).
     pub fn peek(&self, addr: i64) -> Value {
-        self.mem.get(addr as usize).copied().unwrap_or(Value::I(0))
+        self.mem.read(addr)
     }
 
-    fn poke(&mut self, addr: i64, v: Value) {
-        let i = addr as usize;
-        if i >= self.mem.len() {
-            self.mem.resize(i + 1, Value::I(0));
-        }
-        self.mem[i] = v;
-    }
-
-    fn addr_ok(&self, addr: i64) -> bool {
-        addr >= Module::GLOBAL_BASE && addr < self.heap_top.max(self.heap_base) && addr < MEM_CAP
-    }
-
-    fn resolve(&self, addr: i64) -> Option<Loc> {
-        let (&start, &(end, loc)) = self.regions.range(..=addr).next_back()?;
-        debug_assert!(start <= addr);
-        (addr < end).then_some(loc)
+    /// Spends one unit of fuel; `false` when none is left.
+    fn burn(&mut self) -> bool {
+        let left = self.fuel > 0;
+        self.fuel = self.fuel.saturating_sub(1);
+        left
     }
 
     /// Calls `func` with `args`, streaming events to `obs`.
     ///
     /// # Errors
     /// Any [`InterpError`] raised during execution.
-    pub fn call(
+    pub fn call<O: Observer + ?Sized>(
         &mut self,
         func: FuncId,
         args: &[Value],
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> Result<Option<Value>, InterpError> {
-        self.call_depth(func, args, obs, 0)
+        let layout = self.m.global_layout();
+        self.call_depth(func, args, &layout, obs, 0)
     }
 
     fn eval(frame: &[Value], layout: &[i64], slot_base: &[i64], op: Operand) -> Value {
@@ -204,11 +188,12 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    fn call_depth(
+    fn call_depth<O: Observer + ?Sized>(
         &mut self,
         func: FuncId,
         args: &[Value],
-        obs: &mut dyn Observer,
+        layout: &[i64],
+        obs: &mut O,
         depth: usize,
     ) -> Result<Option<Value>, InterpError> {
         if depth >= MAX_DEPTH {
@@ -222,59 +207,52 @@ impl<'m> Interpreter<'m> {
         let invocation = self.invocations;
         obs.on_entry(func, invocation);
 
-        let layout = self.m.global_layout();
-
         // frame registers
         let mut frame: Vec<Value> = f.vars.iter().map(|d| Value::zero(d.ty)).collect();
         frame[..args.len()].copy_from_slice(args);
 
         // slot storage
-        let frame_stack_base = self.stack_top;
+        let frame_stack_top = self.mem.stack_top();
         let mut slot_base = Vec::with_capacity(f.slots.len());
         for (si, s) in f.slots.iter().enumerate() {
-            let base = self.stack_top;
-            let end = base + i64::from(s.words);
-            if end > self.stack_base + STACK_WORDS {
-                return Err(InterpError::StackExhausted);
-            }
-            self.stack_top = end;
+            let base = self
+                .mem
+                .push(s.words, Value::zero(s.ty))
+                .ok_or(InterpError::StackExhausted)?;
             slot_base.push(base);
-            self.regions.insert(
+            self.regions.0.insert(
                 base,
                 (
-                    end,
+                    base + i64::from(s.words),
                     Loc::Slot(FuncSlot {
                         func,
                         slot: specframe_ir::SlotId::from_index(si),
                     }),
                 ),
             );
-            for w in base..end {
-                self.poke(w, Value::zero(s.ty));
-            }
         }
 
         let result = self.run_blocks(
-            func, f, &mut frame, &layout, &slot_base, obs, depth, invocation,
+            func, f, &mut frame, layout, &slot_base, obs, depth, invocation,
         );
 
         // pop slot regions
         for &b in &slot_base {
-            self.regions.remove(&b);
+            self.regions.0.remove(&b);
         }
-        self.stack_top = frame_stack_base;
+        self.mem.pop_to(frame_stack_top);
         result
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn run_blocks(
+    fn run_blocks<O: Observer + ?Sized>(
         &mut self,
         func: FuncId,
         f: &Function,
         frame: &mut [Value],
         layout: &[i64],
         slot_base: &[i64],
-        obs: &mut dyn Observer,
+        obs: &mut O,
         depth: usize,
         invocation: u64,
     ) -> Result<Option<Value>, InterpError> {
@@ -282,10 +260,9 @@ impl<'m> Interpreter<'m> {
         loop {
             let b = f.block(block);
             for inst in &b.insts {
-                if self.fuel == 0 {
+                if !self.burn() {
                     return Err(InterpError::OutOfFuel);
                 }
-                self.fuel -= 1;
                 self.stats.steps += 1;
                 match inst {
                     Inst::Copy { dst, src } => {
@@ -317,7 +294,7 @@ impl<'m> Interpreter<'m> {
                             return Err(InterpError::NatConsumed);
                         }
                         let addr = vb.as_i64() + offset;
-                        if !self.addr_ok(addr) {
+                        if !self.mem.mapped(addr) {
                             if *spec == LoadSpec::Speculative {
                                 // deferred fault: NaT token (Figure 1)
                                 frame[dst.index()] = Value::Nat;
@@ -325,14 +302,14 @@ impl<'m> Interpreter<'m> {
                             }
                             return Err(InterpError::BadAddress(addr));
                         }
-                        let v = coerce(self.peek(addr), *ty);
+                        let v = coerce(self.mem.read(addr), *ty);
                         frame[dst.index()] = v;
                         self.stats.loads += 1;
                         obs.on_mem(&MemAccess {
                             site: *site,
                             func,
                             addr,
-                            loc: self.resolve(addr),
+                            regions: &self.regions,
                             value: v,
                             ty: *ty,
                             is_load: true,
@@ -354,17 +331,17 @@ impl<'m> Interpreter<'m> {
                             return Err(InterpError::NatConsumed);
                         }
                         let addr = vb.as_i64() + offset;
-                        if !self.addr_ok(addr) {
+                        if !self.mem.mapped(addr) {
                             return Err(InterpError::BadAddress(addr));
                         }
-                        let v = coerce(self.peek(addr), *ty);
+                        let v = coerce(self.mem.read(addr), *ty);
                         frame[dst.index()] = v;
                         self.stats.check_loads += 1;
                         obs.on_mem(&MemAccess {
                             site: *site,
                             func,
                             addr,
-                            loc: self.resolve(addr),
+                            regions: &self.regions,
                             value: v,
                             ty: *ty,
                             is_load: true,
@@ -383,7 +360,7 @@ impl<'m> Interpreter<'m> {
                             return Err(InterpError::NatConsumed);
                         }
                         let addr = vb.as_i64() + offset;
-                        if !self.addr_ok(addr) {
+                        if !self.mem.mapped(addr) {
                             return Err(InterpError::BadAddress(addr));
                         }
                         let v = Self::eval(frame, layout, slot_base, *val);
@@ -391,13 +368,13 @@ impl<'m> Interpreter<'m> {
                             return Err(InterpError::NatConsumed);
                         }
                         let v = coerce(v, *ty);
-                        self.poke(addr, v);
+                        self.mem.write(addr, v);
                         self.stats.stores += 1;
                         obs.on_mem(&MemAccess {
                             site: *site,
                             func,
                             addr,
-                            loc: self.resolve(addr),
+                            regions: &self.regions,
                             value: v,
                             ty: *ty,
                             is_load: false,
@@ -419,7 +396,7 @@ impl<'m> Interpreter<'m> {
                         }
                         self.stats.calls += 1;
                         obs.on_call(*site, func, *callee);
-                        let r = self.call_depth(*callee, &vals, obs, depth + 1)?;
+                        let r = self.call_depth(*callee, &vals, layout, obs, depth + 1)?;
                         obs.on_return(*site);
                         if let Some(d) = dst {
                             // verifier guarantees dst implies a non-void callee
@@ -427,21 +404,20 @@ impl<'m> Interpreter<'m> {
                         }
                     }
                     Inst::Alloc { dst, words, site } => {
-                        let w = Self::eval(frame, layout, slot_base, *words).as_i64().max(0);
-                        let base = self.heap_top;
-                        let end = base + w;
-                        if end > MEM_CAP {
-                            return Err(InterpError::BadAddress(end));
-                        }
-                        self.heap_top = end;
+                        let w = Self::eval(frame, layout, slot_base, *words).as_i64();
+                        let base = self.mem.alloc(w).map_err(InterpError::BadAddress)?;
                         self.stats.allocs += 1;
-                        // extend (or create) the region for this alloc site:
                         // all objects from one site share one LOC name, so
                         // each allocation gets its own interval entry
-                        self.regions.insert(base, (end, Loc::Heap(*site)));
+                        self.regions
+                            .0
+                            .insert(base, (self.mem.heap_top(), Loc::Heap(*site)));
                         frame[dst.index()] = Value::I(base);
                     }
                 }
+            }
+            if !self.burn() {
+                return Err(InterpError::OutOfFuel);
             }
             match &b.term {
                 Terminator::Jump(t) => {
@@ -555,12 +531,12 @@ pub fn run(
 ///
 /// # Errors
 /// See [`InterpError`].
-pub fn run_with(
+pub fn run_with<O: Observer + ?Sized>(
     m: &Module,
     func_name: &str,
     args: &[Value],
     fuel: u64,
-    obs: &mut dyn Observer,
+    obs: &mut O,
 ) -> Result<(Option<Value>, RunStats), InterpError> {
     let f = m
         .func_by_name(func_name)
@@ -573,7 +549,7 @@ pub fn run_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specframe_ir::{parse_module, ModuleBuilder, Operand};
+    use specframe_ir::{parse_module, ModuleBuilder, Operand, STACK_WORDS};
 
     #[test]
     fn computes_a_sum_loop() {
@@ -771,12 +747,23 @@ global g: i64[1]
 
     #[test]
     fn fuel_bounds_infinite_loops() {
-        let src = "func f() {\nentry:\n  jmp entry\n}";
-        // a block with no instructions loops forever; give it one inst
-        let src = src.replace("entry:\n", "entry:\n  x = add 0, 0\n");
-        let src = src.replace("func f() {", "func f() {\n  var x: i64");
-        let m = parse_module(&src).unwrap();
-        assert_eq!(run(&m, "f", &[], 1000).unwrap_err(), InterpError::OutOfFuel);
+        // a loop with an instruction, and one of blocks with none: the
+        // terminators spend fuel too, so neither runs forever
+        let busy = "func f() {\n  var x: i64\nentry:\n  x = add 0, 0\n  jmp entry\n}";
+        let empty = "func f() {\nentry:\n  jmp spin\nspin:\n  jmp spin\n}";
+        for src in [busy, empty] {
+            let m = parse_module(src).unwrap();
+            assert_eq!(run(&m, "f", &[], 1000).unwrap_err(), InterpError::OutOfFuel);
+        }
+    }
+
+    #[test]
+    fn steps_count_instructions_not_terminators() {
+        let src = "func f() -> i64 {\n  var x: i64\nentry:\n  x = 1\n  jmp next\nnext:\n  ret x\n}";
+        let m = parse_module(src).unwrap();
+        let (r, stats) = run(&m, "f", &[], 3).unwrap();
+        assert_eq!((r, stats.steps), (Some(Value::I(1)), 1));
+        assert_eq!(run(&m, "f", &[], 2).unwrap_err(), InterpError::OutOfFuel);
     }
 
     #[test]

@@ -30,3 +30,12 @@ pub use interp::{run, run_with, InterpError, Interpreter, RunStats};
 pub use observer::{MemAccess, NullObserver, Observer};
 pub use reuse::{ReuseReport, ReuseSimulator};
 pub use serialize::{parse_alias_profile, write_alias_profile, ProfileParseError, PROFILE_HEADER};
+
+/// The element at `i` of a table indexed by site, function or block
+/// number, growing the table with defaults up to it.
+fn grown<T: Default>(table: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= table.len() {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
+}

@@ -1,20 +1,18 @@
 //! Instrumentation hooks for the interpreter.
 
+use crate::interp::Regions;
 use specframe_alias::Loc;
 use specframe_ir::{BlockId, CallSiteId, FuncId, MemSiteId, Ty, Value};
 
 /// One dynamic memory access, as seen by observers.
 #[derive(Debug, Clone, Copy)]
-pub struct MemAccess {
+pub struct MemAccess<'a> {
     /// The static reference site.
     pub site: MemSiteId,
     /// Executing function.
     pub func: FuncId,
     /// Absolute word address touched.
     pub addr: i64,
-    /// The abstract location the address resolves to, when the address lies
-    /// in a named region (globals, live slots, heap objects).
-    pub loc: Option<Loc>,
     /// Value loaded or stored.
     pub value: Value,
     /// Access type.
@@ -24,12 +22,25 @@ pub struct MemAccess {
     /// Monotone counter distinguishing procedure invocations (the reuse
     /// simulator only pairs loads within one invocation, following §5.3).
     pub invocation: u64,
+    /// The interpreter's named regions, for [`MemAccess::loc`].
+    pub(crate) regions: &'a Regions,
+}
+
+impl MemAccess<'_> {
+    /// The abstract location the address resolves to, when the address lies
+    /// in a named region (globals, live slots, heap objects). An interval
+    /// map lookup, done only when an observer asks.
+    pub fn loc(&self) -> Option<Loc> {
+        self.regions.resolve(self.addr)
+    }
 }
 
 /// Execution events streamed by the interpreter.
 ///
 /// All methods default to no-ops so observers implement only what they
-/// need.
+/// need. The interpreter is generic over its observer, so an event an
+/// observer ignores costs nothing unless it goes through the dynamic
+/// [`Compose`].
 pub trait Observer {
     /// A CFG edge `from -> to` was traversed in `func`.
     fn on_edge(&mut self, _func: FuncId, _from: BlockId, _to: BlockId) {}
@@ -44,7 +55,7 @@ pub trait Observer {
     fn on_return(&mut self, _site: CallSiteId) {}
 
     /// A load, store or check load executed.
-    fn on_mem(&mut self, _access: &MemAccess) {}
+    fn on_mem(&mut self, _access: &MemAccess<'_>) {}
 }
 
 /// An observer that records nothing.
@@ -81,7 +92,7 @@ impl Observer for Compose<'_> {
         }
     }
 
-    fn on_mem(&mut self, access: &MemAccess) {
+    fn on_mem(&mut self, access: &MemAccess<'_>) {
         for o in &mut self.0 {
             o.on_mem(access);
         }

@@ -110,7 +110,7 @@ impl ReuseSimulator {
 }
 
 impl Observer for ReuseSimulator {
-    fn on_mem(&mut self, a: &MemAccess) {
+    fn on_mem(&mut self, a: &MemAccess<'_>) {
         if !a.is_load {
             return;
         }

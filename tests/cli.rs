@@ -268,6 +268,23 @@ fn bad_input_fails_cleanly() {
 }
 
 #[test]
+fn a_loop_of_empty_blocks_runs_out_of_fuel() {
+    // terminators spend fuel too, so the reference run cannot spin forever
+    let input = tempfile_path::TempPath::new(
+        "specc_spin",
+        ".ir",
+        "func main() -> i64 {\nentry:\n  jmp spin\nspin:\n  jmp spin\n}\n",
+    );
+    let out = specc()
+        .args([input.as_str(), "--entry", "main", "--run"])
+        .output()
+        .expect("spawn specc");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(err.contains("out of fuel"), "{err}");
+}
+
+#[test]
 fn unknown_flag_reports_usage() {
     let out = specc().arg("--frobnicate").output().expect("spawn specc");
     // usage errors are exit-code family 1
