@@ -26,9 +26,7 @@ use specframe_codegen::lower_module;
 use specframe_core::{optimize, ControlSpec, OptOptions, OptStats, SpecSource};
 
 use specframe_machine::{run_machine, Counters};
-use specframe_profile::{
-    observer::Compose, run, run_with, AliasProfiler, EdgeProfiler, ReuseReport, ReuseSimulator,
-};
+use specframe_profile::{run, run_with, train, ReuseReport, ReuseSimulator, Training};
 use specframe_workloads::{all_workloads, Scale, Workload};
 
 /// Results of one configuration's machine run.
@@ -143,15 +141,12 @@ pub fn run_benchmark(w: &Workload) -> BenchResult {
         .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", w.name));
 
     // profiling on the training input
-    let mut ap = AliasProfiler::new();
-    let mut ep = EdgeProfiler::new();
-    {
-        let mut obs = Compose(vec![&mut ap, &mut ep]);
-        run_with(&prepared, w.entry, &w.train_args, w.fuel, &mut obs)
-            .unwrap_or_else(|e| panic!("{}: training run failed: {e}", w.name));
-    }
-    let aprof = ap.finish();
-    let eprof = ep.finish();
+    let Training {
+        alias: aprof,
+        edges: eprof,
+        ..
+    } = train(&prepared, w.entry, &w.train_args, w.fuel)
+        .unwrap_or_else(|e| panic!("{}: training run failed: {e}", w.name));
 
     // load-reuse simulation on the reference input (§5.3)
     let mut reuse_sim = ReuseSimulator::new(&prepared);
@@ -255,14 +250,11 @@ pub fn run_ablation(w: &Workload) -> AblationResult {
     specframe_core::prepare_module(&mut prepared);
     let (expect, _) = run(&prepared, w.entry, &w.ref_args, w.fuel).unwrap();
 
-    let mut ap = AliasProfiler::new();
-    let mut ep = EdgeProfiler::new();
-    {
-        let mut obs = Compose(vec![&mut ap, &mut ep]);
-        run_with(&prepared, w.entry, &w.train_args, w.fuel, &mut obs).unwrap();
-    }
-    let aprof = ap.finish();
-    let eprof = ep.finish();
+    let Training {
+        alias: aprof,
+        edges: eprof,
+        ..
+    } = train(&prepared, w.entry, &w.train_args, w.fuel).unwrap();
 
     let go = |data: SpecSource, control: ControlSpec| -> Counters {
         let mut m = prepared.clone();

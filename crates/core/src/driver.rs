@@ -1196,7 +1196,7 @@ fn audit_lowered(
 mod tests {
     use super::*;
     use specframe_ir::{parse_module, Value};
-    use specframe_profile::{run, run_with, AliasProfiler, EdgeProfiler};
+    use specframe_profile::{run, run_with, AliasProfiler};
 
     /// End-to-end semantic preservation: every configuration must compute
     /// what the unoptimized interpreter computes.
@@ -1207,14 +1207,8 @@ mod tests {
         // collect profiles on the prepared module
         let mut prepared = m0.clone();
         prepare_module(&mut prepared);
-        let mut ap = AliasProfiler::new();
-        let mut ep = EdgeProfiler::new();
-        {
-            let mut both = specframe_profile::observer::Compose(vec![&mut ap, &mut ep]);
-            run_with(&prepared, entry, args, 10_000_000, &mut both).unwrap();
-        }
-        let aprof = ap.finish();
-        let eprof = ep.finish();
+        let t = specframe_profile::train(&prepared, entry, args, 10_000_000).unwrap();
+        let (aprof, eprof) = (t.alias, t.edges);
 
         let configs: Vec<(&str, OptOptions)> = vec![
             ("baseline", OptOptions::default()),

@@ -315,16 +315,10 @@ pub fn diff_case_outcome(
     }
 
     // training profile
-    let mut ap = AliasProfiler::new();
-    let mut ep = EdgeProfiler::new();
-    {
-        let mut obs = specframe::profile::observer::Compose(vec![&mut ap, &mut ep]);
-        if let Err(e) = run_with(m, &case.entry, &case.train_args, case.fuel, &mut obs) {
-            return DiffOutcome::Setup(format!("{}: training run failed: {e}", case.name));
-        }
-    }
-    let aprof = ap.finish();
-    let eprof = ep.finish();
+    let (aprof, eprof) = match train(m, &case.entry, &case.train_args, case.fuel) {
+        Ok(t) => (t.alias, t.edges),
+        Err(e) => return DiffOutcome::Setup(format!("{}: training run failed: {e}", case.name)),
+    };
 
     let mut failures = Vec::new();
     for target in TargetId::ALL {

@@ -1,7 +1,7 @@
 //! Operands, instructions and terminators.
 
 use crate::ids::{AllocSiteId, BlockId, CallSiteId, FuncId, GlobalId, MemSiteId, SlotId, VarId};
-use crate::types::Ty;
+use crate::types::{Ty, Value};
 use core::fmt;
 
 /// A scalar operand of an instruction.
@@ -152,6 +152,47 @@ impl BinOp {
         }
     }
 
+    /// Applies the operator, as both executors do; `None` for an integer
+    /// division or modulo by zero. A NaT operand yields NaT, as on IA-64.
+    #[inline(always)]
+    pub fn eval(self, a: Value, b: Value) -> Option<Value> {
+        use BinOp::*;
+        if a.is_nat() || b.is_nat() {
+            return Some(Value::Nat);
+        }
+        let (i, f) = (Value::I, Value::F);
+        let flag = |c: bool| Value::I(i64::from(c));
+        Some(match self {
+            Add => i(a.as_i64().wrapping_add(b.as_i64())),
+            Sub => i(a.as_i64().wrapping_sub(b.as_i64())),
+            Mul => i(a.as_i64().wrapping_mul(b.as_i64())),
+            Div | Mod if b.as_i64() == 0 => return None,
+            Div => i(a.as_i64().wrapping_div(b.as_i64())),
+            Mod => i(a.as_i64().wrapping_rem(b.as_i64())),
+            And => i(a.as_i64() & b.as_i64()),
+            Or => i(a.as_i64() | b.as_i64()),
+            Xor => i(a.as_i64() ^ b.as_i64()),
+            Shl => i(a.as_i64().wrapping_shl(b.as_i64() as u32)),
+            Shr => i(a.as_i64().wrapping_shr(b.as_i64() as u32)),
+            Eq => flag(a.as_i64() == b.as_i64()),
+            Ne => flag(a.as_i64() != b.as_i64()),
+            Lt => flag(a.as_i64() < b.as_i64()),
+            Le => flag(a.as_i64() <= b.as_i64()),
+            Gt => flag(a.as_i64() > b.as_i64()),
+            Ge => flag(a.as_i64() >= b.as_i64()),
+            FAdd => f(a.as_f64() + b.as_f64()),
+            FSub => f(a.as_f64() - b.as_f64()),
+            FMul => f(a.as_f64() * b.as_f64()),
+            FDiv => f(a.as_f64() / b.as_f64()),
+            FEq => flag(a.as_f64() == b.as_f64()),
+            FNe => flag(a.as_f64() != b.as_f64()),
+            FLt => flag(a.as_f64() < b.as_f64()),
+            FLe => flag(a.as_f64() <= b.as_f64()),
+            FGt => flag(a.as_f64() > b.as_f64()),
+            FGe => flag(a.as_f64() >= b.as_f64()),
+        })
+    }
+
     /// All operators, in mnemonic order (used by the parser and proptest).
     pub const ALL: [BinOp; 26] = [
         BinOp::Add,
@@ -215,6 +256,22 @@ impl UnOp {
             UnOp::FNeg => "fneg",
             UnOp::I2F => "i2f",
             UnOp::F2I => "f2i",
+        }
+    }
+
+    /// Applies the operator, as both executors do. A NaT operand yields
+    /// NaT.
+    #[inline(always)]
+    pub fn eval(self, a: Value) -> Value {
+        if a.is_nat() {
+            return Value::Nat;
+        }
+        match self {
+            UnOp::Neg => Value::I(a.as_i64().wrapping_neg()),
+            UnOp::Not => Value::I(!a.as_i64()),
+            UnOp::FNeg => Value::F(-a.as_f64()),
+            UnOp::I2F => Value::F(a.as_i64() as f64),
+            UnOp::F2I => Value::I(a.as_f64() as i64),
         }
     }
 

@@ -125,6 +125,20 @@ impl Value {
         matches!(self, Value::Nat)
     }
 
+    /// The value as a cell of type `ty` holds it: an `i64` or `ptr` cell
+    /// truncates a float, an `f64` cell converts an integer. Typed memory
+    /// on a real target does the same, which keeps TBAA honest; both
+    /// executors apply it to every load and store.
+    #[inline]
+    pub fn coerce(self, ty: Ty) -> Value {
+        match (ty, self) {
+            (Ty::F64, Value::I(x)) => Value::F(x as f64),
+            (Ty::F64, v) => v,
+            (_, Value::F(x)) => Value::I(x as i64),
+            (_, v) => v,
+        }
+    }
+
     /// Bitwise equality used by the ALAT/value-equality checks: `NaN == NaN`
     /// holds (we compare bit patterns, like hardware does).
     #[inline]

@@ -28,6 +28,7 @@
 pub mod alat;
 pub mod audit;
 pub mod costs;
+mod decode;
 pub mod isa;
 pub mod leaks;
 pub mod policy;

@@ -129,7 +129,9 @@ pub mod prelude {
         fault_matrix, parse_fault_policy, run_machine, run_machine_on, run_machine_with_policy_on,
         Counters, SpecTarget, TargetId,
     };
-    pub use specframe_profile::{run, run_with, AliasProfiler, EdgeProfiler, ReuseSimulator};
+    pub use specframe_profile::{
+        run, run_with, train, AliasProfiler, EdgeProfiler, ReuseSimulator, Training,
+    };
     pub use specframe_workloads::{
         all_workloads, inst_count, mega_module, mega_source, workload_by_name, Scale, Workload,
     };

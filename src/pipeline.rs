@@ -30,7 +30,7 @@ use specframe_machine::{
     fence_program, leak_audit_program, parse_fault_policy, run_machine_taint_on,
     run_machine_with_policy_on, witness_leaks_on, Counters, LeakEvent, TargetId,
 };
-use specframe_profile::{parse_alias_profile, run_with, AliasProfile, AliasProfiler, EdgeProfiler};
+use specframe_profile::{parse_alias_profile, train, AliasProfile};
 
 /// Where data-speculation likeliness comes from (`--spec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -465,15 +465,9 @@ fn training_run(
             req.entry
         )));
     }
-    let mut ap = AliasProfiler::new();
-    let mut ep = EdgeProfiler::new();
-    {
-        let mut obs = specframe_profile::observer::Compose(vec![&mut ap, &mut ep]);
-        run_with(m, &req.entry, req.training_args(), req.fuel, &mut obs).map_err(|e| {
-            CompileFailure::internal("profile", format!("profiling run failed: {e}"))
-        })?;
-    }
-    Ok((ap.finish(), ep.finish()))
+    let t = train(m, &req.entry, req.training_args(), req.fuel)
+        .map_err(|e| CompileFailure::internal("profile", format!("profiling run failed: {e}")))?;
+    Ok((t.alias, t.edges))
 }
 
 /// Runs the speculative pipeline over an already-verified module:
@@ -894,6 +888,7 @@ pub fn render_sim_counters(policy: &str, result: Option<Value>, c: &Counters) ->
 mod tests {
     use super::*;
     use specframe_core::{render_dumps, Pass, PassSet};
+    use specframe_profile::{run_with, AliasProfiler};
 
     const DIAMOND: &str = r#"
 func f(a: i64, b: i64, sel: i64) -> i64 {

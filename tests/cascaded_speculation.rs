@@ -86,14 +86,8 @@ fn build() -> Built {
     // train: sel = 0 takes ub (w = @buf2, never read while the pointer
     // targets buf1); flip = 0 keeps the pointer stable
     let train = [Value::I(0), Value::I(20), Value::I(0)];
-    let mut ap = AliasProfiler::new();
-    let mut ep = EdgeProfiler::new();
-    {
-        let mut obs = specframe::profile::observer::Compose(vec![&mut ap, &mut ep]);
-        run_with(&m, "main", &train, 1_000_000, &mut obs).unwrap();
-    }
-    let aprof = ap.finish();
-    let eprof = ep.finish();
+    let t = specframe::profile::train(&m, "main", &train, 1_000_000).unwrap();
+    let (aprof, eprof) = (t.alias, t.edges);
     let mut spec = m.clone();
     optimize(
         &mut spec,

@@ -23,7 +23,7 @@
 
 use specframe::machine::run_machine_with_policy_on;
 use specframe::prelude::*;
-use specframe::profile::{observer::Compose, write_alias_profile};
+use specframe::profile::{train, write_alias_profile, Training};
 
 /// The fault policies every compiled kernel is simulated under.
 const POLICIES: [&str; 4] = ["default", "always-miss", "random:1", "flash-clear"];
@@ -230,17 +230,12 @@ fn executor_outputs_match_the_recorded_digests() {
         let (want, stats) = run(&m, w.entry, &w.ref_args, w.fuel).expect("reference run");
         row(&w, "ref", &format!("{want:?} {stats:?}"));
 
-        let mut ap = AliasProfiler::new();
-        let mut ep = EdgeProfiler::new();
-        let (got, stats) = run_with(
-            &m,
-            w.entry,
-            &w.train_args,
-            w.fuel,
-            &mut Compose(vec![&mut ap, &mut ep]),
-        )
-        .expect("training run");
-        let (aprof, eprof) = (ap.finish(), ep.finish());
+        let Training {
+            result: got,
+            stats,
+            alias: aprof,
+            edges: eprof,
+        } = train(&m, w.entry, &w.train_args, w.fuel).expect("training run");
         let mut text = format!("{got:?} {stats:?}\n{}", write_alias_profile(&aprof));
         for (fi, f) in m.funcs.iter().enumerate() {
             let fid = specframe::ir::FuncId::from_index(fi);

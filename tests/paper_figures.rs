@@ -20,14 +20,8 @@ use specframe::prelude::*;
 fn compile_both(src: &str, train: &[Value]) -> (Module, Module) {
     let mut m = parse_module(src).expect("parse");
     prepare_module(&mut m);
-    let mut ap = AliasProfiler::new();
-    let mut ep = EdgeProfiler::new();
-    {
-        let mut obs = specframe::profile::observer::Compose(vec![&mut ap, &mut ep]);
-        run_with(&m, "main", train, 10_000_000, &mut obs).unwrap();
-    }
-    let aprof = ap.finish();
-    let eprof = ep.finish();
+    let t = specframe::profile::train(&m, "main", train, 10_000_000).unwrap();
+    let (aprof, eprof) = (t.alias, t.edges);
 
     let mut base = m.clone();
     optimize(

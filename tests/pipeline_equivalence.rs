@@ -180,14 +180,8 @@ fn check_program(steps: &[Step]) {
     let (want_train, _) = run(&m, "main", &train, 1_000_000).unwrap();
     let (want_adv, _) = run(&m, "main", &adversarial, 1_000_000).unwrap();
 
-    let mut ap = AliasProfiler::new();
-    let mut ep = EdgeProfiler::new();
-    {
-        let mut obs = specframe::profile::observer::Compose(vec![&mut ap, &mut ep]);
-        run_with(&m, "main", &train, 1_000_000, &mut obs).unwrap();
-    }
-    let aprof = ap.finish();
-    let eprof = ep.finish();
+    let t = specframe::profile::train(&m, "main", &train, 1_000_000).unwrap();
+    let (aprof, eprof) = (t.alias, t.edges);
 
     let configs: Vec<(&str, OptOptions)> = vec![
         ("baseline", OptOptions::default()),
