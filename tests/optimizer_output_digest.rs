@@ -2,8 +2,9 @@
 //! CHECKs.
 //!
 //! Every input below is compiled under five optimizer configurations on
-//! both targets at `--jobs 1`, and the printed module plus the `OptStats`
-//! block is folded into one FNV-1a digest per run. The golden suite
+//! both targets at `--jobs 1`. The printed module, the `OptStats` block,
+//! the `--explain-spec` table and the `--emit hssa` dump of the prepared
+//! input are folded into one FNV-1a digest per run. The golden suite
 //! FileChecks small cases and `tests/mega_determinism.rs` compares job
 //! counts with each other, so a change that moves output the same way at
 //! every job count, outside the lines a golden pins, passes both; it
@@ -13,6 +14,7 @@
 //! says why it moved.
 
 use specframe::ir::display::print_module;
+use specframe::pipeline::render_hssa;
 use specframe::prelude::*;
 
 /// `(name, data speculation, control speculation, store sinking,
@@ -51,106 +53,106 @@ const CONFIGS: [(&str, SpecKind, ControlKind, bool, bool); 5] = [
 
 /// One line per input × config × target: `input config target digest`.
 const EXPECTED: &str = "\
-ammp none/off epic 82d9d7d865ae148c
-ammp none/off swr 82d9d7d865ae148c
-ammp heuristic/static epic 2a72c442471d07aa
-ammp heuristic/static swr 2a72c442471d07aa
-ammp aggressive/off epic 5de2d22c0dabd48e
-ammp aggressive/off swr 5de2d22c0dabd48e
-ammp profile/profile+sink epic 2a72c442471d07aa
-ammp profile/profile+sink swr 2a72c442471d07aa
-ammp profile/static-sr epic de7476309a6cc23e
-ammp profile/static-sr swr de7476309a6cc23e
-art none/off epic 51a07ee6115b9adc
-art none/off swr 51a07ee6115b9adc
-art heuristic/static epic 09812e0a827b19d7
-art heuristic/static swr 09812e0a827b19d7
-art aggressive/off epic 21b579cf6b4a50de
-art aggressive/off swr 21b579cf6b4a50de
-art profile/profile+sink epic 09812e0a827b19d7
-art profile/profile+sink swr 09812e0a827b19d7
-art profile/static-sr epic 09812e0a827b19d7
-art profile/static-sr swr 09812e0a827b19d7
-equake_smvp none/off epic 561eb662425eb34d
-equake_smvp none/off swr 561eb662425eb34d
-equake_smvp heuristic/static epic 9648b71e58eec68e
-equake_smvp heuristic/static swr 9648b71e58eec68e
-equake_smvp aggressive/off epic 9f7cab77e2a8c8a3
-equake_smvp aggressive/off swr 9f7cab77e2a8c8a3
-equake_smvp profile/profile+sink epic 9648b71e58eec68e
-equake_smvp profile/profile+sink swr 9648b71e58eec68e
-equake_smvp profile/static-sr epic fdef275973f3e81f
-equake_smvp profile/static-sr swr fdef275973f3e81f
-gzip none/off epic 02ad2fda521f08b1
-gzip none/off swr 02ad2fda521f08b1
-gzip heuristic/static epic dbcefdc57105b4b6
-gzip heuristic/static swr dbcefdc57105b4b6
-gzip aggressive/off epic 02ad2fda521f08b1
-gzip aggressive/off swr 02ad2fda521f08b1
-gzip profile/profile+sink epic faf4aaed1cd0f755
-gzip profile/profile+sink swr dbcefdc57105b4b6
-gzip profile/static-sr epic b2680c4af91d0dd0
-gzip profile/static-sr swr 2f63c3aef2f86feb
-many_funcs none/off epic 07661c5ee6d4b8bb
-many_funcs none/off swr 07661c5ee6d4b8bb
-many_funcs heuristic/static epic 06344b3321eb078e
-many_funcs heuristic/static swr 07661c5ee6d4b8bb
-many_funcs aggressive/off epic 07661c5ee6d4b8bb
-many_funcs aggressive/off swr 07661c5ee6d4b8bb
-many_funcs profile/profile+sink epic 06344b3321eb078e
-many_funcs profile/profile+sink swr 07661c5ee6d4b8bb
-many_funcs profile/static-sr epic 06344b3321eb078e
-many_funcs profile/static-sr swr 07661c5ee6d4b8bb
-mcf none/off epic dc05bd0072665a97
-mcf none/off swr dc05bd0072665a97
-mcf heuristic/static epic ceb59ff34c3dcd63
-mcf heuristic/static swr dc05bd0072665a97
-mcf aggressive/off epic e9588409bcfcab21
-mcf aggressive/off swr dc05bd0072665a97
-mcf profile/profile+sink epic ceb59ff34c3dcd63
-mcf profile/profile+sink swr dc05bd0072665a97
-mcf profile/static-sr epic e0a652a316c4ba07
-mcf profile/static-sr swr e9197c6c79c0ab6b
-parser none/off epic b2e79ffce56987df
-parser none/off swr b2e79ffce56987df
-parser heuristic/static epic 0e5fa879ebd89da9
-parser heuristic/static swr 961d64ad54a12daf
-parser aggressive/off epic b7c375a53f4f023a
-parser aggressive/off swr b2e79ffce56987df
-parser profile/profile+sink epic 0e5fa879ebd89da9
-parser profile/profile+sink swr 961d64ad54a12daf
-parser profile/static-sr epic 1329c49ba30fd2e8
-parser profile/static-sr swr 164c880658faacfe
-twolf none/off epic efeeb10302f136e2
-twolf none/off swr efeeb10302f136e2
-twolf heuristic/static epic dc580c1c68059f8a
-twolf heuristic/static swr 7476c7da5b3056eb
-twolf aggressive/off epic af2e37f4a09bdbe3
-twolf aggressive/off swr efeeb10302f136e2
-twolf profile/profile+sink epic dc580c1c68059f8a
-twolf profile/profile+sink swr 7476c7da5b3056eb
-twolf profile/static-sr epic 410904f20b67127b
-twolf profile/static-sr swr 258be23b64a07114
-vpr none/off epic 95daf626f9e74b60
-vpr none/off swr 95daf626f9e74b60
-vpr heuristic/static epic fc12dbeb06c9c505
-vpr heuristic/static swr 2e3c6f1e92335220
-vpr aggressive/off epic 7297891782e6611b
-vpr aggressive/off swr 95daf626f9e74b60
-vpr profile/profile+sink epic fc12dbeb06c9c505
-vpr profile/profile+sink swr 2e3c6f1e92335220
-vpr profile/static-sr epic 68b4a3a15a862651
-vpr profile/static-sr swr aee1ffc3df83d604
-mega:7:150 none/off epic dd03eb44b710ac61
-mega:7:150 none/off swr dd03eb44b710ac61
-mega:7:150 heuristic/static epic 95f8a226aac20e2d
-mega:7:150 heuristic/static swr 95f8a226aac20e2d
-mega:7:150 aggressive/off epic dd03eb44b710ac61
-mega:7:150 aggressive/off swr dd03eb44b710ac61
-mega:7:150 profile/profile+sink epic dd03eb44b710ac61
-mega:7:150 profile/profile+sink swr dd03eb44b710ac61
-mega:7:150 profile/static-sr epic 95f8a226aac20e2d
-mega:7:150 profile/static-sr swr 95f8a226aac20e2d
+ammp none/off epic b9e648df5a2a1797
+ammp none/off swr 910db6821c774dba
+ammp heuristic/static epic 6f29088ddce646fb
+ammp heuristic/static swr 7eb5a8f877717868
+ammp aggressive/off epic 8fba34018b2491bf
+ammp aggressive/off swr e0d77154a693cdb6
+ammp profile/profile+sink epic 96fbf013fa176cba
+ammp profile/profile+sink swr 0432f4f46e66816b
+ammp profile/static-sr epic 05e85140c21883b6
+ammp profile/static-sr swr cc3000d76504c267
+art none/off epic 05058b14e30501e1
+art none/off swr d4660cc6c0f6f0da
+art heuristic/static epic 3da9940720b8b070
+art heuristic/static swr d6704df99e31730d
+art aggressive/off epic 8188504240c5f2bb
+art aggressive/off swr 30feab310c0b3af8
+art profile/profile+sink epic 8c99b3aad58fb5b1
+art profile/profile+sink swr 336102538059ba2a
+art profile/static-sr epic 8c99b3aad58fb5b1
+art profile/static-sr swr 336102538059ba2a
+equake_smvp none/off epic e0847bf1a8009ae7
+equake_smvp none/off swr 1341f7bd6f8b0a7c
+equake_smvp heuristic/static epic abc9efd2a17f87f0
+equake_smvp heuristic/static swr 3c14b9f083195a75
+equake_smvp aggressive/off epic 0ac9e222f367996e
+equake_smvp aggressive/off swr 469f3e461c67a7fb
+equake_smvp profile/profile+sink epic 4a9dc3452af75813
+equake_smvp profile/profile+sink swr 2b80f5e943769290
+equake_smvp profile/static-sr epic f44a265c4e17bc64
+equake_smvp profile/static-sr swr cbc1f9a811770673
+gzip none/off epic 273451555cb226f5
+gzip none/off swr 2ee951a77ac5894e
+gzip heuristic/static epic 8ae83d3e0a2c5c30
+gzip heuristic/static swr ecbdeb135d736d3b
+gzip aggressive/off epic f7bf684505ad04a3
+gzip aggressive/off swr 0a266b6788fb36b0
+gzip profile/profile+sink epic 726adcd689fbeadd
+gzip profile/profile+sink swr 6965253f65857b2b
+gzip profile/static-sr epic 14bc348404967632
+gzip profile/static-sr swr d35101c39946956c
+many_funcs none/off epic ba8f772d6570e6e7
+many_funcs none/off swr f57220d00325dd00
+many_funcs heuristic/static epic d5c46c787eab1432
+many_funcs heuristic/static swr cf2ca85b484706e2
+many_funcs aggressive/off epic a0cf7cd2c40cef93
+many_funcs aggressive/off swr 211b1ad99c9d5874
+many_funcs profile/profile+sink epic add28031fc2fc5cd
+many_funcs profile/profile+sink swr 80f540c59cbad059
+many_funcs profile/static-sr epic add28031fc2fc5cd
+many_funcs profile/static-sr swr 80f540c59cbad059
+mcf none/off epic d674364bce205476
+mcf none/off swr 3010c3952db11591
+mcf heuristic/static epic 519a3b7e69d01c78
+mcf heuristic/static swr 9e2605cfcccdd83f
+mcf aggressive/off epic d6891948112425c7
+mcf aggressive/off swr 4d397a5ddb3acf9c
+mcf profile/profile+sink epic c4dc2e2b681cea23
+mcf profile/profile+sink swr 90b0ee4174c73314
+mcf profile/static-sr epic 14de7979fc65cbd7
+mcf profile/static-sr swr 2aa665e8b9a013f8
+parser none/off epic 65313c6d966ca8e6
+parser none/off swr 74aff925fc604dab
+parser heuristic/static epic 6f1a943273cea910
+parser heuristic/static swr 85b802cd4b2c254d
+parser aggressive/off epic e0d9d3774084bdf9
+parser aggressive/off swr a40bc21aaf224b07
+parser profile/profile+sink epic d7a6a3ed004010c9
+parser profile/profile+sink swr 7eb67e08d2a624fe
+parser profile/static-sr epic 670202bf54fab320
+parser profile/static-sr swr 847c9e6df86eafdb
+twolf none/off epic bf9ba8e606607341
+twolf none/off swr 436059a77bf72ce0
+twolf heuristic/static epic 213959c56d63d1cd
+twolf heuristic/static swr bb835f3d2cd6be31
+twolf aggressive/off epic 30d7e584247c1206
+twolf aggressive/off swr e64786117287b3f4
+twolf profile/profile+sink epic 19c12a6ac092204a
+twolf profile/profile+sink swr 10ec8cd03a5796fa
+twolf profile/static-sr epic 9c2d8728fdf2afe7
+twolf profile/static-sr swr 1589989f3ba8a471
+vpr none/off epic ebe2a3533fdd1bd8
+vpr none/off swr 63bc242614ac8327
+vpr heuristic/static epic 3a98472f9a851d0d
+vpr heuristic/static swr 09094622005c8efd
+vpr aggressive/off epic b320aa9a7e774f8e
+vpr aggressive/off swr 41428d4072b7deb6
+vpr profile/profile+sink epic f0b8a56d0bbf926c
+vpr profile/profile+sink swr c4f954d1edf684a0
+vpr profile/static-sr epic b7cdf1cf6a78fdd0
+vpr profile/static-sr swr 8133fa0f29d5432c
+mega:7:150 none/off epic b4f1cd778ad7bf27
+mega:7:150 none/off swr a7a68efefd31ecb4
+mega:7:150 heuristic/static epic f695355cb059bcb3
+mega:7:150 heuristic/static swr bb61767c566ff6b8
+mega:7:150 aggressive/off epic 351156afe6bfaa09
+mega:7:150 aggressive/off swr 05aa8858404ffb66
+mega:7:150 profile/profile+sink epic 7868b8e289cda5a8
+mega:7:150 profile/profile+sink swr 950a159563d98fdf
+mega:7:150 profile/static-sr epic fba07352854faab4
+mega:7:150 profile/static-sr swr 95d87cce55532f8b
 ";
 
 /// 64-bit FNV-1a.
@@ -215,13 +217,20 @@ fn optimizer_output_matches_the_recorded_digests() {
                     jobs: 1,
                     fuel: input.fuel,
                     target,
+                    explain_spec: true,
                     ..CompileRequest::default()
                 };
-                let out = compile_module(input.module.clone(), &req).unwrap_or_else(|e| {
+                let fail = |e: CompileFailure| -> ! {
                     panic!("{} under {cname} on {target:?} failed: {e:?}", input.name)
-                });
+                };
+                let mut prepared = input.module.clone();
+                prepare_module(&mut prepared);
+                let hssa = render_hssa(&prepared, &req).unwrap_or_else(|e| fail(e));
+                let out = compile_module(input.module.clone(), &req).unwrap_or_else(|e| fail(e));
                 let mut bytes = print_module(&out.module).into_bytes();
                 bytes.extend_from_slice(format!("{:?}", out.report.stats).as_bytes());
+                bytes.extend_from_slice(out.explain.expect("explain_spec is set").as_bytes());
+                bytes.extend_from_slice(hssa.as_bytes());
                 table.push_str(&format!(
                     "{} {cname} {} {:016x}\n",
                     input.name,
