@@ -26,6 +26,7 @@
 use crate::isa::{ChkKind, LdKind, MFunc, MInst, MOperand, MProgram};
 use specframe_ir::Ty;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// An audit failure, anchored to one instruction of one function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,17 +114,7 @@ struct Prov {
     spec: bool,
 }
 
-type RegState = Vec<BTreeSet<Prov>>;
-
-fn join(into: &mut RegState, from: &RegState) -> bool {
-    let mut changed = false;
-    for (a, b) in into.iter_mut().zip(from) {
-        for p in b {
-            changed |= a.insert(*p);
-        }
-    }
-    changed
-}
+type RegState = RegSets<Prov>;
 
 /// Applies one instruction to the provenance state. When `errors` is
 /// given (the post-fixpoint sweep), mismatched checks are reported there.
@@ -229,9 +220,7 @@ fn transfer(
 
 /// Block boundaries of the flat stream: `starts[k]` is the first
 /// instruction of block `k`, blocks are maximal single-entry runs.
-/// Shared with the leak auditor ([`crate::leaks`]), which walks the same
-/// CFG with a different lattice.
-pub(crate) fn block_starts(code: &[MInst]) -> Vec<usize> {
+fn block_starts(code: &[MInst]) -> Vec<usize> {
     let n = code.len();
     let mut leader = vec![false; n];
     if n > 0 {
@@ -259,11 +248,26 @@ pub(crate) fn block_starts(code: &[MInst]) -> Vec<usize> {
     (0..n).filter(|&i| leader[i]).collect()
 }
 
-/// Fixpoint of the provenance dataflow: block starts, the per-block
-/// in-states of reachable blocks, and the `(load, check)` pairs observed.
-#[allow(clippy::type_complexity)]
-fn provenance_fixpoint(f: &MFunc) -> (Vec<usize>, Vec<Option<RegState>>, BTreeSet<(usize, usize)>) {
+/// Per-register sets of dataflow facts at one program point.
+pub(crate) type RegSets<T> = Vec<BTreeSet<T>>;
+
+/// One block of a flat machine stream after [`forward_fixpoint`]: its
+/// instruction range and its converged in-state, `None` when unreachable.
+pub(crate) type BlockState<T> = (Range<usize>, Option<RegSets<T>>);
+
+/// Runs a forward may-dataflow over `f`'s blocks to a fixpoint: every
+/// register starts empty at entry, in-states join by union, and each
+/// reachable block is replayed through `transfer(state, inst index)`
+/// until no in-state grows. The speculation audit and the leak audit
+/// ([`crate::leaks`]) walk the same CFG this way with different lattices.
+pub(crate) fn forward_fixpoint<T: Ord + Copy>(
+    f: &MFunc,
+    mut transfer: impl FnMut(&mut RegSets<T>, usize),
+) -> Vec<BlockState<T>> {
     let n = f.code.len();
+    if n == 0 {
+        return Vec::new();
+    }
     let starts = block_starts(&f.code);
     let block_of = |i: usize| -> usize { starts.partition_point(|&s| s <= i) - 1 };
     let end_of = |k: usize| -> usize { starts.get(k + 1).copied().unwrap_or(n) };
@@ -284,20 +288,24 @@ fn provenance_fixpoint(f: &MFunc) -> (Vec<usize>, Vec<Option<RegState>>, BTreeSe
         }
     };
 
-    let empty: RegState = vec![BTreeSet::new(); f.regs as usize];
-    let mut in_states: Vec<Option<RegState>> = vec![None; starts.len()];
-    in_states[0] = Some(empty.clone());
-    let mut checked: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut in_states: Vec<Option<RegSets<T>>> = vec![None; starts.len()];
+    in_states[0] = Some(vec![BTreeSet::new(); f.regs as usize]);
     let mut work: Vec<usize> = vec![0];
     while let Some(k) = work.pop() {
         let mut st = in_states[k].clone().expect("queued blocks have a state");
         for i in starts[k]..end_of(k) {
-            transfer(&mut st, i, &f.code[i], &mut checked, None);
+            transfer(&mut st, i);
         }
         for s in succs(k) {
             match &mut in_states[s] {
                 Some(cur) => {
-                    if join(cur, &st) {
+                    let mut grew = false;
+                    for (a, b) in cur.iter_mut().zip(&st) {
+                        for p in b {
+                            grew |= a.insert(*p);
+                        }
+                    }
+                    if grew {
                         work.push(s);
                     }
                 }
@@ -308,17 +316,28 @@ fn provenance_fixpoint(f: &MFunc) -> (Vec<usize>, Vec<Option<RegState>>, BTreeSe
             }
         }
     }
-    (starts, in_states, checked)
+    in_states
+        .into_iter()
+        .enumerate()
+        .map(|(k, st)| (starts[k]..end_of(k), st))
+        .collect()
+}
+
+/// Fixpoint of the provenance dataflow: the blocks with their in-states,
+/// and the `(load, check)` pairs observed.
+fn provenance_fixpoint(f: &MFunc) -> (Vec<BlockState<Prov>>, BTreeSet<(usize, usize)>) {
+    let mut checked: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let blocks = forward_fixpoint(f, |st, i| {
+        transfer(st, i, &f.code[i], &mut checked, None);
+    });
+    (blocks, checked)
 }
 
 /// The `(advanced load index, check index)` pairs the speculation-safety
 /// audit proves, in address order. This is the pairing the leak audit
 /// ([`crate::leaks`]) must agree with — the agreement is unit-tested.
 pub fn check_pairs(f: &MFunc) -> Vec<(usize, usize)> {
-    if f.code.is_empty() {
-        return Vec::new();
-    }
-    let (_, _, checked) = provenance_fixpoint(f);
+    let (_, checked) = provenance_fixpoint(f);
     checked.into_iter().collect()
 }
 
@@ -327,26 +346,21 @@ pub fn check_pairs(f: &MFunc) -> Vec<(usize, usize)> {
 /// # Errors
 /// Returns the first (lowest-index) violation.
 pub fn audit_func(f: &MFunc) -> Result<AuditStats, AuditError> {
-    let n = f.code.len();
     let fail = |(at, msg): (usize, String)| AuditError {
         func: f.name.clone(),
         at,
         msg,
     };
-    if n == 0 {
-        return Ok(AuditStats::default());
-    }
-    let (starts, in_states, mut checked) = provenance_fixpoint(f);
-    let end_of = |k: usize| -> usize { starts.get(k + 1).copied().unwrap_or(n) };
+    let (blocks, mut checked) = provenance_fixpoint(f);
 
     // post-fixpoint sweep: replay each reachable block from its final
     // in-state, recording pairing violations in address order
     let mut errors: Vec<(usize, String)> = Vec::new();
     let mut stats = AuditStats::default();
-    for (k, state) in in_states.iter().enumerate() {
+    for (range, state) in &blocks {
         let Some(state) = state else { continue };
         let mut st = state.clone();
-        for i in starts[k]..end_of(k) {
+        for i in range.clone() {
             if matches!(&f.code[i], MInst::Chk { .. } | MInst::ChkCmp { .. }) {
                 stats.checks += 1;
             }
@@ -355,11 +369,11 @@ pub fn audit_func(f: &MFunc) -> Result<AuditStats, AuditError> {
     }
     // every reachable ALAT-allocating load must be validated by at least
     // one matching check on some path (dropped-`ld.c` detection)
-    for (k, state) in in_states.iter().enumerate() {
+    for (range, state) in &blocks {
         if state.is_none() {
             continue;
         }
-        for i in starts[k]..end_of(k) {
+        for i in range.clone() {
             if let MInst::Ld { d, kind, .. } = &f.code[i] {
                 if matches!(kind, LdKind::Advanced | LdKind::SpecAdvanced) {
                     stats.advanced_loads += 1;

@@ -34,7 +34,7 @@
 //! window model, so a program that fences clean statically reports zero
 //! taint-to-sink events under every fault policy.
 
-use crate::audit::block_starts;
+use crate::audit::{forward_fixpoint, RegSets};
 use crate::isa::{LdKind, MFunc, MInst, MOperand, MProgram};
 use crate::policy::{parse_fault_policy, AlatPolicy, Deterministic, EvictAt};
 use crate::sim::{run_machine_taint_on, SinkClass};
@@ -71,23 +71,13 @@ impl core::fmt::Display for LeakSite {
 
 /// Per-register set of open-window origins (advanced-load instruction
 /// indices).
-type WinState = Vec<BTreeSet<usize>>;
+type WinState = RegSets<usize>;
 
 fn oper_wins(st: &WinState, o: MOperand) -> BTreeSet<usize> {
     match o {
         MOperand::R(r) => st[r.0 as usize].clone(),
         _ => BTreeSet::new(),
     }
-}
-
-fn join(into: &mut WinState, from: &WinState) -> bool {
-    let mut changed = false;
-    for (a, b) in into.iter_mut().zip(from) {
-        for p in b {
-            changed |= a.insert(*p);
-        }
-    }
-    changed
 }
 
 struct LeakWalk<'f> {
@@ -179,53 +169,9 @@ fn walk(f: &MFunc) -> LeakWalk<'_> {
         sites: BTreeSet::new(),
         pairs: BTreeSet::new(),
     };
-    let n = f.code.len();
-    if n == 0 {
-        return lw;
-    }
-    let starts = block_starts(&f.code);
-    let block_of = |i: usize| -> usize { starts.partition_point(|&s| s <= i) - 1 };
-    let end_of = |k: usize| -> usize { starts.get(k + 1).copied().unwrap_or(n) };
-    let succs = |k: usize| -> Vec<usize> {
-        let last = end_of(k) - 1;
-        match &f.code[last] {
-            MInst::Jmp(t) => vec![block_of(*t)],
-            MInst::Br { then_, else_, .. } => vec![block_of(*then_), block_of(*else_)],
-            MInst::Ret(_) => vec![],
-            _ => {
-                if end_of(k) < n {
-                    vec![k + 1]
-                } else {
-                    vec![]
-                }
-            }
-        }
-    };
-    let empty: WinState = vec![BTreeSet::new(); f.regs as usize];
-    let mut in_states: Vec<Option<WinState>> = vec![None; starts.len()];
-    in_states[0] = Some(empty);
-    // worklist to fixpoint; sites/pairs are sets, so recording on every
-    // visit is idempotent and the last visit sees the converged in-state
-    let mut work: Vec<usize> = vec![0];
-    while let Some(k) = work.pop() {
-        let mut st = in_states[k].clone().expect("queued blocks have a state");
-        for i in starts[k]..end_of(k) {
-            lw.transfer(&mut st, i);
-        }
-        for s in succs(k) {
-            match &mut in_states[s] {
-                Some(cur) => {
-                    if join(cur, &st) {
-                        work.push(s);
-                    }
-                }
-                slot @ None => {
-                    *slot = Some(st.clone());
-                    work.push(s);
-                }
-            }
-        }
-    }
+    // sites/pairs are sets, so recording on every visit is idempotent and
+    // the last visit sees the converged in-state
+    forward_fixpoint(f, |st, i| lw.transfer(st, i));
     lw
 }
 
