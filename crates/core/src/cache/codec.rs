@@ -606,67 +606,17 @@ fn dec_function(d: &mut Dec) -> Result<Function, EntryError> {
 }
 
 fn enc_stats(p: &mut Enc, s: &OptStats) {
-    for v in stats_fields(s) {
+    for v in s.values() {
         p.u64(v);
     }
 }
 
 fn dec_stats(d: &mut Dec) -> Result<OptStats, EntryError> {
-    let mut s = OptStats::default();
-    let mut vals = [0u64; 20];
-    for v in &mut vals {
+    let mut values = [0u64; OptStats::COUNTERS];
+    for v in &mut values {
         *v = d.u64()?;
     }
-    [
-        s.candidates,
-        s.transformed,
-        s.temps,
-        s.saves,
-        s.reloads,
-        s.loads_removed,
-        s.checks,
-        s.data_spec_reloads,
-        s.advanced_loads,
-        s.insertions,
-        s.control_spec_loads,
-        s.data_speculated_exprs,
-        s.control_speculated_exprs,
-        s.strength_reduced,
-        s.lftr_applied,
-        s.stores_sunk,
-        s.spec_fallbacks,
-        s.pass_rollbacks,
-        s.leak_sites_flagged,
-        s.leak_fences_inserted,
-    ] = vals;
-    Ok(s)
-}
-
-/// Every `OptStats` field in declaration order — shared by encode/decode so
-/// the two can never disagree on count or order.
-fn stats_fields(s: &OptStats) -> [u64; 20] {
-    [
-        s.candidates,
-        s.transformed,
-        s.temps,
-        s.saves,
-        s.reloads,
-        s.loads_removed,
-        s.checks,
-        s.data_spec_reloads,
-        s.advanced_loads,
-        s.insertions,
-        s.control_spec_loads,
-        s.data_speculated_exprs,
-        s.control_speculated_exprs,
-        s.strength_reduced,
-        s.lftr_applied,
-        s.stores_sunk,
-        s.spec_fallbacks,
-        s.pass_rollbacks,
-        s.leak_sites_flagged,
-        s.leak_fences_inserted,
-    ]
+    Ok(OptStats::from_values(values))
 }
 
 #[cfg(test)]
@@ -725,11 +675,9 @@ mod tests {
     #[test]
     fn entry_round_trips() {
         let f = sample_function();
-        let stats = OptStats {
-            saves: 3,
-            pass_rollbacks: 1,
-            ..Default::default()
-        };
+        // every counter distinct, so a field-order slip cannot round-trip
+        let stats = OptStats::from_values(std::array::from_fn(|i| 100 + i as u64));
+        assert_eq!((stats.candidates, stats.leak_fences_inserted), (100, 119));
         let dumps = vec![PassDump {
             pass: Pass::Ssapre,
             func: "f".into(),

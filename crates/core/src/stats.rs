@@ -6,9 +6,43 @@ use std::time::Duration;
 /// that sums every counter field and lets each label field (after the `;`)
 /// keep its first non-default value, and — for the fields of an optional
 /// leading `rows TYPE { .. }` group — `rows()`, their `(name, value)`
-/// pairs in declaration order.
+/// pairs in declaration order. A block of plain `u64` counters also gets
+/// `values()`, every counter in declaration order, and its inverse
+/// `from_values()`.
 macro_rules! counter_block {
     (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: u64, )*
+        }
+    ) => {
+        counter_block! {
+            @block
+            $(#[$meta])*
+            pub struct $name {
+                $( $(#[$fmeta])* pub $field: u64, )*
+            }
+        }
+
+        impl $name {
+            /// How many counters the block holds.
+            pub const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+            /// Every counter in declaration order.
+            pub fn values(&self) -> [u64; $name::COUNTERS] {
+                [$( self.$field ),*]
+            }
+
+            /// The block holding `values` in declaration order: the inverse
+            /// of [`Self::values`].
+            pub fn from_values(values: [u64; $name::COUNTERS]) -> $name {
+                let [$( $field ),*] = values;
+                $name { $( $field ),* }
+            }
+        }
+    };
+    (
+        $(@block)?
         $(#[$meta:meta])*
         pub struct $name:ident {
             $( rows $rty:ty { $( $(#[$rmeta:meta])* pub $rfield:ident => $row:literal, )* } )?
