@@ -24,6 +24,9 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+# intra-doc links name functions and types that only rustdoc resolves: a
+# rename or deletion that leaves one dangling fails here
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # FileCheck-style golden tests over the textual pass dumps — once as
 # written, once with every pass boundary re-verified and every lowered

@@ -12,7 +12,7 @@
 //! A cached [`FuncAnalyses`] is valid for as long as the function's **CFG
 //! shape** (block set, terminators / edges) is unchanged. Passes that only
 //! rewrite instructions, operands, or φ operands — everything between
-//! `refine_function` and `lower_hssa` in the current pipeline — must NOT
+//! `refine_function` and `lower_function` in the current pipeline — must NOT
 //! invalidate it. Any pass that adds/removes blocks or edges (e.g.
 //! `split_critical_edges`, which therefore runs *before* analyses are
 //! built) must call [`FuncAnalyses::recompute`] before the cache is used

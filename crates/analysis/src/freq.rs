@@ -7,7 +7,7 @@
 //! style static heuristics (back edges are taken, loop exits are not) when
 //! no profiling run is available.
 
-use crate::dom::DomTree;
+use crate::cache::FuncAnalyses;
 use crate::loops::LoopInfo;
 use specframe_ir::{BlockId, FuncId, Function, Module, Terminator};
 use std::collections::HashMap;
@@ -109,9 +109,7 @@ pub const STATIC_LOOP_TRIPS: u64 = 10;
 pub fn estimate_profile(m: &Module) -> EdgeProfile {
     let mut p = EdgeProfile::new();
     for (i, f) in m.funcs.iter().enumerate() {
-        let dt = DomTree::compute(f);
-        let li = LoopInfo::compute(f, &dt);
-        estimate_function(&mut p, FuncId::from_index(i), f, &dt, &li);
+        estimate_function(&mut p, FuncId::from_index(i), f, &FuncAnalyses::compute(f));
     }
     p
 }
@@ -122,16 +120,8 @@ pub fn estimate_profile(m: &Module) -> EdgeProfile {
 /// cache hit replays its stored lowering and never consults the static
 /// profile — and shares the pipeline's analysis cache instead of
 /// rebuilding dominators and loops.
-pub fn estimate_function_with(
-    p: &mut EdgeProfile,
-    fid: FuncId,
-    f: &Function,
-    fa: &crate::cache::FuncAnalyses,
-) {
-    estimate_function(p, fid, f, &fa.dt, &fa.loops);
-}
-
-fn estimate_function(p: &mut EdgeProfile, fid: FuncId, f: &Function, dt: &DomTree, li: &LoopInfo) {
+pub fn estimate_function(p: &mut EdgeProfile, fid: FuncId, f: &Function, fa: &FuncAnalyses) {
+    let (dt, li) = (&fa.dt, &fa.loops);
     p.set_entry(fid, STATIC_ENTRY);
     for b in f.block_ids() {
         if !dt.is_reachable(b) {

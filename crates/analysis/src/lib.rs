@@ -22,5 +22,5 @@ pub use cache::FuncAnalyses;
 pub use cfg::{reachable_blocks, reverse_postorder, split_critical_edges};
 pub use df::{iterated_df, DomFrontiers};
 pub use dom::{dom_compute_count, DomTree};
-pub use freq::{estimate_function_with, estimate_profile, EdgeProfile};
+pub use freq::{estimate_function, estimate_profile, EdgeProfile};
 pub use loops::LoopInfo;

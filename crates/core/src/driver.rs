@@ -27,48 +27,20 @@ use crate::stats::{OptStats, PassTimings};
 use crate::strength::{strength_reduce_hssa, SrTemp};
 use specframe_alias::AliasAnalysis;
 use specframe_analysis::{
-    dom_compute_count, estimate_function_with, split_critical_edges, EdgeProfile, FuncAnalyses,
+    dom_compute_count, estimate_function, split_critical_edges, EdgeProfile, FuncAnalyses,
 };
+pub use specframe_hssa::SpecSource;
 use specframe_hssa::{
-    build_hssa_with, lower_function, print_hssa_in, refine_function_in, resolve_fresh_sites,
-    verify_hssa_detailed, HssaFunc, Likeliness, SpecCosts, SpecMode,
+    build_hssa, lower_function, print_hssa, refine_function, resolve_fresh_sites, verify_hssa,
+    HssaFunc, Likeliness, SpecCosts,
 };
-use specframe_ir::display::{func_name_table, print_function_in};
+use specframe_ir::display::{func_name_table, print_function};
 use specframe_ir::{layout_globals, CalleeSig, FuncId, Function, Global, MemSiteId, Module};
-use specframe_profile::AliasProfile;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Where data-speculation likeliness comes from (Figure 3's "alias profile
-/// / heuristic rules" box).
-#[derive(Debug, Clone, Copy, Default)]
-pub enum SpecSource<'a> {
-    /// No data speculation: the O3 baseline.
-    #[default]
-    None,
-    /// Alias-profile guided (§3.2.1).
-    Profile(&'a AliasProfile),
-    /// Heuristic rules (§3.2.2).
-    Heuristic,
-    /// Ignore all may-aliases — the §5.3 upper-bound estimator.
-    Aggressive,
-}
-
-impl<'a> SpecSource<'a> {
-    /// The speculative-SSA mode this source drives: the one mapping from
-    /// the driver's option to the likeliness oracle's input.
-    pub fn mode(self) -> SpecMode<'a> {
-        match self {
-            SpecSource::None => SpecMode::NoSpeculation,
-            SpecSource::Profile(p) => SpecMode::Profile(p),
-            SpecSource::Heuristic => SpecMode::Heuristic,
-            SpecSource::Aggressive => SpecMode::Aggressive,
-        }
-    }
-}
 
 /// Where control-speculation likeliness comes from (Figure 3's "edge/path
 /// profile / heuristic rules" box).
@@ -139,23 +111,15 @@ pub fn prepare_module(m: &mut Module) {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineConfig {
     /// Worker threads for the per-function fan-out. `0` means auto: the
-    /// `SPECFRAME_JOBS` environment variable if set to a positive integer,
-    /// otherwise the machine's available parallelism.
+    /// machine's available parallelism.
     pub jobs: usize,
 }
 
 impl PipelineConfig {
-    /// The effective worker count after env/auto resolution (always ≥ 1).
+    /// The effective worker count after auto resolution (always ≥ 1).
     pub fn resolved_jobs(&self) -> usize {
         if self.jobs > 0 {
             return self.jobs;
-        }
-        if let Some(n) = std::env::var("SPECFRAME_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
         }
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -163,7 +127,7 @@ impl PipelineConfig {
     }
 }
 
-/// Everything one [`optimize_with`] call reports: transformation counters
+/// Everything one [`try_optimize_cached`] call reports: transformation counters
 /// plus per-pass wall times, plus the diagnostics of any per-function
 /// degradation the driver performed.
 #[derive(Debug, Default, Clone)]
@@ -194,17 +158,9 @@ pub struct OptReport {
 /// Panics if an internal invariant breaks (the SSA verifier or the module
 /// verifier rejects the result) — optimizer bugs are made loud.
 pub fn optimize(m: &mut Module, opts: &OptOptions<'_>) -> OptStats {
-    optimize_with(m, opts, &PipelineConfig::default()).stats
-}
-
-/// [`optimize`] with an explicit execution configuration, reporting per-pass
-/// timings: [`try_optimize_cached`] without hooks or a cache.
-///
-/// # Panics
-/// Panics where [`try_optimize_cached`] would return an error.
-pub fn optimize_with(m: &mut Module, opts: &OptOptions<'_>, cfg: &PipelineConfig) -> OptReport {
-    match try_optimize_cached(m, opts, cfg, &PipelineHooks::default(), None) {
-        Ok((report, _)) => report,
+    let cfg = PipelineConfig::default();
+    match try_optimize_cached(m, opts, &cfg, &PipelineHooks::default(), None) {
+        Ok((report, _)) => report.stats,
         Err(e) => panic!("optimize failed: {e}"),
     }
 }
@@ -420,7 +376,7 @@ fn compile_stage(
             let mut p = EdgeProfile::new();
             for (fi, (f, fa)) in m.funcs.iter().zip(&fas).enumerate() {
                 if let Some(fa) = fa {
-                    estimate_function_with(&mut p, FuncId::from_index(fi), f, fa);
+                    estimate_function(&mut p, FuncId::from_index(fi), f, fa);
                 }
             }
             estimated = p;
@@ -517,7 +473,7 @@ fn join_stage(
         dumps.append(&mut r.dumps);
         if cx.hooks.dump_after.contains(Pass::Lower) {
             let mut text = String::new();
-            print_function_in(&mut text, &m.globals, func_names, &r.f);
+            print_function(&mut text, &m.globals, func_names, &r.f);
             dumps.push(PassDump {
                 pass: Pass::Lower,
                 func: r.f.name.clone(),
@@ -686,7 +642,7 @@ fn process_function(
     let refined = with_quiet_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let t0 = Instant::now();
-            refine_function_in(sh.globals, &mut f, fid, sh.aa, fa);
+            refine_function(sh.globals, &mut f, fid, sh.aa, fa);
             refine_time = t0.elapsed();
         }))
     });
@@ -719,7 +675,7 @@ fn process_function(
     }
     if hooks.dump_after.contains(Pass::Refine) {
         let mut text = String::new();
-        print_function_in(&mut text, sh.globals, sh.func_names, &f);
+        print_function(&mut text, sh.globals, sh.func_names, &f);
         dumps.push(PassDump {
             pass: Pass::Refine,
             func: f.name.clone(),
@@ -900,7 +856,7 @@ fn verify_ir_function(sh: &Shared<'_, '_>, pass: Pass, f: &Function) -> Result<(
             has_ret,
         })
     };
-    specframe_ir::verify_function_in(sh.globals.len(), &callee, f).map_err(|e| {
+    specframe_ir::verify_function(sh.globals.len(), &callee, f).map_err(|e| {
         format!(
             "pass-boundary verification failed after `{pass}`: {} [{}]",
             e.msg,
@@ -922,7 +878,7 @@ fn hssa_verify_each(
     t: &mut PassTimings,
 ) -> Result<(), (String, String)> {
     let t0 = Instant::now();
-    let mut r = verify_hssa_detailed(hf).map_err(|e| (e.block.map(|b| b as u32), e.msg));
+    let mut r = verify_hssa(hf).map_err(|e| (e.block.map(|b| b as u32), e.msg));
     if r.is_ok() && p >= Pass::Strength {
         r = crate::lftr::verify_sr_temps(hf, sr_temps).map_err(|m| (None, m));
     }
@@ -999,7 +955,7 @@ impl Attempt<'_, '_, '_> {
             self.dumps.push(PassDump {
                 pass: p,
                 func: f.name.clone(),
-                text: print_hssa_in(sh.globals, sh.func_names, f, hf),
+                text: print_hssa(sh.globals, sh.func_names, f, hf),
             });
         }
         if let Some((func, pass)) = &sh.hooks.inject_corrupt {
@@ -1045,16 +1001,16 @@ fn run_spec_stages(
     };
     // the driver owns the likeliness oracle; HSSA construction and the
     // SSAPRE kernel query the same instance, so their verdicts agree
-    let mode = if speculative {
-        sh.opts.data.mode()
+    let source = if speculative {
+        sh.opts.data
     } else {
-        SpecMode::NoSpeculation
+        SpecSource::None
     };
-    let oracle = Likeliness::with_costs(mode, sh.opts.spec_costs());
+    let oracle = Likeliness::with_costs(source, sh.opts.spec_costs());
 
     a.enter("hssa")?;
     let t0 = Instant::now();
-    let mut hf = build_hssa_with(sh.globals, f, fid, sh.aa, &oracle, fa);
+    let mut hf = build_hssa(sh.globals, f, fid, sh.aa, &oracle, fa);
     a.t.hssa_build = t0.elapsed();
     a.leave(&mut hf, Pass::Hssa, &[])?;
 
@@ -1101,7 +1057,7 @@ fn run_spec_stages(
 
     a.enter("verify")?;
     let t0 = Instant::now();
-    verify_hssa_detailed(&hf).map_err(|e| ("verify".to_string(), e.msg))?;
+    verify_hssa(&hf).map_err(|e| ("verify".to_string(), e.msg))?;
     a.t.verify = t0.elapsed();
 
     a.enter("lower")?;

@@ -388,14 +388,13 @@ pub fn kills(stmt: &HStmt, key: &ExprKey, mem_var: Option<HVarId>) -> bool {
 mod tests {
     use super::*;
     use specframe_alias::AliasAnalysis;
-    use specframe_hssa::{build_hssa, SpecMode};
     use specframe_ir::parse_module;
 
     fn hssa_of(src: &str, func: &str) -> (specframe_ir::Module, HssaFunc) {
         let m = parse_module(src).unwrap();
         let aa = AliasAnalysis::analyze(&m);
         let fid = m.func_by_name(func).unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
+        let (hf, _) = crate::testutil::plain_hssa(&m, fid, &aa);
         (m, hf)
     }
 

@@ -21,10 +21,14 @@
 //! * strength reduction and linear-function test replacement
 //!   ([`strength`]).
 //!
-//! The top-level entry point is [`driver::optimize`], which runs the whole
-//! pipeline (critical-edge split → speculative SSA → SSAPRE worklist →
-//! strength reduction → out-of-SSA) over a module and reports
-//! [`stats::OptStats`].
+//! The pipeline's one entry point is [`driver::try_optimize_cached`], which
+//! runs the whole pipeline (critical-edge split → speculative SSA → SSAPRE
+//! worklist → strength reduction → out-of-SSA) over a module, optionally
+//! through the compile cache, and reports [`stats::OptStats`] with the
+//! per-pass timings; [`driver::optimize`] is its panicking shorthand
+//! without hooks or a cache. The data-speculation source of
+//! [`OptOptions`] is the speculative SSA form's own [`SpecSource`],
+//! re-exported here.
 
 pub mod cache;
 pub mod cancel;
@@ -40,6 +44,8 @@ pub mod ssapre;
 pub mod stats;
 pub mod storeprom;
 pub mod strength;
+#[cfg(test)]
+mod testutil;
 
 pub use cache::{
     parse_store_fault_policy, CacheHealth, CacheKey, CacheOutcome, CacheStats, FaultStore,
@@ -47,8 +53,8 @@ pub use cache::{
 };
 pub use cancel::{CancelToken, Watchdog};
 pub use driver::{
-    optimize, optimize_with, prepare_module, target_spec_costs, try_optimize_cached, ControlSpec,
-    OptOptions, OptReport, PipelineConfig, SpecSource,
+    optimize, prepare_module, target_spec_costs, try_optimize_cached, ControlSpec, OptOptions,
+    OptReport, PipelineConfig, SpecSource,
 };
 pub use error::{CompileDiag, CompileError};
 pub use expr::ExprKey;
@@ -59,4 +65,4 @@ pub use reduce::{reduce_module, ReduceStats};
 pub use ssapre::{ssapre_function, SpecPolicy};
 pub use stats::{peak_rss_kb, OptStats, PassTimings};
 pub use storeprom::sink_stores_hssa;
-pub use strength::{strength_reduce_function, SrTemp};
+pub use strength::SrTemp;

@@ -81,7 +81,7 @@ impl SpecPolicy<'_> {
     /// Policy with all speculation off (the O3 baseline).
     pub fn none() -> SpecPolicy<'static> {
         SpecPolicy {
-            oracle: Likeliness::new(specframe_hssa::SpecMode::NoSpeculation),
+            oracle: Likeliness::new(specframe_hssa::SpecSource::None),
             control: None,
         }
     }

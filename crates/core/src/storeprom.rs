@@ -333,24 +333,16 @@ pub fn sink_stores_hssa(hf: &mut HssaFunc, stats: &mut OptStats, fa: &FuncAnalys
 mod tests {
     use super::*;
     use crate::stats::OptStats;
-    use specframe_alias::AliasAnalysis;
-    use specframe_hssa::{build_hssa, lower_hssa, SpecMode};
     use specframe_ir::{parse_module, Value};
     use specframe_profile::run;
 
     fn sink(src: &str) -> (specframe_ir::Module, OptStats) {
         let mut m = parse_module(src).unwrap();
         crate::driver::prepare_module(&mut m);
-        let aa = AliasAnalysis::analyze(&m);
         let mut stats = OptStats::default();
-        for fi in 0..m.funcs.len() {
-            let fid = specframe_ir::FuncId::from_index(fi);
-            let mut hf = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
-            let fa = FuncAnalyses::compute(m.func(fid));
-            sink_stores_hssa(&mut hf, &mut stats, &fa);
-            specframe_hssa::verify_hssa(&hf).unwrap();
-            lower_hssa(&mut m, &hf);
-        }
+        crate::testutil::rewrite_functions(&mut m, |hf, fa| {
+            sink_stores_hssa(hf, &mut stats, fa);
+        });
         specframe_ir::verify_module(&m).unwrap();
         (m, stats)
     }

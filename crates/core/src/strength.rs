@@ -370,36 +370,24 @@ fn reduce_one_iv(
     rewritten
 }
 
-/// Convenience wrapper running strength reduction (followed by LFTR over
-/// the recorded temporaries) on a whole module outside the main driver
-/// (used by ablation benches).
-pub fn strength_reduce_function(
-    m: &mut specframe_ir::Module,
-    fid: specframe_ir::FuncId,
-    stats: &mut OptStats,
-) -> usize {
-    let aa = specframe_alias::AliasAnalysis::analyze(m);
-    let fa = FuncAnalyses::compute(m.func(fid));
-    let mut hf = specframe_hssa::build_hssa_in(
-        &m.globals,
-        m.func(fid),
-        fid,
-        &aa,
-        specframe_hssa::SpecMode::NoSpeculation,
-        &fa,
-    );
-    let mut sr_temps = Vec::new();
-    let n = strength_reduce_hssa(&mut hf, stats, &fa, &mut sr_temps);
-    crate::lftr::lftr_hssa(&mut hf, &sr_temps, stats);
-    specframe_hssa::lower_hssa(m, &hf);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specframe_ir::{parse_module, Value};
+    use specframe_ir::{parse_module, Module, Value};
     use specframe_profile::run;
+
+    /// Strength reduction followed by LFTR over the recorded temporaries,
+    /// on every function of the prepared module `m`; returns how many
+    /// expressions strength reduction rewrote.
+    fn reduce(m: &mut Module, stats: &mut OptStats) -> usize {
+        let mut n = 0;
+        crate::testutil::rewrite_functions(m, |hf, fa| {
+            let mut sr_temps = Vec::new();
+            n += strength_reduce_hssa(hf, stats, fa, &mut sr_temps);
+            crate::lftr::lftr_hssa(hf, &sr_temps, stats);
+        });
+        n
+    }
 
     const MUL_LOOP: &str = r#"
 global out: i64[64]
@@ -436,7 +424,7 @@ exit:
         let mut m = m0.clone();
         let mut stats = OptStats::default();
         crate::driver::prepare_module(&mut m);
-        let n = strength_reduce_function(&mut m, specframe_ir::FuncId(0), &mut stats);
+        let n = reduce(&mut m, &mut stats);
         assert!(n >= 1, "one mul in the loop must be reduced");
         assert!(stats.strength_reduced >= 1);
         assert!(stats.lftr_applied == 0, "test is not on i so no lftr here");
@@ -483,7 +471,7 @@ exit:
         let mut m = m0.clone();
         let mut stats = OptStats::default();
         crate::driver::prepare_module(&mut m);
-        strength_reduce_function(&mut m, specframe_ir::FuncId(0), &mut stats);
+        reduce(&mut m, &mut stats);
         assert!(stats.strength_reduced >= 1, "{stats:?}");
         assert!(stats.lftr_applied >= 1, "{stats:?}");
         specframe_ir::verify_module(&m).unwrap();
@@ -522,7 +510,7 @@ exit:
         let mut m = m0.clone();
         let mut stats = OptStats::default();
         crate::driver::prepare_module(&mut m);
-        let n = strength_reduce_function(&mut m, specframe_ir::FuncId(0), &mut stats);
+        let n = reduce(&mut m, &mut stats);
         assert_eq!(n, 0, "variable step must not be reduced");
         let (a, _) = run(&m0, "f", &[Value::I(5), Value::I(2)], 1_000_000).unwrap();
         let (b, _) = run(&m, "f", &[Value::I(5), Value::I(2)], 1_000_000).unwrap();

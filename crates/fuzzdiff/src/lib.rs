@@ -77,19 +77,17 @@ pub fn workload_cases() -> Vec<Case> {
         .collect()
 }
 
-/// Builds the seeded random case: a loop over statement templates chosen
-/// by an xorshift stream. The first argument selects the target of
-/// pointer `p` (`g0` — truly aliased, or `g1` — disjoint), so training on
-/// `sel=0` and running on `sel=1` makes every profiled no-alias
-/// assumption false at once.
-pub fn random_case(seed: u64) -> Case {
-    random_case_sized(seed, 9)
-}
+/// The step-count ceiling of a random case unless `fuzzdiff --steps` sets
+/// another.
+pub const DEFAULT_STEPS: u64 = 9;
 
-/// [`random_case`] with the step-count ceiling exposed (`fuzzdiff
-/// --steps`): bigger programs exercise deeper optimizer interactions and
-/// give the reducer real work in the CI smoke.
-pub fn random_case_sized(seed: u64, max_steps: u64) -> Case {
+/// Builds the seeded random case: a loop of at most `max_steps` statement
+/// templates chosen by an xorshift stream. The first argument selects the
+/// target of pointer `p` (`g0` — truly aliased, or `g1` — disjoint), so
+/// training on `sel=0` and running on `sel=1` makes every profiled
+/// no-alias assumption false at once. Bigger programs exercise deeper
+/// optimizer interactions and give the reducer real work in the CI smoke.
+pub fn random_case(seed: u64, max_steps: u64) -> Case {
     let mut rng = XorShift64::new(seed);
     let nsteps = 1 + (rng.next_u64() % max_steps.max(1)) as usize;
     let mut decls = String::new();
@@ -278,23 +276,13 @@ pub fn drop_first_check(m: &mut Module) -> bool {
     false
 }
 
-/// Runs the full differential oracle on one case.
-///
-/// # Errors
-/// A human-readable report per divergence: result mismatch between the
-/// optimized machine run and the unoptimized interpreter, an interpreter
-/// divergence, a counter-sanity violation, or a compile failure.
-pub fn diff_case(case: &Case, policies: &[String], stats: &mut DiffStats) -> Result<(), String> {
-    match diff_case_outcome(case, policies, stats, false) {
-        DiffOutcome::Agree => Ok(()),
-        DiffOutcome::Setup(e) | DiffOutcome::Diverged(e) => Err(e),
-    }
-}
-
-/// [`diff_case`] with the failure classes separated and optional check
+/// Runs the full differential oracle on one case, with optional check
 /// sabotage (`break_checks` deletes one check from every optimized module
-/// before comparing — configs that emitted no check are skipped).
-pub fn diff_case_outcome(
+/// before comparing — configs that emitted no check are skipped). A
+/// divergence report names each result mismatch between the optimized
+/// machine run and the unoptimized interpreter, interpreter divergence,
+/// counter-sanity violation or compile failure.
+pub fn diff_case(
     case: &Case,
     policies: &[String],
     stats: &mut DiffStats,
@@ -823,8 +811,8 @@ impl StoredEntries {
     }
 }
 
-/// The key-soundness and over-invalidation oracle. For each
-/// [`KeyMutation`] it compiles the case's module and the one-step mutant
+/// The key-soundness and over-invalidation oracle. For each single-step
+/// edit in its `KeyMutation` table it compiles the case's module and the one-step mutant
 /// through separate caches — once with default hooks, once with
 /// `--dump-after` every pass plus `--audit-spec` — and, for every function
 /// both modules have:
@@ -948,7 +936,7 @@ pub fn reduce_failing_case(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut s = DiffStats::default();
                 matches!(
-                    diff_case_outcome(&c2, policies, &mut s, break_checks),
+                    diff_case(&c2, policies, &mut s, break_checks),
                     DiffOutcome::Diverged(_)
                 )
             }))
@@ -1005,6 +993,10 @@ fn render_spec_repro(case: &Case, red: &Module, rs: &ReduceStats, break_checks: 
 mod tests {
     use super::*;
 
+    fn assert_agrees(o: DiffOutcome) {
+        assert!(matches!(o, DiffOutcome::Agree), "{o:?}");
+    }
+
     #[test]
     fn storage_fault_oracle_accepts_a_workload_and_moves_counters() {
         let case = workload_cases().into_iter().next().expect("a workload");
@@ -1019,7 +1011,7 @@ mod tests {
 
     #[test]
     fn storage_fault_oracle_handles_seeded_random_cases() {
-        let case = random_case(3);
+        let case = random_case(3, DEFAULT_STEPS);
         let mut stats = DiffStats::default();
         storage_fault_case(&case, &mut stats).expect("fault matrix must not change output");
         assert_eq!(stats.cache_runs, 8);
@@ -1032,7 +1024,7 @@ mod tests {
             .into_iter()
             .find(|c| c.name == "workload:gzip")
             .expect("gzip workload");
-        for case in [gzip, random_case(5)] {
+        for case in [gzip, random_case(5, DEFAULT_STEPS)] {
             key_soundness_case(&case, &mut stats).unwrap();
         }
         assert!(stats.key_pairs > 0, "{stats:?}");
@@ -1067,14 +1059,14 @@ mod tests {
 
     #[test]
     fn random_cases_are_deterministic_per_seed() {
-        let a = random_case(17);
-        let b = random_case(17);
+        let a = random_case(17, DEFAULT_STEPS);
+        let b = random_case(17, DEFAULT_STEPS);
         assert_eq!(
             specframe::ir::display::print_module(&a.module),
             specframe::ir::display::print_module(&b.module)
         );
         // different seeds almost surely differ
-        let c = random_case(18);
+        let c = random_case(18, DEFAULT_STEPS);
         assert_ne!(
             specframe::ir::display::print_module(&a.module),
             specframe::ir::display::print_module(&c.module)
@@ -1086,8 +1078,8 @@ mod tests {
         let policies = fault_matrix();
         let mut stats = DiffStats::default();
         for seed in 1..=4 {
-            let case = random_case(seed);
-            diff_case(&case, &policies, &mut stats).unwrap();
+            let case = random_case(seed, DEFAULT_STEPS);
+            assert_agrees(diff_case(&case, &policies, &mut stats, false));
         }
         assert_eq!(stats.cases, 4);
         assert!(stats.sim_runs > 0);
@@ -1103,16 +1095,16 @@ mod tests {
         // first check of the module must be one that matters on the
         // adversarial input)
         let case = (1..=8)
-            .map(random_case)
+            .map(|seed| random_case(seed, DEFAULT_STEPS))
             .find(|c| {
                 matches!(
-                    diff_case_outcome(c, &policies, &mut DiffStats::default(), true),
+                    diff_case(c, &policies, &mut DiffStats::default(), true),
                     DiffOutcome::Diverged(_)
                 )
             })
             .expect("no seed in 1..=8 diverges under --break-checks");
         // the unsabotaged oracle still passes on the same case
-        diff_case(&case, &policies, &mut stats).unwrap();
+        assert_agrees(diff_case(&case, &policies, &mut stats, false));
         let (spec, rs) = reduce_failing_case(&case, &policies, true);
         assert!(spec.contains("RUN: specc"), "{spec}");
         assert!(spec.contains("; reduce:"), "{spec}");
@@ -1130,7 +1122,7 @@ mod tests {
             ..case.clone()
         };
         assert!(matches!(
-            diff_case_outcome(&rcase, &policies, &mut DiffStats::default(), true),
+            diff_case(&rcase, &policies, &mut DiffStats::default(), true),
             DiffOutcome::Diverged(_)
         ));
     }
@@ -1167,7 +1159,7 @@ entry:
         };
         let policies = fault_matrix();
         let mut stats = DiffStats::default();
-        diff_case(&case, &policies, &mut stats).unwrap();
+        assert_agrees(diff_case(&case, &policies, &mut stats, false));
         assert!(stats.leak_sites > 0, "{stats:?}");
         assert!(stats.fences_inserted > 0, "{stats:?}");
     }
@@ -1180,6 +1172,6 @@ entry:
             .into_iter()
             .find(|c| c.name == "workload:gzip")
             .expect("gzip workload");
-        diff_case(&case, &policies, &mut stats).unwrap();
+        assert_agrees(diff_case(&case, &policies, &mut stats, false));
     }
 }

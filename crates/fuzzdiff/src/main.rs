@@ -26,8 +26,8 @@
 
 use specframe::prelude::*;
 use specframe_fuzzdiff::{
-    diff_case_outcome, key_soundness_case, random_case_sized, reduce_failing_case,
-    storage_fault_case, workload_cases, DiffOutcome, DiffStats,
+    diff_case, key_soundness_case, random_case, reduce_failing_case, storage_fault_case,
+    workload_cases, DiffOutcome, DiffStats, DEFAULT_STEPS,
 };
 use std::time::{Duration, Instant};
 
@@ -46,7 +46,7 @@ fn parse_opts() -> Result<Opts, String> {
     let mut o = Opts {
         seed: 1,
         random: 16,
-        steps: 9,
+        steps: DEFAULT_STEPS,
         budget: Duration::from_secs(300),
         policies: Vec::new(),
         workloads: true,
@@ -127,7 +127,7 @@ fn main() -> std::process::ExitCode {
     for i in 0..o.random {
         let seed = o.seed.wrapping_add(i);
         let steps = o.steps;
-        cases.push(Box::new(move || random_case_sized(seed, steps)));
+        cases.push(Box::new(move || random_case(seed, steps)));
     }
 
     for make in cases {
@@ -137,7 +137,7 @@ fn main() -> std::process::ExitCode {
         }
         let case = make();
         let name = case.name.clone();
-        match diff_case_outcome(&case, &o.policies, &mut stats, o.break_checks) {
+        match diff_case(&case, &o.policies, &mut stats, o.break_checks) {
             DiffOutcome::Agree => println!("ok   {name}"),
             DiffOutcome::Setup(report) => {
                 failures += 1;

@@ -13,24 +13,26 @@ use crate::stmt::{ChiOp, HBlock, HOperand, HStmt, HStmtKind, HTerm, HssaFunc, Mu
 use specframe_alias::{AliasAnalysis, ClassId, Loc};
 use specframe_analysis::{iterated_df, DomTree, FuncAnalyses};
 use specframe_ir::{
-    BlockId, FuncId, FuncSlot, Function, Global, Inst, Module, Operand, Terminator, Ty, VarId,
+    BlockId, FuncId, FuncSlot, Function, Global, Inst, Operand, Terminator, Ty, VarId,
 };
 use specframe_ir::{FxHashMap, FxHashSet};
 use specframe_profile::AliasProfile;
 
-/// Where speculation likeliness comes from.
+/// Where data-speculation likeliness comes from (Figure 3's "alias profile
+/// / heuristic rules" box).
 ///
-/// * `NoSpeculation` flags every χ/μ *likely*: classic HSSA, the paper's O3
+/// * `None` flags every χ/μ *likely*: classic HSSA, the paper's O3
 ///   baseline — every may-alias is honoured.
 /// * `Profile` applies the §3.2.1 rules against a collected alias profile.
 /// * `Heuristic` applies the §3.2.2 syntax-tree rules (refined per
 ///   expression inside SSAPRE, which knows the candidate's syntax).
 /// * `Aggressive` flags *nothing* except real defs — the "aggressive
 ///   register promotion" upper-bound estimator of §5.3 / Figure 12.
-#[derive(Clone, Copy, Debug)]
-pub enum SpecMode<'a> {
+#[derive(Clone, Copy, Debug, Default)]
+pub enum SpecSource<'a> {
     /// Classic HSSA; no data speculation.
-    NoSpeculation,
+    #[default]
+    None,
     /// Flags from an alias profile.
     Profile(&'a AliasProfile),
     /// Flags from the three heuristic rules.
@@ -39,45 +41,23 @@ pub enum SpecMode<'a> {
     Aggressive,
 }
 
-impl SpecMode<'_> {
-    /// Whether this mode permits data speculation at all.
+impl SpecSource<'_> {
+    /// Whether this source permits data speculation at all.
     pub fn speculative(&self) -> bool {
-        !matches!(self, SpecMode::NoSpeculation)
+        !matches!(self, SpecSource::None)
     }
 }
 
-/// Builds the speculative SSA form of one function, computing the CFG
-/// analyses it needs on the spot.
+/// Builds the speculative SSA form of one function against the likeliness
+/// `oracle` and the function's CFG analyses `fa`. Every χ/μ `likely` flag
+/// is one [`Likeliness::verdict`] call; the parallel driver calls this
+/// with each worker owning exactly one function — `globals` and the
+/// oracle are the only shared state, both read-only.
 ///
 /// The CFG should have critical edges pre-split (see
 /// `specframe_analysis::split_critical_edges`) if the form will be
 /// optimized and lowered; construction itself does not require it.
-pub fn build_hssa(m: &Module, fid: FuncId, aa: &AliasAnalysis, mode: SpecMode<'_>) -> HssaFunc {
-    let f = m.func(fid);
-    let fa = FuncAnalyses::compute(f);
-    build_hssa_in(&m.globals, f, fid, aa, mode, &fa)
-}
-
-/// [`build_hssa`] over a pre-computed analysis cache, without touching the
-/// rest of the module. Convenience wrapper constructing a one-shot
-/// [`Likeliness`] oracle from `mode`; the driver owns a long-lived oracle
-/// and calls [`build_hssa_with`] directly.
-pub fn build_hssa_in(
-    globals: &[Global],
-    f: &Function,
-    fid: FuncId,
-    aa: &AliasAnalysis,
-    mode: SpecMode<'_>,
-    fa: &FuncAnalyses,
-) -> HssaFunc {
-    build_hssa_with(globals, f, fid, aa, &Likeliness::new(mode), fa)
-}
-
-/// [`build_hssa`] against an externally owned [`Likeliness`] oracle. Every
-/// χ/μ `likely` flag is one [`Likeliness::verdict`] call; the parallel
-/// driver calls this with each worker owning exactly one function —
-/// `globals` and the oracle are the only shared state, both read-only.
-pub fn build_hssa_with(
+pub fn build_hssa(
     globals: &[Global],
     f: &Function,
     fid: FuncId,
@@ -684,27 +664,17 @@ impl std::fmt::Display for HssaVerifyError {
 
 impl std::error::Error for HssaVerifyError {}
 
-/// Structural SSA validation for tests and property checks.
-///
-/// Verifies that every version is defined at most once, that no placeholder
-/// (`u32::MAX`) versions survive renaming, and that φ argument counts match
-/// predecessor counts.
-///
-/// # Errors
-/// Returns a description of the first violation.
-pub fn verify_hssa(hf: &HssaFunc) -> Result<(), String> {
-    verify_hssa_detailed(hf).map_err(|e| e.msg)
-}
-
-/// [`verify_hssa`] with structured block attribution, plus a stale-version
-/// range check: renaming hands out versions strictly below
-/// [`HssaFunc::next_ver`], so any occurrence at or above that bound was
-/// fabricated after Rename ran (e.g. a χ whose operand version was never
-/// issued) — the corruption class the verify-each hook exists to catch.
+/// Structural SSA validation: every version is defined at most once, no
+/// placeholder (`u32::MAX`) version survives renaming, φ argument counts
+/// match predecessor counts, and no version is stale: renaming hands out
+/// versions strictly below [`HssaFunc::next_ver`], so any occurrence at or
+/// above that bound was fabricated after Rename ran (e.g. a χ whose
+/// operand version was never issued) — the corruption class the
+/// verify-each hook exists to catch.
 ///
 /// # Errors
 /// Returns the first violation with the block it was observed in.
-pub fn verify_hssa_detailed(hf: &HssaFunc) -> Result<(), HssaVerifyError> {
+pub fn verify_hssa(hf: &HssaFunc) -> Result<(), HssaVerifyError> {
     let at = |bi: usize, msg: String| HssaVerifyError {
         block: Some(bi),
         msg,
@@ -1030,10 +1000,24 @@ fn hssa_dominators(hf: &HssaFunc) -> Vec<Option<BlockId>> {
     idom
 }
 
+/// [`build_hssa`] of `m`'s function `fid` under `source`, with freshly
+/// computed CFG analyses: the setup this crate's tests share.
+#[cfg(test)]
+pub(crate) fn build_in_module(
+    m: &specframe_ir::Module,
+    fid: FuncId,
+    aa: &AliasAnalysis,
+    source: SpecSource<'_>,
+) -> HssaFunc {
+    let f = m.func(fid);
+    let fa = FuncAnalyses::compute(f);
+    build_hssa(&m.globals, f, fid, aa, &Likeliness::new(source), &fa)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specframe_ir::parse_module;
+    use specframe_ir::{parse_module, Module};
 
     fn analyze(src: &str) -> (Module, AliasAnalysis) {
         let m = parse_module(src).unwrap();
@@ -1104,7 +1088,7 @@ go:
     fn chi_lists_cover_aliased_vars() {
         let (m, aa) = example1_pointing_to_b();
         let fid = m.func_by_name("ex1").unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
+        let hf = build_in_module(&m, fid, &aa, SpecSource::None);
         verify_hssa(&hf).unwrap();
         // stmt 2 is the indirect store *p: chi over vvar + a + b
         let st = &hf.blocks[0].stmts[2];
@@ -1125,7 +1109,7 @@ go:
             .unwrap();
         let profile = prof.finish();
         let fid = m.func_by_name("ex1").unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::Profile(&profile));
+        let hf = build_in_module(&m, fid, &aa, SpecSource::Profile(&profile));
         verify_hssa(&hf).unwrap();
 
         let ga = m.global_by_name("a").unwrap();
@@ -1158,7 +1142,7 @@ go:
     fn no_spec_mode_flags_everything() {
         let (m, aa) = analyze(EXAMPLE1);
         let fid = m.func_by_name("ex1").unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
+        let hf = build_in_module(&m, fid, &aa, SpecSource::None);
         for b in &hf.blocks {
             for s in &b.stmts {
                 assert!(s.chi.iter().all(|c| c.likely));
@@ -1171,7 +1155,7 @@ go:
     fn aggressive_mode_flags_nothing() {
         let (m, aa) = example1_pointing_to_b();
         let fid = m.func_by_name("ex1").unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::Aggressive);
+        let hf = build_in_module(&m, fid, &aa, SpecSource::Aggressive);
         for b in &hf.blocks {
             for s in &b.stmts {
                 assert!(s.chi.iter().all(|c| !c.likely));
@@ -1207,7 +1191,7 @@ exit:
 "#;
         let (m, aa) = analyze(src);
         let fid = m.func_by_name("f").unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
+        let hf = build_in_module(&m, fid, &aa, SpecSource::None);
         verify_hssa(&hf).unwrap();
         // the loop header must merge i and the memory variable g
         let gb = m.global_by_name("g").unwrap();
@@ -1228,7 +1212,7 @@ exit:
     fn direct_store_strongly_defines() {
         let (m, aa) = example1_pointing_to_b();
         let fid = m.func_by_name("ex1").unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
+        let hf = build_in_module(&m, fid, &aa, SpecSource::None);
         let s0 = &hf.blocks[0].stmts[0]; // store.i64 [@a], 1
         let HStmtKind::Store {
             dvar_def: Some((_, v1)),
@@ -1282,7 +1266,7 @@ entry:
 "#;
         let (m, aa) = analyze(src);
         let fid = m.func_by_name("f").unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::Heuristic);
+        let hf = build_in_module(&m, fid, &aa, SpecSource::Heuristic);
         let call = &hf.blocks[0].stmts[1];
         assert!(matches!(call.kind, HStmtKind::Call { .. }));
         assert_eq!(call.chi.len(), 1, "call must chi g");

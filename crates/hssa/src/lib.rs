@@ -37,17 +37,12 @@ pub mod print;
 pub mod refine;
 pub mod stmt;
 
-pub use build::{
-    build_hssa, build_hssa_in, build_hssa_with, verify_hssa, verify_hssa_detailed, HssaVerifyError,
-    SpecMode,
-};
+pub use build::{build_hssa, verify_hssa, HssaVerifyError, SpecSource};
 pub use hvar::{HVarId, HVarKind, MemBase, MemVar, VarCatalog};
-pub use lower::{lower_function, lower_hssa, resolve_fresh_sites, LOCAL_FRESH_BASE};
+pub use lower::{lower_function, resolve_fresh_sites, LOCAL_FRESH_BASE};
 pub use oracle::{
     ChiRefine, FnEvidence, Likeliness, RefineStmt, SiteQuery, SpecCosts, Verdict, Why,
 };
-pub use print::{print_hssa, print_hssa_in};
-pub use refine::{
-    fold_known_addresses, fold_known_addresses_in, refine_function, refine_function_in,
-};
+pub use print::print_hssa;
+pub use refine::refine_function;
 pub use stmt::{ChiOp, HBlock, HOperand, HStmt, HStmtKind, HTerm, HssaFunc, MuOp, Phi, FRESH_SITE};

@@ -13,7 +13,7 @@
 
 use crate::hvar::HVarKind;
 use crate::stmt::{HOperand, HStmtKind, HTerm, HssaFunc, FRESH_SITE};
-use specframe_ir::{Block, Function, Inst, MemSiteId, Module, Operand, Terminator, VarDecl, VarId};
+use specframe_ir::{Block, Function, Inst, MemSiteId, Operand, Terminator, VarDecl, VarId};
 use specframe_ir::{FxHashMap, FxHashSet};
 
 /// First placeholder id handed out by [`lower_function`] for statements the
@@ -23,15 +23,6 @@ use specframe_ir::{FxHashMap, FxHashSet};
 /// [`resolve_fresh_sites`] before the function is spliced back into a
 /// module. The band below `FRESH_SITE` is far above any real site id.
 pub const LOCAL_FRESH_BASE: u32 = u32::MAX - (1 << 24);
-
-/// Lowers `hf` back into `m`, replacing the body of `hf.func`.
-pub fn lower_hssa(m: &mut Module, hf: &HssaFunc) {
-    let (mut new_f, fresh) = lower_function(m.func(hf.func), hf);
-    let first = MemSiteId(m.next_mem_site);
-    m.next_mem_site += fresh;
-    resolve_fresh_sites(&mut new_f, first);
-    m.funcs[hf.func.index()] = new_f;
-}
 
 /// Rewrites the local fresh-site placeholders of a [`lower_function`] result
 /// to module-unique ids starting at `first`, preserving encounter order.
@@ -327,9 +318,9 @@ fn sequentialize(mut pending: Vec<(VarId, VarId)>, vars: &mut Vec<VarDecl>) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build_hssa, SpecMode};
+    use crate::build::{build_in_module, verify_hssa, SpecSource};
     use specframe_alias::AliasAnalysis;
-    use specframe_ir::{parse_module, Ty, Value};
+    use specframe_ir::{parse_module, FuncId, Ty, Value};
     use specframe_profile::run;
 
     fn round_trip(src: &str, entry: &str, args: &[Value]) {
@@ -342,14 +333,11 @@ mod tests {
         }
         let aa = AliasAnalysis::analyze(&m);
         for fi in 0..m.funcs.len() {
-            let hf = build_hssa(
-                &m,
-                specframe_ir::FuncId::from_index(fi),
-                &aa,
-                SpecMode::NoSpeculation,
-            );
-            crate::build::verify_hssa(&hf).unwrap();
-            lower_hssa(&mut m, &hf);
+            let hf = build_in_module(&m, FuncId::from_index(fi), &aa, SpecSource::None);
+            verify_hssa(&hf).unwrap();
+            let (lowered, fresh) = lower_function(&m.funcs[fi], &hf);
+            assert_eq!(fresh, 0, "an unoptimized form synthesizes no statement");
+            m.funcs[fi] = lowered;
         }
         specframe_ir::verify_module(&m).unwrap();
         let (got, _) = run(&m, entry, args, 1_000_000).unwrap();

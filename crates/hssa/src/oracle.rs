@@ -5,7 +5,7 @@
 //! every consumer (HSSA construction, the SSAPRE kernel's weak-update
 //! queries, check-load emission) must agree on the verdicts or the ALAT
 //! recovery protocol breaks. Historically each consumer re-derived the
-//! decision from a `SpecMode` match; [`Likeliness`] centralizes them:
+//! decision from a `SpecSource` match; [`Likeliness`] centralizes them:
 //!
 //! * [`Likeliness::verdict`] answers the *construction-time* question "is
 //!   this χ/μ at this site likely?", with evidence ([`Why`]) suitable for
@@ -25,7 +25,7 @@
 //! one-pass syntax scan ([`FnEvidence`]); `aggressive` — the §5.3
 //! upper-bound estimator that flags nothing but real defs.
 
-use crate::build::SpecMode;
+use crate::build::SpecSource;
 use specframe_alias::Loc;
 use specframe_ir::FxHashSet;
 use specframe_ir::{CallSiteId, Function, Inst, MemSiteId, Operand, Ty, VarId};
@@ -258,24 +258,19 @@ pub struct ChiRefine<'c> {
 /// χ-kill refinement).
 #[derive(Clone, Copy, Debug)]
 pub struct Likeliness<'a> {
-    mode: SpecMode<'a>,
+    source: SpecSource<'a>,
     costs: SpecCosts,
 }
 
 impl<'a> Likeliness<'a> {
     /// Oracle over one likeliness source, with the default (EPIC) costs.
-    pub fn new(mode: SpecMode<'a>) -> Likeliness<'a> {
-        Likeliness::with_costs(mode, SpecCosts::default())
+    pub fn new(source: SpecSource<'a>) -> Likeliness<'a> {
+        Likeliness::with_costs(source, SpecCosts::default())
     }
 
     /// Oracle over one likeliness source weighing the given target costs.
-    pub fn with_costs(mode: SpecMode<'a>, costs: SpecCosts) -> Likeliness<'a> {
-        Likeliness { mode, costs }
-    }
-
-    /// The underlying source.
-    pub fn mode(&self) -> SpecMode<'a> {
-        self.mode
+    pub fn with_costs(source: SpecSource<'a>, costs: SpecCosts) -> Likeliness<'a> {
+        Likeliness { source, costs }
     }
 
     /// The target cost view this oracle weighs speculation against.
@@ -285,29 +280,29 @@ impl<'a> Likeliness<'a> {
 
     /// The alias profile, when the source is `profile`.
     pub fn profile(&self) -> Option<&'a AliasProfile> {
-        match self.mode {
-            SpecMode::Profile(p) => Some(p),
+        match self.source {
+            SpecSource::Profile(p) => Some(p),
             _ => None,
         }
     }
 
     /// Whether this source permits data speculation at all.
     pub fn speculative(&self) -> bool {
-        self.mode.speculative()
+        self.source.speculative()
     }
 
     /// Whether this is the heuristic source (§3.2.2).
     pub fn heuristic(&self) -> bool {
-        matches!(self.mode, SpecMode::Heuristic)
+        matches!(self.source, SpecSource::Heuristic)
     }
 
     /// The source name as spelled on the `specc --spec` flag.
     pub fn source_name(&self) -> &'static str {
-        match self.mode {
-            SpecMode::NoSpeculation => "none",
-            SpecMode::Profile(_) => "profile",
-            SpecMode::Heuristic => "heuristic",
-            SpecMode::Aggressive => "aggressive",
+        match self.source {
+            SpecSource::None => "none",
+            SpecSource::Profile(_) => "profile",
+            SpecSource::Heuristic => "heuristic",
+            SpecSource::Aggressive => "aggressive",
         }
     }
 
@@ -339,7 +334,7 @@ impl<'a> Likeliness<'a> {
     }
 
     /// The construction-time verdict for one χ/μ at one site. This is the
-    /// single call site replacing the per-kind `SpecMode` closures that
+    /// single call site replacing the per-kind `SpecSource` closures that
     /// used to live in `build_hssa`.
     pub fn verdict(&self, ev: &FnEvidence, q: SiteQuery<'_>) -> Verdict {
         // the call μ list is kept unchanged in every source (§3.2.2 rule 3
@@ -347,10 +342,10 @@ impl<'a> Likeliness<'a> {
         if matches!(q, SiteQuery::CallMuVirt) {
             return Verdict::new(true, Why::CallMuKept);
         }
-        match self.mode {
-            SpecMode::NoSpeculation => Verdict::new(true, Why::NoSpec),
-            SpecMode::Aggressive => Verdict::new(false, Why::Aggressive),
-            SpecMode::Heuristic => match q {
+        match self.source {
+            SpecSource::None => Verdict::new(true, Why::NoSpec),
+            SpecSource::Aggressive => Verdict::new(false, Why::Aggressive),
+            SpecSource::Heuristic => match q {
                 // rule 1 / rule 2: a store's virtual-variable χ is likely
                 // exactly when some load in the function uses the same
                 // address syntax (a direct store's global/slot tree never
@@ -374,7 +369,7 @@ impl<'a> Likeliness<'a> {
                 | SiteQuery::CallChiVirt { .. } => Verdict::new(true, Why::Rule3CallEffects),
                 SiteQuery::CallMuVirt => unreachable!("handled above"),
             },
-            SpecMode::Profile(p) => match q {
+            SpecSource::Profile(p) => match q {
                 SiteQuery::StoreChiMem { site, loc } | SiteQuery::LoadMuMem { site, loc } => {
                     let t = p.touched(site, loc);
                     Verdict::new(t, Why::ProfileTouched(t))
@@ -420,23 +415,23 @@ impl<'a> Likeliness<'a> {
         // the target's per-check overhead eats the candidate's load
         // latency, speculating cannot pay no matter how unlikely the χ —
         // honour it (kill) and keep the load where it is
-        if self.mode.speculative() {
+        if self.source.speculative() {
             if let Some(ty) = cx.cand_ty {
                 if !self.costs.profitable(ty) {
                     return true;
                 }
             }
         }
-        match self.mode {
-            SpecMode::NoSpeculation => true,
-            SpecMode::Aggressive => cx.chi_likely,
-            SpecMode::Heuristic => match cx.stmt {
+        match self.source {
+            SpecSource::None => true,
+            SpecSource::Aggressive => cx.chi_likely,
+            SpecSource::Heuristic => match cx.stmt {
                 RefineStmt::Store { syntax, .. } => {
                     matches!((syntax, cx.cand_syntax), (Some(s), Some(c)) if s == c)
                 }
                 _ => cx.chi_likely,
             },
-            SpecMode::Profile(p) => {
+            SpecSource::Profile(p) => {
                 if !cx.chi_likely {
                     return false;
                 }
@@ -467,7 +462,7 @@ mod tests {
     fn evidence_of(src: &str, func: &str) -> FnEvidence {
         let m = parse_module(src).unwrap();
         let f = m.func(m.func_by_name(func).unwrap());
-        Likeliness::new(SpecMode::Heuristic).scan(f)
+        Likeliness::new(SpecSource::Heuristic).scan(f)
     }
 
     #[test]
@@ -507,7 +502,7 @@ entry:
 "#,
             "f",
         );
-        let o = Likeliness::new(SpecMode::Heuristic);
+        let o = Likeliness::new(SpecSource::Heuristic);
         let site = MemSiteId(0);
         let same = o.verdict(
             &ev,
@@ -536,9 +531,9 @@ entry:
         let ev = FnEvidence::default();
         let msite = MemSiteId(7);
         let csite = CallSiteId(3);
-        let none = Likeliness::new(SpecMode::NoSpeculation);
-        let aggr = Likeliness::new(SpecMode::Aggressive);
-        let heur = Likeliness::new(SpecMode::Heuristic);
+        let none = Likeliness::new(SpecSource::None);
+        let aggr = Likeliness::new(SpecSource::Aggressive);
+        let heur = Likeliness::new(SpecSource::Heuristic);
         // call μ over a vvar is kept likely in every source
         for o in [&none, &aggr, &heur] {
             assert!(o.verdict(&ev, SiteQuery::CallMuVirt).likely);
@@ -573,7 +568,7 @@ entry:
 
     #[test]
     fn heuristic_chi_kill_is_per_candidate_syntax() {
-        let o = Likeliness::new(SpecMode::Heuristic);
+        let o = Likeliness::new(SpecSource::Heuristic);
         let locs = FxHashSet::default();
         let store = RefineStmt::Store {
             site: MemSiteId(0),
@@ -621,13 +616,13 @@ entry:
             expr_locs: &locs,
         };
         // even the aggressive source (χs never kill) honours the gate
-        for mode in [SpecMode::Aggressive, SpecMode::Heuristic] {
-            let o = Likeliness::with_costs(mode, swr);
-            assert!(o.chi_kills(&cx(Ty::I64)), "{mode:?} must kill int loads");
-            assert!(!o.chi_kills(&cx(Ty::F64)), "{mode:?} must keep fp loads");
+        for source in [SpecSource::Aggressive, SpecSource::Heuristic] {
+            let o = Likeliness::with_costs(source, swr);
+            assert!(o.chi_kills(&cx(Ty::I64)), "{source:?} must kill int loads");
+            assert!(!o.chi_kills(&cx(Ty::F64)), "{source:?} must keep fp loads");
         }
         // default (EPIC) costs leave every verdict untouched
-        let aggr = Likeliness::new(SpecMode::Aggressive);
+        let aggr = Likeliness::new(SpecSource::Aggressive);
         assert!(!aggr.chi_kills(&cx(Ty::I64)));
         assert!(!aggr.chi_kills(&cx(Ty::F64)));
     }

@@ -6,21 +6,15 @@
 
 use crate::hvar::{HVarId, HVarKind, MemBase};
 use crate::stmt::{HOperand, HStmtKind, HTerm, HssaFunc};
-use specframe_ir::{Function, Global, Module};
+use specframe_ir::{Function, Global};
 use std::fmt::Write;
 
-/// Renders `hf` as human-readable text.
-pub fn print_hssa(m: &Module, hf: &HssaFunc) -> String {
-    let names = specframe_ir::display::func_name_table(m);
-    print_hssa_in(&m.globals, &names, m.func(hf.func), hf)
-}
-
-/// [`print_hssa`] over the pieces of module state a parallel pipeline
-/// worker actually owns: the global table, the function-name table
-/// (indexed by `FuncId`, see `specframe_ir::display::func_name_table`),
-/// and the function the form was built from. Byte-for-byte identical to
-/// printing through the module.
-pub fn print_hssa_in(
+/// Renders `hf`, the form of `f`, as human-readable text. `globals` and
+/// `func_names` (indexed by `FuncId`, see
+/// `specframe_ir::display::func_name_table`) are the module state a
+/// parallel pipeline worker owns; a caller printing many functions builds
+/// the name table once.
+pub fn print_hssa(
     globals: &[Global],
     func_names: &[String],
     f: &Function,
@@ -238,9 +232,14 @@ pub fn print_hssa_in(
 
 #[cfg(test)]
 mod tests {
-    use crate::build::{build_hssa, SpecMode};
+    use crate::build::{build_in_module, SpecSource};
     use specframe_alias::AliasAnalysis;
-    use specframe_ir::parse_module;
+    use specframe_ir::display::func_name_table;
+    use specframe_ir::{parse_module, Module};
+
+    fn dump(m: &Module, hf: &crate::HssaFunc) -> String {
+        super::print_hssa(&m.globals, &func_name_table(m), m.func(hf.func), hf)
+    }
 
     #[test]
     fn dump_shows_chi_and_mu_with_flags() {
@@ -278,8 +277,8 @@ go:
         let m = parse_module(src).unwrap();
         let aa = AliasAnalysis::analyze(&m);
         let fid = m.func_by_name("ex1").unwrap();
-        let hf = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
-        let dump = super::print_hssa(&m, &hf);
+        let hf = build_in_module(&m, fid, &aa, SpecSource::None);
+        let dump = dump(&m, &hf);
         assert!(dump.contains("chi_s"), "{dump}");
         assert!(dump.contains("mu_s"), "{dump}");
         assert!(dump.contains("store.i64"), "{dump}");
@@ -309,8 +308,8 @@ entry:
         let aa = AliasAnalysis::analyze(&m);
         let fid = m.func_by_name("f").unwrap();
         // heuristic mode: chi over b is weak (printed as plain chi)
-        let hf = build_hssa(&m, fid, &aa, SpecMode::Heuristic);
-        let dump = super::print_hssa(&m, &hf);
+        let hf = build_in_module(&m, fid, &aa, SpecSource::Heuristic);
+        let dump = dump(&m, &hf);
         assert!(
             dump.contains("chi(b0)") || dump.contains("chi(vv"),
             "{dump}"

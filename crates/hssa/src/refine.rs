@@ -17,24 +17,15 @@
 use crate::stmt::{HOperand, HStmtKind, HssaFunc};
 use specframe_analysis::FuncAnalyses;
 use specframe_ir::FxHashMap;
-use specframe_ir::{FuncId, Function, Global, Inst, MemSiteId, Module, Operand, VarId};
+use specframe_ir::{FuncId, Function, Global, Inst, MemSiteId, Operand, VarId};
 
-/// Analyzes `hf` (an already-built SSA form of `m.func(fid)`) and rewrites
-/// the **base function** in `m`, folding every indirect load/store whose
-/// base register provably holds a single static address into a direct
-/// reference. Returns the number of references folded.
-///
-/// Run this before the final HSSA construction: the caller rebuilds the
-/// SSA form afterwards (the paper's "update the SSA form if the lists have
-/// any change").
-pub fn fold_known_addresses(m: &mut Module, fid: FuncId, hf: &HssaFunc) -> usize {
-    fold_known_addresses_in(m.func_mut(fid), hf)
-}
-
-/// [`fold_known_addresses`] operating on the function alone — the rewrite
-/// never touches any other part of the module, so the parallel driver can
-/// run it with each worker owning exactly one `&mut Function`.
-pub fn fold_known_addresses_in(f: &mut Function, hf: &HssaFunc) -> usize {
+/// Analyzes `hf` (an already-built SSA form of `f`) and rewrites `f`,
+/// folding every indirect load/store whose base register provably holds a
+/// single static address into a direct reference. Returns the number of
+/// references folded. The rewrite never touches any other part of the
+/// module, so the parallel driver can run it with each worker owning
+/// exactly one `&mut Function`.
+fn fold_known_addresses(f: &mut Function, hf: &HssaFunc) -> usize {
     // copy chains: (reg, version) -> source operand
     let mut copy_src: FxHashMap<(VarId, u32), HOperand> = FxHashMap::default();
     for b in hf.block_ids() {
@@ -107,33 +98,21 @@ pub fn fold_known_addresses_in(f: &mut Function, hf: &HssaFunc) -> usize {
     folded
 }
 
-/// Convenience for callers without a pre-built SSA form: builds a throwaway
-/// non-speculative HSSA, folds, and reports the count.
-pub fn refine_function(m: &mut Module, fid: FuncId, aa: &specframe_alias::AliasAnalysis) -> usize {
-    let fa = FuncAnalyses::compute(m.func(fid));
-    let globals = m.globals.clone();
-    refine_function_in(&globals, m.func_mut(fid), fid, aa, &fa)
-}
-
-/// [`refine_function`] over a pre-computed analysis cache and a worker-owned
-/// `&mut Function`. Folding only rewrites instruction operands — the CFG is
+/// Flow-sensitive refinement of `f` (function `fid` of a module with
+/// `globals`): builds a throwaway non-speculative HSSA over the analysis
+/// cache `fa`, folds known addresses into direct references, and reports
+/// the count. Folding only rewrites instruction operands — the CFG is
 /// untouched, so `fa` stays valid afterwards.
-pub fn refine_function_in(
+pub fn refine_function(
     globals: &[Global],
     f: &mut Function,
     fid: FuncId,
     aa: &specframe_alias::AliasAnalysis,
     fa: &FuncAnalyses,
 ) -> usize {
-    let hf = crate::build::build_hssa_in(
-        globals,
-        f,
-        fid,
-        aa,
-        crate::build::SpecMode::NoSpeculation,
-        fa,
-    );
-    fold_known_addresses_in(f, &hf)
+    let oracle = crate::oracle::Likeliness::new(crate::build::SpecSource::None);
+    let hf = crate::build::build_hssa(globals, f, fid, aa, &oracle, fa);
+    fold_known_addresses(f, &hf)
 }
 
 /// Identifies whether an HSSA statement is a direct memory access (used by
@@ -150,9 +129,14 @@ pub fn is_direct_access(hf: &HssaFunc, b: usize, si: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build_hssa, SpecMode};
+    use crate::build::{build_in_module, SpecSource};
     use specframe_alias::AliasAnalysis;
-    use specframe_ir::parse_module;
+    use specframe_ir::{parse_module, Module};
+
+    fn refine(m: &mut Module, fid: FuncId, aa: &AliasAnalysis) -> usize {
+        let fa = FuncAnalyses::compute(m.func(fid));
+        refine_function(&m.globals, &mut m.funcs[fid.index()], fid, aa, &fa)
+    }
 
     /// p locally points at `a` only, but Steensgaard's class for it is
     /// {a, b} because `h` is called with both addresses elsewhere.
@@ -210,7 +194,7 @@ go:
         // sanity: before refinement the store *p is indirect — a weak
         // class-level update (chi on the shared virtual variable, no strong
         // def), so the loads of *q are killed by it
-        let hf0 = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
+        let hf0 = build_in_module(&m, fid, &aa, SpecSource::None);
         let store = &hf0.blocks[0].stmts[2];
         assert!(
             matches!(
@@ -221,11 +205,11 @@ go:
         );
         assert!(!store.chi.is_empty(), "indirect store must chi its class");
 
-        let n = refine_function(&mut m, fid, &aa);
+        let n = refine(&mut m, fid, &aa);
         assert_eq!(n, 4, "both stores and both loads fold");
 
         // after refinement, all four references are direct
-        let hf1 = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
+        let hf1 = build_in_module(&m, fid, &aa, SpecSource::None);
         for si in [2usize, 3, 4, 5] {
             assert!(
                 is_direct_access(&hf1, 0, si),
@@ -250,7 +234,7 @@ go:
             specframe_profile::run(&m, "main", &[specframe_ir::Value::I(0)], 100_000).unwrap();
         let aa = AliasAnalysis::analyze(&m);
         let fid = m.func_by_name("f").unwrap();
-        refine_function(&mut m, fid, &aa);
+        refine(&mut m, fid, &aa);
         specframe_ir::verify_module(&m).unwrap();
         let (got, s1) =
             specframe_profile::run(&m, "main", &[specframe_ir::Value::I(0)], 100_000).unwrap();
@@ -284,7 +268,7 @@ go:
         specframe_analysis::split_critical_edges(&mut m.funcs[0]);
         let aa = AliasAnalysis::analyze(&m);
         let fid = m.func_by_name("f").unwrap();
-        let n = refine_function(&mut m, fid, &aa);
+        let n = refine(&mut m, fid, &aa);
         assert_eq!(n, 0, "a phi-merged pointer is genuinely unknown");
     }
 
@@ -307,7 +291,7 @@ entry:
         let mut m = parse_module(src).unwrap();
         let aa = AliasAnalysis::analyze(&m);
         let fid = m.func_by_name("f").unwrap();
-        let n = refine_function(&mut m, fid, &aa);
+        let n = refine(&mut m, fid, &aa);
         assert_eq!(n, 0, "computed addresses must not fold");
     }
 }

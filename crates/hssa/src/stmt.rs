@@ -7,7 +7,8 @@ use specframe_ir::{
 };
 
 /// A placeholder memory site for statements synthesized during optimization;
-/// `lower_hssa` replaces it with a fresh module-unique site.
+/// [`crate::lower_function`] and [`crate::resolve_fresh_sites`] replace it
+/// with a fresh module-unique site.
 pub const FRESH_SITE: MemSiteId = MemSiteId(u32::MAX);
 
 /// A versioned register reference.

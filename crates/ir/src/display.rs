@@ -31,14 +31,14 @@ pub fn print_module(m: &Module) -> String {
     }
     let names = func_name_table(m);
     for f in &m.funcs {
-        print_function_in(&mut out, &m.globals, &names, f);
+        print_function(&mut out, &m.globals, &names, f);
         out.push('\n');
     }
     out
 }
 
 /// The function-name table (indexed by `FuncId`) that
-/// [`print_function_in`] resolves call targets against. Cloned out of the
+/// [`print_function`] resolves call targets against. Cloned out of the
 /// module once so printing can proceed on a bare [`Function`] — e.g. in a
 /// parallel pipeline worker that owns no module.
 pub fn func_name_table(m: &Module) -> Vec<String> {
@@ -69,20 +69,10 @@ fn push_f64(out: &mut String, x: f64) {
     }
 }
 
-/// Renders one function.
-pub fn print_function(out: &mut String, m: &Module, f: &Function) {
-    print_function_in(out, &m.globals, &func_name_table(m), f);
-}
-
-/// [`print_function`] over the pieces of module state a parallel worker
-/// actually owns: the global table and the [`func_name_table`]. Byte-for-
-/// byte identical to printing through the module.
-pub fn print_function_in(
-    out: &mut String,
-    globals: &[Global],
-    func_names: &[String],
-    f: &Function,
-) {
+/// Renders one function of a module with `globals` and the
+/// [`func_name_table`] `func_names`: the module state a parallel worker
+/// owns, so printing needs no module.
+pub fn print_function(out: &mut String, globals: &[Global], func_names: &[String], f: &Function) {
     out.push_str("func ");
     out.push_str(&f.name);
     out.push('(');

@@ -59,4 +59,4 @@ pub use inst::{BinOp, CheckKind, Inst, LoadSpec, Operand, Terminator, UnOp};
 pub use memory::{Memory, MEM_CAP, STACK_WORDS};
 pub use parse::{parse_module, ParseError};
 pub use types::{Ty, Value};
-pub use verify::{verify_function_in, verify_module, CalleeSig, VerifyError};
+pub use verify::{verify_function, verify_module, CalleeSig, VerifyError};

@@ -91,7 +91,7 @@ impl core::fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// The callee-side facts a `call` instruction is checked against. Lets
-/// [`verify_function_in`] run on a single function without the whole
+/// [`verify_function`] run on a single function without the whole
 /// [`Module`] in hand (the driver's per-worker verify-each hook).
 #[derive(Debug, Clone, Copy)]
 pub struct CalleeSig<'a> {
@@ -152,7 +152,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
         })
     };
     for f in &m.funcs {
-        verify_function_in(m.globals.len(), &callee, f)?;
+        verify_function(m.globals.len(), &callee, f)?;
         for b in &f.blocks {
             for inst in &b.insts {
                 match inst {
@@ -204,7 +204,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 /// # Errors
 /// Returns the first violated invariant, attributed to the function and
 /// (for per-block checks) the block index.
-pub fn verify_function_in<'m>(
+pub fn verify_function<'m>(
     n_globals: usize,
     callee: &dyn Fn(usize) -> Option<CalleeSig<'m>>,
     f: &Function,
@@ -239,7 +239,7 @@ fn first_duplicate<'a>(mut names: impl ExactSizeIterator<Item = &'a str>) -> Opt
     names.find(|n| !seen.insert(*n))
 }
 
-/// The per-block invariants of [`verify_function_in`], with string errors
+/// The per-block invariants of [`verify_function`], with string errors
 /// so the caller can attach block attribution in one place.
 fn verify_block<'m>(
     n_globals: usize,

@@ -286,7 +286,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: std::ops::Range<usize>,

@@ -116,7 +116,7 @@ fn real_main() -> Result<bool, String> {
     let mut failures = 0usize;
     let mut skipped = 0usize;
     for path in &files {
-        match runner::run_case_with(path, cli.overrides.clone()) {
+        match runner::run_case(path, cli.overrides.clone()) {
             runner::CaseOutcome::Pass => {
                 if !cli.quiet {
                     println!("PASS {}", path.display());

@@ -56,7 +56,7 @@ const OVERRIDE_NAMES: [&str; 5] = [
 /// a directive (`RUN:`, `CHECK:`, `CHECK-NEXT:`, `CHECK-NOT:`,
 /// `CHECK-DAG:`, `UNSUPPORTED:` after the `;`) or a free-form comment.
 /// An `UNSUPPORTED:` line names harness-wide overrides (whitespace
-/// separated, from [`OVERRIDE_NAMES`]) the case must be skipped under. Everything else is
+/// separated, from `OVERRIDE_NAMES`) the case must be skipped under. Everything else is
 /// the IR program handed to the compiler (so `#` comments stay IR-side).
 /// A `;` comment that *mentions* `CHECK` or `RUN:` but parses as neither
 /// is rejected — it is almost certainly a typo that would silently turn a
@@ -298,13 +298,8 @@ pub struct RunOverrides {
     pub target: Option<TargetId>,
 }
 
-/// Runs one golden test file from disk.
-pub fn run_case(path: &Path) -> CaseOutcome {
-    run_case_with(path, RunOverrides::default())
-}
-
-/// [`run_case`] with harness-wide hook overrides.
-pub fn run_case_with(path: &Path, ov: RunOverrides) -> CaseOutcome {
+/// Runs one golden test file from disk under harness-wide hook overrides.
+pub fn run_case(path: &Path, ov: RunOverrides) -> CaseOutcome {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => return CaseOutcome::Fail(format!("cannot read {}: {e}", path.display())),
@@ -537,10 +532,7 @@ merge:
             target: Some(TargetId::Swr),
             ..RunOverrides::default()
         };
-        assert!(matches!(
-            run_case_with(&case, ov.clone()),
-            CaseOutcome::Pass
-        ));
+        assert!(matches!(run_case(&case, ov.clone()), CaseOutcome::Pass));
         // an epic-pinned case opts out of the override
         let pinned = dir.join("pinned.spec");
         std::fs::write(
@@ -549,7 +541,7 @@ merge:
              func f() -> i64 {\nentry:\n  ret 0\n}\n",
         )
         .unwrap();
-        assert!(matches!(run_case_with(&pinned, ov), CaseOutcome::Skip(s) if s == "target"));
+        assert!(matches!(run_case(&pinned, ov), CaseOutcome::Skip(s) if s == "target"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,7 +4,7 @@
 //! `--filter`, `--dump`); this test ensures plain `cargo test` covers the
 //! corpus too.
 
-use spectest::runner::{discover, run_case, CaseOutcome};
+use spectest::runner::{discover, run_case, CaseOutcome, RunOverrides};
 use std::path::PathBuf;
 
 #[test]
@@ -18,7 +18,7 @@ fn golden_corpus_passes() {
     );
     let mut failed = Vec::new();
     for path in &files {
-        if let CaseOutcome::Fail(msg) = run_case(path) {
+        if let CaseOutcome::Fail(msg) = run_case(path, RunOverrides::default()) {
             failed.push(format!("{}:\n{msg}", path.display()));
         }
     }

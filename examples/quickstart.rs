@@ -126,6 +126,7 @@ fn main() {
     println!("--- speculative kern (note ld.a / ldc) ---");
     let f = spec.func_by_name("kern").unwrap();
     let mut out = String::new();
-    specframe::ir::display::print_function(&mut out, &spec, spec.func(f));
+    let names = func_name_table(&spec);
+    specframe::ir::display::print_function(&mut out, &spec.globals, &names, spec.func(f));
     println!("{out}");
 }

@@ -48,11 +48,17 @@ go:
 fn main() {
     let m = parse_module(SRC).expect("parse");
     let aa = AliasAnalysis::analyze(&m);
+    let names = func_name_table(&m);
     let fid = m.func_by_name("ex1").unwrap();
+    let f = m.func(fid);
+    let fa = FuncAnalyses::compute(f);
+    let dump = |source: SpecSource<'_>| {
+        let hf = build_hssa(&m.globals, f, fid, &aa, &Likeliness::new(source), &fa);
+        print_hssa(&m.globals, &names, f, &hf)
+    };
 
     println!("=== traditional HSSA (every chi/mu flagged — Example 1(a)) ===\n");
-    let hf = build_hssa(&m, fid, &aa, SpecMode::NoSpeculation);
-    println!("{}", print_hssa(&m, &hf));
+    println!("{}", dump(SpecSource::None));
 
     // profile with p == &b: the alias with `a` never materializes
     let mut profiler = AliasProfiler::new();
@@ -60,8 +66,7 @@ fn main() {
     let aprof = profiler.finish();
 
     println!("=== speculative SSA (profile: p -> b only — Example 1(b)) ===\n");
-    let hf = build_hssa(&m, fid, &aa, SpecMode::Profile(&aprof));
-    println!("{}", print_hssa(&m, &hf));
+    println!("{}", dump(SpecSource::Profile(&aprof)));
     println!("note: the store through p now carries chi_s over b and vv,");
     println!("      but only a weak chi over a — the speculative weak update");
     println!("      the paper's extended SSAPRE may ignore.");

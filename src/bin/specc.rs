@@ -38,7 +38,7 @@
 //!                         evict-at:N[:N...]
 //!   --stats               print optimizer statistics
 //!   --jobs N              worker threads for the per-function pipeline
-//!                         (0 = auto: $SPECFRAME_JOBS, else all cores)
+//!                         (0 = auto: all cores)
 //!   --time-passes         print per-pass wall times to stderr
 //!   --dump-after PASSES   print the textual form of every function after
 //!                         each named stage and exit (comma-separated from:
@@ -217,9 +217,7 @@ const USAGE: &str = "usage: specc INPUT.ir [--entry NAME] [--args N,..] \
                      --taint-secret LOC[,LOC..] (with --sim) marks \
                      `@global` words or bare word addresses secret and \
                      tracks misspeculated flow to those sinks\n\
-                     --jobs 0 (the default) auto-detects: the \
-                     SPECFRAME_JOBS environment variable if set to a \
-                     positive integer, otherwise all available cores";
+                     --jobs 0 (the default) uses all available cores";
 
 fn parse_cli() -> Result<Cli, String> {
     // specc's defaults: profile-guided speculation, auto worker count

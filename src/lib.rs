@@ -116,13 +116,15 @@ pub mod prelude {
     };
     pub use crate::serve::{serve_queue, serve_stdin, ServeConfig};
     pub use specframe_alias::{AliasAnalysis, Loc};
+    pub use specframe_analysis::FuncAnalyses;
     pub use specframe_codegen::{lower_module, lower_module_for};
     pub use specframe_core::{
-        optimize, optimize_with, prepare_module, reduce_module, render_dumps, try_optimize_cached,
-        ControlSpec, OptOptions, OptReport, OptStats, Pass, PassDump, PassSet, PassTimings,
-        PipelineConfig, PipelineHooks, ReduceStats, SpecSource,
+        optimize, prepare_module, reduce_module, render_dumps, try_optimize_cached, ControlSpec,
+        OptOptions, OptReport, OptStats, Pass, PassDump, PassSet, PassTimings, PipelineConfig,
+        PipelineHooks, ReduceStats, SpecSource,
     };
-    pub use specframe_hssa::{build_hssa, print_hssa, SpecMode};
+    pub use specframe_hssa::{build_hssa, print_hssa, Likeliness};
+    pub use specframe_ir::display::func_name_table;
     pub use specframe_ir::{parse_module, verify_module, Module, ModuleBuilder, Ty, Value};
     pub use specframe_machine::{audit_func, audit_program, AuditError, AuditStats};
     pub use specframe_machine::{

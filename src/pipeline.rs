@@ -16,15 +16,15 @@
 //! [`simulate_text`].
 
 use specframe_alias::AliasAnalysis;
+use specframe_analysis::FuncAnalyses;
 use specframe_codegen::lower_module_for;
 use specframe_core::{
     cancel::Watchdog, prepare_module, target_spec_costs, try_optimize_cached, CacheHealth,
     CancelToken, CompileDiag, CompileError, ControlSpec, FuncCache, OptOptions, OptReport,
     PassDump, PassSet, PipelineConfig, PipelineHooks, SpecSource, StoreFaultPolicy,
 };
-use specframe_hssa::{
-    build_hssa, print_hssa, HOperand, HStmtKind, Likeliness, SiteQuery, SpecMode,
-};
+use specframe_hssa::{build_hssa, print_hssa, HOperand, HStmtKind, Likeliness, SiteQuery};
+use specframe_ir::display::func_name_table;
 use specframe_ir::{parse_module, verify_module, FuncId, Module, Ty, Value};
 use specframe_machine::{
     fence_program, leak_audit_program, parse_fault_policy, run_machine_taint_on,
@@ -523,7 +523,7 @@ pub fn compile_module(
     // on the prepared module before the optimizer consumes the flags
     let explain = req
         .explain_spec
-        .then(|| render_explain_spec(&m, data.mode(), req.target));
+        .then(|| render_explain_spec(&m, data, req.target));
 
     // per-request deadline: a cooperative token on the hooks, plus a
     // watchdog thread that trips it the moment the clock runs out (joined
@@ -583,12 +583,14 @@ pub fn render_hssa(m: &Module, req: &CompileRequest) -> Result<String, CompileFa
         SpecKind::Profile => Some(training_run(m, req)?.0),
         _ => None,
     };
-    let mode = req.spec.source(aprof.as_ref()).mode();
+    let oracle = Likeliness::new(req.spec.source(aprof.as_ref()));
     let aa = AliasAnalysis::analyze(m);
+    let names = func_name_table(m);
     let mut out = String::new();
-    for fi in 0..m.funcs.len() {
-        let hf = build_hssa(m, FuncId::from_index(fi), &aa, mode);
-        out.push_str(&print_hssa(m, &hf));
+    for (fi, f) in m.funcs.iter().enumerate() {
+        let fa = FuncAnalyses::compute(f);
+        let hf = build_hssa(&m.globals, f, FuncId::from_index(fi), &aa, &oracle, &fa);
+        out.push_str(&print_hssa(&m.globals, &names, f, &hf));
         out.push('\n');
     }
     Ok(out)
@@ -598,10 +600,10 @@ pub fn render_hssa(m: &Module, req: &CompileRequest) -> Result<String, CompileFa
 /// every function, the likeliness oracle's verdict evidence and how many
 /// of the site's χs/μs were flagged likely. Functions in module order,
 /// sites in block/statement order, so the output is deterministic.
-pub fn render_explain_spec(m: &Module, mode: SpecMode<'_>, target: TargetId) -> String {
+pub fn render_explain_spec(m: &Module, source: SpecSource<'_>, target: TargetId) -> String {
     let aa = AliasAnalysis::analyze(m);
     let costs = target_spec_costs(target);
-    let oracle = Likeliness::with_costs(mode, costs);
+    let oracle = Likeliness::with_costs(source, costs);
     let mut s = format!(
         "=== speculation decisions (source: {}, target: {}) ===\n",
         oracle.source_name(),
@@ -628,7 +630,7 @@ pub fn render_explain_spec(m: &Module, mode: SpecMode<'_>, target: TargetId) -> 
         let fid = FuncId::from_index(fi);
         let f = m.func(fid);
         let ev = oracle.scan(f);
-        let hf = build_hssa(m, fid, &aa, mode);
+        let hf = build_hssa(&m.globals, f, fid, &aa, &oracle, &FuncAnalyses::compute(f));
         s.push_str(&format!("func {}:\n", f.name));
         let mut any = false;
         for (bi, blk) in hf.blocks.iter().enumerate() {

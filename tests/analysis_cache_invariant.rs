@@ -8,7 +8,7 @@
 //! calling thread before its worker fan-out, so dominator builds of tests
 //! running on other threads never reach the delta.
 //! `PassTimings::dom_computes` is that delta, measured inside
-//! `optimize_with` itself.
+//! `try_optimize_cached` itself.
 
 use specframe::prelude::*;
 
@@ -25,7 +25,9 @@ fn dominators_computed_once_per_function() {
             target: Default::default(),
         };
         let mut m = w.module.clone();
-        let report = optimize_with(&mut m, &opts, &PipelineConfig { jobs: 1 });
+        let cfg = PipelineConfig { jobs: 1 };
+        let (report, _) = try_optimize_cached(&mut m, &opts, &cfg, &PipelineHooks::default(), None)
+            .expect("optimize");
         assert_eq!(
             report.timings.dom_computes, nf,
             "{}: expected exactly one DomTree::compute per function ({nf}), got {}",

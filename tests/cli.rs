@@ -225,36 +225,11 @@ fn jobs_and_time_passes() {
 }
 
 #[test]
-fn jobs_env_override_accepted() {
-    let input = write_kernel();
-    let out = specc()
-        .args([
-            input.as_str(),
-            "--args",
-            "0,10",
-            "--spec",
-            "none",
-            "--control",
-            "off",
-        ])
-        .env("SPECFRAME_JOBS", "3")
-        .output()
-        .expect("spawn specc");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("func kern"));
-}
-
-#[test]
-fn help_documents_jobs_env() {
+fn help_documents_jobs() {
     let out = specc().arg("--help").output().expect("spawn specc");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--jobs"), "{err}");
     assert!(err.contains("--time-passes"), "{err}");
-    assert!(err.contains("SPECFRAME_JOBS"), "{err}");
 }
 
 #[test]

@@ -28,19 +28,23 @@ fn opts() -> OptOptions<'static> {
     }
 }
 
+fn optimize_at(m: &mut Module, jobs: usize, hooks: &PipelineHooks) -> (OptReport, Vec<PassDump>) {
+    try_optimize_cached(m, &opts(), &PipelineConfig { jobs }, hooks, None).expect("optimize")
+}
+
 #[test]
 fn mega_module_is_bit_identical_across_job_counts() {
     let mut base = mega_module(SEED, FUNCS);
     prepare_module(&mut base);
 
     let mut serial = base.clone();
-    let r1 = optimize_with(&mut serial, &opts(), &PipelineConfig { jobs: 1 });
+    let (r1, _) = optimize_at(&mut serial, 1, &PipelineHooks::default());
     let s1 = print_module(&serial);
     verify_module(&serial).expect("optimized mega-module must verify");
 
     for jobs in [2, 4] {
         let mut parallel = base.clone();
-        let rj = optimize_with(&mut parallel, &opts(), &PipelineConfig { jobs });
+        let (rj, _) = optimize_at(&mut parallel, jobs, &PipelineHooks::default());
         assert_eq!(
             r1.stats, rj.stats,
             "OptStats diverge between jobs=1 and jobs={jobs}"
@@ -63,14 +67,7 @@ fn mega_module_dumps_are_bit_identical_across_job_counts() {
     prepare_module(&mut base);
 
     let mut serial = base.clone();
-    let (_, d1) = try_optimize_cached(
-        &mut serial,
-        &opts(),
-        &PipelineConfig { jobs: 1 },
-        &hooks,
-        None,
-    )
-    .unwrap();
+    let (_, d1) = optimize_at(&mut serial, 1, &hooks);
     let r1 = render_dumps(&d1);
     assert!(
         r1.contains("dump-after ssapre"),
@@ -79,14 +76,7 @@ fn mega_module_dumps_are_bit_identical_across_job_counts() {
 
     for jobs in [2, 4] {
         let mut parallel = base.clone();
-        let (_, dj) = try_optimize_cached(
-            &mut parallel,
-            &opts(),
-            &PipelineConfig { jobs },
-            &hooks,
-            None,
-        )
-        .unwrap();
+        let (_, dj) = optimize_at(&mut parallel, jobs, &hooks);
         assert_eq!(
             r1,
             render_dumps(&dj),

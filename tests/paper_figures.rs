@@ -296,8 +296,11 @@ go:
     run_with(&m, "main", &[Value::I(0)], 100_000, &mut ap).unwrap();
     let aprof = ap.finish();
     let fid = m.func_by_name("ex1").unwrap();
-    let hf = build_hssa(&m, fid, &aa, SpecMode::Profile(&aprof));
-    let dump = print_hssa(&m, &hf);
+    let f = m.func(fid);
+    let fa = FuncAnalyses::compute(f);
+    let oracle = Likeliness::new(SpecSource::Profile(&aprof));
+    let hf = build_hssa(&m.globals, f, fid, &aa, &oracle, &fa);
+    let dump = print_hssa(&m.globals, &func_name_table(&m), f, &hf);
     // the *p store: chi_s over b (observed), weak chi over a (not observed)
     assert!(dump.contains("b2 <- chi_s(b1)"), "{dump}");
     assert!(dump.contains("a2 <- chi(a1)"), "{dump}");

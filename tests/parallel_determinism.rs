@@ -1,6 +1,6 @@
 //! Regression test for the parallel driver's determinism contract.
 //!
-//! `optimize_with` fans the per-function pipeline out over worker threads;
+//! `try_optimize_cached` fans the per-function pipeline out over worker threads;
 //! the contract (see `DESIGN.md`) is that the result is *bit-identical* for
 //! every job count, because the module is only touched at the deterministic
 //! fan-out/join points and fresh memory sites are renumbered serially at
@@ -46,8 +46,15 @@ fn serial_and_parallel_runs_are_bit_identical() {
         for (cname, opts) in configs() {
             let mut serial = w.module.clone();
             let mut parallel = w.module.clone();
-            let r1 = optimize_with(&mut serial, &opts, &PipelineConfig { jobs: 1 });
-            let r8 = optimize_with(&mut parallel, &opts, &PipelineConfig { jobs: 8 });
+            let hooks = PipelineHooks::default();
+            let optimize_at = |m: &mut Module, jobs| {
+                let cfg = PipelineConfig { jobs };
+                try_optimize_cached(m, &opts, &cfg, &hooks, None)
+                    .expect("optimize")
+                    .0
+            };
+            let r1 = optimize_at(&mut serial, 1);
+            let r8 = optimize_at(&mut parallel, 8);
 
             assert_eq!(
                 r1.stats, r8.stats,

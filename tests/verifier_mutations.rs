@@ -12,7 +12,7 @@
 //! 4. a check whose address was swapped away from its advanced load's
 //!    (auditor pairing rule).
 
-use specframe::hssa::{build_hssa, verify_hssa_detailed, SpecMode};
+use specframe::hssa::verify_hssa;
 use specframe::ir::{BlockId, Inst, Operand, Terminator};
 use specframe::prelude::*;
 
@@ -126,8 +126,10 @@ fn stale_chi_version_is_caught_by_the_hssa_checker() {
     let m = healthy();
     let aa = AliasAnalysis::analyze(&m);
     let kern = m.func_by_name("kern").unwrap();
-    let mut hf = build_hssa(&m, kern, &aa, SpecMode::Heuristic);
-    verify_hssa_detailed(&hf).expect("healthy HSSA must verify");
+    let f = m.func(kern);
+    let oracle = Likeliness::new(SpecSource::Heuristic);
+    let mut hf = build_hssa(&m.globals, f, kern, &aa, &oracle, &FuncAnalyses::compute(f));
+    verify_hssa(&hf).expect("healthy HSSA must verify");
     let b = hf
         .blocks
         .iter()
@@ -139,7 +141,7 @@ fn stale_chi_version_is_caught_by_the_hssa_checker() {
         .find(|s| !s.chi.is_empty())
         .unwrap();
     st.chi[0].old_ver = 1_000_000; // far past any issued version
-    let e = verify_hssa_detailed(&hf).expect_err("stale chi version must be rejected");
+    let e = verify_hssa(&hf).expect_err("stale chi version must be rejected");
     assert!(e.msg.contains("stale version"), "{e:?}");
     assert_eq!(
         e.block,
