@@ -127,9 +127,9 @@ impl PipelineConfig {
     }
 }
 
-/// Everything one [`try_optimize_cached`] call reports: transformation counters
-/// plus per-pass wall times, plus the diagnostics of any per-function
-/// degradation the driver performed.
+/// Everything one [`try_optimize_cached`] call reports: transformation
+/// counters plus per-pass wall times, plus the diagnostics of any
+/// per-function degradation the driver performed.
 #[derive(Debug, Default, Clone)]
 pub struct OptReport {
     /// Deterministic transformation counters (identical for any job count).

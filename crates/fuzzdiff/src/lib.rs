@@ -812,10 +812,10 @@ impl StoredEntries {
 }
 
 /// The key-soundness and over-invalidation oracle. For each single-step
-/// edit in its `KeyMutation` table it compiles the case's module and the one-step mutant
-/// through separate caches — once with default hooks, once with
-/// `--dump-after` every pass plus `--audit-spec` — and, for every function
-/// both modules have:
+/// edit in its `KeyMutation` table it compiles the case's module and the
+/// one-step mutant through separate caches — once with default hooks, once
+/// with `--dump-after` every pass plus `--audit-spec` — and, for every
+/// function both modules have:
 ///
 /// * asserts **key equal ⇒ stored entries equal** (an equal key with a
 ///   different entry is exactly a stale hit a warm compile would replay);

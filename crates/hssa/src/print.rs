@@ -237,7 +237,7 @@ mod tests {
     use specframe_ir::display::func_name_table;
     use specframe_ir::{parse_module, Module};
 
-    fn dump(m: &Module, hf: &crate::HssaFunc) -> String {
+    fn render(m: &Module, hf: &crate::HssaFunc) -> String {
         super::print_hssa(&m.globals, &func_name_table(m), m.func(hf.func), hf)
     }
 
@@ -278,7 +278,7 @@ go:
         let aa = AliasAnalysis::analyze(&m);
         let fid = m.func_by_name("ex1").unwrap();
         let hf = build_in_module(&m, fid, &aa, SpecSource::None);
-        let dump = dump(&m, &hf);
+        let dump = render(&m, &hf);
         assert!(dump.contains("chi_s"), "{dump}");
         assert!(dump.contains("mu_s"), "{dump}");
         assert!(dump.contains("store.i64"), "{dump}");
@@ -309,7 +309,7 @@ entry:
         let fid = m.func_by_name("f").unwrap();
         // heuristic mode: chi over b is weak (printed as plain chi)
         let hf = build_in_module(&m, fid, &aa, SpecSource::Heuristic);
-        let dump = dump(&m, &hf);
+        let dump = render(&m, &hf);
         assert!(
             dump.contains("chi(b0)") || dump.contains("chi(vv"),
             "{dump}"

@@ -22,9 +22,7 @@ use specframe_ir::{FuncId, Function, Global, Inst, MemSiteId, Operand, VarId};
 /// Analyzes `hf` (an already-built SSA form of `f`) and rewrites `f`,
 /// folding every indirect load/store whose base register provably holds a
 /// single static address into a direct reference. Returns the number of
-/// references folded. The rewrite never touches any other part of the
-/// module, so the parallel driver can run it with each worker owning
-/// exactly one `&mut Function`.
+/// references folded.
 fn fold_known_addresses(f: &mut Function, hf: &HssaFunc) -> usize {
     // copy chains: (reg, version) -> source operand
     let mut copy_src: FxHashMap<(VarId, u32), HOperand> = FxHashMap::default();
@@ -101,8 +99,13 @@ fn fold_known_addresses(f: &mut Function, hf: &HssaFunc) -> usize {
 /// Flow-sensitive refinement of `f` (function `fid` of a module with
 /// `globals`): builds a throwaway non-speculative HSSA over the analysis
 /// cache `fa`, folds known addresses into direct references, and reports
-/// the count. Folding only rewrites instruction operands — the CFG is
-/// untouched, so `fa` stays valid afterwards.
+/// the count. Folding only rewrites instruction operands of `f` — the CFG
+/// is untouched, so `fa` stays valid afterwards, and no other part of the
+/// module is, so each parallel worker can refine the function it owns.
+///
+/// Run this before the final HSSA construction: the caller rebuilds the
+/// SSA form afterwards (the paper's "update the SSA form if the lists have
+/// any change").
 pub fn refine_function(
     globals: &[Global],
     f: &mut Function,

@@ -56,8 +56,9 @@ const OVERRIDE_NAMES: [&str; 5] = [
 /// a directive (`RUN:`, `CHECK:`, `CHECK-NEXT:`, `CHECK-NOT:`,
 /// `CHECK-DAG:`, `UNSUPPORTED:` after the `;`) or a free-form comment.
 /// An `UNSUPPORTED:` line names harness-wide overrides (whitespace
-/// separated, from `OVERRIDE_NAMES`) the case must be skipped under. Everything else is
-/// the IR program handed to the compiler (so `#` comments stay IR-side).
+/// separated, from `OVERRIDE_NAMES`) the case must be skipped under.
+/// Everything else is the IR program handed to the compiler (so `#`
+/// comments stay IR-side).
 /// A `;` comment that *mentions* `CHECK` or `RUN:` but parses as neither
 /// is rejected — it is almost certainly a typo that would silently turn a
 /// directive into a comment.
