@@ -13,7 +13,7 @@ use specframe_ir::{BlockId, FuncId, Function, Module, Terminator};
 use std::collections::HashMap;
 
 /// Execution counts for CFG edges and function entries.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeProfile {
     edges: HashMap<(FuncId, BlockId, BlockId), u64>,
     entries: HashMap<FuncId, u64>,

@@ -26,7 +26,7 @@ use specframe_codegen::lower_module;
 use specframe_core::{optimize, ControlSpec, OptOptions, OptStats, SpecSource};
 
 use specframe_machine::{run_machine, Counters};
-use specframe_profile::{run, run_with, train, ReuseReport, ReuseSimulator, Training};
+use specframe_profile::{run, run_with, train, Collect, ReuseReport, ReuseSimulator};
 use specframe_workloads::{all_workloads, Scale, Workload};
 
 /// Results of one configuration's machine run.
@@ -141,12 +141,9 @@ pub fn run_benchmark(w: &Workload) -> BenchResult {
         .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", w.name));
 
     // profiling on the training input
-    let Training {
-        alias: aprof,
-        edges: eprof,
-        ..
-    } = train(&prepared, w.entry, &w.train_args, w.fuel)
+    let t = train(&prepared, w.entry, &w.train_args, w.fuel, Collect::ALL)
         .unwrap_or_else(|e| panic!("{}: training run failed: {e}", w.name));
+    let (aprof, eprof) = (t.alias.expect("collected"), t.edges.expect("collected"));
 
     // load-reuse simulation on the reference input (§5.3)
     let mut reuse_sim = ReuseSimulator::new(&prepared);
@@ -250,11 +247,8 @@ pub fn run_ablation(w: &Workload) -> AblationResult {
     specframe_core::prepare_module(&mut prepared);
     let (expect, _) = run(&prepared, w.entry, &w.ref_args, w.fuel).unwrap();
 
-    let Training {
-        alias: aprof,
-        edges: eprof,
-        ..
-    } = train(&prepared, w.entry, &w.train_args, w.fuel).unwrap();
+    let t = train(&prepared, w.entry, &w.train_args, w.fuel, Collect::ALL).unwrap();
+    let (aprof, eprof) = (t.alias.expect("collected"), t.edges.expect("collected"));
 
     let go = |data: SpecSource, control: ControlSpec| -> Counters {
         let mut m = prepared.clone();

@@ -1152,7 +1152,7 @@ fn audit_lowered(
 mod tests {
     use super::*;
     use specframe_ir::{parse_module, Value};
-    use specframe_profile::{run, run_with, AliasProfiler};
+    use specframe_profile::{run, run_with, AliasProfiler, Collect};
 
     /// End-to-end semantic preservation: every configuration must compute
     /// what the unoptimized interpreter computes.
@@ -1163,8 +1163,8 @@ mod tests {
         // collect profiles on the prepared module
         let mut prepared = m0.clone();
         prepare_module(&mut prepared);
-        let t = specframe_profile::train(&prepared, entry, args, 10_000_000).unwrap();
-        let (aprof, eprof) = (t.alias, t.edges);
+        let t = specframe_profile::train(&prepared, entry, args, 10_000_000, Collect::ALL).unwrap();
+        let (aprof, eprof) = (t.alias.unwrap(), t.edges.unwrap());
 
         let configs: Vec<(&str, OptOptions)> = vec![
             ("baseline", OptOptions::default()),

@@ -303,8 +303,8 @@ pub fn diff_case(
     }
 
     // training profile
-    let (aprof, eprof) = match train(m, &case.entry, &case.train_args, case.fuel) {
-        Ok(t) => (t.alias, t.edges),
+    let (aprof, eprof) = match train(m, &case.entry, &case.train_args, case.fuel, Collect::ALL) {
+        Ok(t) => (t.alias.expect("collected"), t.edges.expect("collected")),
         Err(e) => return DiffOutcome::Setup(format!("{}: training run failed: {e}", case.name)),
     };
 

@@ -14,7 +14,8 @@
 //!   site, the set of abstract memory locations (LOCs) it touched; per call
 //!   site, the modified/referenced LOC sets.
 //! * [`edgeprof`] — edge profiling for control speculation.
-//! * [`train`] — the training run: both profiles from one interpreter pass.
+//! * [`train`] — the training run: the profiles a compile reads, from one
+//!   interpreter pass.
 //! * [`reuse`] — the simulation-based potential-load-reduction estimator
 //!   used by Figure 12 (after Bodík et al.'s load-reuse analysis).
 
@@ -36,6 +37,23 @@ pub use serialize::{parse_alias_profile, write_alias_profile, ProfileParseError,
 use specframe_analysis::EdgeProfile;
 use specframe_ir::{BlockId, CallSiteId, FuncId, Module, Value};
 
+/// Which profiles a training run collects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Collect {
+    /// The alias profile (§3.2.1).
+    pub alias: bool,
+    /// The edge profile, for control speculation.
+    pub edges: bool,
+}
+
+impl Collect {
+    /// Both profiles.
+    pub const ALL: Collect = Collect {
+        alias: true,
+        edges: true,
+    };
+}
+
 /// What a training run produces.
 #[derive(Debug)]
 pub struct Training {
@@ -43,15 +61,19 @@ pub struct Training {
     pub result: Option<Value>,
     /// The run's counters.
     pub stats: RunStats,
-    /// The alias profile (§3.2.1).
-    pub alias: AliasProfile,
-    /// The edge profile, for control speculation.
-    pub edges: EdgeProfile,
+    /// The alias profile (§3.2.1), when collected.
+    pub alias: Option<AliasProfile>,
+    /// The edge profile, when collected.
+    pub edges: Option<EdgeProfile>,
 }
 
 /// The training run of a profile-guided compile: runs `func_name` on
-/// `args` once and collects the alias and the edge profile in the same
-/// pass, with both profilers called statically.
+/// `args` once and collects the profiles `collect` names in the same pass,
+/// with each profiler called statically. A profiler left out costs nothing
+/// per event.
+///
+/// Observers only watch: the result and the counters equal what [`run`]
+/// returns on the same module, arguments and fuel, whatever is collected.
 ///
 /// # Errors
 /// See [`InterpError`].
@@ -60,19 +82,44 @@ pub fn train(
     func_name: &str,
     args: &[Value],
     fuel: u64,
+    collect: Collect,
 ) -> Result<Training, InterpError> {
-    let mut obs = Profilers::default();
+    match (collect.alias, collect.edges) {
+        (true, true) => observed(m, func_name, args, fuel, Profilers::default(), |p| {
+            (Some(p.alias.finish()), Some(p.edges.finish()))
+        }),
+        (true, false) => observed(m, func_name, args, fuel, AliasProfiler::new(), |p| {
+            (Some(p.finish()), None)
+        }),
+        (false, true) => observed(m, func_name, args, fuel, EdgeProfiler::new(), |p| {
+            (None, Some(p.finish()))
+        }),
+        (false, false) => observed(m, func_name, args, fuel, NullObserver, |_| (None, None)),
+    }
+}
+
+/// Runs `func_name` on `args` under `obs` and turns the observer into the
+/// profiles.
+fn observed<O: Observer>(
+    m: &Module,
+    func_name: &str,
+    args: &[Value],
+    fuel: u64,
+    mut obs: O,
+    finish: impl FnOnce(O) -> (Option<AliasProfile>, Option<EdgeProfile>),
+) -> Result<Training, InterpError> {
     let (result, stats) = run_with(m, func_name, args, fuel, &mut obs)?;
+    let (alias, edges) = finish(obs);
     Ok(Training {
         result,
         stats,
-        alias: obs.alias.finish(),
-        edges: obs.edges.finish(),
+        alias,
+        edges,
     })
 }
 
-/// The training run's observer: each event goes to the profiler that
-/// counts it.
+/// The observer of a training run that collects both profiles: each event
+/// goes to the profiler that counts it.
 #[derive(Default)]
 struct Profilers {
     alias: AliasProfiler,

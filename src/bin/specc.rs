@@ -24,7 +24,8 @@
 //!                         run; an unusable profile degrades the compile to
 //!                         the heuristic rules with a warning
 //!   --save-alias-profile FILE
-//!                         serialize the alias profile this compile used
+//!                         serialize the alias profile this compile's data
+//!                         speculation read (needs --spec profile)
 //!   --emit WHAT           ir (optimized IR, default) | hssa (speculative
 //!                         SSA dump of every function before optimization)
 //!                         | mach (rendered machine code of the optimized
@@ -154,7 +155,7 @@
 //!       --fault-policy always-miss --fault-policy random:7
 //! ```
 
-use specframe::pipeline::{choose, render_hssa, witness_leaks_text};
+use specframe::pipeline::{choose, reference_run_failed, render_hssa, witness_leaks_text};
 use specframe::prelude::*;
 use std::process::ExitCode;
 
@@ -389,27 +390,25 @@ fn real_main() -> Result<(), CompileFailure> {
     // optimized module's instruction count would move with the optimizer).
     let input_shape = (m.funcs.len(), specframe::workloads::inst_count(&m));
 
-    // The mega-module is a compiler-throughput workload: it has no entry
-    // point to interpret, so skip the reference run (`--run`/`--sim` are
-    // rejected at parse time).
-    let expect = if cli.mega.is_some() {
-        None
-    } else {
-        if m.func_by_name(&req.entry).is_none() {
-            return Err(usage(format!(
-                "no function `{}` in {}",
-                req.entry, cli.input
-            )));
-        }
-        let (expect, _) = run(&m, &req.entry, &req.args, req.fuel).map_err(|e| {
-            CompileFailure::internal("reference-run", format!("reference run failed: {e}"))
-        })?;
-        expect
-    };
-
+    if cli.mega.is_none() && m.func_by_name(&req.entry).is_none() {
+        return Err(usage(format!(
+            "no function `{}` in {}",
+            req.entry, cli.input
+        )));
+    }
+    // the dump reads no run's result
     if cli.emit == Emit::Hssa {
         return emit(&cli, &render_hssa(&m, req)?).map_err(usage);
     }
+    // The reference run on --args. The mega-module is a compiler-throughput
+    // workload with no entry point to interpret (`--run`/`--sim` are
+    // rejected at parse time), and a compile that trains on --args runs the
+    // reference run itself (`CompileOutput::reference`).
+    let reference = if cli.mega.is_some() || req.trains_on_own_args() {
+        None
+    } else {
+        Some(run(&m, &req.entry, &req.args, req.fuel).map_err(|e| reference_run_failed(&e))?)
+    };
 
     // keep the input around so a failure can be shrunk to a minimal repro
     // (and so an --audit-leaks rejection can be adversarially witnessed)
@@ -418,7 +417,8 @@ fn real_main() -> Result<(), CompileFailure> {
         ((req.hooks.audit_leaks || req.hooks.fence_leaks) && cli.mega.is_none()).then(|| m.clone());
     let out = match compile_module(m, req) {
         Ok(out) => out,
-        Err(e @ CompileFailure::Compile(_)) if cli.reduce => {
+        // an input whose reference run fails has no failing compile to shrink
+        Err(e @ CompileFailure::Compile(_)) if cli.reduce && !e.is_reference_run() => {
             let input = input_for_reduce.as_ref().expect("--reduce keeps the input");
             return reduce_and_report(&cli, input, &e, false);
         }
@@ -444,6 +444,7 @@ fn real_main() -> Result<(), CompileFailure> {
     if let Some(table) = &out.explain {
         print!("{table}");
     }
+    let expect = reference.or(out.reference).and_then(|(v, _)| v);
     let m = out.module;
     let report = &out.report;
     // every fenced site is also witnessed against the *unfenced* lowering

@@ -132,7 +132,7 @@ pub mod prelude {
         Counters, SpecTarget, TargetId,
     };
     pub use specframe_profile::{
-        run, run_with, train, AliasProfiler, EdgeProfiler, ReuseSimulator, Training,
+        run, run_with, train, AliasProfiler, Collect, EdgeProfiler, ReuseSimulator, Training,
     };
     pub use specframe_workloads::{
         all_workloads, inst_count, mega_module, mega_source, workload_by_name, Scale, Workload,

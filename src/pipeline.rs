@@ -30,7 +30,7 @@ use specframe_machine::{
     fence_program, leak_audit_program, parse_fault_policy, run_machine_taint_on,
     run_machine_with_policy_on, witness_leaks_on, Counters, LeakEvent, TargetId,
 };
-use specframe_profile::{parse_alias_profile, train, AliasProfile};
+use specframe_profile::{parse_alias_profile, train, AliasProfile, Collect, InterpError, Training};
 
 /// Where data-speculation likeliness comes from (`--spec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,6 +178,21 @@ impl CompileRequest {
     /// The arguments a training run uses.
     fn training_args(&self) -> &[Value] {
         self.train_args.as_deref().unwrap_or(&self.args)
+    }
+
+    /// Whether the compile runs a training run on its own arguments: it
+    /// trains (`--spec profile` without `--alias-profile`, or `--control
+    /// profile`), and the training arguments are `args`, bit for bit.
+    /// Observers only watch a run, so that run is also the reference run
+    /// on `args`: [`compile_module`] then returns its result as
+    /// [`CompileOutput::reference`], and `specc` runs no reference run of
+    /// its own.
+    pub fn trains_on_own_args(&self) -> bool {
+        let trains = (self.spec == SpecKind::Profile && self.alias_profile.is_none())
+            || self.control == ControlKind::Profile;
+        // bitwise, so `-0.0` is not `0.0`
+        let (train, args) = (self.training_args(), self.args.as_slice());
+        trains && train.len() == args.len() && train.iter().zip(args).all(|(a, b)| a.bits_eq(*b))
     }
 
     /// Degrades the profile-guided modes to their self-contained
@@ -393,6 +408,12 @@ impl CompileFailure {
         }
     }
 
+    /// Whether this is a failed reference run ([`reference_run_failed`]):
+    /// the input itself does not run on the request's arguments.
+    pub fn is_reference_run(&self) -> bool {
+        matches!(self, CompileFailure::Compile(e) if e.pass == REFERENCE_RUN)
+    }
+
     /// Wraps a pipeline-level error that is not tied to one function.
     pub fn internal(pass: &str, message: String) -> Self {
         CompileFailure::Compile(CompileError {
@@ -437,8 +458,13 @@ pub struct CompileOutput {
     pub dumps: Vec<PassDump>,
     /// The alias profile the compile used, when one was collected by a
     /// training run or supplied via [`CompileRequest::alias_profile`] —
-    /// what `specc --save-alias-profile` serializes.
+    /// what `specc --save-alias-profile` serializes. `None` when the
+    /// compile's data speculation read no profile.
     pub alias_profile: Option<AliasProfile>,
+    /// The reference run on the request's arguments, as
+    /// [`specframe_profile::run`] returns it, when the compile's training
+    /// run was that run ([`CompileRequest::trains_on_own_args`]).
+    pub reference: Option<(Option<Value>, specframe_profile::RunStats)>,
     /// The `--explain-spec` decision table, when requested: one line per
     /// χ/μ-carrying site with the oracle's source, evidence and the
     /// flagged counts.
@@ -452,22 +478,37 @@ pub fn compile(src: &str, req: &CompileRequest) -> Result<CompileOutput, Compile
     compile_module(m, req)
 }
 
+/// The pass a failed reference run reports.
+const REFERENCE_RUN: &str = "reference-run";
+
+/// The failure of a reference run on the request's arguments, or of the
+/// training run standing in for it: pass `reference-run`, exit code 3.
+pub fn reference_run_failed(e: &InterpError) -> CompileFailure {
+    CompileFailure::internal(REFERENCE_RUN, format!("reference run failed: {e}"))
+}
+
 /// The training run of a profile-guided compile: the request's entry on
-/// its training arguments, collecting the alias and the edge profile at
-/// once.
+/// its training arguments, collecting the profiles `collect` names. When it
+/// runs on the request's own arguments it is the reference run as well, and
+/// fails as one.
 fn training_run(
     m: &Module,
     req: &CompileRequest,
-) -> Result<(AliasProfile, specframe_analysis::EdgeProfile), CompileFailure> {
+    collect: Collect,
+) -> Result<Training, CompileFailure> {
     if m.func_by_name(&req.entry).is_none() {
         return Err(CompileFailure::Usage(format!(
             "profile-guided compile needs entry function `{}`",
             req.entry
         )));
     }
-    let t = train(m, &req.entry, req.training_args(), req.fuel)
-        .map_err(|e| CompileFailure::internal("profile", format!("profiling run failed: {e}")))?;
-    Ok((t.alias, t.edges))
+    train(m, &req.entry, req.training_args(), req.fuel, collect).map_err(|e| {
+        if req.trains_on_own_args() {
+            reference_run_failed(&e)
+        } else {
+            CompileFailure::internal("profile", format!("profiling run failed: {e}"))
+        }
+    })
 }
 
 /// Runs the speculative pipeline over an already-verified module:
@@ -505,12 +546,18 @@ pub fn compile_module(
         }
     }
 
-    // profiling run, when a profile-guided mode still needs one
-    let mut eprof = None;
-    if (spec == SpecKind::Profile && aprof.is_none()) || req.control == ControlKind::Profile {
-        let (ap, ep) = training_run(&m, req)?;
-        aprof = aprof.or(Some(ap));
-        eprof = Some(ep);
+    // profiling run, when a profile-guided mode still needs one; it
+    // collects only the profiles this compile reads
+    let collect = Collect {
+        alias: spec == SpecKind::Profile && aprof.is_none(),
+        edges: req.control == ControlKind::Profile,
+    };
+    let (mut eprof, mut reference) = (None, None);
+    if collect.alias || collect.edges {
+        let t = training_run(&m, req, collect)?;
+        aprof = aprof.or(t.alias);
+        eprof = t.edges;
+        reference = req.trains_on_own_args().then_some((t.result, t.stats));
     }
     let data = spec.source(aprof.as_ref());
     let control = match req.control {
@@ -570,6 +617,7 @@ pub fn compile_module(
         report,
         dumps,
         alias_profile: aprof,
+        reference,
         explain,
     })
 }
@@ -580,7 +628,13 @@ pub fn compile_module(
 /// profile with a training run).
 pub fn render_hssa(m: &Module, req: &CompileRequest) -> Result<String, CompileFailure> {
     let aprof = match req.spec {
-        SpecKind::Profile => Some(training_run(m, req)?.0),
+        SpecKind::Profile => {
+            let collect = Collect {
+                alias: true,
+                edges: false,
+            };
+            training_run(m, req, collect)?.alias
+        }
         _ => None,
     };
     let oracle = Likeliness::new(req.spec.source(aprof.as_ref()));
@@ -695,7 +749,9 @@ pub fn render_explain_spec(m: &Module, source: SpecSource<'_>, target: TargetId)
 /// names the `run`/`sim` pass), set `run_check`: candidates then must
 /// compile cleanly and *diverge* from the reference interpreter on the
 /// request's entry and arguments, the divergence being the preserved
-/// failure.
+/// failure. A candidate compile that trained on those arguments already
+/// ran the reference interpreter ([`CompileOutput::reference`]); the
+/// others get a reference run of their own.
 pub fn reduce_failure(
     m: &Module,
     req: &CompileRequest,
@@ -726,10 +782,13 @@ pub fn reduce_failure(
                 if !(run_check && is_miscompile) {
                     return false;
                 }
-                let mut reference = cand.clone();
-                prepare_module(&mut reference);
                 let run = |m: &Module| specframe_profile::run(m, &req.entry, &req.args, req.fuel);
-                match (run(&reference), run(&out.module)) {
+                let reference = out.reference.map(Ok).unwrap_or_else(|| {
+                    let mut reference = cand.clone();
+                    prepare_module(&mut reference);
+                    run(&reference)
+                });
+                match (reference, run(&out.module)) {
                     (Ok((want, _)), Ok((got, _))) => want != got,
                     _ => false,
                 }
@@ -921,6 +980,55 @@ merge:
         };
         let out = compile(DIAMOND, &req).unwrap();
         assert!(out.report.stats.reloads >= 1);
+    }
+
+    #[test]
+    fn a_compile_that_trains_on_its_args_returns_the_reference_run() {
+        let args = vec![Value::I(3), Value::I(4), Value::I(1)];
+        let o3 = CompileRequest {
+            entry: "f".into(),
+            args: args.clone(),
+            fuel: 1_000_000,
+            spec: SpecKind::None,
+            control: ControlKind::Profile,
+            ..Default::default()
+        };
+        let mut m = parse_module(DIAMOND).unwrap();
+        prepare_module(&mut m);
+        let want = specframe_profile::run(&m, "f", &args, 1_000_000).unwrap();
+        // O3 trains edges only, on --args: that run is the reference run,
+        // and no alias profile was collected
+        assert!(o3.trains_on_own_args());
+        let out = compile(DIAMOND, &o3).unwrap();
+        assert_eq!(out.reference, Some(want));
+        assert!(out.alias_profile.is_none());
+        let paper = CompileRequest {
+            spec: SpecKind::Profile,
+            ..o3.clone()
+        };
+        assert_eq!(compile(DIAMOND, &paper).unwrap().reference, Some(want));
+        // training on other arguments, or not at all: no reference
+        for req in [
+            CompileRequest {
+                train_args: Some(vec![Value::I(3), Value::I(4), Value::I(0)]),
+                ..o3.clone()
+            },
+            CompileRequest {
+                control: ControlKind::Static,
+                ..o3.clone()
+            },
+        ] {
+            assert!(!req.trains_on_own_args());
+            assert_eq!(compile(DIAMOND, &req).unwrap().reference, None);
+        }
+        // the arguments compare bit for bit: -0.0 is not 0.0
+        let floats = |train: f64| CompileRequest {
+            args: vec![Value::F(0.0)],
+            train_args: Some(vec![Value::F(train)]),
+            ..o3.clone()
+        };
+        assert!(floats(0.0).trains_on_own_args());
+        assert!(!floats(-0.0).trains_on_own_args());
     }
 
     #[test]

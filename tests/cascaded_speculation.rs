@@ -86,8 +86,8 @@ fn build() -> Built {
     // train: sel = 0 takes ub (w = @buf2, never read while the pointer
     // targets buf1); flip = 0 keeps the pointer stable
     let train = [Value::I(0), Value::I(20), Value::I(0)];
-    let t = specframe::profile::train(&m, "main", &train, 1_000_000).unwrap();
-    let (aprof, eprof) = (t.alias, t.edges);
+    let t = specframe::profile::train(&m, "main", &train, 1_000_000, Collect::ALL).unwrap();
+    let (aprof, eprof) = (t.alias.unwrap(), t.edges.unwrap());
     let mut spec = m.clone();
     optimize(
         &mut spec,

@@ -13,6 +13,11 @@
 //!   (`--spec none`) and paper (`--spec profile`) compiles, on both
 //!   targets, under four ALAT fault policies.
 //!
+//! A second test pins the premise `specc` rests on when it uses a training
+//! run as its reference run: whatever a training run collects, its result
+//! and `RunStats` are the reference interpreter's, and each profile is the
+//! one a full training run collects.
+//!
 //! The optimizer digest (`tests/optimizer_output_digest.rs`) sees a profile
 //! only through the code the optimizer emits from it, so a profile change
 //! the optimizer happens to ignore passes it; it cannot pass this table. A
@@ -23,7 +28,7 @@
 
 use specframe::machine::run_machine_with_policy_on;
 use specframe::prelude::*;
-use specframe::profile::{train, write_alias_profile, Training};
+use specframe::profile::{train, write_alias_profile, Collect};
 
 /// The fault policies every compiled kernel is simulated under.
 const POLICIES: [&str; 4] = ["default", "always-miss", "random:1", "flash-clear"];
@@ -230,13 +235,14 @@ fn executor_outputs_match_the_recorded_digests() {
         let (want, stats) = run(&m, w.entry, &w.ref_args, w.fuel).expect("reference run");
         row(&w, "ref", &format!("{want:?} {stats:?}"));
 
-        let Training {
-            result: got,
-            stats,
-            alias: aprof,
-            edges: eprof,
-        } = train(&m, w.entry, &w.train_args, w.fuel).expect("training run");
-        let mut text = format!("{got:?} {stats:?}\n{}", write_alias_profile(&aprof));
+        let t = train(&m, w.entry, &w.train_args, w.fuel, Collect::ALL).expect("training run");
+        let (aprof, eprof) = (t.alias.expect("collected"), t.edges.expect("collected"));
+        let mut text = format!(
+            "{:?} {:?}\n{}",
+            t.result,
+            t.stats,
+            write_alias_profile(&aprof)
+        );
         for (fi, f) in m.funcs.iter().enumerate() {
             let fid = specframe::ir::FuncId::from_index(fi);
             text.push_str(&format!("{} entries {}:", f.name, eprof.entry_count(fid)));
@@ -295,4 +301,34 @@ fn executor_outputs_match_the_recorded_digests() {
         table == EXPECTED,
         "executor output moved; the table at this tree is:\n{table}"
     );
+}
+
+#[test]
+fn every_way_of_training_is_a_reference_run() {
+    let alias_only = Collect {
+        alias: true,
+        edges: false,
+    };
+    let edges_only = Collect {
+        alias: false,
+        edges: true,
+    };
+    for w in all_workloads(Scale::Test) {
+        let mut m = w.module.clone();
+        prepare_module(&mut m);
+        for (input, args) in [("ref", &w.ref_args), ("train", &w.train_args)] {
+            let label = format!("{} on {input} args", w.name);
+            let want = run(&m, w.entry, args, w.fuel).expect("reference run");
+            let full = train(&m, w.entry, args, w.fuel, Collect::ALL).expect("training run");
+            assert_eq!((full.result, full.stats), want, "{label}: alias and edges");
+            let alias = train(&m, w.entry, args, w.fuel, alias_only).expect("training run");
+            assert_eq!((alias.result, alias.stats), want, "{label}: alias only");
+            assert_eq!(alias.alias, full.alias, "{label}: alias only");
+            assert_eq!(alias.edges, None, "{label}: alias only");
+            let edges = train(&m, w.entry, args, w.fuel, edges_only).expect("training run");
+            assert_eq!((edges.result, edges.stats), want, "{label}: edges only");
+            assert_eq!(edges.edges, full.edges, "{label}: edges only");
+            assert_eq!(edges.alias, None, "{label}: edges only");
+        }
+    }
 }

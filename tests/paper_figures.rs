@@ -20,8 +20,8 @@ use specframe::prelude::*;
 fn compile_both(src: &str, train: &[Value]) -> (Module, Module) {
     let mut m = parse_module(src).expect("parse");
     prepare_module(&mut m);
-    let t = specframe::profile::train(&m, "main", train, 10_000_000).unwrap();
-    let (aprof, eprof) = (t.alias, t.edges);
+    let t = specframe::profile::train(&m, "main", train, 10_000_000, Collect::ALL).unwrap();
+    let (aprof, eprof) = (t.alias.unwrap(), t.edges.unwrap());
 
     let mut base = m.clone();
     optimize(

@@ -180,8 +180,8 @@ fn check_program(steps: &[Step]) {
     let (want_train, _) = run(&m, "main", &train, 1_000_000).unwrap();
     let (want_adv, _) = run(&m, "main", &adversarial, 1_000_000).unwrap();
 
-    let t = specframe::profile::train(&m, "main", &train, 1_000_000).unwrap();
-    let (aprof, eprof) = (t.alias, t.edges);
+    let t = specframe::profile::train(&m, "main", &train, 1_000_000, Collect::ALL).unwrap();
+    let (aprof, eprof) = (t.alias.unwrap(), t.edges.unwrap());
 
     let configs: Vec<(&str, OptOptions)> = vec![
         ("baseline", OptOptions::default()),
