@@ -466,11 +466,10 @@ entry:
         assert_eq!(got, want, "swr result diverged from epic");
         assert_eq!(c.check_loads, 1);
         assert_eq!(c.failed_checks, 0, "no intervening store: check hits");
-        for name in specframe_machine::fault_matrix() {
-            let pol = specframe_machine::parse_fault_policy(&name).unwrap();
-            let (r, c) = run_machine_with_policy_on(&ps, swr, "f", &[], 10_000, pol).unwrap();
-            assert_eq!(r, want, "policy {name} changed the swr result");
-            assert!(c.failed_checks <= c.check_loads, "policy {name}");
+        for pol in specframe_machine::fault_matrix() {
+            let (r, c) = run_machine_with_policy_on(&ps, swr, "f", &[], 10_000, &pol).unwrap();
+            assert_eq!(r, want, "policy {pol:?} changed the swr result");
+            assert!(c.failed_checks <= c.check_loads, "policy {pol:?}");
         }
     }
 

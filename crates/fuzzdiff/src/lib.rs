@@ -284,7 +284,7 @@ pub fn drop_first_check(m: &mut Module) -> bool {
 /// counter-sanity violation or compile failure.
 pub fn diff_case(
     case: &Case,
-    policies: &[String],
+    policies: &[FaultPolicy],
     stats: &mut DiffStats,
     break_checks: bool,
 ) -> DiffOutcome {
@@ -401,11 +401,8 @@ pub fn diff_case(
             // recovery-branch misses — results must agree either way)
             let prog = lower_module_for(&om, target.spec());
             for policy in policies {
+                let label = format!("{label}/{}", policy.name());
                 for (args, want) in case.run_args.iter().zip(&want) {
-                    let p = match parse_fault_policy(policy) {
-                        Ok(p) => p,
-                        Err(e) => return DiffOutcome::Setup(format!("bad policy `{policy}`: {e}")),
-                    };
                     stats.sim_runs += 1;
                     match run_machine_with_policy_on(
                         &prog,
@@ -413,26 +410,24 @@ pub fn diff_case(
                         &case.entry,
                         args,
                         case.fuel,
-                        p,
+                        policy,
                     ) {
                         Ok((r, c)) => {
                             if r != *want {
                                 failures.push(format!(
-                                    "{label}/{policy}: machine({args:?}) = {r:?}, \
-                                     reference {want:?}"
+                                    "{label}: machine({args:?}) = {r:?}, reference {want:?}"
                                 ));
                             }
                             if c.failed_checks > c.check_loads {
                                 failures.push(format!(
-                                    "{label}/{policy}: counter sanity: \
+                                    "{label}: counter sanity: \
                                      failed_checks {} > check_loads {}",
                                     c.failed_checks, c.check_loads
                                 ));
                             }
                             stats.failed_checks += c.failed_checks;
                         }
-                        Err(e) => failures
-                            .push(format!("{label}/{policy}: machine({args:?}) failed: {e}")),
+                        Err(e) => failures.push(format!("{label}: machine({args:?}) failed: {e}")),
                     }
                 }
             }
@@ -455,11 +450,8 @@ pub fn diff_case(
             }
             let secrets: Vec<i64> = (Module::GLOBAL_BASE..fprog.globals_end).collect();
             for policy in policies {
+                let label = format!("{label}/{}", policy.name());
                 for (args, want) in case.run_args.iter().zip(&want) {
-                    let p = match parse_fault_policy(policy) {
-                        Ok(p) => p,
-                        Err(e) => return DiffOutcome::Setup(format!("bad policy `{policy}`: {e}")),
-                    };
                     stats.sim_runs += 1;
                     match specframe::machine::run_machine_taint_on(
                         &fprog,
@@ -467,14 +459,14 @@ pub fn diff_case(
                         &case.entry,
                         args,
                         case.fuel,
-                        p,
+                        policy,
                         &secrets,
                     ) {
                         Ok(rep) => {
                             let c = &rep.counters;
                             if rep.result != *want {
                                 failures.push(format!(
-                                    "{label}/{policy}: fenced machine({args:?}) = {:?}, \
+                                    "{label}: fenced machine({args:?}) = {:?}, \
                                      reference {want:?}",
                                     rep.result
                                 ));
@@ -488,16 +480,16 @@ pub fn diff_case(
                                     })
                                     .unwrap_or_default();
                                 failures.push(format!(
-                                    "{label}/{policy}: leak oracle: {} taint-to-sink \
+                                    "{label}: leak oracle: {} taint-to-sink \
                                      events survive fencing ({first})",
                                     c.leak_addr_events + c.leak_branch_events
                                 ));
                             }
                             stats.failed_checks += c.failed_checks;
                         }
-                        Err(e) => failures.push(format!(
-                            "{label}/{policy}: fenced machine({args:?}) failed: {e}"
-                        )),
+                        Err(e) => {
+                            failures.push(format!("{label}: fenced machine({args:?}) failed: {e}"))
+                        }
                     }
                 }
             }
@@ -922,7 +914,7 @@ pub fn key_soundness_case(case: &Case, stats: &mut DiffStats) -> Result<(), Stri
 /// the original reason.
 pub fn reduce_failing_case(
     case: &Case,
-    policies: &[String],
+    policies: &[FaultPolicy],
     break_checks: bool,
 ) -> (String, ReduceStats) {
     let mut pred = |cand: &Module| {
@@ -944,7 +936,11 @@ pub fn reduce_failing_case(
         })
     };
     let (red, rs) = reduce_module(&case.module, &mut pred);
-    (render_spec_repro(case, &red, &rs, break_checks), rs)
+    let policy = policies.first().cloned().unwrap_or_default();
+    (
+        render_spec_repro(case, &red, &rs, &policy, break_checks),
+        rs,
+    )
 }
 
 /// Formats `args` the way `specc --args` parses them.
@@ -960,16 +956,26 @@ fn fmt_args(args: &[Value]) -> String {
 }
 
 /// Renders a reduced module as a ready-to-save `.spec` file: a RUN line
-/// reproducing the speculative compile-and-run, the reduction provenance,
-/// and the program text.
-fn render_spec_repro(case: &Case, red: &Module, rs: &ReduceStats, break_checks: bool) -> String {
+/// reproducing the speculative compile and its simulation under `policy`,
+/// a CHECK on the result the reference interpreter computes, the
+/// reduction provenance, and the program text.
+fn render_spec_repro(
+    case: &Case,
+    red: &Module,
+    rs: &ReduceStats,
+    policy: &FaultPolicy,
+    break_checks: bool,
+) -> String {
     let adversarial = case.run_args.last().unwrap_or(&case.train_args);
+    let (want, _) = run(red, &case.entry, adversarial, case.fuel)
+        .expect("a diverging case runs on its arguments");
     let mut out = format!(
         "; RUN: specc %s --entry {} --spec heuristic --control static \
-         --train-args {} --args {} --run\n",
+         --train-args {} --args {} --sim --fault-policy {}\n; CHECK: result = {want:?}\n",
         case.entry,
         fmt_args(&case.train_args),
         fmt_args(adversarial),
+        policy.name(),
     );
     out += &format!(
         "; reduce: {} probes, {} -> {} instructions ({:.0}% shrink) from {}\n",
@@ -1089,7 +1095,7 @@ mod tests {
 
     #[test]
     fn dropped_check_diverges_and_reduces() {
-        let policies = vec!["always-miss".to_string()];
+        let policies = vec![FaultPolicy::ALWAYS_MISS];
         let mut stats = DiffStats::default();
         // find a seed whose sabotaged compile actually diverges (the
         // first check of the module must be one that matters on the
@@ -1114,7 +1120,8 @@ mod tests {
             "reducer made no progress: {rs:?}"
         );
         // the repro must still diverge for the original reason
-        let mut red = parse_module(spec.split_once("\n\n").expect("module text").1).unwrap();
+        let text = spec.split_once("\n\n").expect("module text").1;
+        let mut red = parse_module(text).unwrap();
         prepare_module(&mut red);
         let rcase = Case {
             module: red,
@@ -1125,6 +1132,25 @@ mod tests {
             diff_case(&rcase, &policies, &mut DiffStats::default(), true),
             DiffOutcome::Diverged(_)
         ));
+        // the RUN line is one specc and spectest accept, and simulating it
+        // computes the CHECKed reference result
+        let run_line = spec
+            .lines()
+            .find_map(|l| l.strip_prefix("; RUN: specc "))
+            .expect("a RUN line");
+        let toks = run_line.split_whitespace().map(str::to_string);
+        let (inv, rest) = parse_flags(CompileRequest::default(), toks).expect("RUN flags");
+        assert_eq!(rest, ["%s"], "{run_line}");
+        let sim = inv.sim.expect("the RUN line simulates");
+        assert_eq!(sim.fault_policies, policies, "{run_line}");
+        let out = compile(text, &inv.req).expect("the repro compiles");
+        let (got, block) = simulate_text(&out.module, &inv.req, &sim, &sim.fault_policies[0])
+            .expect("the repro simulates");
+        let check = spec
+            .lines()
+            .find_map(|l| l.strip_prefix("; CHECK: "))
+            .expect("a CHECK line");
+        assert_eq!(check, format!("result = {got:?}"), "{block}");
     }
 
     #[test]
@@ -1166,7 +1192,10 @@ entry:
 
     #[test]
     fn oracle_passes_on_one_workload() {
-        let policies = vec!["always-miss".to_string(), "random:3".to_string()];
+        let policies = vec![
+            FaultPolicy::ALWAYS_MISS,
+            FaultPolicy::Random { seed: 3, denom: 16 },
+        ];
         let mut stats = DiffStats::default();
         let case = workload_cases()
             .into_iter()

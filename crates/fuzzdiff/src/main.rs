@@ -36,7 +36,7 @@ struct Opts {
     random: u64,
     steps: u64,
     budget: Duration,
-    policies: Vec<String>,
+    policies: Vec<FaultPolicy>,
     workloads: bool,
     break_checks: bool,
     reduce_on_failure: bool,
@@ -78,7 +78,8 @@ fn parse_opts() -> Result<Opts, String> {
                     .parse()
                     .map_err(|e| format!("bad --steps: {e}"))?
             }
-            "--policy" => o.policies.push(val("--policy")?),
+            // a bad spec fails here, before any budget is spent
+            "--policy" => o.policies.push(parse_fault_policy(&val("--policy")?)?),
             "--skip-workloads" => o.workloads = false,
             "--break-checks" => o.break_checks = true,
             "--reduce-on-failure" => o.reduce_on_failure = true,
@@ -97,10 +98,6 @@ fn parse_opts() -> Result<Opts, String> {
     }
     if o.policies.is_empty() {
         o.policies = fault_matrix();
-    }
-    // reject bad policy specs before burning budget
-    for p in &o.policies {
-        parse_fault_policy(p)?;
     }
     Ok(o)
 }

@@ -24,7 +24,7 @@
 //!   every path into the sink; a single pass always re-audits clean.
 //! * [`construct_leak_witness_on`] — turns a static report into a concrete
 //!   run: a probe execution locates the flagged load's dynamic position,
-//!   then an `evict-at` schedule ([`crate::policy::EvictAt`]) drops the
+//!   then an `evict-at` schedule ([`FaultPolicy::EvictAt`]) drops the
 //!   ALAT entry right after the insert, driving that exact site into
 //!   misspeculation. Every static report is thus *witnessed* (taint event
 //!   at the sink plus a real failed check) or *refuted* (site unreachable
@@ -36,7 +36,7 @@
 
 use crate::audit::{forward_fixpoint, RegSets};
 use crate::isa::{LdKind, MFunc, MInst, MOperand, MProgram};
-use crate::policy::{parse_fault_policy, AlatPolicy, Deterministic, EvictAt};
+use crate::policy::FaultPolicy;
 use crate::sim::{run_machine_taint_on, SinkClass};
 use crate::target::SpecTarget;
 use specframe_ir::Value;
@@ -255,9 +255,9 @@ pub fn fence_program(p: &mut MProgram) -> u64 {
 pub struct LeakWitness {
     /// The static report being validated.
     pub site: LeakSite,
-    /// Policy string of the constructed eviction schedule that drove the
-    /// site into a witnessed misspeculated leak; `None` when refuted.
-    pub policy: Option<String>,
+    /// The constructed eviction schedule that drove the site into a
+    /// witnessed misspeculated leak; `None` when refuted.
+    pub policy: Option<FaultPolicy>,
     /// Human-readable outcome.
     pub note: String,
 }
@@ -301,7 +301,7 @@ pub fn construct_leak_witness_on(
         entry,
         args,
         fuel,
-        Box::new(Deterministic::new()),
+        &FaultPolicy::default(),
         &[],
     ) {
         Ok(p) => p,
@@ -315,12 +315,11 @@ pub fn construct_leak_witness_on(
         return refuted("flagged load never executes under these arguments — refuted".into());
     };
     let candidates = [
-        EvictAt::new(vec![dyn_at + 1]).name(),
-        "always-miss".to_string(),
+        FaultPolicy::EvictAt(vec![dyn_at + 1]),
+        FaultPolicy::ALWAYS_MISS,
     ];
-    for policy_str in candidates {
-        let policy = parse_fault_policy(&policy_str).expect("constructed policy strings parse");
-        let Ok(rep) = run_machine_taint_on(prog, target, entry, args, fuel, policy, &[]) else {
+    for policy in candidates {
+        let Ok(rep) = run_machine_taint_on(prog, target, entry, args, fuel, &policy, &[]) else {
             continue;
         };
         let sink_hit = rep
@@ -330,12 +329,13 @@ pub fn construct_leak_witness_on(
         if sink_hit && rep.counters.failed_checks > 0 {
             return LeakWitness {
                 site: site.clone(),
-                policy: Some(policy_str.clone()),
                 note: format!(
-                    "witnessed: constructed eviction `{policy_str}` drove the flagged load into \
+                    "witnessed: constructed eviction `{}` drove the flagged load into \
                      misspeculation with a taint-to-sink event at inst {}",
+                    policy.name(),
                     site.at
                 ),
+                policy: Some(policy),
             };
         }
     }
@@ -637,8 +637,8 @@ mod tests {
         assert!(w.confirmed(), "witness must confirm: {}", w.note);
         let policy = w.policy.unwrap();
         assert!(
-            policy.starts_with("evict-at:"),
-            "targeted schedule: {policy}"
+            matches!(policy, FaultPolicy::EvictAt(_)),
+            "targeted schedule: {policy:?}"
         );
     }
 
@@ -706,7 +706,7 @@ mod tests {
             "t",
             &[],
             10_000,
-            Box::new(Deterministic::new()),
+            &FaultPolicy::default(),
             &[16],
         )
         .unwrap();
@@ -724,7 +724,7 @@ mod tests {
             "t",
             &[],
             10_000,
-            Box::new(Deterministic::new()),
+            &FaultPolicy::default(),
             &[16],
         )
         .unwrap();

@@ -44,7 +44,7 @@ pub use leaks::{
     construct_leak_witness_on, fence_func, fence_program, leak_audit_func, leak_audit_program,
     leak_check_pairs, witness_leaks_on, LeakSite, LeakWitness,
 };
-pub use policy::{fault_matrix, parse_fault_policy, AlatGeometry, AlatPolicy, FaultAction};
+pub use policy::{fault_matrix, parse_fault_policy, FaultPolicy};
 pub use sim::{
     run_machine, run_machine_on, run_machine_taint_on, run_machine_with_policy_on, Counters,
     LeakEvent, SimError, Simulator, SinkClass, TaintReport,

@@ -1,4 +1,4 @@
-//! Adversarial ALAT behavior policies.
+//! ALAT fault policies.
 //!
 //! IA-64 only promises that a `ld.c` *hit* is justified — it never promises
 //! a hit. An implementation may drop ALAT entries at any moment: smaller
@@ -7,11 +7,12 @@
 //! results under **every** such behavior, because the recovery path
 //! (re-load on a failed check) is the actual correctness mechanism.
 //!
-//! An [`AlatPolicy`] decides, per retired instruction, whether the
-//! simulated hardware drops entries, and whether a check is forced to
-//! miss. The [`Deterministic`] policy is the default 32-entry/2-way model
-//! with no injected faults — simulations without an explicit policy behave
-//! exactly as before. The adversaries:
+//! A [`FaultPolicy`] says what the simulated hardware does to the ALAT:
+//! the table's geometry, whether every check is forced to miss, and which
+//! entries it drops before which instruction. The default policy is the
+//! 32-entry/2-way model with no injected faults — simulations without an
+//! explicit policy behave exactly as before. [`parse_fault_policy`] reads
+//! the grammar and [`FaultPolicy::name`] prints it:
 //!
 //! | name            | behavior                                          |
 //! |-----------------|---------------------------------------------------|
@@ -29,142 +30,108 @@
 //! |                 | leak auditor emits (see `crate::leaks`)           |
 //!
 //! All policies are deterministic given their parameters, so a failing
-//! differential run reproduces from its policy string alone.
+//! differential run reproduces from its policy name alone.
 
 use crate::alat::{ALAT_ENTRIES, ALAT_WAYS};
 
-/// Table geometry a policy asks the simulator to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AlatGeometry {
-    /// Total entries; 0 builds the always-miss table.
-    pub entries: usize,
-    /// Associativity.
-    pub ways: usize,
+/// Default kill probability denominator of `random:SEED`.
+pub const RANDOM_EVICT_DENOM: u64 = 16;
+
+/// Default flash-clear period (instructions).
+pub const FLASH_CLEAR_PERIOD: u64 = 64;
+
+/// One parsed `--fault-policy` spec. The name of every policy parses back
+/// to an equal policy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaultPolicy {
+    /// A fixed-geometry table with no injected faults: `default`,
+    /// `geom:E:W` and `always-miss`.
+    Table {
+        /// Total entries; 0 builds the always-miss table.
+        entries: usize,
+        /// Associativity, at least 1.
+        ways: usize,
+    },
+    /// The default table, but every ALAT check is forced to miss — an
+    /// implementation that resolves every `ld.c` conservatively. Unlike
+    /// `always-miss` the table still fills and evicts, so insert/eviction
+    /// counters stay realistic while every check takes the recovery path.
+    ForcedMiss,
+    /// Seeded random eviction: each instruction kills one random live
+    /// entry with probability `1/denom`.
+    Random {
+        /// Seed of the xorshift stream.
+        seed: u64,
+        /// Kill probability denominator, at least 1.
+        denom: u64,
+    },
+    /// Context switch: drops the whole table every `period` instructions.
+    FlashClear {
+        /// Instructions between clears, at least 1.
+        period: u64,
+    },
+    /// Targeted eviction: drops the whole table exactly at these
+    /// instruction counts (1-based, ascending, at least one). This is the
+    /// constructed adversary the leak auditor emits — a schedule placed one
+    /// instruction after a speculative load's ALAT insert forces that
+    /// specific site into misspeculation, witnessing a static leak report
+    /// with a concrete run.
+    EvictAt(Vec<u64>),
 }
 
-impl Default for AlatGeometry {
+impl Default for FaultPolicy {
+    /// The stock 32-entry 2-way table with no injected faults.
     fn default() -> Self {
-        AlatGeometry {
+        FaultPolicy::Table {
             entries: ALAT_ENTRIES,
             ways: ALAT_WAYS,
         }
     }
 }
 
-/// What the hardware does to the ALAT this instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Nothing — the common case.
-    None,
-    /// Drop one live entry, selected by `lottery % occupancy`.
-    KillOne(u64),
-    /// Drop every entry (context switch).
-    FlashClear,
-}
+impl FaultPolicy {
+    /// The 0-entry table: every check load misses.
+    pub const ALWAYS_MISS: FaultPolicy = FaultPolicy::Table {
+        entries: 0,
+        ways: 1,
+    };
 
-/// A pluggable ALAT behavior model.
-///
-/// The simulator consults the policy once per retired instruction
-/// ([`AlatPolicy::on_inst`], unless [`AlatPolicy::injects_faults`] says it
-/// never acts) and once per ALAT check load ([`AlatPolicy::force_miss`]).
-/// Policies mutate only their own state; the table itself applies the
-/// returned [`FaultAction`].
-pub trait AlatPolicy: Send {
-    /// The policy string that reproduces this policy (e.g. `random:3:16`).
-    fn name(&self) -> String;
-
-    /// Geometry the simulator should build the table with.
-    fn geometry(&self) -> AlatGeometry {
-        AlatGeometry::default()
-    }
-
-    /// Called once per retired instruction, before it executes, when
-    /// [`AlatPolicy::injects_faults`] says it may act.
-    fn on_inst(&mut self) -> FaultAction {
-        FaultAction::None
-    }
-
-    /// Whether [`AlatPolicy::on_inst`] can return anything but
-    /// [`FaultAction::None`]. The simulator asks once per run and skips the
-    /// per-instruction call when the answer is `false`.
-    fn injects_faults(&self) -> bool {
-        true
-    }
-
-    /// Called per ALAT check load; `true` forces the check to miss
-    /// regardless of table contents.
-    fn force_miss(&mut self) -> bool {
-        false
-    }
-}
-
-/// The default model: a fixed-geometry table with no injected faults.
-#[derive(Debug, Clone, Copy)]
-pub struct Deterministic {
-    geometry: AlatGeometry,
-}
-
-impl Deterministic {
-    /// The stock 32-entry 2-way policy.
-    pub fn new() -> Deterministic {
-        Deterministic {
-            geometry: AlatGeometry::default(),
+    /// The spec that reproduces this policy, in its shortest form:
+    /// `random:3:16` prints `random:3`, `geom:32:2` prints `default`,
+    /// `geom:0:2` prints `always-miss` and `flash-clear:64` prints
+    /// `flash-clear`.
+    pub fn name(&self) -> String {
+        match self {
+            FaultPolicy::Table {
+                entries: ALAT_ENTRIES,
+                ways: ALAT_WAYS,
+            } => "default".into(),
+            FaultPolicy::Table { entries: 0, .. } => "always-miss".into(),
+            FaultPolicy::Table { entries, ways } => format!("geom:{entries}:{ways}"),
+            FaultPolicy::ForcedMiss => "forced-miss".into(),
+            FaultPolicy::Random {
+                seed,
+                denom: RANDOM_EVICT_DENOM,
+            } => format!("random:{seed}"),
+            FaultPolicy::Random { seed, denom } => format!("random:{seed}:{denom}"),
+            FaultPolicy::FlashClear {
+                period: FLASH_CLEAR_PERIOD,
+            } => "flash-clear".into(),
+            FaultPolicy::FlashClear { period } => format!("flash-clear:{period}"),
+            FaultPolicy::EvictAt(ticks) => {
+                let ticks: Vec<String> = ticks.iter().map(u64::to_string).collect();
+                format!("evict-at:{}", ticks.join(":"))
+            }
         }
     }
 
-    /// A deterministic policy with custom geometry.
-    pub fn with_geometry(entries: usize, ways: usize) -> Deterministic {
-        Deterministic {
-            geometry: AlatGeometry { entries, ways },
+    /// The entry count and associativity of the table the simulator
+    /// builds.
+    pub fn geometry(&self) -> (usize, usize) {
+        match *self {
+            FaultPolicy::Table { entries, ways } => (entries, ways),
+            _ => (ALAT_ENTRIES, ALAT_WAYS),
         }
-    }
-}
-
-impl Default for Deterministic {
-    fn default() -> Self {
-        Deterministic::new()
-    }
-}
-
-impl AlatPolicy for Deterministic {
-    fn name(&self) -> String {
-        let d = AlatGeometry::default();
-        if self.geometry == d {
-            "default".into()
-        } else if self.geometry.entries == 0 {
-            "always-miss".into()
-        } else {
-            format!("geom:{}:{}", self.geometry.entries, self.geometry.ways)
-        }
-    }
-
-    fn geometry(&self) -> AlatGeometry {
-        self.geometry
-    }
-
-    fn injects_faults(&self) -> bool {
-        false
-    }
-}
-
-/// Default table, but every ALAT check is forced to miss — models an
-/// implementation that resolves every `ld.c` conservatively. Unlike
-/// `always-miss` the table still fills and evicts, so insert/eviction
-/// counters stay realistic while every check takes the recovery path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ForcedMiss;
-
-impl AlatPolicy for ForcedMiss {
-    fn name(&self) -> String {
-        "forced-miss".into()
-    }
-
-    fn force_miss(&mut self) -> bool {
-        true
-    }
-
-    fn injects_faults(&self) -> bool {
-        false
     }
 }
 
@@ -194,131 +161,64 @@ impl XorShift64 {
     }
 }
 
-/// Seeded random eviction: each instruction kills one random live entry
-/// with probability `1/denom`.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomEvict {
-    seed: u64,
-    denom: u64,
-    rng: XorShift64,
+/// What the hardware does to the ALAT this instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FaultAction {
+    /// Nothing — the common case.
+    None,
+    /// Drop one live entry, selected by `lottery % occupancy`.
+    KillOne(u64),
+    /// Drop every entry (context switch).
+    FlashClear,
 }
 
-/// Default kill probability denominator for [`RandomEvict`].
-pub const RANDOM_EVICT_DENOM: u64 = 16;
-
-impl RandomEvict {
-    /// A random-eviction adversary with kill probability `1/denom` per
-    /// instruction (`denom == 0` is clamped to 1, i.e. kill every cycle).
-    pub fn new(seed: u64, denom: u64) -> RandomEvict {
-        RandomEvict {
-            seed,
-            denom: denom.max(1),
-            rng: XorShift64::new(seed),
-        }
-    }
-}
-
-impl AlatPolicy for RandomEvict {
-    fn name(&self) -> String {
-        if self.denom == RANDOM_EVICT_DENOM {
-            format!("random:{}", self.seed)
-        } else {
-            format!("random:{}:{}", self.seed, self.denom)
-        }
-    }
-
-    fn on_inst(&mut self) -> FaultAction {
-        if self.rng.next_u64().is_multiple_of(self.denom) {
-            FaultAction::KillOne(self.rng.next_u64())
-        } else {
-            FaultAction::None
-        }
-    }
-}
-
-/// Context-switch adversary: flash-clears the entire table every
-/// `period` instructions.
-#[derive(Debug, Clone, Copy)]
-pub struct FlashClear {
-    period: u64,
-    until: u64,
-}
-
-/// Default flash-clear period (instructions).
-pub const FLASH_CLEAR_PERIOD: u64 = 64;
-
-impl FlashClear {
-    /// Clears every `period` instructions (`period == 0` clamps to 1).
-    pub fn new(period: u64) -> FlashClear {
-        let period = period.max(1);
-        FlashClear {
-            period,
-            until: period,
-        }
-    }
-}
-
-impl AlatPolicy for FlashClear {
-    fn name(&self) -> String {
-        if self.period == FLASH_CLEAR_PERIOD {
-            "flash-clear".into()
-        } else {
-            format!("flash-clear:{}", self.period)
-        }
-    }
-
-    fn on_inst(&mut self) -> FaultAction {
-        self.until -= 1;
-        if self.until == 0 {
-            self.until = self.period;
-            FaultAction::FlashClear
-        } else {
-            FaultAction::None
-        }
-    }
-}
-
-/// Targeted eviction: flash-clears the table exactly at the scheduled
-/// instruction counts (1-based, in `on_inst`-call order). This is the
-/// constructed adversary the leak auditor emits — a schedule placed one
-/// instruction after a speculative load's ALAT insert forces that
-/// specific site into misspeculation, witnessing a static leak report
-/// with a concrete run.
+/// A policy's injections over one run: its xorshift stream, the
+/// instructions seen so far and the cursor into an `evict-at` schedule.
+/// Every run builds its own, so a run reproduces from its policy.
 #[derive(Debug, Clone)]
-pub struct EvictAt {
-    schedule: Vec<u64>,
-    next: usize,
+pub(crate) struct Injector {
+    policy: FaultPolicy,
+    rng: XorShift64,
     seen: u64,
+    next: usize,
 }
 
-impl EvictAt {
-    /// Clears the table when the instruction counter reaches each value of
-    /// `schedule` (sorted and deduplicated; zeros are dropped).
-    pub fn new(mut schedule: Vec<u64>) -> EvictAt {
-        schedule.retain(|&t| t > 0);
-        schedule.sort_unstable();
-        schedule.dedup();
-        EvictAt {
-            schedule,
-            next: 0,
+impl Injector {
+    /// The injections of a run under `policy`; `None` when it never drops
+    /// an entry.
+    pub(crate) fn new(policy: &FaultPolicy) -> Option<Injector> {
+        let seed = match *policy {
+            FaultPolicy::Table { .. } | FaultPolicy::ForcedMiss => return None,
+            FaultPolicy::Random { seed, .. } => seed,
+            FaultPolicy::FlashClear { .. } | FaultPolicy::EvictAt(_) => 0,
+        };
+        Some(Injector {
+            policy: policy.clone(),
+            rng: XorShift64::new(seed),
             seen: 0,
-        }
-    }
-}
-
-impl AlatPolicy for EvictAt {
-    fn name(&self) -> String {
-        let ticks: Vec<String> = self.schedule.iter().map(|t| t.to_string()).collect();
-        format!("evict-at:{}", ticks.join(":"))
+            next: 0,
+        })
     }
 
-    fn on_inst(&mut self) -> FaultAction {
+    /// Called once per retired instruction, before it executes.
+    pub(crate) fn on_inst(&mut self) -> FaultAction {
         self.seen += 1;
-        if self.next < self.schedule.len() && self.schedule[self.next] == self.seen {
-            self.next += 1;
-            FaultAction::FlashClear
-        } else {
-            FaultAction::None
+        match self.policy {
+            FaultPolicy::Random { denom, .. } => {
+                if self.rng.next_u64().is_multiple_of(denom) {
+                    FaultAction::KillOne(self.rng.next_u64())
+                } else {
+                    FaultAction::None
+                }
+            }
+            FaultPolicy::FlashClear { period } if self.seen.is_multiple_of(period) => {
+                FaultAction::FlashClear
+            }
+            FaultPolicy::EvictAt(ref ticks) if ticks.get(self.next) == Some(&self.seen) => {
+                self.next += 1;
+                FaultAction::FlashClear
+            }
+            _ => FaultAction::None,
         }
     }
 }
@@ -330,9 +230,13 @@ impl AlatPolicy for EvictAt {
 ///         | random:SEED[:DENOM] | flash-clear[:PERIOD] | evict-at:N[:N...]
 /// ```
 ///
+/// A way count, denominator or period of 0 counts as 1; an `evict-at`
+/// schedule is sorted, deduplicated, and loses its zeros.
+///
 /// # Errors
-/// A usage message naming the bad policy string.
-pub fn parse_fault_policy(s: &str) -> Result<Box<dyn AlatPolicy>, String> {
+/// A usage message naming the bad policy string, also for an `evict-at`
+/// schedule with no instruction count of at least 1.
+pub fn parse_fault_policy(s: &str) -> Result<FaultPolicy, String> {
     let mut parts = s.split(':');
     let head = parts.next().unwrap_or("");
     let rest: Vec<&str> = parts.collect();
@@ -350,67 +254,94 @@ pub fn parse_fault_policy(s: &str) -> Result<Box<dyn AlatPolicy>, String> {
     match head {
         "default" => {
             arity(0..=0)?;
-            Ok(Box::new(Deterministic::new()))
+            Ok(FaultPolicy::default())
         }
         "geom" => {
             arity(2..=2)?;
             let entries = num(rest[0], "entry count")? as usize;
             let ways = num(rest[1], "way count")?.max(1) as usize;
-            Ok(Box::new(Deterministic::with_geometry(entries, ways)))
+            if entries == 0 {
+                return Ok(FaultPolicy::ALWAYS_MISS);
+            }
+            Ok(FaultPolicy::Table { entries, ways })
         }
         "always-miss" => {
             arity(0..=0)?;
-            Ok(Box::new(Deterministic::with_geometry(0, 1)))
+            Ok(FaultPolicy::ALWAYS_MISS)
         }
         "forced-miss" => {
             arity(0..=0)?;
-            Ok(Box::new(ForcedMiss))
+            Ok(FaultPolicy::ForcedMiss)
         }
         "random" => {
             arity(1..=2)?;
             let seed = num(rest[0], "seed")?;
             let denom = match rest.get(1) {
-                Some(t) => num(t, "denominator")?,
+                Some(t) => num(t, "denominator")?.max(1),
                 None => RANDOM_EVICT_DENOM,
             };
-            Ok(Box::new(RandomEvict::new(seed, denom)))
+            Ok(FaultPolicy::Random { seed, denom })
         }
         "flash-clear" => {
             arity(0..=1)?;
             let period = match rest.first() {
-                Some(t) => num(t, "period")?,
+                Some(t) => num(t, "period")?.max(1),
                 None => FLASH_CLEAR_PERIOD,
             };
-            Ok(Box::new(FlashClear::new(period)))
+            Ok(FaultPolicy::FlashClear { period })
         }
         "evict-at" => {
             arity(1..=usize::MAX)?;
-            let ticks: Vec<u64> = rest
+            let mut ticks: Vec<u64> = rest
                 .iter()
                 .map(|t| num(t, "instruction count"))
                 .collect::<Result<_, _>>()?;
-            Ok(Box::new(EvictAt::new(ticks)))
+            ticks.retain(|&t| t > 0);
+            if ticks.is_empty() {
+                return Err(format!(
+                    "bad fault policy `{s}`: the schedule needs an instruction count >= 1"
+                ));
+            }
+            ticks.sort_unstable();
+            ticks.dedup();
+            Ok(FaultPolicy::EvictAt(ticks))
         }
         _ => Err(format!("unknown fault policy `{s}` (try --help)")),
     }
 }
 
-/// The policy strings CI's fault matrix exercises.
-pub fn fault_matrix() -> Vec<String> {
+/// The fault matrix CI sweeps.
+pub fn fault_matrix() -> Vec<FaultPolicy> {
+    let random = |seed| FaultPolicy::Random {
+        seed,
+        denom: RANDOM_EVICT_DENOM,
+    };
     vec![
-        "default".into(),
-        "always-miss".into(),
-        "forced-miss".into(),
-        "random:1".into(),
-        "random:2".into(),
-        "random:3".into(),
-        "flash-clear".into(),
+        FaultPolicy::default(),
+        FaultPolicy::ALWAYS_MISS,
+        FaultPolicy::ForcedMiss,
+        random(1),
+        random(2),
+        random(3),
+        FaultPolicy::FlashClear {
+            period: FLASH_CLEAR_PERIOD,
+        },
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(s: &str) -> FaultPolicy {
+        parse_fault_policy(s).unwrap_or_else(|e| panic!("`{s}`: {e}"))
+    }
+
+    /// The actions `n` instructions draw from a run under `policy`.
+    fn actions(policy: &str, n: usize) -> Vec<FaultAction> {
+        let mut inj = Injector::new(&parse(policy)).expect("an injecting policy");
+        (0..n).map(|_| inj.on_inst()).collect()
+    }
 
     #[test]
     fn parse_roundtrips_names() {
@@ -426,26 +357,59 @@ mod tests {
             "evict-at:5",
             "evict-at:3:9:40",
         ] {
-            let p = parse_fault_policy(s).unwrap();
-            assert_eq!(p.name(), s, "round-trip of `{s}`");
+            assert_eq!(parse(s).name(), s, "round-trip of `{s}`");
         }
     }
 
     #[test]
     fn parse_normalizes_defaults() {
-        assert_eq!(
-            parse_fault_policy("random:3:16").unwrap().name(),
-            "random:3"
-        );
-        assert_eq!(
-            parse_fault_policy("flash-clear:64").unwrap().name(),
-            "flash-clear"
-        );
-        assert_eq!(parse_fault_policy("geom:32:2").unwrap().name(), "default");
-        assert_eq!(
-            parse_fault_policy("geom:0:2").unwrap().name(),
-            "always-miss"
-        );
+        for (spec, name) in [
+            ("random:3:16", "random:3"),
+            ("flash-clear:64", "flash-clear"),
+            ("geom:32:2", "default"),
+            ("geom:0:2", "always-miss"),
+        ] {
+            assert_eq!(parse(spec).name(), name, "`{spec}`");
+        }
+    }
+
+    #[test]
+    fn every_accepted_spec_prints_a_name_that_parses_back_to_it() {
+        for s in [
+            // every variant with its default parameters
+            "default",
+            "always-miss",
+            "forced-miss",
+            "random:0",
+            "flash-clear",
+            "evict-at:1",
+            // explicit parameters, also the defaults spelled out
+            "geom:8:2",
+            "geom:3:4",
+            "geom:32:2",
+            "random:7:3",
+            "random:3:16",
+            "flash-clear:10",
+            "flash-clear:64",
+            "evict-at:3:40:400",
+            // clamped: a 0-entry table of any associativity, a way count,
+            // denominator or period of 0
+            "geom:0:2",
+            "geom:0:0",
+            "geom:4:0",
+            "random:5:0",
+            "flash-clear:0",
+            // deduplicated, sorted, zeros dropped
+            "evict-at:9:3:9",
+            "evict-at:0:4",
+            "evict-at:5:0:5",
+        ] {
+            let p = parse(s);
+            let name = p.name();
+            assert_eq!(parse(&name), p, "`{s}` prints `{name}`");
+        }
+        assert_eq!(parse("evict-at:9:3:9:0").name(), "evict-at:3:9");
+        assert_eq!(parse("flash-clear:0").name(), "flash-clear:1");
     }
 
     #[test]
@@ -462,44 +426,48 @@ mod tests {
             "default:1",
             "flash-clear:p",
             "evict-at",
+            "evict-at:",
             "evict-at:x",
+            "evict-at:0",
+            "evict-at:0:0",
         ] {
             assert!(parse_fault_policy(s).is_err(), "`{s}` should be rejected");
+        }
+        let e = parse_fault_policy("evict-at:0").unwrap_err();
+        assert!(e.contains("needs an instruction count >= 1"), "{e}");
+    }
+
+    #[test]
+    fn only_policies_that_drop_entries_inject() {
+        for s in ["default", "geom:8:2", "always-miss", "forced-miss"] {
+            assert!(Injector::new(&parse(s)).is_none(), "`{s}`");
+        }
+        for p in fault_matrix() {
+            assert_eq!(parse(&p.name()), p);
         }
     }
 
     #[test]
     fn evict_at_fires_exactly_on_schedule() {
-        let mut p = EvictAt::new(vec![2, 5, 5, 0]);
-        let seq: Vec<FaultAction> = (0..6).map(|_| p.on_inst()).collect();
+        use FaultAction::{FlashClear, None};
         assert_eq!(
-            seq,
-            vec![
-                FaultAction::None,
-                FaultAction::FlashClear,
-                FaultAction::None,
-                FaultAction::None,
-                FaultAction::FlashClear,
-                FaultAction::None,
-            ]
+            actions("evict-at:2:5:5:0", 6),
+            vec![None, FlashClear, None, None, FlashClear, None]
         );
-        assert_eq!(p.name(), "evict-at:2:5");
     }
 
     #[test]
     fn always_miss_geometry_is_empty() {
-        let p = parse_fault_policy("always-miss").unwrap();
-        assert_eq!(p.geometry().entries, 0);
+        assert_eq!(parse("always-miss").geometry().0, 0);
     }
 
     #[test]
     fn random_policy_is_deterministic_per_seed() {
-        let mut a = RandomEvict::new(3, 4);
-        let mut b = RandomEvict::new(3, 4);
-        let mut c = RandomEvict::new(4, 4);
-        let seq =
-            |p: &mut RandomEvict| -> Vec<FaultAction> { (0..256).map(|_| p.on_inst()).collect() };
-        let (sa, sb, sc) = (seq(&mut a), seq(&mut b), seq(&mut c));
+        let (sa, sb, sc) = (
+            actions("random:3:4", 256),
+            actions("random:3:4", 256),
+            actions("random:4:4", 256),
+        );
         assert_eq!(sa, sb, "same seed, same schedule");
         assert_ne!(sa, sc, "different seed, different schedule");
         assert!(
@@ -510,19 +478,10 @@ mod tests {
 
     #[test]
     fn flash_clear_fires_on_period() {
-        let mut p = FlashClear::new(3);
-        let seq: Vec<FaultAction> = (0..7).map(|_| p.on_inst()).collect();
+        use FaultAction::{FlashClear, None};
         assert_eq!(
-            seq,
-            vec![
-                FaultAction::None,
-                FaultAction::None,
-                FaultAction::FlashClear,
-                FaultAction::None,
-                FaultAction::None,
-                FaultAction::FlashClear,
-                FaultAction::None,
-            ]
+            actions("flash-clear:3", 7),
+            vec![None, None, FlashClear, None, None, FlashClear, None]
         );
     }
 }

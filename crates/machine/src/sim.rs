@@ -7,7 +7,7 @@ use crate::alat::Alat;
 use crate::costs::CostModel;
 use crate::decode::{decode_program, DFunc, Op};
 use crate::isa::{ChkKind, LdKind, MProgram, Reg};
-use crate::policy::{AlatPolicy, Deterministic, FaultAction};
+use crate::policy::{FaultAction, FaultPolicy, Injector};
 use crate::target::{SpecTarget, TargetId};
 use specframe_ir::{Memory, Value};
 
@@ -253,10 +253,11 @@ struct Machine {
     costs: CostModel,
     mem: Memory,
     alat: Alat,
-    policy: Box<dyn AlatPolicy>,
-    /// The policy's [`AlatPolicy::injects_faults`], asked once: when it
-    /// cannot inject a fault, [`AlatPolicy::on_inst`] is never called.
-    injects_faults: bool,
+    /// The fault policy's injections over this run; `None` when it never
+    /// drops an entry, and then nothing is asked per instruction.
+    injector: Option<Injector>,
+    /// The policy forces every check to miss (`forced-miss`).
+    forces_misses: bool,
     counters: Counters,
     fuel: u64,
     taint: Option<TaintState>,
@@ -282,20 +283,20 @@ impl<'p> Simulator<'p> {
         prog: &'p MProgram,
         target: &dyn SpecTarget,
         fuel: u64,
-        policy: Box<dyn AlatPolicy>,
+        policy: &FaultPolicy,
     ) -> Simulator<'p> {
-        let g = policy.geometry();
+        let (entries, ways) = policy.geometry();
         let mut m = Machine {
             costs: target.costs(),
             mem: Memory::new(prog.globals_end),
-            alat: Alat::with_geometry(g.entries, g.ways),
-            injects_faults: policy.injects_faults(),
-            policy,
+            alat: Alat::with_geometry(entries, ways),
+            injector: Injector::new(policy),
+            forces_misses: *policy == FaultPolicy::ForcedMiss,
             counters: Counters::default(),
             fuel,
             taint: None,
             has_alat: target.has_alat(),
-            zero_geom: g.entries == 0,
+            zero_geom: entries == 0,
             poison: 0,
         };
         for &(addr, v) in &prog.global_image {
@@ -455,10 +456,10 @@ struct FrameRef<'a> {
 }
 
 impl Machine {
-    /// Asks the fault policy what the hardware does to the ALAT at this
-    /// instruction boundary, and does it.
-    fn inject_fault(&mut self) {
-        match self.policy.on_inst() {
+    /// Does to the ALAT what the fault policy's injector drew for this
+    /// instruction boundary.
+    fn inject_fault(&mut self, action: FaultAction) {
+        match action {
             FaultAction::None => {}
             FaultAction::KillOne(lottery) => {
                 if self.has_alat {
@@ -553,8 +554,9 @@ impl Machine {
             // boundary — the architecture explicitly permits this; on a
             // no-ALAT target the same injections poison upcoming software
             // check verdicts instead (a forced recovery-branch miss)
-            if self.injects_faults {
-                self.inject_fault();
+            if let Some(injector) = &mut self.injector {
+                let action = injector.on_inst();
+                self.inject_fault(action);
             }
             let at = pc;
             let op = &f.ops[pc];
@@ -676,7 +678,7 @@ impl Machine {
                             // for such targets emits ChkCmp sequences, so
                             // this arm is a defensive fallback there)
                             self.has_alat
-                                && !self.policy.force_miss()
+                                && !self.forces_misses
                                 && self.alat.check(Reg(d), addr)
                                 && !regs[d as usize].is_nat()
                         }
@@ -717,7 +719,7 @@ impl Machine {
                     // following branch down the recovery reload
                     let c = regs[cond as usize];
                     self.counters.check_loads += 1;
-                    let forced = self.policy.force_miss() || self.zero_geom || self.take_poison();
+                    let forced = self.forces_misses || self.zero_geom || self.take_poison();
                     let ok =
                         !forced && !c.is_nat() && c.as_i64() != 0 && !regs[val as usize].is_nat();
                     regs[d as usize] = Value::I(i64::from(ok));
@@ -878,18 +880,10 @@ pub fn run_machine_on(
     args: &[Value],
     fuel: u64,
 ) -> Result<(Option<Value>, Counters), SimError> {
-    run_machine_with_policy_on(
-        prog,
-        target,
-        entry,
-        args,
-        fuel,
-        Box::new(Deterministic::new()),
-    )
+    run_machine_with_policy_on(prog, target, entry, args, fuel, &FaultPolicy::default())
 }
 
-/// Like [`run_machine_on`], but under an explicit ALAT fault policy (see
-/// [`crate::policy::parse_fault_policy`] for the string grammar).
+/// Like [`run_machine_on`], but under an explicit ALAT fault policy.
 ///
 /// # Errors
 /// See [`SimError`].
@@ -899,7 +893,7 @@ pub fn run_machine_with_policy_on(
     entry: &str,
     args: &[Value],
     fuel: u64,
-    policy: Box<dyn AlatPolicy>,
+    policy: &FaultPolicy,
 ) -> Result<(Option<Value>, Counters), SimError> {
     let idx = prog
         .func_by_name(entry)
@@ -922,7 +916,7 @@ pub fn run_machine_taint_on(
     entry: &str,
     args: &[Value],
     fuel: u64,
-    policy: Box<dyn AlatPolicy>,
+    policy: &FaultPolicy,
     secret: &[i64],
 ) -> Result<TaintReport, SimError> {
     let idx = prog
@@ -1484,13 +1478,12 @@ mod tests {
             promoted_regs: vec![Reg(0)],
         };
         let p = prog_one(f);
-        for name in crate::policy::fault_matrix() {
-            let pol = crate::policy::parse_fault_policy(&name).unwrap();
+        for pol in crate::policy::fault_matrix() {
             let (r, c) =
-                run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 1000, pol)
+                run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 1000, &pol)
                     .unwrap();
-            assert_eq!(r, Some(Value::I(42)), "policy {name}");
-            assert!(c.failed_checks <= c.check_loads, "policy {name}");
+            assert_eq!(r, Some(Value::I(42)), "policy {pol:?}");
+            assert!(c.failed_checks <= c.check_loads, "policy {pol:?}");
         }
     }
 
@@ -1521,14 +1514,12 @@ mod tests {
             promoted_regs: vec![Reg(0)],
         };
         let p = prog_one(f);
-        let pol = crate::policy::parse_fault_policy("always-miss").unwrap();
-        let (r, c) =
-            run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 100, pol).unwrap();
+        let run =
+            |pol| run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 100, pol);
+        let (r, c) = run(&FaultPolicy::ALWAYS_MISS).unwrap();
         assert_eq!(r, Some(Value::I(42)), "recovery reloads the right value");
         assert_eq!(c.failed_checks, 1, "0-entry ALAT must miss");
-        let pol = crate::policy::parse_fault_policy("forced-miss").unwrap();
-        let (r, c) =
-            run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 100, pol).unwrap();
+        let (r, c) = run(&FaultPolicy::ForcedMiss).unwrap();
         assert_eq!(r, Some(Value::I(42)));
         assert_eq!(c.failed_checks, 1);
     }
@@ -1576,9 +1567,9 @@ mod tests {
             promoted_regs: vec![Reg(0)],
         };
         let p = prog_one(f);
-        let pol = crate::policy::parse_fault_policy("flash-clear:10").unwrap();
+        let pol = FaultPolicy::FlashClear { period: 10 };
         let (r, c) =
-            run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 10_000, pol)
+            run_machine_with_policy_on(&p, TargetId::Epic.spec(), "main", &[], 10_000, &pol)
                 .unwrap();
         assert_eq!(r, Some(Value::I(42)));
         assert!(c.alat_flash_clears >= 5, "clears: {}", c.alat_flash_clears);
@@ -1597,12 +1588,7 @@ mod tests {
             promoted_regs: vec![],
         };
         let p = prog_one(f);
-        let sim = Simulator::for_target(
-            &p,
-            TargetId::Epic.spec(),
-            100,
-            Box::new(Deterministic::new()),
-        );
+        let sim = Simulator::for_target(&p, TargetId::Epic.spec(), 100, &FaultPolicy::default());
         assert_eq!(sim.peek(16), Some(Value::I(42)), "mapped global");
         assert_eq!(sim.peek(0), None, "null page");
         assert_eq!(sim.peek(15), None, "reserved low words");

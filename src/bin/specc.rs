@@ -398,13 +398,18 @@ fn real_main() -> Result<(), CompileFailure> {
     }
     // the dump reads no run's result
     if cli.emit == Emit::Hssa {
-        return emit(&cli, &render_hssa(&m, req)?).map_err(usage);
+        let (dump, warning) = render_hssa(&m, req)?;
+        if let Some(w) = warning {
+            eprintln!("specc: warning: {w}");
+        }
+        return emit(&cli, &dump).map_err(usage);
     }
-    // The reference run on --args. The mega-module is a compiler-throughput
-    // workload with no entry point to interpret (`--run`/`--sim` are
-    // rejected at parse time), and a compile that trains on --args runs the
-    // reference run itself (`CompileOutput::reference`).
-    let reference = if cli.mega.is_some() || req.trains_on_own_args() {
+    // The reference run on --args, which only `--run` and `--sim` compare
+    // against (the mega-module, which has no entry point to interpret,
+    // rejects both at parse time). A compile that trains on --args runs
+    // the reference run itself (`CompileOutput::reference`).
+    let compares = cli.run || cli.inv.sim.is_some();
+    let reference = if !compares || req.trains_on_own_args() {
         None
     } else {
         Some(run(&m, &req.entry, &req.args, req.fuel).map_err(|e| reference_run_failed(&e))?)

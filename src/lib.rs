@@ -112,7 +112,7 @@ pub mod serve;
 pub mod prelude {
     pub use crate::pipeline::{
         compile, compile_module, parse_flags, reduce_failure, simulate_text, CompileFailure,
-        CompileOutput, CompileRequest, ControlKind, Invocation, SimOptions, SpecKind,
+        CompileOutput, CompileRequest, ControlKind, Invocation, SecretLoc, SimOptions, SpecKind,
     };
     pub use crate::serve::{serve_queue, serve_stdin, ServeConfig};
     pub use specframe_alias::{AliasAnalysis, Loc};
@@ -129,7 +129,7 @@ pub mod prelude {
     pub use specframe_machine::{audit_func, audit_program, AuditError, AuditStats};
     pub use specframe_machine::{
         fault_matrix, parse_fault_policy, run_machine, run_machine_on, run_machine_with_policy_on,
-        Counters, SpecTarget, TargetId,
+        Counters, FaultPolicy, SpecTarget, TargetId,
     };
     pub use specframe_profile::{
         run, run_with, train, AliasProfiler, Collect, EdgeProfiler, ReuseSimulator, Training,

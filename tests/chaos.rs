@@ -281,6 +281,46 @@ fn unreadable_request_is_quarantined_and_the_drain_continues() {
 }
 
 #[test]
+fn the_deadline_covers_the_training_run() {
+    // the training run counts to 8M (hundreds of milliseconds in a release
+    // build, more in a debug one), at least 10x the 20 ms deadline; the
+    // interpreter polls no token, so the run finishes and the compile then
+    // fails on the deadline
+    let dir = TempDir::new("deadline_training");
+    let input = dir.join("count.ir");
+    std::fs::write(
+        &input,
+        "func main(n: i64) -> i64 {\n  var i: i64\n  var c: i64\nentry:\n  i = 0\n  jmp head\n\
+         head:\n  c = lt i, n\n  br c, body, exit\nbody:\n  i = add i, 1\n  jmp head\n\
+         exit:\n  ret i\n}\n",
+    )
+    .unwrap();
+    let out = specc()
+        .arg(&input)
+        .args([
+            "--args",
+            "8000000",
+            "--spec",
+            "none",
+            "--control",
+            "profile",
+        ])
+        .args([
+            "--fuel",
+            "1000000000",
+            "--deadline-ms",
+            "20",
+            "-o",
+            "/dev/null",
+        ])
+        .output()
+        .expect("specc --deadline-ms");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(5), "{err}");
+    assert!(err.contains("deadline"), "{err}");
+}
+
+#[test]
 fn deadline_zero_exits_code_5_and_writes_no_cache_entry() {
     // `--deadline-ms 0` has expired before the optimizer starts; one
     // millisecond usually runs out while it works on 1000 functions

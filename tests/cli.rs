@@ -299,6 +299,50 @@ fn emit_hssa_runs_no_reference_run() {
 }
 
 #[test]
+fn emit_hssa_reads_the_given_alias_profile() {
+    // a usable profile spares the training run, which could not finish on
+    // this input; an unusable one degrades to the heuristic rules, with the
+    // compile's warning, and does not train either
+    let input = tempfile_path::TempPath::new("specc_spin_hssa_prof", ".ir", SPIN);
+    for (profile, warns) in [
+        ("specframe-alias-profile v1\nend\n", false),
+        ("specframe-alias-profile v1\nsite 0 count", true),
+    ] {
+        let prof = tempfile_path::TempPath::new("specc_spin_hssa", ".aprof", profile);
+        let out = specc()
+            .args([input.as_str(), "--spec", "profile", "--control", "static"])
+            .args(["--alias-profile", prof.as_str(), "--emit", "hssa"])
+            .output()
+            .expect("spawn specc");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{profile:?}: {err}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("hssa func main"),
+            "{profile:?}"
+        );
+        assert_eq!(
+            err.contains("alias profile unusable"),
+            warns,
+            "{profile:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_plain_compile_runs_no_reference_run() {
+    // nothing compares against a reference result, so a compile needs no
+    // arguments that `main` could run on
+    let input = write_kernel();
+    let out = specc()
+        .args([input.as_str(), "--spec", "heuristic", "--control", "static"])
+        .output()
+        .expect("spawn specc");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("func kern"));
+}
+
+#[test]
 fn unknown_flag_reports_usage() {
     let out = specc().arg("--frobnicate").output().expect("spawn specc");
     // usage errors are exit-code family 1
@@ -376,13 +420,17 @@ fn fault_policies_report_per_policy_counters() {
 #[test]
 fn bad_fault_policy_is_usage_error() {
     let input = write_kernel();
-    let out = specc()
-        .args([input.as_str(), "--sim", "--fault-policy", "bogus"])
-        .output()
-        .expect("spawn specc");
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("fault policy"), "{err}");
+    // an evict-at schedule without a positive tick would print a name
+    // that does not parse back
+    for policy in ["bogus", "evict-at:0"] {
+        let out = specc()
+            .args([input.as_str(), "--sim", "--fault-policy", policy])
+            .output()
+            .expect("spawn specc");
+        assert_eq!(out.status.code(), Some(1), "{policy}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("fault policy"), "{policy}: {err}");
+    }
 }
 
 #[test]

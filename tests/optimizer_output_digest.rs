@@ -225,7 +225,7 @@ fn optimizer_output_matches_the_recorded_digests() {
                 };
                 let mut prepared = input.module.clone();
                 prepare_module(&mut prepared);
-                let hssa = render_hssa(&prepared, &req).unwrap_or_else(|e| fail(e));
+                let (hssa, _) = render_hssa(&prepared, &req).unwrap_or_else(|e| fail(e));
                 let out = compile_module(input.module.clone(), &req).unwrap_or_else(|e| fail(e));
                 let mut bytes = print_module(&out.module).into_bytes();
                 bytes.extend_from_slice(format!("{:?}", out.report.stats).as_bytes());
