@@ -160,6 +160,12 @@ echo "$sabotage_out" | grep -q "RUN: specc" \
   || { echo "ci.sh: no .spec repro in sabotage output"; exit 1; }
 echo "$sabotage_out" | grep -q "; reduce: .* probes" \
   || { echo "ci.sh: no reduction stats in sabotage output"; exit 1; }
+# ...and that stdout, saved as it is, must be a .spec file spectest passes
+sabotage_spec="$(mktemp --suffix=.spec)"
+printf '%s\n' "$sabotage_out" > "$sabotage_spec"
+cargo run --release -q -p spectest -- -q "$sabotage_spec" \
+  || { echo "ci.sh: sabotage stdout is not a passing .spec file"; rm -f "$sabotage_spec"; exit 1; }
+rm -f "$sabotage_spec"
 echo "fuzzdiff sabotage smoke: oracle failed and reduced as expected"
 
 # count gate: a quick traced specbench run of every workload must

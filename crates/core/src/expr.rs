@@ -11,9 +11,11 @@
 //! * indirect loads `*(p + off)` — the paper's `*p` / `A[i][j]` promotion
 //!   candidates, where data speculation pays off.
 
+use specframe_analysis::DomTree;
 use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarId, HVarKind, HssaFunc, MemBase, MemVar};
-use specframe_ir::{BinOp, Ty, VarId};
-use specframe_ir::{FxHashSet, InlineVec};
+use specframe_ir::{BinOp, BlockId, Ty, VarId};
+use specframe_ir::{FxHashSet, FxHasher, InlineVec};
+use std::hash::{Hash, Hasher};
 
 /// A lexical operand of an expression key: the *identity* of the value, not
 /// a version.
@@ -49,6 +51,14 @@ impl LexOperand {
         match self {
             LexOperand::Reg(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// The address operand of a direct-memory variable's base.
+    fn of_base(base: MemBase) -> LexOperand {
+        match base {
+            MemBase::Global(g) => LexOperand::GlobalAddr(g),
+            MemBase::Slot(s) => LexOperand::SlotAddr(s),
         }
     }
 }
@@ -150,6 +160,105 @@ impl ExprKey {
             ExprKey::IndirectLoad { base, off, .. } => Some((*base, *off)),
             _ => None,
         }
+    }
+
+    /// The fingerprint of the expression's lexical shape: the
+    /// [`stmt_shape`] of every one of its occurrences.
+    pub fn shape(&self) -> u64 {
+        match *self {
+            ExprKey::Bin(op, a, b) => bin_shape(op, a, b),
+            ExprKey::DirectLoad(mv, ty) => load_shape(LexOperand::of_base(mv.base), mv.off, ty),
+            ExprKey::IndirectLoad { base, off, ty, .. } => {
+                load_shape(LexOperand::Reg(base), off, ty)
+            }
+        }
+    }
+}
+
+fn fx_hash(x: &impl Hash) -> u64 {
+    let mut h = FxHasher::default();
+    x.hash(&mut h);
+    h.finish()
+}
+
+/// The fingerprint of `op a, b`, symmetric in the operands of a
+/// commutative `op` (an occurrence matches its key in either order).
+fn bin_shape(op: BinOp, a: LexOperand, b: LexOperand) -> u64 {
+    let (x, y) = (fx_hash(&a), fx_hash(&b));
+    let (x, y) = if op.is_commutative() && x > y {
+        (y, x)
+    } else {
+        (x, y)
+    };
+    fx_hash(&(0u8, op, x, y))
+}
+
+/// The fingerprint of a load of `ty` from `base + off`.
+fn load_shape(base: LexOperand, off: i64, ty: Ty) -> u64 {
+    fx_hash(&(1u8, base, off, ty))
+}
+
+/// The fingerprint of `stmt`'s lexical shape, for the statements that can
+/// be an occurrence of some candidate: a binary operation, or a load by its
+/// base, offset and type whatever its `LoadSpec`, `dvar` or μ list.
+/// Different shapes may share a fingerprint; [`occurrence_versions`]
+/// decides.
+pub fn stmt_shape(stmt: &HStmt) -> Option<u64> {
+    match &stmt.kind {
+        HStmtKind::Bin { op, a, b, .. } => {
+            Some(bin_shape(*op, LexOperand::of(a), LexOperand::of(b)))
+        }
+        HStmtKind::Load {
+            base, offset, ty, ..
+        } => Some(load_shape(LexOperand::of(base), *offset, *ty)),
+        _ => None,
+    }
+}
+
+/// One phase's index of the statements a candidate can occur at: every
+/// reachable statement with a [`stmt_shape`], by fingerprint. A candidate
+/// visits only the positions whose fingerprint is its
+/// [`ExprKey::shape`], so it pays for the statements of its own shape, not
+/// for a walk of the whole function. A transformation inserts and deletes
+/// statements, so the table is rebuilt after every candidate that changed
+/// the function.
+#[derive(Debug, Default)]
+pub struct StmtTable {
+    /// Fingerprints, ascending.
+    shapes: Vec<u64>,
+    /// `sites[i]` is the `(block, stmt)` position fingerprinted
+    /// `shapes[i]`; the positions of one fingerprint are in layout order.
+    sites: Vec<(BlockId, u32)>,
+}
+
+impl StmtTable {
+    /// Indexes the reachable statements of `hf`.
+    pub fn build(hf: &HssaFunc, dt: &DomTree) -> StmtTable {
+        let mut rows: Vec<(u64, BlockId, u32)> = Vec::new();
+        for b in hf.block_ids() {
+            if !dt.is_reachable(b) {
+                continue;
+            }
+            for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
+                if let Some(shape) = stmt_shape(stmt) {
+                    rows.push((shape, b, si as u32));
+                }
+            }
+        }
+        rows.sort_unstable();
+        StmtTable {
+            shapes: rows.iter().map(|r| r.0).collect(),
+            sites: rows.iter().map(|r| (r.1, r.2)).collect(),
+        }
+    }
+
+    /// The positions that may hold an occurrence of `key`, in layout
+    /// order: every reachable occurrence is among them.
+    pub fn sites(&self, key: &ExprKey) -> &[(BlockId, u32)] {
+        let shape = key.shape();
+        let lo = self.shapes.partition_point(|&s| s < shape);
+        let hi = self.shapes.partition_point(|&s| s <= shape);
+        &self.sites[lo..hi]
     }
 }
 
@@ -354,8 +463,54 @@ pub fn collect_candidates(hf: &HssaFunc, families: &[Family]) -> Vec<ExprKey> {
     lists.concat()
 }
 
-fn lex_gt(a: &LexOperand, b: &LexOperand) -> bool {
-    format!("{a:?}") > format!("{b:?}")
+/// `format!("{a:?}") > format!("{b:?}")`, the canonical operand order of
+/// a commutative key, without the formatter. The derived `Debug` text is
+/// the variant name, `(`, the payload in decimal (an id after its
+/// one-letter prefix, the same within a variant) and `)`. Variant names
+/// differ before any payload and sort `ConstF < ConstI < GlobalAddr < Reg
+/// < SlotAddr`; within a variant the payloads compare as bytes, and since
+/// `)` sorts below `-` and every digit, a payload that is a prefix of the
+/// other sorts first, which is slice order.
+pub(crate) fn lex_gt(a: &LexOperand, b: &LexOperand) -> bool {
+    let (ra, na, ma) = debug_parts(a);
+    let (rb, nb, mb) = debug_parts(b);
+    if ra != rb {
+        return ra > rb;
+    }
+    let (mut ba, mut bb) = ([0u8; 20], [0u8; 20]);
+    decimal(na, ma, &mut ba) > decimal(nb, mb, &mut bb)
+}
+
+/// The rank of the operand's variant name in byte order, and its payload
+/// as a sign and magnitude.
+fn debug_parts(o: &LexOperand) -> (u8, bool, u64) {
+    match *o {
+        LexOperand::ConstF(bits) => (0, false, bits),
+        LexOperand::ConstI(c) => (1, c < 0, c.unsigned_abs()),
+        LexOperand::GlobalAddr(g) => (2, false, u64::from(g.0)),
+        LexOperand::Reg(v) => (3, false, u64::from(v.0)),
+        LexOperand::SlotAddr(s) => (4, false, u64::from(s.0)),
+    }
+}
+
+/// Writes `mag` in decimal, after a `-` if `neg`, to the end of `buf` and
+/// returns the written bytes (at most 20: `-9223372036854775808` and
+/// `u64::MAX` both fit).
+fn decimal(neg: bool, mut mag: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (mag % 10) as u8;
+        mag /= 10;
+        if mag == 0 {
+            break;
+        }
+    }
+    if neg {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    &buf[i..]
 }
 
 /// The non-speculative kill query: does `stmt` redefine any value `key`

@@ -3,6 +3,7 @@
 //! Every kernel client runs [`cleanup_hssa`] after its rewrites so a
 //! reload costs its check and nothing more.
 
+use specframe_hssa::stmt::RegVer;
 use specframe_hssa::{HOperand, HStmtKind, HVarKind, HssaFunc};
 use specframe_ir::VarId;
 use specframe_ir::{FxHashMap, FxHashSet};
@@ -24,13 +25,114 @@ pub fn cleanup_hssa(hf: &mut HssaFunc) {
     }
 }
 
+/// Dense slots for the register versions of one function, laid out from
+/// its catalog and `next_ver`: register `v`'s versions `0..next_ver` take
+/// the slots `start..start + next_ver` of `span[v] = (start, next_ver)`.
+/// A version outside that range has no slot: the `u32::MAX` an unreachable
+/// block keeps (HSSA rename never visits it) goes to the side table of a
+/// [`VerSet`] or [`VerMap`], so a sentinel never sizes a dense table
+/// (`tests/unreachable_blocks.rs`).
+struct VerSlots {
+    span: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl VerSlots {
+    fn new(hf: &HssaFunc) -> VerSlots {
+        let mut span = vec![(0, 0); hf.first_new_var as usize + hf.new_vars.len()];
+        let mut len = 0u32;
+        for (id, kind) in hf.catalog.iter() {
+            if let HVarKind::Reg(v) = kind {
+                let n = hf.next_ver[id.index()];
+                span[v.index()] = (len, n);
+                len += n;
+            }
+        }
+        VerSlots {
+            span,
+            len: len as usize,
+        }
+    }
+
+    fn slot(&self, (v, ver): RegVer) -> Option<usize> {
+        let &(start, n) = self.span.get(v.index())?;
+        (ver < n).then(|| start as usize + ver as usize)
+    }
+}
+
+/// A set of register versions over [`VerSlots`].
+struct VerSet<'s> {
+    slots: &'s VerSlots,
+    dense: Vec<bool>,
+    side: FxHashSet<RegVer>,
+}
+
+impl<'s> VerSet<'s> {
+    fn new(slots: &'s VerSlots) -> Self {
+        VerSet {
+            slots,
+            dense: vec![false; slots.len],
+            side: FxHashSet::default(),
+        }
+    }
+
+    /// Adds `rv`; returns whether it was absent.
+    fn insert(&mut self, rv: RegVer) -> bool {
+        match self.slots.slot(rv) {
+            Some(i) => !std::mem::replace(&mut self.dense[i], true),
+            None => self.side.insert(rv),
+        }
+    }
+
+    fn contains(&self, rv: RegVer) -> bool {
+        match self.slots.slot(rv) {
+            Some(i) => self.dense[i],
+            None => self.side.contains(&rv),
+        }
+    }
+}
+
+/// A map from register versions to operands over [`VerSlots`].
+struct VerMap<'s> {
+    slots: &'s VerSlots,
+    dense: Vec<Option<HOperand>>,
+    side: FxHashMap<RegVer, HOperand>,
+}
+
+impl<'s> VerMap<'s> {
+    fn new(slots: &'s VerSlots) -> Self {
+        VerMap {
+            slots,
+            dense: vec![None; slots.len],
+            side: FxHashMap::default(),
+        }
+    }
+
+    fn insert(&mut self, rv: RegVer, val: HOperand) {
+        match self.slots.slot(rv) {
+            Some(i) => self.dense[i] = Some(val),
+            None => {
+                self.side.insert(rv, val);
+            }
+        }
+    }
+
+    fn get(&self, rv: RegVer) -> Option<HOperand> {
+        match self.slots.slot(rv) {
+            Some(i) => self.dense[i],
+            None => self.side.get(&rv).copied(),
+        }
+    }
+}
+
 /// Removes φs over *register* variables whose result version is never
 /// used by any statement, terminator, or live φ. Memory/virtual-variable
 /// φs are ghosts (no lowering cost) and are kept. Returns the number of
 /// φs removed.
 pub fn eliminate_dead_phis(hf: &mut HssaFunc) -> usize {
+    let slots = VerSlots::new(hf);
     // seed: versions used by non-phi consumers
-    let mut needed: FxHashSet<(VarId, u32)> = FxHashSet::default();
+    let mut needed = VerSet::new(&slots);
     for b in hf.block_ids() {
         let blk = &hf.blocks[b.index()];
         for stmt in &blk.stmts {
@@ -60,7 +162,7 @@ pub fn eliminate_dead_phis(hf: &mut HssaFunc) -> usize {
         for b in hf.block_ids() {
             for phi in &hf.blocks[b.index()].phis {
                 if let HVarKind::Reg(v) = hf.catalog.kind(phi.var) {
-                    if needed.contains(&(v, phi.dest)) {
+                    if needed.contains((v, phi.dest)) {
                         for &a in &phi.args {
                             changed |= needed.insert((v, a));
                         }
@@ -76,7 +178,7 @@ pub fn eliminate_dead_phis(hf: &mut HssaFunc) -> usize {
     for blk in blocks.iter_mut() {
         let before = blk.phis.len();
         blk.phis.retain(|phi| match catalog.kind(phi.var) {
-            HVarKind::Reg(v) => needed.contains(&(v, phi.dest)),
+            HVarKind::Reg(v) => needed.contains((v, phi.dest)),
             _ => true,
         });
         removed += before - blk.phis.len();
@@ -168,9 +270,10 @@ pub fn propagate_collapsed_local(hf: &mut HssaFunc) {
 /// (by any statement operand, terminator, or φ argument). Iterates to a
 /// fixpoint since copies can feed only other dead copies.
 pub fn eliminate_dead_copies(hf: &mut HssaFunc) -> usize {
+    let slots = VerSlots::new(hf);
     let mut total = 0usize;
     loop {
-        let mut used: FxHashSet<(VarId, u32)> = FxHashSet::default();
+        let mut used = VerSet::new(&slots);
         for b in hf.block_ids() {
             let blk = &hf.blocks[b.index()];
             for phi in &blk.phis {
@@ -203,7 +306,7 @@ pub fn eliminate_dead_copies(hf: &mut HssaFunc) -> usize {
             let blk = &mut hf.blocks[b.index()];
             let before = blk.stmts.len();
             blk.stmts.retain(|stmt| match &stmt.kind {
-                HStmtKind::Copy { dst, .. } => used.contains(dst),
+                HStmtKind::Copy { dst, .. } => used.contains(*dst),
                 _ => true,
             });
             removed += before - blk.stmts.len();
@@ -222,7 +325,8 @@ pub fn eliminate_dead_copies(hf: &mut HssaFunc) -> usize {
 /// snapshot copy must stay a copy.
 pub fn copy_propagate(hf: &mut HssaFunc) {
     let collapsed: FxHashSet<VarId> = hf.collapsed_vars.iter().copied().collect();
-    let mut map: FxHashMap<(VarId, u32), HOperand> = FxHashMap::default();
+    let slots = VerSlots::new(hf);
+    let mut map = VerMap::new(&slots);
     for b in hf.block_ids() {
         for stmt in &hf.blocks[b.index()].stmts {
             if let HStmtKind::Copy { dst, src } = &stmt.kind {
@@ -239,8 +343,8 @@ pub fn copy_propagate(hf: &mut HssaFunc) {
     let resolve = |mut o: HOperand| -> HOperand {
         for _ in 0..64 {
             match o {
-                HOperand::Reg(v, ver) => match map.get(&(v, ver)) {
-                    Some(&next) => o = next,
+                HOperand::Reg(v, ver) => match map.get((v, ver)) {
+                    Some(next) => o = next,
                     None => break,
                 },
                 _ => break,

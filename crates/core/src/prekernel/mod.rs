@@ -245,35 +245,38 @@ pub(crate) struct Kernel<'k, C: SpecClient> {
 }
 
 impl<'k, C: SpecClient> Kernel<'k, C> {
-    /// Scans the function for real occurrences of the candidate.
+    /// Collects the real occurrences of the candidate among `sites`, the
+    /// `(block, stmt)` positions that can hold one, in layout order.
     pub(crate) fn scan(
         hf: &HssaFunc,
         client: &'k C,
+        sites: &[(BlockId, u32)],
         dt: &'k DomTree,
         df: &'k DomFrontiers,
         policy: &'k SpecPolicy<'k>,
     ) -> Self {
         let mut occs: Vec<RealOcc> = Vec::new();
         let mut occ_rng: Vec<(u32, u32)> = vec![(0, 0); hf.blocks.len()];
-        for b in hf.block_ids() {
-            if !dt.is_reachable(b) {
+        for &(b, si) in sites {
+            let Some(vers) = client.occurrence(&hf.blocks[b.index()].stmts[si as usize]) else {
                 continue;
+            };
+            let n = occs.len() as u32;
+            let rng = &mut occ_rng[b.index()];
+            if rng.0 == rng.1 {
+                // the block's first occurrence
+                *rng = (n, n);
             }
-            let lo = occs.len() as u32;
-            for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
-                if let Some(vers) = client.occurrence(stmt) {
-                    occs.push(RealOcc {
-                        block: b,
-                        stmt: si,
-                        vers,
-                        class: u32::MAX,
-                        spec: false,
-                        role: Role::Compute { save: false },
-                        t_ver: u32::MAX,
-                    });
-                }
-            }
-            occ_rng[b.index()] = (lo, occs.len() as u32);
+            rng.1 = n + 1;
+            occs.push(RealOcc {
+                block: b,
+                stmt: si as usize,
+                vers,
+                class: u32::MAX,
+                spec: false,
+                role: Role::Compute { save: false },
+                t_ver: u32::MAX,
+            });
         }
         Kernel {
             client,
@@ -367,19 +370,22 @@ pub(crate) fn weak_reaches<C: SpecClient>(
     None
 }
 
-/// Runs the six steps for one candidate. Returns `true` if the program
-/// changed.
+/// Runs the six steps for one candidate whose reachable occurrences are
+/// among `sites`, `(block, stmt)` positions in layout order. Returns `true`
+/// if the program changed.
+#[allow(clippy::too_many_arguments)]
 pub fn run_kernel<C: SpecClient>(
     f_base: &Function,
     hf: &mut HssaFunc,
     client: &C,
+    sites: &[(BlockId, u32)],
     dt: &DomTree,
     df: &DomFrontiers,
     policy: &SpecPolicy<'_>,
     stats: &mut OptStats,
 ) -> bool {
     // ---- scan: real occurrences ------------------------------------------
-    let mut k = Kernel::scan(hf, client, dt, df, policy);
+    let mut k = Kernel::scan(hf, client, sites, dt, df, policy);
     if k.occs.is_empty() {
         return false;
     }

@@ -20,7 +20,9 @@
 //! check loads by the same register, and what makes a failed check's
 //! reloaded value visible to every later reload.
 
-use crate::expr::{collect_candidates, kills, occurrence_versions, ExprKey, Family, OccVersions};
+use crate::expr::{
+    collect_candidates, kills, occurrence_versions, ExprKey, Family, OccVersions, StmtTable,
+};
 use crate::prekernel::{run_kernel, SpecClient};
 use crate::stats::OptStats;
 use specframe_analysis::{DomFrontiers, DomTree, FuncAnalyses};
@@ -28,7 +30,7 @@ use specframe_hssa::{
     ChiRefine, HOperand, HStmt, HStmtKind, HVarId, HssaFunc, MemBase, RefineStmt,
 };
 use specframe_ir::FxHashSet;
-use specframe_ir::{Function, LoadSpec, Ty, VarId};
+use specframe_ir::{BlockId, Function, LoadSpec, Ty, VarId};
 
 // The engine moved to `prekernel`; keep the public surface stable.
 pub use crate::prekernel::{
@@ -48,17 +50,26 @@ pub fn ssapre_function(
     stats: &mut OptStats,
     fa: &FuncAnalyses,
 ) -> usize {
-    let (dt, df) = (&fa.dt, &fa.df);
+    ssapre_phases(f_base, hf, policy, stats, fa, |_, _, _| {})
+}
+
+/// [`ssapre_function`], calling `visit` with the function, the candidate
+/// and the statement-table positions it scans before each candidate runs.
+fn ssapre_phases(
+    f_base: &Function,
+    hf: &mut HssaFunc,
+    policy: &SpecPolicy<'_>,
+    stats: &mut OptStats,
+    fa: &FuncAnalyses,
+    mut visit: impl FnMut(&HssaFunc, &ExprKey, &[(BlockId, u32)]),
+) -> usize {
     let mut changed = 0;
     // phase 1: arithmetic expressions (address computations among them);
     // every family is collected so `candidates` counts the loads too
     let candidates = collect_candidates(hf, &Family::ALL);
     stats.candidates += candidates.len() as u64;
-    for key in candidates.iter().filter(|k| !k.is_load()) {
-        if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
-            changed += 1;
-        }
-    }
+    let arith = candidates.iter().filter(|k| !k.is_load());
+    changed += run_phase(f_base, hf, arith, policy, stats, fa, &mut visit);
     // phase 2: copy propagation unifies the base registers of loads whose
     // address arithmetic phase 1 just commoned — this restores the "same
     // syntax tree" identity the paper's lexical expression matching relies
@@ -66,21 +77,15 @@ pub fn ssapre_function(
     copy_propagate(hf);
     // phase 3a: direct loads (scalar promotion) first — their collapsed
     // temporaries may become the base registers of indirect candidates
-    for key in &collect_candidates(hf, &[Family::DirectLoad]) {
-        if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
-            changed += 1;
-        }
-    }
+    let direct = collect_candidates(hf, &[Family::DirectLoad]);
+    changed += run_phase(f_base, hf, &direct, policy, stats, fa, &mut visit);
     // phase 3b: forward the promoted pointers into dependent load bases so
     // cascaded speculation (Appendix B's chk.a scenario) can see them
     copy_propagate(hf);
     propagate_collapsed_local(hf);
     // phase 3c: indirect loads, re-collected after the rewrite
-    for key in &collect_candidates(hf, &[Family::IndirectLoad]) {
-        if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
-            changed += 1;
-        }
-    }
+    let indirect = collect_candidates(hf, &[Family::IndirectLoad]);
+    changed += run_phase(f_base, hf, &indirect, policy, stats, fa, &mut visit);
     // phase 4: clean up — propagate the copies the transformations left
     // behind and drop the dead ones, so a reload costs its check and
     // nothing more
@@ -88,20 +93,52 @@ pub fn ssapre_function(
     changed
 }
 
-/// Runs the six kernel steps for one expression. Returns `true` if the
-/// program changed.
+/// Runs the kernel for one phase's candidates over one [`StmtTable`],
+/// rebuilt before the next candidate whenever one changed `hf` (its
+/// statement positions moved). Returns the number transformed.
+fn run_phase<'k>(
+    f_base: &Function,
+    hf: &mut HssaFunc,
+    keys: impl IntoIterator<Item = &'k ExprKey>,
+    policy: &SpecPolicy<'_>,
+    stats: &mut OptStats,
+    fa: &FuncAnalyses,
+    visit: &mut impl FnMut(&HssaFunc, &ExprKey, &[(BlockId, u32)]),
+) -> usize {
+    let mut changed = 0;
+    let mut table = StmtTable::default();
+    let mut stale = true;
+    for key in keys {
+        if stale {
+            table = StmtTable::build(hf, &fa.dt);
+            stale = false;
+        }
+        let sites = table.sites(key);
+        visit(hf, key, sites);
+        if ssapre_expression(f_base, hf, key, sites, &fa.dt, &fa.df, policy, stats) {
+            changed += 1;
+            stale = true;
+        }
+    }
+    changed
+}
+
+/// Runs the six kernel steps for one expression, whose occurrences are
+/// among `sites` (its [`StmtTable::sites`]). Returns `true` if the program
+/// changed.
 #[allow(clippy::too_many_arguments)]
 pub fn ssapre_expression(
     f_base: &Function,
     hf: &mut HssaFunc,
     key: &ExprKey,
+    sites: &[(BlockId, u32)],
     dt: &DomTree,
     df: &DomFrontiers,
     policy: &SpecPolicy<'_>,
     stats: &mut OptStats,
 ) -> bool {
-    let client = ExprClient::new(hf, key, policy, dt);
-    run_kernel(f_base, hf, &client, dt, df, policy, stats)
+    let client = ExprClient::new(hf, key, sites, policy);
+    run_kernel(f_base, hf, &client, sites, dt, df, policy, stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +165,12 @@ struct ExprClient<'a> {
 }
 
 impl<'a> ExprClient<'a> {
-    fn new(hf: &HssaFunc, key: &'a ExprKey, policy: &'a SpecPolicy<'a>, dt: &DomTree) -> Self {
+    fn new(
+        hf: &HssaFunc,
+        key: &'a ExprKey,
+        sites: &[(BlockId, u32)],
+        policy: &'a SpecPolicy<'a>,
+    ) -> Self {
         let base_collapsed = match key {
             ExprKey::IndirectLoad { base, .. } => hf.collapsed_vars.contains(base),
             _ => false,
@@ -136,18 +178,14 @@ impl<'a> ExprClient<'a> {
         let expr_locs: FxHashSet<specframe_alias::Loc> = match policy.oracle.profile() {
             Some(p) => {
                 let mut locs = FxHashSet::default();
-                for b in hf.block_ids() {
-                    if !dt.is_reachable(b) {
+                for &(b, si) in sites {
+                    let stmt = &hf.blocks[b.index()].stmts[si as usize];
+                    if occurrence_versions(stmt, key).is_none() {
                         continue;
                     }
-                    for stmt in &hf.blocks[b.index()].stmts {
-                        if occurrence_versions(stmt, key).is_none() {
-                            continue;
-                        }
-                        if let HStmtKind::Load { site, .. } = &stmt.kind {
-                            if let Some(s) = p.locs(*site) {
-                                locs.extend(s.iter().copied());
-                            }
+                    if let HStmtKind::Load { site, .. } = &stmt.kind {
+                        if let Some(s) = p.locs(*site) {
+                            locs.extend(s.iter().copied());
                         }
                     }
                 }
@@ -372,6 +410,168 @@ fn materialize(
                 likely: true,
             });
             stmt
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::{lex_gt, LexOperand};
+    use crate::prekernel::Kernel;
+    use specframe_alias::AliasAnalysis;
+    use specframe_analysis::{estimate_function, EdgeProfile};
+    use specframe_hssa::{build_hssa, refine_function, Likeliness, SpecSource};
+    use specframe_ir::{parse_module, FuncId, GlobalId, Module, SlotId};
+    use specframe_profile::{train, AliasProfile, Collect};
+    use specframe_workloads::{all_workloads, mega_source, Scale};
+    use std::mem::discriminant;
+
+    /// The occurrences of `key` a plain walk of every reachable statement
+    /// finds.
+    fn full_walk(hf: &HssaFunc, dt: &DomTree, key: &ExprKey) -> Vec<(BlockId, usize, OccVersions)> {
+        let mut occs = Vec::new();
+        for b in hf.block_ids() {
+            if !dt.is_reachable(b) {
+                continue;
+            }
+            for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
+                if let Some(vers) = occurrence_versions(stmt, key) {
+                    occs.push((b, si, vers));
+                }
+            }
+        }
+        occs
+    }
+
+    /// Runs SSAPRE with static control speculation over every function of
+    /// the prepared module `m` under `source`, checking before each
+    /// candidate that the table-driven scan finds what [`full_walk`] finds.
+    /// Returns the candidates checked and how many of them ran right after
+    /// a candidate of the same phase that changed the function.
+    fn check_module(m: &Module, source: SpecSource<'_>) -> (usize, usize) {
+        let aa = AliasAnalysis::analyze(m);
+        let (mut checked, mut after_change) = (0, 0);
+        for fi in 0..m.funcs.len() {
+            let fid = FuncId::from_index(fi);
+            let mut f = m.funcs[fi].clone();
+            let fa = FuncAnalyses::compute(&f);
+            let mut edges = EdgeProfile::new();
+            estimate_function(&mut edges, fid, &f, &fa);
+            refine_function(&m.globals, &mut f, fid, &aa, &fa);
+            let oracle = Likeliness::new(source);
+            let mut hf = build_hssa(&m.globals, &f, fid, &aa, &oracle, &fa);
+            let policy = SpecPolicy {
+                oracle,
+                control: Some((&edges, fid)),
+            };
+            let mut last: Option<(ExprKey, Vec<Vec<HStmt>>)> = None;
+            ssapre_phases(
+                &f,
+                &mut hf,
+                &policy,
+                &mut OptStats::default(),
+                &fa,
+                |hf, key, sites| {
+                    let client = ExprClient::new(hf, key, sites, &policy);
+                    let k = Kernel::scan(hf, &client, sites, &fa.dt, &fa.df, &policy);
+                    let scanned: Vec<_> = k
+                        .occs
+                        .iter()
+                        .map(|o| (o.block, o.stmt, o.vers.clone()))
+                        .collect();
+                    assert_eq!(scanned, full_walk(hf, &fa.dt, key), "{}: {key:?}", f.name);
+                    checked += 1;
+                    // a phase runs one family, and inside a phase only a
+                    // transformation moves a statement
+                    let stmts: Vec<Vec<HStmt>> =
+                        hf.blocks.iter().map(|b| b.stmts.clone()).collect();
+                    if let Some((prev, prev_stmts)) = &last {
+                        if discriminant(prev) == discriminant(key) && *prev_stmts != stmts {
+                            after_change += 1;
+                        }
+                    }
+                    last = Some((*key, stmts));
+                },
+            );
+        }
+        (checked, after_change)
+    }
+
+    #[test]
+    fn stmt_table_finds_what_a_full_walk_finds() {
+        let mut modules: Vec<(String, Module, AliasProfile)> = Vec::new();
+        for w in all_workloads(Scale::Test) {
+            let mut m = w.module;
+            crate::prepare_module(&mut m);
+            let alias = Collect {
+                alias: true,
+                edges: false,
+            };
+            let t = train(&m, w.entry, &w.train_args, w.fuel, alias)
+                .unwrap_or_else(|e| panic!("{}: training run: {e}", w.name));
+            modules.push((w.name.to_string(), m, t.alias.expect("alias profile")));
+        }
+        // a mega module has no entry to train on: its profile is empty,
+        // which still routes every candidate through the location walk
+        let mut mega = parse_module(&mega_source(7, 150)).expect("mega module");
+        crate::prepare_module(&mut mega);
+        modules.push(("mega 7:150".into(), mega, AliasProfile::default()));
+        assert_eq!(modules.len(), 10);
+        let mut after_change = [0; 4];
+        for (name, m, profile) in &modules {
+            let sources = [
+                SpecSource::None,
+                SpecSource::Heuristic,
+                SpecSource::Aggressive,
+                SpecSource::Profile(profile),
+            ];
+            for (si, source) in sources.into_iter().enumerate() {
+                let (checked, rebuilt) = check_module(m, source);
+                assert!(checked > 0, "{name} {source:?}: no candidate");
+                after_change[si] += rebuilt;
+            }
+        }
+        assert!(
+            after_change.iter().all(|&n| n > 0),
+            "every source must run candidates after a transformation: {after_change:?}"
+        );
+
+        // the commutative operand order, on payloads that differ in digit
+        // count and sign
+        let f = |x: f64| LexOperand::ConstF(x.to_bits());
+        let ops = [
+            LexOperand::Reg(VarId(9)),
+            LexOperand::Reg(VarId(10)),
+            LexOperand::Reg(VarId(1)),
+            LexOperand::Reg(VarId(u32::MAX)),
+            LexOperand::ConstI(-1),
+            LexOperand::ConstI(10),
+            LexOperand::ConstI(-10),
+            LexOperand::ConstI(9),
+            LexOperand::ConstI(0),
+            LexOperand::ConstI(i64::MIN),
+            LexOperand::ConstI(i64::MAX),
+            f(1.0),
+            f(-0.0),
+            f(f64::MAX),
+            f(f64::NAN),
+            LexOperand::ConstF(u64::MAX),
+            LexOperand::ConstF(0),
+            LexOperand::ConstF(7),
+            LexOperand::GlobalAddr(GlobalId(9)),
+            LexOperand::GlobalAddr(GlobalId(10)),
+            LexOperand::SlotAddr(SlotId(2)),
+            LexOperand::SlotAddr(SlotId(12)),
+        ];
+        for a in &ops {
+            for b in &ops {
+                assert_eq!(
+                    lex_gt(a, b),
+                    format!("{a:?}") > format!("{b:?}"),
+                    "lex_gt({a:?}, {b:?})"
+                );
+            }
         }
     }
 }

@@ -20,7 +20,8 @@
 //! module before comparing — a deliberate sabotage that MUST make the
 //! oracle fail, proving it has teeth. `--reduce-on-failure` shrinks each
 //! failing case with the ddmin reducer and prints a `.spec`-ready repro
-//! to stdout.
+//! to stdout; the per-case status lines and the summary then go to
+//! stderr, so saved stdout is a `.spec` file `spectest` runs.
 //!
 //! Exit code 0 when every comparison matched, 1 otherwise (2 for usage).
 
@@ -115,6 +116,15 @@ fn main() -> std::process::ExitCode {
     let mut failures = 0u64;
     let mut skipped = 0u64;
 
+    // under --reduce-on-failure stdout carries the repro and nothing else
+    let status = |line: String| {
+        if o.reduce_on_failure {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
+
     let mut cases: Vec<Box<dyn FnOnce() -> specframe_fuzzdiff::Case>> = Vec::new();
     if o.workloads {
         for c in workload_cases() {
@@ -135,15 +145,15 @@ fn main() -> std::process::ExitCode {
         let case = make();
         let name = case.name.clone();
         match diff_case(&case, &o.policies, &mut stats, o.break_checks) {
-            DiffOutcome::Agree => println!("ok   {name}"),
+            DiffOutcome::Agree => status(format!("ok   {name}")),
             DiffOutcome::Setup(report) => {
                 failures += 1;
-                println!("FAIL {name}");
+                status(format!("FAIL {name}"));
                 eprintln!("{report}");
             }
             DiffOutcome::Diverged(report) => {
                 failures += 1;
-                println!("FAIL {name}");
+                status(format!("FAIL {name}"));
                 eprintln!("{report}");
                 if o.reduce_on_failure {
                     eprintln!("fuzzdiff: shrinking {name} to a minimal repro...");
@@ -168,18 +178,18 @@ fn main() -> std::process::ExitCode {
         if !o.break_checks {
             if let Err(report) = storage_fault_case(&case, &mut stats) {
                 failures += 1;
-                println!("FAIL {name} (storage-fault oracle)");
+                status(format!("FAIL {name} (storage-fault oracle)"));
                 eprintln!("{report}");
             }
             if let Err(report) = key_soundness_case(&case, &mut stats) {
                 failures += 1;
-                println!("FAIL {name} (key-soundness oracle)");
+                status(format!("FAIL {name} (key-soundness oracle)"));
                 eprintln!("{report}");
             }
         }
     }
 
-    println!(
+    status(format!(
         "fuzzdiff: {} cases, {} sim runs, {} failed checks recovered, \
          {} leak sites fenced ({} fences), {} cached compiles \
          ({} retries / {} injected errors, {} breaker trips), \
@@ -200,7 +210,7 @@ fn main() -> std::process::ExitCode {
         skipped,
         failures,
         start.elapsed().as_secs_f64()
-    );
+    ));
     if failures == 0 {
         std::process::ExitCode::SUCCESS
     } else {

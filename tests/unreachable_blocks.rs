@@ -10,13 +10,19 @@
 //! loops and leave the body unreachable). The scan now skips unreachable
 //! blocks, mirroring the occurrence scan, and `DenseMap::insert` rejects
 //! the sentinel outright.
+//!
+//! Cleanup walks every block, unreachable ones included, and keys the
+//! register versions it meets into dense tables laid out from the catalog
+//! and `next_ver`: the sentinel must stay out of their dense range.
 
 use specframe::prelude::*;
+use specframe_core::ssapre::cleanup_hssa;
+use specframe_hssa::{HOperand, HStmtKind};
 
 /// A decapitated loop — `head` jumps straight to `exit`, leaving the body
 /// (an indirect store through `p`, i.e. a χ over the tracked memory
-/// variable, plus a global load) unreachable — exactly the shape the
-/// reducer produced.
+/// variable, a register copy and two redefinitions) unreachable — the
+/// shape the reducer produced.
 const DECAPITATED: &str = r#"
 global g0: i64[8] = [3, 1, 4, 1, 5, 9, 2, 6]
 global g1: i64[8]
@@ -42,6 +48,7 @@ head:
   jmp exit
 body:
   store.i64 [p + 6], acc
+  acc = t
   i = add i, 1
   jmp head
 exit:
@@ -88,4 +95,53 @@ fn unreachable_store_does_not_explode_the_kernel() {
     prepare_module(&mut m);
     let (r, _) = run(&m, "main", &[Value::I(1), Value::I(6)], 10_000).expect("reference run");
     assert_eq!(r, Some(Value::I(4)));
+}
+
+/// Cleanup run directly, outside the pipeline's panic recovery: the
+/// body's copy and redefinitions carry the unrenamed `u32::MAX` version
+/// into copy propagation's map and both dead-code use sets. A table that
+/// gave the sentinel a dense slot would index past its end here; kept
+/// aside, the sentinel propagates like any other version.
+#[test]
+fn cleanup_keeps_unrenamed_versions_out_of_its_dense_tables() {
+    let mut m = parse_module(DECAPITATED).expect("parse");
+    prepare_module(&mut m);
+    let aa = AliasAnalysis::analyze(&m);
+    let fid = m.func_by_name("main").expect("main");
+    let f = m.func(fid);
+    let fa = FuncAnalyses::compute(f);
+    let mut hf = build_hssa(
+        &m.globals,
+        f,
+        fid,
+        &aa,
+        &Likeliness::new(SpecSource::None),
+        &fa,
+    );
+    let body = f
+        .blocks
+        .iter()
+        .position(|b| b.name == "body")
+        .expect("body");
+    let copies = |hf: &specframe_hssa::HssaFunc| {
+        hf.blocks[body]
+            .stmts
+            .iter()
+            .filter(|s| matches!(s.kind, HStmtKind::Copy { .. }))
+            .count()
+    };
+    assert_eq!(copies(&hf), 1);
+    cleanup_hssa(&mut hf);
+    // the copy `acc = t` forwarded `t` into the store, which was its only
+    // use, and died
+    assert_eq!(copies(&hf), 0);
+    let store_val = hf.blocks[body].stmts.iter().find_map(|s| match s.kind {
+        HStmtKind::Store { val, .. } => Some(val),
+        _ => None,
+    });
+    let t = f.vars.iter().position(|v| v.name == "t").expect("t");
+    assert_eq!(
+        store_val,
+        Some(HOperand::Reg(specframe_ir::VarId(t as u32), u32::MAX))
+    );
 }
