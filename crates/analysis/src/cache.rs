@@ -14,9 +14,9 @@
 //! rewrite instructions, operands, or φ operands — everything between
 //! `refine_function` and `lower_function` in the current pipeline — must NOT
 //! invalidate it. Any pass that adds/removes blocks or edges (e.g.
-//! `split_critical_edges`, which therefore runs *before* analyses are
-//! built) must call [`FuncAnalyses::recompute`] before the cache is used
-//! again.
+//! `remove_unreachable_blocks` and `split_critical_edges`, which therefore
+//! run *before* analyses are built) must call [`FuncAnalyses::recompute`]
+//! before the cache is used again.
 
 use crate::df::DomFrontiers;
 use crate::dom::DomTree;

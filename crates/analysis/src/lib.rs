@@ -19,7 +19,9 @@ pub mod freq;
 pub mod loops;
 
 pub use cache::FuncAnalyses;
-pub use cfg::{reachable_blocks, reverse_postorder, split_critical_edges};
+pub use cfg::{
+    reachable_blocks, remove_unreachable_blocks, reverse_postorder, split_critical_edges,
+};
 pub use df::{iterated_df, DomFrontiers};
 pub use dom::{dom_compute_count, DomTree};
 pub use freq::{estimate_function, estimate_profile, EdgeProfile};

@@ -2,7 +2,8 @@
 //!
 //! `prepare_module` → (profiling, outside) → [`optimize`]:
 //!
-//! 1. split critical edges (so SSAPRE insertions and φ lowering have a
+//! 1. drop unreachable blocks and split critical edges (so HSSA rename
+//!    versions every block, and SSAPRE insertions and φ lowering have a
 //!    block per edge);
 //! 2. Steensgaard alias analysis;
 //! 3. per function: build the speculative SSA form, run the speculative
@@ -27,7 +28,8 @@ use crate::stats::{OptStats, PassTimings};
 use crate::strength::{strength_reduce_hssa, SrTemp};
 use specframe_alias::AliasAnalysis;
 use specframe_analysis::{
-    dom_compute_count, estimate_function, split_critical_edges, EdgeProfile, FuncAnalyses,
+    dom_compute_count, estimate_function, remove_unreachable_blocks, split_critical_edges,
+    EdgeProfile, FuncAnalyses,
 };
 pub use specframe_hssa::SpecSource;
 use specframe_hssa::{
@@ -97,11 +99,15 @@ pub fn target_spec_costs(target: specframe_machine::TargetId) -> SpecCosts {
     }
 }
 
-/// Splits critical edges in every function. Run this **before** collecting
-/// edge profiles so profile block ids match what [`optimize`] sees
-/// (idempotent).
+/// Drops every block unreachable from its function's entry, then splits
+/// critical edges, in every function. Below this point every block is
+/// reachable, which HSSA construction relies on: its rename walks the
+/// dominator tree and would leave a dead block unversioned. Run this
+/// **before** collecting edge profiles so profile block ids match what
+/// [`optimize`] sees (idempotent).
 pub fn prepare_module(m: &mut Module) {
     for f in &mut m.funcs {
+        remove_unreachable_blocks(f);
         split_critical_edges(f);
     }
 }

@@ -13,17 +13,21 @@
 //!   (Lo et al., PLDI '98) — inserted loads become `ld.s` and their reloads
 //!   NaT-check loads.
 //!
-//! Clients implemented on top of the engine:
+//! The engine ([`prekernel`]) has one client, [`ssapre`]'s expression
+//! client, which runs it for
 //!
-//! * expression PRE ([`ssapre`] over arithmetic candidates);
-//! * **speculative register promotion** ([`ssapre`] over direct and
-//!   indirect load candidates — the optimization evaluated in §5);
-//! * strength reduction and linear-function test replacement
-//!   ([`strength`]).
+//! * expression PRE (arithmetic candidates);
+//! * **speculative register promotion** (direct and indirect load
+//!   candidates — the optimization evaluated in §5).
+//!
+//! Strength reduction ([`strength`]), linear-function test replacement
+//! ([`lftr`]) and store sinking ([`storeprom`]) run none of its steps:
+//! they share its loop recognition and its motion-edit seam.
 //!
 //! The pipeline's one entry point is [`driver::try_optimize_cached`], which
-//! runs the whole pipeline (critical-edge split → speculative SSA → SSAPRE
-//! worklist → strength reduction → out-of-SSA) over a module, optionally
+//! runs the whole pipeline ([`prepare_module`]'s dead-block removal and
+//! critical-edge split → speculative SSA → SSAPRE worklist → strength
+//! reduction → out-of-SSA) over a module, optionally
 //! through the compile cache, and reports [`stats::OptStats`] with the
 //! per-pass timings; [`driver::optimize`] is its panicking shorthand
 //! without hooks or a cache. The data-speculation source of
@@ -60,7 +64,7 @@ pub use error::{CompileDiag, CompileError};
 pub use expr::ExprKey;
 pub use lftr::lftr_hssa;
 pub use passes::{render_dumps, Pass, PassDump, PassSet, PipelineHooks};
-pub use prekernel::{apply_edits, reducible_loops, LoopShape, MotionEdit, SpecClient};
+pub use prekernel::{apply_edits, reducible_loops, LoopShape, MotionEdit};
 pub use reduce::{reduce_module, ReduceStats};
 pub use ssapre::{ssapre_function, SpecPolicy};
 pub use stats::{peak_rss_kb, OptStats, PassTimings};

@@ -1,7 +1,7 @@
 //! Post-kernel cleanup: copy propagation, block-local forwarding of
 //! collapsed-temporary copies, dead-φ pruning and dead-copy elimination.
-//! Every kernel client runs [`cleanup_hssa`] after its rewrites so a
-//! reload costs its check and nothing more.
+//! SSAPRE and every optional pass after it run [`cleanup_hssa`] after
+//! their rewrites so a reload costs its check and nothing more.
 
 use specframe_hssa::stmt::RegVer;
 use specframe_hssa::{HOperand, HStmtKind, HVarKind, HssaFunc};
@@ -28,10 +28,11 @@ pub fn cleanup_hssa(hf: &mut HssaFunc) {
 /// Dense slots for the register versions of one function, laid out from
 /// its catalog and `next_ver`: register `v`'s versions `0..next_ver` take
 /// the slots `start..start + next_ver` of `span[v] = (start, next_ver)`.
-/// A version outside that range has no slot: the `u32::MAX` an unreachable
-/// block keeps (HSSA rename never visits it) goes to the side table of a
-/// [`VerSet`] or [`VerMap`], so a sentinel never sizes a dense table
-/// (`tests/unreachable_blocks.rs`).
+/// Every block of a prepared function is renamed, so every version it
+/// defines has a slot. A version at or above `next_ver` — such as the
+/// `u32::MAX` placeholder an `--inject-corrupt` run writes into a use —
+/// has none: a [`VerSet`] or [`VerMap`] ignores its insertion and never
+/// contains it.
 struct VerSlots {
     span: Vec<(u32, u32)>,
     len: usize,
@@ -64,7 +65,6 @@ impl VerSlots {
 struct VerSet<'s> {
     slots: &'s VerSlots,
     dense: Vec<bool>,
-    side: FxHashSet<RegVer>,
 }
 
 impl<'s> VerSet<'s> {
@@ -72,23 +72,18 @@ impl<'s> VerSet<'s> {
         VerSet {
             slots,
             dense: vec![false; slots.len],
-            side: FxHashSet::default(),
         }
     }
 
     /// Adds `rv`; returns whether it was absent.
     fn insert(&mut self, rv: RegVer) -> bool {
-        match self.slots.slot(rv) {
-            Some(i) => !std::mem::replace(&mut self.dense[i], true),
-            None => self.side.insert(rv),
-        }
+        self.slots
+            .slot(rv)
+            .is_some_and(|i| !std::mem::replace(&mut self.dense[i], true))
     }
 
     fn contains(&self, rv: RegVer) -> bool {
-        match self.slots.slot(rv) {
-            Some(i) => self.dense[i],
-            None => self.side.contains(&rv),
-        }
+        self.slots.slot(rv).is_some_and(|i| self.dense[i])
     }
 }
 
@@ -96,7 +91,6 @@ impl<'s> VerSet<'s> {
 struct VerMap<'s> {
     slots: &'s VerSlots,
     dense: Vec<Option<HOperand>>,
-    side: FxHashMap<RegVer, HOperand>,
 }
 
 impl<'s> VerMap<'s> {
@@ -104,24 +98,17 @@ impl<'s> VerMap<'s> {
         VerMap {
             slots,
             dense: vec![None; slots.len],
-            side: FxHashMap::default(),
         }
     }
 
     fn insert(&mut self, rv: RegVer, val: HOperand) {
-        match self.slots.slot(rv) {
-            Some(i) => self.dense[i] = Some(val),
-            None => {
-                self.side.insert(rv, val);
-            }
+        if let Some(i) = self.slots.slot(rv) {
+            self.dense[i] = Some(val);
         }
     }
 
     fn get(&self, rv: RegVer) -> Option<HOperand> {
-        match self.slots.slot(rv) {
-            Some(i) => self.dense[i],
-            None => self.side.get(&rv).copied(),
-        }
+        self.dense[self.slots.slot(rv)?]
     }
 }
 

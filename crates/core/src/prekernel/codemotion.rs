@@ -7,13 +7,13 @@
 //! reloads, and every load feeding a check is flagged as an advanced
 //! load (`ld.a`).
 //!
-//! The [`MotionEdit`] vocabulary and [`apply_edits`] are shared by every
-//! kernel client: store promotion and strength reduction express their
-//! loop-shaped rewrites in the same terms instead of splicing statement
+//! The [`MotionEdit`] vocabulary and [`apply_edits`] are shared with the
+//! loop-shaped passes: store promotion, strength reduction and LFTR
+//! express their rewrites in the same terms instead of splicing statement
 //! lists by hand.
 
 use super::finalize::FinalizeOut;
-use super::{Kernel, OpndDef, Role, SpecClient};
+use super::{Kernel, OpndDef, Role};
 use crate::stats::OptStats;
 use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarKind, HssaFunc, Phi as HPhi};
 use specframe_ir::{BlockId, CheckKind, LoadSpec, Ty, VarId};
@@ -67,7 +67,7 @@ pub fn apply_edits(hf: &mut HssaFunc, edits: Vec<MotionEdit>) {
     }
 }
 
-impl<C: SpecClient> Kernel<'_, C> {
+impl Kernel<'_> {
     pub(crate) fn codemotion(
         &self,
         hf: &mut HssaFunc,
@@ -77,7 +77,7 @@ impl<C: SpecClient> Kernel<'_, C> {
     ) {
         let occs = &self.occs;
         let phis = &self.phis;
-        let is_load_expr = self.client.is_load();
+        let is_load_expr = self.client.key.is_load();
         let nclasses = self.next_class as usize;
 
         // advanced-load marking (Appendix B): a class with any checking
@@ -276,7 +276,6 @@ impl<C: SpecClient> Kernel<'_, C> {
             let opnd = &p.opnds[op_idx];
             let spec_load = p.cspec && is_load_expr;
             let stmt = self.client.materialize(
-                hf,
                 (t, opnd.t_ver),
                 &opnd.vers_at_pred,
                 if spec_load {

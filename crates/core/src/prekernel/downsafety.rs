@@ -2,12 +2,12 @@
 //!
 //! A Φ is down-safe when the candidate is anticipated at its block. With
 //! data speculation active, weak updates (χs the oracle calls unlikely) do
-//! not kill — that is the client's [`SpecClient::kills`] answering
+//! not kill — that is the expression client's kill query answering
 //! through the likeliness oracle. Control speculation then treats a
 //! profitable non-down-safe Φ as down-safe when the edge profile says the
 //! speculated path is cold relative to the block (Lo et al., PLDI '98).
 
-use super::{Kernel, OpndDef, SpecClient};
+use super::{Kernel, OpndDef};
 use specframe_hssa::HssaFunc;
 use specframe_ir::Function;
 
@@ -18,7 +18,7 @@ enum Ev {
     Transparent,
 }
 
-impl<C: SpecClient> Kernel<'_, C> {
+impl Kernel<'_> {
     pub(crate) fn downsafety(&mut self, f_base: &Function, hf: &HssaFunc) {
         let nblocks = hf.blocks.len();
         let mut first_event = vec![Ev::Transparent; nblocks];
@@ -74,8 +74,8 @@ impl<C: SpecClient> Kernel<'_, C> {
         // control speculation: profitable non-down-safe Phis become
         // "down-safe"; the block frequencies are summed only when such a
         // Φ exists
-        if let Some((ep, fid)) = self.policy.control {
-            if self.client.control_speculatable() {
+        if let Some((ep, fid)) = self.client.policy.control {
+            if self.client.key.control_speculatable() {
                 let mut freqs: Option<Vec<u64>> = None;
                 for p in self.phis.iter_mut() {
                     if p.down_safe {

@@ -7,7 +7,7 @@
 //! predecessor end. All t-versions are allocated here, in walk order —
 //! that ordering is part of the printed SSA form the golden tests pin.
 
-use super::{Kernel, OpndDef, Role, SpecClient, NO_PHI};
+use super::{Kernel, OpndDef, Role, NO_PHI};
 use specframe_hssa::HssaFunc;
 use specframe_ir::{BlockId, VarId};
 
@@ -32,7 +32,7 @@ enum Walk {
     Pop(Vec<u32>),
 }
 
-impl<C: SpecClient> Kernel<'_, C> {
+impl Kernel<'_> {
     pub(crate) fn finalize(&mut self, hf: &mut HssaFunc, t: VarId) -> FinalizeOut {
         let Kernel {
             dt,

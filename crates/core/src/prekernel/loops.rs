@@ -1,16 +1,15 @@
-//! Loop recognition shared by the loop-shaped kernel clients.
+//! Loop recognition shared by the loop-shaped passes.
 //!
-//! Store promotion, strength reduction and LFTR all operate on the same
-//! restricted loop shape: a single latch and a unique entry predecessor
-//! that has a single successor (so it can host insertions). This module
-//! holds the one copy of that preamble; the clients previously each
-//! carried their own.
+//! Store promotion and strength reduction operate on the same restricted
+//! loop shape (and LFTR on the loops strength reduction reduced): a single
+//! latch and a unique entry predecessor that has a single successor (so it
+//! can host insertions). This module holds the one copy of that preamble.
 
 use specframe_analysis::FuncAnalyses;
 use specframe_hssa::HssaFunc;
 use specframe_ir::BlockId;
 
-/// One loop in the shape the loop clients can transform.
+/// One loop in the shape the loop-shaped passes can transform.
 #[derive(Debug, Clone)]
 pub struct LoopShape {
     /// Loop header block.
@@ -29,8 +28,7 @@ pub struct LoopShape {
 
 /// Recognizes every loop of `hf` that has the transformable shape, in
 /// loop-info order. Loops with multiple latches, multiple entries, or a
-/// non-insertable preheader are skipped — exactly the preamble the loop
-/// clients previously applied one by one.
+/// non-insertable preheader are skipped.
 pub fn reducible_loops(hf: &HssaFunc, fa: &FuncAnalyses) -> Vec<LoopShape> {
     let mut shapes = Vec::new();
     for l in fa.loops.loops.clone() {

@@ -1,9 +1,13 @@
-//! The client-parameterized six-step speculative SSAPRE kernel.
+//! The six-step speculative SSAPRE kernel.
 //!
-//! This module tree is the paper's §4 framework factored out of its
-//! clients. One [`run_kernel`] call performs the six SSAPRE steps for a
-//! single candidate described by a [`SpecClient`] over a function in
-//! speculative SSA form — each step lives in the module named after it:
+//! This module tree is the paper's §4 framework. One `run_kernel` call
+//! performs the six SSAPRE steps for a single lexical candidate of the
+//! expression client (`ExprClient`, hosted in [`crate::ssapre`]: expression
+//! PRE and speculative register promotion) over a function in speculative
+//! SSA form. Every block of that function is reachable from its entry
+//! ([`crate::prepare_module`] drops the rest before HSSA construction), so
+//! every step may assume renamed versions everywhere. Each step lives in
+//! the module named after it:
 //!
 //! 1. [`phi_insert`] — **Φ-Insertion**: Φs for the hypothetical temporary
 //!    `h` are placed at the iterated dominance frontier of every real
@@ -29,21 +33,18 @@
 //!    control-speculative insertions become `ld.s` with NaT-check
 //!    reloads, and every load feeding a check is flagged `ld.a`.
 //!
-//! The kernel is shared by four clients: expression PRE and speculative
-//! register promotion (both hosted in [`crate::ssapre`], running all six
-//! steps), store promotion ([`crate::storeprom`]) and strength reduction
-//! ([`crate::strength`]), which reuse the kernel's loop recognition
-//! ([`loops`]) and motion-edit application ([`codemotion::apply_edits`])
-//! for their loop-shaped candidates, plus linear-function test
-//! replacement ([`crate::lftr`]), which consumes the rename/version state
-//! strength reduction records for its temporaries.
+//! The client answers three questions: *which statements are occurrences
+//! of the candidate*, *does this statement kill it under the active
+//! speculation policy* — the speculative-weak-update query routed through
+//! the driver's single [`Likeliness`] oracle — and *how is an inserted
+//! computation emitted*.
 //!
-//! A client answers three questions and nothing more: *which statements
-//! are occurrences of the candidate* ([`SpecClient::occurrence`]), *does
-//! this statement kill it under the active speculation policy* — the
-//! speculative-weak-update query routed through the driver's single
-//! [`Likeliness`] oracle ([`SpecClient::kills`]) — and *how is an
-//! inserted computation emitted* ([`SpecClient::materialize`]).
+//! The loop-shaped passes — store promotion ([`crate::storeprom`]),
+//! strength reduction ([`crate::strength`]) and linear-function test
+//! replacement ([`crate::lftr`]) — run none of the six steps. They share
+//! only the kernel's loop recognition ([`loops`]) and motion-edit
+//! application ([`codemotion::apply_edits`]); LFTR pairs the HSSA versions
+//! strength reduction records in each [`crate::strength::SrTemp`].
 
 pub mod cleanup;
 pub mod codemotion;
@@ -62,10 +63,11 @@ pub use codemotion::{apply_edits, MotionEdit};
 pub use loops::{reducible_loops, LoopShape};
 
 use crate::expr::OccVersions;
+use crate::ssapre::ExprClient;
 use crate::stats::OptStats;
 use specframe_analysis::{DomFrontiers, DomTree, EdgeProfile};
-use specframe_hssa::{HStmt, HStmtKind, HVarId, HssaFunc, Likeliness};
-use specframe_ir::{BlockId, DenseMap, FuncId, Function, LoadSpec, Ty, VarId};
+use specframe_hssa::{HStmtKind, HVarId, HssaFunc, Likeliness};
+use specframe_ir::{BlockId, DenseMap, FuncId, Function};
 
 /// Speculation policy given to the kernel: the driver-owned likeliness
 /// oracle (data speculation) plus the control-speculation edge profile.
@@ -90,49 +92,6 @@ impl SpecPolicy<'_> {
     pub fn data(&self) -> bool {
         self.oracle.speculative()
     }
-}
-
-/// The kernel's contract with a candidate. Everything lexical about the
-/// candidate (its shape, its operand variables, its kill set under the
-/// speculation policy) lives behind this trait; the six steps themselves
-/// are candidate-agnostic.
-pub trait SpecClient {
-    /// Candidate-occurrence harvesting: does `stmt` compute the candidate?
-    /// Returns the operand versions it consumes.
-    fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions>;
-    /// The speculative-weak-update query: does `stmt` kill the candidate
-    /// under the active policy? Implementations route χ decisions through
-    /// the driver's [`Likeliness`] oracle.
-    fn kills(&self, stmt: &HStmt) -> bool;
-    /// Register operand variables, in lexical position order (deduped).
-    fn tracked_regs(&self) -> &[VarId];
-    /// Memory/virtual variable the candidate depends on, if any.
-    fn tracked_mem(&self) -> Option<HVarId>;
-    /// Whether the candidate's base register is itself a collapsed
-    /// promotion temporary (Appendix B's cascaded `chk.a` case): its
-    /// redefinitions are injuring, not killing.
-    fn base_collapsed(&self) -> bool {
-        false
-    }
-    /// Whether occurrences are loads (the temporary then collapses onto
-    /// one machine register so the ALAT can key it).
-    fn is_load(&self) -> bool;
-    /// Whether the candidate may be control-speculated (inserted on
-    /// non-down-safe paths).
-    fn control_speculatable(&self) -> bool;
-    /// Result type of the kernel temporary.
-    fn temp_ty(&self) -> Ty;
-    /// Name of the kernel temporary (`n` is the global temp counter).
-    fn temp_name(&self, n: u64) -> String;
-    /// Motion-edit emission: build the inserted computation writing `t`,
-    /// using the operand versions recorded at the predecessor end.
-    fn materialize(
-        &self,
-        hf: &HssaFunc,
-        t: (VarId, u32),
-        vers: &OccVersions,
-        spec: LoadSpec,
-    ) -> HStmt;
 }
 
 // ---------------------------------------------------------------------------
@@ -226,12 +185,10 @@ pub(crate) const NO_PHI: u32 = u32::MAX;
 /// contiguous slice named by `occ_rng` — and the per-block side tables are
 /// dense vectors rather than hash maps, so the rename / downsafety /
 /// finalize walks never hash.
-pub(crate) struct Kernel<'k, C: SpecClient> {
-    pub(crate) client: &'k C,
-    pub(crate) policy: &'k SpecPolicy<'k>,
+pub(crate) struct Kernel<'k> {
+    pub(crate) client: &'k ExprClient<'k>,
     pub(crate) dt: &'k DomTree,
     pub(crate) df: &'k DomFrontiers,
-    pub(crate) mem_var: Option<HVarId>,
     pub(crate) occs: Vec<RealOcc>,
     /// Per block (by index): `occs[lo..hi]` are its occurrences in
     /// statement order.
@@ -244,16 +201,15 @@ pub(crate) struct Kernel<'k, C: SpecClient> {
     pub(crate) next_class: u32,
 }
 
-impl<'k, C: SpecClient> Kernel<'k, C> {
+impl<'k> Kernel<'k> {
     /// Collects the real occurrences of the candidate among `sites`, the
     /// `(block, stmt)` positions that can hold one, in layout order.
     pub(crate) fn scan(
         hf: &HssaFunc,
-        client: &'k C,
+        client: &'k ExprClient<'k>,
         sites: &[(BlockId, u32)],
         dt: &'k DomTree,
         df: &'k DomFrontiers,
-        policy: &'k SpecPolicy<'k>,
     ) -> Self {
         let mut occs: Vec<RealOcc> = Vec::new();
         let mut occ_rng: Vec<(u32, u32)> = vec![(0, 0); hf.blocks.len()];
@@ -280,10 +236,8 @@ impl<'k, C: SpecClient> Kernel<'k, C> {
         }
         Kernel {
             client,
-            policy,
             dt,
             df,
-            mem_var: client.tracked_mem(),
             occs,
             occ_rng,
             phis: Vec::new(),
@@ -295,18 +249,10 @@ impl<'k, C: SpecClient> Kernel<'k, C> {
 
 /// The def table of memory variable `mv`, keyed by SSA version, that the
 /// weak-chain walker follows.
-pub(crate) fn mem_def_table(hf: &HssaFunc, dt: &DomTree, mv: HVarId) -> DenseMap<MemDef> {
+pub(crate) fn mem_def_table(hf: &HssaFunc, mv: HVarId) -> DenseMap<MemDef> {
     let mut mem_defs = DenseMap::with_len(hf.next_ver[mv.index()] as usize);
     mem_defs.insert(0, MemDef::Entry);
     for b in hf.block_ids() {
-        // Unreachable blocks were never visited by HSSA rename, so their
-        // χ/store versions are still the u32::MAX sentinel — inserting that
-        // key would grow the dense table to 2³² slots. No reachable chain
-        // can reference them (versions are assigned on the dominator walk),
-        // so skip, exactly as the occurrence scan does.
-        if !dt.is_reachable(b) {
-            continue;
-        }
         for phi in &hf.blocks[b.index()].phis {
             if phi.var == mv {
                 mem_defs.insert(phi.dest, MemDef::Phi(b));
@@ -340,10 +286,10 @@ pub(crate) fn mem_def_table(hf: &HssaFunc, dt: &DomTree, mv: HVarId) -> DenseMap
 /// Weak-chain query: can memory version `from` reach `to` through
 /// skippable (unlikely, per the oracle) χs only? `Some(true)` = reaches
 /// with >0 weak steps; `Some(false)` = equal; `None` = blocked.
-pub(crate) fn weak_reaches<C: SpecClient>(
+pub(crate) fn weak_reaches(
     hf: &HssaFunc,
     mem_defs: &DenseMap<MemDef>,
-    client: &C,
+    client: &ExprClient<'_>,
     mut from: u32,
     to: u32,
 ) -> Option<bool> {
@@ -370,22 +316,20 @@ pub(crate) fn weak_reaches<C: SpecClient>(
     None
 }
 
-/// Runs the six steps for one candidate whose reachable occurrences are
-/// among `sites`, `(block, stmt)` positions in layout order. Returns `true`
-/// if the program changed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel<C: SpecClient>(
+/// Runs the six steps for one candidate whose occurrences are among
+/// `sites`, `(block, stmt)` positions in layout order. Returns `true` if
+/// the program changed.
+pub(crate) fn run_kernel(
     f_base: &Function,
     hf: &mut HssaFunc,
-    client: &C,
+    client: &ExprClient<'_>,
     sites: &[(BlockId, u32)],
     dt: &DomTree,
     df: &DomFrontiers,
-    policy: &SpecPolicy<'_>,
     stats: &mut OptStats,
 ) -> bool {
     // ---- scan: real occurrences ------------------------------------------
-    let mut k = Kernel::scan(hf, client, sites, dt, df, policy);
+    let mut k = Kernel::scan(hf, client, sites, dt, df);
     if k.occs.is_empty() {
         return false;
     }
@@ -432,12 +376,12 @@ pub fn run_kernel<C: SpecClient>(
     }
 
     // ---- steps 5+6 --------------------------------------------------------
-    // the kernel temporary (collapsed at lowering for load clients: the
+    // the kernel temporary (collapsed at lowering for load candidates: the
     // ALAT keys ld.a/ld.c by it, and failed checks refresh it for later
     // reloads; arithmetic temporaries stay in proper SSA)
-    let t = hf.add_temp(client.temp_name(stats.temps), client.temp_ty());
+    let t = hf.add_temp(format!("pre{}", stats.temps), client.temp_ty());
     stats.temps += 1;
-    if client.is_load() {
+    if client.key.is_load() {
         hf.collapsed_vars.push(t);
     }
 

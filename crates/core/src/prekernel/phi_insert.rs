@@ -6,16 +6,16 @@
 //! through speculative weak updates can only ever reach variable φs, so
 //! taking all of them is a sound superset).
 
-use super::{Kernel, OpndDef, PhiE, PhiOpnd, SpecClient, NO_PHI};
+use super::{Kernel, OpndDef, PhiE, PhiOpnd, NO_PHI};
 use crate::expr::OccVersions;
 use specframe_analysis::iterated_df;
 use specframe_hssa::{HVarId, HVarKind, HssaFunc};
 use specframe_ir::InlineVec;
 
-impl<C: SpecClient> Kernel<'_, C> {
+impl Kernel<'_> {
     pub(crate) fn phi_insertion(&mut self, hf: &HssaFunc) {
-        let tracked_regs = self.client.tracked_regs();
-        let mem_var = self.mem_var;
+        let tracked_regs = &self.client.tracked_regs;
+        let mem_var = self.client.mem_var;
         let nblocks = hf.blocks.len();
         // occs are sorted by block, so consecutive dedup yields the seeds
         let mut occ_blocks = Vec::with_capacity(self.occs.len());
@@ -33,9 +33,6 @@ impl<C: SpecClient> Kernel<'_, C> {
             .filter_map(|&r| hf.catalog.get(HVarKind::Reg(r)))
             .collect();
         for b in hf.block_ids() {
-            if !self.dt.is_reachable(b) {
-                continue;
-            }
             for phi in &hf.blocks[b.index()].phis {
                 if reg_hvars.contains(&phi.var) || mem_var == Some(phi.var) {
                     phi_block[b.index()] = true;
@@ -46,7 +43,7 @@ impl<C: SpecClient> Kernel<'_, C> {
         let mut phis: Vec<PhiE> = Vec::new();
         let mut phi_at = vec![NO_PHI; nblocks];
         for b in hf.block_ids() {
-            if !phi_block[b.index()] || !self.dt.is_reachable(b) {
+            if !phi_block[b.index()] {
                 continue;
             }
             phi_at[b.index()] = phis.len() as u32;

@@ -13,7 +13,7 @@
 //! candidate without Φs therefore skips the per-statement def tracking and
 //! visits just its occurrence slices.
 
-use super::{mem_def_table, weak_reaches, Kernel, OpndDef, SpecClient, NO_PHI};
+use super::{mem_def_table, weak_reaches, Kernel, OpndDef, NO_PHI};
 use crate::expr::OccVersions;
 use specframe_hssa::{HStmtKind, HVarKind, HssaFunc};
 use specframe_ir::{BlockId, DenseMap};
@@ -39,13 +39,11 @@ enum Walk {
     },
 }
 
-impl<C: SpecClient> Kernel<'_, C> {
+impl Kernel<'_> {
     pub(crate) fn rename(&mut self, hf: &HssaFunc) {
         let Kernel {
             client,
-            policy,
             dt,
-            mem_var,
             occs,
             occ_rng,
             phis,
@@ -53,14 +51,14 @@ impl<C: SpecClient> Kernel<'_, C> {
             ..
         } = self;
         let client = *client;
-        let tracked_regs = client.tracked_regs();
-        let mem_var = *mem_var;
-        let base_collapsed = client.base_collapsed();
-        let data = policy.data();
+        let tracked_regs = &client.tracked_regs;
+        let mem_var = client.mem_var;
+        let base_collapsed = client.base_collapsed;
+        let data = client.policy.data();
         let track_defs = !phis.is_empty();
         // only weak-chain matching reads the memory def table
         let mem_defs = match mem_var {
-            Some(mv) if data => mem_def_table(hf, dt, mv),
+            Some(mv) if data => mem_def_table(hf, mv),
             _ => DenseMap::new(),
         };
 

@@ -5,9 +5,9 @@
 //! a Φ is *tainted* when some incoming value is only speculatively equal,
 //! which Finalize turns into checking reloads downstream.
 
-use super::{Kernel, OpndDef, SpecClient};
+use super::{Kernel, OpndDef};
 
-impl<C: SpecClient> Kernel<'_, C> {
+impl Kernel<'_> {
     pub(crate) fn willbeavail(&mut self) {
         let phis = &mut self.phis;
         // can_be_avail

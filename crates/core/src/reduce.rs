@@ -30,6 +30,7 @@
 //! Every candidate is checked by calling the predicate; [`ReduceStats`]
 //! counts those probes so clients can report reduction effort.
 
+use specframe_analysis::remove_unreachable_blocks;
 use specframe_ir::{Inst, Module, Terminator};
 
 /// Effort and effect counters of one [`reduce_module`] run.
@@ -223,43 +224,12 @@ fn drop_unreachable_blocks(
 ) -> bool {
     let mut changed = false;
     for fi in 0..m.funcs.len() {
-        let f = &m.funcs[fi];
-        let n = f.blocks.len();
-        let mut reachable = vec![false; n];
-        let mut work = vec![0usize];
-        reachable[0] = true;
-        while let Some(b) = work.pop() {
-            for s in f.blocks[b].term.successors() {
-                if !reachable[s.index()] {
-                    reachable[s.index()] = true;
-                    work.push(s.index());
-                }
-            }
-        }
-        if reachable.iter().all(|&r| r) {
+        let mut f = m.funcs[fi].clone();
+        if remove_unreachable_blocks(&mut f) == 0 {
             continue;
         }
-        // old index -> new index for the surviving blocks
-        let mut remap = vec![0u32; n];
-        let mut next = 0u32;
-        for (bi, r) in reachable.iter().enumerate() {
-            if *r {
-                remap[bi] = next;
-                next += 1;
-            }
-        }
         let mut cand = m.clone();
-        let cf = &mut cand.funcs[fi];
-        let mut bi = 0;
-        cf.blocks.retain(|_| {
-            let keep = reachable[bi];
-            bi += 1;
-            keep
-        });
-        for b in &mut cf.blocks {
-            b.term
-                .map_successors(|t| *t = specframe_ir::BlockId(remap[t.index()]));
-        }
+        cand.funcs[fi] = f;
         if probe(failing, stats, &cand) {
             *m = cand;
             changed = true;

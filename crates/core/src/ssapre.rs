@@ -1,8 +1,8 @@
-//! Speculative SSAPRE clients: expression PRE and register promotion.
+//! Speculative SSAPRE's client: expression PRE and register promotion.
 //!
 //! The six-step engine itself lives in [`crate::prekernel`]; this module
-//! hosts the *expression* client of that kernel — the lexical candidate
-//! families [`ExprKey`] describes:
+//! hosts its one client, the *expression* client, over the lexical
+//! candidate families [`ExprKey`] describes:
 //!
 //! * arithmetic expressions (address computations among them);
 //! * direct loads (scalar promotion);
@@ -23,7 +23,7 @@
 use crate::expr::{
     collect_candidates, kills, occurrence_versions, ExprKey, Family, OccVersions, StmtTable,
 };
-use crate::prekernel::{run_kernel, SpecClient};
+use crate::prekernel::run_kernel;
 use crate::stats::OptStats;
 use specframe_analysis::{DomFrontiers, DomTree, FuncAnalyses};
 use specframe_hssa::{
@@ -110,7 +110,7 @@ fn run_phase<'k>(
     let mut stale = true;
     for key in keys {
         if stale {
-            table = StmtTable::build(hf, &fa.dt);
+            table = StmtTable::build(hf);
             stale = false;
         }
         let sites = table.sites(key);
@@ -138,19 +138,22 @@ pub fn ssapre_expression(
     stats: &mut OptStats,
 ) -> bool {
     let client = ExprClient::new(hf, key, sites, policy);
-    run_kernel(f_base, hf, &client, sites, dt, df, policy, stats)
+    run_kernel(f_base, hf, &client, sites, dt, df, stats)
 }
 
 // ---------------------------------------------------------------------------
 // the expression client
 // ---------------------------------------------------------------------------
 
-/// The kernel client for one lexical expression candidate.
-struct ExprClient<'a> {
-    key: &'a ExprKey,
-    policy: &'a SpecPolicy<'a>,
-    tracked_regs: Vec<VarId>,
-    mem_var: Option<HVarId>,
+/// The kernel's client: one lexical expression candidate under the
+/// speculation policy.
+pub(crate) struct ExprClient<'a> {
+    pub(crate) key: &'a ExprKey,
+    pub(crate) policy: &'a SpecPolicy<'a>,
+    /// Register operand variables, in lexical position order (deduped).
+    pub(crate) tracked_regs: Vec<VarId>,
+    /// Memory/virtual variable the candidate depends on, if any.
+    pub(crate) mem_var: Option<HVarId>,
     /// Cascaded speculation (Appendix B's chk.a case): when an indirect
     /// load's base register is itself a collapsed promotion temporary, its
     /// SSA versions all denote "the current value of the promoted pointer"
@@ -158,14 +161,14 @@ struct ExprClient<'a> {
     /// definition, not a kill: the dependent reload re-validates through
     /// its own ALAT check against the current address, so matching across
     /// those versions is recoverable.
-    base_collapsed: bool,
+    pub(crate) base_collapsed: bool,
     /// Union of profiled LOCs across the candidate's occurrence sites
     /// (for the per-expression χ refinement in profile mode).
     expr_locs: FxHashSet<specframe_alias::Loc>,
 }
 
 impl<'a> ExprClient<'a> {
-    fn new(
+    pub(crate) fn new(
         hf: &HssaFunc,
         key: &'a ExprKey,
         sites: &[(BlockId, u32)],
@@ -202,45 +205,15 @@ impl<'a> ExprClient<'a> {
             expr_locs,
         }
     }
-}
 
-impl SpecClient for ExprClient<'_> {
-    fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
+    /// Candidate-occurrence harvesting: does `stmt` compute the candidate?
+    /// Returns the operand versions it consumes.
+    pub(crate) fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
         occurrence_versions(stmt, self.key)
     }
 
-    fn kills(&self, stmt: &HStmt) -> bool {
-        kills_with_policy(
-            stmt,
-            self.key,
-            self.mem_var,
-            self.policy,
-            &self.expr_locs,
-            self.base_collapsed,
-        )
-    }
-
-    fn tracked_regs(&self) -> &[VarId] {
-        &self.tracked_regs
-    }
-
-    fn tracked_mem(&self) -> Option<HVarId> {
-        self.mem_var
-    }
-
-    fn base_collapsed(&self) -> bool {
-        self.base_collapsed
-    }
-
-    fn is_load(&self) -> bool {
-        self.key.is_load()
-    }
-
-    fn control_speculatable(&self) -> bool {
-        self.key.control_speculatable()
-    }
-
-    fn temp_ty(&self) -> Ty {
+    /// Result type of the kernel temporary.
+    pub(crate) fn temp_ty(&self) -> Ty {
         match self.key {
             ExprKey::Bin(op, _, _) => op.result_ty(),
             ExprKey::DirectLoad(_, ty) => *ty,
@@ -248,24 +221,121 @@ impl SpecClient for ExprClient<'_> {
         }
     }
 
-    fn temp_name(&self, n: u64) -> String {
-        format!("pre{n}")
+    /// The speculative-weak-update query: does `stmt` kill the candidate
+    /// under the active policy? χ decisions go through the driver's
+    /// likeliness oracle.
+    pub(crate) fn kills(&self, stmt: &HStmt) -> bool {
+        if !self.policy.data() {
+            return kills(stmt, self.key, self.mem_var);
+        }
+        let redefines_reg = stmt
+            .def_reg()
+            .is_some_and(|(v, _)| self.tracked_regs.contains(&v));
+        // a redefinition of a collapsed base register is an injuring def,
+        // not a kill: dependent reloads re-validate through their own check
+        if redefines_reg && !self.base_collapsed {
+            return true;
+        }
+        self.kills_mem_part(stmt)
     }
 
-    fn materialize(
-        &self,
-        hf: &HssaFunc,
-        t: (VarId, u32),
-        vers: &OccVersions,
-        spec: LoadSpec,
-    ) -> HStmt {
-        materialize(self.key, hf, t, vers, self.mem_var, spec)
+    /// The memory component of the kill decision (strong def or effective
+    /// chi kill of the tracked memory variable), ignoring register
+    /// redefinitions.
+    fn kills_mem_part(&self, stmt: &HStmt) -> bool {
+        let Some(mv) = self.mem_var else { return false };
+        if let HStmtKind::Store {
+            dvar_def: Some((id, _)),
+            ..
+        } = &stmt.kind
+        {
+            if *id == mv {
+                return true;
+            }
+        }
+        let Some(chi) = stmt.chi_of(mv) else {
+            return false;
+        };
+        let key = self.key;
+        self.policy.oracle.chi_kills(&ChiRefine {
+            chi_likely: chi.likely,
+            stmt: refine_stmt(stmt),
+            cand_direct: matches!(key, ExprKey::DirectLoad(..)),
+            cand_syntax: key.syntax(),
+            cand_ty: key.load_ty(),
+            expr_locs: &self.expr_locs,
+        })
+    }
+
+    /// Motion-edit emission: the inserted computation of the candidate
+    /// writing `t`, using the operand versions `vers` recorded at the
+    /// predecessor end.
+    pub(crate) fn materialize(&self, t: (VarId, u32), vers: &OccVersions, spec: LoadSpec) -> HStmt {
+        match self.key {
+            ExprKey::Bin(op, a, b) => {
+                let mut it = vers.regs.iter();
+                let mut conv = |l: &crate::expr::LexOperand| -> HOperand {
+                    match l {
+                        crate::expr::LexOperand::Reg(v) => HOperand::Reg(*v, *it.next().unwrap()),
+                        crate::expr::LexOperand::ConstI(c) => HOperand::ConstI(*c),
+                        crate::expr::LexOperand::ConstF(c) => HOperand::ConstF(f64::from_bits(*c)),
+                        crate::expr::LexOperand::GlobalAddr(g) => HOperand::GlobalAddr(*g),
+                        crate::expr::LexOperand::SlotAddr(s) => HOperand::SlotAddr(*s),
+                    }
+                };
+                // note: tracked_regs dedups, so a+a uses one version for both
+                let a_op = conv(a);
+                let b_op = if a == b { a_op } else { conv(b) };
+                HStmt::new(HStmtKind::Bin {
+                    dst: t,
+                    op: *op,
+                    a: a_op,
+                    b: b_op,
+                })
+            }
+            ExprKey::DirectLoad(mv, ty) => {
+                let base = match mv.base {
+                    MemBase::Global(g) => HOperand::GlobalAddr(g),
+                    MemBase::Slot(s) => HOperand::SlotAddr(s),
+                };
+                let mut stmt = HStmt::new(HStmtKind::Load {
+                    dst: t,
+                    base,
+                    offset: mv.off,
+                    ty: *ty,
+                    spec,
+                    site: specframe_hssa::stmt::FRESH_SITE,
+                    dvar: self.mem_var.map(|id| (id, vers.mem.unwrap_or(0))),
+                });
+                stmt.mu.clear();
+                stmt
+            }
+            ExprKey::IndirectLoad {
+                base,
+                off,
+                ty,
+                vvar,
+                ..
+            } => {
+                let mut stmt = HStmt::new(HStmtKind::Load {
+                    dst: t,
+                    base: HOperand::Reg(*base, vers.regs[0]),
+                    offset: *off,
+                    ty: *ty,
+                    spec,
+                    site: specframe_hssa::stmt::FRESH_SITE,
+                    dvar: None,
+                });
+                stmt.mu.push(specframe_hssa::MuOp {
+                    var: *vvar,
+                    ver: vers.mem.unwrap_or(0),
+                    likely: true,
+                });
+                stmt
+            }
+        }
     }
 }
-
-// ---------------------------------------------------------------------------
-// the client's kill query (the speculative-weak-update decision)
-// ---------------------------------------------------------------------------
 
 /// The killing statement's shape as the oracle's plain-data view.
 fn refine_stmt(stmt: &HStmt) -> RefineStmt {
@@ -284,136 +354,6 @@ fn refine_stmt(stmt: &HStmt) -> RefineStmt {
     }
 }
 
-fn kills_with_policy(
-    stmt: &HStmt,
-    key: &ExprKey,
-    mem_var: Option<HVarId>,
-    policy: &SpecPolicy<'_>,
-    expr_locs: &FxHashSet<specframe_alias::Loc>,
-    base_collapsed: bool,
-) -> bool {
-    if !policy.data() {
-        return kills(stmt, key, mem_var);
-    }
-    let redefines_reg = stmt
-        .def_reg()
-        .is_some_and(|(v, _)| key.tracked_regs().iter().any(|&r| r == v));
-    // a redefinition of a collapsed base register is an injuring def, not a
-    // kill: dependent reloads re-validate through their own check
-    if redefines_reg && !base_collapsed {
-        return true;
-    }
-    kills_mem_part(stmt, key, mem_var, policy, expr_locs)
-}
-
-/// The memory component of the kill decision (strong def or effective chi
-/// kill of the tracked memory variable), ignoring register redefinitions.
-fn kills_mem_part(
-    stmt: &HStmt,
-    key: &ExprKey,
-    mem_var: Option<HVarId>,
-    policy: &SpecPolicy<'_>,
-    expr_locs: &FxHashSet<specframe_alias::Loc>,
-) -> bool {
-    let Some(mv) = mem_var else { return false };
-    if let HStmtKind::Store {
-        dvar_def: Some((id, _)),
-        ..
-    } = &stmt.kind
-    {
-        if *id == mv {
-            return true;
-        }
-    }
-    let Some(chi) = stmt.chi_of(mv) else {
-        return false;
-    };
-    policy.oracle.chi_kills(&ChiRefine {
-        chi_likely: chi.likely,
-        stmt: refine_stmt(stmt),
-        cand_direct: matches!(key, ExprKey::DirectLoad(..)),
-        cand_syntax: key.syntax(),
-        cand_ty: key.load_ty(),
-        expr_locs,
-    })
-}
-
-/// Builds the inserted computation of `key` writing `t`, using the operand
-/// versions recorded at the predecessor end.
-fn materialize(
-    key: &ExprKey,
-    hf: &HssaFunc,
-    t: (VarId, u32),
-    vers: &OccVersions,
-    mem_var: Option<HVarId>,
-    spec: LoadSpec,
-) -> HStmt {
-    let _ = hf;
-    match key {
-        ExprKey::Bin(op, a, b) => {
-            let mut it = vers.regs.iter();
-            let mut conv = |l: &crate::expr::LexOperand| -> HOperand {
-                match l {
-                    crate::expr::LexOperand::Reg(v) => HOperand::Reg(*v, *it.next().unwrap()),
-                    crate::expr::LexOperand::ConstI(c) => HOperand::ConstI(*c),
-                    crate::expr::LexOperand::ConstF(c) => HOperand::ConstF(f64::from_bits(*c)),
-                    crate::expr::LexOperand::GlobalAddr(g) => HOperand::GlobalAddr(*g),
-                    crate::expr::LexOperand::SlotAddr(s) => HOperand::SlotAddr(*s),
-                }
-            };
-            // note: tracked_regs dedups, so a+a uses one version for both
-            let a_op = conv(a);
-            let b_op = if a == b { a_op } else { conv(b) };
-            HStmt::new(HStmtKind::Bin {
-                dst: t,
-                op: *op,
-                a: a_op,
-                b: b_op,
-            })
-        }
-        ExprKey::DirectLoad(mv, ty) => {
-            let base = match mv.base {
-                MemBase::Global(g) => HOperand::GlobalAddr(g),
-                MemBase::Slot(s) => HOperand::SlotAddr(s),
-            };
-            let mut stmt = HStmt::new(HStmtKind::Load {
-                dst: t,
-                base,
-                offset: mv.off,
-                ty: *ty,
-                spec,
-                site: specframe_hssa::stmt::FRESH_SITE,
-                dvar: mem_var.map(|id| (id, vers.mem.unwrap_or(0))),
-            });
-            stmt.mu.clear();
-            stmt
-        }
-        ExprKey::IndirectLoad {
-            base,
-            off,
-            ty,
-            vvar,
-            ..
-        } => {
-            let mut stmt = HStmt::new(HStmtKind::Load {
-                dst: t,
-                base: HOperand::Reg(*base, vers.regs[0]),
-                offset: *off,
-                ty: *ty,
-                spec,
-                site: specframe_hssa::stmt::FRESH_SITE,
-                dvar: None,
-            });
-            stmt.mu.push(specframe_hssa::MuOp {
-                var: *vvar,
-                ver: vers.mem.unwrap_or(0),
-                likely: true,
-            });
-            stmt
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,14 +367,10 @@ mod tests {
     use specframe_workloads::{all_workloads, mega_source, Scale};
     use std::mem::discriminant;
 
-    /// The occurrences of `key` a plain walk of every reachable statement
-    /// finds.
-    fn full_walk(hf: &HssaFunc, dt: &DomTree, key: &ExprKey) -> Vec<(BlockId, usize, OccVersions)> {
+    /// The occurrences of `key` a plain walk of every statement finds.
+    fn full_walk(hf: &HssaFunc, key: &ExprKey) -> Vec<(BlockId, usize, OccVersions)> {
         let mut occs = Vec::new();
         for b in hf.block_ids() {
-            if !dt.is_reachable(b) {
-                continue;
-            }
             for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
                 if let Some(vers) = occurrence_versions(stmt, key) {
                     occs.push((b, si, vers));
@@ -474,13 +410,13 @@ mod tests {
                 &fa,
                 |hf, key, sites| {
                     let client = ExprClient::new(hf, key, sites, &policy);
-                    let k = Kernel::scan(hf, &client, sites, &fa.dt, &fa.df, &policy);
+                    let k = Kernel::scan(hf, &client, sites, &fa.dt, &fa.df);
                     let scanned: Vec<_> = k
                         .occs
                         .iter()
                         .map(|o| (o.block, o.stmt, o.vers.clone()))
                         .collect();
-                    assert_eq!(scanned, full_walk(hf, &fa.dt, key), "{}: {key:?}", f.name);
+                    assert_eq!(scanned, full_walk(hf, key), "{}: {key:?}", f.name);
                     checked += 1;
                     // a phase runs one family, and inside a phase only a
                     // transformation moves a statement

@@ -30,19 +30,16 @@
 //! preheader's initializing load covers the zero-trip case: if the loop
 //! body never runs, the exit stores write back the original value.
 //!
-//! This pass is a loop-shaped client of [`crate::prekernel`]: loop
-//! recognition comes from [`reducible_loops`], the candidate contract
-//! (occurrence harvesting / kill query / emission of the initializing
-//! load) is the kernel's [`SpecClient`] trait, and every rewrite is
-//! expressed as [`MotionEdit`]s applied through [`apply_edits`].
+//! This pass runs none of the six SSAPRE steps: loop recognition comes
+//! from the kernel's [`reducible_loops`], and every rewrite is expressed
+//! as [`MotionEdit`]s applied through [`apply_edits`].
 
-use crate::expr::OccVersions;
-use crate::prekernel::{apply_edits, reducible_loops, MotionEdit, SpecClient};
+use crate::prekernel::{apply_edits, reducible_loops, MotionEdit};
 use crate::stats::OptStats;
 use specframe_analysis::FuncAnalyses;
 use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarId, HssaFunc};
 use specframe_ir::FxHashSet;
-use specframe_ir::{BlockId, InlineVec, LoadSpec, Ty, VarId};
+use specframe_ir::{BlockId, LoadSpec, Ty, VarId};
 
 /// The store-promotion candidate: one direct global/slot cell `mv`,
 /// stored to inside the loop. Occurrences are the candidate stores; any
@@ -57,22 +54,21 @@ struct StoreClient {
     ty: Ty,
 }
 
-impl SpecClient for StoreClient {
-    fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
-        match &stmt.kind {
+impl StoreClient {
+    /// Whether `stmt` is a candidate store: a direct store to the cell.
+    fn occurrence(&self, stmt: &HStmt) -> bool {
+        matches!(
+            &stmt.kind,
             HStmtKind::Store {
-                dvar_def: Some((id, ver)),
+                dvar_def: Some((id, _)),
                 ..
-            } if *id == self.mv => Some(OccVersions {
-                regs: InlineVec::new(),
-                mem: Some(*ver),
-            }),
-            _ => None,
-        }
+            } if *id == self.mv
+        )
     }
 
+    /// Whether `stmt` touches the cell other than as a candidate store.
     fn kills(&self, stmt: &HStmt) -> bool {
-        if self.occurrence(stmt).is_some() {
+        if self.occurrence(stmt) {
             // a candidate store chi-ing a vvar is handled by the caller's
             // cross-class scan; the store itself does not kill
             return false;
@@ -95,46 +91,27 @@ impl SpecClient for StoreClient {
         }
     }
 
-    fn tracked_regs(&self) -> &[VarId] {
-        &[]
-    }
-
-    fn tracked_mem(&self) -> Option<HVarId> {
-        Some(self.mv)
-    }
-
-    fn is_load(&self) -> bool {
-        false
-    }
-
-    fn control_speculatable(&self) -> bool {
-        false
-    }
-
+    /// Type of the carried register.
     fn temp_ty(&self) -> Ty {
         self.ty
     }
 
+    /// Name of the carried register (`n` is the global temp counter).
     fn temp_name(&self, n: u64) -> String {
         format!("stp{n}")
     }
 
-    /// The preheader's initializing load of the cell (covers zero-trip).
-    fn materialize(
-        &self,
-        _hf: &HssaFunc,
-        t: (VarId, u32),
-        vers: &OccVersions,
-        spec: LoadSpec,
-    ) -> HStmt {
+    /// The preheader's initializing load of the cell into `t` (covers
+    /// zero-trip).
+    fn materialize(&self, t: (VarId, u32)) -> HStmt {
         HStmt::new(HStmtKind::Load {
             dst: t,
             base: self.base,
             offset: self.offset,
             ty: self.ty,
-            spec,
+            spec: LoadSpec::Normal,
             site: specframe_hssa::FRESH_SITE,
-            dvar: Some((self.mv, vers.mem.unwrap_or(0))),
+            dvar: Some((self.mv, 0)),
         })
     }
 }
@@ -278,15 +255,7 @@ pub fn sink_stores_hssa(hf: &mut HssaFunc, stats: &mut OptStats, fa: &FuncAnalys
             let rv0 = hf.fresh_ver_of_reg(r);
             edits.push(MotionEdit::Append {
                 block: preheader,
-                what: client.materialize(
-                    hf,
-                    (r, rv0),
-                    &OccVersions {
-                        regs: InlineVec::new(),
-                        mem: Some(0),
-                    },
-                    LoadSpec::Normal,
-                ),
+                what: client.materialize((r, rv0)),
             });
 
             // in-loop stores become register moves

@@ -54,9 +54,14 @@ impl SpecSource<'_> {
 /// with each worker owning exactly one function — `globals` and the
 /// oracle are the only shared state, both read-only.
 ///
-/// The CFG should have critical edges pre-split (see
-/// `specframe_analysis::split_critical_edges`) if the form will be
-/// optimized and lowered; construction itself does not require it.
+/// `f` must come from `specframe_core::prepare_module`: every block
+/// reachable from the entry, since rename walks the dominator tree and
+/// would leave a dead block's versions unassigned. The critical edges
+/// `prepare_module` splits are needed only if the form will be optimized
+/// and lowered; construction itself does not require them.
+///
+/// # Panics
+/// Panics if some block of `f` is unreachable from its entry.
 pub fn build_hssa(
     globals: &[Global],
     f: &Function,
@@ -65,6 +70,14 @@ pub fn build_hssa(
     oracle: &Likeliness<'_>,
     fa: &FuncAnalyses,
 ) -> HssaFunc {
+    let (dt, df) = (&fa.dt, &fa.df);
+    if let Some(dead) = f.block_ids().find(|&b| !dt.is_reachable(b)) {
+        panic!(
+            "build_hssa: block `{}` of `{}` is unreachable; run prepare_module first",
+            f.block(dead).name,
+            f.name
+        );
+    }
     let mut catalog = VarCatalog::new();
     for (i, _) in f.vars.iter().enumerate() {
         catalog.intern(HVarKind::Reg(VarId::from_index(i)));
@@ -359,7 +372,6 @@ pub fn build_hssa(
     }
 
     // ---- phi insertion ----
-    let (dt, df) = (&fa.dt, &fa.df);
     let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); catalog.len()];
     for (bi, hb) in blocks.iter().enumerate() {
         let bid = BlockId::from_index(bi);
@@ -387,9 +399,6 @@ pub fn build_hssa(
         }
         let var = HVarId(vi as u32);
         for join in iterated_df(df, defs.iter().copied()) {
-            if !dt.is_reachable(join) {
-                continue;
-            }
             let hb = &mut blocks[join.index()];
             hb.phis.push(Phi {
                 var,
@@ -1206,6 +1215,18 @@ exit:
         assert!(head.phis.iter().any(|p| p.var == id_g), "phi for g at head");
         let id_i = hf.catalog.get(HVarKind::Reg(VarId(1))).unwrap();
         assert!(head.phis.iter().any(|p| p.var == id_i), "phi for i at head");
+    }
+
+    /// Rename would leave the dead block's use of `x` unversioned, so
+    /// construction refuses a function `prepare_module` has not cleaned.
+    #[test]
+    #[should_panic(expected = "block `dead` of `f` is unreachable; run prepare_module first")]
+    fn unprepared_dead_block_is_rejected() {
+        let (m, aa) = analyze(
+            "func f(x: i64) -> i64 {\nentry:\n  ret x\ndead:\n  x = add x, 2\n  ret x\n}\n",
+        );
+        let fid = m.func_by_name("f").unwrap();
+        build_in_module(&m, fid, &aa, SpecSource::None);
     }
 
     #[test]

@@ -153,11 +153,6 @@ pub trait SpecTarget: Sync {
     /// speculating that the oracle weighs against the saved latency).
     fn check_overhead(&self) -> u64;
 
-    /// Extra cycles a *failed* check costs on top of the recovery reload.
-    fn recovery_penalty(&self) -> u64 {
-        self.costs().check_fail_penalty
-    }
-
     /// Whether lowering must thread software speculation state (epoch +
     /// shadow registers) through functions that speculate.
     fn software_spec_state(&self) -> bool {
