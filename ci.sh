@@ -37,8 +37,11 @@ cargo run --release -q -p spectest -- -q --verify-each --audit-spec tests/golden
 
 # the same suite re-lowered and re-simulated for the software-recovery
 # backend: every case that does not pin epic-specific output (those
-# declare `; UNSUPPORTED: target`) must still pass under --target swr
+# declare `; UNSUPPORTED: target`) must still pass under --target swr,
+# once as written and once with every pass boundary re-verified and
+# every swr lowering audited for check pairing and speculative leaks
 cargo run --release -q -p spectest -- -q --target swr tests/golden
+cargo run --release -q -p spectest -- -q --target swr --verify-each --audit-spec --audit-leaks tests/golden
 
 # the speculative-leak fencing contract over the whole corpus: every
 # compiled module's lowering must fence to a clean re-audit with the

@@ -273,7 +273,7 @@ impl<'a> KeyContext<'a> {
         // The execution target changes both the oracle's profitability
         // verdicts and the machine lowering of any audited artifact; its
         // fingerprint (identity | lowering revision) keys them apart.
-        h.write_u64(opts.target.spec().fingerprint());
+        h.write_u64(opts.target.spec().fingerprint);
         // Output-shaping hooks: dumps are stored in the entry and
         // verify-each/audit change which ladder rung a function lands on,
         // so entries produced under different hook configs must not mix.

@@ -72,30 +72,22 @@ pub struct OptOptions<'a> {
     pub lftr: bool,
     /// Run store promotion (sinking loop-invariant direct stores).
     pub store_sinking: bool,
-    /// The execution target whose lowering hooks and cost model the
-    /// pipeline compiles for. The oracle weighs speculation profitability
+    /// The execution target whose lowering and cost model the pipeline
+    /// compiles for. The oracle weighs speculation profitability
     /// against this target's per-check overhead, so the same input can
     /// legitimately motion differently per target.
     pub target: specframe_machine::TargetId,
 }
 
-impl OptOptions<'_> {
-    /// The oracle's plain-data view of the target's cost model.
-    pub fn spec_costs(&self) -> SpecCosts {
-        target_spec_costs(self.target)
-    }
-}
-
-/// Projects a target's cost table down to the oracle's plain-data view
-/// (the hssa crate cannot depend on the machine crate, so the driver — and
-/// the `--explain-spec` renderer — perform the projection).
+/// Projects a target's row down to the oracle's plain-data view (the hssa
+/// crate cannot depend on the machine crate, so the driver — and the
+/// `--explain-spec` renderer — perform the projection).
 pub fn target_spec_costs(target: specframe_machine::TargetId) -> SpecCosts {
     let t = target.spec();
-    let c = t.costs();
     SpecCosts {
-        check_cost: t.check_overhead(),
-        int_load: c.int_load,
-        fp_load: c.fp_load,
+        check_cost: t.check_overhead,
+        int_load: t.costs.int_load,
+        fp_load: t.costs.fp_load,
     }
 }
 
@@ -1012,7 +1004,7 @@ fn run_spec_stages(
     } else {
         SpecSource::None
     };
-    let oracle = Likeliness::with_costs(source, sh.opts.spec_costs());
+    let oracle = Likeliness::with_costs(source, target_spec_costs(sh.opts.target));
 
     a.enter("hssa")?;
     let t0 = Instant::now();

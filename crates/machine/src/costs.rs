@@ -36,24 +36,21 @@ pub struct CostModel {
     pub fence: u64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            alu: 1,
-            int_load: 2,
-            fp_load: 9,
-            store: 1,
-            check_ok: 0,
-            check_fail_penalty: 8,
-            branch: 1,
-            call_overhead: 5,
-            alloc: 20,
-            fence: 3,
-        }
-    }
-}
-
 impl CostModel {
+    /// The Itanium table: `epic`'s row, and the base of every other.
+    pub const EPIC: CostModel = CostModel {
+        alu: 1,
+        int_load: 2,
+        fp_load: 9,
+        store: 1,
+        check_ok: 0,
+        check_fail_penalty: 8,
+        branch: 1,
+        call_overhead: 5,
+        alloc: 20,
+        fence: 3,
+    };
+
     /// Latency of a load of type `ty`.
     #[inline]
     pub fn load(&self, ty: Ty) -> u64 {
@@ -71,7 +68,7 @@ mod tests {
 
     #[test]
     fn paper_latencies() {
-        let c = CostModel::default();
+        let c = CostModel::EPIC;
         assert_eq!(c.load(Ty::I64), 2);
         assert_eq!(c.load(Ty::Ptr), 2);
         assert_eq!(c.load(Ty::F64), 9);

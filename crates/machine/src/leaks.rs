@@ -38,7 +38,7 @@ use crate::audit::{forward_fixpoint, RegSets};
 use crate::isa::{LdKind, MFunc, MInst, MOperand, MProgram};
 use crate::policy::FaultPolicy;
 use crate::sim::{run_machine_taint_on, SinkClass};
-use crate::target::SpecTarget;
+use crate::target::Target;
 use specframe_ir::Value;
 use std::collections::BTreeSet;
 
@@ -284,7 +284,7 @@ impl LeakWitness {
 /// entries — the forced recovery-branch miss plays the eviction's role.
 pub fn construct_leak_witness_on(
     prog: &MProgram,
-    target: &dyn SpecTarget,
+    target: &Target,
     entry: &str,
     args: &[Value],
     fuel: u64,
@@ -347,7 +347,7 @@ pub fn construct_leak_witness_on(
 /// arguments).
 pub fn witness_leaks_on(
     prog: &MProgram,
-    target: &dyn SpecTarget,
+    target: &Target,
     entry: &str,
     args: &[Value],
     fuel: u64,
@@ -737,7 +737,7 @@ mod tests {
         );
         assert_eq!(
             fenced.counters.cycles,
-            unfenced.counters.cycles + crate::costs::CostModel::default().fence
+            unfenced.counters.cycles + crate::costs::CostModel::EPIC.fence
         );
     }
 }

@@ -1,7 +1,8 @@
 //! # specframe-machine
 //!
-//! The EPIC-like execution target: the stand-in for the paper's 733 MHz
-//! Itanium (HP i2000). It provides
+//! The execution targets: the EPIC-like stand-in for the paper's 733 MHz
+//! Itanium (HP i2000) and a software-checked target without an ALAT. It
+//! provides
 //!
 //! * [`isa`] — a flat, label-resolved instruction set with the IA-64
 //!   speculation primitives: `ld.a` (advanced load, allocates an ALAT
@@ -14,9 +15,20 @@
 //! * [`costs`] — the latency model, using the numbers the paper quotes: an
 //!   integer load hits L1 in 2 cycles, a floating-point load hits L2 in 9
 //!   cycles (Itanium FP loads bypass L1), a successful check costs 0;
+//! * [`target`] — one row of data per `--target` (`epic`, `swr`): name,
+//!   cost table, whether it has an ALAT, cache-key fingerprint and the
+//!   price of a passing check (the lowering that reads the ALAT bit lives
+//!   in `specframe-codegen`);
+//! * [`policy`] — ALAT fault policies: the table's geometry and which
+//!   entries the simulated hardware drops when, none of which may change a
+//!   result;
 //! * [`sim`] — a cycle-approximate simulator with `pfmon`-style counters
 //!   (retired loads, check loads, failed checks, CPU cycles, data-access
-//!   cycles).
+//!   cycles);
+//! * [`audit`] — the static speculation-safety auditor: every advanced
+//!   load reaches a check on the same address and type;
+//! * [`leaks`] — the static speculative-leak auditor, its fencing
+//!   transform and the constructed-eviction witness.
 //!
 //! The simulator is *cycle-approximate*: it exposes every load's full
 //! latency (single-issue, no overlap). Absolute numbers therefore differ
@@ -49,4 +61,4 @@ pub use sim::{
     run_machine, run_machine_on, run_machine_taint_on, run_machine_with_policy_on, Counters,
     LeakEvent, SimError, Simulator, SinkClass, TaintReport,
 };
-pub use target::{EpicTarget, SpecFrame, SpecTarget, SwrTarget, TargetId};
+pub use target::{Target, TargetId};

@@ -8,7 +8,7 @@ use crate::costs::CostModel;
 use crate::decode::{decode_program, DFunc, Op};
 use crate::isa::{ChkKind, LdKind, MProgram, Reg};
 use crate::policy::{FaultAction, FaultPolicy, Injector};
-use crate::target::{SpecTarget, TargetId};
+use crate::target::{Target, TargetId};
 use specframe_ir::{Memory, Value};
 
 /// Maximum call depth.
@@ -281,13 +281,13 @@ impl<'p> Simulator<'p> {
     /// the ALAT geometry and fault behavior (see [`crate::policy`]).
     pub fn for_target(
         prog: &'p MProgram,
-        target: &dyn SpecTarget,
+        target: &Target,
         fuel: u64,
         policy: &FaultPolicy,
     ) -> Simulator<'p> {
         let (entries, ways) = policy.geometry();
         let mut m = Machine {
-            costs: target.costs(),
+            costs: target.costs,
             mem: Memory::new(prog.globals_end),
             alat: Alat::with_geometry(entries, ways),
             injector: Injector::new(policy),
@@ -295,7 +295,7 @@ impl<'p> Simulator<'p> {
             counters: Counters::default(),
             fuel,
             taint: None,
-            has_alat: target.has_alat(),
+            has_alat: target.has_alat,
             zero_geom: entries == 0,
             poison: 0,
         };
@@ -875,7 +875,7 @@ pub fn run_machine(
 /// See [`SimError`].
 pub fn run_machine_on(
     prog: &MProgram,
-    target: &dyn SpecTarget,
+    target: &Target,
     entry: &str,
     args: &[Value],
     fuel: u64,
@@ -889,7 +889,7 @@ pub fn run_machine_on(
 /// See [`SimError`].
 pub fn run_machine_with_policy_on(
     prog: &MProgram,
-    target: &dyn SpecTarget,
+    target: &Target,
     entry: &str,
     args: &[Value],
     fuel: u64,
@@ -912,7 +912,7 @@ pub fn run_machine_with_policy_on(
 #[allow(clippy::too_many_arguments)]
 pub fn run_machine_taint_on(
     prog: &MProgram,
-    target: &dyn SpecTarget,
+    target: &Target,
     entry: &str,
     args: &[Value],
     fuel: u64,

@@ -12,10 +12,10 @@
 //!                         (default: profile)
 //!   --target NAME         execution target: epic (hardware ALAT, default)
 //!                         | swr (software checks: compare-and-branch
-//!                         recovery, no ALAT). Selects the lowering hooks
-//!                         and the cost model the profitability oracle
-//!                         weighs, so motion decisions may differ per
-//!                         target on the same input
+//!                         recovery, no ALAT). Selects how checks are
+//!                         lowered and the cost model the profitability
+//!                         oracle weighs, so motion decisions may differ
+//!                         per target on the same input
 //!   --no-sr               disable strength reduction (and with it LFTR)
 //!   --store-sinking       enable store promotion
 //!   --explain-spec        print the per-site likeliness-oracle decision

@@ -129,7 +129,7 @@ pub mod prelude {
     pub use specframe_machine::{audit_func, audit_program, AuditError, AuditStats};
     pub use specframe_machine::{
         fault_matrix, parse_fault_policy, run_machine, run_machine_on, run_machine_with_policy_on,
-        Counters, FaultPolicy, SpecTarget, TargetId,
+        Counters, FaultPolicy, TargetId,
     };
     pub use specframe_profile::{
         run, run_with, train, AliasProfiler, Collect, EdgeProfiler, ReuseSimulator, Training,

@@ -143,9 +143,9 @@ pub struct CompileRequest {
     /// exceeded deadline fails the compile with exit/service code 5 and
     /// writes no cache entries.
     pub deadline_ms: Option<u64>,
-    /// Execution target (`--target`). Selects the lowering hooks and the
-    /// cost model the profitability oracle weighs, so the same input can
-    /// motion differently per target.
+    /// Execution target (`--target`). Selects how checks are lowered and
+    /// the cost model the profitability oracle weighs, so the same input
+    /// can motion differently per target.
     pub target: TargetId,
 }
 
