@@ -11,9 +11,10 @@
 //!
 //! A cached [`FuncAnalyses`] is valid for as long as the function's **CFG
 //! shape** (block set, terminators / edges) is unchanged. Passes that only
-//! rewrite instructions, operands, or φ operands — everything between
-//! `refine_function` and `lower_function` in the current pipeline — must NOT
-//! invalidate it. Any pass that adds/removes blocks or edges (e.g.
+//! rewrite instructions, operands, or φ operands — everything between the
+//! first HSSA build and `lower_function` in the current pipeline, including
+//! `refine_function`'s folds, which may trigger a rebuild of the form but
+//! never of the analyses — must NOT invalidate it. Any pass that adds/removes blocks or edges (e.g.
 //! `remove_unreachable_blocks` and `split_critical_edges`, which therefore
 //! run *before* analyses are built) must call [`FuncAnalyses::recompute`]
 //! before the cache is used again.

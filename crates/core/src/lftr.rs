@@ -159,7 +159,8 @@ fn sr_ver_defined(hf: &HssaFunc, s: VarId, ver: u32) -> bool {
 /// [`crate::strength::strength_reduce_hssa`], in recording order (so with
 /// several factors over one IV the first recorded factor wins — later
 /// temps no longer see a comparison of the IV). Returns the number of
-/// loop-exit tests replaced.
+/// loop-exit tests replaced, which is 0 only when `hf` was left untouched
+/// (the driver then skips the cleanup of a form that is already clean).
 pub fn lftr_hssa(hf: &mut HssaFunc, temps: &[SrTemp], stats: &mut OptStats) -> usize {
     let mut applied = 0;
     for sr in temps {

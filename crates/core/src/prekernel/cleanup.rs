@@ -1,7 +1,9 @@
 //! Post-kernel cleanup: copy propagation, block-local forwarding of
 //! collapsed-temporary copies, dead-φ pruning and dead-copy elimination.
-//! SSAPRE and every optional pass after it run [`cleanup_hssa`] after
-//! their rewrites so a reload costs its check and nothing more.
+//! The driver runs [`cleanup_hssa`] after SSAPRE and after each optional
+//! pass whose input may need it — a fresh build, whose φs are unpruned, or
+//! a form some stage rewrote since the last cleanup reached its fixpoint —
+//! so a reload costs its check and nothing more.
 
 use specframe_hssa::stmt::RegVer;
 use specframe_hssa::{HOperand, HStmtKind, HVarKind, HssaFunc};
@@ -10,19 +12,24 @@ use specframe_ir::{FxHashMap, FxHashSet};
 
 /// Post-SSAPRE cleanup: copy propagation, block-local forwarding of
 /// collapsed-temporary copies, dead-φ pruning and dead-copy elimination,
-/// iterated to a fixpoint. Without the φ pruning, non-pruned SSA would
-/// lower into a φ-copy per live-range per loop iteration and drown the
-/// cycle savings the promotion just bought.
-pub fn cleanup_hssa(hf: &mut HssaFunc) {
+/// iterated to a fixpoint for at most four rounds. Without the φ pruning,
+/// non-pruned SSA would lower into a φ-copy per live-range per loop
+/// iteration and drown the cycle savings the promotion just bought.
+///
+/// Returns whether the last round reached the fixpoint (removed nothing),
+/// after which another call changes nothing; `false` when the rounds ran
+/// out first.
+pub fn cleanup_hssa(hf: &mut HssaFunc) -> bool {
     for _ in 0..4 {
         copy_propagate(hf);
         propagate_collapsed_local(hf);
         let a = eliminate_dead_phis(hf);
         let b = eliminate_dead_copies(hf);
         if a == 0 && b == 0 {
-            break;
+            return true;
         }
     }
+    false
 }
 
 /// Dense slots for the register versions of one function, laid out from

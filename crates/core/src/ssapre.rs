@@ -43,6 +43,11 @@ pub use crate::prekernel::{
 ///
 /// `f_base` is the function the SSA form was built from (pre-SSAPRE view;
 /// SSAPRE itself never mutates it) and `fa` its cached CFG analyses.
+///
+/// The result is not cleaned: the copies the transformations leave behind
+/// and the unpruned φs of the build stay until the caller runs
+/// [`cleanup_hssa`] (the driver always does, since SSAPRE follows a fresh
+/// build), so a reload costs its check and nothing more.
 pub fn ssapre_function(
     f_base: &specframe_ir::Function,
     hf: &mut HssaFunc,
@@ -86,10 +91,6 @@ fn ssapre_phases(
     // phase 3c: indirect loads, re-collected after the rewrite
     let indirect = collect_candidates(hf, &[Family::IndirectLoad]);
     changed += run_phase(f_base, hf, &indirect, policy, stats, fa, &mut visit);
-    // phase 4: clean up — propagate the copies the transformations left
-    // behind and drop the dead ones, so a reload costs its check and
-    // nothing more
-    cleanup_hssa(hf);
     changed
 }
 
@@ -361,7 +362,8 @@ mod tests {
     use crate::prekernel::Kernel;
     use specframe_alias::AliasAnalysis;
     use specframe_analysis::{estimate_function, EdgeProfile};
-    use specframe_hssa::{build_hssa, refine_function, Likeliness, SpecSource};
+    use specframe_hssa::{build_hssa, print_hssa, refine_function, Likeliness, SpecSource};
+    use specframe_ir::display::func_name_table;
     use specframe_ir::{parse_module, FuncId, GlobalId, Module, SlotId};
     use specframe_profile::{train, AliasProfile, Collect};
     use specframe_workloads::{all_workloads, mega_source, Scale};
@@ -382,21 +384,28 @@ mod tests {
 
     /// Runs SSAPRE with static control speculation over every function of
     /// the prepared module `m` under `source`, checking before each
-    /// candidate that the table-driven scan finds what [`full_walk`] finds.
-    /// Returns the candidates checked and how many of them ran right after
-    /// a candidate of the same phase that changed the function.
-    fn check_module(m: &Module, source: SpecSource<'_>) -> (usize, usize) {
+    /// candidate that the table-driven scan finds what [`full_walk`] finds,
+    /// and after SSAPRE that a cleanup which reports its fixpoint has
+    /// reached it. Returns the candidates checked, how many of them ran
+    /// right after a candidate of the same phase that changed the
+    /// function, and how many cleanups reported their fixpoint.
+    fn check_module(m: &Module, source: SpecSource<'_>) -> (usize, usize, usize) {
         let aa = AliasAnalysis::analyze(m);
-        let (mut checked, mut after_change) = (0, 0);
+        let names = func_name_table(m);
+        let (mut checked, mut after_change, mut settled) = (0, 0, 0);
         for fi in 0..m.funcs.len() {
             let fid = FuncId::from_index(fi);
             let mut f = m.funcs[fi].clone();
             let fa = FuncAnalyses::compute(&f);
             let mut edges = EdgeProfile::new();
             estimate_function(&mut edges, fid, &f, &fa);
-            refine_function(&m.globals, &mut f, fid, &aa, &fa);
+            // the driver's order: refine over the built form, and rebuild
+            // it only when something folded
             let oracle = Likeliness::new(source);
             let mut hf = build_hssa(&m.globals, &f, fid, &aa, &oracle, &fa);
+            if refine_function(&mut f, &hf) > 0 {
+                hf = build_hssa(&m.globals, &f, fid, &aa, &oracle, &fa);
+            }
             let policy = SpecPolicy {
                 oracle,
                 control: Some((&edges, fid)),
@@ -430,9 +439,47 @@ mod tests {
                     last = Some((*key, stmts));
                 },
             );
+            // the driver skips the cleanup after a pass that rewrote
+            // nothing once a cleanup has reported its fixpoint, which is
+            // exact only if cleaning again would change nothing
+            if cleanup_hssa(&mut hf) {
+                let cleaned = print_hssa(&m.globals, &names, &f, &hf);
+                assert!(cleanup_hssa(&mut hf), "{}: fixpoint lost", f.name);
+                assert_eq!(
+                    print_hssa(&m.globals, &names, &f, &hf),
+                    cleaned,
+                    "{}: a cleanup after the fixpoint changed the form",
+                    f.name
+                );
+                settled += 1;
+            }
         }
-        (checked, after_change)
+        (checked, after_change, settled)
     }
+
+    /// A function whose cleanup needs a second round to settle: the copy
+    /// `d = x` is dead from the start and the only use of the φ merging
+    /// `x`, so the φ dies only once the copy is gone. On the kernels and
+    /// the mega module no cleanup removes anything after its first round.
+    const TWO_ROUND_CLEANUP: &str = r#"
+func f(n: i64) -> i64 {
+  var x: i64
+  var d: i64
+  var y: i64
+entry:
+  x = 1
+  br n, a, b
+a:
+  x = 2
+  jmp join
+b:
+  jmp join
+join:
+  d = x
+  y = add n, 1
+  ret y
+}
+"#;
 
     #[test]
     fn stmt_table_finds_what_a_full_walk_finds() {
@@ -453,7 +500,14 @@ mod tests {
         let mut mega = parse_module(&mega_source(7, 150)).expect("mega module");
         crate::prepare_module(&mut mega);
         modules.push(("mega 7:150".into(), mega, AliasProfile::default()));
-        assert_eq!(modules.len(), 10);
+        let mut two_rounds = parse_module(TWO_ROUND_CLEANUP).expect("two-round module");
+        crate::prepare_module(&mut two_rounds);
+        modules.push((
+            "two-round cleanup".into(),
+            two_rounds,
+            AliasProfile::default(),
+        ));
+        assert_eq!(modules.len(), 11);
         let mut after_change = [0; 4];
         for (name, m, profile) in &modules {
             let sources = [
@@ -463,8 +517,9 @@ mod tests {
                 SpecSource::Profile(profile),
             ];
             for (si, source) in sources.into_iter().enumerate() {
-                let (checked, rebuilt) = check_module(m, source);
+                let (checked, rebuilt, settled) = check_module(m, source);
                 assert!(checked > 0, "{name} {source:?}: no candidate");
+                assert!(settled > 0, "{name} {source:?}: no cleanup settled");
                 after_change[si] += rebuilt;
             }
         }

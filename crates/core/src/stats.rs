@@ -155,9 +155,12 @@ counter_block! {
             /// FuncAnalyses construction (dominators, frontiers, loops) — all
             /// functions.
             pub analyses => "analyses",
-            /// Flow-sensitive refinement (`refine_function`).
+            /// Flow-sensitive refinement (`refine_function`): the fold
+            /// alone, over the form `hssa_build` times.
             pub refine => "refine",
-            /// Speculative SSA construction (`build_hssa`).
+            /// Speculative SSA construction (`build_hssa`): the one build a
+            /// function's refinement and first attempt share, plus any
+            /// rebuild after a fold and the build of each later attempt.
             pub hssa_build => "hssa-build",
             /// The SSAPRE engine.
             pub ssapre => "ssapre",

@@ -117,7 +117,9 @@ impl StoreClient {
 }
 
 /// Runs store sinking over every loop of `hf`, using the function's cached
-/// CFG analyses. Returns the number of in-loop stores removed.
+/// CFG analyses. Returns the number of in-loop stores removed, which is 0
+/// only when `hf` was left untouched (the driver then skips the cleanup of
+/// a form that is already clean).
 pub fn sink_stores_hssa(hf: &mut HssaFunc, stats: &mut OptStats, fa: &FuncAnalyses) -> usize {
     let mut sunk_total = 0;
 

@@ -123,7 +123,9 @@ impl StrengthClient {
 
 /// Runs strength reduction over every loop of `hf`, using the function's
 /// cached CFG analyses. Each reduced factor is appended to `sr_out` for
-/// the LFTR pass. Returns the number of multiplications rewritten.
+/// the LFTR pass. Returns the number of multiplications rewritten, which is
+/// 0 only when `hf` was left untouched (the driver then skips the cleanup
+/// of a form that is already clean).
 pub fn strength_reduce_hssa(
     hf: &mut HssaFunc,
     stats: &mut OptStats,

@@ -13,17 +13,32 @@
 //! are then exact: a folded store strongly defines its cell instead of
 //! weakly updating an entire class, and a folded load participates in
 //! non-speculative PRE like any scalar variable.
+//!
+//! Refinement is an analysis over an SSA form it is handed, not a build of
+//! its own: the driver builds a function's form once, refines over it, and
+//! rebuilds only when something folded — the lists changed, so the form
+//! must be updated, exactly the rule quoted above.
 
 use crate::stmt::{HOperand, HStmtKind, HssaFunc};
-use specframe_analysis::FuncAnalyses;
 use specframe_ir::FxHashMap;
-use specframe_ir::{FuncId, Function, Global, Inst, MemSiteId, Operand, VarId};
+use specframe_ir::{Function, Inst, MemSiteId, Operand, VarId};
 
-/// Analyzes `hf` (an already-built SSA form of `f`) and rewrites `f`,
-/// folding every indirect load/store whose base register provably holds a
-/// single static address into a direct reference. Returns the number of
-/// references folded.
-fn fold_known_addresses(f: &mut Function, hf: &HssaFunc) -> usize {
+/// Flow-sensitive refinement of `f` over `hf`, an already-built SSA form
+/// of `f`: folds every indirect load/store whose base register provably
+/// holds a single static address into a direct reference of `f`, and
+/// returns the number of references folded. `hf` describes the unrefined
+/// `f`, so when this returns non-zero the caller rebuilds the form (the
+/// paper's "update the SSA form if the lists have any change"); at zero,
+/// `f` is untouched and `hf` is still its form.
+///
+/// The fold is blind to the speculation source `hf` was built under: it
+/// reads only register copies and the base register versions of loads,
+/// checks and stores, which renaming assigns the same way under every
+/// `SpecSource` (the oracle sets only χ/μ `likely` flags). Folding only
+/// rewrites instruction operands — the CFG is untouched, so the function's
+/// cached analyses stay valid, and no other part of the module is, so each
+/// parallel worker can refine the function it owns.
+pub fn refine_function(f: &mut Function, hf: &HssaFunc) -> usize {
     // copy chains: (reg, version) -> source operand
     let mut copy_src: FxHashMap<(VarId, u32), HOperand> = FxHashMap::default();
     for b in hf.block_ids() {
@@ -96,28 +111,6 @@ fn fold_known_addresses(f: &mut Function, hf: &HssaFunc) -> usize {
     folded
 }
 
-/// Flow-sensitive refinement of `f` (function `fid` of a module with
-/// `globals`): builds a throwaway non-speculative HSSA over the analysis
-/// cache `fa`, folds known addresses into direct references, and reports
-/// the count. Folding only rewrites instruction operands of `f` — the CFG
-/// is untouched, so `fa` stays valid afterwards, and no other part of the
-/// module is, so each parallel worker can refine the function it owns.
-///
-/// Run this before the final HSSA construction: the caller rebuilds the
-/// SSA form afterwards (the paper's "update the SSA form if the lists have
-/// any change").
-pub fn refine_function(
-    globals: &[Global],
-    f: &mut Function,
-    fid: FuncId,
-    aa: &specframe_alias::AliasAnalysis,
-    fa: &FuncAnalyses,
-) -> usize {
-    let oracle = crate::oracle::Likeliness::new(crate::build::SpecSource::None);
-    let hf = crate::build::build_hssa(globals, f, fid, aa, &oracle, fa);
-    fold_known_addresses(f, &hf)
-}
-
 /// Identifies whether an HSSA statement is a direct memory access (used by
 /// tests asserting the fold happened).
 pub fn is_direct_access(hf: &HssaFunc, b: usize, si: usize) -> bool {
@@ -134,11 +127,17 @@ mod tests {
     use super::*;
     use crate::build::{build_in_module, SpecSource};
     use specframe_alias::AliasAnalysis;
-    use specframe_ir::{parse_module, Module};
+    use specframe_ir::{parse_module, FuncId, Module};
+    use specframe_profile::AliasProfile;
+
+    /// Refines function `fid` of `m` over its form built under `source`.
+    fn refine_under(m: &mut Module, fid: FuncId, aa: &AliasAnalysis, source: SpecSource) -> usize {
+        let hf = build_in_module(m, fid, aa, source);
+        refine_function(&mut m.funcs[fid.index()], &hf)
+    }
 
     fn refine(m: &mut Module, fid: FuncId, aa: &AliasAnalysis) -> usize {
-        let fa = FuncAnalyses::compute(m.func(fid));
-        refine_function(&m.globals, &mut m.funcs[fid.index()], fid, aa, &fa)
+        refine_under(m, fid, aa, SpecSource::None)
     }
 
     /// p locally points at `a` only, but Steensgaard's class for it is
@@ -228,6 +227,38 @@ go:
                 ..
             }
         ));
+    }
+
+    /// The driver refines over the form its first speculative attempt
+    /// optimizes, so the fold must not depend on the source that form was
+    /// built under: every source folds the same references of every
+    /// function into the same module.
+    #[test]
+    fn the_fold_is_the_same_under_every_spec_source() {
+        let m0 = parse_module(SRC).unwrap();
+        let aa = AliasAnalysis::analyze(&m0);
+        let profile = AliasProfile::default();
+        let sources = [
+            SpecSource::None,
+            SpecSource::Heuristic,
+            SpecSource::Aggressive,
+            SpecSource::Profile(&profile),
+        ];
+        let refined: Vec<(usize, Module)> = sources
+            .iter()
+            .map(|&source| {
+                let mut m = m0.clone();
+                let folded = (0..m.funcs.len())
+                    .map(|fi| refine_under(&mut m, FuncId::from_index(fi), &aa, source))
+                    .sum();
+                (folded, m)
+            })
+            .collect();
+        assert_eq!(refined[0].0, 4, "f's two stores and two loads fold");
+        for (source, (folded, m)) in sources.iter().zip(&refined).skip(1) {
+            assert_eq!(*folded, refined[0].0, "{source:?}: fold count");
+            assert_eq!(m.funcs, refined[0].1.funcs, "{source:?}: refined functions");
+        }
     }
 
     #[test]

@@ -172,17 +172,19 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
     }
 
     /// Iterates over the elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        (0..self.len).map(move |i| self.get(i).expect("index in bounds"))
+    pub fn iter(&self) -> Iter<'_, T> {
+        Iter {
+            inline: self.inline[..self.len.min(N)].iter(),
+            spill: self.spill.iter(),
+        }
     }
 
     /// Iterates mutably over the elements in order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
-        let n = self.len.min(N);
-        self.inline[..n]
-            .iter_mut()
-            .map(|s| s.as_mut().expect("inline slot set"))
-            .chain(self.spill.iter_mut())
+    pub fn iter_mut(&mut self) -> IterMut<'_, T> {
+        IterMut {
+            inline: self.inline[..self.len.min(N)].iter_mut(),
+            spill: self.spill.iter_mut(),
+        }
     }
 
     /// Removes every element, keeping the spill allocation.
@@ -219,21 +221,69 @@ impl<T: Copy, const N: usize> FromIterator<T> for InlineVec<T, N> {
     }
 }
 
+/// The in-order iterator of an [`InlineVec`]: the inline slots, then the
+/// spill. It borrows both in place, so a `for` over a χ/μ list allocates
+/// nothing.
+pub struct Iter<'a, T> {
+    inline: std::slice::Iter<'a, Option<T>>,
+    spill: std::slice::Iter<'a, T>,
+}
+
+impl<'a, T> Iterator for Iter<'a, T> {
+    type Item = &'a T;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a T> {
+        match self.inline.next() {
+            Some(slot) => Some(slot.as_ref().expect("inline slot below len is set")),
+            None => self.spill.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.inline.len() + self.spill.len();
+        (n, Some(n))
+    }
+}
+
+/// The in-order mutable iterator of an [`InlineVec`] (see [`Iter`]).
+pub struct IterMut<'a, T> {
+    inline: std::slice::IterMut<'a, Option<T>>,
+    spill: std::slice::IterMut<'a, T>,
+}
+
+impl<'a, T> Iterator for IterMut<'a, T> {
+    type Item = &'a mut T;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a mut T> {
+        match self.inline.next() {
+            Some(slot) => Some(slot.as_mut().expect("inline slot below len is set")),
+            None => self.spill.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.inline.len() + self.spill.len();
+        (n, Some(n))
+    }
+}
+
 impl<'a, T: Copy, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     type Item = &'a T;
-    type IntoIter = Box<dyn Iterator<Item = &'a T> + 'a>;
+    type IntoIter = Iter<'a, T>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+    fn into_iter(self) -> Iter<'a, T> {
+        self.iter()
     }
 }
 
 impl<'a, T: Copy, const N: usize> IntoIterator for &'a mut InlineVec<T, N> {
     type Item = &'a mut T;
-    type IntoIter = Box<dyn Iterator<Item = &'a mut T> + 'a>;
+    type IntoIter = IterMut<'a, T>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter_mut())
+    fn into_iter(self) -> IterMut<'a, T> {
+        self.iter_mut()
     }
 }
 
@@ -282,6 +332,16 @@ mod tests {
         assert_eq!(v[0], 10);
         assert_eq!(v[2], 30);
         assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![10, 20, 30]);
+        for x in &mut v {
+            *x += 1;
+        }
+        let mut seen = Vec::new();
+        for x in &v {
+            seen.push(*x);
+        }
+        assert_eq!(seen, vec![11, 21, 31], "inline slots, then the spill");
+        assert_eq!(v.iter().size_hint(), (3, Some(3)));
+        v[0] = 10;
         assert_eq!(v.first(), Some(&10));
         v.clear();
         assert!(v.is_empty());
