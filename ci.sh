@@ -28,6 +28,13 @@ cargo fmt --all -- --check
 # rename or deletion that leaves one dangling fails here
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# the examples README lists as the way in: `cargo test` only compiles
+# them, and three assert that speculation leaves the program result
+# unchanged, so run each
+for example in quickstart speculative_ssa smvp input_sensitivity; do
+  cargo run --release -q --example "$example" > /dev/null
+done
+
 # FileCheck-style golden tests over the textual pass dumps — once as
 # written, once with every pass boundary re-verified and every lowered
 # function audited for ld.a/check pairing (the outputs must not change:

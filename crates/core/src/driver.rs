@@ -10,8 +10,9 @@
 //!    provably single-target pointer bases into direct references, and
 //!    rebuilding the form only when something folded), run the speculative
 //!    SSAPRE worklist (PRE + register promotion), run strength reduction /
-//!    LFTR / store sinking, cleaning the form after each only while a build
-//!    or a rewrite left it dirty, verify, lower out of SSA;
+//!    LFTR / store sinking, cleaning the form after the first of these
+//!    passes to run and after each that rewrote it, verify, lower out of
+//!    SSA;
 //! 4. verify the module.
 //!
 //! The `SpecSource`/`ControlSpec` pair selects the paper's configurations:
@@ -26,7 +27,8 @@
 use crate::cache::{self, CacheOutcome, CacheStats, CachedFunc, FuncCache, Probe};
 use crate::error::{panic_message, with_quiet_panics, CompileDiag, CompileError};
 use crate::passes::{Pass, PassDump, PassSet, PipelineHooks};
-use crate::ssapre::{cleanup_hssa, ssapre_function, SpecPolicy};
+use crate::prekernel::{cleanup_hssa, SpecPolicy};
+use crate::ssapre::ssapre_function;
 use crate::stats::{OptStats, PassTimings};
 use crate::strength::{strength_reduce_hssa, SrTemp};
 use specframe_alias::AliasAnalysis;
@@ -1014,10 +1016,9 @@ fn attempt_oracle<'p>(sh: &Shared<'_, 'p>, speculative: bool) -> Likeliness<'p> 
 /// `f` built under this attempt's oracle, used instead of building one.
 /// `current` tracks the running stage so a panic can be attributed.
 ///
-/// [`cleanup_hssa`] runs after SSAPRE and after each optional pass only
-/// while the form is dirty: a fresh build is (its φs are unpruned), and so
-/// is a form a stage reports rewriting; a cleanup that reached its
-/// fixpoint leaves it clean, and cleaning a clean form changes nothing.
+/// [`cleanup_hssa`] runs after the first of SSAPRE and the optional passes
+/// to run, since a fresh build's φs are unpruned, and after each later one
+/// that reports a rewrite; cleaning a cleaned form changes nothing.
 #[allow(clippy::too_many_arguments)]
 fn run_spec_stages(
     sh: &Shared<'_, '_>,
@@ -1052,11 +1053,11 @@ fn run_spec_stages(
         }
     };
     a.leave(&mut hf, Pass::Hssa, &[])?;
-    let mut dirty = true;
+    let mut fresh = true;
     let mut clean = |hf: &mut HssaFunc, rewrites: usize| {
-        dirty |= rewrites > 0;
-        if dirty {
-            dirty = !cleanup_hssa(hf);
+        if fresh || rewrites > 0 {
+            cleanup_hssa(hf);
+            fresh = false;
         }
     };
 

@@ -64,9 +64,9 @@ pub use error::{CompileDiag, CompileError};
 pub use expr::ExprKey;
 pub use lftr::lftr_hssa;
 pub use passes::{render_dumps, Pass, PassDump, PassSet, PipelineHooks};
-pub use prekernel::{apply_edits, reducible_loops, LoopShape, MotionEdit};
+pub use prekernel::{apply_edits, reducible_loops, LoopShape, MotionEdit, SpecPolicy};
 pub use reduce::{reduce_module, ReduceStats};
-pub use ssapre::{ssapre_function, SpecPolicy};
+pub use ssapre::ssapre_function;
 pub use stats::{peak_rss_kb, OptStats, PassTimings};
 pub use storeprom::sink_stores_hssa;
 pub use strength::SrTemp;

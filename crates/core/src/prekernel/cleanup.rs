@@ -1,35 +1,22 @@
-//! Post-kernel cleanup: copy propagation, block-local forwarding of
-//! collapsed-temporary copies, dead-φ pruning and dead-copy elimination.
-//! The driver runs [`cleanup_hssa`] after SSAPRE and after each optional
-//! pass whose input may need it — a fresh build, whose φs are unpruned, or
-//! a form some stage rewrote since the last cleanup reached its fixpoint —
-//! so a reload costs its check and nothing more.
+//! Post-kernel cleanup: one copy-propagation walk, then one dead-code
+//! sweep. The driver runs [`cleanup_hssa`] after SSAPRE and after each
+//! optional pass whose input needs it — a fresh build, whose φs are
+//! unpruned, or a form some stage rewrote — so a reload costs its check
+//! and nothing more.
 
 use specframe_hssa::stmt::RegVer;
-use specframe_hssa::{HOperand, HStmtKind, HVarKind, HssaFunc};
+use specframe_hssa::{HOperand, HStmtKind, HTerm, HVarKind, HssaFunc};
 use specframe_ir::VarId;
 use specframe_ir::{FxHashMap, FxHashSet};
 
-/// Post-SSAPRE cleanup: copy propagation, block-local forwarding of
-/// collapsed-temporary copies, dead-φ pruning and dead-copy elimination,
-/// iterated to a fixpoint for at most four rounds. Without the φ pruning,
-/// non-pruned SSA would lower into a φ-copy per live-range per loop
-/// iteration and drown the cycle savings the promotion just bought.
-///
-/// Returns whether the last round reached the fixpoint (removed nothing),
-/// after which another call changes nothing; `false` when the rounds ran
-/// out first.
-pub fn cleanup_hssa(hf: &mut HssaFunc) -> bool {
-    for _ in 0..4 {
-        copy_propagate(hf);
-        propagate_collapsed_local(hf);
-        let a = eliminate_dead_phis(hf);
-        let b = eliminate_dead_copies(hf);
-        if a == 0 && b == 0 {
-            return true;
-        }
-    }
-    false
+/// Post-SSAPRE cleanup: [`propagate_copies`], then
+/// [`eliminate_dead_code`]. Without the φ pruning, non-pruned SSA would
+/// lower into a φ-copy per live-range per loop iteration and drown the
+/// cycle savings the promotion just bought. Each step finishes its work
+/// in one pass, so cleaning a cleaned form changes nothing.
+pub fn cleanup_hssa(hf: &mut HssaFunc) {
+    propagate_copies(hf);
+    eliminate_dead_code(hf);
 }
 
 /// Dense slots for the register versions of one function, laid out from
@@ -94,13 +81,13 @@ impl<'s> VerSet<'s> {
     }
 }
 
-/// A map from register versions to operands over [`VerSlots`].
-struct VerMap<'s> {
+/// A map from register versions over [`VerSlots`].
+struct VerMap<'s, T> {
     slots: &'s VerSlots,
-    dense: Vec<Option<HOperand>>,
+    dense: Vec<Option<T>>,
 }
 
-impl<'s> VerMap<'s> {
+impl<'s, T: Copy> VerMap<'s, T> {
     fn new(slots: &'s VerSlots) -> Self {
         VerMap {
             slots,
@@ -108,123 +95,71 @@ impl<'s> VerMap<'s> {
         }
     }
 
-    fn insert(&mut self, rv: RegVer, val: HOperand) {
+    fn insert(&mut self, rv: RegVer, val: T) {
         if let Some(i) = self.slots.slot(rv) {
             self.dense[i] = Some(val);
         }
     }
 
-    fn get(&self, rv: RegVer) -> Option<HOperand> {
+    fn get(&self, rv: RegVer) -> Option<T> {
         self.dense[self.slots.slot(rv)?]
     }
 }
 
-/// Removes φs over *register* variables whose result version is never
-/// used by any statement, terminator, or live φ. Memory/virtual-variable
-/// φs are ghosts (no lowering cost) and are kept. Returns the number of
-/// φs removed.
-pub fn eliminate_dead_phis(hf: &mut HssaFunc) -> usize {
-    let slots = VerSlots::new(hf);
-    // seed: versions used by non-phi consumers
-    let mut needed = VerSet::new(&slots);
-    for b in hf.block_ids() {
-        let blk = &hf.blocks[b.index()];
-        for stmt in &blk.stmts {
-            for u in stmt.reg_uses() {
-                needed.insert(u);
-            }
-        }
-        match &blk.term {
-            Some(specframe_hssa::HTerm::Br {
-                cond: HOperand::Reg(v, ver),
-                ..
-            }) => {
-                needed.insert((*v, *ver));
-            }
-            Some(specframe_hssa::HTerm::Ret(Some(HOperand::Reg(v, ver)))) => {
-                needed.insert((*v, *ver));
-            }
-            _ => {}
-        }
-    }
-    // propagate: a phi is live iff its dest is needed; live phis need their
-    // arguments — dead phis keep nothing alive (this is what prunes the
-    // circular self-sustaining phi webs of non-pruned SSA)
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in hf.block_ids() {
-            for phi in &hf.blocks[b.index()].phis {
-                if let HVarKind::Reg(v) = hf.catalog.kind(phi.var) {
-                    if needed.contains((v, phi.dest)) {
-                        for &a in &phi.args {
-                            changed |= needed.insert((v, a));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut removed = 0usize;
-    let HssaFunc {
-        catalog, blocks, ..
-    } = hf;
-    for blk in blocks.iter_mut() {
-        let before = blk.phis.len();
-        blk.phis.retain(|phi| match catalog.kind(phi.var) {
-            HVarKind::Reg(v) => needed.contains((v, phi.dest)),
-            _ => true,
-        });
-        removed += before - blk.phis.len();
-    }
-    removed
-}
-
-/// Block-local propagation of copies *from* collapsed registers.
+/// SSA copy propagation, in one walk over every statement operand and
+/// terminator operand. Each operand first follows the global map — every
+/// copy `x = y` whose destination and source are both non-collapsed — to
+/// the end of its chain, then the block-local map of copies *from*
+/// collapsed registers.
 ///
-/// A copy `x = t` where `t` is a collapsed promotion temporary cannot be
-/// propagated globally (another check may refresh `t` in between), but it
-/// *is* safe to forward within the same block up to the next definition of
-/// `t` — which removes the one-cycle copy from almost every reload (the
-/// value is consumed right where it was reloaded).
-pub fn propagate_collapsed_local(hf: &mut HssaFunc) {
+/// Versions of *collapsed* registers (the load-promotion temporaries) all
+/// alias one machine register whose content changes at every check, so a
+/// copy `x = t` from a collapsed `t` must not propagate globally. It is
+/// safe to forward within its block up to the next definition of `t`,
+/// which removes the one-cycle copy from almost every reload (the value is
+/// consumed right where it was reloaded). Before the first load candidate
+/// nothing is collapsed and the walk is plain copy propagation.
+pub fn propagate_copies(hf: &mut HssaFunc) {
     let collapsed: FxHashSet<VarId> = hf.collapsed_vars.iter().copied().collect();
-    if collapsed.is_empty() {
-        return;
-    }
-    for b in 0..hf.blocks.len() {
-        let mut local: FxHashMap<(VarId, u32), (VarId, u32)> = FxHashMap::default();
-        let blk = &mut hf.blocks[b];
-        for stmt in &mut blk.stmts {
-            let rewrite = |o: &mut HOperand, local: &FxHashMap<(VarId, u32), (VarId, u32)>| {
-                if let HOperand::Reg(v, ver) = o {
-                    if let Some(&(tv, tver)) = local.get(&(*v, *ver)) {
-                        *o = HOperand::Reg(tv, tver);
-                    }
+    let slots = VerSlots::new(hf);
+    let mut global = VerMap::new(&slots);
+    let mut mapped = 0usize;
+    for blk in &hf.blocks {
+        for stmt in &blk.stmts {
+            if let HStmtKind::Copy { dst, src } = &stmt.kind {
+                let from_collapsed = src.as_reg().is_some_and(|(v, _)| collapsed.contains(&v));
+                if !from_collapsed && !collapsed.contains(&dst.0) {
+                    global.insert(*dst, *src);
+                    mapped += 1;
                 }
-            };
-            match &mut stmt.kind {
-                HStmtKind::Bin { a, b, .. } => {
-                    rewrite(a, &local);
-                    rewrite(b, &local);
-                }
-                HStmtKind::Un { a, .. } => rewrite(a, &local),
-                HStmtKind::Copy { src, .. } => rewrite(src, &local),
-                HStmtKind::Load { base, .. } | HStmtKind::CheckLoad { base, .. } => {
-                    rewrite(base, &local)
-                }
-                HStmtKind::Store { base, val, .. } => {
-                    rewrite(base, &local);
-                    rewrite(val, &local);
-                }
-                HStmtKind::Call { args, .. } => {
-                    for a in args {
-                        rewrite(a, &local);
-                    }
-                }
-                HStmtKind::Alloc { words, .. } => rewrite(words, &local),
             }
-            // a new definition of a collapsed register invalidates forwards
+        }
+    }
+    // a chain visits each mapped copy at most once, so `mapped` steps
+    // reach its end
+    let resolve = |mut o: HOperand| {
+        for _ in 0..mapped {
+            match o.as_reg().and_then(|rv| global.get(rv)) {
+                Some(next) => o = next,
+                None => break,
+            }
+        }
+        o
+    };
+    let mut local: FxHashMap<RegVer, RegVer> = FxHashMap::default();
+    for blk in &mut hf.blocks {
+        local.clear();
+        let forward = |o: &mut HOperand, local: &FxHashMap<RegVer, RegVer>| {
+            *o = resolve(*o);
+            if let Some(&(t, ver)) = o.as_reg().and_then(|rv| local.get(&rv)) {
+                *o = HOperand::Reg(t, ver);
+            }
+        };
+        for stmt in &mut blk.stmts {
+            for o in stmt.operands_mut() {
+                forward(o, &local);
+            }
+            // a new definition of a collapsed register ends its forwards
             if let Some((dv, _)) = stmt.def_reg() {
                 if collapsed.contains(&dv) {
                     local.retain(|_, &mut (s, _)| s != dv);
@@ -233,149 +168,82 @@ pub fn propagate_collapsed_local(hf: &mut HssaFunc) {
             if let HStmtKind::Copy {
                 dst,
                 src: HOperand::Reg(sv, sver),
-            } = &stmt.kind
+            } = stmt.kind
             {
-                if collapsed.contains(sv) && !collapsed.contains(&dst.0) {
-                    local.insert(*dst, (*sv, *sver));
+                if collapsed.contains(&sv) && !collapsed.contains(&dst.0) {
+                    local.insert(dst, (sv, sver));
                 }
             }
         }
-        if let Some(term) = &mut blk.term {
-            match term {
-                specframe_hssa::HTerm::Br { cond, .. } => {
-                    if let HOperand::Reg(v, ver) = cond {
-                        if let Some(&(tv, tver)) = local.get(&(*v, *ver)) {
-                            *cond = HOperand::Reg(tv, tver);
-                        }
-                    }
-                }
-                specframe_hssa::HTerm::Ret(Some(HOperand::Reg(v, ver))) => {
-                    if let Some(&(tv, tver)) = local.get(&(*v, *ver)) {
-                        *term = specframe_hssa::HTerm::Ret(Some(HOperand::Reg(tv, tver)));
-                    }
-                }
-                _ => {}
-            }
+        if let Some(o) = blk.term.as_mut().and_then(HTerm::operand_mut) {
+            forward(o, &local);
         }
     }
 }
 
-/// Removes `x = y` statements whose destination version is never used
-/// (by any statement operand, terminator, or φ argument). Iterates to a
-/// fixpoint since copies can feed only other dead copies.
-pub fn eliminate_dead_copies(hf: &mut HssaFunc) -> usize {
-    let slots = VerSlots::new(hf);
-    let mut total = 0usize;
-    loop {
-        let mut used = VerSet::new(&slots);
-        for b in hf.block_ids() {
-            let blk = &hf.blocks[b.index()];
-            for phi in &blk.phis {
-                if let HVarKind::Reg(v) = hf.catalog.kind(phi.var) {
-                    for &a in &phi.args {
-                        used.insert((v, a));
-                    }
-                }
-            }
-            for stmt in &blk.stmts {
-                for u in stmt.reg_uses() {
-                    used.insert(u);
-                }
-            }
-            match &blk.term {
-                Some(specframe_hssa::HTerm::Br {
-                    cond: HOperand::Reg(v, ver),
-                    ..
-                }) => {
-                    used.insert((*v, *ver));
-                }
-                Some(specframe_hssa::HTerm::Ret(Some(HOperand::Reg(v, ver)))) => {
-                    used.insert((*v, *ver));
-                }
-                _ => {}
-            }
-        }
-        let mut removed = 0usize;
-        for b in hf.block_ids() {
-            let blk = &mut hf.blocks[b.index()];
-            let before = blk.stmts.len();
-            blk.stmts.retain(|stmt| match &stmt.kind {
-                HStmtKind::Copy { dst, .. } => used.contains(*dst),
-                _ => true,
-            });
-            removed += before - blk.stmts.len();
-        }
-        total += removed;
-        if removed == 0 {
-            return total;
-        }
-    }
+/// What defines a register version [`eliminate_dead_code`] may remove.
+#[derive(Clone, Copy)]
+enum Def {
+    /// The register φ at this position of this block's φ list.
+    Phi(usize, usize),
+    /// A copy from this register version.
+    Copy(RegVer),
 }
 
-/// SSA copy propagation: rewrites every use of a register version defined
-/// by `x = y` to use `y` directly. Versions of *collapsed* registers (the
-/// load-promotion temporaries) are never propagated: their versions all
-/// alias one machine register whose content changes at every check, so a
-/// snapshot copy must stay a copy.
-pub fn copy_propagate(hf: &mut HssaFunc) {
-    let collapsed: FxHashSet<VarId> = hf.collapsed_vars.iter().copied().collect();
+/// Removes every register φ and every copy whose result no statement
+/// needs, from one liveness computation over register versions. The roots
+/// are the operands of every statement that is not a copy and of every
+/// terminator; a live register φ keeps its arguments live, and a live copy
+/// its source. So a φ and a copy that keep only each other alive go too.
+/// Memory and virtual-variable φs are ghosts (no lowering cost) and stay.
+pub fn eliminate_dead_code(hf: &mut HssaFunc) {
     let slots = VerSlots::new(hf);
-    let mut map = VerMap::new(&slots);
-    for b in hf.block_ids() {
-        for stmt in &hf.blocks[b.index()].stmts {
-            if let HStmtKind::Copy { dst, src } = &stmt.kind {
-                let ok = match src {
-                    HOperand::Reg(v, _) => !collapsed.contains(v),
-                    _ => true,
-                };
-                if ok && !collapsed.contains(&dst.0) {
-                    map.insert(*dst, *src);
-                }
+    let mut defs = VerMap::new(&slots);
+    let mut work: Vec<RegVer> = Vec::new();
+    for (b, blk) in hf.blocks.iter().enumerate() {
+        for (i, phi) in blk.phis.iter().enumerate() {
+            if let HVarKind::Reg(v) = hf.catalog.kind(phi.var) {
+                defs.insert((v, phi.dest), Def::Phi(b, i));
             }
         }
-    }
-    let resolve = |mut o: HOperand| -> HOperand {
-        for _ in 0..64 {
-            match o {
-                HOperand::Reg(v, ver) => match map.get((v, ver)) {
-                    Some(next) => o = next,
-                    None => break,
-                },
-                _ => break,
-            }
-        }
-        o
-    };
-    for b in 0..hf.blocks.len() {
-        for stmt in &mut hf.blocks[b].stmts {
-            match &mut stmt.kind {
-                HStmtKind::Bin { a, b, .. } => {
-                    *a = resolve(*a);
-                    *b = resolve(*b);
-                }
-                HStmtKind::Un { a, .. } => *a = resolve(*a),
-                HStmtKind::Copy { src, .. } => *src = resolve(*src),
-                HStmtKind::Load { base, .. } | HStmtKind::CheckLoad { base, .. } => {
-                    *base = resolve(*base)
-                }
-                HStmtKind::Store { base, val, .. } => {
-                    *base = resolve(*base);
-                    *val = resolve(*val);
-                }
-                HStmtKind::Call { args, .. } => {
-                    for a in args {
-                        *a = resolve(*a);
+        for stmt in &blk.stmts {
+            match &stmt.kind {
+                HStmtKind::Copy { dst, src } => {
+                    if let Some(rv) = src.as_reg() {
+                        defs.insert(*dst, Def::Copy(rv));
                     }
                 }
-                HStmtKind::Alloc { words, .. } => *words = resolve(*words),
+                _ => work.extend(stmt.reg_uses()),
             }
         }
-        if let Some(term) = &mut hf.blocks[b].term {
-            match term {
-                specframe_hssa::HTerm::Br { cond, .. } => *cond = resolve(*cond),
-                specframe_hssa::HTerm::Ret(Some(v)) => *v = resolve(*v),
-                _ => {}
-            }
+        if let Some(term) = &blk.term {
+            work.extend(term.operand().and_then(|o| o.as_reg()));
         }
+    }
+    let mut live = VerSet::new(&slots);
+    while let Some(rv) = work.pop() {
+        if !live.insert(rv) {
+            continue;
+        }
+        match defs.get(rv) {
+            Some(Def::Phi(b, i)) => {
+                work.extend(hf.blocks[b].phis[i].args.iter().map(|&arg| (rv.0, arg)))
+            }
+            Some(Def::Copy(src)) => work.push(src),
+            None => {}
+        }
+    }
+    let HssaFunc {
+        catalog, blocks, ..
+    } = hf;
+    for blk in blocks.iter_mut() {
+        blk.phis.retain(|phi| match catalog.kind(phi.var) {
+            HVarKind::Reg(v) => live.contains((v, phi.dest)),
+            _ => true,
+        });
+        blk.stmts.retain(|stmt| match &stmt.kind {
+            HStmtKind::Copy { dst, .. } => live.contains(*dst),
+            _ => true,
+        });
     }
 }

@@ -55,10 +55,7 @@ pub mod phi_insert;
 pub mod rename;
 pub mod willbeavail;
 
-pub use cleanup::{
-    cleanup_hssa, copy_propagate, eliminate_dead_copies, eliminate_dead_phis,
-    propagate_collapsed_local,
-};
+pub use cleanup::{cleanup_hssa, eliminate_dead_code, propagate_copies};
 pub use codemotion::{apply_edits, MotionEdit};
 pub use loops::{reducible_loops, LoopShape};
 

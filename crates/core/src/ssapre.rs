@@ -23,7 +23,7 @@
 use crate::expr::{
     collect_candidates, kills, occurrence_versions, ExprKey, Family, OccVersions, StmtTable,
 };
-use crate::prekernel::run_kernel;
+use crate::prekernel::{propagate_copies, run_kernel, SpecPolicy};
 use crate::stats::OptStats;
 use specframe_analysis::{DomFrontiers, DomTree, FuncAnalyses};
 use specframe_hssa::{
@@ -31,12 +31,6 @@ use specframe_hssa::{
 };
 use specframe_ir::FxHashSet;
 use specframe_ir::{BlockId, Function, LoadSpec, Ty, VarId};
-
-// The engine moved to `prekernel`; keep the public surface stable.
-pub use crate::prekernel::{
-    cleanup_hssa, copy_propagate, eliminate_dead_copies, eliminate_dead_phis,
-    propagate_collapsed_local, SpecPolicy,
-};
 
 /// Runs speculative SSAPRE for every candidate expression of `hf`.
 /// Returns the number of expressions that were transformed.
@@ -46,8 +40,9 @@ pub use crate::prekernel::{
 ///
 /// The result is not cleaned: the copies the transformations leave behind
 /// and the unpruned φs of the build stay until the caller runs
-/// [`cleanup_hssa`] (the driver always does, since SSAPRE follows a fresh
-/// build), so a reload costs its check and nothing more.
+/// [`cleanup_hssa`](crate::prekernel::cleanup_hssa) (the driver always
+/// does, since SSAPRE follows a fresh build), so a reload costs its check
+/// and nothing more.
 pub fn ssapre_function(
     f_base: &specframe_ir::Function,
     hf: &mut HssaFunc,
@@ -79,15 +74,14 @@ fn ssapre_phases(
     // address arithmetic phase 1 just commoned — this restores the "same
     // syntax tree" identity the paper's lexical expression matching relies
     // on (a three-address IR would otherwise hide it behind copies)
-    copy_propagate(hf);
+    propagate_copies(hf);
     // phase 3a: direct loads (scalar promotion) first — their collapsed
     // temporaries may become the base registers of indirect candidates
     let direct = collect_candidates(hf, &[Family::DirectLoad]);
     changed += run_phase(f_base, hf, &direct, policy, stats, fa, &mut visit);
     // phase 3b: forward the promoted pointers into dependent load bases so
     // cascaded speculation (Appendix B's chk.a scenario) can see them
-    copy_propagate(hf);
-    propagate_collapsed_local(hf);
+    propagate_copies(hf);
     // phase 3c: indirect loads, re-collected after the rewrite
     let indirect = collect_candidates(hf, &[Family::IndirectLoad]);
     changed += run_phase(f_base, hf, &indirect, policy, stats, fa, &mut visit);
@@ -359,10 +353,12 @@ fn refine_stmt(stmt: &HStmt) -> RefineStmt {
 mod tests {
     use super::*;
     use crate::expr::{lex_gt, LexOperand};
-    use crate::prekernel::Kernel;
+    use crate::prekernel::{cleanup_hssa, Kernel};
     use specframe_alias::AliasAnalysis;
     use specframe_analysis::{estimate_function, EdgeProfile};
-    use specframe_hssa::{build_hssa, print_hssa, refine_function, Likeliness, SpecSource};
+    use specframe_hssa::{
+        build_hssa, print_hssa, refine_function, HTerm, HVarKind, Likeliness, SpecSource,
+    };
     use specframe_ir::display::func_name_table;
     use specframe_ir::{parse_module, FuncId, GlobalId, Module, SlotId};
     use specframe_profile::{train, AliasProfile, Collect};
@@ -385,14 +381,13 @@ mod tests {
     /// Runs SSAPRE with static control speculation over every function of
     /// the prepared module `m` under `source`, checking before each
     /// candidate that the table-driven scan finds what [`full_walk`] finds,
-    /// and after SSAPRE that a cleanup which reports its fixpoint has
-    /// reached it. Returns the candidates checked, how many of them ran
-    /// right after a candidate of the same phase that changed the
-    /// function, and how many cleanups reported their fixpoint.
-    fn check_module(m: &Module, source: SpecSource<'_>) -> (usize, usize, usize) {
+    /// and after SSAPRE that a second cleanup changes nothing. Returns the
+    /// candidates checked and how many of them ran right after a candidate
+    /// of the same phase that changed the function.
+    fn check_module(m: &Module, source: SpecSource<'_>) -> (usize, usize) {
         let aa = AliasAnalysis::analyze(m);
         let names = func_name_table(m);
-        let (mut checked, mut after_change, mut settled) = (0, 0, 0);
+        let (mut checked, mut after_change) = (0, 0);
         for fi in 0..m.funcs.len() {
             let fid = FuncId::from_index(fi);
             let mut f = m.funcs[fi].clone();
@@ -440,28 +435,24 @@ mod tests {
                 },
             );
             // the driver skips the cleanup after a pass that rewrote
-            // nothing once a cleanup has reported its fixpoint, which is
-            // exact only if cleaning again would change nothing
-            if cleanup_hssa(&mut hf) {
-                let cleaned = print_hssa(&m.globals, &names, &f, &hf);
-                assert!(cleanup_hssa(&mut hf), "{}: fixpoint lost", f.name);
-                assert_eq!(
-                    print_hssa(&m.globals, &names, &f, &hf),
-                    cleaned,
-                    "{}: a cleanup after the fixpoint changed the form",
-                    f.name
-                );
-                settled += 1;
-            }
+            // nothing once the form is cleaned, which is exact only if
+            // cleaning again would change nothing
+            cleanup_hssa(&mut hf);
+            let cleaned = print_hssa(&m.globals, &names, &f, &hf);
+            cleanup_hssa(&mut hf);
+            assert_eq!(
+                print_hssa(&m.globals, &names, &f, &hf),
+                cleaned,
+                "{}: a second cleanup changed the form",
+                f.name
+            );
         }
-        (checked, after_change, settled)
+        (checked, after_change)
     }
 
-    /// A function whose cleanup needs a second round to settle: the copy
-    /// `d = x` is dead from the start and the only use of the φ merging
-    /// `x`, so the φ dies only once the copy is gone. On the kernels and
-    /// the mega module no cleanup removes anything after its first round.
-    const TWO_ROUND_CLEANUP: &str = r#"
+    /// A function whose dead copy `d = x` is the only use of the φ merging
+    /// `x`: one cleanup must remove both.
+    const DEAD_COPY_OF_A_PHI: &str = r#"
 func f(n: i64) -> i64 {
   var x: i64
   var d: i64
@@ -480,6 +471,59 @@ join:
   ret y
 }
 "#;
+
+    /// The prepared one-function module `src` and its HSSA form, built
+    /// without speculation.
+    fn built(src: &str) -> (Module, HssaFunc) {
+        let mut m = parse_module(src).expect("module");
+        crate::prepare_module(&mut m);
+        let aa = AliasAnalysis::analyze(&m);
+        let f = &m.funcs[0];
+        let oracle = Likeliness::new(SpecSource::None);
+        let fa = FuncAnalyses::compute(f);
+        let hf = build_hssa(&m.globals, f, FuncId::from_index(0), &aa, &oracle, &fa);
+        (m, hf)
+    }
+
+    #[test]
+    fn one_cleanup_removes_a_dead_copy_and_the_phi_it_reads() {
+        let (m, mut hf) = built(DEAD_COPY_OF_A_PHI);
+        let f = &m.funcs[0];
+        let var = |name: &str| VarId(f.vars.iter().position(|v| v.name == name).unwrap() as u32);
+        let (x, d) = (var("x"), var("d"));
+        let left = |hf: &HssaFunc| {
+            let copies = (hf.blocks.iter().flat_map(|b| &b.stmts))
+                .filter(|s| matches!(s.kind, HStmtKind::Copy { dst: (v, _), .. } if v == d));
+            let phis = (hf.blocks.iter().flat_map(|b| &b.phis))
+                .filter(|p| hf.catalog.kind(p.var) == HVarKind::Reg(x));
+            (copies.count(), phis.count())
+        };
+        assert_eq!(left(&hf), (1, 1));
+        cleanup_hssa(&mut hf);
+        assert_eq!(left(&hf), (0, 0));
+    }
+
+    #[test]
+    fn one_cleanup_follows_a_copy_chain_to_its_end() {
+        // `x0 = a`, `x1 = x0`, ..., `ret x69`
+        let mut src = String::from("func f(a: i64) -> i64 {\n");
+        src += &(0..70)
+            .map(|i| format!("  var x{i}: i64\n"))
+            .collect::<String>();
+        src += "entry:\n  x0 = a\n";
+        src += &(1..70)
+            .map(|i| format!("  x{i} = x{}\n", i - 1))
+            .collect::<String>();
+        src += "  ret x69\n}\n";
+        let (_, mut hf) = built(&src);
+        cleanup_hssa(&mut hf);
+        assert!(hf.blocks[0].stmts.is_empty(), "{:?}", hf.blocks[0].stmts);
+        let a = HOperand::Reg(VarId(0), 0);
+        assert_eq!(
+            hf.blocks[0].term.as_ref().and_then(HTerm::operand),
+            Some(&a)
+        );
+    }
 
     #[test]
     fn stmt_table_finds_what_a_full_walk_finds() {
@@ -500,13 +544,9 @@ join:
         let mut mega = parse_module(&mega_source(7, 150)).expect("mega module");
         crate::prepare_module(&mut mega);
         modules.push(("mega 7:150".into(), mega, AliasProfile::default()));
-        let mut two_rounds = parse_module(TWO_ROUND_CLEANUP).expect("two-round module");
-        crate::prepare_module(&mut two_rounds);
-        modules.push((
-            "two-round cleanup".into(),
-            two_rounds,
-            AliasProfile::default(),
-        ));
+        let mut dead_copy = parse_module(DEAD_COPY_OF_A_PHI).expect("dead-copy module");
+        crate::prepare_module(&mut dead_copy);
+        modules.push(("dead copy".into(), dead_copy, AliasProfile::default()));
         assert_eq!(modules.len(), 11);
         let mut after_change = [0; 4];
         for (name, m, profile) in &modules {
@@ -517,9 +557,8 @@ join:
                 SpecSource::Profile(profile),
             ];
             for (si, source) in sources.into_iter().enumerate() {
-                let (checked, rebuilt, settled) = check_module(m, source);
+                let (checked, rebuilt) = check_module(m, source);
                 assert!(checked > 0, "{name} {source:?}: no candidate");
-                assert!(settled > 0, "{name} {source:?}: no cleanup settled");
                 after_change[si] += rebuilt;
             }
         }

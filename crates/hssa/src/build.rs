@@ -534,7 +534,9 @@ fn rename(f: &Function, dt: &DomTree, hf: &mut HssaFunc) {
 
                 for stmt in &mut block.stmts {
                     // uses first
-                    version_operands(&mut stmt.kind, &stacks, &hf.catalog);
+                    for o in stmt.operands_mut() {
+                        version_operand(o, &stacks, &hf.catalog);
+                    }
                     for mu in &mut stmt.mu {
                         mu.ver = *stacks[mu.var.index()].last().unwrap();
                     }
@@ -579,12 +581,8 @@ fn rename(f: &Function, dt: &DomTree, hf: &mut HssaFunc) {
                     }
                 }
 
-                if let Some(term) = &mut block.term {
-                    match term {
-                        HTerm::Br { cond, .. } => version_operand(cond, &stacks, &hf.catalog),
-                        HTerm::Ret(Some(v)) => version_operand(v, &stacks, &hf.catalog),
-                        _ => {}
-                    }
+                if let Some(o) = block.term.as_mut().and_then(HTerm::operand_mut) {
+                    version_operand(o, &stacks, &hf.catalog);
                 }
 
                 // fill phi args in successors
@@ -614,30 +612,6 @@ fn version_operand(o: &mut HOperand, stacks: &[Vec<u32>], catalog: &VarCatalog) 
     if let HOperand::Reg(v, ver) = o {
         let id = catalog.get(HVarKind::Reg(*v)).expect("reg interned");
         *ver = *stacks[id.index()].last().unwrap();
-    }
-}
-
-fn version_operands(kind: &mut HStmtKind, stacks: &[Vec<u32>], catalog: &VarCatalog) {
-    match kind {
-        HStmtKind::Bin { a, b, .. } => {
-            version_operand(a, stacks, catalog);
-            version_operand(b, stacks, catalog);
-        }
-        HStmtKind::Un { a, .. } => version_operand(a, stacks, catalog),
-        HStmtKind::Copy { src, .. } => version_operand(src, stacks, catalog),
-        HStmtKind::Load { base, .. } | HStmtKind::CheckLoad { base, .. } => {
-            version_operand(base, stacks, catalog)
-        }
-        HStmtKind::Store { base, val, .. } => {
-            version_operand(base, stacks, catalog);
-            version_operand(val, stacks, catalog);
-        }
-        HStmtKind::Call { args, .. } => {
-            for a in args {
-                version_operand(a, stacks, catalog);
-            }
-        }
-        HStmtKind::Alloc { words, .. } => version_operand(words, stacks, catalog),
     }
 }
 
@@ -905,18 +879,9 @@ fn verify_dominance(hf: &HssaFunc) -> Result<(), String> {
                 check_use(v, ver, b, si)?;
             }
         }
-        let end = blk.stmts.len();
-        match &blk.term {
-            Some(HTerm::Br {
-                cond: crate::stmt::HOperand::Reg(v, ver),
-                ..
-            }) => {
-                check_use(*v, *ver, b, end + 1)?;
-            }
-            Some(HTerm::Ret(Some(crate::stmt::HOperand::Reg(v, ver)))) => {
-                check_use(*v, *ver, b, end + 1)?;
-            }
-            _ => {}
+        let term_use = blk.term.as_ref().and_then(HTerm::operand);
+        if let Some((v, ver)) = term_use.and_then(|o| o.as_reg()) {
+            check_use(v, ver, b, blk.stmts.len() + 1)?;
         }
         // phi args must be dominated by their defs at the end of the
         // corresponding predecessor

@@ -191,6 +191,25 @@ impl HStmt {
             .filter_map(|o| o.as_reg())
     }
 
+    /// Every operand the payload reads (not including μ operators),
+    /// constants included, in operand order, for rewriting in place;
+    /// [`HStmt::reg_uses`] yields the registers among them. Renaming and
+    /// copy propagation rewrite operands through this.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut HOperand> + '_ {
+        let (fixed, args): ([Option<&mut HOperand>; 2], &mut [HOperand]) = match &mut self.kind {
+            HStmtKind::Bin { a, b, .. } => ([Some(a), Some(b)], &mut []),
+            HStmtKind::Un { a, .. } => ([Some(a), None], &mut []),
+            HStmtKind::Copy { src, .. } => ([Some(src), None], &mut []),
+            HStmtKind::Load { base, .. } | HStmtKind::CheckLoad { base, .. } => {
+                ([Some(base), None], &mut [])
+            }
+            HStmtKind::Store { base, val, .. } => ([Some(base), Some(val)], &mut []),
+            HStmtKind::Call { args, .. } => ([None, None], args),
+            HStmtKind::Alloc { words, .. } => ([Some(words), None], &mut []),
+        };
+        fixed.into_iter().flatten().chain(args)
+    }
+
     /// The χ over `var`, if present.
     pub fn chi_of(&self, var: HVarId) -> Option<&ChiOp> {
         self.chi.iter().find(|c| c.var == var)
@@ -233,6 +252,24 @@ pub enum HTerm {
 }
 
 impl HTerm {
+    /// The operand read: a branch's condition or a returned value.
+    pub fn operand(&self) -> Option<&HOperand> {
+        match self {
+            HTerm::Br { cond, .. } => Some(cond),
+            HTerm::Ret(v) => v.as_ref(),
+            HTerm::Jump(_) => None,
+        }
+    }
+
+    /// [`HTerm::operand`], for rewriting in place.
+    pub fn operand_mut(&mut self) -> Option<&mut HOperand> {
+        match self {
+            HTerm::Br { cond, .. } => Some(cond),
+            HTerm::Ret(v) => v.as_mut(),
+            HTerm::Jump(_) => None,
+        }
+    }
+
     /// Successors in order.
     pub fn successors(&self) -> Vec<BlockId> {
         match self {

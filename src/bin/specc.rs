@@ -27,9 +27,10 @@
 //!                         serialize the alias profile this compile's data
 //!                         speculation read (needs --spec profile)
 //!   --emit WHAT           ir (optimized IR, default) | hssa (speculative
-//!                         SSA dump of every function before optimization)
-//!                         | mach (rendered machine code of the optimized
-//!                         module lowered for the active --target)
+//!                         SSA dump of every function as SSAPRE reads it,
+//!                         after refinement) | mach (rendered machine code
+//!                         of the optimized module lowered for the active
+//!                         --target)
 //!   -o FILE               write the optimized IR to FILE (default: stdout)
 //!   --run                 interpret the optimized program and print result
 //!   --sim                 run it on the EPIC simulator and print counters
@@ -155,7 +156,7 @@
 //!       --fault-policy always-miss --fault-policy random:7
 //! ```
 
-use specframe::pipeline::{choose, reference_run_failed, render_hssa, witness_leaks_text};
+use specframe::pipeline::{choose, reference_run_failed, witness_leaks_text};
 use specframe::prelude::*;
 use std::process::ExitCode;
 
@@ -164,7 +165,7 @@ use std::process::ExitCode;
 enum Emit {
     /// The optimized IR.
     Ir,
-    /// The speculative SSA of every function before optimization.
+    /// The speculative SSA form of every function that SSAPRE reads.
     Hssa,
     /// The optimized module's machine lowering for the active target.
     Mach,
@@ -396,12 +397,18 @@ fn real_main() -> Result<(), CompileFailure> {
             req.entry, cli.input
         )));
     }
-    // the dump reads no run's result
+    // the dump is the form the optimizer reads, from a compile that stops
+    // once it is built; it reads no run's result
     if cli.emit == Emit::Hssa {
-        let (dump, warning) = render_hssa(&m, req)?;
-        if let Some(w) = warning {
+        let mut req = req.clone();
+        req.hooks.dump_after = PassSet::from_iter([Pass::Hssa]);
+        req.hooks.stop_after = Some(Pass::Hssa);
+        req.explain_spec = false;
+        let out = compile_module(m, &req)?;
+        for w in &out.report.warnings {
             eprintln!("specc: warning: {w}");
         }
+        let dump: String = out.dumps.iter().map(|d| d.text.clone() + "\n").collect();
         return emit(&cli, &dump).map_err(usage);
     }
     // The reference run on --args, which only `--run` and `--sim` compare

@@ -20,11 +20,10 @@ use specframe_analysis::FuncAnalyses;
 use specframe_codegen::lower_module_for;
 use specframe_core::{
     cancel::Watchdog, prepare_module, target_spec_costs, try_optimize_cached, CacheHealth,
-    CancelToken, CompileDiag, CompileError, ControlSpec, FuncCache, OptOptions, OptReport,
+    CancelToken, CompileDiag, CompileError, ControlSpec, FuncCache, OptOptions, OptReport, Pass,
     PassDump, PassSet, PipelineConfig, PipelineHooks, SpecSource, StoreFaultPolicy,
 };
-use specframe_hssa::{build_hssa, print_hssa, HOperand, HStmtKind, Likeliness, SiteQuery};
-use specframe_ir::display::func_name_table;
+use specframe_hssa::{build_hssa, HOperand, HStmtKind, Likeliness, SiteQuery};
 use specframe_ir::{parse_module, verify_module, FuncId, Module, Ty, Value};
 use specframe_machine::{
     fence_program, leak_audit_program, parse_fault_policy, run_machine_taint_on,
@@ -180,19 +179,31 @@ impl CompileRequest {
         self.train_args.as_deref().unwrap_or(&self.args)
     }
 
+    /// The profiles the compile's training run collects: an alias profile
+    /// under `--spec profile` without `--alias-profile`, and an edge
+    /// profile under `--control profile` when the compile reaches SSAPRE,
+    /// the one pass that reads it (the HSSA form does not). A compile that
+    /// collects neither runs no training run.
+    pub fn collects(&self) -> Collect {
+        Collect {
+            alias: self.spec == SpecKind::Profile && self.alias_profile.is_none(),
+            edges: self.control == ControlKind::Profile && self.hooks.runs(Pass::Ssapre),
+        }
+    }
+
     /// Whether the compile runs a training run on its own arguments: it
-    /// trains (`--spec profile` without `--alias-profile`, or `--control
-    /// profile`), and the training arguments are `args`, bit for bit.
-    /// Observers only watch a run, so that run is also the reference run
-    /// on `args`: [`compile_module`] then returns its result as
-    /// [`CompileOutput::reference`], and `specc` runs no reference run of
-    /// its own.
+    /// [`collects`](CompileRequest::collects) a profile, and the training
+    /// arguments are `args`, bit for bit. Observers only watch a run, so
+    /// that run is also the reference run on `args`: [`compile_module`]
+    /// then returns its result as [`CompileOutput::reference`], and `specc`
+    /// runs no reference run of its own.
     pub fn trains_on_own_args(&self) -> bool {
-        let trains = (self.spec == SpecKind::Profile && self.alias_profile.is_none())
-            || self.control == ControlKind::Profile;
+        let Collect { alias, edges } = self.collects();
         // bitwise, so `-0.0` is not `0.0`
         let (train, args) = (self.training_args(), self.args.as_slice());
-        trains && train.len() == args.len() && train.iter().zip(args).all(|(a, b)| a.bits_eq(*b))
+        (alias || edges)
+            && train.len() == args.len()
+            && train.iter().zip(args).all(|(a, b)| a.bits_eq(*b))
     }
 
     /// Degrades the profile-guided modes to their self-contained
@@ -578,10 +589,7 @@ pub fn compile_module(
 
     // profiling run, when a profile-guided mode still needs one; it
     // collects only the profiles this compile reads
-    let collect = Collect {
-        alias: spec == SpecKind::Profile && aprof.is_none(),
-        edges: req.control == ControlKind::Profile,
-    };
+    let collect = req.collects();
     let (mut eprof, mut reference) = (None, None);
     if collect.alias || collect.edges {
         let t = training_run(&m, req, collect)?;
@@ -597,7 +605,10 @@ pub fn compile_module(
     let data = spec.source(aprof.as_ref());
     let control = match req.control {
         ControlKind::Off => ControlSpec::Off,
-        ControlKind::Profile => ControlSpec::Profile(eprof.as_ref().expect("trained above")),
+        // no edge profile when the compile stops before SSAPRE reads one
+        ControlKind::Profile => eprof
+            .as_ref()
+            .map_or(ControlSpec::Off, ControlSpec::Profile),
         ControlKind::Static => ControlSpec::Static,
     };
 
@@ -640,37 +651,6 @@ pub fn compile_module(
         reference,
         explain,
     })
-}
-
-/// Renders the `--emit hssa` dump: the speculative SSA form of every
-/// function of the prepared module `m` before optimization, flagged under
-/// the data speculation [`compile_module`] would run: a usable
-/// `--alias-profile`, else under `--spec profile` an alias profile
-/// collected by a training run. An unusable `--alias-profile` degrades to
-/// the heuristic rules, and its warning is returned beside the dump.
-pub fn render_hssa(
-    m: &Module,
-    req: &CompileRequest,
-) -> Result<(String, Option<CompileDiag>), CompileFailure> {
-    let (spec, mut aprof, warning) = given_alias_profile(m, req);
-    if spec == SpecKind::Profile && aprof.is_none() {
-        let collect = Collect {
-            alias: true,
-            edges: false,
-        };
-        aprof = training_run(m, req, collect)?.alias;
-    }
-    let oracle = Likeliness::new(spec.source(aprof.as_ref()));
-    let aa = AliasAnalysis::analyze(m);
-    let names = func_name_table(m);
-    let mut out = String::new();
-    for (fi, f) in m.funcs.iter().enumerate() {
-        let fa = FuncAnalyses::compute(f);
-        let hf = build_hssa(&m.globals, f, FuncId::from_index(fi), &aa, &oracle, &fa);
-        out.push_str(&print_hssa(&m.globals, &names, f, &hf));
-        out.push('\n');
-    }
-    Ok((out, warning))
 }
 
 /// Renders the `--explain-spec` table: for every χ/μ-carrying site of

@@ -298,6 +298,75 @@ fn emit_hssa_runs_no_reference_run() {
     assert!(dump.contains("hssa func main"), "{dump}");
 }
 
+/// `tests/golden/refine-fold.spec`'s module: refinement folds `q` to `@g`.
+const REFINE_FOLD: &str = r#"
+global g: i64[1] = [9]
+global h: i64[1]
+
+func f(sel: i64) -> i64 {
+  var q: ptr
+  var x: i64
+entry:
+  q = @g
+  x = load.i64 [q]
+  ret x
+}
+"#;
+
+#[test]
+fn emit_hssa_prints_the_refined_form() {
+    // the optimizer reads the load as a direct reference to `g`, with no
+    // μ list over `q`'s virtual variable
+    let input = tempfile_path::TempPath::new("specc_refine_fold", ".ir", REFINE_FOLD);
+    let out = specc()
+        .args([input.as_str(), "--entry", "f", "--emit", "hssa"])
+        .args(["--spec", "heuristic", "--control", "static"])
+        .output()
+        .expect("spawn specc");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let dump = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        dump.contains("x1 = load.i64 [@g + 0]  (reads g0)"),
+        "{dump}"
+    );
+    assert!(!dump.contains("mu_s"), "{dump}");
+}
+
+/// Counts up to its argument.
+const COUNT: &str = r#"
+func main(n: i64) -> i64 {
+  var i: i64
+  var c: i64
+entry:
+  i = 0
+  jmp head
+head:
+  c = lt i, n
+  br c, body, exit
+body:
+  i = add i, 1
+  jmp head
+exit:
+  ret i
+}
+"#;
+
+#[test]
+fn a_compile_stopped_before_ssapre_trains_no_edge_profile() {
+    // only SSAPRE reads the edge profile, so this compile trains nothing,
+    // and `--sim` compares against a reference run of its own
+    let input = tempfile_path::TempPath::new("specc_count", ".ir", COUNT);
+    let out = specc()
+        .args([input.as_str(), "--args", "4", "--spec", "heuristic"])
+        .args(["--control", "profile", "--stop-after", "hssa", "--sim"])
+        .output()
+        .expect("spawn specc");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("result               = Some(I(4))"), "{err}");
+}
+
 #[test]
 fn emit_hssa_reads_the_given_alias_profile() {
     // a usable profile spares the training run, which could not finish on

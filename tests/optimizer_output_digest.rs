@@ -3,7 +3,7 @@
 //!
 //! Every input below is compiled under five optimizer configurations on
 //! both targets at `--jobs 1`. The printed module, the `OptStats` block,
-//! the `--explain-spec` table and the `--emit hssa` dump of the prepared
+//! the `--explain-spec` table and the `--emit hssa` dump of the refined
 //! input are folded into one FNV-1a digest per run, and the machine code
 //! the optimized module lowers to on that run's target (what `specc
 //! --emit mach` prints) into a second, `mach` row. The golden suite
@@ -17,7 +17,6 @@
 
 use specframe::ir::display::print_module;
 use specframe::machine::render_mprogram;
-use specframe::pipeline::render_hssa;
 use specframe::prelude::*;
 
 /// `(name, data speculation, control speculation, store sinking,
@@ -328,9 +327,15 @@ fn optimizer_output_matches_the_recorded_digests() {
                 let fail = |e: CompileFailure| -> ! {
                     panic!("{} under {cname} on {target:?} failed: {e:?}", input.name)
                 };
-                let mut prepared = input.module.clone();
-                prepare_module(&mut prepared);
-                let (hssa, _) = render_hssa(&prepared, &req).unwrap_or_else(|e| fail(e));
+                // what `specc --emit hssa` prints: the form SSAPRE reads,
+                // dumped by a compile that stops once it is built
+                let mut dump_req = req.clone();
+                dump_req.hooks.dump_after = PassSet::from_iter([Pass::Hssa]);
+                dump_req.hooks.stop_after = Some(Pass::Hssa);
+                dump_req.explain_spec = false;
+                let dumped =
+                    compile_module(input.module.clone(), &dump_req).unwrap_or_else(|e| fail(e));
+                let hssa: String = dumped.dumps.iter().map(|d| d.text.clone() + "\n").collect();
                 let out = compile_module(input.module.clone(), &req).unwrap_or_else(|e| fail(e));
                 let mut bytes = print_module(&out.module).into_bytes();
                 bytes.extend_from_slice(format!("{:?}", out.report.stats).as_bytes());
