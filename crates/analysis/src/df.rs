@@ -15,6 +15,14 @@ use specframe_ir::{BlockId, Function};
 /// a single-predecessor block never needs a φ, so omitting it is sound for
 /// every φ/Φ-placement use in this workspace (and is what the classic
 /// "only merge nodes" optimization of Cytron et al. does).
+///
+/// That rests on the entry block having no predecessors, which the IR
+/// verifier enforces (it rejects a branch to the entry). If `y` is in
+/// `DF(x)` and has one predecessor `p`, then `x` dominates `p` and hence
+/// `y`; not dominating it strictly, `x` is `y`. So `y` dominates its only
+/// predecessor and is reachable only as the entry. A loop back to an entry
+/// with predecessors would leave that entry out of every frontier, and the
+/// loop would read the entry versions.
 #[derive(Debug, Clone)]
 pub struct DomFrontiers {
     df: Vec<Vec<BlockId>>,

@@ -2,7 +2,8 @@
 //!
 //! Control-flow analyses shared by every pass in the `specframe` framework:
 //!
-//! * [`mod@cfg`] — traversal orders, reachability, critical-edge splitting;
+//! * [`mod@cfg`] — traversal orders, reachability, cycle membership,
+//!   critical-edge splitting;
 //! * [`dom`] — dominator tree (Cooper–Harvey–Kennedy);
 //! * [`df`] — dominance frontiers and iterated dominance frontiers (the φ /
 //!   Φ placement machinery of SSA and SSAPRE);
@@ -20,7 +21,8 @@ pub mod loops;
 
 pub use cache::FuncAnalyses;
 pub use cfg::{
-    reachable_blocks, remove_unreachable_blocks, reverse_postorder, split_critical_edges,
+    cyclic_blocks, reachable_blocks, remove_unreachable_blocks, reverse_postorder,
+    split_critical_edges,
 };
 pub use df::{iterated_df, DomFrontiers};
 pub use dom::{dom_compute_count, DomTree};

@@ -134,7 +134,7 @@ impl ExprKey {
     }
 
     /// The family the expression belongs to.
-    fn family(&self) -> Family {
+    pub fn family(&self) -> Family {
         match self {
             ExprKey::Bin(..) => Family::Arith,
             ExprKey::DirectLoad(..) => Family::DirectLoad,
@@ -162,7 +162,7 @@ impl ExprKey {
     }
 
     /// The fingerprint of the expression's lexical shape: the
-    /// [`stmt_shape`] of every one of its occurrences.
+    /// [`stmt_shape`] of every one of its occurrences, in its family.
     pub fn shape(&self) -> u64 {
         match *self {
             ExprKey::Bin(op, a, b) => bin_shape(op, a, b),
@@ -197,30 +197,46 @@ fn load_shape(base: LexOperand, off: i64, ty: Ty) -> u64 {
     fx_hash(&(1u8, base, off, ty))
 }
 
-/// The fingerprint of `stmt`'s lexical shape, for the statements that can
-/// be an occurrence of some candidate: a binary operation, or a load by its
-/// base, offset and type whatever its `LoadSpec`, `dvar` or μ list.
-/// Different shapes may share a fingerprint; [`occurrence_versions`]
-/// decides.
-pub fn stmt_shape(stmt: &HStmt) -> Option<u64> {
-    match &stmt.kind {
-        HStmtKind::Bin { op, a, b, .. } => {
+/// The fingerprint of `stmt`'s lexical shape, when it can be an occurrence
+/// of a candidate of `family`: a binary operation for arithmetic; a load
+/// from a global or slot address for direct loads, and one through a
+/// register for indirect loads, each by its base, offset and type whatever
+/// its `LoadSpec`, `dvar` or μ list. Different shapes may share a
+/// fingerprint; [`occurrence_versions`] decides.
+pub fn stmt_shape(stmt: &HStmt, family: Family) -> Option<u64> {
+    match (&stmt.kind, family) {
+        (HStmtKind::Bin { op, a, b, .. }, Family::Arith) => {
             Some(bin_shape(*op, LexOperand::of(a), LexOperand::of(b)))
         }
-        HStmtKind::Load {
-            base, offset, ty, ..
-        } => Some(load_shape(LexOperand::of(base), *offset, *ty)),
+        (
+            HStmtKind::Load {
+                base: base @ (HOperand::GlobalAddr(_) | HOperand::SlotAddr(_)),
+                offset,
+                ty,
+                ..
+            },
+            Family::DirectLoad,
+        )
+        | (
+            HStmtKind::Load {
+                base: base @ HOperand::Reg(..),
+                offset,
+                ty,
+                ..
+            },
+            Family::IndirectLoad,
+        ) => Some(load_shape(LexOperand::of(base), *offset, *ty)),
         _ => None,
     }
 }
 
-/// One phase's index of the statements a candidate can occur at: every
-/// statement with a [`stmt_shape`], by fingerprint. A candidate visits
-/// only the positions whose fingerprint is its [`ExprKey::shape`], so it
-/// pays for the statements of its own shape, not for a walk of the whole
-/// function. A transformation inserts and deletes
-/// statements, so the table is rebuilt after every candidate that changed
-/// the function.
+/// One phase's index of the statements a candidate of its family can occur
+/// at: every statement with a [`stmt_shape`] of that family, by
+/// fingerprint. A candidate visits only the positions whose fingerprint is
+/// its [`ExprKey::shape`], so it pays for the statements of its own shape,
+/// not for a walk of the whole function. A transformation inserts and
+/// deletes statements, so the table is rebuilt after every candidate that
+/// changed the function.
 #[derive(Debug, Default)]
 pub struct StmtTable {
     /// Fingerprints, ascending.
@@ -231,12 +247,13 @@ pub struct StmtTable {
 }
 
 impl StmtTable {
-    /// Indexes the statements of `hf`.
-    pub fn build(hf: &HssaFunc) -> StmtTable {
+    /// Indexes the statements of `hf` that can hold a candidate of
+    /// `family`.
+    pub fn build(hf: &HssaFunc, family: Family) -> StmtTable {
         let mut rows: Vec<(u64, BlockId, u32)> = Vec::new();
         for b in hf.block_ids() {
             for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
-                if let Some(shape) = stmt_shape(stmt) {
+                if let Some(shape) = stmt_shape(stmt, family) {
                     rows.push((shape, b, si as u32));
                 }
             }
@@ -248,8 +265,8 @@ impl StmtTable {
         }
     }
 
-    /// The positions that may hold an occurrence of `key`, in layout
-    /// order: every occurrence is among them.
+    /// The positions that may hold an occurrence of `key`, a candidate of
+    /// the table's family, in layout order: every occurrence is among them.
     pub fn sites(&self, key: &ExprKey) -> &[(BlockId, u32)] {
         let shape = key.shape();
         let lo = self.shapes.partition_point(|&s| s < shape);

@@ -1,10 +1,15 @@
 //! The six-step speculative SSAPRE kernel.
 //!
 //! This module tree is the paper's §4 framework. One `run_kernel` call
-//! performs the six SSAPRE steps for a single lexical candidate of the
-//! expression client (`ExprClient`, hosted in [`crate::ssapre`]: expression
-//! PRE and speculative register promotion) over a function in speculative
-//! SSA form. Every block of that function is reachable from its entry
+//! handles a single lexical candidate of the expression client
+//! (`ExprClient`, hosted in [`crate::ssapre`]: expression PRE and
+//! speculative register promotion) over a function in speculative SSA
+//! form. It scans the candidate's real occurrences, and two exact
+//! pre-tests (`PreTest`) decide most candidates that cannot transform
+//! before any step runs: a lone occurrence on no CFG cycle, and
+//! arithmetic whose operand versions are pairwise distinct and each
+//! killed later in its own block. Every other candidate runs the six
+//! SSAPRE steps. Every block of the function is reachable from its entry
 //! ([`crate::prepare_module`] drops the rest before HSSA construction), so
 //! every step may assume renamed versions everywhere. Each step lives in
 //! the module named after it:
@@ -62,7 +67,7 @@ pub use loops::{reducible_loops, LoopShape};
 use crate::expr::OccVersions;
 use crate::ssapre::ExprClient;
 use crate::stats::OptStats;
-use specframe_analysis::{DomFrontiers, DomTree, EdgeProfile};
+use specframe_analysis::{DomFrontiers, DomTree, EdgeProfile, FuncAnalyses};
 use specframe_hssa::{HStmtKind, HVarId, HssaFunc, Likeliness};
 use specframe_ir::{BlockId, DenseMap, FuncId, Function};
 
@@ -313,34 +318,35 @@ pub(crate) fn weak_reaches(
     None
 }
 
-/// Runs the six steps for one candidate whose occurrences are among
-/// `sites`, `(block, stmt)` positions in layout order. Returns `true` if
-/// the program changed.
+/// Runs one candidate whose occurrences are among `sites`, `(block,
+/// stmt)` positions in layout order: Scan, the exact pre-tests, and the
+/// six steps for a candidate no pre-test decided. Returns `true` if the
+/// program changed.
 pub(crate) fn run_kernel(
     f_base: &Function,
     hf: &mut HssaFunc,
     client: &ExprClient<'_>,
     sites: &[(BlockId, u32)],
-    dt: &DomTree,
-    df: &DomFrontiers,
+    fa: &FuncAnalyses,
     stats: &mut OptStats,
 ) -> bool {
-    // ---- scan: real occurrences ------------------------------------------
-    let mut k = Kernel::scan(hf, client, sites, dt, df);
-    if k.occs.is_empty() {
+    let k = Kernel::scan(hf, client, sites, &fa.dt, &fa.df);
+    if k.occs.is_empty() || k.pre_test(hf, &fa.cyclic).is_some() {
         return false;
     }
+    run_steps(k, f_base, hf, stats)
+}
 
-    // ---- step 1 -----------------------------------------------------------
+/// The six steps, for a scanned candidate with at least one occurrence.
+/// Returns `true` if the program changed.
+pub(crate) fn run_steps(
+    mut k: Kernel<'_>,
+    f_base: &Function,
+    hf: &mut HssaFunc,
+    stats: &mut OptStats,
+) -> bool {
+    // ---- steps 1-4 ----------------------------------------------------------
     k.phi_insertion(hf);
-    // The profitability scan below passes only with two occurrences in one
-    // class or a will-be-available Φ, and nothing before it mutates `hf`:
-    // a lone occurrence without a Φ is decided here.
-    if k.phis.is_empty() && k.occs.len() < 2 {
-        return false;
-    }
-
-    // ---- steps 2-4 ----------------------------------------------------------
     k.rename(hf);
     // DownSafety and WillBeAvail only set per-Φ flags
     if !k.phis.is_empty() {
@@ -376,9 +382,9 @@ pub(crate) fn run_kernel(
     // the kernel temporary (collapsed at lowering for load candidates: the
     // ALAT keys ld.a/ld.c by it, and failed checks refresh it for later
     // reloads; arithmetic temporaries stay in proper SSA)
-    let t = hf.add_temp(format!("pre{}", stats.temps), client.temp_ty());
+    let t = hf.add_temp(format!("pre{}", stats.temps), k.client.temp_ty());
     stats.temps += 1;
-    if client.key.is_load() {
+    if k.client.key.is_load() {
         hf.collapsed_vars.push(t);
     }
 
@@ -391,4 +397,68 @@ pub(crate) fn run_kernel(
 
     k.codemotion(hf, t, fin, stats);
     true
+}
+
+/// An exact pre-test that decided, right after Scan, that a candidate
+/// cannot transform.
+///
+/// The kernel writes `hf` only once its profitability scan passes, which
+/// takes two real occurrences in one class or a will-be-available Φ whose
+/// class holds one. A Φ is will-be-available only once its `later` flag
+/// clears, and `later` clears only through a Φ operand that a real
+/// occurrence defines, directly or through other Φs' operands: the
+/// occurrence's operand versions must still be current at the end of a
+/// predecessor of a Φ block that the occurrence's block dominates.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum PreTest {
+    /// One occurrence, in a block on no cycle. No class has two members,
+    /// and a will-be-available Φ would dominate the occurrence, which in
+    /// turn would dominate a predecessor of a Φ block on the `later`
+    /// chain leading back to that Φ: a cycle through the occurrence.
+    LoneAcyclic,
+    /// Arithmetic whose occurrences carry pairwise distinct operand
+    /// versions, each killed later in its own block (a statement at or
+    /// after the occurrence, the occurrence itself included, redefines a
+    /// register of the candidate). Rename matches a `Bin` key only on
+    /// identical versions, so no class has two members; a killed tuple is
+    /// never current again in its block's dominator subtree, so no real
+    /// occurrence defines a Φ operand. Loads are left out: under data
+    /// speculation Rename matches different memory versions through
+    /// unlikely χs.
+    KilledDistinct,
+}
+
+impl Kernel<'_> {
+    /// The pre-test that decides this candidate cannot transform, if one
+    /// does. `cyclic` is the function's per-block cycle table.
+    pub(crate) fn pre_test(&self, hf: &HssaFunc, cyclic: &[bool]) -> Option<PreTest> {
+        if let [o] = self.occs.as_slice() {
+            if !cyclic[o.block.index()] {
+                return Some(PreTest::LoneAcyclic);
+            }
+        }
+        if self.client.key.is_load() {
+            return None;
+        }
+        // occurrences are sorted by (block, stmt): a kill after a block's
+        // last occurrence is after each of the block's occurrences
+        let tracked = &self.client.tracked_regs;
+        let killed = self.occs.iter().enumerate().all(|(i, o)| {
+            self.occs.get(i + 1).is_some_and(|n| n.block == o.block)
+                || hf.blocks[o.block.index()].stmts[o.stmt..]
+                    .iter()
+                    .any(|s| s.def_reg().is_some_and(|(v, _)| tracked.contains(&v)))
+        });
+        if !killed {
+            return None;
+        }
+        let mut tuples: Vec<[u32; 2]> = (self.occs.iter())
+            .map(|o| [0, 1].map(|i| o.vers.regs.get(i).copied().unwrap_or(0)))
+            .collect();
+        tuples.sort_unstable();
+        tuples
+            .windows(2)
+            .all(|w| w[0] != w[1])
+            .then_some(PreTest::KilledDistinct)
+    }
 }

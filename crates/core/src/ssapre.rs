@@ -25,7 +25,7 @@ use crate::expr::{
 };
 use crate::prekernel::{propagate_copies, run_kernel, SpecPolicy};
 use crate::stats::OptStats;
-use specframe_analysis::{DomFrontiers, DomTree, FuncAnalyses};
+use specframe_analysis::FuncAnalyses;
 use specframe_hssa::{
     ChiRefine, HOperand, HStmt, HStmtKind, HVarId, HssaFunc, MemBase, RefineStmt,
 };
@@ -88,9 +88,10 @@ fn ssapre_phases(
     changed
 }
 
-/// Runs the kernel for one phase's candidates over one [`StmtTable`],
-/// rebuilt before the next candidate whenever one changed `hf` (its
-/// statement positions moved). Returns the number transformed.
+/// Runs the kernel for one phase's candidates, all of one family, over one
+/// [`StmtTable`] of that family, rebuilt before the next candidate
+/// whenever one changed `hf` (its statement positions moved). Returns the
+/// number transformed.
 fn run_phase<'k>(
     f_base: &Function,
     hf: &mut HssaFunc,
@@ -105,35 +106,18 @@ fn run_phase<'k>(
     let mut stale = true;
     for key in keys {
         if stale {
-            table = StmtTable::build(hf);
+            table = StmtTable::build(hf, key.family());
             stale = false;
         }
         let sites = table.sites(key);
         visit(hf, key, sites);
-        if ssapre_expression(f_base, hf, key, sites, &fa.dt, &fa.df, policy, stats) {
+        let client = ExprClient::new(hf, key, sites, policy);
+        if run_kernel(f_base, hf, &client, sites, fa, stats) {
             changed += 1;
             stale = true;
         }
     }
     changed
-}
-
-/// Runs the six kernel steps for one expression, whose occurrences are
-/// among `sites` (its [`StmtTable::sites`]). Returns `true` if the program
-/// changed.
-#[allow(clippy::too_many_arguments)]
-pub fn ssapre_expression(
-    f_base: &Function,
-    hf: &mut HssaFunc,
-    key: &ExprKey,
-    sites: &[(BlockId, u32)],
-    dt: &DomTree,
-    df: &DomFrontiers,
-    policy: &SpecPolicy<'_>,
-    stats: &mut OptStats,
-) -> bool {
-    let client = ExprClient::new(hf, key, sites, policy);
-    run_kernel(f_base, hf, &client, sites, dt, df, stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +337,7 @@ fn refine_stmt(stmt: &HStmt) -> RefineStmt {
 mod tests {
     use super::*;
     use crate::expr::{lex_gt, LexOperand};
-    use crate::prekernel::{cleanup_hssa, Kernel};
+    use crate::prekernel::{cleanup_hssa, run_steps, Kernel};
     use specframe_alias::AliasAnalysis;
     use specframe_analysis::{estimate_function, EdgeProfile};
     use specframe_hssa::{
@@ -380,14 +364,16 @@ mod tests {
 
     /// Runs SSAPRE with static control speculation over every function of
     /// the prepared module `m` under `source`, checking before each
-    /// candidate that the table-driven scan finds what [`full_walk`] finds,
-    /// and after SSAPRE that a second cleanup changes nothing. Returns the
-    /// candidates checked and how many of them ran right after a candidate
-    /// of the same phase that changed the function.
-    fn check_module(m: &Module, source: SpecSource<'_>) -> (usize, usize) {
+    /// candidate that the table-driven scan finds what [`full_walk`] finds
+    /// and that the six steps, run alone on a copy of the form, leave a
+    /// candidate a pre-test decides untouched, and after SSAPRE that a
+    /// second cleanup changes nothing. Returns the candidates checked, how
+    /// many of them ran right after a candidate of the same phase that
+    /// changed the function, and how many each pre-test decided.
+    fn check_module(m: &Module, source: SpecSource<'_>) -> (usize, usize, [usize; 2]) {
         let aa = AliasAnalysis::analyze(m);
         let names = func_name_table(m);
-        let (mut checked, mut after_change) = (0, 0);
+        let (mut checked, mut after_change, mut decided) = (0, 0, [0; 2]);
         for fi in 0..m.funcs.len() {
             let fid = FuncId::from_index(fi);
             let mut f = m.funcs[fi].clone();
@@ -422,6 +408,26 @@ mod tests {
                         .collect();
                     assert_eq!(scanned, full_walk(hf, key), "{}: {key:?}", f.name);
                     checked += 1;
+                    // a decided candidate must come out of the six steps
+                    // without a rewrite, a temporary or a counted event
+                    let pre_test = (!k.occs.is_empty())
+                        .then(|| k.pre_test(hf, &fa.cyclic))
+                        .flatten();
+                    if let Some(t) = pre_test {
+                        decided[t as usize] += 1;
+                        let mut steps = hf.clone();
+                        let mut stats = OptStats::default();
+                        let what = format!("{}: {t:?} decided {key:?}", f.name);
+                        assert!(!run_steps(k, &f, &mut steps, &mut stats), "{what}");
+                        assert_eq!(
+                            print_hssa(&m.globals, &names, &f, &steps),
+                            print_hssa(&m.globals, &names, &f, hf),
+                            "{what}"
+                        );
+                        assert_eq!(steps.new_vars, hf.new_vars, "{what}");
+                        assert_eq!(steps.collapsed_vars, hf.collapsed_vars, "{what}");
+                        assert_eq!(stats, OptStats::default(), "{what}");
+                    }
                     // a phase runs one family, and inside a phase only a
                     // transformation moves a statement
                     let stmts: Vec<Vec<HStmt>> =
@@ -447,7 +453,7 @@ mod tests {
                 f.name
             );
         }
-        (checked, after_change)
+        (checked, after_change, decided)
     }
 
     /// A function whose dead copy `d = x` is the only use of the φ merging
@@ -469,6 +475,34 @@ join:
   d = x
   y = add n, 1
   ret y
+}
+"#;
+
+    /// A cycle with two entries: `entry` branches into `a` or `b`, and
+    /// neither dominates the other, so no natural loop holds the lone load
+    /// of `@g` in `a`, which SSAPRE hoists onto both edges into the cycle.
+    const TWO_ENTRY_CYCLE: &str = r#"
+global g: i64[1] = [5]
+
+func f(n: i64) -> i64 {
+  var i: i64
+  var c: i64
+  var x: i64
+  var acc: i64
+entry:
+  i = 0
+  acc = 0
+  br n, a, b
+a:
+  x = load.i64 [@g]
+  acc = add acc, x
+  i = add i, 1
+  c = lt i, n
+  br c, b, exit
+b:
+  jmp a
+exit:
+  ret acc
 }
 "#;
 
@@ -525,6 +559,10 @@ join:
         );
     }
 
+    /// The statement table and the pre-tests against the plain walk and
+    /// the six steps, on the nine test-scale kernels, a mega module,
+    /// [`DEAD_COPY_OF_A_PHI`] and [`TWO_ENTRY_CYCLE`], under every
+    /// speculation source.
     #[test]
     fn stmt_table_finds_what_a_full_walk_finds() {
         let mut modules: Vec<(String, Module, AliasProfile)> = Vec::new();
@@ -544,11 +582,17 @@ join:
         let mut mega = parse_module(&mega_source(7, 150)).expect("mega module");
         crate::prepare_module(&mut mega);
         modules.push(("mega 7:150".into(), mega, AliasProfile::default()));
-        let mut dead_copy = parse_module(DEAD_COPY_OF_A_PHI).expect("dead-copy module");
-        crate::prepare_module(&mut dead_copy);
-        modules.push(("dead copy".into(), dead_copy, AliasProfile::default()));
-        assert_eq!(modules.len(), 11);
+        for (name, src) in [
+            ("dead copy", DEAD_COPY_OF_A_PHI),
+            ("two-entry cycle", TWO_ENTRY_CYCLE),
+        ] {
+            let mut m = parse_module(src).expect(name);
+            crate::prepare_module(&mut m);
+            modules.push((name.into(), m, AliasProfile::default()));
+        }
+        assert_eq!(modules.len(), 12);
         let mut after_change = [0; 4];
+        let mut decided = [[0; 2]; 4];
         for (name, m, profile) in &modules {
             let sources = [
                 SpecSource::None,
@@ -557,14 +601,21 @@ join:
                 SpecSource::Profile(profile),
             ];
             for (si, source) in sources.into_iter().enumerate() {
-                let (checked, rebuilt) = check_module(m, source);
+                let (checked, rebuilt, by_test) = check_module(m, source);
                 assert!(checked > 0, "{name} {source:?}: no candidate");
                 after_change[si] += rebuilt;
+                for (n, d) in decided[si].iter_mut().zip(by_test) {
+                    *n += d;
+                }
             }
         }
         assert!(
             after_change.iter().all(|&n| n > 0),
             "every source must run candidates after a transformation: {after_change:?}"
+        );
+        assert!(
+            decided.iter().flatten().all(|&n| n > 0),
+            "each pre-test must decide a candidate under every source: {decided:?}"
         );
 
         // the commutative operand order, on payloads that differ in digit

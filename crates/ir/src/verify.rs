@@ -10,6 +10,7 @@
 
 use crate::function::{Function, Module};
 use crate::fx::FxHashSet;
+use crate::ids::BlockId;
 use crate::inst::{Inst, Operand, Terminator};
 use crate::types::Ty;
 
@@ -367,12 +368,20 @@ fn verify_block<'m>(
             _ => {}
         }
     }
-    match &b.term {
-        Terminator::Jump(t) => {
-            if t.index() >= f.blocks.len() {
-                return Err(format!("jump target {t} out of range"));
-            }
+    let target = |t: BlockId, kind: &str| -> Result<(), String> {
+        if t.index() >= f.blocks.len() {
+            return Err(format!("{kind} target {t} out of range"));
         }
+        // the entry has no predecessors: dominance frontiers list join
+        // blocks only, which is exact only then, so a loop back to the
+        // entry would get no φ and read the entry versions
+        if t.index() == 0 {
+            return Err(format!("branch to the entry block `{}`", f.blocks[0].name));
+        }
+        Ok(())
+    };
+    match &b.term {
+        Terminator::Jump(t) => target(*t, "jump")?,
         Terminator::Br { cond, then_, else_ } => {
             check_opnd(*cond)?;
             if let Some(t) = var_ty(*cond) {
@@ -380,11 +389,8 @@ fn verify_block<'m>(
                     return Err("branch condition must be integral".into());
                 }
             }
-            for t in [then_, else_] {
-                if t.index() >= f.blocks.len() {
-                    return Err(format!("branch target {t} out of range"));
-                }
-            }
+            target(*then_, "branch")?;
+            target(*else_, "branch")?;
         }
         Terminator::Ret(v) => {
             if let Some(v) = v {
@@ -432,6 +438,16 @@ mod tests {
         assert!(e.msg.contains("jump target"));
         assert_eq!(e.func.as_deref(), Some("bad"));
         assert_eq!(e.block, Some(0));
+    }
+
+    #[test]
+    fn rejects_branch_to_entry() {
+        let src = "func f(n: i64) -> i64 {\n  var i: i64\nentry:\n  i = add i, 1\n  br n, entry, done\ndone:\n  ret i\n}";
+        let e = verify_module(&crate::parse_module(src).unwrap()).unwrap_err();
+        assert_eq!(e.msg, "branch to the entry block `entry`");
+        assert_eq!((e.func.as_deref(), e.block), (Some("f"), Some(0)));
+        let src = src.replace("br n, entry, done", "br n, done, done");
+        verify_module(&crate::parse_module(&src).unwrap()).unwrap();
     }
 
     #[test]

@@ -23,7 +23,7 @@ use specframe_core::{
     CancelToken, CompileDiag, CompileError, ControlSpec, FuncCache, OptOptions, OptReport, Pass,
     PassDump, PassSet, PipelineConfig, PipelineHooks, SpecSource, StoreFaultPolicy,
 };
-use specframe_hssa::{build_hssa, HOperand, HStmtKind, Likeliness, SiteQuery};
+use specframe_hssa::{build_hssa, refine_function, HOperand, HStmtKind, Likeliness, SiteQuery};
 use specframe_ir::{parse_module, verify_module, FuncId, Module, Ty, Value};
 use specframe_machine::{
     fence_program, leak_audit_program, parse_fault_policy, run_machine_taint_on,
@@ -656,7 +656,8 @@ pub fn compile_module(
 /// Renders the `--explain-spec` table: for every χ/μ-carrying site of
 /// every function, the likeliness oracle's verdict evidence and how many
 /// of the site's χs/μs were flagged likely. Functions in module order,
-/// sites in block/statement order, so the output is deterministic.
+/// sites in block/statement order, so the output is deterministic. Each
+/// function's form is the one the optimizer reads, after refinement.
 pub fn render_explain_spec(m: &Module, source: SpecSource<'_>, target: TargetId) -> String {
     let aa = AliasAnalysis::analyze(m);
     let costs = target_spec_costs(target);
@@ -685,9 +686,15 @@ pub fn render_explain_spec(m: &Module, source: SpecSource<'_>, target: TargetId)
     ));
     for fi in 0..m.funcs.len() {
         let fid = FuncId::from_index(fi);
-        let f = m.func(fid);
-        let ev = oracle.scan(f);
-        let hf = build_hssa(&m.globals, f, fid, &aa, &oracle, &FuncAnalyses::compute(f));
+        // the form the optimizer reads: built, refined, and rebuilt only if
+        // refinement folded a pointer base
+        let mut f = m.func(fid).clone();
+        let fa = FuncAnalyses::compute(&f);
+        let mut hf = build_hssa(&m.globals, &f, fid, &aa, &oracle, &fa);
+        if refine_function(&mut f, &hf) > 0 {
+            hf = build_hssa(&m.globals, &f, fid, &aa, &oracle, &fa);
+        }
+        let ev = oracle.scan(&f);
         s.push_str(&format!("func {}:\n", f.name));
         let mut any = false;
         for (bi, blk) in hf.blocks.iter().enumerate() {

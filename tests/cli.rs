@@ -247,6 +247,34 @@ fn bad_input_fails_cleanly() {
     assert!(err.contains("specc:"), "{err}");
 }
 
+/// Counts `i` up to `n` in a loop back to the entry block.
+const ENTRY_LOOP: &str = r#"
+func main(n: i64) -> i64 {
+  var i: i64
+  var c: i64
+entry:
+  i = add i, 1
+  c = lt i, n
+  br c, entry, done
+done:
+  ret i
+}
+"#;
+
+#[test]
+fn a_branch_to_the_entry_block_is_a_verify_error() {
+    // the entry block has no predecessors, so the φ placement that rests
+    // on it never sees a loop back to the entry: the verifier rejects one
+    let input = tempfile_path::TempPath::new("specc_entry_loop", ".ir", ENTRY_LOOP);
+    let out = specc()
+        .args([input.as_str(), "--args", "5", "--run"])
+        .output()
+        .expect("spawn specc");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("branch to the entry block `entry`"), "{err}");
+}
+
 /// A program whose every run spins until its fuel runs out.
 const SPIN: &str = "func main() -> i64 {\nentry:\n  jmp spin\nspin:\n  jmp spin\n}\n";
 
@@ -331,6 +359,33 @@ fn emit_hssa_prints_the_refined_form() {
         "{dump}"
     );
     assert!(!dump.contains("mu_s"), "{dump}");
+}
+
+#[test]
+fn explain_spec_explains_the_refined_form() {
+    // refinement folds `q` to `@g`, so the load the optimizer reads is a
+    // direct reference with no μ list left to flag
+    let input = tempfile_path::TempPath::new("specc_refine_explain", ".ir", REFINE_FOLD);
+    let out = specc()
+        .args([
+            input.as_str(),
+            "--entry",
+            "f",
+            "--explain-spec",
+            "-o",
+            "/dev/null",
+        ])
+        .args(["--spec", "heuristic", "--control", "static"])
+        .output()
+        .expect("spawn specc");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        table.contains("func f:\n  (no speculative sites)\n"),
+        "{table}"
+    );
+    assert!(!table.contains("mu flagged"), "{table}");
 }
 
 /// Counts up to its argument.
