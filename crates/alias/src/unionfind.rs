@@ -48,17 +48,6 @@ impl UnionFind {
         }
     }
 
-    /// Read-only find (no compression) for use from shared contexts.
-    pub fn find_const(&self, mut x: u32) -> u32 {
-        loop {
-            let p = self.parent[x as usize];
-            if p == x {
-                return x;
-            }
-            x = p;
-        }
-    }
-
     /// Merges the classes of `a` and `b`; returns the surviving
     /// representative.
     pub fn union(&mut self, a: u32, b: u32) -> u32 {
@@ -108,19 +97,6 @@ mod tests {
         uf.union(ids[1], ids[3]);
         assert!(uf.same(ids[0], ids[2]));
         assert!(!uf.same(ids[0], ids[4]));
-    }
-
-    #[test]
-    fn find_const_matches_find() {
-        let mut uf = UnionFind::new();
-        let ids: Vec<u32> = (0..10).map(|_| uf.push()).collect();
-        for w in ids.windows(2) {
-            uf.union(w[0], w[1]);
-        }
-        let rep = uf.find(ids[0]);
-        for &i in &ids {
-            assert_eq!(uf.find_const(i), rep);
-        }
     }
 
     #[cfg(test)]

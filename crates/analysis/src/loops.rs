@@ -1,9 +1,9 @@
 //! Natural-loop detection and nesting depth.
 //!
 //! Loop structure feeds two consumers: the static branch heuristics in
-//! [`crate::freq`] (back edges are predicted taken) and the speculative
-//! register promoter, which reports how much loop-invariant memory traffic
-//! it hoisted.
+//! [`crate::freq`] (back edges are predicted taken) and the optimizer's
+//! `reducible_loops`, which picks the loops strength reduction, LFTR and
+//! store sinking transform.
 
 use crate::dom::DomTree;
 use specframe_ir::{BlockId, Function};
@@ -50,13 +50,16 @@ impl LoopInfo {
         let mut depth = vec![0u32; n];
         for (&header, latches) in &latches_of {
             // body = header + all blocks that reach a latch without passing
-            // through the header (standard natural-loop walk)
+            // through the header (standard natural-loop walk); a latch that
+            // is the header itself adds nothing, and seeding the walk with
+            // it would climb out through the header's entry edges
             let mut body = vec![header];
             let mut seen = vec![false; n];
             seen[header.index()] = true;
-            let mut stack: Vec<BlockId> = latches.clone();
-            for &l in latches {
+            let mut stack: Vec<BlockId> = Vec::new();
+            for &l in latches.iter().filter(|&&l| l != header) {
                 seen[l.index()] = true;
+                stack.push(l);
             }
             while let Some(b) = stack.pop() {
                 if !body.contains(&b) {
@@ -96,15 +99,6 @@ impl LoopInfo {
         self.loops
             .iter()
             .any(|l| l.header == to && l.latches.contains(&from))
-    }
-
-    /// The innermost loop containing `b`, if any (the loop with the largest
-    /// header depth whose body contains `b`).
-    pub fn innermost_containing(&self, b: BlockId) -> Option<&NaturalLoop> {
-        self.loops
-            .iter()
-            .filter(|l| l.body.binary_search(&b).is_ok())
-            .max_by_key(|l| self.depth[l.header.index()])
     }
 }
 
@@ -175,20 +169,29 @@ mod tests {
     }
 
     #[test]
-    fn innermost_lookup() {
-        let m = nested_loops();
+    fn a_self_loop_holds_only_its_header() {
+        let m = specframe_ir::parse_module(
+            r#"
+func f(n: i64) -> i64 {
+entry:
+  br n, a, b
+a:
+  br n, b, own
+b:
+  jmp a
+own:
+  br n, own, done
+done:
+  ret n
+}
+"#,
+        )
+        .unwrap();
         let f = &m.funcs[0];
-        let dt = DomTree::compute(f);
-        let li = LoopInfo::compute(f, &dt);
-        assert_eq!(
-            li.innermost_containing(BlockId(3)).unwrap().header,
-            BlockId(2)
-        );
-        assert_eq!(
-            li.innermost_containing(BlockId(4)).unwrap().header,
-            BlockId(1)
-        );
-        assert!(li.innermost_containing(BlockId(5)).is_none());
+        let li = LoopInfo::compute(f, &DomTree::compute(f));
+        let own = li.loops.iter().find(|l| l.header == BlockId(3)).unwrap();
+        assert_eq!(own.body, [BlockId(3)]);
+        assert_eq!(li.depth, [0, 0, 0, 1, 0]);
     }
 
     #[test]

@@ -43,8 +43,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 counter_block! {
-    /// Hit/miss/stale/evict counters for one `optimize` run (or one service
-    /// lifetime — they sum).
+    /// Hit/miss/stale and storage-fault counters for one `optimize` run (or
+    /// one service lifetime — they sum).
     ///
     /// Kept out of [`crate::OptStats`] on purpose: `OptStats` is `Eq`-compared
     /// between cached and uncached runs by the parity tests, and a warm run
@@ -59,8 +59,6 @@ counter_block! {
         /// Functions compiled because their entry was corrupt or version-skewed
         /// (each also carries a `CompileDiag` on the report).
         pub stale: u64,
-        /// Entries removed by the capacity policy during write-back.
-        pub evicts: u64,
         /// Storage operations re-attempted after a transient I/O error.
         pub retries: u64,
         /// Storage operations that returned an I/O error (before retry).
@@ -179,10 +177,6 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 2;
 /// The persistent function cache: policy over a [`Storage`] backend.
 pub struct FuncCache {
     store: Box<dyn Storage>,
-    /// Maximum retained entries; `None` = unbounded. Enforced at
-    /// write-back, evicting oldest-modified first (key order breaks ties so
-    /// eviction is deterministic under equal timestamps).
-    max_entries: Option<usize>,
     /// Transient-error retry budget per storage operation.
     retry_budget: u32,
     /// Session breaker (shared across compiles of one session).
@@ -195,7 +189,7 @@ pub struct FuncCache {
 }
 
 impl FuncCache {
-    /// A cache over the sharded file store at `dir`, unbounded.
+    /// A cache over the sharded file store at `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> FuncCache {
         FuncCache::with_store(Box::new(FileStore::new(dir)))
     }
@@ -204,19 +198,12 @@ impl FuncCache {
     pub fn with_store(store: Box<dyn Storage>) -> FuncCache {
         FuncCache {
             store,
-            max_entries: None,
             retry_budget: DEFAULT_RETRY_BUDGET,
             health: Arc::new(CacheHealth::default()),
             tripped_here: AtomicBool::new(false),
             retries: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the entry-count cap (builder style).
-    pub fn with_max_entries(mut self, cap: usize) -> FuncCache {
-        self.max_entries = Some(cap);
-        self
     }
 
     /// Sets the transient-error retry budget (builder style).
@@ -315,30 +302,14 @@ impl FuncCache {
         }
     }
 
-    /// Writes one encoded entry back, then applies the capacity policy.
-    /// Returns how many entries were evicted. With the breaker open the
-    /// write is skipped (`Ok(0)`): the session already carries the
-    /// degradation diagnostic.
-    pub fn insert(&self, key: &CacheKey, bytes: &[u8]) -> io::Result<u64> {
+    /// Writes one encoded entry back. With the breaker open the write is
+    /// skipped (`Ok(())`): the session already carries the degradation
+    /// diagnostic.
+    pub fn insert(&self, key: &CacheKey, bytes: &[u8]) -> io::Result<()> {
         if self.health.is_open() {
-            return Ok(0);
+            return Ok(());
         }
-        self.with_retry(|| self.store.store(key, bytes))?;
-        let Some(cap) = self.max_entries else {
-            return Ok(0);
-        };
-        let mut metas = self.store.list()?;
-        if metas.len() <= cap {
-            return Ok(0);
-        }
-        metas.sort_by_key(|m| (m.modified, m.key));
-        let excess = metas.len() - cap;
-        let mut evicted = 0;
-        for m in metas.iter().filter(|m| m.key != *key).take(excess) {
-            self.store.remove(&m.key)?;
-            evicted += 1;
-        }
-        Ok(evicted)
+        self.with_retry(|| self.store.store(key, bytes))
     }
 
     /// Removes every entry; returns how many were removed.
@@ -440,23 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_policy_evicts_oldest() {
-        let c = FuncCache::with_store(Box::new(MemStore::new())).with_max_entries(3);
-        let mut evicted = 0;
-        for i in 0..6 {
-            evicted += c.insert(&key(&format!("f{i}")), &tiny_entry("f")).unwrap();
-            // MemStore timestamps have full precision, but don't rely on it
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert_eq!(evicted, 3);
-        let (n, _) = c.entry_stats().unwrap();
-        assert_eq!(n, 3);
-        // the newest entries survive
-        assert!(matches!(c.probe(&key("f5")), Probe::Hit(_)));
-        assert!(matches!(c.probe(&key("f0")), Probe::Miss));
-    }
-
-    #[test]
     fn verify_reports_bad_entries() {
         let c = FuncCache::with_store(Box::new(MemStore::new()));
         c.insert(&key("good"), &tiny_entry("g")).unwrap();
@@ -547,7 +501,7 @@ mod tests {
         assert!(c.breaker_diag().unwrap().contains("flaky read"));
         // breaker open: probes short-circuit, inserts are skipped
         assert!(matches!(c.probe(&k), Probe::Miss));
-        assert_eq!(c.insert(&k, &tiny_entry("f")).unwrap(), 0);
+        c.insert(&k, &tiny_entry("f")).unwrap();
         assert_eq!(c.fault_counters().1, 2, "no further I/O once open");
     }
 

@@ -1,7 +1,7 @@
 //! Cache storage backends.
 //!
-//! [`Storage`] is the seam between cache policy (keying, eviction, staleness
-//! handling — all in [`super::FuncCache`]) and byte persistence. The default
+//! [`Storage`] is the seam between cache policy (keying, staleness handling
+//! and retries — all in [`super::FuncCache`]) and byte persistence. The default
 //! backend is [`FileStore`], a two-level sharded directory of entry files;
 //! the trait is deliberately tiny (load/store/remove/list over opaque byte
 //! blobs) so an SQLite or remote backend can slot in later without touching
@@ -14,18 +14,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::SystemTime;
 
-/// One entry as seen by [`Storage::list`]: enough for eviction ordering and
-/// `cache stats` without decoding payloads.
+/// One entry as seen by [`Storage::list`]: enough for `cache stats`,
+/// `cache verify` and `cache clear` without decoding payloads.
 #[derive(Debug, Clone, Copy)]
 pub struct EntryMeta {
     /// The entry's content hash.
     pub key: CacheKey,
     /// Stored size in bytes.
     pub size: u64,
-    /// Last-modified time (write time for the file backend).
-    pub modified: SystemTime,
 }
 
 /// A byte-blob store addressed by [`CacheKey`].
@@ -178,11 +175,9 @@ impl Storage for FileStore {
                 else {
                     continue;
                 };
-                let md = entry.metadata()?;
                 out.push(EntryMeta {
                     key,
-                    size: md.len(),
-                    modified: md.modified().unwrap_or(SystemTime::UNIX_EPOCH),
+                    size: entry.metadata()?.len(),
                 });
             }
         }
@@ -230,11 +225,8 @@ impl Storage for FileStore {
 /// In-memory store for unit tests and ephemeral (single-process) caches.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    entries: Mutex<HashMap<[u8; 16], MemEntry>>,
+    entries: Mutex<HashMap<[u8; 16], Vec<u8>>>,
 }
-
-/// One in-memory entry: payload bytes plus their write timestamp.
-type MemEntry = (Vec<u8>, SystemTime);
 
 impl MemStore {
     /// An empty store.
@@ -245,19 +237,11 @@ impl MemStore {
 
 impl Storage for MemStore {
     fn load(&self, key: &CacheKey) -> io::Result<Option<Vec<u8>>> {
-        Ok(self
-            .entries
-            .lock()
-            .unwrap()
-            .get(&key.0)
-            .map(|(b, _)| b.clone()))
+        Ok(self.entries.lock().unwrap().get(&key.0).cloned())
     }
 
     fn store(&self, key: &CacheKey, bytes: &[u8]) -> io::Result<()> {
-        self.entries
-            .lock()
-            .unwrap()
-            .insert(key.0, (bytes.to_vec(), SystemTime::now()));
+        self.entries.lock().unwrap().insert(key.0, bytes.to_vec());
         Ok(())
     }
 
@@ -272,10 +256,9 @@ impl Storage for MemStore {
             .lock()
             .unwrap()
             .iter()
-            .map(|(k, (b, t))| EntryMeta {
+            .map(|(k, b)| EntryMeta {
                 key: CacheKey(*k),
                 size: b.len() as u64,
-                modified: *t,
             })
             .collect())
     }

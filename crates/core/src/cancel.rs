@@ -42,11 +42,6 @@ impl CancelToken {
         }
     }
 
-    /// Whether this token carries a deadline at all.
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Trips the token immediately.
     pub fn cancel(&self) {
         if let Some(inner) = &self.inner {
@@ -139,7 +134,6 @@ mod tests {
     #[test]
     fn default_token_never_cancels() {
         let t = CancelToken::default();
-        assert!(!t.is_armed());
         assert!(!t.cancelled());
         t.cancel(); // no-op
         assert!(!t.cancelled());

@@ -485,13 +485,12 @@ fn join_stage(
         }
         if let (Some(c), Some(bytes)) = (write_back, bytes) {
             let t0 = Instant::now();
-            match c.insert(&probed.keys[fi], &bytes) {
-                Ok(evicted) => probed.stats.evicts += evicted,
-                Err(e) => warnings.push(CompileDiag {
+            if let Err(e) = c.insert(&probed.keys[fi], &bytes) {
+                warnings.push(CompileDiag {
                     function: r.f.name.clone(),
                     pass: "cache".into(),
                     message: format!("cache write failed ({e}); result not cached"),
-                }),
+                });
             }
             timings.cache += t0.elapsed();
         }

@@ -11,106 +11,66 @@
 //! to which `i` version (`v_phi` ↔ the header-φ version, `v_step` ↔ the
 //! post-increment version), so the test rewrite is a version-exact
 //! substitution, not a new dataflow analysis. It runs none of the six
-//! SSAPRE steps; rewrites go through the kernel's [`apply_edits`].
+//! SSAPRE steps and replaces the comparison in place.
 //!
 //! Safety conditions, all checked per candidate:
 //!
 //! * the factor is positive (`c > 0`) — a negative factor would flip the
 //!   comparison's direction;
 //! * `N*c` does not overflow (`checked_mul`);
-//! * the condition register feeds *only* the branch (the kill query: any
-//!   other use kills the rewrite);
+//! * the condition register feeds *only* the branch (any other use kills
+//!   the rewrite);
 //! * the recorded `s` version is still defined — cleanup between
 //!   strength reduction and this pass may have deleted a dead reduction
 //!   chain.
 
-use crate::expr::OccVersions;
-use crate::prekernel::{apply_edits, MotionEdit};
 use crate::stats::OptStats;
 use crate::strength::SrTemp;
 use specframe_hssa::{HOperand, HStmt, HStmtKind, HTerm, HVarKind, HssaFunc};
 use specframe_ir::{BinOp, VarId};
 
-/// One replaceable loop-exit test: a branch-feeding comparison of the
-/// recorded IV against a constant, with the version-matched `s` version
-/// and the pre-multiplied bound.
-struct LftrClient<'a> {
-    sr: &'a SrTemp,
-    /// The branch condition register (also the comparison's destination).
-    cond: (VarId, u32),
-    op: BinOp,
-    /// The `s` version substituting for the tested `i` version.
-    s_ver: u32,
-    /// The pre-multiplied bound `N*c`.
-    nc: i64,
-    /// Whether the IV was the left operand of the comparison.
-    iv_left: bool,
-}
-
-impl<'a> LftrClient<'a> {
-    /// Recognizes `stmt` (the definition of `cond`) as a replaceable
-    /// comparison of `sr`'s induction variable against a constant.
-    fn recognize(sr: &'a SrTemp, cond: (VarId, u32), stmt: &HStmt) -> Option<Self> {
-        let HStmtKind::Bin { op, a, b, .. } = &stmt.kind else {
-            return None;
-        };
-        if !matches!(op, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) {
-            return None;
-        }
-        let (ver, n, iv_left) = match (a, b) {
-            (HOperand::Reg(v, ver), HOperand::ConstI(n)) if *v == sr.iv_var => (*ver, *n, true),
-            (HOperand::ConstI(n), HOperand::Reg(v, ver)) if *v == sr.iv_var => (*ver, *n, false),
-            _ => return None,
-        };
-        let s_ver = if ver == sr.iv_phi_dest {
-            sr.v_phi
-        } else if ver == sr.iv_latch_ver {
-            sr.v_step
-        } else {
-            return None;
-        };
-        let nc = n.checked_mul(sr.c)?;
-        Some(LftrClient {
-            sr,
-            cond,
-            op: *op,
-            s_ver,
-            nc,
-            iv_left,
-        })
+/// The replacement `s <op> N*c` for `stmt`, the definition of the branch
+/// condition `cond`, if `stmt` compares `sr`'s induction variable against
+/// a constant and the rewrite is safe: the `s` version pairing with the
+/// tested IV version is still defined, and `cond` feeds nothing but the
+/// branch (the rewritten comparison computes a scaled value, valid only
+/// as a branch predicate).
+fn replacement(hf: &HssaFunc, sr: &SrTemp, cond: (VarId, u32), stmt: &HStmt) -> Option<HStmt> {
+    let HStmtKind::Bin { op, a, b, .. } = &stmt.kind else {
+        return None;
+    };
+    if !matches!(op, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) {
+        return None;
     }
-
-    /// The single occurrence is the comparison defining the condition.
-    fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
-        if stmt.def_reg() == Some(self.cond) {
-            Some(OccVersions {
-                regs: [self.s_ver].into_iter().collect(),
-                mem: None,
-            })
-        } else {
-            None
-        }
+    let (ver, n, iv_left) = match (a, b) {
+        (HOperand::Reg(v, ver), HOperand::ConstI(n)) if *v == sr.iv_var => (*ver, *n, true),
+        (HOperand::ConstI(n), HOperand::Reg(v, ver)) if *v == sr.iv_var => (*ver, *n, false),
+        _ => return None,
+    };
+    let s_ver = if ver == sr.iv_phi_dest {
+        sr.v_phi
+    } else if ver == sr.iv_latch_ver {
+        sr.v_step
+    } else {
+        return None;
+    };
+    let nc = n.checked_mul(sr.c)?;
+    // only a comparison of the right shape pays for the whole-function
+    // scan for other uses of the condition register
+    let other_use = (hf.blocks.iter().flat_map(|blk| &blk.stmts))
+        .any(|st| st.reg_uses().any(|u| u == cond) && st.def_reg() != Some(cond));
+    if other_use || !sr_ver_defined(hf, sr.s, s_ver) {
+        return None;
     }
-
-    /// Any use of the condition register outside its defining comparison
-    /// kills the replacement: the rewritten comparison computes a scaled
-    /// value, valid only as a branch predicate.
-    fn kills(&self, stmt: &HStmt) -> bool {
-        stmt.reg_uses().any(|u| u == self.cond) && stmt.def_reg() != Some(self.cond)
-    }
-
-    /// The replacement comparison `s <op> N*c`.
-    fn materialize(&self, t: (VarId, u32), vers: &OccVersions) -> HStmt {
-        let s = HOperand::Reg(self.sr.s, vers.regs[0]);
-        let n = HOperand::ConstI(self.nc);
-        let (a, b) = if self.iv_left { (s, n) } else { (n, s) };
-        HStmt::new(HStmtKind::Bin {
-            dst: t,
-            op: self.op,
-            a,
-            b,
-        })
-    }
+    let s = HOperand::Reg(sr.s, s_ver);
+    let n = HOperand::ConstI(nc);
+    let (a, b) = if iv_left { (s, n) } else { (n, s) };
+    Some(HStmt::new(HStmtKind::Bin {
+        dst: cond,
+        op: *op,
+        a,
+        b,
+    }))
 }
 
 /// Verify-each support: cleanup may legitimately delete a *whole*
@@ -174,46 +134,18 @@ pub fn lftr_hssa(hf: &mut HssaFunc, temps: &[SrTemp], stats: &mut OptStats) -> u
             let Some(HTerm::Br {
                 cond: HOperand::Reg(cv, cver),
                 ..
-            }) = hf.blocks[b.index()].term.clone()
+            }) = hf.blocks[b.index()].term
             else {
                 continue;
             };
-            let Some(ci) = hf.blocks[b.index()]
-                .stmts
-                .iter()
-                .position(|st| st.def_reg() == Some((cv, cver)))
-            else {
+            let stmts = &hf.blocks[b.index()].stmts;
+            let Some(ci) = stmts.iter().position(|st| st.def_reg() == Some((cv, cver))) else {
                 continue;
             };
-            let Some(client) =
-                LftrClient::recognize(sr, (cv, cver), &hf.blocks[b.index()].stmts[ci])
-            else {
+            let Some(with) = replacement(hf, sr, (cv, cver), &stmts[ci]) else {
                 continue;
             };
-            // kill scan over the whole function: the condition register
-            // must feed only the branch
-            if hf
-                .blocks
-                .iter()
-                .any(|blk| blk.stmts.iter().any(|st| client.kills(st)))
-            {
-                continue;
-            }
-            if !sr_ver_defined(hf, sr.s, client.s_ver) {
-                continue;
-            }
-            let vers = client
-                .occurrence(&hf.blocks[b.index()].stmts[ci])
-                .expect("recognized comparison is the occurrence");
-            let with = client.materialize((cv, cver), &vers);
-            apply_edits(
-                hf,
-                vec![MotionEdit::Replace {
-                    block: b,
-                    stmt: ci,
-                    with,
-                }],
-            );
+            hf.blocks[b.index()].stmts[ci] = with;
             stats.lftr_applied += 1;
             applied += 1;
         }

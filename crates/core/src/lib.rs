@@ -22,7 +22,8 @@
 //!
 //! Strength reduction ([`strength`]), linear-function test replacement
 //! ([`lftr`]) and store sinking ([`storeprom`]) run none of its steps:
-//! they share its loop recognition and its motion-edit seam.
+//! they share its loop recognition and edit the speculative SSA form
+//! directly, as its CodeMotion step does.
 //!
 //! The pipeline's one entry point is [`driver::try_optimize_cached`], which
 //! runs the whole pipeline ([`prepare_module`]'s dead-block removal and
@@ -64,7 +65,7 @@ pub use error::{CompileDiag, CompileError};
 pub use expr::ExprKey;
 pub use lftr::lftr_hssa;
 pub use passes::{render_dumps, Pass, PassDump, PassSet, PipelineHooks};
-pub use prekernel::{apply_edits, reducible_loops, LoopShape, MotionEdit, SpecPolicy};
+pub use prekernel::{reducible_loops, LoopShape, SpecPolicy};
 pub use reduce::{reduce_module, ReduceStats};
 pub use ssapre::ssapre_function;
 pub use stats::{peak_rss_kb, OptStats, PassTimings};

@@ -1,71 +1,20 @@
 //! Step 6: CodeMotion.
 //!
-//! Turns Finalize's decisions into a list of [`MotionEdit`]s and applies
-//! them with [`apply_edits`]: saves become `t = E; x = t`, reloads become
-//! `x = t`, *speculative* reloads become check loads (`ld.c`, Appendix
-//! B), control-speculative insertions become `ld.s` with NaT-check
-//! reloads, and every load feeding a check is flagged as an advanced
-//! load (`ld.a`).
+//! Writes Finalize's decisions straight into the form: saves become
+//! `t = E; x = t`, reloads become `x = t`, *speculative* reloads become
+//! check loads (`ld.c`, Appendix B), control-speculative insertions become
+//! `ld.s` with NaT-check reloads, and every load feeding a check is
+//! flagged as an advanced load (`ld.a`).
 //!
-//! The [`MotionEdit`] vocabulary and [`apply_edits`] are shared with the
-//! loop-shaped passes: store promotion, strength reduction and LFTR
-//! express their rewrites in the same terms instead of splicing statement
-//! lists by hand.
+//! Each block is edited from its last occurrence up, so an edit never
+//! moves a statement a later edit reads; insertions at predecessor ends
+//! and the Φs of `t` follow the occurrence edits.
 
 use super::finalize::FinalizeOut;
 use super::{Kernel, OpndDef, Role};
 use crate::stats::OptStats;
-use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarKind, HssaFunc, Phi as HPhi};
-use specframe_ir::{BlockId, CheckKind, LoadSpec, Ty, VarId};
-
-/// One program rewrite, in kernel vocabulary. Statement indices refer to
-/// the block's statement list *at application time*: emit per-block edits
-/// in descending statement order (as the kernel does) so earlier indices
-/// stay stable, and front/back insertions wherever convenient.
-#[derive(Debug)]
-pub enum MotionEdit {
-    /// Replace the statement at `stmt` with `with`.
-    Replace {
-        block: BlockId,
-        stmt: usize,
-        with: HStmt,
-    },
-    /// Insert `what` immediately after the statement at `stmt`.
-    InsertAfter {
-        block: BlockId,
-        stmt: usize,
-        what: HStmt,
-    },
-    /// Insert `what` at the front of the block.
-    InsertFront { block: BlockId, what: HStmt },
-    /// Append `what` at the end of the block (before the terminator).
-    Append { block: BlockId, what: HStmt },
-    /// Attach a φ to the block.
-    AddPhi { block: BlockId, phi: HPhi },
-}
-
-/// Applies the edits in order.
-pub fn apply_edits(hf: &mut HssaFunc, edits: Vec<MotionEdit>) {
-    for e in edits {
-        match e {
-            MotionEdit::Replace { block, stmt, with } => {
-                hf.blocks[block.index()].stmts[stmt] = with;
-            }
-            MotionEdit::InsertAfter { block, stmt, what } => {
-                hf.blocks[block.index()].stmts.insert(stmt + 1, what);
-            }
-            MotionEdit::InsertFront { block, what } => {
-                hf.blocks[block.index()].stmts.insert(0, what);
-            }
-            MotionEdit::Append { block, what } => {
-                hf.blocks[block.index()].stmts.push(what);
-            }
-            MotionEdit::AddPhi { block, phi } => {
-                hf.blocks[block.index()].phis.push(phi);
-            }
-        }
-    }
-}
+use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarKind, HssaFunc, Phi as HPhi, FRESH_SITE};
+use specframe_ir::{CheckKind, LoadSpec, VarId};
 
 impl Kernel<'_> {
     pub(crate) fn codemotion(
@@ -156,13 +105,11 @@ impl Kernel<'_> {
             }
         }
 
-        // ---- emit the motion edits ---------------------------------------
-        // occs are sorted by (block index, statement index), so the
-        // emission order the printed SSA form pins — block-index order,
-        // descending statement order within a block (t-version allocation
-        // happens while emitting) — falls out of walking each block's
-        // contiguous occurrence run in reverse. No map, no sort.
-        let mut motion: Vec<MotionEdit> = Vec::new();
+        // ---- edit the form ------------------------------------------------
+        // occs are sorted by (block index, statement index); each block's
+        // contiguous run is edited from its last occurrence up, so an edit
+        // only moves statements after the occurrences still to come, and
+        // t-versions are allocated in the order the printed SSA form pins
         let mut run_start = 0usize;
         while run_start < occs.len() {
             let b = occs[run_start].block;
@@ -170,100 +117,82 @@ impl Kernel<'_> {
             while run_end < occs.len() && occs[run_end].block == b {
                 run_end += 1;
             }
-            for occ in (run_start..run_end).rev() {
-                let o = &occs[occ];
-                let stmt = o.stmt;
-                match o.role {
+            for o in occs[run_start..run_end].iter().rev() {
+                let s = &mut hf.blocks[b.index()].stmts[o.stmt];
+                // the occurrence's old destination, when it now copies
+                // from a version of t
+                let copy = match o.role {
+                    Role::Compute { save: false } => continue,
                     Role::Compute { save: true } => {
-                        let old = hf.blocks[b.index()].stmts[stmt].clone();
-                        let dst = old.def_reg().expect("occurrence defines a register");
-                        let mut def_stmt = old.clone();
-                        // defining statement now writes t
-                        set_dst(&mut def_stmt.kind, (t, o.t_ver));
+                        let dst = s.def_reg_mut().expect("occurrence defines a register");
+                        let old = std::mem::replace(dst, (t, o.t_ver));
                         if is_load_expr
                             && (checked_classes[o.class as usize] || nat_classes[o.class as usize])
                         {
-                            if let HStmtKind::Load { spec, .. } = &mut def_stmt.kind {
+                            if let HStmtKind::Load { spec, .. } = &mut s.kind {
                                 if *spec == LoadSpec::Normal {
                                     *spec = LoadSpec::Advanced;
                                     stats.advanced_loads += 1;
                                 }
                             }
                         }
-                        let copy = HStmt::new(HStmtKind::Copy {
-                            dst,
-                            src: HOperand::Reg(t, o.t_ver),
-                        });
-                        motion.push(MotionEdit::Replace {
-                            block: b,
-                            stmt,
-                            with: def_stmt,
-                        });
-                        motion.push(MotionEdit::InsertAfter {
-                            block: b,
-                            stmt,
-                            what: copy,
-                        });
                         stats.saves += 1;
+                        Some((old, o.t_ver))
                     }
                     Role::Reload { from, check } => {
-                        let old = hf.blocks[b.index()].stmts[stmt].clone();
-                        let dst = old.def_reg().expect("occurrence defines a register");
-                        let needs_nat = nat_classes[o.class as usize];
-                        if is_load_expr && (check || needs_nat) {
+                        let dst = s.def_reg().expect("occurrence defines a register");
+                        stats.reloads += 1;
+                        if is_load_expr {
+                            stats.loads_removed += 1;
+                        }
+                        if is_load_expr && (check || nat_classes[o.class as usize]) {
                             // check load revalidates t, then the original
                             // destination copies from it (Appendix B / Fig. 8)
-                            let tv2 = hf.fresh_ver_of_reg(t);
-                            let (base, offset, lty, site_kind) = load_shape(&old.kind);
-                            let kind = if check {
-                                CheckKind::Alat
-                            } else {
-                                CheckKind::Nat
+                            let (HStmtKind::Load {
+                                base, offset, ty, ..
+                            }
+                            | HStmtKind::CheckLoad {
+                                base, offset, ty, ..
+                            }) = s.kind
+                            else {
+                                panic!("a checked reload of a load candidate is a load");
                             };
-                            let chk = HStmt::new(HStmtKind::CheckLoad {
+                            let tv2 = hf.fresh_ver_of_reg(t);
+                            hf.blocks[b.index()].stmts[o.stmt] = HStmt::new(HStmtKind::CheckLoad {
                                 dst: (t, tv2),
                                 base,
                                 offset,
-                                ty: lty,
-                                kind,
-                                site: site_kind,
+                                ty,
+                                kind: if check {
+                                    CheckKind::Alat
+                                } else {
+                                    CheckKind::Nat
+                                },
+                                site: FRESH_SITE,
                                 dvar: None,
-                            });
-                            let copy = HStmt::new(HStmtKind::Copy {
-                                dst,
-                                src: HOperand::Reg(t, tv2),
-                            });
-                            motion.push(MotionEdit::Replace {
-                                block: b,
-                                stmt,
-                                with: chk,
-                            });
-                            motion.push(MotionEdit::InsertAfter {
-                                block: b,
-                                stmt,
-                                what: copy,
                             });
                             stats.checks += 1;
                             if check {
                                 stats.data_spec_reloads += 1;
                             }
+                            Some((dst, tv2))
                         } else {
-                            let copy = HStmt::new(HStmtKind::Copy {
+                            *s = HStmt::new(HStmtKind::Copy {
                                 dst,
                                 src: HOperand::Reg(t, from),
                             });
-                            motion.push(MotionEdit::Replace {
-                                block: b,
-                                stmt,
-                                with: copy,
-                            });
-                        }
-                        stats.reloads += 1;
-                        if is_load_expr {
-                            stats.loads_removed += 1;
+                            None
                         }
                     }
-                    Role::Compute { save: false } => {}
+                };
+                if let Some((dst, ver)) = copy {
+                    hf.blocks[b.index()].stmts.insert(
+                        o.stmt + 1,
+                        HStmt::new(HStmtKind::Copy {
+                            dst,
+                            src: HOperand::Reg(t, ver),
+                        }),
+                    );
                 }
             }
             run_start = run_end;
@@ -286,10 +215,7 @@ impl Kernel<'_> {
                     LoadSpec::Normal
                 },
             );
-            motion.push(MotionEdit::Append {
-                block: pred,
-                what: stmt,
-            });
+            hf.blocks[pred.index()].stmts.push(stmt);
             stats.insertions += 1;
             if spec_load {
                 stats.control_spec_loads += 1;
@@ -313,17 +239,12 @@ impl Kernel<'_> {
                     }
                 })
                 .collect();
-            motion.push(MotionEdit::AddPhi {
-                block: p.block,
-                phi: HPhi {
-                    var: t_hvar,
-                    dest: p.t_ver,
-                    args,
-                },
+            hf.blocks[p.block.index()].phis.push(HPhi {
+                var: t_hvar,
+                dest: p.t_ver,
+                args,
             });
         }
-
-        apply_edits(hf, motion);
 
         stats.transformed += 1;
         if occs.iter().any(|o| o.spec) {
@@ -332,31 +253,5 @@ impl Kernel<'_> {
         if any_cspec {
             stats.control_speculated_exprs += 1;
         }
-    }
-}
-
-fn set_dst(kind: &mut HStmtKind, new: (VarId, u32)) {
-    match kind {
-        HStmtKind::Bin { dst, .. }
-        | HStmtKind::Un { dst, .. }
-        | HStmtKind::Copy { dst, .. }
-        | HStmtKind::Load { dst, .. }
-        | HStmtKind::CheckLoad { dst, .. }
-        | HStmtKind::Alloc { dst, .. } => *dst = new,
-        HStmtKind::Call { dst: Some(d), .. } => *d = new,
-        _ => panic!("set_dst on store"),
-    }
-}
-
-/// Extracts the address shape of a load statement for check generation.
-fn load_shape(kind: &HStmtKind) -> (HOperand, i64, Ty, specframe_ir::MemSiteId) {
-    match kind {
-        HStmtKind::Load {
-            base, offset, ty, ..
-        } => (*base, *offset, *ty, specframe_hssa::stmt::FRESH_SITE),
-        HStmtKind::CheckLoad {
-            base, offset, ty, ..
-        } => (*base, *offset, *ty, specframe_hssa::stmt::FRESH_SITE),
-        other => panic!("load_shape on non-load {other:?}"),
     }
 }

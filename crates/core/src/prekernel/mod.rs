@@ -32,11 +32,11 @@
 //!    graph, exactly as in SSAPRE.
 //! 5. [`finalize`] — availability walk deciding saves, reloads and
 //!    insertions, and allocating the t-versions they carry.
-//! 6. [`codemotion`] — turns those decisions into [`MotionEdit`]s and
-//!    applies them: saves become `t = E; x = t`, reloads become `x = t`,
-//!    *speculative* reloads become check loads (`ld.c`, Appendix B),
-//!    control-speculative insertions become `ld.s` with NaT-check
-//!    reloads, and every load feeding a check is flagged `ld.a`.
+//! 6. [`codemotion`] — writes those decisions into the form in place:
+//!    saves become `t = E; x = t`, reloads become `x = t`, *speculative*
+//!    reloads become check loads (`ld.c`, Appendix B), control-speculative
+//!    insertions become `ld.s` with NaT-check reloads, and every load
+//!    feeding a check is flagged `ld.a`.
 //!
 //! The client answers three questions: *which statements are occurrences
 //! of the candidate*, *does this statement kill it under the active
@@ -47,9 +47,9 @@
 //! The loop-shaped passes — store promotion ([`crate::storeprom`]),
 //! strength reduction ([`crate::strength`]) and linear-function test
 //! replacement ([`crate::lftr`]) — run none of the six steps. They share
-//! only the kernel's loop recognition ([`loops`]) and motion-edit
-//! application ([`codemotion::apply_edits`]); LFTR pairs the HSSA versions
-//! strength reduction records in each [`crate::strength::SrTemp`].
+//! only the kernel's loop recognition ([`loops`]) and edit the form
+//! directly; LFTR pairs the HSSA versions strength reduction records in
+//! each [`crate::strength::SrTemp`].
 
 pub mod cleanup;
 pub mod codemotion;
@@ -61,7 +61,6 @@ pub mod rename;
 pub mod willbeavail;
 
 pub use cleanup::{cleanup_hssa, eliminate_dead_code, propagate_copies};
-pub use codemotion::{apply_edits, MotionEdit};
 pub use loops::{reducible_loops, LoopShape};
 
 use crate::expr::OccVersions;

@@ -246,9 +246,9 @@ impl<'a> ExprClient<'a> {
         })
     }
 
-    /// Motion-edit emission: the inserted computation of the candidate
-    /// writing `t`, using the operand versions `vers` recorded at the
-    /// predecessor end.
+    /// The computation of the candidate CodeMotion inserts at a
+    /// predecessor end, writing `t` from the operand versions `vers`
+    /// recorded there.
     pub(crate) fn materialize(&self, t: (VarId, u32), vers: &OccVersions, spec: LoadSpec) -> HStmt {
         match self.key {
             ExprKey::Bin(op, a, b) => {

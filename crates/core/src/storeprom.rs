@@ -31,89 +31,28 @@
 //! body never runs, the exit stores write back the original value.
 //!
 //! This pass runs none of the six SSAPRE steps: loop recognition comes
-//! from the kernel's [`reducible_loops`], and every rewrite is expressed
-//! as [`MotionEdit`]s applied through [`apply_edits`].
+//! from the kernel's [`reducible_loops`], and it edits the speculative SSA
+//! form in place.
 
-use crate::prekernel::{apply_edits, reducible_loops, MotionEdit};
+use crate::prekernel::reducible_loops;
 use crate::stats::OptStats;
 use specframe_analysis::FuncAnalyses;
-use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarId, HssaFunc};
+use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarId, HssaFunc, FRESH_SITE};
 use specframe_ir::FxHashSet;
-use specframe_ir::{BlockId, LoadSpec, Ty, VarId};
+use specframe_ir::{BlockId, LoadSpec};
 
-/// The store-promotion candidate: one direct global/slot cell `mv`,
-/// stored to inside the loop. Occurrences are the candidate stores; any
-/// other in-loop touch of the cell (a read, an aliasing χ or μ) kills the
-/// promotion — there is no "check store" on IA-64, so a mis-speculated
-/// store sink would be unrecoverable and the kill query is exact, not
-/// oracle-refined.
-struct StoreClient {
-    mv: HVarId,
-    base: HOperand,
-    offset: i64,
-    ty: Ty,
-}
-
-impl StoreClient {
-    /// Whether `stmt` is a candidate store: a direct store to the cell.
-    fn occurrence(&self, stmt: &HStmt) -> bool {
-        matches!(
-            &stmt.kind,
-            HStmtKind::Store {
-                dvar_def: Some((id, _)),
-                ..
-            } if *id == self.mv
-        )
-    }
-
-    /// Whether `stmt` touches the cell other than as a candidate store.
-    fn kills(&self, stmt: &HStmt) -> bool {
-        if self.occurrence(stmt) {
-            // a candidate store chi-ing a vvar is handled by the caller's
-            // cross-class scan; the store itself does not kill
-            return false;
-        }
-        match &stmt.kind {
-            HStmtKind::Load {
-                dvar: Some((id, _)),
-                ..
-            }
-            | HStmtKind::CheckLoad {
-                dvar: Some((id, _)),
-                ..
-            } if *id == self.mv => true, // in-loop read of the cell
-            _ => {
-                // any other statement touching mv via chi or mu
-                // (aliasing indirect access or call)
-                stmt.chi.iter().any(|c| c.var == self.mv)
-                    || stmt.mu.iter().any(|m| m.var == self.mv)
-            }
-        }
-    }
-
-    /// Type of the carried register.
-    fn temp_ty(&self) -> Ty {
-        self.ty
-    }
-
-    /// Name of the carried register (`n` is the global temp counter).
-    fn temp_name(&self, n: u64) -> String {
-        format!("stp{n}")
-    }
-
-    /// The preheader's initializing load of the cell into `t` (covers
-    /// zero-trip).
-    fn materialize(&self, t: (VarId, u32)) -> HStmt {
-        HStmt::new(HStmtKind::Load {
-            dst: t,
-            base: self.base,
-            offset: self.offset,
-            ty: self.ty,
-            spec: LoadSpec::Normal,
-            site: specframe_hssa::FRESH_SITE,
-            dvar: Some((self.mv, 0)),
-        })
-    }
+/// Whether `stmt`, which is not a direct store to the cell `mv`, touches
+/// the cell: an in-loop read of it, or any χ or μ over it (an aliasing
+/// indirect access or a call). Any such touch kills the promotion. There
+/// is no "check store" on IA-64, so a mis-speculated store sink would be
+/// unrecoverable: the query is exact, not oracle-refined.
+fn touches_cell(stmt: &HStmt, mv: HVarId) -> bool {
+    matches!(
+        &stmt.kind,
+        HStmtKind::Load { dvar: Some((id, _)), .. }
+        | HStmtKind::CheckLoad { dvar: Some((id, _)), .. } if *id == mv
+    ) || stmt.chi.iter().any(|c| c.var == mv)
+        || stmt.mu.iter().any(|m| m.var == mv)
 }
 
 /// Runs store sinking over every loop of `hf`, using the function's cached
@@ -147,45 +86,29 @@ pub fn sink_stores_hssa(hf: &mut HssaFunc, stats: &mut OptStats, fa: &FuncAnalys
             // occurrence harvest + kill scan: reject any in-loop read or
             // aliasing touch of mv
             let mut stores: Vec<(BlockId, usize)> = Vec::new();
-            let mut client: Option<StoreClient> = None;
+            // the cell's address and type, from its last in-loop store
+            let mut cell = None;
             for &b in &shape.body {
                 for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
-                    if let HStmtKind::Store {
-                        dvar_def: Some((id, _)),
-                        base,
-                        offset,
-                        ty,
-                        ..
-                    } = &stmt.kind
-                    {
-                        if *id == mv {
-                            client = Some(StoreClient {
-                                mv,
-                                base: *base,
-                                offset: *offset,
-                                ty: *ty,
-                            });
+                    match &stmt.kind {
+                        HStmtKind::Store {
+                            dvar_def: Some((id, _)),
+                            base,
+                            offset,
+                            ty,
+                            ..
+                        } if *id == mv => {
+                            cell = Some((*base, *offset, *ty));
                             stores.push((b, si));
-                            continue;
                         }
-                    }
-                    let probe = StoreClient {
-                        mv,
-                        base: HOperand::ConstI(0),
-                        offset: 0,
-                        ty: Ty::I64,
-                    };
-                    if probe.kills(stmt) {
-                        continue 'cand;
+                        _ if touches_cell(stmt, mv) => continue 'cand,
+                        _ => {}
                     }
                 }
             }
-            let Some(client) = client else {
+            let Some((base, offset, ty)) = cell else {
                 continue;
             };
-            if stores.is_empty() {
-                continue;
-            }
             // indirect loads of the same class inside the loop read through
             // the virtual variable; if any in-loop statement mu's a vvar
             // that this location's class feeds, the scan above already saw a
@@ -242,38 +165,38 @@ pub fn sink_stores_hssa(hf: &mut HssaFunc, stats: &mut OptStats, fa: &FuncAnalys
                 continue; // infinite loop: nothing to sink to
             }
 
-            // ---- transform: emitted as motion edits on the kernel seam.
-            // Version allocation stays eager (rv0 → per-store rv → per-exit
-            // mver, in scan order) so the printed SSA form is unchanged;
-            // application is deferred to one `apply_edits` per candidate —
-            // per candidate, not per loop, because the next candidate's
-            // legality scan must read the mutated statements.
-            let r = hf.add_temp(client.temp_name(stats.temps), client.temp_ty());
+            // ---- transform. Versions are allocated in scan order (rv0 →
+            // per-store rv → per-exit mver), which the printed SSA form
+            // pins; the next candidate's legality scan reads the edited
+            // statements.
+            let r = hf.add_temp(format!("stp{}", stats.temps), ty);
             stats.temps += 1;
             hf.collapsed_vars.push(r);
-            let mut edits: Vec<MotionEdit> = Vec::new();
 
             // preheader: r = load cell (covers the zero-trip case)
             let rv0 = hf.fresh_ver_of_reg(r);
-            edits.push(MotionEdit::Append {
-                block: preheader,
-                what: client.materialize((r, rv0)),
-            });
+            hf.blocks[preheader.index()]
+                .stmts
+                .push(HStmt::new(HStmtKind::Load {
+                    dst: (r, rv0),
+                    base,
+                    offset,
+                    ty,
+                    spec: LoadSpec::Normal,
+                    site: FRESH_SITE,
+                    dvar: Some((mv, 0)),
+                }));
 
             // in-loop stores become register moves
             for &(b, si) in &stores {
-                let val = match &hf.blocks[b.index()].stmts[si].kind {
-                    HStmtKind::Store { val, .. } => *val,
-                    _ => unreachable!(),
-                };
                 let rv = hf.fresh_ver_of_reg(r);
-                edits.push(MotionEdit::Replace {
-                    block: b,
-                    stmt: si,
-                    with: HStmt::new(HStmtKind::Copy {
-                        dst: (r, rv),
-                        src: val,
-                    }),
+                let stmt = &mut hf.blocks[b.index()].stmts[si];
+                let HStmtKind::Store { val, .. } = stmt.kind else {
+                    unreachable!()
+                };
+                *stmt = HStmt::new(HStmtKind::Copy {
+                    dst: (r, rv),
+                    src: val,
                 });
                 sunk_total += 1;
                 stats.stores_sunk += 1;
@@ -282,19 +205,18 @@ pub fn sink_stores_hssa(hf: &mut HssaFunc, stats: &mut OptStats, fa: &FuncAnalys
             // exit blocks: store the carried value back
             for &e in &exit_points {
                 let mver = hf.fresh_ver(mv);
-                edits.push(MotionEdit::InsertFront {
-                    block: e,
-                    what: HStmt::new(HStmtKind::Store {
-                        base: client.base,
-                        offset: client.offset,
+                hf.blocks[e.index()].stmts.insert(
+                    0,
+                    HStmt::new(HStmtKind::Store {
+                        base,
+                        offset,
                         val: HOperand::Reg(r, 0),
-                        ty: client.ty,
-                        site: specframe_hssa::FRESH_SITE,
+                        ty,
+                        site: FRESH_SITE,
                         dvar_def: Some((mv, mver)),
                     }),
-                });
+                );
             }
-            apply_edits(hf, edits);
         }
     }
     sunk_total

@@ -4,21 +4,20 @@
 //! after Kennedy et al., CC '98) and notes that *"the speculative weak
 //! update concept … corresponds to the injuring definition and the
 //! generation of speculative check instructions corresponds to the repair
-//! code"* in that work. This client shares the engine's machinery: it
-//! introduces a collapsed PRE-style temporary `s ≡ i*c` per induction
-//! expression, keeps it up to date with *repair* additions at each
-//! injuring definition (`i = i + k` → `s = s + k*c`), and replaces the
-//! multiplications with copies. Each reduced factor is recorded as an
-//! [`SrTemp`] so the separate [`crate::lftr`] pass can later rewrite
-//! the loop-exit test `i < N` into `s < N*c` (linear-function test
-//! replacement) — LFTR needs the versions (`v_phi`/`v_step`) this pass
-//! allocates.
+//! code"* in that work. The pass introduces a PRE-style temporary
+//! `s ≡ i*c` per induction expression, keeps it up to date with *repair*
+//! additions at each injuring definition (`i = i + k` → `s = s + k*c`),
+//! and replaces the multiplications with copies. Each reduced factor is
+//! recorded as an [`SrTemp`] so the separate [`crate::lftr`] pass can
+//! later rewrite the loop-exit test `i < N` into `s < N*c`
+//! (linear-function test replacement) — LFTR needs the versions
+//! (`v_phi`/`v_step`) this pass allocates.
 //!
 //! Like store promotion, this pass runs none of the six SSAPRE steps: its
-//! loops come from the kernel's [`reducible_loops`], and all rewrites are
-//! [`MotionEdit`]s applied via [`apply_edits`].
+//! loops come from the kernel's [`reducible_loops`], and it edits the
+//! speculative SSA form in place.
 
-use crate::prekernel::{apply_edits, reducible_loops, MotionEdit};
+use crate::prekernel::reducible_loops;
 use crate::stats::OptStats;
 use specframe_analysis::FuncAnalyses;
 use specframe_hssa::{HOperand, HStmt, HStmtKind, HVarKind, HssaFunc, Phi as HPhi};
@@ -62,62 +61,32 @@ struct BasicIv {
     k: i64,
     /// Location of the increment statement.
     inc_at: (BlockId, usize),
-    /// φ argument index of the preheader / latch.
-    pre_idx: usize,
+    /// φ argument index of the latch.
     latch_idx: usize,
 }
 
-/// The strength-reduction candidate: multiplications of one basic IV by
-/// a constant factor. `c = None` harvests factor-agnostically; a fixed
-/// factor drives emission. The increment is an *injuring* definition in
-/// the paper's sense — it never kills, it gets repair code.
-struct StrengthClient {
-    iv: BasicIv,
-    c: Option<i64>,
-}
-
-impl StrengthClient {
-    /// Extracts `(version of i, factor)` if `stmt` is `_ = mul i, c`
-    /// (either operand order) with a usable nonzero factor.
-    fn mul_of_iv(&self, stmt: &HStmt) -> Option<(u32, i64)> {
-        let HStmtKind::Bin {
-            op: BinOp::Mul,
-            a,
-            b,
-            ..
-        } = &stmt.kind
-        else {
-            return None;
-        };
-        let (ver, c) = match (a, b) {
-            (HOperand::Reg(v, ver), HOperand::ConstI(c)) if *v == self.iv.var => (*ver, *c),
-            (HOperand::ConstI(c), HOperand::Reg(v, ver)) if *v == self.iv.var => (*ver, *c),
-            _ => return None,
-        };
-        if c == 0 || self.c.is_some_and(|want| want != c) {
-            return None;
+/// Extracts `(version of iv, factor)` if `stmt` is `_ = mul iv, c` (either
+/// operand order) with a nonzero factor `c`. The increment is an
+/// *injuring* definition in the paper's sense: it never kills such a
+/// multiplication, it gets repair code.
+fn mul_of_iv(iv: VarId, stmt: &HStmt) -> Option<(u32, i64)> {
+    let HStmtKind::Bin {
+        op: BinOp::Mul,
+        a,
+        b,
+        ..
+    } = &stmt.kind
+    else {
+        return None;
+    };
+    match (a, b) {
+        (HOperand::Reg(v, ver), HOperand::ConstI(c))
+        | (HOperand::ConstI(c), HOperand::Reg(v, ver))
+            if *v == iv && *c != 0 =>
+        {
+            Some((*ver, *c))
         }
-        Some((ver, c))
-    }
-
-    /// Name of the reduction temporary (`n` is the global temp counter).
-    fn temp_name(&self, n: u64) -> String {
-        format!("sr{n}")
-    }
-
-    /// Type of the reduction temporary.
-    fn temp_ty(&self) -> Ty {
-        Ty::I64
-    }
-
-    /// The preheader initialization `s = i.pre * c`, writing `t`.
-    fn materialize(&self, t: (VarId, u32)) -> HStmt {
-        HStmt::new(HStmtKind::Bin {
-            dst: t,
-            op: BinOp::Mul,
-            a: HOperand::Reg(self.iv.var, self.iv.pre_ver),
-            b: HOperand::ConstI(self.c.expect("factor fixed at emission")),
-        })
+        _ => None,
     }
 }
 
@@ -182,7 +151,6 @@ pub fn strength_reduce_hssa(
                                 latch_ver,
                                 k,
                                 inc_at: (b, si),
-                                pre_idx,
                                 latch_idx,
                             });
                             break 'search;
@@ -214,23 +182,20 @@ fn reduce_one_iv(
     // harvest candidate multiplications factor-agnostically; grouped by
     // constant factor below
     // (block, stmt, dest, which version of i, factor)
-    let probe = StrengthClient { iv, c: None };
     type MulCand = (BlockId, usize, (VarId, u32), u32, i64);
     let mut cands: Vec<MulCand> = Vec::new();
     for &b in body {
         for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
-            let Some((ver, c)) = probe.mul_of_iv(stmt) else {
+            let Some((ver, c)) = mul_of_iv(iv.var, stmt) else {
                 continue;
             };
-            let HStmtKind::Bin { dst, .. } = &stmt.kind else {
-                unreachable!()
-            };
+            let dst = stmt.def_reg().expect("a multiplication defines a register");
             let usable = ver == iv.phi_dest
                 || (ver == iv.latch_ver
                     && (b, si) > (iv.inc_at.0, iv.inc_at.1)
                     && b == iv.inc_at.0);
             if usable {
-                cands.push((b, si, *dst, ver, c));
+                cands.push((b, si, dst, ver, c));
             }
         }
     }
@@ -244,75 +209,61 @@ fn reduce_one_iv(
 
     let mut rewritten = 0;
     for c in factors {
-        let client = StrengthClient { iv, c: Some(c) };
         // s tracks i * c
         // SR temporaries are proper SSA (their header φ is constructed
         // explicitly), so they need no collapsing and their copies fully
         // propagate away
-        let s = hf.add_temp(client.temp_name(stats.temps), client.temp_ty());
+        let s = hf.add_temp(format!("sr{}", stats.temps), Ty::I64);
         stats.temps += 1;
-        let mut edits: Vec<MotionEdit> = Vec::new();
 
         // preheader: s = i.pre * c
         let v_init = hf.fresh_ver_of_reg(s);
-        edits.push(MotionEdit::Append {
-            block: preheader,
-            what: client.materialize((s, v_init)),
-        });
+        hf.blocks[preheader.index()]
+            .stmts
+            .push(HStmt::new(HStmtKind::Bin {
+                dst: (s, v_init),
+                op: BinOp::Mul,
+                a: HOperand::Reg(iv.var, iv.pre_ver),
+                b: HOperand::ConstI(c),
+            }));
 
         // header φ: s.h = φ(s.init, s.step)
         let v_phi = hf.fresh_ver_of_reg(s);
         let v_step = hf.fresh_ver_of_reg(s);
         let s_hvar = hf.catalog.get(HVarKind::Reg(s)).expect("temp interned");
-        let npreds = hf.preds[header.index()].len();
-        let mut args = vec![v_init; npreds];
-        args[iv.pre_idx] = v_init;
+        let mut args = vec![v_init; hf.preds[header.index()].len()];
         args[iv.latch_idx] = v_step;
-        edits.push(MotionEdit::AddPhi {
-            block: header,
-            phi: HPhi {
-                var: s_hvar,
-                dest: v_phi,
-                args,
-            },
+        hf.blocks[header.index()].phis.push(HPhi {
+            var: s_hvar,
+            dest: v_phi,
+            args,
         });
 
         // repair after the injuring definition: s.step = s.h + k*c
         let (ib, isi) = iv.inc_at;
-        edits.push(MotionEdit::InsertAfter {
-            block: ib,
-            stmt: isi,
-            what: HStmt::new(HStmtKind::Bin {
+        hf.blocks[ib.index()].stmts.insert(
+            isi + 1,
+            HStmt::new(HStmtKind::Bin {
                 dst: (s, v_step),
                 op: BinOp::Add,
                 a: HOperand::Reg(s, v_phi),
                 b: HOperand::ConstI(iv.k.wrapping_mul(c)),
             }),
-        });
+        );
 
-        // rewrite candidates of this factor; edits apply in order, so the
-        // Replace indices are post-insertion (within the increment block
-        // they shift by one past the repair)
-        for &(b, si, dst, ver, cc) in &cands {
-            if cc != c {
-                continue;
-            }
-            let si_adj = if b == ib && si > isi { si + 1 } else { si };
+        // candidates of this factor become copies of s; inside the
+        // increment block, one after the increment shifts by one past the
+        // repair
+        for &(b, si, dst, ver, _) in cands.iter().filter(|cand| cand.4 == c) {
+            let si = if b == ib && si > isi { si + 1 } else { si };
             let src_ver = if ver == iv.phi_dest { v_phi } else { v_step };
-            edits.push(MotionEdit::Replace {
-                block: b,
-                stmt: si_adj,
-                with: HStmt::new(HStmtKind::Copy {
-                    dst,
-                    src: HOperand::Reg(s, src_ver),
-                }),
+            hf.blocks[b.index()].stmts[si] = HStmt::new(HStmtKind::Copy {
+                dst,
+                src: HOperand::Reg(s, src_ver),
             });
             rewritten += 1;
             stats.strength_reduced += 1;
         }
-        // apply per factor, not per loop: the next factor's repair
-        // insertion and candidate indices read the mutated statement list
-        apply_edits(hf, edits);
 
         sr_out.push(SrTemp {
             iv_var: iv.var,

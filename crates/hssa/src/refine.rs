@@ -111,17 +111,6 @@ pub fn refine_function(f: &mut Function, hf: &HssaFunc) -> usize {
     folded
 }
 
-/// Identifies whether an HSSA statement is a direct memory access (used by
-/// tests asserting the fold happened).
-pub fn is_direct_access(hf: &HssaFunc, b: usize, si: usize) -> bool {
-    match &hf.blocks[b].stmts[si].kind {
-        HStmtKind::Load { base, .. }
-        | HStmtKind::CheckLoad { base, .. }
-        | HStmtKind::Store { base, .. } => !matches!(base, HOperand::Reg(..)),
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +118,17 @@ mod tests {
     use specframe_alias::AliasAnalysis;
     use specframe_ir::{parse_module, FuncId, Module};
     use specframe_profile::AliasProfile;
+
+    /// Whether statement `si` of block `b` is a direct memory access: the
+    /// fold replaced its register base.
+    fn is_direct_access(hf: &HssaFunc, b: usize, si: usize) -> bool {
+        match &hf.blocks[b].stmts[si].kind {
+            HStmtKind::Load { base, .. }
+            | HStmtKind::CheckLoad { base, .. }
+            | HStmtKind::Store { base, .. } => !matches!(base, HOperand::Reg(..)),
+            _ => false,
+        }
+    }
 
     /// Refines function `fid` of `m` over its form built under `source`.
     fn refine_under(m: &mut Module, fid: FuncId, aa: &AliasAnalysis, source: SpecSource) -> usize {

@@ -169,6 +169,22 @@ impl HStmt {
         }
     }
 
+    /// The register defined, if any, for rewriting in place: HSSA rename
+    /// sets its version, CodeMotion points a saved occurrence at the PRE
+    /// temporary.
+    pub fn def_reg_mut(&mut self) -> Option<&mut RegVer> {
+        match &mut self.kind {
+            HStmtKind::Bin { dst, .. }
+            | HStmtKind::Un { dst, .. }
+            | HStmtKind::Copy { dst, .. }
+            | HStmtKind::Load { dst, .. }
+            | HStmtKind::CheckLoad { dst, .. }
+            | HStmtKind::Alloc { dst, .. } => Some(dst),
+            HStmtKind::Call { dst, .. } => dst.as_mut(),
+            HStmtKind::Store { .. } => None,
+        }
+    }
+
     /// Register operands read by the payload (not including μ operators),
     /// in operand order. Allocates nothing: cleanup and the verifier call
     /// this for every statement.
@@ -213,12 +229,6 @@ impl HStmt {
     /// The χ over `var`, if present.
     pub fn chi_of(&self, var: HVarId) -> Option<&ChiOp> {
         self.chi.iter().find(|c| c.var == var)
-    }
-
-    /// Whether this statement's χ list contains an *unlikely* (weak) update
-    /// of `var` — the paper's *speculative weak update*.
-    pub fn is_weak_update_of(&self, var: HVarId) -> bool {
-        self.chi_of(var).is_some_and(|c| !c.likely)
     }
 }
 

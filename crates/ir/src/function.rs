@@ -191,12 +191,6 @@ impl Module {
         &self.funcs[f.index()]
     }
 
-    /// Mutable function access.
-    #[inline]
-    pub fn func_mut(&mut self, f: FuncId) -> &mut Function {
-        &mut self.funcs[f.index()]
-    }
-
     /// Issues a fresh memory-reference site id.
     pub fn fresh_mem_site(&mut self) -> MemSiteId {
         let id = MemSiteId(self.next_mem_site);

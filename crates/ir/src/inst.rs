@@ -19,24 +19,6 @@ pub enum Operand {
     SlotAddr(SlotId),
 }
 
-impl Operand {
-    /// The register this operand reads, if any.
-    #[inline]
-    pub fn as_var(self) -> Option<VarId> {
-        match self {
-            Operand::Var(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Whether the operand is a compile-time constant (immediates and
-    /// link-time-constant addresses).
-    #[inline]
-    pub fn is_const(self) -> bool {
-        !matches!(self, Operand::Var(_))
-    }
-}
-
 impl From<VarId> for Operand {
     fn from(v: VarId) -> Self {
         Operand::Var(v)
@@ -452,15 +434,6 @@ impl Inst {
             Inst::Alloc { words, .. } => f(words),
         }
     }
-
-    /// Whether this instruction touches memory (used by scheduling and by
-    /// the verifier's site-uniqueness pass).
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Inst::Load { .. } | Inst::Store { .. } | Inst::CheckLoad { .. }
-        )
-    }
 }
 
 /// A block terminator.
@@ -549,7 +522,6 @@ mod tests {
             site: MemSiteId(0),
         };
         assert_eq!(s.def(), None);
-        assert!(s.is_memory());
         assert_eq!(s.uses().count(), 2);
 
         let c = Inst::Call {
@@ -615,11 +587,8 @@ mod tests {
 
     #[test]
     fn operand_conversions() {
-        let o: Operand = VarId(5).into();
-        assert_eq!(o.as_var(), Some(VarId(5)));
-        let c: Operand = 7i64.into();
-        assert!(c.is_const());
-        let f: Operand = 1.5f64.into();
-        assert!(f.is_const());
+        assert_eq!(Operand::from(VarId(5)), Operand::Var(VarId(5)));
+        assert_eq!(Operand::from(7i64), Operand::ConstI(7));
+        assert_eq!(Operand::from(1.5f64), Operand::ConstF(1.5));
     }
 }

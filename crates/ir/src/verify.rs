@@ -4,9 +4,9 @@
 //! and after every transformation in tests; optimizations that break any of
 //! these would silently corrupt downstream analyses.
 //!
-//! Failures carry structured attribution — the function, the block index,
-//! and (when populated by the driver's verify-each hook) the pipeline pass
-//! that produced the rejected IR — rendered as `pass=<p> fn=<f> bb=<n>`.
+//! Failures carry structured attribution — the function and the block
+//! index — rendered as `fn=<f> bb=<n>`; the driver's verify-each hook
+//! renders its own `pass=<p> fn=<f> bb=<n>` from them.
 
 use crate::function::{Function, Module};
 use crate::fx::FxHashSet;
@@ -19,9 +19,6 @@ use crate::types::Ty;
 pub struct VerifyError {
     /// Function in which the failure occurred, if function-local.
     pub func: Option<String>,
-    /// Pipeline pass that produced the rejected IR, when known (populated
-    /// by the driver's `--verify-each` hook, not by the verifier itself).
-    pub pass: Option<String>,
     /// Block index the failure is anchored to, if block-local.
     pub block: Option<u32>,
     /// Human-readable description.
@@ -33,7 +30,6 @@ impl VerifyError {
     pub fn new(msg: impl Into<String>) -> VerifyError {
         VerifyError {
             func: None,
-            pass: None,
             block: None,
             msg: msg.into(),
         }
@@ -46,13 +42,6 @@ impl VerifyError {
         self
     }
 
-    /// Attributes the failure to the pipeline pass that produced the IR.
-    #[must_use]
-    pub fn in_pass(mut self, pass: impl Into<String>) -> VerifyError {
-        self.pass = Some(pass.into());
-        self
-    }
-
     /// Anchors the failure to a block index.
     #[must_use]
     pub fn at_block(mut self, block: u32) -> VerifyError {
@@ -60,13 +49,10 @@ impl VerifyError {
         self
     }
 
-    /// The `pass=<p> fn=<f> bb=<n>` attribution suffix (empty when no
-    /// attribution beyond the message exists).
+    /// The `fn=<f> bb=<n>` attribution suffix (empty when no attribution
+    /// beyond the message exists).
     pub fn location(&self) -> String {
         let mut parts = Vec::new();
-        if let Some(p) = &self.pass {
-            parts.push(format!("pass={p}"));
-        }
         if let Some(f) = &self.func {
             parts.push(format!("fn={f}"));
         }
@@ -79,7 +65,7 @@ impl VerifyError {
 
 impl core::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        if self.pass.is_some() || self.block.is_some() {
+        if self.block.is_some() {
             return write!(f, "verify error: {} [{}]", self.msg, self.location());
         }
         match &self.func {
@@ -527,17 +513,11 @@ mod tests {
     }
 
     #[test]
-    fn display_appends_pass_attribution() {
+    fn display_appends_block_attribution() {
         let plain = VerifyError::new("boom").in_func("f");
         assert_eq!(plain.to_string(), "verify error in `f`: boom");
-        let rich = VerifyError::new("boom")
-            .in_func("f")
-            .in_pass("strength")
-            .at_block(3);
-        assert_eq!(rich.location(), "pass=strength fn=f bb=3");
-        assert_eq!(
-            rich.to_string(),
-            "verify error: boom [pass=strength fn=f bb=3]"
-        );
+        let rich = VerifyError::new("boom").in_func("f").at_block(3);
+        assert_eq!(rich.location(), "fn=f bb=3");
+        assert_eq!(rich.to_string(), "verify error: boom [fn=f bb=3]");
     }
 }

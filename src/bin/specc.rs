@@ -473,8 +473,8 @@ fn real_main() -> Result<(), CompileFailure> {
     if req.cache_dir.is_some() && (cli.stats || cli.time_passes) {
         let c = report.cache;
         eprintln!(
-            "cache: {} hits, {} misses, {} stale, {} evicts, {} retries, {} io errors, {} breaker trips",
-            c.hits, c.misses, c.stale, c.evicts, c.retries, c.io_errors, c.breaker_trips
+            "cache: {} hits, {} misses, {} stale, {} retries, {} io errors, {} breaker trips",
+            c.hits, c.misses, c.stale, c.retries, c.io_errors, c.breaker_trips
         );
     }
     if cli.time_passes {

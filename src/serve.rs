@@ -39,7 +39,7 @@
 //! Responses are single-line, machine-parseable:
 //!
 //! ```text
-//! ok in=<request> funcs=N hits=H misses=M stale=S evicts=E retries=R ioerr=I fallbacks=F wall_ms=T
+//! ok in=<request> funcs=N hits=H misses=M stale=S retries=R ioerr=I fallbacks=F wall_ms=T
 //! err in=<request> code=C msg=<message, newlines folded>
 //! ```
 //!
@@ -303,13 +303,12 @@ fn handle_compile(cfg: &ServeConfig, cmd: &str, tokens: &[&str], response: &mut 
             }
             let c = out.report.cache;
             response.push_str(&format!(
-                "ok in={input_label} funcs={} hits={} misses={} stale={} evicts={} \
+                "ok in={input_label} funcs={} hits={} misses={} stale={} \
                  retries={} ioerr={} fallbacks={} wall_ms={wall_ms:.1}\n",
                 out.module.funcs.len(),
                 c.hits,
                 c.misses,
                 c.stale,
-                c.evicts,
                 c.retries,
                 c.io_errors,
                 out.report.stats.spec_fallbacks,

@@ -177,58 +177,6 @@ fn damaged_entries_recompile_fresh_and_heal() {
 }
 
 #[test]
-fn capped_cache_evicts_and_still_produces_identical_output() {
-    use specframe::core::{FuncCache, OptOptions, PipelineConfig, SpecSource};
-    const FUNCS: usize = 25;
-    const CAP: usize = 10;
-    let dir = temp_cache("evict");
-
-    let opts = OptOptions {
-        data: SpecSource::Heuristic,
-        control: ControlSpec::Static,
-        strength_reduction: true,
-        lftr: true,
-        store_sinking: false,
-        target: Default::default(),
-    };
-    let hooks = PipelineHooks::default();
-    let cfg = PipelineConfig { jobs: 1 };
-
-    let mut plain = mega_module(3, FUNCS);
-    prepare_module(&mut plain);
-    let (_, _) = specframe::core::try_optimize_cached(&mut plain, &opts, &cfg, &hooks, None)
-        .expect("uncached");
-    let baseline = print_module(&plain);
-
-    let cache = FuncCache::open(&dir).with_max_entries(CAP);
-    let mut m = mega_module(3, FUNCS);
-    prepare_module(&mut m);
-    let (report, _) =
-        specframe::core::try_optimize_cached(&mut m, &opts, &cfg, &hooks, Some(&cache))
-            .expect("cached");
-    assert_eq!(print_module(&m), baseline);
-    assert_eq!(
-        report.cache.evicts,
-        (FUNCS - CAP) as u64,
-        "{:?}",
-        report.cache
-    );
-    assert_eq!(entry_files(&dir).len(), CAP);
-
-    // a second capped run still matches, mixing hits with recompiles
-    let cache = FuncCache::open(&dir).with_max_entries(CAP);
-    let mut m = mega_module(3, FUNCS);
-    prepare_module(&mut m);
-    let (report, _) =
-        specframe::core::try_optimize_cached(&mut m, &opts, &cfg, &hooks, Some(&cache))
-            .expect("cached rerun");
-    assert_eq!(print_module(&m), baseline);
-    assert!(report.cache.hits > 0, "{:?}", report.cache);
-    assert_eq!(report.cache.stale, 0);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn fault_injection_disables_the_cache() {
     let dir = temp_cache("inject");
     compile_mega(31, 10, &req(Some(&dir), 1)); // populate

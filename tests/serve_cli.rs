@@ -144,6 +144,20 @@ fn serve_with_args_trains_profile_guided_compiles_on_them() {
 fn serve_queue_drains_requests_to_resp_files() {
     let cache = TempDir::new("queue");
     let queue = TempDir::new("queue_dir");
+    let drain = || {
+        let out = specc()
+            .args(["--serve-queue"])
+            .arg(queue.path())
+            .args(["--cache-dir"])
+            .arg(cache.path())
+            .output()
+            .expect("spawn specc --serve-queue");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
     let out_ir = queue.join("m.ir");
     std::fs::write(
         queue.join("10-m.req"),
@@ -151,19 +165,7 @@ fn serve_queue_drains_requests_to_resp_files() {
     )
     .unwrap();
     std::fs::write(queue.join("20-s.req"), "stats\n").unwrap();
-
-    let out = specc()
-        .args(["--serve-queue"])
-        .arg(queue.path())
-        .args(["--cache-dir"])
-        .arg(cache.path())
-        .output()
-        .expect("spawn specc --serve-queue");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    drain();
 
     let resp1 = std::fs::read_to_string(queue.join("10-m.resp")).unwrap();
     assert!(
@@ -179,6 +181,26 @@ fn serve_queue_drains_requests_to_resp_files() {
         "request files must be consumed"
     );
     assert!(!queue.join("20-s.req").exists());
+
+    // a second drain over the same cache is served from it entirely and
+    // writes the same bytes (under a new stem: a request whose response
+    // exists is skipped as already served)
+    let warm_ir = queue.join("warm.ir");
+    std::fs::write(
+        queue.join("30-w.req"),
+        format!("mega 9:6 -o {}\n", warm_ir.display()),
+    )
+    .unwrap();
+    drain();
+    let resp = std::fs::read_to_string(queue.join("30-w.resp")).unwrap();
+    assert!(
+        resp.contains("ok in=mega:9:6 funcs=6 hits=6 misses=0 stale=0"),
+        "{resp}"
+    );
+    assert_eq!(
+        std::fs::read(&out_ir).unwrap(),
+        std::fs::read(&warm_ir).unwrap()
+    );
 }
 
 #[test]
