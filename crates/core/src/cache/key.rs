@@ -44,9 +44,11 @@ use specframe_analysis::EdgeProfile;
 use specframe_ir::{FuncId, Function, Inst, Module, Operand, Ty, VarId};
 use specframe_profile::AliasProfile;
 
-/// Bumped whenever the entry payload layout or the key derivation changes;
-/// old entries then decode as version-skewed and degrade to fresh compiles.
-pub const CACHE_FORMAT_VERSION: u32 = 4;
+/// Bumped whenever the entry payload layout, its checksum, the key
+/// derivation or the lowered form the optimizer emits changes (the key has
+/// no optimizer revision); old entries then decode as version-skewed and
+/// degrade to fresh compiles.
+pub const CACHE_FORMAT_VERSION: u32 = 5;
 
 /// A 128-bit content hash naming one cache entry.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

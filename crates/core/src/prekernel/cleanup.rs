@@ -5,6 +5,7 @@
 //! and nothing more.
 
 use specframe_hssa::stmt::RegVer;
+use specframe_hssa::vers::{VerMap, VerSet, VerSlots};
 use specframe_hssa::{HOperand, HStmtKind, HTerm, HVarKind, HssaFunc};
 use specframe_ir::VarId;
 use specframe_ir::{FxHashMap, FxHashSet};
@@ -17,93 +18,6 @@ use specframe_ir::{FxHashMap, FxHashSet};
 pub fn cleanup_hssa(hf: &mut HssaFunc) {
     propagate_copies(hf);
     eliminate_dead_code(hf);
-}
-
-/// Dense slots for the register versions of one function, laid out from
-/// its catalog and `next_ver`: register `v`'s versions `0..next_ver` take
-/// the slots `start..start + next_ver` of `span[v] = (start, next_ver)`.
-/// Every block of a prepared function is renamed, so every version it
-/// defines has a slot. A version at or above `next_ver` — such as the
-/// `u32::MAX` placeholder an `--inject-corrupt` run writes into a use —
-/// has none: a [`VerSet`] or [`VerMap`] ignores its insertion and never
-/// contains it.
-struct VerSlots {
-    span: Vec<(u32, u32)>,
-    len: usize,
-}
-
-impl VerSlots {
-    fn new(hf: &HssaFunc) -> VerSlots {
-        let mut span = vec![(0, 0); hf.first_new_var as usize + hf.new_vars.len()];
-        let mut len = 0u32;
-        for (id, kind) in hf.catalog.iter() {
-            if let HVarKind::Reg(v) = kind {
-                let n = hf.next_ver[id.index()];
-                span[v.index()] = (len, n);
-                len += n;
-            }
-        }
-        VerSlots {
-            span,
-            len: len as usize,
-        }
-    }
-
-    fn slot(&self, (v, ver): RegVer) -> Option<usize> {
-        let &(start, n) = self.span.get(v.index())?;
-        (ver < n).then(|| start as usize + ver as usize)
-    }
-}
-
-/// A set of register versions over [`VerSlots`].
-struct VerSet<'s> {
-    slots: &'s VerSlots,
-    dense: Vec<bool>,
-}
-
-impl<'s> VerSet<'s> {
-    fn new(slots: &'s VerSlots) -> Self {
-        VerSet {
-            slots,
-            dense: vec![false; slots.len],
-        }
-    }
-
-    /// Adds `rv`; returns whether it was absent.
-    fn insert(&mut self, rv: RegVer) -> bool {
-        self.slots
-            .slot(rv)
-            .is_some_and(|i| !std::mem::replace(&mut self.dense[i], true))
-    }
-
-    fn contains(&self, rv: RegVer) -> bool {
-        self.slots.slot(rv).is_some_and(|i| self.dense[i])
-    }
-}
-
-/// A map from register versions over [`VerSlots`].
-struct VerMap<'s, T> {
-    slots: &'s VerSlots,
-    dense: Vec<Option<T>>,
-}
-
-impl<'s, T: Copy> VerMap<'s, T> {
-    fn new(slots: &'s VerSlots) -> Self {
-        VerMap {
-            slots,
-            dense: vec![None; slots.len],
-        }
-    }
-
-    fn insert(&mut self, rv: RegVer, val: T) {
-        if let Some(i) = self.slots.slot(rv) {
-            self.dense[i] = Some(val);
-        }
-    }
-
-    fn get(&self, rv: RegVer) -> Option<T> {
-        self.dense[self.slots.slot(rv)?]
-    }
 }
 
 /// SSA copy propagation, in one walk over every statement operand and

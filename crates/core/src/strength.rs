@@ -208,7 +208,7 @@ fn reduce_one_iv(
     factors.dedup();
 
     let mut rewritten = 0;
-    for c in factors {
+    for (nth, c) in factors.into_iter().enumerate() {
         // s tracks i * c
         // SR temporaries are proper SSA (their header φ is constructed
         // explicitly), so they need no collapsing and their copies fully
@@ -252,10 +252,14 @@ fn reduce_one_iv(
         );
 
         // candidates of this factor become copies of s; inside the
-        // increment block, one after the increment shifts by one past the
-        // repair
+        // increment block, one after the increment shifts past the repairs
+        // of this factor and of every factor before it
         for &(b, si, dst, ver, _) in cands.iter().filter(|cand| cand.4 == c) {
-            let si = if b == ib && si > isi { si + 1 } else { si };
+            let si = if b == ib && si > isi {
+                si + nth + 1
+            } else {
+                si
+            };
             let src_ver = if ver == iv.phi_dest { v_phi } else { v_step };
             hf.blocks[b.index()].stmts[si] = HStmt::new(HStmtKind::Copy {
                 dst,
@@ -348,6 +352,49 @@ exit:
             .filter(|i| matches!(i, specframe_ir::Inst::Bin { op: BinOp::Mul, .. }))
             .count();
         assert_eq!(body_muls, 0, "mul i,8 must be strength-reduced away");
+    }
+
+    /// Two constant factors, the second multiplying the incremented
+    /// induction variable in the increment block.
+    const TWO_FACTOR_LOOP: &str = r#"
+func f(n: i64) -> i64 {
+  var i: i64
+  var c: i64
+  var x: i64
+  var y: i64
+  var acc: i64
+entry:
+  i = 0
+  acc = 0
+  jmp head
+head:
+  c = lt i, n
+  br c, body, exit
+body:
+  x = mul i, 4
+  i = add i, 1
+  y = mul i, 8
+  acc = add acc, x
+  acc = add acc, y
+  jmp head
+exit:
+  ret acc
+}
+"#;
+
+    #[test]
+    fn reduces_a_second_factor_after_the_increment() {
+        let m0 = parse_module(TWO_FACTOR_LOOP).unwrap();
+        let (expect, _) = run(&m0, "f", &[Value::I(10)], 1_000_000).unwrap();
+        let mut m = m0.clone();
+        let mut stats = OptStats::default();
+        crate::driver::prepare_module(&mut m);
+        let n = reduce(&mut m, &mut stats);
+        assert_eq!(n, 2, "both multiplications are reduced");
+        assert_eq!(stats.strength_reduced, 2);
+        specframe_ir::verify_module(&m).unwrap();
+        let (got, _) = run(&m, "f", &[Value::I(10)], 1_000_000).unwrap();
+        assert_eq!(got, expect);
     }
 
     const LFTR_LOOP: &str = r#"

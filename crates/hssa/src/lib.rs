@@ -26,6 +26,7 @@
 //!   insertion and renaming (Figure 4's pipeline);
 //! * [`oracle`] — the [`Likeliness`] oracle, the single seam answering
 //!   every χ/μ likeliness question (§3.2's profile and heuristic sources);
+//! * [`vers`] — dense per-version slots, shared by cleanup and lowering;
 //! * [`lower`] — out-of-SSA lowering back to executable IR;
 //! * [`mod@print`] — paper-style textual dumps (`a2 <- chi(a1)`, `mu_s(b2)`).
 
@@ -36,6 +37,7 @@ pub mod oracle;
 pub mod print;
 pub mod refine;
 pub mod stmt;
+pub mod vers;
 
 pub use build::{build_hssa, verify_hssa, HssaVerifyError, SpecSource};
 pub use hvar::{HVarId, HVarKind, MemBase, MemVar, VarCatalog};
