@@ -51,354 +51,354 @@ const EXPECTED: &str = "\
 ammp ref 708214a161933bee
 ammp train 2d2ba1004ce28aec
 ammp reuse f493597d1b7dc4e0
-ammp sim O3 epic default f936d94f687a98e4
-ammp sim O3 epic always-miss f936d94f687a98e4
-ammp sim O3 epic random:1 f936d94f687a98e4
-ammp sim O3 epic flash-clear e57ed093e79dafe2
-ammp sim O3 epic forced-miss f936d94f687a98e4
-ammp sim O3 epic geom:4:2 f936d94f687a98e4
-ammp sim O3 epic random:7:3 f936d94f687a98e4
-ammp sim O3 epic flash-clear:10 afb1f76e4fefcf95
-ammp sim O3 epic evict-at:3:40:400 e8541da833e14f0d
-ammp sim O3 swr default 759db8d8bd164c9e
-ammp sim O3 swr always-miss 759db8d8bd164c9e
-ammp sim O3 swr random:1 759db8d8bd164c9e
-ammp sim O3 swr flash-clear 40158f02aafc57a4
-ammp sim O3 swr forced-miss 759db8d8bd164c9e
-ammp sim O3 swr geom:4:2 759db8d8bd164c9e
-ammp sim O3 swr random:7:3 759db8d8bd164c9e
-ammp sim O3 swr flash-clear:10 cc1dd407085751be
-ammp sim O3 swr evict-at:3:40:400 8070bc6bddc7a47b
-ammp sim paper epic default c64069f199743ddc
-ammp sim paper epic always-miss 3d7e37fdab052f4d
-ammp sim paper epic random:1 14a471e1461a62d5
-ammp sim paper epic flash-clear 8e66bf373adbf264
-ammp sim paper epic forced-miss 3d7e37fdab052f4d
-ammp sim paper epic geom:4:2 c64069f199743ddc
-ammp sim paper epic random:7:3 ecf8abfe34419166
-ammp sim paper epic flash-clear:10 89b0b61af7aa1a2e
-ammp sim paper epic evict-at:3:40:400 e9237783fd7bf575
-ammp sim paper swr default afc5f837923cbf59
-ammp sim paper swr always-miss 159302a57b5e20f9
-ammp sim paper swr random:1 d357172fb2e7b764
-ammp sim paper swr flash-clear aaaafee38b03169a
-ammp sim paper swr forced-miss 159302a57b5e20f9
-ammp sim paper swr geom:4:2 afc5f837923cbf59
-ammp sim paper swr random:7:3 d357172fb2e7b764
-ammp sim paper swr flash-clear:10 6737e132a07fac1b
-ammp sim paper swr evict-at:3:40:400 0eeb24039cc45b54
+ammp sim O3 epic default 597547658a21573f
+ammp sim O3 epic always-miss 597547658a21573f
+ammp sim O3 epic random:1 597547658a21573f
+ammp sim O3 epic flash-clear 9a6198ec06b19c10
+ammp sim O3 epic forced-miss 597547658a21573f
+ammp sim O3 epic geom:4:2 597547658a21573f
+ammp sim O3 epic random:7:3 597547658a21573f
+ammp sim O3 epic flash-clear:10 fb01f0ac70f4c47e
+ammp sim O3 epic evict-at:3:40:400 3ec687debae3f952
+ammp sim O3 swr default ec27f9947d62602b
+ammp sim O3 swr always-miss ec27f9947d62602b
+ammp sim O3 swr random:1 ec27f9947d62602b
+ammp sim O3 swr flash-clear 931397472c589211
+ammp sim O3 swr forced-miss ec27f9947d62602b
+ammp sim O3 swr geom:4:2 ec27f9947d62602b
+ammp sim O3 swr random:7:3 ec27f9947d62602b
+ammp sim O3 swr flash-clear:10 d5a88bc1f8f9b787
+ammp sim O3 swr evict-at:3:40:400 1c38ed3b7cbdae0e
+ammp sim paper epic default 75f88b057c7babab
+ammp sim paper epic always-miss 022eb89e879f6a29
+ammp sim paper epic random:1 5baf73d03d54b83c
+ammp sim paper epic flash-clear 49c2d464eee0d216
+ammp sim paper epic forced-miss 022eb89e879f6a29
+ammp sim paper epic geom:4:2 75f88b057c7babab
+ammp sim paper epic random:7:3 b3c5615df96926a2
+ammp sim paper epic flash-clear:10 c21e6bdd9e9785c4
+ammp sim paper epic evict-at:3:40:400 0844427cdad1673e
+ammp sim paper swr default 06b402d52db4b800
+ammp sim paper swr always-miss 2d3aae8bfd8a6e22
+ammp sim paper swr random:1 a05d43887d69216b
+ammp sim paper swr flash-clear 22b40899d354bb5d
+ammp sim paper swr forced-miss 2d3aae8bfd8a6e22
+ammp sim paper swr geom:4:2 06b402d52db4b800
+ammp sim paper swr random:7:3 a05d43887d69216b
+ammp sim paper swr flash-clear:10 d494f16d1ead486d
+ammp sim paper swr evict-at:3:40:400 8a787e7237015437
 art ref f3f9aba43a1afc0c
 art train 65f7e3e0d20cab06
 art reuse efcb152dfbbf56fd
-art sim O3 epic default 90d724c565844c02
-art sim O3 epic always-miss 90d724c565844c02
-art sim O3 epic random:1 90d724c565844c02
-art sim O3 epic flash-clear 509d31028e918b56
-art sim O3 epic forced-miss 90d724c565844c02
-art sim O3 epic geom:4:2 90d724c565844c02
-art sim O3 epic random:7:3 90d724c565844c02
-art sim O3 epic flash-clear:10 a0f80a11ecf0885b
-art sim O3 epic evict-at:3:40:400 ed252aede455ee9f
-art sim O3 swr default 90d724c565844c02
-art sim O3 swr always-miss 90d724c565844c02
-art sim O3 swr random:1 90d724c565844c02
-art sim O3 swr flash-clear 509d31028e918b56
-art sim O3 swr forced-miss 90d724c565844c02
-art sim O3 swr geom:4:2 90d724c565844c02
-art sim O3 swr random:7:3 90d724c565844c02
-art sim O3 swr flash-clear:10 a0f80a11ecf0885b
-art sim O3 swr evict-at:3:40:400 ed252aede455ee9f
-art sim paper epic default 7deeb7e72e917f6d
-art sim paper epic always-miss 3e368c708328e7a0
-art sim paper epic random:1 b9c6a822d1fe4b85
-art sim paper epic flash-clear 7d8a9343bac1a7a3
-art sim paper epic forced-miss 3e368c708328e7a0
-art sim paper epic geom:4:2 8a770b3fc5771352
-art sim paper epic random:7:3 451d3dac7ce2ab6d
-art sim paper epic flash-clear:10 a79bedb8f5504bb3
-art sim paper epic evict-at:3:40:400 b731ffe45e188e04
-art sim paper swr default 74404167cbaf33a6
-art sim paper swr always-miss 74404167cbaf33a6
-art sim paper swr random:1 08d3412f095cce2d
-art sim paper swr flash-clear befc917e4a71ad2d
-art sim paper swr forced-miss 74404167cbaf33a6
-art sim paper swr geom:4:2 74404167cbaf33a6
-art sim paper swr random:7:3 08d3412f095cce2d
-art sim paper swr flash-clear:10 570128047b3004ab
-art sim paper swr evict-at:3:40:400 862531751d304696
+art sim O3 epic default b8785c00f4d4c8ff
+art sim O3 epic always-miss b8785c00f4d4c8ff
+art sim O3 epic random:1 b8785c00f4d4c8ff
+art sim O3 epic flash-clear 506ef8bd8bb39547
+art sim O3 epic forced-miss b8785c00f4d4c8ff
+art sim O3 epic geom:4:2 b8785c00f4d4c8ff
+art sim O3 epic random:7:3 b8785c00f4d4c8ff
+art sim O3 epic flash-clear:10 334c9d3ae7cf1ca0
+art sim O3 epic evict-at:3:40:400 435aaa8bd9c3dee2
+art sim O3 swr default b8785c00f4d4c8ff
+art sim O3 swr always-miss b8785c00f4d4c8ff
+art sim O3 swr random:1 b8785c00f4d4c8ff
+art sim O3 swr flash-clear 506ef8bd8bb39547
+art sim O3 swr forced-miss b8785c00f4d4c8ff
+art sim O3 swr geom:4:2 b8785c00f4d4c8ff
+art sim O3 swr random:7:3 b8785c00f4d4c8ff
+art sim O3 swr flash-clear:10 334c9d3ae7cf1ca0
+art sim O3 swr evict-at:3:40:400 435aaa8bd9c3dee2
+art sim paper epic default beee77003b468ddb
+art sim paper epic always-miss facf8d1a6d5d464e
+art sim paper epic random:1 49e9b878bb369899
+art sim paper epic flash-clear 9c857c63d3e18a77
+art sim paper epic forced-miss facf8d1a6d5d464e
+art sim paper epic geom:4:2 c8101bf5356bf8f2
+art sim paper epic random:7:3 278b794d2412dbb2
+art sim paper epic flash-clear:10 de98a7eb2fb7e937
+art sim paper epic evict-at:3:40:400 92b500a5891c175e
+art sim paper swr default a6a5b123c194e600
+art sim paper swr always-miss a6a5b123c194e600
+art sim paper swr random:1 2cbc319416121d37
+art sim paper swr flash-clear 030830506d427200
+art sim paper swr forced-miss a6a5b123c194e600
+art sim paper swr geom:4:2 a6a5b123c194e600
+art sim paper swr random:7:3 2cbc319416121d37
+art sim paper swr flash-clear:10 8468de44d9dad05e
+art sim paper swr evict-at:3:40:400 aa5d33ddf38a9200
 equake_smvp ref b6216deeb98ceeab
 equake_smvp train ad1e2c095fc8279e
 equake_smvp reuse 50a92cea4d31ae1e
-equake_smvp sim O3 epic default eb6b7fee0654c1c7
-equake_smvp sim O3 epic always-miss eb6b7fee0654c1c7
-equake_smvp sim O3 epic random:1 eb6b7fee0654c1c7
-equake_smvp sim O3 epic flash-clear 6a729802b9333a24
-equake_smvp sim O3 epic forced-miss eb6b7fee0654c1c7
-equake_smvp sim O3 epic geom:4:2 eb6b7fee0654c1c7
-equake_smvp sim O3 epic random:7:3 eb6b7fee0654c1c7
-equake_smvp sim O3 epic flash-clear:10 049f690a805f5994
-equake_smvp sim O3 epic evict-at:3:40:400 3acd67e823d753ca
-equake_smvp sim O3 swr default eb6b7fee0654c1c7
-equake_smvp sim O3 swr always-miss eb6b7fee0654c1c7
-equake_smvp sim O3 swr random:1 eb6b7fee0654c1c7
-equake_smvp sim O3 swr flash-clear 6a729802b9333a24
-equake_smvp sim O3 swr forced-miss eb6b7fee0654c1c7
-equake_smvp sim O3 swr geom:4:2 eb6b7fee0654c1c7
-equake_smvp sim O3 swr random:7:3 eb6b7fee0654c1c7
-equake_smvp sim O3 swr flash-clear:10 049f690a805f5994
-equake_smvp sim O3 swr evict-at:3:40:400 3acd67e823d753ca
-equake_smvp sim paper epic default 4500c3cd8d081baf
-equake_smvp sim paper epic always-miss 0fc954bb47b8949a
-equake_smvp sim paper epic random:1 11023e44a57d9667
-equake_smvp sim paper epic flash-clear 734b7c7dde35ace8
-equake_smvp sim paper epic forced-miss 0fc954bb47b8949a
-equake_smvp sim paper epic geom:4:2 7cbb7d45d23e0489
-equake_smvp sim paper epic random:7:3 1132f36aad971b5a
-equake_smvp sim paper epic flash-clear:10 23a28155d2283dd1
-equake_smvp sim paper epic evict-at:3:40:400 daecbd39a2ff29c2
-equake_smvp sim paper swr default a73d47fc35089c2f
-equake_smvp sim paper swr always-miss cf0976a971e5b69c
-equake_smvp sim paper swr random:1 e598c10b06822f33
-equake_smvp sim paper swr flash-clear aa7fbb21943b9b96
-equake_smvp sim paper swr forced-miss cf0976a971e5b69c
-equake_smvp sim paper swr geom:4:2 a73d47fc35089c2f
-equake_smvp sim paper swr random:7:3 e598c10b06822f33
-equake_smvp sim paper swr flash-clear:10 eb7f5ff7dddbf5ba
-equake_smvp sim paper swr evict-at:3:40:400 490ba7fbd4022b5b
+equake_smvp sim O3 epic default cbbb0f319e716e7f
+equake_smvp sim O3 epic always-miss cbbb0f319e716e7f
+equake_smvp sim O3 epic random:1 cbbb0f319e716e7f
+equake_smvp sim O3 epic flash-clear ca73c0eaf5b15759
+equake_smvp sim O3 epic forced-miss cbbb0f319e716e7f
+equake_smvp sim O3 epic geom:4:2 cbbb0f319e716e7f
+equake_smvp sim O3 epic random:7:3 cbbb0f319e716e7f
+equake_smvp sim O3 epic flash-clear:10 305acfbe3f339031
+equake_smvp sim O3 epic evict-at:3:40:400 569d5dbc83608462
+equake_smvp sim O3 swr default cbbb0f319e716e7f
+equake_smvp sim O3 swr always-miss cbbb0f319e716e7f
+equake_smvp sim O3 swr random:1 cbbb0f319e716e7f
+equake_smvp sim O3 swr flash-clear ca73c0eaf5b15759
+equake_smvp sim O3 swr forced-miss cbbb0f319e716e7f
+equake_smvp sim O3 swr geom:4:2 cbbb0f319e716e7f
+equake_smvp sim O3 swr random:7:3 cbbb0f319e716e7f
+equake_smvp sim O3 swr flash-clear:10 305acfbe3f339031
+equake_smvp sim O3 swr evict-at:3:40:400 569d5dbc83608462
+equake_smvp sim paper epic default 30518e8ba6e5042a
+equake_smvp sim paper epic always-miss ce925d821048a709
+equake_smvp sim paper epic random:1 87786619c77eba9c
+equake_smvp sim paper epic flash-clear 0a069ef2d4dd77d6
+equake_smvp sim paper epic forced-miss ce925d821048a709
+equake_smvp sim paper epic geom:4:2 9c999d2a6abbc0b5
+equake_smvp sim paper epic random:7:3 ae40cd5a7429df0d
+equake_smvp sim paper epic flash-clear:10 25bc43b43f67df69
+equake_smvp sim paper epic evict-at:3:40:400 26b5c0d2c033c737
+equake_smvp sim paper swr default 33376daad9143b4f
+equake_smvp sim paper swr always-miss fb90e3f607be6328
+equake_smvp sim paper swr random:1 f4f003b76daf80bf
+equake_smvp sim paper swr flash-clear 93b3a7b37a3ada27
+equake_smvp sim paper swr forced-miss fb90e3f607be6328
+equake_smvp sim paper swr geom:4:2 33376daad9143b4f
+equake_smvp sim paper swr random:7:3 f4f003b76daf80bf
+equake_smvp sim paper swr flash-clear:10 00b9ab78b62bf21e
+equake_smvp sim paper swr evict-at:3:40:400 f5ba7b2db0a65ffc
 gzip ref 2293fcf32b48469b
 gzip train 7fa01ad272fb2584
 gzip reuse b09cdf0e6bd36a4a
-gzip sim O3 epic default 30723a920d60badf
-gzip sim O3 epic always-miss 30723a920d60badf
-gzip sim O3 epic random:1 30723a920d60badf
-gzip sim O3 epic flash-clear 961578dcc53f66b1
-gzip sim O3 epic forced-miss 30723a920d60badf
-gzip sim O3 epic geom:4:2 30723a920d60badf
-gzip sim O3 epic random:7:3 30723a920d60badf
-gzip sim O3 epic flash-clear:10 551200182e1441f5
-gzip sim O3 epic evict-at:3:40:400 4c00123c911af742
-gzip sim O3 swr default 30723a920d60badf
-gzip sim O3 swr always-miss 30723a920d60badf
-gzip sim O3 swr random:1 30723a920d60badf
-gzip sim O3 swr flash-clear 961578dcc53f66b1
-gzip sim O3 swr forced-miss 30723a920d60badf
-gzip sim O3 swr geom:4:2 30723a920d60badf
-gzip sim O3 swr random:7:3 30723a920d60badf
-gzip sim O3 swr flash-clear:10 551200182e1441f5
-gzip sim O3 swr evict-at:3:40:400 4c00123c911af742
-gzip sim paper epic default da5fb12d1d8a1ae2
-gzip sim paper epic always-miss 250e59a96b915d3a
-gzip sim paper epic random:1 c9de04ab15ea362e
-gzip sim paper epic flash-clear 321d70332e44592c
-gzip sim paper epic forced-miss ce9af2d47801bbf7
-gzip sim paper epic geom:4:2 da5fb12d1d8a1ae2
-gzip sim paper epic random:7:3 6e735c7eff080820
-gzip sim paper epic flash-clear:10 40c3c50b5f0aa5ad
-gzip sim paper epic evict-at:3:40:400 a13f54beb6db6e4f
-gzip sim paper swr default 30723a920d60badf
-gzip sim paper swr always-miss 30723a920d60badf
-gzip sim paper swr random:1 30723a920d60badf
-gzip sim paper swr flash-clear 961578dcc53f66b1
-gzip sim paper swr forced-miss 30723a920d60badf
-gzip sim paper swr geom:4:2 30723a920d60badf
-gzip sim paper swr random:7:3 30723a920d60badf
-gzip sim paper swr flash-clear:10 551200182e1441f5
-gzip sim paper swr evict-at:3:40:400 4c00123c911af742
+gzip sim O3 epic default f5c9944eada2e34a
+gzip sim O3 epic always-miss f5c9944eada2e34a
+gzip sim O3 epic random:1 f5c9944eada2e34a
+gzip sim O3 epic flash-clear ebb8070264ece001
+gzip sim O3 epic forced-miss f5c9944eada2e34a
+gzip sim O3 epic geom:4:2 f5c9944eada2e34a
+gzip sim O3 epic random:7:3 f5c9944eada2e34a
+gzip sim O3 epic flash-clear:10 77d42e23cbfb8241
+gzip sim O3 epic evict-at:3:40:400 a667ac5490205147
+gzip sim O3 swr default f5c9944eada2e34a
+gzip sim O3 swr always-miss f5c9944eada2e34a
+gzip sim O3 swr random:1 f5c9944eada2e34a
+gzip sim O3 swr flash-clear ebb8070264ece001
+gzip sim O3 swr forced-miss f5c9944eada2e34a
+gzip sim O3 swr geom:4:2 f5c9944eada2e34a
+gzip sim O3 swr random:7:3 f5c9944eada2e34a
+gzip sim O3 swr flash-clear:10 77d42e23cbfb8241
+gzip sim O3 swr evict-at:3:40:400 a667ac5490205147
+gzip sim paper epic default 59efffe65645f6a9
+gzip sim paper epic always-miss 1fc2d8e75fdd6e2e
+gzip sim paper epic random:1 75af62fa8e1c0fda
+gzip sim paper epic flash-clear 5d045d10b42de0a0
+gzip sim paper epic forced-miss 9f6b85455371944b
+gzip sim paper epic geom:4:2 59efffe65645f6a9
+gzip sim paper epic random:7:3 e56fe1a19b18afd8
+gzip sim paper epic flash-clear:10 ab9f3ff476e8ea89
+gzip sim paper epic evict-at:3:40:400 d5d10a4c161ea8c0
+gzip sim paper swr default f5c9944eada2e34a
+gzip sim paper swr always-miss f5c9944eada2e34a
+gzip sim paper swr random:1 f5c9944eada2e34a
+gzip sim paper swr flash-clear ebb8070264ece001
+gzip sim paper swr forced-miss f5c9944eada2e34a
+gzip sim paper swr geom:4:2 f5c9944eada2e34a
+gzip sim paper swr random:7:3 f5c9944eada2e34a
+gzip sim paper swr flash-clear:10 77d42e23cbfb8241
+gzip sim paper swr evict-at:3:40:400 a667ac5490205147
 many_funcs ref 7dd49339fb124587
 many_funcs train 28b7da88ddcf561b
 many_funcs reuse 8b9d3ee7964a5d22
-many_funcs sim O3 epic default 568e1eca6bc3b0bd
-many_funcs sim O3 epic always-miss 568e1eca6bc3b0bd
-many_funcs sim O3 epic random:1 568e1eca6bc3b0bd
-many_funcs sim O3 epic flash-clear cb0d219b751db3bb
-many_funcs sim O3 epic forced-miss 568e1eca6bc3b0bd
-many_funcs sim O3 epic geom:4:2 568e1eca6bc3b0bd
-many_funcs sim O3 epic random:7:3 568e1eca6bc3b0bd
-many_funcs sim O3 epic flash-clear:10 5bdb9448497c1058
-many_funcs sim O3 epic evict-at:3:40:400 7cf7798f60357c64
-many_funcs sim O3 swr default 568e1eca6bc3b0bd
-many_funcs sim O3 swr always-miss 568e1eca6bc3b0bd
-many_funcs sim O3 swr random:1 568e1eca6bc3b0bd
-many_funcs sim O3 swr flash-clear cb0d219b751db3bb
-many_funcs sim O3 swr forced-miss 568e1eca6bc3b0bd
-many_funcs sim O3 swr geom:4:2 568e1eca6bc3b0bd
-many_funcs sim O3 swr random:7:3 568e1eca6bc3b0bd
-many_funcs sim O3 swr flash-clear:10 5bdb9448497c1058
-many_funcs sim O3 swr evict-at:3:40:400 7cf7798f60357c64
-many_funcs sim paper epic default f30d182d8ef18502
-many_funcs sim paper epic always-miss ccbc0c44d61f09ac
-many_funcs sim paper epic random:1 12b47a2fc807343b
-many_funcs sim paper epic flash-clear b4c512aaab13c935
-many_funcs sim paper epic forced-miss ccbc0c44d61f09ac
-many_funcs sim paper epic geom:4:2 f30d182d8ef18502
-many_funcs sim paper epic random:7:3 77e1cfde380650c2
-many_funcs sim paper epic flash-clear:10 8364d0145e342c13
-many_funcs sim paper epic evict-at:3:40:400 5d5ffa760e718ad1
-many_funcs sim paper swr default 568e1eca6bc3b0bd
-many_funcs sim paper swr always-miss 568e1eca6bc3b0bd
-many_funcs sim paper swr random:1 568e1eca6bc3b0bd
-many_funcs sim paper swr flash-clear cb0d219b751db3bb
-many_funcs sim paper swr forced-miss 568e1eca6bc3b0bd
-many_funcs sim paper swr geom:4:2 568e1eca6bc3b0bd
-many_funcs sim paper swr random:7:3 568e1eca6bc3b0bd
-many_funcs sim paper swr flash-clear:10 5bdb9448497c1058
-many_funcs sim paper swr evict-at:3:40:400 7cf7798f60357c64
+many_funcs sim O3 epic default e68737c7edd2e456
+many_funcs sim O3 epic always-miss e68737c7edd2e456
+many_funcs sim O3 epic random:1 e68737c7edd2e456
+many_funcs sim O3 epic flash-clear d3cb16d2205c3793
+many_funcs sim O3 epic forced-miss e68737c7edd2e456
+many_funcs sim O3 epic geom:4:2 e68737c7edd2e456
+many_funcs sim O3 epic random:7:3 e68737c7edd2e456
+many_funcs sim O3 epic flash-clear:10 3a9b620c248cc04e
+many_funcs sim O3 epic evict-at:3:40:400 93a5f08956e4de83
+many_funcs sim O3 swr default e68737c7edd2e456
+many_funcs sim O3 swr always-miss e68737c7edd2e456
+many_funcs sim O3 swr random:1 e68737c7edd2e456
+many_funcs sim O3 swr flash-clear d3cb16d2205c3793
+many_funcs sim O3 swr forced-miss e68737c7edd2e456
+many_funcs sim O3 swr geom:4:2 e68737c7edd2e456
+many_funcs sim O3 swr random:7:3 e68737c7edd2e456
+many_funcs sim O3 swr flash-clear:10 3a9b620c248cc04e
+many_funcs sim O3 swr evict-at:3:40:400 93a5f08956e4de83
+many_funcs sim paper epic default bdefcc001b3026eb
+many_funcs sim paper epic always-miss 5b0a2ad7e3b93ed2
+many_funcs sim paper epic random:1 8e6b1fc14c135cc7
+many_funcs sim paper epic flash-clear 672d8b313571cbd2
+many_funcs sim paper epic forced-miss 5b0a2ad7e3b93ed2
+many_funcs sim paper epic geom:4:2 bdefcc001b3026eb
+many_funcs sim paper epic random:7:3 302a95a6094277e5
+many_funcs sim paper epic flash-clear:10 b25db01127510e95
+many_funcs sim paper epic evict-at:3:40:400 01a4f48e9df67108
+many_funcs sim paper swr default e68737c7edd2e456
+many_funcs sim paper swr always-miss e68737c7edd2e456
+many_funcs sim paper swr random:1 e68737c7edd2e456
+many_funcs sim paper swr flash-clear d3cb16d2205c3793
+many_funcs sim paper swr forced-miss e68737c7edd2e456
+many_funcs sim paper swr geom:4:2 e68737c7edd2e456
+many_funcs sim paper swr random:7:3 e68737c7edd2e456
+many_funcs sim paper swr flash-clear:10 3a9b620c248cc04e
+many_funcs sim paper swr evict-at:3:40:400 93a5f08956e4de83
 mcf ref be85e58f238aaf41
 mcf train b0794adc9b9b091d
 mcf reuse 5127f65b6257dc3c
-mcf sim O3 epic default 10c4175855ddfcc7
-mcf sim O3 epic always-miss 10c4175855ddfcc7
-mcf sim O3 epic random:1 10c4175855ddfcc7
-mcf sim O3 epic flash-clear ffd3338ccaabde13
-mcf sim O3 epic forced-miss 10c4175855ddfcc7
-mcf sim O3 epic geom:4:2 10c4175855ddfcc7
-mcf sim O3 epic random:7:3 10c4175855ddfcc7
-mcf sim O3 epic flash-clear:10 ff421d0556151608
-mcf sim O3 epic evict-at:3:40:400 6025ff5273608eca
-mcf sim O3 swr default 10c4175855ddfcc7
-mcf sim O3 swr always-miss 10c4175855ddfcc7
-mcf sim O3 swr random:1 10c4175855ddfcc7
-mcf sim O3 swr flash-clear ffd3338ccaabde13
-mcf sim O3 swr forced-miss 10c4175855ddfcc7
-mcf sim O3 swr geom:4:2 10c4175855ddfcc7
-mcf sim O3 swr random:7:3 10c4175855ddfcc7
-mcf sim O3 swr flash-clear:10 ff421d0556151608
-mcf sim O3 swr evict-at:3:40:400 6025ff5273608eca
-mcf sim paper epic default b3c0e393f9fdf2ea
-mcf sim paper epic always-miss ae3300b1c1c0c270
-mcf sim paper epic random:1 7c57f4fcfbc45793
-mcf sim paper epic flash-clear 4fa01451130d3420
-mcf sim paper epic forced-miss ae3300b1c1c0c270
-mcf sim paper epic geom:4:2 b3c0e393f9fdf2ea
-mcf sim paper epic random:7:3 6d87a55ec6058663
-mcf sim paper epic flash-clear:10 59f38715bcc2786d
-mcf sim paper epic evict-at:3:40:400 6b89ea7e8087dbb7
-mcf sim paper swr default 10c4175855ddfcc7
-mcf sim paper swr always-miss 10c4175855ddfcc7
-mcf sim paper swr random:1 10c4175855ddfcc7
-mcf sim paper swr flash-clear ffd3338ccaabde13
-mcf sim paper swr forced-miss 10c4175855ddfcc7
-mcf sim paper swr geom:4:2 10c4175855ddfcc7
-mcf sim paper swr random:7:3 10c4175855ddfcc7
-mcf sim paper swr flash-clear:10 ff421d0556151608
-mcf sim paper swr evict-at:3:40:400 6025ff5273608eca
+mcf sim O3 epic default 497a142e02f1dd1b
+mcf sim O3 epic always-miss 497a142e02f1dd1b
+mcf sim O3 epic random:1 497a142e02f1dd1b
+mcf sim O3 epic flash-clear e1d2216a960dd6f2
+mcf sim O3 epic forced-miss 497a142e02f1dd1b
+mcf sim O3 epic geom:4:2 497a142e02f1dd1b
+mcf sim O3 epic random:7:3 497a142e02f1dd1b
+mcf sim O3 epic flash-clear:10 0d87d2b59e38c348
+mcf sim O3 epic evict-at:3:40:400 95284485ec3d05ae
+mcf sim O3 swr default 497a142e02f1dd1b
+mcf sim O3 swr always-miss 497a142e02f1dd1b
+mcf sim O3 swr random:1 497a142e02f1dd1b
+mcf sim O3 swr flash-clear e1d2216a960dd6f2
+mcf sim O3 swr forced-miss 497a142e02f1dd1b
+mcf sim O3 swr geom:4:2 497a142e02f1dd1b
+mcf sim O3 swr random:7:3 497a142e02f1dd1b
+mcf sim O3 swr flash-clear:10 0d87d2b59e38c348
+mcf sim O3 swr evict-at:3:40:400 95284485ec3d05ae
+mcf sim paper epic default e6bfd31ad13374ce
+mcf sim paper epic always-miss b24de9bd9284420f
+mcf sim paper epic random:1 750bde3191bca1ec
+mcf sim paper epic flash-clear f678a08c97a78230
+mcf sim paper epic forced-miss b24de9bd9284420f
+mcf sim paper epic geom:4:2 e6bfd31ad13374ce
+mcf sim paper epic random:7:3 cfdd6f87e311521f
+mcf sim paper epic flash-clear:10 c04deedd2a1b0750
+mcf sim paper epic evict-at:3:40:400 47f77a6e2ba1e4eb
+mcf sim paper swr default 497a142e02f1dd1b
+mcf sim paper swr always-miss 497a142e02f1dd1b
+mcf sim paper swr random:1 497a142e02f1dd1b
+mcf sim paper swr flash-clear e1d2216a960dd6f2
+mcf sim paper swr forced-miss 497a142e02f1dd1b
+mcf sim paper swr geom:4:2 497a142e02f1dd1b
+mcf sim paper swr random:7:3 497a142e02f1dd1b
+mcf sim paper swr flash-clear:10 0d87d2b59e38c348
+mcf sim paper swr evict-at:3:40:400 95284485ec3d05ae
 parser ref 98ed770905af383f
 parser train 20c24364c5aee2fb
 parser reuse 4172ffcd1d477ee3
-parser sim O3 epic default 049ba368c734c4df
-parser sim O3 epic always-miss 049ba368c734c4df
-parser sim O3 epic random:1 049ba368c734c4df
-parser sim O3 epic flash-clear 069e5336368fc33a
-parser sim O3 epic forced-miss 049ba368c734c4df
-parser sim O3 epic geom:4:2 049ba368c734c4df
-parser sim O3 epic random:7:3 049ba368c734c4df
-parser sim O3 epic flash-clear:10 4b5d25ebaac8daa8
-parser sim O3 epic evict-at:3:40:400 20297b134aef0142
-parser sim O3 swr default 049ba368c734c4df
-parser sim O3 swr always-miss 049ba368c734c4df
-parser sim O3 swr random:1 049ba368c734c4df
-parser sim O3 swr flash-clear 069e5336368fc33a
-parser sim O3 swr forced-miss 049ba368c734c4df
-parser sim O3 swr geom:4:2 049ba368c734c4df
-parser sim O3 swr random:7:3 049ba368c734c4df
-parser sim O3 swr flash-clear:10 4b5d25ebaac8daa8
-parser sim O3 swr evict-at:3:40:400 20297b134aef0142
-parser sim paper epic default 54e5928ed82c6941
-parser sim paper epic always-miss f4f982fb1fba02c7
-parser sim paper epic random:1 e6b6cd250394b30c
-parser sim paper epic flash-clear 81019de7ced2c9a9
-parser sim paper epic forced-miss f4f982fb1fba02c7
-parser sim paper epic geom:4:2 54e5928ed82c6941
-parser sim paper epic random:7:3 f6987c063c2d61b1
-parser sim paper epic flash-clear:10 c8d5675e6b5c5d70
-parser sim paper epic evict-at:3:40:400 238685bc037512b8
-parser sim paper swr default 049ba368c734c4df
-parser sim paper swr always-miss 049ba368c734c4df
-parser sim paper swr random:1 049ba368c734c4df
-parser sim paper swr flash-clear 069e5336368fc33a
-parser sim paper swr forced-miss 049ba368c734c4df
-parser sim paper swr geom:4:2 049ba368c734c4df
-parser sim paper swr random:7:3 049ba368c734c4df
-parser sim paper swr flash-clear:10 4b5d25ebaac8daa8
-parser sim paper swr evict-at:3:40:400 20297b134aef0142
+parser sim O3 epic default e06e70257bb8c591
+parser sim O3 epic always-miss e06e70257bb8c591
+parser sim O3 epic random:1 e06e70257bb8c591
+parser sim O3 epic flash-clear 1fd55401aded1994
+parser sim O3 epic forced-miss e06e70257bb8c591
+parser sim O3 epic geom:4:2 e06e70257bb8c591
+parser sim O3 epic random:7:3 e06e70257bb8c591
+parser sim O3 epic flash-clear:10 3e2c4cc7ef5c36d3
+parser sim O3 epic evict-at:3:40:400 ddec01fc85676d58
+parser sim O3 swr default e06e70257bb8c591
+parser sim O3 swr always-miss e06e70257bb8c591
+parser sim O3 swr random:1 e06e70257bb8c591
+parser sim O3 swr flash-clear 1fd55401aded1994
+parser sim O3 swr forced-miss e06e70257bb8c591
+parser sim O3 swr geom:4:2 e06e70257bb8c591
+parser sim O3 swr random:7:3 e06e70257bb8c591
+parser sim O3 swr flash-clear:10 3e2c4cc7ef5c36d3
+parser sim O3 swr evict-at:3:40:400 ddec01fc85676d58
+parser sim paper epic default 900a942e92635acb
+parser sim paper epic always-miss f51255478b0d5bb4
+parser sim paper epic random:1 db6f63797f526c4c
+parser sim paper epic flash-clear 602fe075f12866ba
+parser sim paper epic forced-miss f51255478b0d5bb4
+parser sim paper epic geom:4:2 900a942e92635acb
+parser sim paper epic random:7:3 c82264065bd49fd8
+parser sim paper epic flash-clear:10 c3c29df15e4e3d6c
+parser sim paper epic evict-at:3:40:400 2ce9f87cfe2ad3ae
+parser sim paper swr default e06e70257bb8c591
+parser sim paper swr always-miss e06e70257bb8c591
+parser sim paper swr random:1 e06e70257bb8c591
+parser sim paper swr flash-clear 1fd55401aded1994
+parser sim paper swr forced-miss e06e70257bb8c591
+parser sim paper swr geom:4:2 e06e70257bb8c591
+parser sim paper swr random:7:3 e06e70257bb8c591
+parser sim paper swr flash-clear:10 3e2c4cc7ef5c36d3
+parser sim paper swr evict-at:3:40:400 ddec01fc85676d58
 twolf ref 1c4ec2ae8dd33502
 twolf train 52e80cfc791689e0
 twolf reuse 03773a1517f28405
-twolf sim O3 epic default 4f25990ff4b2efab
-twolf sim O3 epic always-miss 4f25990ff4b2efab
-twolf sim O3 epic random:1 4f25990ff4b2efab
-twolf sim O3 epic flash-clear 34b5596d5b78fe91
-twolf sim O3 epic forced-miss 4f25990ff4b2efab
-twolf sim O3 epic geom:4:2 4f25990ff4b2efab
-twolf sim O3 epic random:7:3 4f25990ff4b2efab
-twolf sim O3 epic flash-clear:10 9fd2bdf9f9fc471e
-twolf sim O3 epic evict-at:3:40:400 d2f96bf31d53debe
-twolf sim O3 swr default 4f25990ff4b2efab
-twolf sim O3 swr always-miss 4f25990ff4b2efab
-twolf sim O3 swr random:1 4f25990ff4b2efab
-twolf sim O3 swr flash-clear 34b5596d5b78fe91
-twolf sim O3 swr forced-miss 4f25990ff4b2efab
-twolf sim O3 swr geom:4:2 4f25990ff4b2efab
-twolf sim O3 swr random:7:3 4f25990ff4b2efab
-twolf sim O3 swr flash-clear:10 9fd2bdf9f9fc471e
-twolf sim O3 swr evict-at:3:40:400 d2f96bf31d53debe
-twolf sim paper epic default d54675419a5f9686
-twolf sim paper epic always-miss 34349b182a47f3ab
-twolf sim paper epic random:1 20fe0fe1fb70d009
-twolf sim paper epic flash-clear b046ee70a0bec919
-twolf sim paper epic forced-miss 34349b182a47f3ab
-twolf sim paper epic geom:4:2 d54675419a5f9686
-twolf sim paper epic random:7:3 f4a3253983c6b6ad
-twolf sim paper epic flash-clear:10 5f3e8709e3d12b22
-twolf sim paper epic evict-at:3:40:400 1ce754430a029de3
-twolf sim paper swr default 4f25990ff4b2efab
-twolf sim paper swr always-miss 4f25990ff4b2efab
-twolf sim paper swr random:1 4f25990ff4b2efab
-twolf sim paper swr flash-clear 34b5596d5b78fe91
-twolf sim paper swr forced-miss 4f25990ff4b2efab
-twolf sim paper swr geom:4:2 4f25990ff4b2efab
-twolf sim paper swr random:7:3 4f25990ff4b2efab
-twolf sim paper swr flash-clear:10 9fd2bdf9f9fc471e
-twolf sim paper swr evict-at:3:40:400 d2f96bf31d53debe
+twolf sim O3 epic default ed59719ade771fa0
+twolf sim O3 epic always-miss ed59719ade771fa0
+twolf sim O3 epic random:1 ed59719ade771fa0
+twolf sim O3 epic flash-clear 1941d63d4b34e54a
+twolf sim O3 epic forced-miss ed59719ade771fa0
+twolf sim O3 epic geom:4:2 ed59719ade771fa0
+twolf sim O3 epic random:7:3 ed59719ade771fa0
+twolf sim O3 epic flash-clear:10 f81f117c646424bd
+twolf sim O3 epic evict-at:3:40:400 09b57bbe9e248d99
+twolf sim O3 swr default ed59719ade771fa0
+twolf sim O3 swr always-miss ed59719ade771fa0
+twolf sim O3 swr random:1 ed59719ade771fa0
+twolf sim O3 swr flash-clear 1941d63d4b34e54a
+twolf sim O3 swr forced-miss ed59719ade771fa0
+twolf sim O3 swr geom:4:2 ed59719ade771fa0
+twolf sim O3 swr random:7:3 ed59719ade771fa0
+twolf sim O3 swr flash-clear:10 f81f117c646424bd
+twolf sim O3 swr evict-at:3:40:400 09b57bbe9e248d99
+twolf sim paper epic default 8e92a62de5d4cb18
+twolf sim paper epic always-miss 8420823e3d85145d
+twolf sim paper epic random:1 a451287132a1d18b
+twolf sim paper epic flash-clear e5ea82c835514030
+twolf sim paper epic forced-miss 8420823e3d85145d
+twolf sim paper epic geom:4:2 8e92a62de5d4cb18
+twolf sim paper epic random:7:3 66525459a49e1f65
+twolf sim paper epic flash-clear:10 353594ec816fefb3
+twolf sim paper epic evict-at:3:40:400 9f3c39e16b113961
+twolf sim paper swr default ed59719ade771fa0
+twolf sim paper swr always-miss ed59719ade771fa0
+twolf sim paper swr random:1 ed59719ade771fa0
+twolf sim paper swr flash-clear 1941d63d4b34e54a
+twolf sim paper swr forced-miss ed59719ade771fa0
+twolf sim paper swr geom:4:2 ed59719ade771fa0
+twolf sim paper swr random:7:3 ed59719ade771fa0
+twolf sim paper swr flash-clear:10 f81f117c646424bd
+twolf sim paper swr evict-at:3:40:400 09b57bbe9e248d99
 vpr ref d9ea22f8b2cd3662
 vpr train 9cbf8520bb73897f
 vpr reuse 2f8be6efd556587b
-vpr sim O3 epic default ad6e0ce01d6835f8
-vpr sim O3 epic always-miss ad6e0ce01d6835f8
-vpr sim O3 epic random:1 ad6e0ce01d6835f8
-vpr sim O3 epic flash-clear 48bee99db0bb3a61
-vpr sim O3 epic forced-miss ad6e0ce01d6835f8
-vpr sim O3 epic geom:4:2 ad6e0ce01d6835f8
-vpr sim O3 epic random:7:3 ad6e0ce01d6835f8
-vpr sim O3 epic flash-clear:10 4e1706ab89476946
-vpr sim O3 epic evict-at:3:40:400 25940d6346b40431
-vpr sim O3 swr default ad6e0ce01d6835f8
-vpr sim O3 swr always-miss ad6e0ce01d6835f8
-vpr sim O3 swr random:1 ad6e0ce01d6835f8
-vpr sim O3 swr flash-clear 48bee99db0bb3a61
-vpr sim O3 swr forced-miss ad6e0ce01d6835f8
-vpr sim O3 swr geom:4:2 ad6e0ce01d6835f8
-vpr sim O3 swr random:7:3 ad6e0ce01d6835f8
-vpr sim O3 swr flash-clear:10 4e1706ab89476946
-vpr sim O3 swr evict-at:3:40:400 25940d6346b40431
-vpr sim paper epic default 93bfffe728980694
-vpr sim paper epic always-miss 3dcd0e2c97c0c828
-vpr sim paper epic random:1 2d7bf63e70b46609
-vpr sim paper epic flash-clear af5569a9aa19f246
-vpr sim paper epic forced-miss 3dcd0e2c97c0c828
-vpr sim paper epic geom:4:2 93bfffe728980694
-vpr sim paper epic random:7:3 279473cc61d23454
-vpr sim paper epic flash-clear:10 15a1b127f50bb0a9
-vpr sim paper epic evict-at:3:40:400 deec3ad80fc0e4bd
-vpr sim paper swr default ad6e0ce01d6835f8
-vpr sim paper swr always-miss ad6e0ce01d6835f8
-vpr sim paper swr random:1 ad6e0ce01d6835f8
-vpr sim paper swr flash-clear 48bee99db0bb3a61
-vpr sim paper swr forced-miss ad6e0ce01d6835f8
-vpr sim paper swr geom:4:2 ad6e0ce01d6835f8
-vpr sim paper swr random:7:3 ad6e0ce01d6835f8
-vpr sim paper swr flash-clear:10 4e1706ab89476946
-vpr sim paper swr evict-at:3:40:400 25940d6346b40431
+vpr sim O3 epic default 97e3defb6753f541
+vpr sim O3 epic always-miss 97e3defb6753f541
+vpr sim O3 epic random:1 97e3defb6753f541
+vpr sim O3 epic flash-clear 2527edfb7e147523
+vpr sim O3 epic forced-miss 97e3defb6753f541
+vpr sim O3 epic geom:4:2 97e3defb6753f541
+vpr sim O3 epic random:7:3 97e3defb6753f541
+vpr sim O3 epic flash-clear:10 cf24fbfab7a4103b
+vpr sim O3 epic evict-at:3:40:400 6903af51eb12fa88
+vpr sim O3 swr default 97e3defb6753f541
+vpr sim O3 swr always-miss 97e3defb6753f541
+vpr sim O3 swr random:1 97e3defb6753f541
+vpr sim O3 swr flash-clear 2527edfb7e147523
+vpr sim O3 swr forced-miss 97e3defb6753f541
+vpr sim O3 swr geom:4:2 97e3defb6753f541
+vpr sim O3 swr random:7:3 97e3defb6753f541
+vpr sim O3 swr flash-clear:10 cf24fbfab7a4103b
+vpr sim O3 swr evict-at:3:40:400 6903af51eb12fa88
+vpr sim paper epic default 795c39d3484eb46f
+vpr sim paper epic always-miss 9dcde7badfcf3d1f
+vpr sim paper epic random:1 3938792ebb805ff0
+vpr sim paper epic flash-clear 2288e5ef33e636da
+vpr sim paper epic forced-miss 9dcde7badfcf3d1f
+vpr sim paper epic geom:4:2 795c39d3484eb46f
+vpr sim paper epic random:7:3 22f4b80c35f47d1e
+vpr sim paper epic flash-clear:10 97a08abc447d9e8e
+vpr sim paper epic evict-at:3:40:400 7dc54c5f21c050a2
+vpr sim paper swr default 97e3defb6753f541
+vpr sim paper swr always-miss 97e3defb6753f541
+vpr sim paper swr random:1 97e3defb6753f541
+vpr sim paper swr flash-clear 2527edfb7e147523
+vpr sim paper swr forced-miss 97e3defb6753f541
+vpr sim paper swr geom:4:2 97e3defb6753f541
+vpr sim paper swr random:7:3 97e3defb6753f541
+vpr sim paper swr flash-clear:10 cf24fbfab7a4103b
+vpr sim paper swr evict-at:3:40:400 6903af51eb12fa88
 ";
 
 /// 64-bit FNV-1a.

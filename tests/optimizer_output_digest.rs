@@ -57,206 +57,206 @@ const CONFIGS: [(&str, SpecKind, ControlKind, bool, bool); 5] = [
 /// for the optimizer's output, then `input config target mach digest` for
 /// its lowering.
 const EXPECTED: &str = "\
-ammp none/off epic b9e648df5a2a1797
-ammp none/off epic mach ceebf0ec391b0713
-ammp none/off swr 910db6821c774dba
-ammp none/off swr mach ceebf0ec391b0713
-ammp heuristic/static epic 6f29088ddce646fb
-ammp heuristic/static epic mach 7fbbcecd38a34b45
-ammp heuristic/static swr 7eb5a8f877717868
-ammp heuristic/static swr mach 6a6e71562d7c9950
-ammp aggressive/off epic 8fba34018b2491bf
-ammp aggressive/off epic mach 075420d7cc1eef58
-ammp aggressive/off swr e0d77154a693cdb6
-ammp aggressive/off swr mach 9b2c223811742cfb
-ammp profile/profile+sink epic 96fbf013fa176cba
-ammp profile/profile+sink epic mach 7fbbcecd38a34b45
-ammp profile/profile+sink swr 0432f4f46e66816b
-ammp profile/profile+sink swr mach 6a6e71562d7c9950
-ammp profile/static-sr epic 05e85140c21883b6
-ammp profile/static-sr epic mach bfeb4ad80208c7c6
-ammp profile/static-sr swr cc3000d76504c267
-ammp profile/static-sr swr mach 0efc772e08f9bde5
-art none/off epic 05058b14e30501e1
-art none/off epic mach bda236bb4447f71f
-art none/off swr d4660cc6c0f6f0da
-art none/off swr mach bda236bb4447f71f
-art heuristic/static epic 3da9940720b8b070
-art heuristic/static epic mach b1cc1b40139edf38
-art heuristic/static swr d6704df99e31730d
-art heuristic/static swr mach 81ead93405dda7c2
-art aggressive/off epic 8188504240c5f2bb
-art aggressive/off epic mach 6c88f93410272dcc
-art aggressive/off swr 30feab310c0b3af8
-art aggressive/off swr mach 5cca9d0d1d3ed463
-art profile/profile+sink epic 8c99b3aad58fb5b1
-art profile/profile+sink epic mach b1cc1b40139edf38
-art profile/profile+sink swr 336102538059ba2a
-art profile/profile+sink swr mach 81ead93405dda7c2
-art profile/static-sr epic 8c99b3aad58fb5b1
-art profile/static-sr epic mach b1cc1b40139edf38
-art profile/static-sr swr 336102538059ba2a
-art profile/static-sr swr mach 81ead93405dda7c2
-equake_smvp none/off epic e0847bf1a8009ae7
-equake_smvp none/off epic mach 29ca6348cff9a9da
-equake_smvp none/off swr 1341f7bd6f8b0a7c
-equake_smvp none/off swr mach 29ca6348cff9a9da
-equake_smvp heuristic/static epic abc9efd2a17f87f0
-equake_smvp heuristic/static epic mach ed6ee1dea51110ba
-equake_smvp heuristic/static swr 3c14b9f083195a75
-equake_smvp heuristic/static swr mach 115afd2f37dedf0c
-equake_smvp aggressive/off epic 0ac9e222f367996e
-equake_smvp aggressive/off epic mach 3ed77cb758a998b2
-equake_smvp aggressive/off swr 469f3e461c67a7fb
-equake_smvp aggressive/off swr mach f4b6c398431644c1
-equake_smvp profile/profile+sink epic 4a9dc3452af75813
-equake_smvp profile/profile+sink epic mach ed6ee1dea51110ba
-equake_smvp profile/profile+sink swr 2b80f5e943769290
-equake_smvp profile/profile+sink swr mach 115afd2f37dedf0c
-equake_smvp profile/static-sr epic f44a265c4e17bc64
-equake_smvp profile/static-sr epic mach 1f80c728ecf42d30
-equake_smvp profile/static-sr swr cbc1f9a811770673
-equake_smvp profile/static-sr swr mach 4c6966f3f0578cb9
-gzip none/off epic 273451555cb226f5
-gzip none/off epic mach 43380c753c1964ec
-gzip none/off swr 2ee951a77ac5894e
-gzip none/off swr mach 43380c753c1964ec
-gzip heuristic/static epic 8ae83d3e0a2c5c30
-gzip heuristic/static epic mach ba94eaa0f9a09bbc
-gzip heuristic/static swr ecbdeb135d736d3b
-gzip heuristic/static swr mach ba94eaa0f9a09bbc
-gzip aggressive/off epic f7bf684505ad04a3
-gzip aggressive/off epic mach 43380c753c1964ec
-gzip aggressive/off swr 0a266b6788fb36b0
-gzip aggressive/off swr mach 43380c753c1964ec
-gzip profile/profile+sink epic 726adcd689fbeadd
-gzip profile/profile+sink epic mach c926cc6169022fd5
-gzip profile/profile+sink swr 6965253f65857b2b
-gzip profile/profile+sink swr mach ba94eaa0f9a09bbc
-gzip profile/static-sr epic 14bc348404967632
-gzip profile/static-sr epic mach 0e41128c47b35abc
-gzip profile/static-sr swr d35101c39946956c
-gzip profile/static-sr swr mach 9ae6f0b729845e8d
-many_funcs none/off epic ba8f772d6570e6e7
-many_funcs none/off epic mach 95947e27d4838dac
-many_funcs none/off swr f57220d00325dd00
-many_funcs none/off swr mach 95947e27d4838dac
-many_funcs heuristic/static epic d5c46c787eab1432
-many_funcs heuristic/static epic mach 83aea803110ef8a7
-many_funcs heuristic/static swr cf2ca85b484706e2
-many_funcs heuristic/static swr mach 95947e27d4838dac
-many_funcs aggressive/off epic a0cf7cd2c40cef93
-many_funcs aggressive/off epic mach 95947e27d4838dac
-many_funcs aggressive/off swr 211b1ad99c9d5874
-many_funcs aggressive/off swr mach 95947e27d4838dac
-many_funcs profile/profile+sink epic add28031fc2fc5cd
-many_funcs profile/profile+sink epic mach 83aea803110ef8a7
-many_funcs profile/profile+sink swr 80f540c59cbad059
-many_funcs profile/profile+sink swr mach 95947e27d4838dac
-many_funcs profile/static-sr epic add28031fc2fc5cd
-many_funcs profile/static-sr epic mach 83aea803110ef8a7
-many_funcs profile/static-sr swr 80f540c59cbad059
-many_funcs profile/static-sr swr mach 95947e27d4838dac
-mcf none/off epic d674364bce205476
-mcf none/off epic mach e49a8ad7cd543348
-mcf none/off swr 3010c3952db11591
-mcf none/off swr mach e49a8ad7cd543348
-mcf heuristic/static epic 519a3b7e69d01c78
-mcf heuristic/static epic mach c5ea71ae34e37515
-mcf heuristic/static swr 9e2605cfcccdd83f
-mcf heuristic/static swr mach e49a8ad7cd543348
-mcf aggressive/off epic d6891948112425c7
-mcf aggressive/off epic mach e34f36c25941df55
-mcf aggressive/off swr 4d397a5ddb3acf9c
-mcf aggressive/off swr mach e49a8ad7cd543348
-mcf profile/profile+sink epic c4dc2e2b681cea23
-mcf profile/profile+sink epic mach c5ea71ae34e37515
-mcf profile/profile+sink swr 90b0ee4174c73314
-mcf profile/profile+sink swr mach e49a8ad7cd543348
-mcf profile/static-sr epic 14de7979fc65cbd7
-mcf profile/static-sr epic mach 00ea4d3d3282a987
-mcf profile/static-sr swr 2aa665e8b9a013f8
-mcf profile/static-sr swr mach 3551cb4375019ee2
-parser none/off epic 65313c6d966ca8e6
-parser none/off epic mach 01e74e51baf7b0be
-parser none/off swr 74aff925fc604dab
-parser none/off swr mach 01e74e51baf7b0be
-parser heuristic/static epic 6f1a943273cea910
-parser heuristic/static epic mach ccfb6547a2dba05a
-parser heuristic/static swr 85b802cd4b2c254d
-parser heuristic/static swr mach f84d81b83fc555b5
-parser aggressive/off epic e0d9d3774084bdf9
-parser aggressive/off epic mach db597f3b342cbea5
-parser aggressive/off swr a40bc21aaf224b07
-parser aggressive/off swr mach 01e74e51baf7b0be
-parser profile/profile+sink epic d7a6a3ed004010c9
-parser profile/profile+sink epic mach ccfb6547a2dba05a
-parser profile/profile+sink swr 7eb67e08d2a624fe
-parser profile/profile+sink swr mach f84d81b83fc555b5
-parser profile/static-sr epic 670202bf54fab320
-parser profile/static-sr epic mach b9066741ad169dce
-parser profile/static-sr swr 847c9e6df86eafdb
-parser profile/static-sr swr mach 22c7ac793238d9e1
-twolf none/off epic bf9ba8e606607341
-twolf none/off epic mach c8f6bcd853b90e9d
-twolf none/off swr 436059a77bf72ce0
-twolf none/off swr mach c8f6bcd853b90e9d
-twolf heuristic/static epic 213959c56d63d1cd
-twolf heuristic/static epic mach 0fc9f6bed7ecd1b2
-twolf heuristic/static swr bb835f3d2cd6be31
-twolf heuristic/static swr mach ddc0e32a03e662f8
-twolf aggressive/off epic 30d7e584247c1206
-twolf aggressive/off epic mach 899567102b7e9f23
-twolf aggressive/off swr e64786117287b3f4
-twolf aggressive/off swr mach c8f6bcd853b90e9d
-twolf profile/profile+sink epic 19c12a6ac092204a
-twolf profile/profile+sink epic mach 0fc9f6bed7ecd1b2
-twolf profile/profile+sink swr 10ec8cd03a5796fa
-twolf profile/profile+sink swr mach ddc0e32a03e662f8
-twolf profile/static-sr epic 9c2d8728fdf2afe7
-twolf profile/static-sr epic mach 33fbff98a1130818
-twolf profile/static-sr swr 1589989f3ba8a471
-twolf profile/static-sr swr mach 4deadfba61c2f6db
-vpr none/off epic ebe2a3533fdd1bd8
-vpr none/off epic mach b877653a4871a9b0
-vpr none/off swr 63bc242614ac8327
-vpr none/off swr mach b877653a4871a9b0
-vpr heuristic/static epic 3a98472f9a851d0d
-vpr heuristic/static epic mach 58fbbe586f856e11
-vpr heuristic/static swr 09094622005c8efd
-vpr heuristic/static swr mach 244bfa4de29b4e2a
-vpr aggressive/off epic b320aa9a7e774f8e
-vpr aggressive/off epic mach 2eed334eaeae8afa
-vpr aggressive/off swr 41428d4072b7deb6
-vpr aggressive/off swr mach b877653a4871a9b0
-vpr profile/profile+sink epic f0b8a56d0bbf926c
-vpr profile/profile+sink epic mach 58fbbe586f856e11
-vpr profile/profile+sink swr c4f954d1edf684a0
-vpr profile/profile+sink swr mach 244bfa4de29b4e2a
-vpr profile/static-sr epic b7cdf1cf6a78fdd0
-vpr profile/static-sr epic mach 8139a1dcab8d2e3b
-vpr profile/static-sr swr 8133fa0f29d5432c
-vpr profile/static-sr swr mach 5690b1899641a3ce
-mega:7:150 none/off epic b4f1cd778ad7bf27
-mega:7:150 none/off epic mach 2116d2de255cc2f3
-mega:7:150 none/off swr a7a68efefd31ecb4
-mega:7:150 none/off swr mach 2116d2de255cc2f3
-mega:7:150 heuristic/static epic f695355cb059bcb3
-mega:7:150 heuristic/static epic mach c64071c02c366c09
-mega:7:150 heuristic/static swr bb61767c566ff6b8
-mega:7:150 heuristic/static swr mach 1192c475b38ffed2
-mega:7:150 aggressive/off epic 351156afe6bfaa09
-mega:7:150 aggressive/off epic mach 2116d2de255cc2f3
-mega:7:150 aggressive/off swr 05aa8858404ffb66
-mega:7:150 aggressive/off swr mach 2116d2de255cc2f3
-mega:7:150 profile/profile+sink epic 7868b8e289cda5a8
-mega:7:150 profile/profile+sink epic mach 2116d2de255cc2f3
-mega:7:150 profile/profile+sink swr 950a159563d98fdf
-mega:7:150 profile/profile+sink swr mach 2116d2de255cc2f3
-mega:7:150 profile/static-sr epic fba07352854faab4
-mega:7:150 profile/static-sr epic mach c64071c02c366c09
-mega:7:150 profile/static-sr swr 95d87cce55532f8b
-mega:7:150 profile/static-sr swr mach 1192c475b38ffed2
+ammp none/off epic 8f57ea4c8075ce85
+ammp none/off epic mach 23181e2a0c373418
+ammp none/off swr 430ecc7793d69334
+ammp none/off swr mach 23181e2a0c373418
+ammp heuristic/static epic 18b1ce8648772972
+ammp heuristic/static epic mach 3aed1cced699f7fc
+ammp heuristic/static swr 899dc13fffe4b7ed
+ammp heuristic/static swr mach 2a2d1682572fcc58
+ammp aggressive/off epic 3556bcca4cdc04a5
+ammp aggressive/off epic mach a938e137b42a8ab0
+ammp aggressive/off swr 71b06e22ccb723f8
+ammp aggressive/off swr mach 543ec9bcb5344e5d
+ammp profile/profile+sink epic 34125498e9a507f9
+ammp profile/profile+sink epic mach 3aed1cced699f7fc
+ammp profile/profile+sink swr 060e5222b676f3e8
+ammp profile/profile+sink swr mach 2a2d1682572fcc58
+ammp profile/static-sr epic 754c2278bb545efb
+ammp profile/static-sr epic mach 960ea2e2b905c216
+ammp profile/static-sr swr 5782ca5364e5ba7e
+ammp profile/static-sr swr mach 35314d1a16c179a0
+art none/off epic d9a0aa46354cb646
+art none/off epic mach eb31e26fbbaa1f36
+art none/off swr 8297a046a6148829
+art none/off swr mach eb31e26fbbaa1f36
+art heuristic/static epic d3f6976c8192e6fc
+art heuristic/static epic mach fb7e77775ef18e49
+art heuristic/static swr 08e918c9ae46fef9
+art heuristic/static swr mach 29148e532218a5b3
+art aggressive/off epic 1d91e41c92293179
+art aggressive/off epic mach b028903c66b29f6d
+art aggressive/off swr a16c99c79898e2c2
+art aggressive/off swr mach 2d7cf2b93631755b
+art profile/profile+sink epic fff3579041bae3bd
+art profile/profile+sink epic mach fb7e77775ef18e49
+art profile/profile+sink swr 30a1c4ad0df100b6
+art profile/profile+sink swr mach 29148e532218a5b3
+art profile/static-sr epic fff3579041bae3bd
+art profile/static-sr epic mach fb7e77775ef18e49
+art profile/static-sr swr 30a1c4ad0df100b6
+art profile/static-sr swr mach 29148e532218a5b3
+equake_smvp none/off epic a4492c3c5cbfb275
+equake_smvp none/off epic mach 23231137b7e7c77d
+equake_smvp none/off swr 9dc925a813f0130e
+equake_smvp none/off swr mach 23231137b7e7c77d
+equake_smvp heuristic/static epic f455fd9a21965f2b
+equake_smvp heuristic/static epic mach db89fc2ef5ef3f3f
+equake_smvp heuristic/static swr 96d3fcd50a268696
+equake_smvp heuristic/static swr mach bb150b484e66c646
+equake_smvp aggressive/off epic c2c796f2775274e6
+equake_smvp aggressive/off epic mach 1904afa956901ddc
+equake_smvp aggressive/off swr b54d5fe59967f243
+equake_smvp aggressive/off swr mach 17d59a5e99cf7ca1
+equake_smvp profile/profile+sink epic 8be62a1272465b3e
+equake_smvp profile/profile+sink epic mach db89fc2ef5ef3f3f
+equake_smvp profile/profile+sink swr 2d14131112ee2389
+equake_smvp profile/profile+sink swr mach bb150b484e66c646
+equake_smvp profile/static-sr epic 849430f75cf76569
+equake_smvp profile/static-sr epic mach 025724037d6f5981
+equake_smvp profile/static-sr swr 176fd3c7be5c40ea
+equake_smvp profile/static-sr swr mach c014f232bacf72ae
+gzip none/off epic 36dacd872aef0af5
+gzip none/off epic mach 291a9227ae93baf6
+gzip none/off swr cce612f3db098d4e
+gzip none/off swr mach 291a9227ae93baf6
+gzip heuristic/static epic 97eff0dddbc245b2
+gzip heuristic/static epic mach ed1ca703b1c18993
+gzip heuristic/static swr 279eda7e29763e21
+gzip heuristic/static swr mach ed1ca703b1c18993
+gzip aggressive/off epic 625608f967a6a8a3
+gzip aggressive/off epic mach 291a9227ae93baf6
+gzip aggressive/off swr fa0ca66830e1fab0
+gzip aggressive/off swr mach 291a9227ae93baf6
+gzip profile/profile+sink epic cdc4cc9cc474e19e
+gzip profile/profile+sink epic mach e61ed1b1d43ef711
+gzip profile/profile+sink swr b3e92d0ea68e1ad5
+gzip profile/profile+sink swr mach ed1ca703b1c18993
+gzip profile/static-sr epic ef724dd5ac848e6b
+gzip profile/static-sr epic mach c694d13a30c96c7c
+gzip profile/static-sr swr 505bc34e2afcf0ec
+gzip profile/static-sr swr mach c0faa6f568916b8e
+many_funcs none/off epic 22b86e42324aed2f
+many_funcs none/off epic mach a5f097ad924e0e1d
+many_funcs none/off swr a63afb3e19c04df8
+many_funcs none/off swr mach a5f097ad924e0e1d
+many_funcs heuristic/static epic 57f18a442ec763b2
+many_funcs heuristic/static epic mach 50f5606067d0bb6a
+many_funcs heuristic/static swr e2a1e422bc47434a
+many_funcs heuristic/static swr mach a5f097ad924e0e1d
+many_funcs aggressive/off epic 70a980eac34f45fb
+many_funcs aggressive/off epic mach a5f097ad924e0e1d
+many_funcs aggressive/off swr c6226a04d535b6ac
+many_funcs aggressive/off swr mach a5f097ad924e0e1d
+many_funcs profile/profile+sink epic 0ebcac7ae7d6314d
+many_funcs profile/profile+sink epic mach 50f5606067d0bb6a
+many_funcs profile/profile+sink swr 4b49762cca464161
+many_funcs profile/profile+sink swr mach a5f097ad924e0e1d
+many_funcs profile/static-sr epic 0ebcac7ae7d6314d
+many_funcs profile/static-sr epic mach 50f5606067d0bb6a
+many_funcs profile/static-sr swr 4b49762cca464161
+many_funcs profile/static-sr swr mach a5f097ad924e0e1d
+mcf none/off epic 7a50a26bfa4c576e
+mcf none/off epic mach 321ae7b0347b6b6d
+mcf none/off swr ac6e481525d60c59
+mcf none/off swr mach 321ae7b0347b6b6d
+mcf heuristic/static epic 3fba66f4fac81474
+mcf heuristic/static epic mach 67a31bc7ff2ec96e
+mcf heuristic/static swr 5085e129534d8787
+mcf heuristic/static swr mach 321ae7b0347b6b6d
+mcf aggressive/off epic ca872d8b7813b5e1
+mcf aggressive/off epic mach 7fe111a228cc8069
+mcf aggressive/off swr 42afd2d536a0f114
+mcf aggressive/off swr mach 321ae7b0347b6b6d
+mcf profile/profile+sink epic 1c08f3e976caa08f
+mcf profile/profile+sink epic mach 67a31bc7ff2ec96e
+mcf profile/profile+sink swr b2619f2e8b52c14c
+mcf profile/profile+sink swr mach 321ae7b0347b6b6d
+mcf profile/static-sr epic 1be44cee811f480d
+mcf profile/static-sr epic mach cc8f7ac397b88fe6
+mcf profile/static-sr swr ff0660fd305178c6
+mcf profile/static-sr swr mach 8bf1ec1f1aeafa55
+parser none/off epic aff6c426ed8c6884
+parser none/off epic mach 3e2f6ad9795e17aa
+parser none/off swr f8700867aa37b3cd
+parser none/off swr mach 3e2f6ad9795e17aa
+parser heuristic/static epic 14f16f94a1ea0843
+parser heuristic/static epic mach b586eaf0f07d8d9a
+parser heuristic/static swr 662b1bf1f8d1f1b7
+parser heuristic/static swr mach 9092a38e38db5b2a
+parser aggressive/off epic 24d8caf8173b2423
+parser aggressive/off epic mach 3e35e57692675b96
+parser aggressive/off swr 30d28a3cd2a16395
+parser aggressive/off swr mach 3e2f6ad9795e17aa
+parser profile/profile+sink epic 13521e1935d25da0
+parser profile/profile+sink epic mach b586eaf0f07d8d9a
+parser profile/profile+sink swr 8152fd3ce8de9620
+parser profile/profile+sink swr mach 9092a38e38db5b2a
+parser profile/static-sr epic 749a43c58dadb2f9
+parser profile/static-sr epic mach e0bea04a3c95b8d9
+parser profile/static-sr swr d555e8ab94115c7f
+parser profile/static-sr swr mach 6765d184c151b4b9
+twolf none/off epic 4f6f0cff82f2b33e
+twolf none/off epic mach 2a3220d4faf3480e
+twolf none/off swr cc646d8acf4be767
+twolf none/off swr mach 2a3220d4faf3480e
+twolf heuristic/static epic 02149a61ea5e675d
+twolf heuristic/static epic mach ac7530cf74ae80d4
+twolf heuristic/static swr dbe9255c627e223f
+twolf heuristic/static swr mach 9f33fddf1e241cc1
+twolf aggressive/off epic 24032b52e09b3e11
+twolf aggressive/off epic mach 3c0482dc92d33304
+twolf aggressive/off swr e01f990c283ad67f
+twolf aggressive/off swr mach 2a3220d4faf3480e
+twolf profile/profile+sink epic 97530892332237ba
+twolf profile/profile+sink epic mach ac7530cf74ae80d4
+twolf profile/profile+sink swr 9777f59e19cb1d28
+twolf profile/profile+sink swr mach 9f33fddf1e241cc1
+twolf profile/static-sr epic 7fadc424b0c657d3
+twolf profile/static-sr epic mach 789e5436cb928f86
+twolf profile/static-sr swr b20d13ad277ea8b7
+twolf profile/static-sr swr mach 1e4063f0ab69002d
+vpr none/off epic cc28e1eb16b1367b
+vpr none/off epic mach 316281eede2866d4
+vpr none/off swr 0b9252ddcf3ee5b8
+vpr none/off swr mach 316281eede2866d4
+vpr heuristic/static epic c5e62911f0ee428b
+vpr heuristic/static epic mach 144eb1bc77ee47a4
+vpr heuristic/static swr f8cfef1209682c7c
+vpr heuristic/static swr mach 30f1c7e49a040dff
+vpr aggressive/off epic 169edee4b26ecd1e
+vpr aggressive/off epic mach 26cca49c986c5a3b
+vpr aggressive/off swr 6c7c839aedb4108b
+vpr aggressive/off swr mach 316281eede2866d4
+vpr profile/profile+sink epic 9078726fd21d256e
+vpr profile/profile+sink epic mach 144eb1bc77ee47a4
+vpr profile/profile+sink swr b6c9606d33c61f93
+vpr profile/profile+sink swr mach 30f1c7e49a040dff
+vpr profile/static-sr epic a54ce071a069cd73
+vpr profile/static-sr epic mach 6534a4c820978b71
+vpr profile/static-sr swr 53ece36c06ef0924
+vpr profile/static-sr swr mach 4fab69a08ab9e6bb
+mega:7:150 none/off epic 97a497a28ab7c8a6
+mega:7:150 none/off epic mach d93d5574157b0cc5
+mega:7:150 none/off swr 6b3a30444da3e121
+mega:7:150 none/off swr mach d93d5574157b0cc5
+mega:7:150 heuristic/static epic 008e747b87eb7b6a
+mega:7:150 heuristic/static epic mach 8c0f83b540fc0138
+mega:7:150 heuristic/static swr 3a485bb0eab023d5
+mega:7:150 heuristic/static swr mach 945e800ab6cbbae8
+mega:7:150 aggressive/off epic 2b717ae932751b88
+mega:7:150 aggressive/off epic mach d93d5574157b0cc5
+mega:7:150 aggressive/off swr 3b7edb69124f9043
+mega:7:150 aggressive/off swr mach d93d5574157b0cc5
+mega:7:150 profile/profile+sink epic e97431f6437620db
+mega:7:150 profile/profile+sink epic mach d93d5574157b0cc5
+mega:7:150 profile/profile+sink swr 868051674ccb92a0
+mega:7:150 profile/profile+sink swr mach d93d5574157b0cc5
+mega:7:150 profile/static-sr epic 7d464fadb81ae869
+mega:7:150 profile/static-sr epic mach 8c0f83b540fc0138
+mega:7:150 profile/static-sr swr 878210fa57ded68a
+mega:7:150 profile/static-sr swr mach 945e800ab6cbbae8
 ";
 
 /// 64-bit FNV-1a.
