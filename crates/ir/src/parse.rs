@@ -21,12 +21,19 @@
 //! Comments run from `#` to end of line. Site ids are assigned fresh in
 //! textual order.
 //!
-//! The whole source is lexed into one vector of tokens that borrow it
-//! before parsing starts, so a lex error anywhere wins over a parse error
-//! before it. Pass 1 reads every declaration and signature, skipping
-//! bodies by brace depth, so calls and `@g` operands may refer forward;
-//! pass 2 parses each body once. Nothing allocates per token or
-//! instruction beyond the module being built.
+//! Tokens are lexed on demand, one ahead of the parser, and borrow the
+//! source, so nothing is stored per token. Pass 1 reads every declaration
+//! and signature, skipping each body with a byte scan for braces outside
+//! comments, so calls and `@g` operands may refer forward; pass 2 goes
+//! back to each body's recorded offset and line and parses it once. A lex
+//! error anywhere still wins over a parse error before it: a parse that
+//! fails, or meets a lex error, lexes the whole source once more and
+//! reports its first lex error if it has one, so only failing inputs pay
+//! for a second lex. Any other error names the line of the next unconsumed
+//! token, or of the last token at end of input (after a skipped body, its
+//! `}`). Each block's instructions collect in one reused buffer and move
+//! into a vector of exact length at its terminator, so the parse's peak
+//! heap stays close to the size of the module it builds.
 
 use crate::function::{Function, Global, Module, SlotDecl, VarDecl};
 use crate::fx::FxHashMap;
@@ -51,8 +58,7 @@ impl core::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A token. Identifiers borrow the source text, so tokens are `Copy` and
-/// the whole stream is one vector that both passes walk.
+/// A token. Identifiers borrow the source text, so tokens are `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Tok<'s> {
     Ident(&'s str),
@@ -62,62 +68,81 @@ enum Tok<'s> {
     Arrow,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SpannedTok<'s> {
-    tok: Tok<'s>,
-    line: u32,
+/// Skips a `#` comment from `i`, stopping at its newline.
+fn comment_end(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && bytes[i] != b'\n' {
+        i += 1;
+    }
+    i
 }
 
-/// Lexes the whole source before any parsing, so an illegal character
-/// anywhere in the file is reported ahead of a parse error before it.
-fn lex(src: &str) -> Result<Vec<SpannedTok<'_>>, ParseError> {
-    let mut toks = Vec::new();
-    let mut line = 1u32;
-    let bytes = src.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-            }
-            ' ' | '\t' | '\r' => i += 1,
-            '#' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
+/// Hands out the tokens of a source one at a time. The first lex error is
+/// recorded and ends the stream.
+struct Lexer<'s> {
+    src: &'s str,
+    /// Byte offset just past the last token handed out.
+    pos: usize,
+    /// The line at `pos`.
+    line: u32,
+    /// The line of the last token handed out (0 before the first).
+    tok_line: u32,
+    /// The first lex error met.
+    error: Option<ParseError>,
+}
+
+impl<'s> Lexer<'s> {
+    fn new(src: &'s str) -> Lexer<'s> {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            tok_line: 0,
+            error: None,
+        }
+    }
+
+    /// The next token, or `None` at end of input or at a lex error.
+    fn next(&mut self) -> Option<Tok<'s>> {
+        let bytes = self.src.as_bytes();
+        let mut i = self.pos;
+        let c = loop {
+            let Some(&b) = bytes.get(i) else {
+                self.pos = i;
+                return None;
+            };
+            match b {
+                b'\n' => {
+                    self.line += 1;
                     i += 1;
                 }
+                b' ' | b'\t' | b'\r' => i += 1,
+                b'#' => i = comment_end(bytes, i),
+                _ => break b as char,
             }
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == b'>' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Arrow,
-                    line,
-                });
+        };
+        self.tok_line = self.line;
+        let start = i;
+        let tok = match c {
+            '-' if bytes.get(i + 1) == Some(&b'>') => {
                 i += 2;
+                Tok::Arrow
             }
             '(' | ')' | '{' | '}' | '[' | ']' | ',' | ':' | '@' | '&' | '=' | '+' | '-' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Punct(c),
-                    line,
-                });
                 i += 1;
+                Tok::Punct(c)
             }
             c if c.is_ascii_digit() => {
-                let start = i;
                 let mut is_float = false;
                 while i < bytes.len() {
-                    let d = bytes[i] as char;
+                    let d = bytes[i];
                     if d.is_ascii_digit() {
                         i += 1;
-                    } else if d == '.'
-                        && i + 1 < bytes.len()
-                        && (bytes[i + 1] as char).is_ascii_digit()
-                    {
+                    } else if d == b'.' && i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit() {
                         is_float = true;
                         i += 1;
-                    } else if (d == 'e' || d == 'E')
+                    } else if (d == b'e' || d == b'E')
                         && i + 1 < bytes.len()
-                        && ((bytes[i + 1] as char).is_ascii_digit()
+                        && (bytes[i + 1].is_ascii_digit()
                             || bytes[i + 1] == b'-'
                             || bytes[i + 1] == b'+')
                     {
@@ -127,79 +152,143 @@ fn lex(src: &str) -> Result<Vec<SpannedTok<'_>>, ParseError> {
                         break;
                     }
                 }
-                let text = &src[start..i];
+                let text = &self.src[start..i];
                 let tok = if is_float {
-                    Tok::Float(text.parse().map_err(|_| ParseError {
-                        line,
-                        msg: format!("bad float literal `{text}`"),
-                    })?)
+                    text.parse().ok().map(Tok::Float)
                 } else {
-                    Tok::Int(text.parse().map_err(|_| ParseError {
-                        line,
-                        msg: format!("bad int literal `{text}`"),
-                    })?)
+                    text.parse().ok().map(Tok::Int)
                 };
-                toks.push(SpannedTok { tok, line });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' || c == '.' => {
-                let start = i;
-                while i < bytes.len() {
-                    let d = bytes[i] as char;
-                    if d.is_ascii_alphanumeric() || d == '_' || d == '.' {
-                        i += 1;
-                    } else {
-                        break;
+                match tok {
+                    Some(tok) => tok,
+                    None => {
+                        let kind = if is_float { "float" } else { "int" };
+                        return self.fail(format_args!("bad {kind} literal `{text}`"));
                     }
                 }
-                toks.push(SpannedTok {
-                    tok: Tok::Ident(&src[start..i]),
-                    line,
-                });
             }
-            other => {
-                return Err(ParseError {
-                    line,
-                    msg: format!("unexpected character `{other}`"),
-                })
+            c if c.is_ascii_alphabetic() || c == '_' || c == '.' => {
+                while i < bytes.len()
+                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'.')
+                {
+                    i += 1;
+                }
+                Tok::Ident(&self.src[start..i])
+            }
+            other => return self.fail(format_args!("unexpected character `{other}`")),
+        };
+        self.pos = i;
+        Some(tok)
+    }
+
+    /// Records a lex error on the current line and ends the stream.
+    #[cold]
+    #[inline(never)]
+    fn fail(&mut self, msg: core::fmt::Arguments<'_>) -> Option<Tok<'s>> {
+        self.error = Some(ParseError {
+            line: self.line,
+            msg: msg.to_string(),
+        });
+        self.pos = self.src.len();
+        None
+    }
+
+    /// Whether the token after the last one handed out is `:`.
+    fn colon_follows(&self) -> bool {
+        let bytes = self.src.as_bytes();
+        let mut i = self.pos;
+        while let Some(&b) = bytes.get(i) {
+            match b {
+                b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+                b'#' => i = comment_end(bytes, i),
+                _ => return b == b':',
             }
         }
+        false
     }
-    Ok(toks)
+
+    /// Skips a function body from just past its `{` by counting braces
+    /// outside comments, and leaves the stream just past the matching `}`,
+    /// which becomes the last token handed out. Returns `false`, moving
+    /// nothing, when the body is unterminated.
+    fn skip_body(&mut self) -> bool {
+        let (src, start) = (self.src, self.pos);
+        let (mut i, mut depth) = (start, 1usize);
+        while depth > 0 {
+            // `find` on one ASCII char runs a word-at-a-time search
+            let Some(close) = src[i..].find('}').map(|k| i + k) else {
+                return false;
+            };
+            let open = src[i..close].find('{').map_or(close, |k| i + k);
+            let hash = src[i..open].find('#').map_or(open, |k| i + k);
+            if hash < open {
+                i = comment_end(src.as_bytes(), hash);
+            } else if open < close {
+                depth += 1;
+                i = open + 1;
+            } else {
+                depth -= 1;
+                i = close + 1;
+            }
+        }
+        let newlines = src.as_bytes()[start..i]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        self.line += newlines as u32;
+        self.pos = i;
+        self.tok_line = self.line;
+        true
+    }
+}
+
+/// The first lex error of `src`, from lexing it whole.
+fn first_lex_error(src: &str) -> Option<ParseError> {
+    let mut lex = Lexer::new(src);
+    while lex.next().is_some() {}
+    lex.error
 }
 
 struct Parser<'s> {
-    toks: Vec<SpannedTok<'s>>,
-    pos: usize,
+    lex: Lexer<'s>,
+    /// The next unconsumed token.
+    tok: Option<Tok<'s>>,
 }
 
 impl<'s> Parser<'s> {
+    fn new(src: &'s str) -> Parser<'s> {
+        let mut lex = Lexer::new(src);
+        let tok = lex.next();
+        Parser { lex, tok }
+    }
+
+    /// Resumes the token stream at byte offset `at`, on line `line`.
+    fn seek(&mut self, at: usize, line: u32) {
+        self.lex.pos = at;
+        self.lex.line = line;
+        self.tok = self.lex.next();
+    }
+
     fn peek(&self) -> Option<Tok<'s>> {
-        self.toks.get(self.pos).map(|t| t.tok)
+        self.tok
     }
 
     /// Whether the token after the next one is `:` — i.e. the next one
     /// starts a block label.
     fn label_follows(&self) -> bool {
-        self.toks.get(self.pos + 1).map(|t| t.tok) == Some(Tok::Punct(':'))
+        self.lex.colon_follows()
     }
 
-    fn line(&self) -> u32 {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map_or(0, |t| t.line)
-    }
-
+    /// An error on the line of the next unconsumed token, or of the last
+    /// token at end of input.
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
-            line: self.line(),
+            line: self.lex.tok_line,
             msg: msg.into(),
         }
     }
 
     fn next(&mut self) -> Option<Tok<'s>> {
-        let t = self.peek();
-        self.pos += 1;
-        t
+        core::mem::replace(&mut self.tok, self.lex.next())
     }
 
     fn expect_punct(&mut self, c: char) -> Result<(), ParseError> {
@@ -210,8 +299,8 @@ impl<'s> Parser<'s> {
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
-        if self.peek() == Some(Tok::Punct(c)) {
-            self.pos += 1;
+        if self.tok == Some(Tok::Punct(c)) {
+            self.next();
             true
         } else {
             false
@@ -237,6 +326,25 @@ impl<'s> Parser<'s> {
             other => Err(self.err(format!("expected integer, found {other:?}"))),
         }
     }
+
+    /// Skips a function body after its signature, returning the byte
+    /// offset and line just past its `{`, where pass 2 resumes.
+    fn skip_body(&mut self) -> Result<(usize, u32), ParseError> {
+        if self.tok != Some(Tok::Punct('{')) {
+            // fails, with the message and line of any other missing `{`
+            self.expect_punct('{')?;
+        }
+        // the lookahead is the `{`, so the stream stands just past it
+        let body = (self.lex.pos, self.lex.line);
+        if !self.lex.skip_body() {
+            // the error names the line of the body's last token
+            while self.lex.next().is_some() {}
+            self.tok = None;
+            return Err(self.err("unterminated function body"));
+        }
+        self.tok = self.lex.next();
+        Ok(body)
+    }
 }
 
 /// The module-wide name tables pass 1 builds, so pass 2 resolves `@g`
@@ -249,13 +357,14 @@ struct Names<'s> {
 
 /// What pass 1 records about one function for pass 2.
 struct FuncHead<'s> {
-    /// Token index just past the body's `{`.
-    body: usize,
+    /// Byte offset and line just past the body's `{`.
+    body: (usize, u32),
     /// Parameter names, in order.
     params: Vec<&'s str>,
 }
 
-/// Per-function name tables, cleared and reused from one body to the next.
+/// Per-function name tables and buffers, cleared and reused from one body
+/// to the next.
 #[derive(Default)]
 struct FuncCtx<'s> {
     vars: FxHashMap<&'s str, VarId>,
@@ -263,6 +372,8 @@ struct FuncCtx<'s> {
     blocks: FxHashMap<&'s str, BlockId>,
     /// Terminators whose targets resolve once every label is known.
     pending: Vec<(BlockId, PendingTerm<'s>)>,
+    /// The instructions of the block being parsed.
+    insts: Vec<Inst>,
 }
 
 impl<'s> FuncCtx<'s> {
@@ -273,6 +384,7 @@ impl<'s> FuncCtx<'s> {
         self.slots.clear();
         self.blocks.clear();
         self.pending.clear();
+        self.insts.clear();
         for (k, &name) in params.iter().enumerate() {
             self.vars.insert(name, VarId::from_index(k));
         }
@@ -285,26 +397,38 @@ impl<'s> FuncCtx<'s> {
 /// Returns a [`ParseError`] with the offending line on malformed input or
 /// unresolved names.
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
-    let mut p = Parser {
-        toks: lex(src)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(src);
+    let parsed = parse(&mut p);
+    if parsed.is_ok() && p.lex.error.is_none() {
+        return parsed;
+    }
+    // Only a failing input lexes twice: the whole source lexed once more
+    // puts a lex error anywhere ahead of a parse error before it, as if
+    // the source had been lexed before parsing began.
+    match first_lex_error(src).or(p.lex.error) {
+        Some(e) => Err(e),
+        None => parsed,
+    }
+}
+
+/// Both passes over the stream of `p`.
+fn parse(p: &mut Parser<'_>) -> Result<Module, ParseError> {
     let mut module = Module::new();
     let mut names = Names::default();
 
     // Pass 1: global declarations and function signatures, so that forward
-    // references (calls, @globals) resolve; bodies are skipped by brace
-    // depth and parsed in pass 2.
+    // references (calls, @globals) resolve; bodies are skipped and parsed
+    // in pass 2.
     let mut heads = Vec::new();
     while let Some(t) = p.peek() {
         match t {
             Tok::Ident("global") => {
                 p.next();
-                parse_global(&mut p, &mut module, &mut names)?;
+                parse_global(p, &mut module, &mut names)?;
             }
             Tok::Ident("func") => {
                 p.next();
-                heads.push(parse_func_head(&mut p, &mut module, &mut names)?);
+                heads.push(parse_func_head(p, &mut module, &mut names)?);
             }
             _ => return Err(p.err("expected `global` or `func` at top level")),
         }
@@ -313,9 +437,9 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     // Pass 2: function bodies, in textual order (site ids are issued here).
     let mut ctx = FuncCtx::default();
     for (i, head) in heads.iter().enumerate() {
-        p.pos = head.body;
+        p.seek(head.body.0, head.body.1);
         ctx.reset(&head.params);
-        parse_func_body(&mut p, &mut module, &names, &mut ctx, FuncId::from_index(i))?;
+        parse_func_body(p, &mut module, &names, &mut ctx, FuncId::from_index(i))?;
     }
     Ok(module)
 }
@@ -378,8 +502,8 @@ fn parse_global<'s>(
     Ok(())
 }
 
-/// Parses one function's signature after `func`, skips its body by brace
-/// depth, and declares the function with its parameters.
+/// Parses one function's signature after `func`, skips its body, and
+/// declares the function with its parameters.
 fn parse_func_head<'s>(
     p: &mut Parser<'s>,
     module: &mut Module,
@@ -411,17 +535,7 @@ fn parse_func_head<'s>(
     } else {
         None
     };
-    p.expect_punct('{')?;
-    let body = p.pos;
-    let mut depth = 1;
-    while depth > 0 {
-        match p.next() {
-            Some(Tok::Punct('{')) => depth += 1,
-            Some(Tok::Punct('}')) => depth -= 1,
-            Some(_) => {}
-            None => return Err(p.err("unterminated function body")),
-        }
-    }
+    let body = p.skip_body()?;
     if names.funcs.contains_key(name) {
         return Err(p.err(format!("duplicate function `{name}`")));
     }
@@ -513,9 +627,14 @@ fn parse_func_body<'s>(
                 if cur_terminated {
                     return Err(p.err("statement after block terminator"));
                 }
-                if let Some(pending) = parse_stmt(p, module, names, ctx, fid, b)? {
-                    ctx.pending.push((b, pending));
-                    cur_terminated = true;
+                match parse_stmt(p, module, names, ctx)? {
+                    Stmt::Inst(inst) => ctx.insts.push(inst),
+                    Stmt::Term(pending) => {
+                        let f = &mut module.funcs[fid.index()];
+                        f.block_mut(b).insts = ctx.insts.drain(..).collect();
+                        ctx.pending.push((b, pending));
+                        cur_terminated = true;
+                    }
                 }
             }
             None => return Err(p.err("unterminated function body")),
@@ -658,21 +777,25 @@ const MEM_READS: [(&str, MemRead, &str); 5] = [
     ("chks.", MemRead::Check(CheckKind::Nat), "bad check type"),
 ];
 
-/// Parses one statement into block `b`; returns `Some` if it terminated the
+/// One parsed statement: an instruction, or the terminator that ends its
 /// block.
+enum Stmt<'s> {
+    Inst(Inst),
+    Term(PendingTerm<'s>),
+}
+
+/// Parses one statement.
 fn parse_stmt<'s>(
     p: &mut Parser<'s>,
     module: &mut Module,
     names: &Names<'s>,
     ctx: &FuncCtx<'s>,
-    fid: FuncId,
-    b: BlockId,
-) -> Result<Option<PendingTerm<'s>>, ParseError> {
+) -> Result<Stmt<'s>, ParseError> {
     let first = p.ident()?;
     match first {
         "jmp" => {
             let t = p.ident()?;
-            return Ok(Some(PendingTerm::Jump(t)));
+            return Ok(Stmt::Term(PendingTerm::Jump(t)));
         }
         "br" => {
             let c = parse_operand(p, names, ctx)?;
@@ -680,7 +803,7 @@ fn parse_stmt<'s>(
             let t = p.ident()?;
             p.expect_punct(',')?;
             let e = p.ident()?;
-            return Ok(Some(PendingTerm::Br(c, t, e)));
+            return Ok(Stmt::Term(PendingTerm::Br(c, t, e)));
         }
         "ret" => {
             // `ret` may or may not carry a value; a value continues on the
@@ -696,7 +819,7 @@ fn parse_stmt<'s>(
                 }
                 _ => None,
             };
-            return Ok(Some(PendingTerm::Ret(v)));
+            return Ok(Stmt::Term(PendingTerm::Ret(v)));
         }
         "store" => {
             return Err(p.err("`store` needs a type suffix, e.g. `store.i64`"));
@@ -734,8 +857,7 @@ fn parse_stmt<'s>(
         p.expect_punct('=')?;
         parse_rhs(p, module, names, ctx, dst)?
     };
-    module.funcs[fid.index()].block_mut(b).insts.push(inst);
-    Ok(None)
+    Ok(Stmt::Inst(inst))
 }
 
 /// Parses the right-hand side of `dst = …`.

@@ -284,6 +284,30 @@ const ERRORS: &[(&str, &str, u32, &str)] = &[
         7,
         "expected `)`, found Some(Int(2))",
     ),
+    (
+        "a lex error inside a skipped body beats a later header error",
+        "func f() {\nentry:\n  ret $\n}\nglobal g i64[1]\n",
+        3,
+        "unexpected character `$`",
+    ),
+    (
+        "a brace inside a comment does not count",
+        "func f() {\nentry:\n  ret # }\n}\nfunc f() {\nentry:\n  ret\n}\n",
+        8,
+        "duplicate function `f`",
+    ),
+    (
+        "an unterminated body names the line of its last token",
+        "func f() {\nentry:\n  ret\n# end }\n",
+        3,
+        "unterminated function body",
+    ),
+    (
+        "a comment between a label and its colon",
+        "func f() {\nentry # c\n:\n  ret\n  ret\n}\n",
+        5,
+        "statement after block terminator",
+    ),
 ];
 
 #[test]
