@@ -109,11 +109,18 @@ enum Def {
 /// are the operands of every statement that is not a copy and of every
 /// terminator; a live register φ keeps its arguments live, and a live copy
 /// its source. So a φ and a copy that keep only each other alive go too.
-/// Memory and virtual-variable φs are ghosts (no lowering cost) and stay.
+/// Version 0 of a collapsed register is no definition but the register
+/// itself, whatever its versions last wrote: store sinking's exit stores
+/// read it after the loop's copies. So a live version 0 of a collapsed
+/// register keeps every copy into that register live. Memory and
+/// virtual-variable φs are ghosts (no lowering cost) and stay.
 pub fn eliminate_dead_code(hf: &mut HssaFunc) {
+    let collapsed: FxHashSet<VarId> = hf.collapsed_vars.iter().copied().collect();
     let slots = VerSlots::new(hf);
     let mut defs = VerMap::new(&slots);
     let mut work: Vec<RegVer> = Vec::new();
+    // the copies into collapsed registers
+    let mut collapsed_copies: Vec<RegVer> = Vec::new();
     for (b, blk) in hf.blocks.iter().enumerate() {
         for (i, phi) in blk.phis.iter().enumerate() {
             if let HVarKind::Reg(v) = hf.catalog.kind(phi.var) {
@@ -125,6 +132,9 @@ pub fn eliminate_dead_code(hf: &mut HssaFunc) {
                 HStmtKind::Copy { dst, src } => {
                     if let Some(rv) = src.as_reg() {
                         defs.insert(*dst, Def::Copy(rv));
+                    }
+                    if collapsed.contains(&dst.0) {
+                        collapsed_copies.push(*dst);
                     }
                 }
                 _ => work.extend(stmt.reg_uses()),
@@ -144,6 +154,9 @@ pub fn eliminate_dead_code(hf: &mut HssaFunc) {
                 work.extend(hf.blocks[b].phis[i].args.iter().map(|&arg| (rv.0, arg)))
             }
             Some(Def::Copy(src)) => work.push(src),
+            None if rv.1 == 0 && collapsed.contains(&rv.0) => {
+                work.extend(collapsed_copies.iter().filter(|c| c.0 == rv.0))
+            }
             None => {}
         }
     }
