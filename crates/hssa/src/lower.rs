@@ -71,10 +71,10 @@ pub fn lower_function(base: &Function, hf: &HssaFunc) -> (Function, u32) {
     // variable table: original registers (each one's home), optimizer
     // temps, then fresh ids for versions that cannot go home
     let mut vars: Vec<VarDecl> = base.vars.clone();
-    vars.extend(hf.new_vars.iter().map(|(name, ty)| VarDecl {
-        name: name.clone(),
-        ty: *ty,
-    }));
+    for (name, ty) in &hf.new_vars {
+        let name = unused_name(&vars, name.clone());
+        vars.push(VarDecl { name, ty: *ty });
+    }
     let slots = VerSlots::new(hf);
     let mut homes = Homes::new(hf, &slots, vars);
 
@@ -369,20 +369,12 @@ impl<'s> Homes<'s> {
             })
     }
 
-    /// A fresh register for `v`'s version `ver`, named `v.ver`, or
-    /// `v.ver.k` with the least `k` that no variable has yet: an input may
-    /// already declare `v.ver`, for example an earlier compile's output.
+    /// A fresh register for `v`'s version `ver`, named `v.ver` unless
+    /// that name is taken ([`unused_name`]).
     fn fresh(&mut self, (v, ver): RegVer) -> VarId {
         let d = &self.vars[v.index()];
-        let (base, ty) = (format!("{}.{}", d.name, ver), d.ty);
-        let taken = |name: &str| self.vars.iter().any(|d| d.name == name);
-        let mut name = base.clone();
-        for k in 1.. {
-            if !taken(&name) {
-                break;
-            }
-            name = format!("{base}.{k}");
-        }
+        let ty = d.ty;
+        let name = unused_name(&self.vars, format!("{}.{}", d.name, ver));
         self.vars.push(VarDecl { name, ty });
         VarId::from_index(self.vars.len() - 1)
     }
@@ -402,6 +394,21 @@ impl<'s> Homes<'s> {
             HOperand::SlotAddr(s) => Operand::SlotAddr(s),
         }
     }
+}
+
+/// `name`, or `name.k` with the least `k` that no variable of `vars` has:
+/// an input may already declare a name the lowering means to add, for
+/// example an optimizer temporary or a version register of an earlier
+/// compile's output.
+fn unused_name(vars: &[VarDecl], name: String) -> String {
+    let taken = |n: &str| vars.iter().any(|d| d.name == n);
+    if !taken(&name) {
+        return name;
+    }
+    (1..)
+        .map(|k| format!("{name}.{k}"))
+        .find(|n| !taken(n))
+        .expect("the suffixes never run out")
 }
 
 /// For the check `check` after the statements `before` of its block: the

@@ -71,7 +71,9 @@ fn specc_on(stem: &str, src: &str, args: &[&str]) -> std::process::Output {
 /// is defined. In a loop `j` becomes the header φ's version of `i`, still
 /// live after the increment (the lost-copy shape), so the φ copies move
 /// `i` into the φ's register. The fresh register's name `a.2` is taken
-/// when the input declares it, as an earlier compile's output may.
+/// when the input declares it, as an earlier compile's output may, and so
+/// is an optimizer temporary's name `pre0`: the promoted load of `@g`
+/// goes into `pre0.1`.
 #[test]
 fn an_interfering_version_keeps_a_register_of_its_own() {
     let straight = "func main(n: i64) -> i64 {
@@ -106,7 +108,22 @@ exit:
         .replace("  var c: i64\n", "  var c: i64\n  var a.2: i64\n")
         .replace("entry:\n", "entry:\n  a.2 = 100\n")
         .replace("  ret c\n", "  c = add c, a.2\n  ret c\n");
-    let cases: [(&str, &str, &[&str]); 3] = [
+    let temporary = "global g: i64[1] = [5]
+
+func main(n: i64) -> i64 {
+  var pre0: i64
+  var x: i64
+  var y: i64
+entry:
+  pre0 = add n, 1
+  x = load.i64 [@g]
+  y = load.i64 [@g]
+  x = add x, y
+  x = add x, pre0
+  ret x
+}
+";
+    let cases: [(&str, &str, &[&str]); 4] = [
         (
             straight,
             "result = Some(I(14))",
@@ -126,6 +143,15 @@ exit:
             &named,
             "result = Some(I(114))",
             &["var a.2.1: i64", "a.2.1 = add a, 2", "c = add a, a.2.1"],
+        ),
+        (
+            temporary,
+            "result = Some(I(16))",
+            &[
+                "var pre0.1: i64",
+                "pre0.1 = load.i64 [@g]",
+                "x = add x, pre0",
+            ],
         ),
     ];
     let flags = ["--spec", "none", "--control", "off"];
