@@ -103,10 +103,16 @@ grep -q "ok in=mega:42:400 funcs=400 hits=400 misses=0 stale=0" "$serve_dir/warm
   || { echo "ci.sh: warm serve response not all-hits"; cat "$serve_dir/warm.resp"; exit 1; }
 cmp -s "$serve_dir/cold.ir" "$serve_dir/warm.ir" \
   || { echo "ci.sh: served cold/warm outputs differ"; exit 1; }
+# the service's output is a module like any other: it parses, and it
+# compiles again, without an entry function and around the names of the
+# temporaries the first compile declared
+cargo run --release -q -p specframe --bin specc -- "$serve_dir/cold.ir" \
+  --spec heuristic --control static -o "$serve_dir/re.ir" \
+  || { echo "ci.sh: the served output does not compile again"; exit 1; }
 cargo run --release -q -p specframe --bin specc -- cache verify --cache-dir "$serve_dir/cache" > /dev/null \
   || { echo "ci.sh: cache verify found bad entries"; exit 1; }
 rm -rf "$serve_dir"
-echo "compile service smoke: cold/warm byte-identical, warm all-hits, cache verifies clean"
+echo "compile service smoke: cold/warm byte-identical, warm all-hits, output recompiles, cache verifies clean"
 
 # chaos gate: kill the real specc at every storage/queue crashpoint
 # mid-drain (SPECFRAME_CRASH_AT), restart it, and require convergence —

@@ -391,7 +391,12 @@ fn real_main() -> Result<(), CompileFailure> {
     // optimized module's instruction count would move with the optimizer).
     let input_shape = (m.funcs.len(), specframe::workloads::inst_count(&m));
 
-    if cli.mega.is_none() && m.func_by_name(&req.entry).is_none() {
+    // The reference run on --args, which only `--run` and `--sim` compare
+    // against (the mega-module, which has no entry point to interpret,
+    // rejects both at parse time), is the one run that needs the entry
+    // here; a training run reports a missing entry itself.
+    let compares = cli.run || cli.inv.sim.is_some();
+    if compares && m.func_by_name(&req.entry).is_none() {
         return Err(usage(format!(
             "no function `{}` in {}",
             req.entry, cli.input
@@ -411,11 +416,8 @@ fn real_main() -> Result<(), CompileFailure> {
         let dump: String = out.dumps.iter().map(|d| d.text.clone() + "\n").collect();
         return emit(&cli, &dump).map_err(usage);
     }
-    // The reference run on --args, which only `--run` and `--sim` compare
-    // against (the mega-module, which has no entry point to interpret,
-    // rejects both at parse time). A compile that trains on --args runs
-    // the reference run itself (`CompileOutput::reference`).
-    let compares = cli.run || cli.inv.sim.is_some();
+    // A compile that trains on --args runs the reference run itself
+    // (`CompileOutput::reference`).
     let reference = if !compares || req.trains_on_own_args() {
         None
     } else {

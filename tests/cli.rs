@@ -467,6 +467,29 @@ fn a_plain_compile_runs_no_reference_run() {
 }
 
 #[test]
+fn only_a_run_needs_the_entry_function() {
+    let no_main = &KERNEL[..KERNEL.find("func main").expect("KERNEL has a main")];
+    let input = tempfile_path::TempPath::new("specc_no_main", ".ir", no_main);
+    let compile = [input.as_str(), "--spec", "heuristic", "--control", "static"];
+    // a plain compile runs nothing, so it needs no `main`
+    let out = specc().args(compile).output().expect("spawn specc");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("func kern"));
+    // `--run` and `--sim` run the entry on `--args`: a usage error
+    for mode in ["--run", "--sim"] {
+        let out = specc()
+            .args(compile)
+            .arg(mode)
+            .output()
+            .expect("spawn specc");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{mode}: {err}");
+        assert!(err.contains("no function `main`"), "{mode}: {err}");
+    }
+}
+
+#[test]
 fn unknown_flag_reports_usage() {
     let out = specc().arg("--frobnicate").output().expect("spawn specc");
     // usage errors are exit-code family 1
