@@ -28,7 +28,9 @@
 //! The carried value lives in a *collapsed* register (every definition is
 //! "the current value of the cell"), so no φ plumbing is needed and the
 //! preheader's initializing load covers the zero-trip case: if the loop
-//! body never runs, the exit stores write back the original value.
+//! body never runs, the exit stores write back the original value. The
+//! exit stores read the register's version 0, the register itself, which
+//! keeps the in-loop moves live through the cleanup's dead-code sweep.
 //!
 //! This pass runs none of the six SSAPRE steps: loop recognition comes
 //! from the kernel's [`reducible_loops`], and it edits the speculative SSA

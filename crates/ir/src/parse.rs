@@ -192,34 +192,34 @@ impl<'s> Lexer<'s> {
         None
     }
 
-    /// Whether the token after the last one handed out is `:`.
-    fn colon_follows(&self) -> bool {
-        let bytes = self.src.as_bytes();
-        let mut i = self.pos;
-        while let Some(&b) = bytes.get(i) {
-            match b {
-                b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-                b'#' => i = comment_end(bytes, i),
-                _ => return b == b':',
-            }
-        }
-        false
-    }
-
     /// Skips a function body from just past its `{` by counting braces
     /// outside comments, and leaves the stream just past the matching `}`,
     /// which becomes the last token handed out. Returns `false`, moving
     /// nothing, when the body is unterminated.
     fn skip_body(&mut self) -> bool {
         let (src, start) = (self.src, self.pos);
+        // the first `c` in `src[from..to]`, or `to`: `find` on one ASCII
+        // char runs a word-at-a-time search
+        let find = |c: char, from: usize, to: usize| src[from..to].find(c).map_or(to, |k| from + k);
         let (mut i, mut depth) = (start, 1usize);
+        // The next `}`, the next `{` before it, and the next `#` before
+        // that. Each is searched for again only once `i` has passed it, so
+        // no byte is searched twice for one char however many comments
+        // the body holds.
+        let (mut close, mut open, mut hash) = (0, 0, 0);
         while depth > 0 {
-            // `find` on one ASCII char runs a word-at-a-time search
-            let Some(close) = src[i..].find('}').map(|k| i + k) else {
-                return false;
-            };
-            let open = src[i..close].find('{').map_or(close, |k| i + k);
-            let hash = src[i..open].find('#').map_or(open, |k| i + k);
+            if close < i {
+                close = find('}', i, src.len());
+                if close == src.len() {
+                    return false;
+                }
+            }
+            if open < i {
+                open = find('{', i, close);
+            }
+            if hash < i {
+                hash = find('#', i, open);
+            }
             if hash < open {
                 i = comment_end(src.as_bytes(), hash);
             } else if open < close {
@@ -273,9 +273,19 @@ impl<'s> Parser<'s> {
     }
 
     /// Whether the token after the next one is `:` — i.e. the next one
-    /// starts a block label.
+    /// starts a block label. The stream stands just past the next token,
+    /// so the answer is the first byte past blanks and comments.
     fn label_follows(&self) -> bool {
-        self.lex.colon_follows()
+        let bytes = self.lex.src.as_bytes();
+        let mut i = self.lex.pos;
+        while let Some(&b) = bytes.get(i) {
+            match b {
+                b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+                b'#' => i = comment_end(bytes, i),
+                _ => return b == b':',
+            }
+        }
+        false
     }
 
     /// An error on the line of the next unconsumed token, or of the last
