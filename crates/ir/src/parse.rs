@@ -637,14 +637,11 @@ fn parse_func_body<'s>(
                 if cur_terminated {
                     return Err(p.err("statement after block terminator"));
                 }
-                match parse_stmt(p, module, names, ctx)? {
-                    Stmt::Inst(inst) => ctx.insts.push(inst),
-                    Stmt::Term(pending) => {
-                        let f = &mut module.funcs[fid.index()];
-                        f.block_mut(b).insts = ctx.insts.drain(..).collect();
-                        ctx.pending.push((b, pending));
-                        cur_terminated = true;
-                    }
+                if let Some(pending) = parse_stmt(p, module, names, ctx)? {
+                    let f = &mut module.funcs[fid.index()];
+                    f.block_mut(b).insts = ctx.insts.drain(..).collect();
+                    ctx.pending.push((b, pending));
+                    cur_terminated = true;
                 }
             }
             None => return Err(p.err("unterminated function body")),
@@ -787,25 +784,19 @@ const MEM_READS: [(&str, MemRead, &str); 5] = [
     ("chks.", MemRead::Check(CheckKind::Nat), "bad check type"),
 ];
 
-/// One parsed statement: an instruction, or the terminator that ends its
-/// block.
-enum Stmt<'s> {
-    Inst(Inst),
-    Term(PendingTerm<'s>),
-}
-
-/// Parses one statement.
+/// Parses one statement into `ctx.insts`; returns `Some` if it is the
+/// terminator that ends the block.
 fn parse_stmt<'s>(
     p: &mut Parser<'s>,
     module: &mut Module,
     names: &Names<'s>,
-    ctx: &FuncCtx<'s>,
-) -> Result<Stmt<'s>, ParseError> {
+    ctx: &mut FuncCtx<'s>,
+) -> Result<Option<PendingTerm<'s>>, ParseError> {
     let first = p.ident()?;
     match first {
         "jmp" => {
             let t = p.ident()?;
-            return Ok(Stmt::Term(PendingTerm::Jump(t)));
+            return Ok(Some(PendingTerm::Jump(t)));
         }
         "br" => {
             let c = parse_operand(p, names, ctx)?;
@@ -813,7 +804,7 @@ fn parse_stmt<'s>(
             let t = p.ident()?;
             p.expect_punct(',')?;
             let e = p.ident()?;
-            return Ok(Stmt::Term(PendingTerm::Br(c, t, e)));
+            return Ok(Some(PendingTerm::Br(c, t, e)));
         }
         "ret" => {
             // `ret` may or may not carry a value; a value continues on the
@@ -829,7 +820,7 @@ fn parse_stmt<'s>(
                 }
                 _ => None,
             };
-            return Ok(Stmt::Term(PendingTerm::Ret(v)));
+            return Ok(Some(PendingTerm::Ret(v)));
         }
         "store" => {
             return Err(p.err("`store` needs a type suffix, e.g. `store.i64`"));
@@ -867,7 +858,8 @@ fn parse_stmt<'s>(
         p.expect_punct('=')?;
         parse_rhs(p, module, names, ctx, dst)?
     };
-    Ok(Stmt::Inst(inst))
+    ctx.insts.push(inst);
+    Ok(None)
 }
 
 /// Parses the right-hand side of `dst = …`.

@@ -18,25 +18,17 @@ fn grow(bytes: usize) {
     PEAK.fetch_max(live, Relaxed);
 }
 
-/// The system allocator, counting live bytes. A reallocation counts its
-/// new block before releasing the old one, as a moving one holds both.
+/// The system allocator, counting live bytes. `realloc` keeps its default,
+/// which allocates the new block before it frees the old one, so a growing
+/// vector counts both blocks, as a moving one holds both.
 struct Counting;
 
-// SAFETY: every method forwards to `System` with the caller's arguments
-// and returns its result unchanged; the counters touch no allocated memory.
+// SAFETY: both methods forward to `System` with the caller's arguments and
+// return its result unchanged; the counters touch no allocated memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            grow(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
-        let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             grow(layout.size());
         }
@@ -48,17 +40,6 @@ unsafe impl GlobalAlloc for Counting {
         // with `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) };
         LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller upholds `realloc`'s contract for `ptr`,
-        // `layout` and `new_size`.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            grow(new_size);
-            LIVE.fetch_sub(layout.size(), Relaxed);
-        }
-        p
     }
 }
 
