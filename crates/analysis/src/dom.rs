@@ -8,11 +8,12 @@ thread_local! {
     /// Per-thread count of [`DomTree::compute`] invocations.
     ///
     /// Observability hook for the pipeline's analysis cache: the driver
-    /// samples this before and after an `optimize` call to assert
-    /// dominators are built at most once per function on the no-CFG-edit
-    /// path. Per-thread, so concurrent compiles on other threads never
-    /// show up in the delta; the driver builds every function's analyses
-    /// on the calling thread, before its worker fan-out.
+    /// reports how many dominator trees an `optimize` call built, so tests
+    /// can assert one per function on the no-CFG-edit path. Per-thread, so
+    /// concurrent compiles on other threads never show up in a delta; the
+    /// worker that owns a function builds its analyses, so the driver
+    /// samples this before and after each function's compile on that
+    /// worker and sums the deltas at its join.
     static DOM_COMPUTES: Cell<u64> = const { Cell::new(0) };
 }
 

@@ -43,6 +43,7 @@ use specframe_hssa::{
 };
 use specframe_ir::display::{func_name_table, print_function};
 use specframe_ir::{layout_globals, CalleeSig, FuncId, Function, Global, MemSiteId, Module};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -174,12 +175,13 @@ pub fn optimize(m: &mut Module, opts: &OptOptions<'_>) -> OptStats {
 /// The per-function stages — build HSSA → refine → SSAPRE → strength
 /// reduction / store sinking → verify → lower — are embarrassingly
 /// parallel: each worker owns exactly one [`Function`] (moved out of the
-/// module) plus read-only shared state (globals, alias analysis, profiles,
-/// the per-function analysis cache). The module is only touched at two
-/// deterministic points: the fan-out (functions moved out in index order)
-/// and the join (lowered functions spliced back in index order, with
-/// optimizer-synthesized memory sites renumbered serially there). Output is
-/// therefore bit-identical for every job count, including 1.
+/// module), builds that function's CFG analyses and edge estimate, and
+/// reads only read-only shared state (globals, alias analysis, profiles).
+/// The module is only touched at two deterministic points: the fan-out
+/// (functions moved out in index order) and the join (lowered functions
+/// spliced back in index order, with optimizer-synthesized memory sites
+/// renumbered serially there). Output is therefore bit-identical for every
+/// job count, including 1.
 ///
 /// Hooks snapshot the textual form of any function after any named stage
 /// ([`PipelineHooks::dump_after`]) or run the pipeline only through a stage
@@ -190,12 +192,14 @@ pub fn optimize(m: &mut Module, opts: &OptOptions<'_>) -> OptStats {
 ///
 /// With a cache, every function's content hash (body + config +
 /// alias-analysis slice + profile slices — see [`crate::cache::key`]) is
-/// probed before the fan-out. Hits replay their stored lowering, stats, and
-/// dumps and never occupy a worker slot; only misses (and stale entries,
-/// which degrade with a `"cache"` diagnostic on the report) are compiled.
-/// Clean misses are written back at the join, *before* fresh-site
-/// renumbering, so an entry replays identically into any module. Cache
-/// counters land on [`OptReport::cache`], never on [`OptStats`].
+/// derived before the fan-out, since a key reads the whole module. The
+/// worker that owns a function then probes its key: a hit replays the
+/// stored lowering, stats and dumps in place of the input function; a miss
+/// (or a stale entry, which degrades with a `"cache"` diagnostic leading
+/// the report's warnings) is compiled. Clean misses are written back at the
+/// join, *before* fresh-site renumbering, so an entry replays identically
+/// into any module. Cache counters land on [`OptReport::cache`], never on
+/// [`OptStats`].
 ///
 /// A function whose speculative compilation fails (verifier rejection or a
 /// worker panic) is recompiled with speculation disabled; the degradation
@@ -215,7 +219,6 @@ pub fn try_optimize_cached(
     fcache: Option<&FuncCache>,
 ) -> Result<(OptReport, Vec<PassDump>), CompileError> {
     let total0 = Instant::now();
-    let dom0 = dom_compute_count();
     prepare_module(m);
 
     let mut timings = PassTimings {
@@ -235,158 +238,20 @@ pub fn try_optimize_cached(
             && hooks.inject_fallback_fail.is_none()
             && hooks.inject_corrupt.is_none()
     });
-    let cx = Ctx {
-        opts,
-        hooks,
-        aa: &aa,
-        cache,
-        jobs: cfg.resolved_jobs(),
-    };
-
-    let mut probed = probe_stage(&cx, m, &mut timings);
-    let func_names = func_name_table(m);
-    let results = compile_stage(&cx, m, &func_names, &mut probed.cached, &mut timings);
-    let (stats, mut warnings, dumps) =
-        join_stage(&cx, m, results, &func_names, &mut probed, &mut timings)?;
-    if let Some(c) = cache {
-        fold_fault_counters(c, &mut probed.stats, &mut warnings);
-    }
-
-    let t0 = Instant::now();
-    specframe_ir::verify_module(m).map_err(|e| CompileError {
-        function: String::new(),
-        pass: "module-verify".into(),
-        message: e.to_string(),
-        fallback_exhausted: false,
-    })?;
-    timings.module_verify = t0.elapsed();
-    timings.total = total0.elapsed();
-    timings.dom_computes = dom_compute_count() - dom0;
-    Ok((
-        OptReport {
-            stats,
-            timings,
-            warnings,
-            cache: probed.stats,
-            cache_outcomes: probed.outcomes,
-        },
-        dumps,
-    ))
-}
-
-/// The per-call inputs every stage of [`try_optimize_cached`] reads.
-struct Ctx<'a, 'p> {
-    opts: &'a OptOptions<'p>,
-    hooks: &'a PipelineHooks,
-    aa: &'a AliasAnalysis,
-    /// The cache, unless absent or switched off by fault injection.
-    cache: Option<&'a FuncCache>,
-    /// Resolved worker count (≥ 1).
-    jobs: usize,
-}
-
-/// What the probe stage found, per function in index order. Without a
-/// cache, `cached` is all `None` (every function compiles) and the rest
-/// stays empty.
-#[derive(Default)]
-struct Probed {
-    keys: Vec<cache::CacheKey>,
-    /// Replayable entries; `None` for every function that must compile.
-    cached: Vec<Option<Box<CachedFunc>>>,
-    outcomes: Vec<CacheOutcome>,
-    stats: CacheStats,
-    /// Stale-entry diagnostics. They are module-level (the *recompile*
-    /// itself is clean and write-back eligible), so they are kept apart
-    /// from the per-function fallback warnings and lead the report's list.
-    warnings: Vec<CompileDiag>,
-}
-
-/// Probe stage: derives every function's cache key and probes the store.
-/// Both are independent per function, so they fan out over the worker
-/// pool; the outcomes are folded back in index order, keeping counters,
-/// warnings and write-back decisions deterministic.
-fn probe_stage(cx: &Ctx<'_, '_>, m: &Module, timings: &mut PassTimings) -> Probed {
-    let nfuncs = m.funcs.len();
-    let mut p = Probed::default();
-    p.cached.resize_with(nfuncs, || None);
-    let Some(c) = cx.cache else {
-        return p;
-    };
-    let t0 = Instant::now();
-    let ctx = cache::KeyContext::new(m, cx.aa, cx.opts, cx.hooks);
-    let probes = fan_out(cx.jobs, (0..nfuncs).collect(), |fi| {
-        let key = ctx.function_key(fi);
-        let probe = c.probe(&key);
-        (key, probe)
+    let jobs = cfg.resolved_jobs();
+    // a key reads the whole module (every signature, the global table), so
+    // keys are derived before the fan-out moves the functions out
+    let keys: Vec<cache::CacheKey> = cache.map_or_else(Vec::new, |_| {
+        let t0 = Instant::now();
+        let ctx = cache::KeyContext::new(m, &aa, opts, hooks);
+        let keys = fan_out(jobs, (0..m.funcs.len()).collect(), |fi| {
+            ctx.function_key(fi)
+        });
+        timings.cache = t0.elapsed();
+        keys
     });
-    for (fi, (key, probe)) in probes.into_iter().enumerate() {
-        match probe {
-            Probe::Hit(cf) => {
-                p.stats.hits += 1;
-                p.outcomes.push(CacheOutcome::Hit);
-                p.cached[fi] = Some(cf);
-            }
-            Probe::Miss => {
-                p.stats.misses += 1;
-                p.outcomes.push(CacheOutcome::Miss);
-            }
-            Probe::Stale(why) => {
-                p.stats.stale += 1;
-                p.outcomes.push(CacheOutcome::Stale);
-                p.warnings.push(CompileDiag {
-                    function: m.funcs[fi].name.clone(),
-                    pass: "cache".into(),
-                    message: format!("stale cache entry ({why}); recompiled from source"),
-                });
-            }
-        }
-        p.keys.push(key);
-    }
-    timings.cache += t0.elapsed();
-    p
-}
 
-/// Compile stage: moves every function out of `m`, runs the per-function
-/// pipeline over the misses on the worker pool, and slots each hit's
-/// replayed result in beside them — one result per function, index order.
-fn compile_stage(
-    cx: &Ctx<'_, '_>,
-    m: &mut Module,
-    func_names: &[String],
-    cached: &mut [Option<Box<CachedFunc>>],
-    timings: &mut PassTimings,
-) -> Vec<Result<FuncResult, CompileError>> {
-    // CFG analyses once per function, up front and on this thread: every
-    // later pass only rewrites instructions (never the CFG — critical
-    // edges were split above), so the cache stays valid through the whole
-    // fan-out. Cache hits skip the pipeline entirely and need no analyses.
-    let t0 = Instant::now();
-    let fas: Vec<Option<FuncAnalyses>> = m
-        .funcs
-        .iter()
-        .zip(cached.iter())
-        .map(|(f, hit)| hit.is_none().then(|| FuncAnalyses::compute(f)))
-        .collect();
-    timings.analyses = t0.elapsed();
-
-    let estimated;
-    let control_profile: Option<&EdgeProfile> = match cx.opts.control {
-        ControlSpec::Off => None,
-        ControlSpec::Profile(p) => Some(p),
-        ControlSpec::Static => {
-            // estimate only the functions that will actually compile; the
-            // estimator is per-function, so hits don't change miss keys
-            let mut p = EdgeProfile::new();
-            for (fi, (f, fa)) in m.funcs.iter().zip(&fas).enumerate() {
-                if let Some(fa) = fa {
-                    estimate_function(&mut p, FuncId::from_index(fi), f, fa);
-                }
-            }
-            estimated = p;
-            Some(&estimated)
-        }
-    };
-
+    let func_names = func_name_table(m);
     // callee signatures and the global address layout, frozen before the
     // fan-out so per-worker verification/audit can run without the
     // (moved-out) module
@@ -397,84 +262,149 @@ fn compile_stage(
         .collect();
     let layout = layout_globals(&m.globals);
     let funcs = std::mem::take(&mut m.funcs);
-    let shared = Shared {
+    let sh = Shared {
         globals: &m.globals,
-        func_names,
+        func_names: &func_names,
         sigs: &sigs,
         layout: &layout,
-        aa: cx.aa,
-        opts: cx.opts,
-        control_profile,
-        hooks: cx.hooks,
+        aa: &aa,
+        opts,
+        hooks,
     };
-    // only misses occupy worker slots; worker panics are caught inside
-    // process_function, so failures arrive as CompileErrors in order
-    let misses: Vec<(usize, Function)> = funcs
-        .into_iter()
-        .enumerate()
-        .filter(|(fi, _)| cached[*fi].is_none())
-        .collect();
-    let mut compiled = fan_out(cx.jobs, misses, |(fi, f)| {
-        let fa = fas[fi].as_ref().expect("analyses computed for every miss");
-        process_function(&shared, f, fi, fa)
-    })
-    .into_iter();
-    cached
-        .iter_mut()
-        .map(|hit| match hit.take() {
-            Some(cf) => Ok(FuncResult::from_cached(*cf)),
-            None => compiled.next().expect("one result per miss"),
-        })
-        .collect()
+    // worker panics are caught inside process_function, so failures arrive
+    // as CompileErrors in order
+    let owned = fan_out(jobs, funcs.into_iter().enumerate().collect(), |(fi, f)| {
+        replay_or_compile(&sh, cache.map(|c| (c, &keys[fi])), fi, f)
+    });
+    let cache = cache.map(|c| (c, keys.as_slice()));
+    let (mut report, dumps) = join(m, owned, cache, hooks, &func_names, timings)?;
+    if let Some((c, _)) = cache {
+        fold_fault_counters(c, &mut report.cache, &mut report.warnings);
+    }
+
+    let t0 = Instant::now();
+    specframe_ir::verify_module(m).map_err(|e| CompileError {
+        function: String::new(),
+        pass: "module-verify".into(),
+        message: e.to_string(),
+        fallback_exhausted: false,
+    })?;
+    report.timings.module_verify = t0.elapsed();
+    report.timings.total = total0.elapsed();
+    Ok((report, dumps))
 }
 
-/// Join stage: splices the results back into `m` in index order and
-/// renumbers fresh memory sites serially, reproducing serial numbering;
-/// per-function dumps and warnings are concatenated in the same order. An
-/// unrecoverable per-function failure surfaces here — the lowest function
-/// index wins, independent of worker scheduling. Clean misses are written
-/// back here, encoded *before* renumbering so the stored placeholders
-/// replay into any module.
-fn join_stage(
-    cx: &Ctx<'_, '_>,
+/// What the worker that owns one function hands the join.
+struct Owned {
+    /// The function's cache outcome; `None` without a cache.
+    outcome: Option<CacheOutcome>,
+    /// A stale entry's diagnostic. It is kept apart from the result's own
+    /// warnings, whose emptiness makes the recompile eligible for
+    /// write-back, and leads the report's warnings.
+    stale: Option<CompileDiag>,
+    result: Result<FuncResult, CompileError>,
+}
+
+/// The work of the worker that owns function `fi`: with a cache, probe its
+/// key and replay a hit in place of `f`; compile `f` otherwise. The probe
+/// is timed into the result's `cache` row.
+fn replay_or_compile(
+    sh: &Shared<'_, '_>,
+    cache: Option<(&FuncCache, &cache::CacheKey)>,
+    fi: usize,
+    f: Function,
+) -> Owned {
+    let (probe, probe_time) = match cache {
+        Some((c, key)) => {
+            let t0 = Instant::now();
+            (Some(c.probe(key)), t0.elapsed())
+        }
+        None => (None, Duration::ZERO),
+    };
+    let outcome = probe.as_ref().map(|p| match p {
+        Probe::Hit(_) => CacheOutcome::Hit,
+        Probe::Miss => CacheOutcome::Miss,
+        Probe::Stale(_) => CacheOutcome::Stale,
+    });
+    let mut stale = None;
+    let result = match probe {
+        Some(Probe::Hit(cf)) => Ok(FuncResult::from_cached(*cf)),
+        probe => {
+            if let Some(Probe::Stale(why)) = probe {
+                stale = Some(CompileDiag {
+                    function: f.name.clone(),
+                    pass: "cache".into(),
+                    message: format!("stale cache entry ({why}); recompiled from source"),
+                });
+            }
+            process_function(sh, f, fi)
+        }
+    };
+    Owned {
+        outcome,
+        stale,
+        result: result.map(|mut r| {
+            r.timings.cache = probe_time;
+            r
+        }),
+    }
+}
+
+/// Join: splices the results back into `m` in index order and renumbers
+/// fresh memory sites serially, reproducing serial numbering; per-function
+/// dumps and warnings are concatenated in the same order, after every
+/// stale entry's diagnostic. An unrecoverable per-function failure surfaces
+/// here — the lowest function index wins, independent of worker
+/// scheduling. Clean misses are written back here, encoded *before*
+/// renumbering so the stored placeholders replay into any module.
+fn join(
     m: &mut Module,
-    results: Vec<Result<FuncResult, CompileError>>,
+    owned: Vec<Owned>,
+    cache: Option<(&FuncCache, &[cache::CacheKey])>,
+    hooks: &PipelineHooks,
     func_names: &[String],
-    probed: &mut Probed,
-    timings: &mut PassTimings,
-) -> Result<(OptStats, Vec<CompileDiag>, Vec<PassDump>), CompileError> {
-    let mut stats = OptStats::default();
-    let mut warnings = std::mem::take(&mut probed.warnings);
+    timings: PassTimings,
+) -> Result<(OptReport, Vec<PassDump>), CompileError> {
+    let mut report = OptReport {
+        timings,
+        ..OptReport::default()
+    };
+    let mut warnings = Vec::new();
     let mut dumps: Vec<PassDump> = Vec::new();
-    m.funcs = Vec::with_capacity(results.len());
-    for (fi, r) in results.into_iter().enumerate() {
-        let mut r = r?;
+    m.funcs = Vec::with_capacity(owned.len());
+    for (fi, o) in owned.into_iter().enumerate() {
+        let mut r = o.result?;
+        if let Some(outcome) = o.outcome {
+            report.cache_outcomes.push(outcome);
+            match outcome {
+                CacheOutcome::Hit => report.cache.hits += 1,
+                CacheOutcome::Miss => report.cache.misses += 1,
+                CacheOutcome::Stale => report.cache.stale += 1,
+            }
+        }
+        report.warnings.extend(o.stale);
         // a function that needed the degradation ladder is not cached: its
         // result encodes a recovery, not the plain compile the key
         // describes. A cancelled request stops writing entries: the join
         // may still splice results compiled before the deadline, but none
         // of them reach the store.
-        let write_back = cx.cache.filter(|_| {
-            matches!(
-                probed.outcomes.get(fi),
-                Some(CacheOutcome::Miss | CacheOutcome::Stale)
-            ) && r.warnings.is_empty()
-                && !cx.hooks.cancel.cancelled()
-        });
-        let bytes = write_back.map(|_| {
+        let write_back = matches!(o.outcome, Some(CacheOutcome::Miss | CacheOutcome::Stale))
+            && r.warnings.is_empty()
+            && !hooks.cancel.cancelled();
+        let entry = cache.filter(|_| write_back).map(|(c, keys)| {
             let t0 = Instant::now();
             let bytes = cache::encode_entry(&r.f, r.fresh_sites, &r.stats, &r.dumps);
-            timings.cache += t0.elapsed();
-            bytes
+            report.timings.cache += t0.elapsed();
+            (c, &keys[fi], bytes)
         });
         let first = MemSiteId(m.next_mem_site);
         m.next_mem_site += r.fresh_sites;
         resolve_fresh_sites(&mut r.f, first);
-        stats.absorb(&r.stats);
-        timings.absorb(&r.timings);
+        report.stats.absorb(&r.stats);
+        report.timings.absorb(&r.timings);
         warnings.append(&mut r.warnings);
         dumps.append(&mut r.dumps);
-        if cx.hooks.dump_after.contains(Pass::Lower) {
+        if hooks.dump_after.contains(Pass::Lower) {
             let mut text = String::new();
             print_function(&mut text, &m.globals, func_names, &r.f);
             dumps.push(PassDump {
@@ -483,20 +413,21 @@ fn join_stage(
                 text,
             });
         }
-        if let (Some(c), Some(bytes)) = (write_back, bytes) {
+        if let Some((c, key, bytes)) = entry {
             let t0 = Instant::now();
-            if let Err(e) = c.insert(&probed.keys[fi], &bytes) {
+            if let Err(e) = c.insert(key, &bytes) {
                 warnings.push(CompileDiag {
                     function: r.f.name.clone(),
                     pass: "cache".into(),
                     message: format!("cache write failed ({e}); result not cached"),
                 });
             }
-            timings.cache += t0.elapsed();
+            report.timings.cache += t0.elapsed();
         }
         m.funcs.push(r.f);
     }
-    Ok((stats, warnings, dumps))
+    report.warnings.append(&mut warnings);
+    Ok((report, dumps))
 }
 
 /// Folds the storage-fault counters into `stats` and surfaces the circuit
@@ -569,8 +500,8 @@ fn fan_out<T: Send, R: Send>(jobs: usize, items: Vec<T>, work: impl Fn(T) -> R +
         .collect()
 }
 
-/// One function's compiled output: a worker's result, or a cache entry
-/// replayed at the join.
+/// One function's compiled output: a worker's compile, or the cache entry
+/// it replayed.
 struct FuncResult {
     /// The lowered function (fresh sites still local placeholders).
     f: Function,
@@ -586,9 +517,10 @@ struct FuncResult {
 }
 
 impl FuncResult {
-    /// A result replayed from a cache entry: stored lowering, stats and
-    /// dumps, zero timings (nothing ran), no warnings (only clean compiles
-    /// are written back).
+    /// A result replayed from a cache entry, in place of the input function,
+    /// by the worker that owns it: stored lowering, stats and dumps, zero
+    /// timings (nothing ran; the worker adds its probe's time), no warnings
+    /// (only clean compiles are written back).
     fn from_cached(cf: CachedFunc) -> FuncResult {
         FuncResult {
             f: cf.func,
@@ -611,25 +543,37 @@ struct Shared<'a, 'p> {
     layout: &'a [i64],
     aa: &'a AliasAnalysis,
     opts: &'a OptOptions<'p>,
-    control_profile: Option<&'a EdgeProfile>,
     hooks: &'a PipelineHooks,
+}
+
+/// What one function's pipeline reads of its own beside the function,
+/// built by the worker that owns it.
+struct Unit<'p> {
+    fid: FuncId,
+    /// CFG analyses: every pass after `prepare_module` only rewrites
+    /// instructions, never the CFG, so they stay valid through the whole
+    /// pipeline.
+    fa: FuncAnalyses,
+    /// The control-speculation edge profile: the configured one, or this
+    /// function's own static estimate (the estimator reads one function).
+    edges: Option<Cow<'p, EdgeProfile>>,
 }
 
 /// The per-function pipeline. Owns `f`; everything else is shared
 /// read-only.
 ///
-/// Builds the SSA form the first speculative attempt optimizes and runs
-/// refinement over it once up front (the fold is not
-/// speculation-dependent), then runs the speculative stage group under the
-/// degradation ladder ([`run_ladder`]), handing the form to its first
-/// attempt unless refinement folded something.
+/// Builds the function's [`Unit`], then the SSA form the first speculative
+/// attempt optimizes, and runs refinement over it once up front (the fold
+/// is not speculation-dependent), then runs the speculative stage group
+/// under the degradation ladder ([`run_ladder`]), handing the form to its
+/// first attempt unless refinement folded something. The result's
+/// `dom_computes` counts the dominator trees this thread built for `f`: the
+/// counter is per thread, so the join sums these.
 fn process_function(
     sh: &Shared<'_, '_>,
     mut f: Function,
     fi: usize,
-    fa: &FuncAnalyses,
 ) -> Result<FuncResult, CompileError> {
-    let fid = FuncId::from_index(fi);
     let hooks = sh.hooks;
     // between-functions deadline gate: a request past its deadline stops
     // claiming work; functions already in flight stop at their next pass
@@ -637,6 +581,21 @@ fn process_function(
     if hooks.cancel.cancelled() {
         return Err(CompileError::deadline(&f.name));
     }
+    let dom0 = dom_compute_count();
+    let t0 = Instant::now();
+    let fa = FuncAnalyses::compute(&f);
+    let analyses_time = t0.elapsed();
+    let fid = FuncId::from_index(fi);
+    let edges = match sh.opts.control {
+        ControlSpec::Off => None,
+        ControlSpec::Profile(p) => Some(Cow::Borrowed(p)),
+        ControlSpec::Static => {
+            let mut p = EdgeProfile::new();
+            estimate_function(&mut p, fid, &f, &fa);
+            Some(Cow::Owned(p))
+        }
+    };
+    let u = Unit { fid, fa, edges };
     let mut dumps: Vec<PassDump> = Vec::new();
 
     // flow-sensitive refinement (Figure 4's last box): build the SSA form
@@ -649,7 +608,7 @@ fn process_function(
     let refined = with_quiet_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let t0 = Instant::now();
-            let hf = build_hssa(sh.globals, &f, fid, sh.aa, &oracle, fa);
+            let hf = build_hssa(sh.globals, &f, u.fid, sh.aa, &oracle, &u.fa);
             build_time = t0.elapsed();
             let t0 = Instant::now();
             let folded = refine_function(&mut f, &hf);
@@ -698,7 +657,7 @@ fn process_function(
         });
     }
     let mut out = if hooks.runs(Pass::Hssa) {
-        run_ladder(sh, &f, fid, fa, built)?
+        run_ladder(sh, &f, &u, built)?
     } else {
         // stopped after refine: the function is already executable IR
         FuncResult {
@@ -710,9 +669,11 @@ fn process_function(
             warnings: Vec::new(),
         }
     };
+    out.timings.analyses = analyses_time;
     out.timings.refine = refine_time;
     out.timings.hssa_build += build_time;
     out.timings.verify_each += pre_verify_time;
+    out.timings.dom_computes = dom_compute_count() - dom0;
     dumps.append(&mut out.dumps);
     out.dumps = dumps;
     Ok(out)
@@ -729,8 +690,7 @@ fn process_function(
 fn run_ladder(
     sh: &Shared<'_, '_>,
     f: &Function,
-    fid: FuncId,
-    fa: &FuncAnalyses,
+    u: &Unit<'_>,
     built: Option<HssaFunc>,
 ) -> Result<FuncResult, CompileError> {
     let current = Cell::new("hssa");
@@ -741,7 +701,7 @@ fn run_ladder(
         current.set("hssa");
         let r = with_quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                run_spec_stages(sh, f, fid, fa, speculative, skip, built, &current)
+                run_spec_stages(sh, f, u, speculative, skip, built, &current)
             }))
         })
         .unwrap_or_else(|payload| {
@@ -1018,12 +978,10 @@ fn attempt_oracle<'p>(sh: &Shared<'_, 'p>, speculative: bool) -> Likeliness<'p> 
 /// [`cleanup_hssa`] runs after the first of SSAPRE and the optional passes
 /// to run, since a fresh build's φs are unpruned, and after each later one
 /// that reports a rewrite; cleaning a cleaned form changes nothing.
-#[allow(clippy::too_many_arguments)]
 fn run_spec_stages(
     sh: &Shared<'_, '_>,
     f: &Function,
-    fid: FuncId,
-    fa: &FuncAnalyses,
+    u: &Unit<'_>,
     speculative: bool,
     skip: PassSet,
     built: Option<HssaFunc>,
@@ -1046,7 +1004,7 @@ fn run_spec_stages(
         Some(hf) => hf,
         None => {
             let t0 = Instant::now();
-            let hf = build_hssa(sh.globals, f, fid, sh.aa, &oracle, fa);
+            let hf = build_hssa(sh.globals, f, u.fid, sh.aa, &oracle, &u.fa);
             a.t.hssa_build = t0.elapsed();
             hf
         }
@@ -1076,7 +1034,7 @@ fn run_spec_stages(
             let policy = if speculative {
                 SpecPolicy {
                     oracle,
-                    control: sh.control_profile.map(|p| (p, fid)),
+                    control: u.edges.as_deref().map(|p| (p, u.fid)),
                 }
             } else {
                 SpecPolicy::none()
@@ -1084,7 +1042,7 @@ fn run_spec_stages(
             let t0 = Instant::now();
             // SSAPRE always follows a fresh build, so it is always cleaned
             // after, including the copies its phases propagated
-            let transformed = ssapre_function(f, &mut hf, &policy, &mut a.stats, fa);
+            let transformed = ssapre_function(f, &mut hf, &policy, &mut a.stats, &u.fa);
             clean(&mut hf, transformed);
             a.t.ssapre = t0.elapsed();
             a.leave(&mut hf, Pass::Ssapre, &[])?;
@@ -1098,7 +1056,7 @@ fn run_spec_stages(
         }
         a.enter(op.pass.name())?;
         let t0 = Instant::now();
-        let rewrites = (op.run)(&mut hf, fa, &mut sr_temps, &mut a.stats);
+        let rewrites = (op.run)(&mut hf, &u.fa, &mut sr_temps, &mut a.stats);
         clean(&mut hf, rewrites);
         *(op.time)(&mut a.t) = t0.elapsed();
         a.leave(&mut hf, op.pass, &sr_temps)?;

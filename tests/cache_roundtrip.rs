@@ -163,6 +163,20 @@ fn damaged_entries_recompile_fresh_and_heal() {
             .all(|w| w.message.contains("recompiled from source")),
         "{stale_warnings:?}"
     );
+    // the stale-entry diagnostics lead the report's warnings, in the module
+    // order of their functions
+    let stale_at: Vec<usize> = out.report.warnings[..3]
+        .iter()
+        .map(|w| {
+            assert!(w.message.starts_with("stale cache entry"), "{w}");
+            let at = out.module.funcs.iter().position(|f| f.name == w.function);
+            at.expect("a stale entry's function is in the module")
+        })
+        .collect();
+    assert!(
+        stale_at.windows(2).all(|p| p[0] < p[1]),
+        "stale entries out of module order: {stale_at:?}"
+    );
 
     // the recompiles were written back: the next run is all hits again
     let (healed, out) = compile_mega(23, FUNCS, &req(Some(&dir), 1));
